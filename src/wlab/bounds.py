@@ -4,7 +4,11 @@ For rational Gauss components g1, g2 of degrees d1, d2 on the k-punctured
 genus-G sphere, the divisor of h dz ties the degrees to the pole orders
 mu_j of h dz at the punctures: d1 + d2 = 2G - 2 + sum(mu_j), provided the
 components are first rotated so neither has a pole at a puncture and all
-their poles are simple.  That identity controls the ratios
+their poles are simple.  No rotation is carried out: a rotation multiplies
+h by (b g + conj(a)) per component, whose order at a puncture is minus the
+pole order of g there (an admissible rotation never makes it vanish), so
+mu_j = poleord g1 + poleord g2 - ord(h dz) = -metric_exponent, read off the
+end classification.  That identity controls the ratios
 
     R_i = d_i / (2G - 2 + k)
 
@@ -34,16 +38,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .exprparse import as_sphere_point
 from .ramification import exceptional_values, preimages, ramification_report
 from .rational import RationalFunction, SpherePoint
-from .roots import IllConditionedRootsError, RootCrossCheckError
-from .tolerances import DEFAULT_SEED, Tolerances, default_tolerances
+from .tolerances import Tolerances, default_tolerances
 from .weierstrass import (
     VERDICT_COMPLETE,
     VERDICT_DEGENERATE,
+    EndClassification,
     WeierstrassData,
     check_conformality,
     check_regularity,
@@ -65,13 +67,10 @@ __all__ = [
     "IDENTITY_IDENTICAL",
     "IDENTITY_FORCED",
     "IDENTITY_NOT_FORCED",
-    "RotationSearchError",
-    "RotationNormalization",
     "BoundsReport",
     "SharedValue",
     "SharedValues",
     "UnicityReport",
-    "rotation_normalize",
     "compute_bounds",
     "compute_bounds_abstract",
     "corollary_check",
@@ -94,25 +93,6 @@ SHARED_CONSTANT_PAIR = "constant-pair"
 IDENTITY_IDENTICAL = "identical"
 IDENTITY_FORCED = "forced identical"
 IDENTITY_NOT_FORCED = "not forced"
-
-
-class RotationSearchError(RuntimeError):
-    """No admissible rotation found within the attempt budget."""
-
-
-@dataclass(frozen=True)
-class RotationNormalization:
-    """Data rotated so both Gauss components are puncture-finite, simple-poled.
-
-    ``rotations`` holds the (a, b) pair per component of the sphere rotation
-    T(w) = (a w - conj(b)) / (b w + conj(a)), |a|^2 + |b|^2 = 1; constant
-    components keep the identity (1, 0).
-    """
-
-    data: WeierstrassData
-    rotations: tuple[tuple[complex, complex], tuple[complex, complex]]
-    attempts: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -149,9 +129,7 @@ class BoundsReport:
     joint_bound_lhs: Fraction | None = None  # 1/(nu1-2) + 1/(nu2-2)
     joint_bound_ok: bool | None = None
     joint_bound_equality: bool | None = None
-    mu: tuple[int, ...] | None = None  # pole orders of rotated h dz at punctures
-    rotation: tuple[tuple[complex, complex], tuple[complex, complex]] | None = None
-    rotation_seed: int | None = None
+    mu: tuple[int, ...] | None = None  # -metric_exponent: pole orders of rotated h dz
     degree_identity_ok: bool | None = None  # d1 + d2 == 2G - 2 + sum(mu)
     mu_all_at_least_two: bool | None = None
     algebraic: bool | None = None  # hypotheses + vanishing periods
@@ -211,76 +189,12 @@ class UnicityReport:
     notes: tuple[str, ...] = ()
 
 
-# -- rotation normalization ----------------------------------------------------
-
-
-def _unit_pair(rng) -> tuple[complex, complex]:
-    v = rng.normal(size=4)
-    v = v / np.linalg.norm(v)
-    return complex(v[0], v[1]), complex(v[2], v[3])
-
-
-def _poles_admissible(g: RationalFunction, punctures, tol: Tolerances) -> bool:
-    if any(g.value_at_sphere(p, tol).is_infinity for p in punctures):
-        return False
-    return all(e.order == -1 for e in g.zeros_and_poles(tol) if e.order < 0)
-
-
-def rotation_normalize(
-    d: WeierstrassData,
-    tol: Tolerances | None = None,
-    seed: int = DEFAULT_SEED,
-    max_attempts: int = 32,
-) -> RotationNormalization:
-    """Rotate the Gauss components into the bookkeeping position.
-
-    Post-composes each non-constant component with a random sphere rotation,
-    redrawn until neither component has a pole at any puncture and all their
-    poles are simple.  h picks up the factor (b1 g1 + conj(a1)) (b2 g2 +
-    conj(a2)), which keeps the metric -- and hence the surface and every
-    geometric invariant -- unchanged.  Deterministic for a fixed seed.
-    """
-    tol = tol or default_tolerances()
-    rng = np.random.default_rng(seed)
-    identity = (1 + 0j, 0j)
-    for attempt in range(1, max_attempts + 1):
-        pairs = tuple(
-            identity if g.is_constant else _unit_pair(rng) for g in (d.g1, d.g2)
-        )
-        rotated: list[RationalFunction] = []
-        admissible = True
-        for g, (a, b) in zip((d.g1, d.g2), pairs):
-            if g.is_constant:
-                rotated.append(g)
-                continue
-            gr = g.compose_moebius(a, -b.conjugate(), b, a.conjugate())
-            try:
-                if not _poles_admissible(gr, d.punctures, tol):
-                    admissible = False
-                    break
-            except (IllConditionedRootsError, RootCrossCheckError):
-                admissible = False
-                break
-            rotated.append(gr)
-        if not admissible:
-            continue
-        (a1, b1), (a2, b2) = pairs
-        h_hat = d.h * (d.g1 * b1 + a1.conjugate()) * (d.g2 * b2 + a2.conjugate())
-        data = WeierstrassData(
-            h_hat, rotated[0], rotated[1], d.punctures, d.genus, d.label
-        )
-        return RotationNormalization(data=data, rotations=pairs, attempts=attempt, seed=seed)
-    raise RotationSearchError(
-        f"no admissible rotation of the Gauss components in {max_attempts} "
-        f"attempts (seed {seed})"
-    )
-
-
 # -- surface hypotheses ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Hypotheses:
+    ends: EndClassification
     conformal: bool
     regular: bool
     nondegenerate: bool  # no degenerate end, and at least one puncture
@@ -295,6 +209,7 @@ class _Hypotheses:
 def _hypotheses(d: WeierstrassData, tol: Tolerances) -> _Hypotheses:
     ends = classify_ends(d, tol)
     return _Hypotheses(
+        ends=ends,
         conformal=check_conformality(phi_from_data(d), tol).ok,
         regular=check_regularity(d, tol).ok,
         nondegenerate=bool(ends.records)
@@ -336,9 +251,7 @@ def _joint_bound(
     return True, lhs, lhs >= rhs, lhs == rhs
 
 
-def compute_bounds(
-    d: WeierstrassData, tol: Tolerances | None = None, seed: int = DEFAULT_SEED
-) -> BoundsReport:
+def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsReport:
     """Evaluate every degree/ramification bound on concrete genus-0 data.
 
     The per-component ceiling nu <= 2 + chi/d and the joint bound are pure
@@ -386,8 +299,7 @@ def compute_bounds(
     if hyp.ok and not period_ok:
         notes.append("periods do not vanish: surface lives on the universal cover")
 
-    rot = rotation_normalize(d, tol=tol, seed=seed)
-    mu = tuple(-rot.data.h.form_order_at(p, tol) for p in d.punctures)
+    mu = tuple(-rec.metric_exponent for rec in hyp.ends.records)
     degree_identity_ok = d1 + d2 == 2 * G - 2 + sum(mu)
     mu_all2 = all(m >= 2 for m in mu) if mu else None
 
@@ -450,8 +362,6 @@ def compute_bounds(
         joint_bound_ok=j_ok,
         joint_bound_equality=j_eq,
         mu=mu,
-        rotation=rot.rotations,
-        rotation_seed=seed,
         degree_identity_ok=degree_identity_ok,
         mu_all_at_least_two=mu_all2,
         algebraic=algebraic,

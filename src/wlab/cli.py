@@ -8,9 +8,9 @@ about one data set in a single document).
 
 Exit codes: 0 clean, 1 usage or input error, 2 mathematical failure (a failed
 condition, a contradiction verdict, or a numerical cross-check that did not
-converge).  Documents go to stdout, or to --out when given.  The rotation
-seed defaults to a fixed constant so documents are reproducible; --seed
-overrides it and every document records the seed and tolerance scale used.
+converge).  Documents go to stdout, or to --out when given.  No step draws
+random numbers, so a document depends only on its input and flags; every
+document records the tolerance scale used.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .exprparse import ExpressionError, parse_expression, parse_sphere_point
 from .mesh import Annulus, Rectangle, build_mesh, export_mesh
 from .ramification import ramification_report
 from .report import document, to_json
-from .tolerances import DEFAULT_SEED, Tolerances, default_tolerances, env_scale
+from .tolerances import Tolerances, env_scale
 from .weierstrass import (
     VERDICT_REMOVABLE,
     WeierstrassData,
@@ -95,11 +95,11 @@ def _load_data(path: str) -> WeierstrassData:
 
 
 def _tolerances(args) -> tuple[Tolerances, float]:
-    if args.tolerance_scale is not None:
-        if args.tolerance_scale <= 0:
-            raise CliUsageError("--tolerance-scale must be positive")
-        return Tolerances().scaled(args.tolerance_scale), args.tolerance_scale
-    return default_tolerances(), env_scale()
+    try:
+        scale = env_scale() if args.tolerance_scale is None else args.tolerance_scale
+        return Tolerances().scaled(scale), scale
+    except ValueError as exc:
+        raise CliUsageError(str(exc)) from exc
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -144,10 +144,10 @@ def _check_body(data: WeierstrassData, tol: Tolerances) -> tuple[dict, list[str]
 
 
 def cmd_check(args) -> int:
-    data = _load_data(args.file)
     tol, scale = _tolerances(args)
+    data = _load_data(args.file)
     body, failures, _ = _check_body(data, tol)
-    _emit(document("check", data.label, body, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("check", data.label, body, tolerance_scale=scale), args.out)
     return EXIT_MATH if failures else EXIT_OK
 
 
@@ -170,10 +170,10 @@ def _ramify_body(data: WeierstrassData, component: int, tol: Tolerances) -> tupl
 
 
 def cmd_ramify(args) -> int:
-    data = _load_data(args.file)
     tol, scale = _tolerances(args)
+    data = _load_data(args.file)
     body, ok = _ramify_body(data, args.component, tol)
-    _emit(document("ramify", data.label, body, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("ramify", data.label, body, tolerance_scale=scale), args.out)
     return EXIT_OK if ok else EXIT_MATH
 
 
@@ -216,24 +216,24 @@ def cmd_bounds(args) -> int:
             raise CliUsageError("an input file (or --abstract) is required")
         data = _load_data(args.file)
         label = data.label
-        rep = compute_bounds(data, tol, seed=args.seed)
+        rep = compute_bounds(data, tol)
     body = {"bounds": rep}
     if rep.exceptional_g1 is not None or rep.exceptional_g2 is not None or rep.case == "flat":
         body["corollary"] = corollary_check(rep)
-    _emit(document("bounds", label, body, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("bounds", label, body, tolerance_scale=scale), args.out)
     return EXIT_MATH if rep.contradiction else EXIT_OK
 
 
 def cmd_unicity(args) -> int:
+    tol, scale = _tolerances(args)
     a = _load_data(args.file_a)
     b = _load_data(args.file_b)
-    tol, scale = _tolerances(args)
     try:
         rep = unicity_report(a, b, tol)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     label = " vs ".join(x for x in (a.label, b.label) if x)
-    _emit(document("unicity", label, {"unicity": rep}, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("unicity", label, {"unicity": rep}, tolerance_scale=scale), args.out)
     return EXIT_MATH if rep.contradiction else EXIT_OK
 
 
@@ -285,8 +285,8 @@ def _parse_projection(text: str):
 
 
 def cmd_mesh(args) -> int:
-    data = _load_data(args.file)
     tol, scale = _tolerances(args)
+    data = _load_data(args.file)
     region = _parse_region(args.region)
     resolution = _parse_resolution(args.res)
     base = _parse_base(args.base)
@@ -307,17 +307,17 @@ def cmd_mesh(args) -> int:
         "max_path_error": float(np.nanmax(mesh.path_error)),
         "base_point": mesh.base_point,
     }
-    _emit(document("mesh", data.label, summary, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("mesh", data.label, summary, tolerance_scale=scale), args.out)
     return EXIT_OK
 
 
 def cmd_report(args) -> int:
-    data = _load_data(args.file)
     tol, scale = _tolerances(args)
+    data = _load_data(args.file)
     check_body, failures, _ = _check_body(data, tol)
     ram1, _ = _ramify_body(data, 1, tol)
     ram2, _ = _ramify_body(data, 2, tol)
-    bounds = compute_bounds(data, tol, seed=args.seed)
+    bounds = compute_bounds(data, tol)
     closed = total_curvature_closed_form(data, tol)
     quad = total_curvature_quadrature(data, tol)
     agree = abs(quad - closed.basic_domain_value) <= 10 * tol.quad_rtol * max(
@@ -336,7 +336,7 @@ def cmd_report(args) -> int:
             "routes_agree": agree,
         },
     }
-    _emit(document("report", data.label, body, seed=args.seed, tolerance_scale=scale), args.out)
+    _emit(document("report", data.label, body, tolerance_scale=scale), args.out)
     failed = bool(failures) or bounds.contradiction or not agree
     return EXIT_MATH if failed else EXIT_OK
 
@@ -349,7 +349,6 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="rotation seed (recorded in the document)")
         p.add_argument("--tolerance-scale", type=float, default=None, help="multiply all tolerances")
         p.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
 

@@ -30,12 +30,10 @@ from .tolerances import Tolerances, default_tolerances
 from .weierstrass import WeierstrassData, compute_periods, metric_factor_from_phi, phi_from_data
 
 __all__ = [
-    "CurvatureSample",
     "TotalCurvatureReport",
     "QuadratureError",
     "spherical_derivative",
     "gauss_curvature",
-    "curvature_sample",
     "total_curvature_quadrature",
     "total_curvature_closed_form",
 ]
@@ -56,13 +54,6 @@ class QuadratureError(RuntimeError):
             f"quadrature did not converge: value {value:.6g}, error estimate "
             f"{error:.3g} after {cells} cells"
         )
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    z: complex
-    K: float
-    area_density: float
 
 
 @dataclass(frozen=True)
@@ -130,14 +121,6 @@ def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
     s1 = spherical_derivative(d.g1, z)
     s2 = spherical_derivative(d.g2, z)
     return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
-
-
-def curvature_sample(d: WeierstrassData, z, tol: Tolerances | None = None) -> CurvatureSample:
-    """K together with the area density at a regular point."""
-    zz = complex(z)
-    k = gauss_curvature(d, zz, tol)
-    lam2 = metric_factor_from_phi(phi_from_data(d), zz)
-    return CurvatureSample(z=zz, K=k, area_density=lam2)
 
 
 @lru_cache(maxsize=8)

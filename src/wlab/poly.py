@@ -9,11 +9,16 @@ object in the package is carried by a quotient of these.
 
 from __future__ import annotations
 
+import cmath
 from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Polynomial", "approx_gcd", "exact_divide"]
+__all__ = ["Polynomial", "GcdBreakdownError", "approx_gcd", "exact_divide"]
+
+
+class GcdBreakdownError(ArithmeticError):
+    """The gcd remainder sequence met a non-finite coefficient or stalled."""
 
 
 class Polynomial:
@@ -259,10 +264,15 @@ def approx_gcd(a: Polynomial, b: Polynomial, eps_gcd: float) -> Polynomial:
 
     Each remainder is rescaled to unit max-coefficient to keep the threshold
     meaningful; a remainder whose coefficients all fall below ``eps_gcd``
-    (relative to the rescaled divisor) terminates the sequence.
+    (relative to the rescaled divisor) terminates the sequence.  Every
+    remainder must be finite and of lower degree than its divisor, so the
+    sequence ends after at most deg(b) divisions; otherwise
+    ``GcdBreakdownError`` is raised.
     """
     if a.is_zero and b.is_zero:
         raise ValueError("gcd of two zero polynomials")
+    _require_finite(a)
+    _require_finite(b)
     if a.is_zero:
         return b.monic()
     if b.is_zero:
@@ -273,10 +283,21 @@ def approx_gcd(a: Polynomial, b: Polynomial, eps_gcd: float) -> Polynomial:
         x, y = y, x
     while y.degree >= 1:
         _, r = x.divmod_by(y)
+        _require_finite(r)
         if r.is_zero or r.max_abs_coeff <= eps_gcd:
             return y.monic()
+        if r.degree >= y.degree:
+            raise GcdBreakdownError(
+                f"gcd remainder of degree {r.degree} did not fall below its "
+                f"divisor's degree {y.degree}"
+            )
         x, y = y, r.scale(1.0 / r.max_abs_coeff)
     return Polynomial((1.0,))
+
+
+def _require_finite(p: Polynomial) -> None:
+    if not all(cmath.isfinite(c) for c in p.coeffs):
+        raise GcdBreakdownError(f"non-finite coefficient in a degree-{p.degree} gcd operand")
 
 
 def exact_divide(p: Polynomial, divisor: Polynomial, rel_eps: float = 1e-8) -> Polynomial:

@@ -39,7 +39,7 @@ __all__ = [
     "to_json",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 # Declared in docs/format.md; fixed, with no flag or environment override.
 FLOAT_DECIMALS = 12  # nothing below 1e-12 absolute
@@ -118,13 +118,12 @@ def encode(value):
     raise TypeError(f"cannot encode {type(value).__name__} into a report")
 
 
-def document(command: str, label: str, body, seed=None, tolerance_scale: float = 1.0) -> dict:
+def document(command: str, label: str, body, tolerance_scale: float = 1.0) -> dict:
     """Wrap an encoded body with the schema header common to all commands."""
     return {
         "schema": SCHEMA_VERSION,
         "command": command,
         "label": label,
-        "seed": None if seed is None else int(seed),
         "tolerance_scale": _encode_float(float(tolerance_scale)),
         "report": encode(body),
     }

@@ -8,14 +8,11 @@ exact and never touch these values.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 
 ENV_SCALE = "WLAB_TOLERANCE_SCALE"
-
-# Default seed for the rotation-normalization RNG; recorded in every report
-# and overridable with --seed on the command line.
-DEFAULT_SEED = 1729
 
 # Fields of Tolerances that are genuine tolerances (scaled by the env var).
 # mesh_exclusion_factor is a geometric default, not a tolerance, and the
@@ -67,8 +64,8 @@ class Tolerances:
 
     def scaled(self, factor: float) -> "Tolerances":
         """Return a copy with every tolerance multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError("tolerance scale must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"tolerance scale must be positive and finite, got {factor!r}")
         kwargs = {}
         for f in fields(self):
             v = getattr(self, f.name)

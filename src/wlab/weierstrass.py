@@ -23,7 +23,7 @@ import numpy as np
 from .exprparse import as_sphere_point as _as_sphere_point
 from .poly import Polynomial
 from .rational import INF, RationalFunction, SpherePoint
-from .tolerances import DEFAULT_SEED, Tolerances, default_tolerances
+from .tolerances import Tolerances, default_tolerances
 
 __all__ = [
     "WeierstrassData",
@@ -199,20 +199,36 @@ def _conformality_numerator(phi: PhiForms) -> tuple[Polynomial, float]:
     return total, max(scale, 1.0)
 
 
+_SAMPLES = 100
+_SAMPLE_SIGMA = 1.5
+_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+
+
+def _sample_nodes():
+    """Fixed conformality sample nodes: 4 * _SAMPLES candidates.
+
+    Node k turns by k golden angles, at the ((k mod _SAMPLES) + 1/2) /
+    _SAMPLES quantile of the Rayleigh law with scale _SAMPLE_SIGMA (the law
+    of |z| for a complex Gaussian z with that deviation per part).  Later
+    rounds repeat the radii at new angles, standing in for nodes at poles.
+    """
+    for k in range(4 * _SAMPLES):
+        u = (k % _SAMPLES + 0.5) / _SAMPLES
+        yield cmath.rect(_SAMPLE_SIGMA * math.sqrt(-2.0 * math.log1p(-u)), k * _GOLDEN_ANGLE)
+
+
 def check_conformality(phi: PhiForms, tol: Tolerances | None = None) -> ConformalityReport:
-    """Verify sum(phi_i^2) = 0, symbolically and at sampled points."""
+    """Verify sum(phi_i^2) = 0, symbolically and at the first _SAMPLES finite nodes."""
     tol = tol or default_tolerances()
     numerator, scale = _conformality_numerator(phi)
     symbolic_residual = numerator.max_abs_coeff / scale
     symbolic_zero = numerator.is_zero or symbolic_residual <= tol.eps_conformal
 
-    rng = np.random.default_rng(DEFAULT_SEED)
     numeric_residual = 0.0
     samples = 0
-    attempts = 0
-    while samples < 100 and attempts < 400:
-        attempts += 1
-        z = complex(rng.normal(scale=1.5), rng.normal(scale=1.5))
+    for z in _sample_nodes():
+        if samples == _SAMPLES:
+            break
         try:
             vals = [f(z) for f in phi.forms]
         except ZeroDivisionError:

@@ -8,6 +8,7 @@ entry point itself.
 from __future__ import annotations
 
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
-from wlab.tolerances import DEFAULT_SEED
+from wlab.tolerances import ENV_SCALE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -38,21 +39,28 @@ def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
 def test_document_envelope_fields(capsys):
     code, doc, _ = run(capsys, "check", fixture("example23"))
     assert code == EXIT_OK
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
     assert doc["command"] == "check"
     assert doc["label"] == "twice-punctured sphere with a removable puncture at infinity"
-    assert doc["seed"] == DEFAULT_SEED
     assert doc["tolerance_scale"] == 1.0
-    assert set(doc) == {"schema", "command", "label", "seed", "tolerance_scale", "report"}
+    assert set(doc) == {"schema", "command", "label", "tolerance_scale", "report"}
 
 
-def test_seed_and_tolerance_scale_are_recorded(capsys):
-    code, doc, _ = run(
-        capsys, "check", fixture("example23"), "--seed", "7", "--tolerance-scale", "10"
-    )
+def test_seed_flag_is_gone_and_tolerance_scale_is_recorded(capsys):
+    code, doc, err = run(capsys, "check", fixture("example23"), "--seed", "7")
+    assert code == EXIT_USAGE and doc is None and "--seed" in err
+    code, doc, _ = run(capsys, "check", fixture("example23"), "--tolerance-scale", "10")
     assert code == EXIT_OK
-    assert doc["seed"] == 7
     assert doc["tolerance_scale"] == 10.0
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+def test_non_finite_or_zero_tolerance_scale_is_a_usage_error(capsys, monkeypatch, scale):
+    code, doc, err = run(capsys, "check", fixture("example23"), "--tolerance-scale", scale)
+    assert code == EXIT_USAGE and doc is None and "positive and finite" in err
+    monkeypatch.setenv(ENV_SCALE, scale)
+    code, doc, err = run(capsys, "check", fixture("example23"))
+    assert code == EXIT_USAGE and doc is None and "positive and finite" in err
 
 
 def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):
@@ -316,6 +324,26 @@ def test_reports_are_byte_identical_between_runs(tmp_path):
     assert main(["report", fixture("example22"), "--out", str(first)]) == EXIT_MATH
     assert main(["report", fixture("example22"), "--out", str(second)]) == EXIT_MATH
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_degree_64_map_fails_typed_instead_of_hanging(capsys, tmp_path, time_limit):
+    # Aberth overflows on this map; the NaN roots once sent the gcd
+    # remainder degrees ping-ponging forever
+    rng = random.Random(1)
+
+    def poly():
+        coeffs = [rng.choice([c for c in range(-9, 10) if c or k < 64]) for k in range(65)]
+        return " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs))
+
+    path = tmp_path / "d64.json"
+    path.write_text(
+        json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": f"({poly()})/({poly()})", "g2": "1"})
+    )
+    with time_limit(20.0):
+        code, _, err = run(capsys, "ramify", str(path))
+    assert code in (EXIT_OK, EXIT_MATH)
+    if code == EXIT_MATH:
+        assert err.startswith("failure: ") and "Error: " in err
 
 
 # -- global flags / wiring --------------------------------------------------------

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wlab.poly import Polynomial, approx_gcd, exact_divide
+from wlab.poly import GcdBreakdownError, Polynomial, approx_gcd, exact_divide
 
 
 def test_trailing_zeros_stripped():
@@ -101,6 +103,25 @@ def test_gcd_exact_common_factor():
 def test_gcd_coprime():
     g = approx_gcd(Polynomial.from_roots([1]), Polynomial.from_roots([2]), 1e-8)
     assert g.degree == 0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
+def test_gcd_rejects_non_finite_coefficients(time_limit, bad):
+    # a NaN remainder once made the remainder degrees ping-pong forever
+    with time_limit(5.0), pytest.raises(GcdBreakdownError, match="non-finite"):
+        approx_gcd(Polynomial([1, 2, bad, 1]), Polynomial([1, 1, 1]), 1e-8)
+
+
+def test_gcd_rejects_a_remainder_that_does_not_fall_in_degree(time_limit):
+    # a divisor with a tiny leading coefficient leaves rounding residue above
+    # its degree; the sequence used to return a bogus quadratic "gcd" of
+    # these coprime polynomials
+    a = Polynomial([0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+                    0.10490011715303971, -0.535669373161111, 0.36159505490948474,
+                    1.3040000451301372])
+    b = Polynomial([0.9470809631292422, -0.7037352358069926, -1.2654214710460525, 1e-08])
+    with time_limit(5.0), pytest.raises(GcdBreakdownError, match="did not fall"):
+        approx_gcd(a, b, 1e-8)
 
 
 def test_exact_divide():

@@ -69,12 +69,12 @@ def test_unencodable_values_raise():
 
 
 def test_document_envelope():
-    doc = document("bounds", "label", {"x": 1}, seed=3, tolerance_scale=2.0)
+    doc = document("bounds", "label", {"x": 1}, tolerance_scale=2.0)
+    assert SCHEMA_VERSION == 2
     assert doc == {
         "schema": SCHEMA_VERSION,
         "command": "bounds",
         "label": "label",
-        "seed": 3,
         "tolerance_scale": 2.0,
         "report": {"x": 1},
     }

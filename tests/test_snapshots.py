@@ -1,12 +1,12 @@
 """Byte-level regression tests against stored command output.
 
 The files under snapshots/ were produced by the commands below with the
-default seed and tolerance scale.  Regenerating them must reproduce every
-byte, on any platform: the JSON walker visits dataclass fields in
-declaration order, every float in a document or CSV is written through
-``report.format_float`` (12 decimal places, 12 significant digits, no -0),
-which drops the last-ulp differences of numpy's kernels between platforms,
-and all root/rotation searches are seeded.  A diff here means the output
+default tolerance scale.  Regenerating them must reproduce every byte, on
+any platform: the JSON walker visits dataclass fields in declaration order,
+every float in a document or CSV is written through ``report.format_float``
+(12 decimal places, 12 significant digits, no -0), which drops the last-ulp
+differences of numpy's kernels between platforms, and no step draws random
+numbers (conformality is sampled at fixed nodes).  A diff here means the output
 format or the numerics changed, and the snapshot should only be refreshed
 deliberately.
 """
