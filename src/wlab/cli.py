@@ -244,11 +244,14 @@ def _parse_region(text: str):
         values = [float(p) for p in parts]
     except ValueError as exc:
         raise CliUsageError(f"--region values must be numbers: {exc}") from exc
-    if kind == "rect" and len(values) == 4:
-        return Rectangle(*values)
-    if kind == "annulus" and len(values) == 4:
-        cx, cy, r0, r1 = values
-        return Annulus(complex(cx, cy), r0, r1)
+    try:
+        if kind == "rect" and len(values) == 4:
+            return Rectangle(*values)
+        if kind == "annulus" and len(values) == 4:
+            cx, cy, r0, r1 = values
+            return Annulus(complex(cx, cy), r0, r1)
+    except ValueError as exc:
+        raise CliUsageError(f"--region: {exc}") from exc
     raise CliUsageError(
         "--region must be rect:re_min,re_max,im_min,im_max or annulus:cx,cy,r_inner,r_outer"
     )

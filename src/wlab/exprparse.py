@@ -9,12 +9,15 @@ Grammar (input surface syntax for the CLI JSON documents):
 
 Literals are decimal numbers with an optional exponent part and an optional
 trailing 'i' for the imaginary unit ('2', '2.5', '3i', '1e-3', bare 'i').
+A literal must be a finite double: '1e400' is an error, not infinity.
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2). Division is
 symbolic: the result is always an exact RationalFunction, never a float.
 Exponents are integers with |exponent| <= 64.
 """
 
 from __future__ import annotations
+
+import math
 
 from wlab.poly import Polynomial
 from wlab.rational import RationalFunction, SpherePoint
@@ -83,6 +86,8 @@ def _lex(text: str) -> list[_Token]:
                 value = float(raw)
             except ValueError:
                 raise ExpressionError(f"malformed number {raw!r}", start) from None
+            if not math.isfinite(value):
+                raise ExpressionError(f"number {raw!r} overflows a double", start)
             if i < n and text[i] == "i":
                 i += 1
                 tokens.append(_Token("num", value * 1j, start))

@@ -1,6 +1,6 @@
 """Numerical immersion x(z) = Re integral(phi) on a chart grid, plus export.
 
-The four 1-forms phi_i dz are integrated edge by edge over a rectangular or
+The four 1-forms phi_i dz are integrated over the edges of a rectangular or
 annular grid with composite Gauss-Legendre quadrature: order 8 supplies the
 value, the difference against order 4 the error estimate, and both are
 accumulated along the integration path from the base point.  Edges that fail
@@ -15,11 +15,15 @@ mesh is then stamped ``universal_cover_patch`` to record that the surface as
 a whole only closes up on the universal cover.  Annular grids are cut along
 the angle-0 seam, with the seam column duplicated, for the same reason.
 
-Integration order: the column through the base vertex first, then each row
-from that column outward, then a breadth-first sweep for any vertices whose
-row was interrupted by an exclusion.  A sample of grid cells is re-integrated
-around the full cell loop; the largest such loop residual is recorded on the
-mesh as an independent path-independence check.
+Integration paths form a fixed tree, laid out before any quadrature: the
+column through the base vertex first, then each row from that column
+outward, then a breadth-first sweep for any vertices whose row was
+interrupted by an exclusion.  The tree's edges are then integrated in
+batches of one grid row's worth, each form evaluated once per order on the
+whole batch, and the increments are summed along the tree.  A sample of grid
+cells is re-integrated around the full cell loop, as one batch; the largest
+such loop residual is recorded on the mesh as an independent
+path-independence check.
 """
 
 from __future__ import annotations
@@ -76,6 +80,8 @@ class Rectangle:
     im_max: float
 
     def __post_init__(self):
+        if not np.isfinite([self.re_min, self.re_max, self.im_min, self.im_max]).all():
+            raise ValueError("rectangle bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise ValueError("rectangle must have positive extent on both axes")
 
@@ -97,6 +103,8 @@ class Annulus:
     r_outer: float
 
     def __post_init__(self):
+        if not np.isfinite([self.center, self.r_inner, self.r_outer]).all():
+            raise ValueError("annulus center and radii must be finite")
         if not (0 < self.r_inner < self.r_outer):
             raise ValueError("annulus needs 0 < r_inner < r_outer")
 
@@ -146,26 +154,59 @@ _GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _MAX_EDGE_SPLITS = 8
 
 
-def _edge_once(forms, a: complex, b: complex) -> tuple[np.ndarray, float]:
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of ``v``, through the same dot products."""
+    re, im = v.real[:, None, :], v.imag[:, None, :]
+    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b with the rounding of scalar complex arithmetic.
+
+    numpy's vectorised complex multiply may round the last bit differently
+    (it can fuse a product into the sum), so an edge's value would depend on
+    the batch it is in; four real products and two sums, each rounded once,
+    give the same bits alone or in a batch.
+    """
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _gauss_rule(forms, mid: np.ndarray, half: np.ndarray, nodes, weights) -> np.ndarray:
+    z = mid[:, None] + half[:, None] * nodes
+    return np.stack(
+        [_unfused_product(half, np.sum(weights * f(z), axis=1)) for f in forms], axis=1
+    )
+
+
+def _integrate_edges(forms, a: np.ndarray, b: np.ndarray, rtol: float, depth: int = 0):
+    """Integrals of the four forms along each segment [a[k], b[k]].
+
+    Returns the (E, 4) increments and the (E,) error estimates.  Edges whose
+    order-8 and order-4 values disagree are bisected together as one
+    sub-batch; a NaN from a node on a pole fails the test like any other
+    disagreement.
+    """
     mid, half = (a + b) / 2.0, (b - a) / 2.0
-    z8 = mid + half * _GL8_NODES
-    z4 = mid + half * _GL4_NODES
-    inc8 = np.array([half * np.sum(_GL8_WEIGHTS * f(z8)) for f in forms])
-    inc4 = np.array([half * np.sum(_GL4_WEIGHTS * f(z4)) for f in forms])
-    return inc8, float(np.linalg.norm(inc8 - inc4))
-
-
-def _edge_increment(forms, a: complex, b: complex, rtol: float, depth: int = 0):
-    """Integral of the four forms along [a, b], bisecting until converged."""
-    inc, err = _edge_once(forms, a, b)
-    if err <= rtol * max(1.0, float(np.linalg.norm(inc))):
+    inc = _gauss_rule(forms, mid, half, _GL8_NODES, _GL8_WEIGHTS)
+    err = _row_norms(inc - _gauss_rule(forms, mid, half, _GL4_NODES, _GL4_WEIGHTS))
+    bad = np.flatnonzero(~(err <= rtol * np.fmax(1.0, _row_norms(inc))))
+    if bad.size == 0:
         return inc, err
     if depth >= _MAX_EDGE_SPLITS:
-        raise QuadratureConvergenceError(a, b, err)
-    mid = (a + b) / 2.0
-    left, el = _edge_increment(forms, a, mid, rtol, depth + 1)
-    right, er = _edge_increment(forms, mid, b, rtol, depth + 1)
-    return left + right, el + er
+        k = bad[0]
+        raise QuadratureConvergenceError(complex(a[k]), complex(b[k]), float(err[k]))
+    # halves interleaved, so the sub-batch stays in depth-first order and
+    # a failure names the first piece, in path order, that gives up
+    ends = np.stack((a[bad], mid[bad], b[bad]), axis=1)
+    sub_inc, sub_err = _integrate_edges(
+        forms, ends[:, :2].reshape(-1), ends[:, 1:].reshape(-1), rtol, depth + 1
+    )
+    inc[bad] = sub_inc[0::2] + sub_inc[1::2]
+    err[bad] = sub_err[0::2] + sub_err[1::2]
+    return inc, err
 
 
 # -- grid construction ----------------------------------------------------------
@@ -199,18 +240,118 @@ def _exclusion_centers(d: WeierstrassData, tol: Tolerances) -> list[complex]:
     return centers
 
 
-def _segment_clears(a: complex, b: complex, centers, radius: float) -> bool:
+def _segments_clear(a: np.ndarray, b: np.ndarray, centers, radius: float) -> np.ndarray:
+    """Whether each segment [a, b] stays at least ``radius`` from every center."""
     ab = b - a
-    length2 = abs(ab) ** 2
+    length2 = np.abs(ab) ** 2
+    clear = np.ones(ab.shape, dtype=bool)
     for c in centers:
-        if length2 == 0.0:
-            t = 0.0
-        else:
-            t = ((c - a).real * ab.real + (c - a).imag * ab.imag) / length2
-        t = min(1.0, max(0.0, t))
-        if abs(a + t * ab - c) < radius:
-            return False
-    return True
+        along = (c - a).real * ab.real + (c - a).imag * ab.imag
+        t = np.divide(along, length2, out=np.zeros_like(along), where=length2 != 0.0)
+        t = np.minimum(1.0, np.maximum(0.0, t))
+        clear &= ~(np.abs(a + t * ab - c) < radius)
+    return clear
+
+
+def _leading_run(open_edges: np.ndarray) -> int:
+    """Number of edges passed before the first closed one."""
+    return int(np.argmin(np.append(open_edges, False)))
+
+
+def _integration_tree(right, down, anchor: int, cols: int):
+    """Edges (parent, child, depth of child) reaching every vertex it can.
+
+    ``right[i, j]`` / ``down[i, j]`` say whether the edge from vertex (i, j)
+    to (i, j+1) / (i+1, j) is open.  Order: the column through the anchor,
+    then each row from that column outward (left, then right), then a
+    breadth-first sweep for vertices cut off from their row.
+    """
+    rows = down.shape[0] + 1
+    parent = np.empty(rows * cols, dtype=np.intp)
+    child = np.empty(rows * cols, dtype=np.intp)
+    depth = np.zeros(rows * cols, dtype=np.intp)
+    assigned = np.zeros((rows, cols), dtype=bool)
+    assigned.flat[anchor] = True
+    count = 0
+
+    def grow(walk: np.ndarray) -> None:
+        # walk[0] is already reached; each later vertex from the one before
+        nonlocal count
+        n = walk.size - 1
+        parent[count : count + n], child[count : count + n] = walk[:-1], walk[1:]
+        depth[walk[1:]] = depth[walk[0]] + np.arange(1, n + 1)
+        assigned.flat[walk[1:]] = True
+        count += n
+
+    ai, aj = divmod(anchor, cols)
+    grow(anchor - cols * np.arange(_leading_run(down[:ai, aj][::-1]) + 1))
+    grow(anchor + cols * np.arange(_leading_run(down[ai:, aj]) + 1))
+    for i in np.flatnonzero(assigned[:, aj]):
+        start = i * cols + aj
+        grow(start - np.arange(_leading_run(right[i, :aj][::-1]) + 1))
+        grow(start + np.arange(_leading_run(right[i, aj:]) + 1))
+
+    # open edges by direction, padded to the grid: up, down, left, right
+    no_row, no_col = np.zeros((1, cols), bool), np.zeros((rows, 1), bool)
+    neighbours = (
+        (np.vstack((no_row, down)), -cols),
+        (np.vstack((down, no_row)), cols),
+        (np.hstack((no_col, right)), -1),
+        (np.hstack((right, no_col)), 1),
+    )
+    # a vertex with no unassigned open neighbour now never gains one, so
+    # only this frontier of the assigned set can extend the tree
+    frontier = np.zeros((rows, cols), dtype=bool)
+    for open_dir, delta in neighbours:
+        frontier |= open_dir & ~np.roll(assigned, -delta)
+    queue = deque(np.flatnonzero(assigned & frontier).tolist())
+    while queue:
+        u = queue.popleft()
+        for open_dir, delta in neighbours:
+            v = u + delta
+            if open_dir.flat[u] and not assigned.flat[v]:
+                grow(np.array([u, v]))
+                queue.append(v)
+    return parent[:count], child[:count], depth[child[:count]]
+
+
+def _integrate_tree(forms, zs, z0: complex, anchor: int, right, down, rtol: float):
+    """x (complex, before taking real parts) and the path error at each vertex.
+
+    Vertices the integration tree does not reach keep NaN and inf.
+    """
+    cols = right.shape[1] + 1
+    parent, child, depth = _integration_tree(right, down, anchor, cols)
+    values = np.full((zs.size, 4), np.nan + 0j, dtype=complex)
+    errors = np.full(zs.size, np.inf)
+    inc0, err0 = _integrate_edges(forms, np.array([z0]), zs[anchor : anchor + 1], rtol)
+    values[anchor], errors[anchor] = inc0[0], err0[0]
+    # one grid row's worth of edges per batch keeps the node arrays small;
+    # each increment waits in its child's slot until the parent is final
+    for k in range(0, child.size, cols):
+        block = slice(k, k + cols)
+        values[child[block]], errors[child[block]] = _integrate_edges(
+            forms, zs[parent[block]], zs[child[block]], rtol
+        )
+    # a child's depth is one more than its parent's, so adding depth by depth
+    # adds every increment to a finished value, as walking the tree does
+    order = np.argsort(depth, kind="stable")
+    for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
+        values[child[level]] += values[parent[level]]
+        errors[child[level]] += errors[parent[level]]
+    return values, errors
+
+
+def _faces(included: np.ndarray, clear_right: np.ndarray, clear_down: np.ndarray):
+    """Counter-clockwise quads, row-major, of the grid cells whose four
+    corners are included and whose four sides clear every exclusion."""
+    cols = included.shape[1]
+    cell = (
+        included[:-1, :-1] & included[:-1, 1:] & included[1:, :-1] & included[1:, 1:]
+        & clear_right[:-1, :] & clear_right[1:, :] & clear_down[:, :-1] & clear_down[:, 1:]
+    )
+    ci, cj = np.nonzero(cell)
+    return tuple((c, c + 1, c + cols + 1, c + cols) for c in (ci * cols + cj).tolist())
 
 
 # -- mesh assembly --------------------------------------------------------------
@@ -262,96 +403,35 @@ def build_mesh(
         carr = np.array(centers)
         dist = np.min(np.abs(zs[:, None] - carr[None, :]), axis=1)
         included &= dist >= radius
-
-    forms = phi.forms
-    values = np.full((n, 4), np.nan + 0j, dtype=complex)
-    errors = np.full(n, np.inf)
-    assigned = np.zeros(n, dtype=bool)
-
-    def flat(i: int, j: int) -> int:
-        return i * cols + j
-
-    def edge_open(u: int, v: int) -> bool:
-        return (
-            included[u]
-            and included[v]
-            and _segment_clears(zs[u], zs[v], centers, radius)
-        )
-
-    def extend(u: int, v: int) -> None:
-        inc, err = _edge_increment(forms, zs[u], zs[v], tol.quad_rtol)
-        values[v] = values[u] + inc
-        errors[v] = errors[u] + err
-        assigned[v] = True
-
     if not included.any():
         raise MeshRegionError("every grid vertex falls inside an exclusion zone")
+
+    grid = zs.reshape(rows, cols)
+    clear_right = _segments_clear(grid[:, :-1], grid[:, 1:], centers, radius)
+    clear_down = _segments_clear(grid[:-1, :], grid[1:, :], centers, radius)
+    inc2 = included.reshape(rows, cols)
+    right = clear_right & inc2[:, :-1] & inc2[:, 1:]
+    down = clear_down & inc2[:-1, :] & inc2[1:, :]
+
+    forms = phi.forms
     candidates = np.flatnonzero(included)
     anchor = int(candidates[np.argmin(np.abs(zs[candidates] - z0))])
-    inc0, err0 = _edge_increment(forms, z0, zs[anchor], tol.quad_rtol)
-    values[anchor] = inc0
-    errors[anchor] = err0
-    assigned[anchor] = True
-
-    # column through the anchor, then rows outward, then a BFS sweep for
-    # vertices cut off from their row by an exclusion zone
-    ai, aj = divmod(anchor, cols)
-    for step in (-1, 1):
-        i = ai
-        while 0 <= i + step < rows:
-            u, v = flat(i, aj), flat(i + step, aj)
-            if not (assigned[u] and not assigned[v] and edge_open(u, v)):
-                break
-            extend(u, v)
-            i += step
-    for i in range(rows):
-        if not assigned[flat(i, aj)]:
-            continue
-        for step in (-1, 1):
-            j = aj
-            while 0 <= j + step < cols:
-                u, v = flat(i, j), flat(i, j + step)
-                if not (assigned[u] and not assigned[v] and edge_open(u, v)):
-                    break
-                extend(u, v)
-                j += step
-    queue = deque(sorted(np.flatnonzero(assigned).tolist()))
-    while queue:
-        u = queue.popleft()
-        i, j = divmod(u, cols)
-        for di, dj in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            ii, jj = i + di, j + dj
-            if not (0 <= ii < rows and 0 <= jj < cols):
-                continue
-            v = flat(ii, jj)
-            if not assigned[v] and edge_open(u, v):
-                extend(u, v)
-                queue.append(v)
-
-    # vertices that never got a value are unreachable; drop them
-    included &= assigned
-
-    faces: list[tuple[int, int, int, int]] = []
-    for i in range(rows - 1):
-        for j in range(cols - 1):
-            quad = (flat(i, j), flat(i, j + 1), flat(i + 1, j + 1), flat(i + 1, j))
-            if all(included[v] for v in quad) and all(
-                _segment_clears(zs[quad[t]], zs[quad[(t + 1) % 4]], centers, radius)
-                for t in range(4)
-            ):
-                faces.append(quad)
+    values, errors = _integrate_tree(forms, zs, z0, anchor, right, down, tol.quad_rtol)
+    # vertices the tree never reached kept an infinite error; drop them
+    included &= np.isfinite(errors)
+    faces = _faces(included.reshape(rows, cols), clear_right, clear_down)
 
     max_residual = 0.0
     if faces:
-        stride = max(1, len(faces) // 64)
-        for quad in faces[::stride]:
-            loop = np.zeros(4, dtype=complex)
-            for t in range(4):
-                inc, _ = _edge_increment(
-                    forms, zs[quad[t]], zs[quad[(t + 1) % 4]], tol.quad_rtol
-                )
-                loop += inc
-            max_residual = max(max_residual, float(np.linalg.norm(loop.real)))
+        sample = np.array(faces[:: max(1, len(faces) // 64)])
+        inc, _ = _integrate_edges(
+            forms,
+            zs[sample].reshape(-1),
+            zs[np.roll(sample, -1, axis=1)].reshape(-1),
+            tol.quad_rtol,
+        )
+        loops = np.sum(inc.reshape(-1, 4, 4), axis=1)
+        max_residual = float(np.max(_row_norms(loops.real)))
 
     x = values.real.copy()
     x[~included] = np.nan
@@ -371,7 +451,7 @@ def build_mesh(
         gauss=curvature,
         included=included,
         path_error=errors,
-        faces=tuple(faces),
+        faces=faces,
         shape=(rows, cols),
         base_point=z0,
         universal_cover_patch=not period_ok,

@@ -11,6 +11,7 @@ import json
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,16 @@ def test_ramify_rejects_component_three(capsys):
     assert "--component" in err
 
 
+def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps(
+        {"genus": 0, "punctures": ["1", "inf"], "h": "1", "g1": "(z^2+1e400)/(z-1)", "g2": "0"}
+    ))
+    code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
+    assert code == EXIT_USAGE and doc is None
+    assert "'1e400' overflows" in err
+
+
 # -- bounds -------------------------------------------------------------------
 
 
@@ -267,6 +278,11 @@ def test_mesh_usage_errors(capsys, tmp_path):
     code, _, err = run(capsys, *base, "--region", "rect:-1,1,-1,1", "--project", "1,2,5",
                        "--format", "obj-3d")
     assert code == EXIT_USAGE and "--project" in err
+    for region in ("rect:-inf,inf,-1,1", "annulus:0,0,0.5,nan"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run(capsys, *base, "--region", region)
+        assert code == EXIT_USAGE and "must be finite" in err
     # base point outside the region is an input error, not a math failure
     code, _, err = run(capsys, "mesh", fixture("example23"), "--region", "rect:1,2,1,2",
                        "--base", "-5,0", "--mesh-out", out)

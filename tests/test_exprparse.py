@@ -71,6 +71,15 @@ def test_syntax_error_positions():
         parse_expression("z + q")
 
 
+@pytest.mark.parametrize("text", ["1e400", "1e400i", "(z^2+1e400)/(z-1)"])
+def test_literal_overflowing_a_double_is_rejected(text):
+    # read as inf, the literal would vanish from the polynomial and the
+    # expression would be analysed without it
+    with pytest.raises(ExpressionError, match="overflows") as err:
+        parse_expression(text)
+    assert err.value.position == text.index("1e400")
+
+
 def test_exponent_must_be_integer_literal():
     with pytest.raises(ExpressionError):
         parse_expression("z^1.5")

@@ -106,6 +106,66 @@ def test_flat_data_spans_a_two_plane():
     assert svals[2] < 1e-9 and svals[3] < 1e-9
 
 
+def inverse_square() -> WeierstrassData:
+    """phi = (1/(2z^2), i/(2z^2), 1/2, -i/2), a double pole at the puncture 0."""
+    return WeierstrassData(h=1 / Z**2, g1=Z**2, g2=ZERO, punctures=("0", "inf"))
+
+
+def inverse_square_exact(z: complex, z0: complex) -> np.ndarray:
+    def antiderivative(w):
+        return np.array([-1 / (2 * w), -1j / (2 * w), w / 2, -1j * w / 2])
+
+    return (antiderivative(z) - antiderivative(z0)).real
+
+
+@pytest.mark.parametrize(
+    "resolution, included, faces", [(17, 288, 252), ((17, 23), 390, 348)]
+)
+def test_matches_closed_form_through_an_exclusion(resolution, included, faces):
+    # the puncture at 0 fences off the centre vertex and cuts its row, so the
+    # breadth-first sweep reaches the far side and the faces around the hole
+    # are dropped
+    z0 = 1.0 + 1.0j
+    m = build_mesh(inverse_square(), Rectangle(-1.0, 1.0, -1.0, 1.0), resolution, z0)
+    assert (m.included_count, m.z.size - m.included_count, len(m.faces)) == (included, 1, faces)
+    for v in np.flatnonzero(m.included):
+        exact = inverse_square_exact(m.z[v], z0)
+        assert np.linalg.norm(m.x[v] - exact) <= m.path_error[v] + 1e-12
+
+
+@pytest.mark.parametrize("resolution", [2, (2, 5), 5])
+def test_edges_grazing_a_pole_bisect_to_the_closed_form(resolution):
+    # the bottom row passes 0.01 from the double pole, where the forms reach
+    # 5000: those edges converge only after several rounds of bisection
+    z0 = 1.0 + 1.0j
+    m = build_mesh(inverse_square(), Rectangle(-1.0, 1.0, 0.01, 1.0), resolution, z0)
+    assert m.included.all()
+    for v in range(m.z.size):
+        assert np.linalg.norm(m.x[v] - inverse_square_exact(m.z[v], z0)) < 1e-4
+    assert m.max_loop_residual < 1e-4
+
+
+def test_edge_quadrature_is_batched_per_row(monkeypatch):
+    # each form is evaluated once per order on a whole row of edges, so
+    # the evaluation count grows with the rows, not with the vertices
+    calls = 0
+    evaluate = RationalFunction.__call__
+
+    def counting(self, z):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(RationalFunction, "__call__", counting)
+    example21 = WeierstrassData(
+        h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z, punctures=("1", "2", "3", "inf")
+    )
+    m = build_mesh(example21, Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
+    rows, _ = m.shape
+    assert m.included_count == 65 * 65
+    assert calls <= 12 * rows + 200
+
+
 # ---------------------------------------------------------------------------
 # annulus patches and periods
 
@@ -172,6 +232,12 @@ def test_region_and_resolution_validation():
         Rectangle(1.0, -1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         Annulus(0j, 2.0, 0.5)
+    for bounds in ((-np.inf, np.inf, -1.0, 1.0), (0.0, np.nan, 0.0, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            Rectangle(*bounds)
+    for center, r_inner, r_outer in ((complex(np.nan, 0.0), 0.5, 1.0), (0j, 0.5, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            Annulus(center, r_inner, r_outer)
 
 
 def test_edge_through_pole_fails_loudly():
