@@ -38,21 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import Analysis
 from .exprparse import as_sphere_point
-from .ramification import exceptional_values, preimages, ramification_report
+from .ramification import exceptional_values, preimages
 from .rational import RationalFunction, SpherePoint
 from .tolerances import Tolerances, default_tolerances
-from .weierstrass import (
-    VERDICT_COMPLETE,
-    VERDICT_DEGENERATE,
-    EndClassification,
-    WeierstrassData,
-    check_conformality,
-    check_regularity,
-    classify_ends,
-    compute_periods,
-    phi_from_data,
-)
+from .weierstrass import VERDICT_DEGENERATE, WeierstrassData
 
 __all__ = [
     "CASE_BOTH",
@@ -71,10 +62,12 @@ __all__ = [
     "SharedValue",
     "SharedValues",
     "UnicityReport",
+    "bounds_of",
     "compute_bounds",
     "compute_bounds_abstract",
     "corollary_check",
     "shared_values",
+    "unicity_of",
     "unicity_report",
 ]
 
@@ -189,37 +182,6 @@ class UnicityReport:
     notes: tuple[str, ...] = ()
 
 
-# -- surface hypotheses ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Hypotheses:
-    ends: EndClassification
-    conformal: bool
-    regular: bool
-    nondegenerate: bool  # no degenerate end, and at least one puncture
-    strictly_complete: bool  # every end a genuine complete end
-    nonflat: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.conformal and self.regular and self.nondegenerate and self.nonflat
-
-
-def _hypotheses(d: WeierstrassData, tol: Tolerances) -> _Hypotheses:
-    ends = classify_ends(d, tol)
-    return _Hypotheses(
-        ends=ends,
-        conformal=check_conformality(phi_from_data(d), tol).ok,
-        regular=check_regularity(d, tol).ok,
-        nondegenerate=bool(ends.records)
-        and all(r.verdict != VERDICT_DEGENERATE for r in ends.records),
-        strictly_complete=bool(ends.records)
-        and all(r.verdict == VERDICT_COMPLETE for r in ends.records),
-        nonflat=d.g1.degree >= 1 or d.g2.degree >= 1,
-    )
-
-
 # -- Theorem evaluation ---------------------------------------------------------
 
 
@@ -252,7 +214,12 @@ def _joint_bound(
 
 
 def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsReport:
-    """Evaluate every degree/ramification bound on concrete genus-0 data.
+    """Evaluate every degree/ramification bound on concrete genus-0 data."""
+    return Analysis(d, tol or default_tolerances()).bounds
+
+
+def bounds_of(an: Analysis) -> BoundsReport:
+    """Every degree/ramification bound, from the invariants of one analysis.
 
     The per-component ceiling nu <= 2 + chi/d and the joint bound are pure
     counting facts for rational maps with finitely many punctures, so their
@@ -261,12 +228,7 @@ def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsR
     need the surface hypotheses; they are reported always but only promote
     to a contradiction when the hypotheses hold.
     """
-    tol = tol or default_tolerances()
-    if d.genus != 0:
-        raise ValueError(
-            "bounds on computed data require genus 0; "
-            "use compute_bounds_abstract for other genera"
-        )
+    d = an.data
     G, k = 0, len(d.punctures)
     chi = 2 * G - 2 + k
     d1, d2 = d.g1.degree, d.g2.degree
@@ -287,24 +249,31 @@ def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsR
     case = CASE_BOTH if min(d1, d2) >= 1 else CASE_ONE_CONSTANT
     notes: list[str] = []
 
-    hyp = _hypotheses(d, tol)
-    if not hyp.conformal:
+    # every hypothesis is evaluated, in this order, before any verdict
+    ends = an.ends
+    conformal = an.conformality.ok
+    regular = an.regularity.ok
+    nondegenerate = bool(ends.records) and all(
+        r.verdict != VERDICT_DEGENERATE for r in ends.records
+    )
+    hypotheses_ok = conformal and regular and nondegenerate  # non-flat here
+    if not conformal:
         notes.append("conformality fails: not minimal-surface data")
-    if not hyp.regular:
+    if not regular:
         notes.append("metric degenerates away from the punctures")
-    if not hyp.nondegenerate:
+    if not nondegenerate:
         notes.append("a degenerate end (or no puncture at all) breaks completeness")
-    period_ok = bool(compute_periods(d, tol).period_ok)
-    algebraic = hyp.ok and period_ok
-    if hyp.ok and not period_ok:
+    period_ok = bool(an.periods.period_ok)
+    algebraic = hypotheses_ok and period_ok
+    if hypotheses_ok and not period_ok:
         notes.append("periods do not vanish: surface lives on the universal cover")
 
-    mu = tuple(-rec.metric_exponent for rec in hyp.ends.records)
+    mu = tuple(-rec.metric_exponent for rec in ends.records)
     degree_identity_ok = d1 + d2 == 2 * G - 2 + sum(mu)
     mu_all2 = all(m >= 2 for m in mu) if mu else None
 
-    ram1 = ramification_report(d.g1, d.punctures, 0, tol) if d1 >= 1 else None
-    ram2 = ramification_report(d.g2, d.punctures, 0, tol) if d2 >= 1 else None
+    ram1 = an.ramification(1) if d1 >= 1 else None
+    ram2 = an.ramification(2) if d2 >= 1 else None
     nu1 = ram1.nu_f if ram1 else None
     nu2 = ram2.nu_f if ram2 else None
 
@@ -330,9 +299,9 @@ def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsR
         b1_ok is False
         or b2_ok is False
         or (j_applies and j_ok is False)
-        or (hyp.regular and not degree_identity_ok)
-        or (hyp.regular and hyp.strictly_complete and ratio_sum_ok is False)
-        or (algebraic and hyp.strictly_complete and strict_ok is False)
+        or (regular and not degree_identity_ok)
+        or (regular and ends.complete and ratio_sum_ok is False)
+        or (algebraic and ends.complete and strict_ok is False)
     )
 
     return BoundsReport(
@@ -366,10 +335,10 @@ def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsR
         mu_all_at_least_two=mu_all2,
         algebraic=algebraic,
         strict_ok=strict_ok,
-        conformal_ok=hyp.conformal,
-        regular_ok=hyp.regular,
-        complete_ok=hyp.nondegenerate,
-        hypotheses_ok=hyp.ok,
+        conformal_ok=conformal,
+        regular_ok=regular,
+        complete_ok=nondegenerate,
+        hypotheses_ok=hypotheses_ok,
         chi_nonpositive=chi <= 0,
         contradiction=contradiction,
         notes=tuple(notes),
@@ -633,21 +602,32 @@ def _same_puncture_sets(a, b, eps_pt: float) -> bool:
 def unicity_report(
     dataA: WeierstrassData, dataB: WeierstrassData, tol: Tolerances | None = None
 ) -> UnicityReport:
-    """Compare the Gauss maps of two data sets on the same punctured sphere.
+    """Compare the Gauss maps of two genus-0 data sets on the same punctured sphere."""
+    tol = tol or default_tolerances()
+    return unicity_of(Analysis(dataA, tol), Analysis(dataB, tol))
 
-    Requires equal genus, the same puncture set, and componentwise equal
-    degrees (a hypothesis of the statement being checked, not a convention).
+
+def _complete_surface(an: Analysis) -> bool:
+    """Conformal, regular, non-flat, and every end a genuine complete end."""
+    d = an.data
+    ends, conformal, regular = an.ends, an.conformality.ok, an.regularity.ok
+    nonflat = d.g1.degree >= 1 or d.g2.degree >= 1
+    return conformal and regular and ends.complete and nonflat
+
+
+def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
+    """Shared-value counts of two analysed data sets against their ceilings.
+
+    Requires the same puncture set and componentwise equal degrees (a
+    hypothesis of the statement being checked, not a convention).
     The count bounds p <= 4 + chi/d1 and the pole budget sum(delta) <= 2 d1
     are counting facts for any same-degree pair, so their failure always
     flags a contradiction; the forced-identity conclusions additionally
     need both data sets to be honest complete surfaces and are gated on
     those hypotheses.
     """
-    tol = tol or default_tolerances()
-    if dataA.genus != dataB.genus:
-        raise ValueError("genus mismatch between the two data sets")
-    if dataA.genus != 0:
-        raise ValueError("computed unicity reports require genus 0")
+    tol = a.tol
+    dataA, dataB = a.data, b.data
     if not _same_puncture_sets(dataA.punctures, dataB.punctures, tol.eps_pt):
         raise ValueError("the two data sets have different puncture sets")
     d1, d2 = dataA.g1.degree, dataA.g2.degree
@@ -664,11 +644,9 @@ def unicity_report(
     id2 = dataA.g2.equals(dataB.g2)
     const2 = dataA.g2.is_constant and dataB.g2.is_constant
 
-    hypA = _hypotheses(dataA, tol)
-    hypB = _hypotheses(dataB, tol)
-    hypotheses = (
-        hypA.ok and hypB.ok and hypA.strictly_complete and hypB.strictly_complete
-    )
+    complete_a = _complete_surface(a)
+    complete_b = _complete_surface(b)
+    hypotheses = complete_a and complete_b
     if not hypotheses:
         notes.append(
             "at least one data set fails the complete-surface hypotheses; "

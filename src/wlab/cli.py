@@ -6,11 +6,13 @@ ramification ceilings, concrete or abstract), unicity (shared-value comparison
 of two data sets), mesh (numerical immersion export), and report (everything
 about one data set in a single document).
 
-Exit codes: 0 clean, 1 usage or input error, 2 mathematical failure (a failed
-condition, a contradiction verdict, or a numerical cross-check that did not
-converge).  Documents go to stdout, or to --out when given.  No step draws
-random numbers, so a document depends only on its input and flags; every
-document records the tolerance scale used.
+Exit codes: 0 clean, 1 usage or input error (a genus other than 0 included),
+2 mathematical failure (a failed condition, a contradiction verdict, or a
+numerical cross-check that did not converge).  Each command that reads a data
+file derives what it reports from one ``Analysis`` of that file.  Documents go
+to stdout, or to --out when given.  No step draws random numbers, so a
+document depends only on its input and flags; every document records the
+tolerance scale used.
 """
 
 from __future__ import annotations
@@ -22,27 +24,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bounds import (
-    compute_bounds,
-    compute_bounds_abstract,
-    corollary_check,
-    unicity_report,
-)
-from .curvature import total_curvature_closed_form, total_curvature_quadrature
-from .exprparse import ExpressionError, parse_expression, parse_sphere_point
+from .analysis import Analysis
+from .bounds import compute_bounds_abstract, corollary_check, unicity_of
+from .curvature import total_curvature_quadrature
+from .exprparse import ExpressionError, format_complex, parse_expression, parse_sphere_point
 from .mesh import Annulus, Rectangle, build_mesh, export_mesh
-from .ramification import ramification_report
 from .report import document, to_json
 from .tolerances import Tolerances, env_scale
-from .weierstrass import (
-    VERDICT_REMOVABLE,
-    WeierstrassData,
-    check_conformality,
-    check_regularity,
-    classify_ends,
-    compute_periods,
-    phi_from_data,
-)
+from .weierstrass import VERDICT_REMOVABLE, UnsupportedGenusError, WeierstrassData
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,11 +103,12 @@ def _emit(doc: dict, out: str | None) -> None:
 # -- subcommand bodies ----------------------------------------------------------
 
 
-def _check_body(data: WeierstrassData, tol: Tolerances) -> tuple[dict, list[str], list[str]]:
-    conf = check_conformality(phi_from_data(data), tol)
-    reg = check_regularity(data, tol)
-    periods = compute_periods(data, tol)
-    ends = classify_ends(data, tol)
+def _check_body(an: Analysis) -> tuple[dict, list[str]]:
+    # this order decides which failing step is reported first
+    conf = an.conformality
+    reg = an.regularity
+    periods = an.periods
+    ends = an.ends
     failures = []
     if not conf.ok:
         failures.append("conformality")
@@ -140,22 +130,20 @@ def _check_body(data: WeierstrassData, tol: Tolerances) -> tuple[dict, list[str]
         "failures": failures,
         "warnings": warnings,
     }
-    return body, failures, warnings
+    return body, failures
 
 
 def cmd_check(args) -> int:
     tol, scale = _tolerances(args)
-    data = _load_data(args.file)
-    body, failures, _ = _check_body(data, tol)
-    _emit(document("check", data.label, body, tolerance_scale=scale), args.out)
+    an = Analysis(_load_data(args.file), tol)
+    body, failures = _check_body(an)
+    _emit(document("check", an.data.label, body, tolerance_scale=scale), args.out)
     return EXIT_MATH if failures else EXIT_OK
 
 
-def _ramify_body(data: WeierstrassData, component: int, tol: Tolerances) -> tuple[dict, bool]:
-    g = data.g1 if component == 1 else data.g2
+def _ramify_body(an: Analysis, component: int) -> tuple[dict, bool]:
+    g = an.data.g1 if component == 1 else an.data.g2
     if g.is_constant:
-        from .exprparse import format_complex
-
         return (
             {
                 "component": component,
@@ -164,16 +152,16 @@ def _ramify_body(data: WeierstrassData, component: int, tol: Tolerances) -> tupl
             },
             True,
         )
-    rep = ramification_report(g, data.punctures, data.genus, tol)
+    rep = an.ramification(component)
     body = {"component": component, "verdict": "analyzed", "ramification": rep}
     return body, bool(rep.rh_ok and rep.puncture_budget_ok)
 
 
 def cmd_ramify(args) -> int:
     tol, scale = _tolerances(args)
-    data = _load_data(args.file)
-    body, ok = _ramify_body(data, args.component, tol)
-    _emit(document("ramify", data.label, body, tolerance_scale=scale), args.out)
+    an = Analysis(_load_data(args.file), tol)
+    body, ok = _ramify_body(an, args.component)
+    _emit(document("ramify", an.data.label, body, tolerance_scale=scale), args.out)
     return EXIT_OK if ok else EXIT_MATH
 
 
@@ -214,9 +202,9 @@ def cmd_bounds(args) -> int:
     else:
         if not args.file:
             raise CliUsageError("an input file (or --abstract) is required")
-        data = _load_data(args.file)
-        label = data.label
-        rep = compute_bounds(data, tol)
+        an = Analysis(_load_data(args.file), tol)
+        label = an.data.label
+        rep = an.bounds
     body = {"bounds": rep}
     if rep.exceptional_g1 is not None or rep.exceptional_g2 is not None or rep.case == "flat":
         body["corollary"] = corollary_check(rep)
@@ -226,13 +214,14 @@ def cmd_bounds(args) -> int:
 
 def cmd_unicity(args) -> int:
     tol, scale = _tolerances(args)
-    a = _load_data(args.file_a)
-    b = _load_data(args.file_b)
+    data_a = _load_data(args.file_a)
+    data_b = _load_data(args.file_b)
+    a, b = Analysis(data_a, tol), Analysis(data_b, tol)
     try:
-        rep = unicity_report(a, b, tol)
+        rep = unicity_of(a, b)
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
-    label = " vs ".join(x for x in (a.label, b.label) if x)
+    label = " vs ".join(x for x in (data_a.label, data_b.label) if x)
     _emit(document("unicity", label, {"unicity": rep}, tolerance_scale=scale), args.out)
     return EXIT_MATH if rep.contradiction else EXIT_OK
 
@@ -316,13 +305,13 @@ def cmd_mesh(args) -> int:
 
 def cmd_report(args) -> int:
     tol, scale = _tolerances(args)
-    data = _load_data(args.file)
-    check_body, failures, _ = _check_body(data, tol)
-    ram1, _ = _ramify_body(data, 1, tol)
-    ram2, _ = _ramify_body(data, 2, tol)
-    bounds = compute_bounds(data, tol)
-    closed = total_curvature_closed_form(data, tol)
-    quad = total_curvature_quadrature(data, tol)
+    an = Analysis(_load_data(args.file), tol)
+    check_body, failures = _check_body(an)
+    ram1, _ = _ramify_body(an, 1)
+    ram2, _ = _ramify_body(an, 2)
+    bounds = an.bounds
+    closed = an.curvature_closed_form
+    quad = total_curvature_quadrature(an.data, tol)
     agree = abs(quad - closed.basic_domain_value) <= 10 * tol.quad_rtol * max(
         1.0, abs(closed.basic_domain_value)
     )
@@ -339,7 +328,7 @@ def cmd_report(args) -> int:
             "routes_agree": agree,
         },
     }
-    _emit(document("report", data.label, body, tolerance_scale=scale), args.out)
+    _emit(document("report", an.data.label, body, tolerance_scale=scale), args.out)
     failed = bool(failures) or bounds.contradiction or not agree
     return EXIT_MATH if failed else EXIT_OK
 
@@ -405,10 +394,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ExpressionError as exc:
+    except (CliUsageError, ExpressionError, UnsupportedGenusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # numerical cross-checks, contradictory data

@@ -41,6 +41,7 @@ from .weierstrass import (
     compute_periods,
     metric_factor_from_phi,
     phi_from_data,
+    require_genus_zero,
 )
 
 __all__ = [
@@ -374,6 +375,7 @@ def build_mesh(
     point.
     """
     tol = tol or default_tolerances()
+    require_genus_zero(d.genus)
     if not isinstance(region, (Rectangle, Annulus)):
         raise TypeError("region must be a Rectangle or an Annulus")
     rows, cols = _normalize_resolution(resolution)
@@ -442,7 +444,7 @@ def build_mesh(
     metric = np.where(included, metric, np.nan)
     curvature = np.where(included, curvature, np.nan)
 
-    period_ok = bool(compute_periods(d, tol).period_ok)
+    period_ok = bool(compute_periods(d, tol, phi=phi).period_ok)
 
     return SurfaceMesh(
         z=zs,

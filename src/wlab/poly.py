@@ -14,11 +14,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["Polynomial", "GcdBreakdownError", "approx_gcd", "exact_divide"]
+__all__ = ["Polynomial", "GcdBreakdownError", "ExactDivisionError", "approx_gcd", "exact_divide"]
 
 
 class GcdBreakdownError(ArithmeticError):
     """The gcd remainder sequence met a non-finite coefficient or stalled."""
+
+
+class ExactDivisionError(ArithmeticError):
+    """A division expected to be exact left a significant remainder."""
 
 
 class Polynomial:
@@ -304,5 +308,5 @@ def exact_divide(p: Polynomial, divisor: Polynomial, rel_eps: float = 1e-8) -> P
     """Divide assuming divisibility; raises if the remainder is significant."""
     q, r = p.divmod_by(divisor)
     if not r.is_zero and r.max_abs_coeff > rel_eps * max(p.max_abs_coeff, 1e-300):
-        raise ValueError("polynomial division left a significant remainder")
+        raise ExactDivisionError("polynomial division left a significant remainder")
     return q

@@ -23,6 +23,7 @@ from .exprparse import as_sphere_point
 from .rational import INF, RationalFunction, SpherePoint
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances, default_tolerances
+from .weierstrass import require_genus_zero
 
 __all__ = [
     "Preimage",
@@ -225,8 +226,7 @@ def ramification_report(
     preimages absorb branching; it is reported, not raised.
     """
     tol = tol or default_tolerances()
-    if genus != 0:
-        raise ValueError("computed ramification reports require genus 0")
+    require_genus_zero(genus)
     if f.is_constant:
         raise ValueError("ramification of a constant map is undefined")
     pts = _coerce_punctures(punctures)

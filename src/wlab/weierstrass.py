@@ -37,6 +37,8 @@ __all__ = [
     "PeriodReport",
     "DataRequiresRotationError",
     "ResidueQuadratureError",
+    "UnsupportedGenusError",
+    "require_genus_zero",
     "phi_from_data",
     "data_from_phi",
     "check_conformality",
@@ -55,6 +57,10 @@ VERDICT_DEGENERATE = "degenerate"
 
 class DataRequiresRotationError(ValueError):
     """phi_1 - i*phi_2 vanishes identically, so h dz cannot be recovered."""
+
+
+class UnsupportedGenusError(ValueError):
+    """Computed (function-level) analyses exist only on the genus-0 sphere."""
 
 
 class ResidueQuadratureError(RuntimeError):
@@ -105,9 +111,6 @@ class WeierstrassData:
     def finite_punctures(self) -> list[complex]:
         return [p.value for p in self.punctures if not p.is_infinity]
 
-    def has_infinite_puncture(self) -> bool:
-        return any(p.is_infinity for p in self.punctures)
-
 
 @dataclass(frozen=True)
 class PhiForms:
@@ -130,9 +133,13 @@ class PhiForms:
         return out
 
 
-def _require_genus_zero(d: WeierstrassData) -> None:
-    if d.genus != 0:
-        raise ValueError("function-level computations are genus-0 only; use the abstract bounds for higher genus")
+def require_genus_zero(genus: int) -> None:
+    """The one genus gate of every computed analysis."""
+    if genus != 0:
+        raise UnsupportedGenusError(
+            f"computed analyses require genus 0, got genus {genus}; "
+            "use the abstract bounds for higher genus"
+        )
 
 
 def phi_from_data(d: WeierstrassData) -> PhiForms:
@@ -302,7 +309,7 @@ def check_regularity(d: WeierstrassData, tol: Tolerances | None = None) -> Regul
     of the two pole orders.  Punctures are exempt.
     """
     tol = tol or default_tolerances()
-    _require_genus_zero(d)
+    require_genus_zero(d.genus)
     violations = []
     checked = []
     for pt in _candidate_points(d, tol):
@@ -358,7 +365,7 @@ def classify_ends(d: WeierstrassData, tol: Tolerances | None = None) -> EndClass
     immersion degenerates there.
     """
     tol = tol or default_tolerances()
-    _require_genus_zero(d)
+    require_genus_zero(d.genus)
     records = []
     for p in d.punctures:
         a = d.h.form_order_at(p, tol)
@@ -432,7 +439,9 @@ def _quadrature_cross_check(
     return worst
 
 
-def compute_periods(d: WeierstrassData, tol: Tolerances | None = None) -> PeriodReport:
+def compute_periods(
+    d: WeierstrassData, tol: Tolerances | None = None, *, phi: PhiForms | None = None
+) -> PeriodReport:
     """Residues of the four forms at each puncture and the resulting periods.
 
     On a genus-0 domain every cycle is homologous to a sum of small loops
@@ -441,38 +450,65 @@ def compute_periods(d: WeierstrassData, tol: Tolerances | None = None) -> Period
     authoritative; trapezoidal contour quadrature (finite punctures only)
     guards against mis-clustered poles.  The loop around infinity is
     resolved through the global residue relation instead of a contour.
+    ``phi`` is the forms of ``d`` when the caller already holds them.
+
+    Each distinct denominator's poles are located once, and each form's
+    residue at infinity and sum of finite-pole residues are computed once,
+    at first use, so the first failing step is the one a plain evaluation
+    would meet.
     """
     tol = tol or default_tolerances()
-    _require_genus_zero(d)
-    phi = phi_from_data(d)
+    require_genus_zero(d.genus)
+    if phi is None:
+        phi = phi_from_data(d)
+    forms = phi.forms
     scale = phi.coefficient_scale()
     eps_period = tol.eps_period_rel * scale
 
+    # forms often share a denominator, and equal denominators have equal poles
+    poles_of_den: dict[tuple[complex, ...], list[complex]] = {}
+    for f in forms:
+        if f.den.coeffs not in poles_of_den:
+            poles_of_den[f.den.coeffs] = [z0 for z0, _ in f.finite_poles(tol)]
+    poles = [poles_of_den[f.den.coeffs] for f in forms]
     special: list[complex] = list(d.finite_punctures())
-    for f in phi.forms:
-        for z0, _ in f.finite_poles(tol):
+    for form_poles in poles:
+        for z0 in form_poles:
             if all(abs(z0 - s) > tol.eps_pt for s in special):
                 special.append(z0)
+
+    residues_at_inf: dict[int, complex] = {}
+    finite_sums: dict[int, complex] = {}
+
+    def residue_at_inf(idx: int) -> complex:
+        if idx not in residues_at_inf:
+            residues_at_inf[idx] = forms[idx].residue_at(INF, tol)
+        return residues_at_inf[idx]
+
+    def finite_sum(idx: int) -> complex:
+        if idx not in finite_sums:
+            finite_sums[idx] = sum(forms[idx].residue_at(z0, tol) for z0 in poles[idx])
+        return finite_sums[idx]
 
     entries = []
     max_err = 0.0
     for p in d.punctures:
         residues = []
         if p.is_infinity:
-            for idx, f in enumerate(phi.forms):
-                exact = f.residue_at(INF, tol)
+            for idx in range(len(forms)):
+                exact = residue_at_inf(idx)
                 # Dual route: residue at infinity must close the global sum.
-                finite_sum = sum(f.residue_at(z0, tol) for z0, _ in f.finite_poles(tol))
-                err = abs(exact + finite_sum) / max(1.0, abs(exact))
+                others = finite_sum(idx)
+                err = abs(exact + others) / max(1.0, abs(exact))
                 if err > tol.residue_cross_rtol:
-                    raise ResidueQuadratureError(p, idx, exact, -finite_sum)
+                    raise ResidueQuadratureError(p, idx, exact, -others)
                 max_err = max(max_err, err)
                 residues.append(exact)
         else:
             center = p.value
             others = [s for s in special if abs(s - center) > tol.eps_pt]
             radius = 0.5 * min((abs(s - center) for s in others), default=2.0)
-            for idx, f in enumerate(phi.forms):
+            for idx, f in enumerate(forms):
                 exact = f.residue_at(center, tol)
                 err = _quadrature_cross_check(
                     f, center, radius, exact, tol.residue_cross_rtol, p, idx
@@ -486,9 +522,9 @@ def compute_periods(d: WeierstrassData, tol: Tolerances | None = None) -> Period
         entries.append(PeriodEntry(p, res4, periods, real_parts, ok))
 
     sums = []
-    for f in phi.forms:
-        total = sum(f.residue_at(z0, tol) for z0, _ in f.finite_poles(tol))
-        total += f.residue_at(INF, tol)
+    for idx in range(len(forms)):
+        total = finite_sum(idx)
+        total += residue_at_inf(idx)
         sums.append(complex(total))
 
     return PeriodReport(

@@ -163,6 +163,26 @@ def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
     assert "'1e400' overflows" in err
 
 
+def test_ramify_inexact_division_is_a_typed_math_failure(capsys, tmp_path):
+    # the square-free layers of this map's Wronskian do not divide within
+    # tolerance; that is a numerical failure (exit 2), not bad input
+    data = tmp_path / "ladder.json"
+    data.write_text(json.dumps({
+        "genus": 0,
+        "punctures": ["inf"],
+        "h": "1",
+        "g1": "z",
+        "g2": "(-z^16 + 7*z^15 + 2*z^14 + 9*z^13 - 9*z^12 - 5*z^11 + 5*z^9 - 9*z^8 - 3*z^7"
+        " + 8*z^6 + 4*z^5 - 7*z^4 + 9*z^3 + 7*z^2 + 2*z - 8)^2/(-6*z^32 - 5*z^31 + z^30"
+        " - z^29 + 6*z^28 - 9*z^27 - 9*z^26 - 2*z^25 + 3*z^23 + 8*z^22 - z^21 - 5*z^20"
+        " + 4*z^19 - 8*z^18 + 3*z^17 - z^16 + 5*z^15 + 6*z^14 + 9*z^13 + z^12 + 9*z^11"
+        " - 9*z^10 - 6*z^9 + 9*z^8 + 5*z^7 + 5*z^6 + 3*z^5 + 2*z^4 + z^3 + 7*z^2 - 2*z - 7)",
+    }))
+    code, doc, err = run(capsys, "ramify", str(data), "--component", "2")
+    assert code == EXIT_MATH and doc is None
+    assert err.startswith("failure: ExactDivisionError: ")
+
+
 # -- bounds -------------------------------------------------------------------
 
 
@@ -360,6 +380,27 @@ def test_degree_64_map_fails_typed_instead_of_hanging(capsys, tmp_path, time_lim
     assert code in (EXIT_OK, EXIT_MATH)
     if code == EXIT_MATH:
         assert err.startswith("failure: ") and "Error: " in err
+
+
+# -- genus gate -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["check", "ramify", "bounds", "report", "unicity", "mesh"])
+def test_every_file_command_rejects_other_genera_as_usage(capsys, tmp_path, command):
+    data = tmp_path / "torus.json"
+    data.write_text(json.dumps({"genus": 1, "punctures": ["inf"], "h": "1", "g1": "z", "g2": "z"}))
+    argv = {
+        "check": ["check", str(data)],
+        "ramify": ["ramify", str(data), "--component", "2"],
+        "bounds": ["bounds", str(data)],
+        "report": ["report", str(data)],
+        "unicity": ["unicity", str(data), str(data)],
+        "mesh": ["mesh", str(data), "--region", "rect:-1,1,-1,1", "--base", "0.5,0.5",
+                 "--res", "5", "--mesh-out", str(tmp_path / "torus.csv")],
+    }[command]
+    code, doc, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and doc is None
+    assert err.startswith("error: ") and "genus 0" in err
 
 
 # -- global flags / wiring --------------------------------------------------------

@@ -159,3 +159,109 @@ def test_quadrature_matches_closed_form_across_fixtures():
     for data in fixtures:
         expect = total_curvature_closed_form(data).basic_domain_value
         assert total_curvature_quadrature(data) == pytest.approx(expect, rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# batched cells against the one-cell-at-a-time quadrature
+
+
+def _one_cell_integral(fn, r0, r1, t0, t1, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    rm, rh = 0.5 * (r1 + r0), 0.5 * (r1 - r0)
+    tm, th = 0.5 * (t1 + t0), 0.5 * (t1 - t0)
+    rr, tt = np.meshgrid(rm + rh * x, tm + th * x, indexing="ij")
+    vals = fn(rr * np.exp(1j * tt)) * rr
+    return float(rh * th * np.einsum("i,j,ij->", w, w, vals))
+
+
+def _one_cell_polar(fn, r0, r1, rtol, max_cells):
+    """The quadrature loop as it was before cells were batched: one density
+    evaluation per cell and rule."""
+    import heapq
+
+    seq, heap, total, err = 0, [], 0.0, 0.0
+
+    def push(cell):
+        nonlocal seq, total, err
+        coarse = _one_cell_integral(fn, *cell, 4)
+        fine = _one_cell_integral(fn, *cell, 8)
+        heapq.heappush(heap, (-abs(fine - coarse), seq, cell, fine))
+        total += fine
+        err += abs(fine - coarse)
+        seq += 1
+
+    n_r = 2 if r0 > 0 else 4
+    rs = np.linspace(r0, r1, n_r + 1)
+    ts = np.linspace(0.0, 2.0 * math.pi, 9)
+    for i in range(len(rs) - 1):
+        for j in range(len(ts) - 1):
+            push((float(rs[i]), float(rs[i + 1]), float(ts[j]), float(ts[j + 1])))
+    while err > rtol * max(abs(total), 1e-12):
+        if len(heap) >= max_cells:
+            raise QuadratureError(total, err, len(heap))
+        neg_err, _s, (a, b, c, d), val = heapq.heappop(heap)
+        total -= val
+        err += neg_err
+        rm, tm = 0.5 * (a + b), 0.5 * (c + d)
+        for child in ((a, rm, c, tm), (a, rm, tm, d), (rm, b, c, tm), (rm, b, tm, d)):
+            push(child)
+    return math.fsum(item[3] for item in heap)
+
+
+def _one_cell_total(data, rtol, max_cells):
+    def flip(g):
+        return g if g.is_constant else g.reciprocal_argument()
+
+    inner = _one_cell_polar(_density(data.g1, data.g2), 0.0, 1.0, 0.5 * rtol, max_cells)
+    outer = _one_cell_polar(_density(flip(data.g1), flip(data.g2)), 0.0, 1.0, 0.5 * rtol, max_cells)
+    return -(inner + outer)
+
+
+def _seeded_maps(count, seed):
+    from wlab.poly import Polynomial
+
+    rng = np.random.default_rng(seed)
+
+    def poly(degree):
+        c = rng.integers(-5, 6, size=degree + 1) + 1j * rng.integers(-2, 3, size=degree + 1)
+        c[-1] = c[-1] or 1
+        return Polynomial(c)
+
+    out = []
+    for _ in range(count):
+        g1 = RationalFunction(poly(int(rng.integers(1, 4))), poly(int(rng.integers(0, 3))))
+        g2 = RationalFunction(poly(int(rng.integers(0, 3))), poly(int(rng.integers(1, 3))))
+        out.append(WeierstrassData(h=ONE, g1=g1, g2=g2, punctures=("inf",)))
+    return out
+
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-4, 1e-5])
+def test_batched_cells_keep_every_bit(rtol):
+    import dataclasses
+
+    from wlab.tolerances import Tolerances
+
+    tol = dataclasses.replace(Tolerances(), quad_rtol=rtol)
+    refined = 0
+    for data in _seeded_maps(12, seed=31):
+        expect = _one_cell_total(data, rtol, 20000)
+        assert total_curvature_quadrature(data, tol).hex() == expect.hex()
+        refined += expect != _one_cell_total(data, 1.0, 20000)
+    assert refined >= 6  # most maps refine past the initial grid
+
+
+def test_batched_cells_hit_the_budget_at_the_same_cell():
+    import dataclasses
+
+    from wlab.tolerances import Tolerances
+
+    tol = dataclasses.replace(Tolerances(), quad_rtol=1e-9)
+    for data in _seeded_maps(4, seed=5):
+        for max_cells in (40, 97):
+            with pytest.raises(QuadratureError) as expect:
+                _one_cell_total(data, tol.quad_rtol, max_cells)
+            with pytest.raises(QuadratureError) as got:
+                total_curvature_quadrature(data, tol, max_cells=max_cells)
+            assert got.value.cells == expect.value.cells
+            assert got.value.value.hex() == expect.value.value.hex()
+            assert got.value.error.hex() == expect.value.error.hex()

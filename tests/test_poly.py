@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from wlab.poly import GcdBreakdownError, Polynomial, approx_gcd, exact_divide
+from wlab.poly import ExactDivisionError, GcdBreakdownError, Polynomial, approx_gcd, exact_divide
 
 
 def test_trailing_zeros_stripped():
@@ -128,8 +128,16 @@ def test_exact_divide():
     p = Polynomial.from_roots([1, 2, 3])
     q = exact_divide(p, Polynomial.from_roots([2]))
     assert q.close_to(Polynomial.from_roots([1, 3]), 1e-10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ExactDivisionError):
         exact_divide(Polynomial([1, 0, 1]), Polynomial([-1, 1]))
+
+
+def test_exact_divide_failure_is_arithmetic_not_usage():
+    # a ValueError would be reported as a usage error by the CLI's input handlers
+    with pytest.raises(ExactDivisionError, match="significant remainder") as err:
+        exact_divide(Polynomial.from_roots([1, 2]), Polynomial.from_roots([3]))
+    assert isinstance(err.value, ArithmeticError)
+    assert not isinstance(err.value, ValueError)
 
 
 coeff = st.one_of(
