@@ -12,6 +12,10 @@ evaluation would meet.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.
+
+``bounds`` and ``curvature`` build on this module: their public entry points
+wrap an ``Analysis``.  The two fields that read their results reach them
+through an import at first use, so this module imports neither at load time.
 """
 
 from __future__ import annotations

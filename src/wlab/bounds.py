@@ -62,7 +62,6 @@ __all__ = [
     "SharedValue",
     "SharedValues",
     "UnicityReport",
-    "bounds_of",
     "compute_bounds",
     "compute_bounds_abstract",
     "corollary_check",

@@ -37,7 +37,6 @@ __all__ = [
     "gauss_curvature",
     "total_curvature_quadrature",
     "total_curvature_closed_form",
-    "closed_form_of",
 ]
 
 VERDICT_FLAT = "flat"

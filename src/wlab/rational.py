@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wlab.poly import ExactDivisionError, GcdBreakdownError, Polynomial, approx_gcd, exact_divide
+from wlab.poly import Polynomial, approx_gcd, exact_divide
 from wlab.roots import roots_with_multiplicity
 from wlab.tolerances import Tolerances, default_tolerances
 
@@ -105,24 +105,6 @@ def _shift(p: Polynomial, k: int) -> Polynomial:
     return Polynomial((0j,) * k + p.coeffs)
 
 
-def _plainly_coprime(a: Polynomial, b: Polynomial, rel_eps: float = 1e-6) -> bool:
-    """True when no root of the lower-degree operand is near a root of the other.
-
-    Each companion-matrix root z of the lower-degree operand must leave the
-    other above rel_eps times its evaluation scale sum |c_k| |z|^k, which no
-    relative coefficient perturbation of size rel_eps can cancel. Overflow,
-    NaN and borderline values answer False.
-    """
-    lo, hi = (a, b) if a.degree <= b.degree else (b, a)
-    mags = np.abs(np.asarray(hi.coeffs))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for z in np.roots(np.asarray(lo.coeffs[::-1], dtype=complex)):
-            scale = float(np.sum(mags * abs(z) ** np.arange(len(mags))))
-            if not abs(hi(complex(z))) > rel_eps * scale:
-                return False
-    return True
-
-
 class RationalFunction:
     """Quotient of complex polynomials in reduced form, monic denominator."""
 
@@ -141,17 +123,10 @@ class RationalFunction:
             self._den = Polynomial((1.0,))
             return
         if reduce and n.degree >= 1 and d.degree >= 1:
-            try:
-                g = approx_gcd(n, d, tol.eps_gcd)
-                if g.degree >= 1:
-                    n, d = exact_divide(n, g, rel_eps=1e-6), exact_divide(d, g, rel_eps=1e-6)
-            except (GcdBreakdownError, ExactDivisionError):
-                # The Euclidean sequence is not backward stable: a tiny
-                # leading coefficient or roots of far-apart magnitudes can
-                # stall it or yield a factor that does not divide. A pair
-                # that plainly shares no root is already reduced.
-                if not _plainly_coprime(n, d):
-                    raise
+            g = approx_gcd(n, d, tol.eps_gcd)
+            if g.degree >= 1:
+                n = exact_divide(n, g, rel_eps=1e-6)
+                d = exact_divide(d, g, rel_eps=1e-6)
         lead = d.leading
         self._num = n.scale(1.0 / lead)
         self._den = d.monic()

@@ -75,20 +75,16 @@ def rotated_mu(d: WeierstrassData) -> tuple[int, ...]:
     """Pole orders of h dz at the punctures after rotating each component.
 
     Rotating g multiplies h by (b g + conj(a)), which keeps the metric.
-    Orders add under multiplication, so each factor's order is read on its
-    own: reducing the product through the float gcd can split a multiple
-    pole at a puncture into nearby simple ones.
     """
-    mu = [-d.h.form_order_at(p) for p in d.punctures]
+    h = d.h
     for g in (d.g1, d.g2):
         if g.is_constant:
             continue
         gr = g.compose_moebius(ROT_A, -ROT_B.conjugate(), ROT_B, ROT_A.conjugate())
         assert not any(gr.value_at_sphere(p).is_infinity for p in d.punctures)
         assert all(e.order == -1 for e in gr.zeros_and_poles() if e.order < 0)
-        factor = g * ROT_B + ROT_A.conjugate()
-        mu = [m - factor.order_at(p) for m, p in zip(mu, d.punctures)]
-    return tuple(mu)
+        h = h * (g * ROT_B + ROT_A.conjugate())
+    return tuple(-h.form_order_at(p) for p in d.punctures)
 
 
 def random_regular_data(rng) -> WeierstrassData:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from wlab.poly import ExactDivisionError, GcdBreakdownError, Polynomial
+from wlab.poly import Polynomial
 from wlab.rational import INF, DivisorEntry, RationalFunction, SpherePoint
 
 Z = RationalFunction.variable()
@@ -179,35 +179,3 @@ def test_sphere_point_identity():
     assert not SpherePoint(1 + 0j).close_to(INF, 1e-8)
     assert INF.close_to(INF, 1e-8)
     assert SpherePoint.of("inf") is INF or SpherePoint.of("inf") == INF
-
-
-@pytest.mark.parametrize(
-    "num, den",
-    [
-        # gcd remainder does not fall in degree (a root near 1e6, one near 1e8i)
-        ([1, 1e-6], [1, 1, 1, 1]),
-        ([1, 1e-8j], [1, 1.5, 1, 0.25]),
-        # the gcd sequence returns a bogus linear factor that does not divide
-        ([0, 1, 1e-6], [1, 1, 1, 1]),
-    ],
-)
-def test_coprime_pair_with_far_apart_roots_is_kept_as_is(num, den):
-    f = RationalFunction(Polynomial(num), Polynomial(den))
-    lead = den[-1]
-    assert f.num.close_to(Polynomial(num).scale(1 / lead), 1e-15)
-    assert f.den.close_to(Polynomial(den).monic(), 1e-15)
-
-
-@pytest.mark.parametrize(
-    "num, den, error",
-    [
-        ([1, 1e-6], [1, 1, 1, 1], GcdBreakdownError),
-        ([0, 1, 1e-6], [1, 1, 1, 1], ExactDivisionError),
-    ],
-)
-def test_shared_root_with_far_apart_roots_still_raises(num, den, error):
-    # the same pairs times a common factor (z - 2): not plainly coprime, so
-    # the Euclidean route's failure stands
-    common = Polynomial([-2, 1])
-    with pytest.raises(error):
-        RationalFunction(Polynomial(num) * common, Polynomial(den) * common)
