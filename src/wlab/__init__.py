@@ -6,8 +6,8 @@ ramification counts, sharp value-distribution bounds, unicity comparisons,
 and numeric surface construction.
 """
 
-from wlab.tolerances import Tolerances, default_tolerances
+from wlab.tolerances import Tolerances
 
-__all__ = ["Tolerances", "default_tolerances"]
+__all__ = ["Tolerances"]
 
 __version__ = "0.1.0"

@@ -25,7 +25,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .ramification import RamificationReport, ramification_report
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances
 from .weierstrass import (
     ConformalityReport,
     EndClassification,
@@ -57,7 +57,7 @@ class Analysis:
     """
 
     data: WeierstrassData
-    tol: Tolerances = field(default_factory=default_tolerances)
+    tol: Tolerances = field(default_factory=Tolerances)
     _ramification: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):

@@ -25,6 +25,13 @@ preimage sets: p <= 4 + 1/R_1 against one component, jointly
 at (p, q) = (7, 7), or at p = 6 when the second components are the same
 constant.
 
+Both estimates have the same two shapes, each evaluated by one helper: a
+per-component ceiling x <= c + 1/R_i (``_ceiling``) and a joint inequality
+1/(x - c) + 1/(y - c) >= R_1 + R_2 (``_joint``), with c = 2 for totally
+ramified value numbers and c = 4 for shared-value counts.  One evaluator
+(``_bounds_report``) applies them to the invariants of a surface, whether
+computed from data (``compute_bounds``) or asserted (``compute_bounds_abstract``).
+
 Every verdict here is evaluated in integer / Fraction arithmetic; floats
 enter only upstream (root finding, residues).  Conclusions that depend on
 the surface hypotheses (conformality, regularity, completeness) are gated
@@ -41,8 +48,8 @@ from fractions import Fraction
 from .analysis import Analysis
 from .exprparse import as_sphere_point
 from .ramification import exceptional_values, preimages
-from .rational import RationalFunction, SpherePoint
-from .tolerances import Tolerances, default_tolerances
+from .rational import RationalFunction, SpherePoint, distinct_points
+from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE, WeierstrassData
 
 __all__ = [
@@ -184,70 +191,160 @@ class UnicityReport:
 # -- Theorem evaluation ---------------------------------------------------------
 
 
-def _component_bound(
-    nu: Fraction | None, degree: int, chi: int
+def _ratio(degree: int, chi: int) -> Fraction | None:
+    """R = degree / (2G - 2 + k), defined for a non-constant component when chi >= 1."""
+    return Fraction(degree, chi) if chi >= 1 and degree >= 1 else None
+
+
+def _ceiling(
+    count: Fraction | int | None, degree: int, chi: int, offset: int
 ) -> tuple[Fraction | None, bool | None, bool | None]:
-    """The per-component ceiling nu <= 2 + chi/degree and its verdicts."""
+    """The per-component ceiling count <= offset + chi/degree and its verdicts."""
     if degree < 1:
         return None, None, None
-    bound = 2 + Fraction(chi, degree)
-    if nu is None:
+    bound = offset + Fraction(chi, degree)
+    if count is None:
         return bound, None, None
-    return bound, nu <= bound, nu == bound
+    return bound, count <= bound, count == bound
 
 
-def _joint_bound(
-    nu1: Fraction | None,
-    nu2: Fraction | None,
+def _joint(
+    x: Fraction | int | None,
+    y: Fraction | int | None,
     R1: Fraction | None,
     R2: Fraction | None,
-) -> tuple[bool, Fraction | None, bool | None, bool | None]:
-    """1/(nu1-2) + 1/(nu2-2) >= R1 + R2, asserted only when both nu > 2."""
-    if nu1 is None or nu2 is None or nu1 <= 2 or nu2 <= 2:
-        return False, None, None, None
-    lhs = 1 / (nu1 - 2) + 1 / (nu2 - 2)
+    offset: int,
+) -> tuple[Fraction | None, bool | None, bool | None]:
+    """1/(x - offset) + 1/(y - offset) >= R1 + R2 as (lhs, ok, equality).
+
+    The left side exists only when both counts exceed ``offset``; the
+    verdicts need both ratios as well.
+    """
+    if x is None or y is None or x <= offset or y <= offset:
+        return None, None, None
+    lhs = Fraction(1) / (x - offset) + Fraction(1) / (y - offset)
     if R1 is None or R2 is None:
-        return False, lhs, None, None
-    rhs = R1 + R2
-    return True, lhs, lhs >= rhs, lhs == rhs
+        return lhs, None, None
+    return lhs, lhs >= R1 + R2, lhs == R1 + R2
+
+
+def _bounds_report(
+    mode: str,
+    G: int,
+    k: int,
+    d1: int,
+    d2: int,
+    nu1: Fraction | None = None,
+    nu2: Fraction | None = None,
+    mu: tuple[int, ...] | None = None,
+    *,
+    algebraic: bool | None = None,
+    regular: bool = True,
+    complete: bool = True,
+    notes: list[str] | tuple[str, ...] = (),
+    **hypotheses,
+) -> BoundsReport:
+    """Every degree/ramification bound on the invariants of one surface.
+
+    The invariants are computed from data (``bounds_of``) or asserted by the
+    caller (``compute_bounds_abstract``).  The per-component ceiling
+    nu <= 2 + chi/d and the joint bound are pure counting facts for rational
+    maps with finitely many punctures, so their failure is flagged
+    unconditionally.  The degree identity needs a regular metric, the
+    ratio-sum bound R1 + R2 >= 1 also a complete surface, and the strict
+    bound an algebraic complete one; they are reported always but only
+    promote to a contradiction under those gates.  ``hypotheses`` are the
+    reported hypothesis fields, passed through to the report.
+    """
+    chi = 2 * G - 2 + k
+    head = dict(mode=mode, G=G, k=k, chi_term=chi, d1=d1, d2=d2, chi_nonpositive=chi <= 0)
+    if d1 == 0 and d2 == 0:
+        what = "Gauss components" if mode == "computed" else "components"
+        return BoundsReport(
+            case=CASE_FLAT, notes=(f"both {what} constant: flat data, nothing to bound",), **head
+        )
+
+    case = CASE_BOTH if min(d1, d2) >= 1 else CASE_ONE_CONSTANT
+    notes = list(notes)
+
+    degree_identity_ok: bool | None = None
+    mu_all2: bool | None = None
+    if mu is not None:
+        degree_identity_ok = d1 + d2 == 2 * G - 2 + sum(mu)
+        mu_all2 = all(m >= 2 for m in mu) if mu else None
+        if mode == "abstract" and not degree_identity_ok:
+            # asserted pole orders: say which sums disagree
+            notes.append(f"d1 + d2 = {d1 + d2} but 2G - 2 + sum(mu) = {2 * G - 2 + sum(mu)}")
+
+    R1, R2 = _ratio(d1, chi), _ratio(d2, chi)
+    ratio_sum = R1 + R2 if (R1 is not None and R2 is not None) else None
+    ratio_sum_ok = None if ratio_sum is None else ratio_sum >= 1
+    if chi <= 0:
+        notes.append(
+            "2G-2+k <= 0: ratios undefined, the bound degenerates to nu <= 2 + (2G-2+k)/d"
+        )
+
+    bound1, b1_ok, b1_eq = _ceiling(nu1, d1, chi, 2)
+    bound2, b2_ok, b2_eq = _ceiling(nu2, d2, chi, 2)
+    j_lhs, j_ok, j_eq = _joint(nu1, nu2, R1, R2, 2)
+
+    if case == CASE_BOTH:
+        strict_ok = None if ratio_sum is None else ratio_sum > 1
+    else:
+        strict_ok = Fraction(chi, max(d1, d2)) < 1
+
+    contradiction = (
+        b1_ok is False
+        or b2_ok is False
+        or j_ok is False
+        or (regular and degree_identity_ok is False)
+        or (regular and complete and ratio_sum_ok is False)
+        or (bool(algebraic) and complete and strict_ok is False)
+    )
+
+    return BoundsReport(
+        case=case,
+        nu_g1=nu1,
+        nu_g2=nu2,
+        R1=R1,
+        R2=R2,
+        ratio_sum=ratio_sum,
+        ratio_sum_at_least_one=ratio_sum_ok,
+        nu_bound_g1=bound1,
+        nu_bound_g1_ok=b1_ok,
+        nu_bound_g1_equality=b1_eq,
+        nu_bound_g2=bound2,
+        nu_bound_g2_ok=b2_ok,
+        nu_bound_g2_equality=b2_eq,
+        joint_bound_applies=j_ok is not None,
+        joint_bound_lhs=j_lhs,
+        joint_bound_ok=j_ok,
+        joint_bound_equality=j_eq,
+        mu=mu,
+        degree_identity_ok=degree_identity_ok,
+        mu_all_at_least_two=mu_all2,
+        algebraic=algebraic,
+        strict_ok=strict_ok,
+        contradiction=contradiction,
+        notes=tuple(notes),
+        **hypotheses,
+        **head,
+    )
 
 
 def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsReport:
     """Evaluate every degree/ramification bound on concrete genus-0 data."""
-    return Analysis(d, tol or default_tolerances()).bounds
+    return Analysis(d, tol or Tolerances()).bounds
 
 
 def bounds_of(an: Analysis) -> BoundsReport:
-    """Every degree/ramification bound, from the invariants of one analysis.
-
-    The per-component ceiling nu <= 2 + chi/d and the joint bound are pure
-    counting facts for rational maps with finitely many punctures, so their
-    failure is flagged unconditionally.  The ratio-sum bound R1 + R2 >= 1,
-    the degree identity, and the strict algebraic variants additionally
-    need the surface hypotheses; they are reported always but only promote
-    to a contradiction when the hypotheses hold.
-    """
+    """Every degree/ramification bound, from the invariants of one analysis."""
     d = an.data
-    G, k = 0, len(d.punctures)
-    chi = 2 * G - 2 + k
-    d1, d2 = d.g1.degree, d.g2.degree
+    k, d1, d2 = len(d.punctures), d.g1.degree, d.g2.degree
+    if d1 == 0 and d2 == 0:  # flat: nothing to bound, so no hypothesis is evaluated
+        return _bounds_report("computed", 0, k, d1, d2)
 
-    if d1 == 0 and d2 == 0:
-        return BoundsReport(
-            mode="computed",
-            case=CASE_FLAT,
-            G=G,
-            k=k,
-            chi_term=chi,
-            d1=d1,
-            d2=d2,
-            chi_nonpositive=chi <= 0,
-            notes=("both Gauss components constant: flat data, nothing to bound",),
-        )
-
-    case = CASE_BOTH if min(d1, d2) >= 1 else CASE_ONE_CONSTANT
     notes: list[str] = []
-
     # every hypothesis is evaluated, in this order, before any verdict
     ends = an.ends
     conformal = an.conformality.ok
@@ -263,91 +360,31 @@ def bounds_of(an: Analysis) -> BoundsReport:
     if not nondegenerate:
         notes.append("a degenerate end (or no puncture at all) breaks completeness")
     period_ok = bool(an.periods.period_ok)
-    algebraic = hypotheses_ok and period_ok
     if hypotheses_ok and not period_ok:
         notes.append("periods do not vanish: surface lives on the universal cover")
 
-    mu = tuple(-rec.metric_exponent for rec in ends.records)
-    degree_identity_ok = d1 + d2 == 2 * G - 2 + sum(mu)
-    mu_all2 = all(m >= 2 for m in mu) if mu else None
-
     ram1 = an.ramification(1) if d1 >= 1 else None
     ram2 = an.ramification(2) if d2 >= 1 else None
-    nu1 = ram1.nu_f if ram1 else None
-    nu2 = ram2.nu_f if ram2 else None
-
-    R1 = Fraction(d1, chi) if chi >= 1 and d1 >= 1 else None
-    R2 = Fraction(d2, chi) if chi >= 1 and d2 >= 1 else None
-    ratio_sum = R1 + R2 if (R1 is not None and R2 is not None) else None
-    ratio_sum_ok = None if ratio_sum is None else ratio_sum >= 1
-    if chi <= 0:
-        notes.append(
-            "2G-2+k <= 0: ratios undefined, the bound degenerates to nu <= 2 + (2G-2+k)/d"
-        )
-
-    bound1, b1_ok, b1_eq = _component_bound(nu1, d1, chi)
-    bound2, b2_ok, b2_eq = _component_bound(nu2, d2, chi)
-    j_applies, j_lhs, j_ok, j_eq = _joint_bound(nu1, nu2, R1, R2)
-
-    if case == CASE_BOTH:
-        strict_ok = None if ratio_sum is None else ratio_sum > 1
-    else:
-        strict_ok = Fraction(chi, max(d1, d2)) < 1
-
-    contradiction = (
-        b1_ok is False
-        or b2_ok is False
-        or (j_applies and j_ok is False)
-        or (regular and not degree_identity_ok)
-        or (regular and ends.complete and ratio_sum_ok is False)
-        or (algebraic and ends.complete and strict_ok is False)
-    )
-
-    return BoundsReport(
-        mode="computed",
-        case=case,
-        G=G,
-        k=k,
-        chi_term=chi,
-        d1=d1,
-        d2=d2,
-        nu_g1=nu1,
-        nu_g2=nu2,
+    return _bounds_report(
+        "computed",
+        0,
+        k,
+        d1,
+        d2,
+        ram1.nu_f if ram1 else None,
+        ram2.nu_f if ram2 else None,
+        tuple(-rec.metric_exponent for rec in ends.records),
+        algebraic=hypotheses_ok and period_ok,
+        regular=regular,
+        complete=ends.complete,
+        notes=notes,
         exceptional_g1=ram1.exceptional_count if ram1 else None,
         exceptional_g2=ram2.exceptional_count if ram2 else None,
-        R1=R1,
-        R2=R2,
-        ratio_sum=ratio_sum,
-        ratio_sum_at_least_one=ratio_sum_ok,
-        nu_bound_g1=bound1,
-        nu_bound_g1_ok=b1_ok,
-        nu_bound_g1_equality=b1_eq,
-        nu_bound_g2=bound2,
-        nu_bound_g2_ok=b2_ok,
-        nu_bound_g2_equality=b2_eq,
-        joint_bound_applies=j_applies,
-        joint_bound_lhs=j_lhs,
-        joint_bound_ok=j_ok,
-        joint_bound_equality=j_eq,
-        mu=mu,
-        degree_identity_ok=degree_identity_ok,
-        mu_all_at_least_two=mu_all2,
-        algebraic=algebraic,
-        strict_ok=strict_ok,
         conformal_ok=conformal,
         regular_ok=regular,
         complete_ok=nondegenerate,
         hypotheses_ok=hypotheses_ok,
-        chi_nonpositive=chi <= 0,
-        contradiction=contradiction,
-        notes=tuple(notes),
     )
-
-
-def _as_optional_fraction(x) -> Fraction | None:
-    if x is None:
-        return None
-    return Fraction(x)
 
 
 def compute_bounds_abstract(
@@ -362,114 +399,30 @@ def compute_bounds_abstract(
     """Pure arithmetic evaluation from user-supplied invariants.
 
     Constant components are encoded by degree 0 with nu omitted.  The caller
-    asserts that a surface with these numbers exists, so any falsified
-    conclusion -- including a mu list that breaks the degree identity -- is
-    reported as a contradiction rather than silently accepted.  Genus >= 1
-    is allowed here (nothing is computed from functions).
+    asserts that a surface with these numbers exists, so it counts as
+    regular and complete, and any falsified conclusion -- including a mu
+    list that breaks the degree identity -- is reported as a contradiction
+    rather than silently accepted; it counts as algebraic when every mu is
+    at least 2.  Genus >= 1 is allowed here (nothing is computed from
+    functions).
     """
     for name, v in (("G", G), ("k", k), ("d1", d1), ("d2", d2)):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"{name} must be a non-negative integer")
-    chi = 2 * G - 2 + k
-    nu1 = _as_optional_fraction(nu1)
-    nu2 = _as_optional_fraction(nu2)
+    nu1 = None if nu1 is None else Fraction(nu1)
+    nu2 = None if nu2 is None else Fraction(nu2)
     if d1 == 0 and nu1 is not None:
         raise ValueError("nu1 given for a constant first component")
     if d2 == 0 and nu2 is not None:
         raise ValueError("nu2 given for a constant second component")
-
-    if d1 == 0 and d2 == 0:
-        return BoundsReport(
-            mode="abstract",
-            case=CASE_FLAT,
-            G=G,
-            k=k,
-            chi_term=chi,
-            d1=d1,
-            d2=d2,
-            chi_nonpositive=chi <= 0,
-            notes=("both components constant: flat data, nothing to bound",),
-        )
-
-    case = CASE_BOTH if min(d1, d2) >= 1 else CASE_ONE_CONSTANT
-    notes: list[str] = []
-
-    mu_tuple: tuple[int, ...] | None = None
-    degree_identity_ok: bool | None = None
-    mu_all2: bool | None = None
-    algebraic: bool | None = None
+    algebraic = None
     if mu is not None:
-        mu_tuple = tuple(int(m) for m in mu)
-        if len(mu_tuple) != k:
+        mu = tuple(int(m) for m in mu)
+        if len(mu) != k and (d1 or d2):  # flat data ignores mu
             raise ValueError("mu must list one pole order per puncture")
-        degree_identity_ok = d1 + d2 == 2 * G - 2 + sum(mu_tuple)
-        if not degree_identity_ok:
-            notes.append(
-                f"d1 + d2 = {d1 + d2} but 2G - 2 + sum(mu) = {2 * G - 2 + sum(mu_tuple)}"
-            )
-        mu_all2 = all(m >= 2 for m in mu_tuple) if mu_tuple else None
-        algebraic = bool(mu_all2)
-
-    R1 = Fraction(d1, chi) if chi >= 1 and d1 >= 1 else None
-    R2 = Fraction(d2, chi) if chi >= 1 and d2 >= 1 else None
-    ratio_sum = R1 + R2 if (R1 is not None and R2 is not None) else None
-    ratio_sum_ok = None if ratio_sum is None else ratio_sum >= 1
-    if chi <= 0:
-        notes.append(
-            "2G-2+k <= 0: ratios undefined, the bound degenerates to nu <= 2 + (2G-2+k)/d"
-        )
-
-    bound1, b1_ok, b1_eq = _component_bound(nu1, d1, chi)
-    bound2, b2_ok, b2_eq = _component_bound(nu2, d2, chi)
-    j_applies, j_lhs, j_ok, j_eq = _joint_bound(nu1, nu2, R1, R2)
-
-    if case == CASE_BOTH:
-        strict_ok = None if ratio_sum is None else ratio_sum > 1
-    else:
-        strict_ok = Fraction(chi, max(d1, d2)) < 1
-
-    contradiction = (
-        b1_ok is False
-        or b2_ok is False
-        or (j_applies and j_ok is False)
-        or degree_identity_ok is False
-        or ratio_sum_ok is False
-        or (bool(algebraic) and strict_ok is False)
-    )
-
-    return BoundsReport(
-        mode="abstract",
-        case=case,
-        G=G,
-        k=k,
-        chi_term=chi,
-        d1=d1,
-        d2=d2,
-        nu_g1=nu1,
-        nu_g2=nu2,
-        R1=R1,
-        R2=R2,
-        ratio_sum=ratio_sum,
-        ratio_sum_at_least_one=ratio_sum_ok,
-        nu_bound_g1=bound1,
-        nu_bound_g1_ok=b1_ok,
-        nu_bound_g1_equality=b1_eq,
-        nu_bound_g2=bound2,
-        nu_bound_g2_ok=b2_ok,
-        nu_bound_g2_equality=b2_eq,
-        joint_bound_applies=j_applies,
-        joint_bound_lhs=j_lhs,
-        joint_bound_ok=j_ok,
-        joint_bound_equality=j_eq,
-        mu=mu_tuple,
-        degree_identity_ok=degree_identity_ok,
-        mu_all_at_least_two=mu_all2,
-        algebraic=algebraic,
-        strict_ok=strict_ok,
-        hypotheses_ok=True,
-        chi_nonpositive=chi <= 0,
-        contradiction=contradiction,
-        notes=tuple(notes),
+        algebraic = bool(mu) and all(m >= 2 for m in mu)
+    return _bounds_report(
+        "abstract", G, k, d1, d2, nu1, nu2, mu, algebraic=algebraic, hypotheses_ok=True
     )
 
 
@@ -533,14 +486,6 @@ def _point_sets_equal(xs, ys, eps_pt: float) -> bool:
     return True
 
 
-def _dedup_points(points, eps_pt: float) -> list[SpherePoint]:
-    out: list[SpherePoint] = []
-    for p in points:
-        if not any(p.close_to(q, eps_pt) for q in out):
-            out.append(p)
-    return out
-
-
 def shared_values(
     gA: RationalFunction,
     gB: RationalFunction,
@@ -558,7 +503,7 @@ def shared_values(
     not matter).  Identical maps share everything and are reported as a
     special kind, as is a pair of distinct constants.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
     if gA.equals(gB):
         return SharedValues(SHARED_IDENTICAL, ())
@@ -585,7 +530,7 @@ def shared_values(
         candidates.append(gB.value_at_sphere(p, tol))
 
     shared: list[SharedValue] = []
-    for a in _dedup_points(candidates, tol.eps_pt):
+    for a in distinct_points(candidates, tol.eps_pt):
         fa = _fiber_in_domain(gA, a, pts, tol)
         fb = _fiber_in_domain(gB, a, pts, tol)
         if _point_sets_equal(fa, fb, tol.eps_pt):
@@ -594,15 +539,11 @@ def shared_values(
     return SharedValues(SHARED_GENERIC, tuple(shared))
 
 
-def _same_puncture_sets(a, b, eps_pt: float) -> bool:
-    return _point_sets_equal(list(a), list(b), eps_pt)
-
-
 def unicity_report(
     dataA: WeierstrassData, dataB: WeierstrassData, tol: Tolerances | None = None
 ) -> UnicityReport:
     """Compare the Gauss maps of two genus-0 data sets on the same punctured sphere."""
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     return unicity_of(Analysis(dataA, tol), Analysis(dataB, tol))
 
 
@@ -627,7 +568,7 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
     """
     tol = a.tol
     dataA, dataB = a.data, b.data
-    if not _same_puncture_sets(dataA.punctures, dataB.punctures, tol.eps_pt):
+    if not _point_sets_equal(dataA.punctures, dataB.punctures, tol.eps_pt):
         raise ValueError("the two data sets have different puncture sets")
     d1, d2 = dataA.g1.degree, dataA.g2.degree
     if d1 != dataB.g1.degree:
@@ -669,8 +610,7 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
             notes=("the two Gauss maps are identical; every value is shared",),
         )
 
-    R1 = Fraction(d1, chi) if chi >= 1 and d1 >= 1 else None
-    R2 = Fraction(d2, chi) if chi >= 1 and d2 >= 1 else None
+    R1, R2 = _ratio(d1, chi), _ratio(d2, chi)
     if chi <= 0:
         notes.append("2G-2+k <= 0: ratios undefined")
 
@@ -683,24 +623,18 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
     p = _count(shared1)
     q = _count(shared2)
 
-    def _count_bound(count, degree, distinct):
-        if degree < 1 or not distinct:
-            return None, None, None, None
-        bound = 4 + Fraction(chi, degree)
-        if count is None:
-            return bound, None, None, None
-        return bound, count <= bound, count == bound, None
-
-    cb1, cb1_ok, cb1_eq, _ = _count_bound(p, d1, not id1)
-    cb2, cb2_ok, cb2_eq, _ = _count_bound(q, d2, not id2 and not const2)
+    unset = (None, None, None)
+    distinct1, distinct2 = not id1, not id2 and not const2
+    cb1, cb1_ok, cb1_eq = _ceiling(p, d1, chi, 4) if distinct1 else unset
+    cb2, cb2_ok, cb2_eq = _ceiling(q, d2, chi, 4) if distinct2 else unset
 
     def _pole_budget(sv: SharedValues, degree, distinct):
         if not distinct or degree < 1 or sv.kind != SHARED_GENERIC:
             return None
         return sum(v.delta for v in sv.values) <= 2 * degree
 
-    budget1 = _pole_budget(shared1, d1, not id1)
-    budget2 = _pole_budget(shared2, d2, not id2 and not const2)
+    budget1 = _pole_budget(shared1, d1, distinct1)
+    budget2 = _pole_budget(shared2, d2, distinct2)
 
     if const2 and id2 and not id1 and d1 >= 1:
         case = CASE_ONE_CONSTANT
@@ -713,13 +647,8 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
             "only the per-component count bounds are evaluated"
         )
 
-    pair_applies = case == CASE_BOTH and p is not None and q is not None and p > 4 and q > 4
-    pair_lhs = pair_ok = pair_eq = None
-    if pair_applies:
-        pair_lhs = Fraction(1, p - 4) + Fraction(1, q - 4)
-        if R1 is not None and R2 is not None:
-            pair_ok = pair_lhs >= R1 + R2
-            pair_eq = pair_lhs == R1 + R2
+    pair_lhs, pair_ok, pair_eq = _joint(p, q, R1, R2, 4) if case == CASE_BOTH else unset
+    pair_applies = pair_lhs is not None
 
     if case == CASE_BOTH and p is not None and q is not None and p >= 7 and q >= 7:
         verdict = IDENTITY_FORCED
@@ -733,7 +662,7 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
         or cb2_ok is False
         or budget1 is False
         or budget2 is False
-        or (pair_applies and pair_ok is False)
+        or pair_ok is False
         or (verdict == IDENTITY_FORCED and hypotheses)
     )
     if verdict == IDENTITY_FORCED:

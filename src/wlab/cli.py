@@ -25,12 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import Analysis
-from .bounds import compute_bounds_abstract, corollary_check, unicity_of
+from .bounds import CASE_FLAT, BoundsReport, compute_bounds_abstract, corollary_check, unicity_of
 from .curvature import total_curvature_quadrature
 from .exprparse import ExpressionError, format_complex, parse_expression, parse_sphere_point
 from .mesh import Annulus, Rectangle, build_mesh, export_mesh
 from .report import document, to_json
-from .tolerances import Tolerances, env_scale
+from .tolerances import Tolerances
 from .weierstrass import VERDICT_REMOVABLE, UnsupportedGenusError, WeierstrassData
 
 EXIT_OK = 0
@@ -85,8 +85,7 @@ def _load_data(path: str) -> WeierstrassData:
 
 def _tolerances(args) -> tuple[Tolerances, float]:
     try:
-        scale = env_scale() if args.tolerance_scale is None else args.tolerance_scale
-        return Tolerances().scaled(scale), scale
+        return Tolerances().scaled(args.tolerance_scale), args.tolerance_scale
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
 
@@ -174,6 +173,13 @@ def _parse_fraction(text: str | None, flag: str):
         raise CliUsageError(f"{flag} must be an integer or fraction, got {text!r}") from exc
 
 
+def _corollary(rep: BoundsReport) -> str | None:
+    """The corollary verdict, or None where the exceptional-value counts are unknown."""
+    if rep.exceptional_g1 is None and rep.exceptional_g2 is None and rep.case != CASE_FLAT:
+        return None
+    return corollary_check(rep)
+
+
 def cmd_bounds(args) -> int:
     tol, scale = _tolerances(args)
     if args.abstract is not None and args.file:
@@ -206,8 +212,9 @@ def cmd_bounds(args) -> int:
         label = an.data.label
         rep = an.bounds
     body = {"bounds": rep}
-    if rep.exceptional_g1 is not None or rep.exceptional_g2 is not None or rep.case == "flat":
-        body["corollary"] = corollary_check(rep)
+    corollary = _corollary(rep)
+    if corollary is not None:
+        body["corollary"] = corollary
     _emit(document("bounds", label, body, tolerance_scale=scale), args.out)
     return EXIT_MATH if rep.contradiction else EXIT_OK
 
@@ -319,9 +326,7 @@ def cmd_report(args) -> int:
         "check": check_body,
         "ramification": {"g1": ram1, "g2": ram2},
         "bounds": bounds,
-        "corollary": corollary_check(bounds)
-        if (bounds.exceptional_g1 is not None or bounds.exceptional_g2 is not None or bounds.case == "flat")
-        else None,
+        "corollary": _corollary(bounds),
         "curvature": {
             "closed_form": closed,
             "quadrature_value": quad,
@@ -341,7 +346,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--tolerance-scale", type=float, default=None, help="multiply all tolerances")
+        p.add_argument("--tolerance-scale", type=float, default=1.0, help="multiply all tolerances")
         p.add_argument("--out", default=None, help="write the JSON document here instead of stdout")
 
     p = sub.add_parser("check", help="conformality, regularity, periods, end classification")

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import Analysis
 from .rational import RationalFunction
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances
 from .weierstrass import WeierstrassData, metric_factor_from_phi, phi_from_data
 
 __all__ = [
@@ -111,7 +111,7 @@ def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
         s1 = spherical_derivative(d.g1, z)
         s2 = spherical_derivative(d.g2, z)
         return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     from .rational import SpherePoint
 
     if d.is_puncture(SpherePoint(complex(z)), tol.eps_pt):
@@ -207,7 +207,7 @@ def total_curvature_quadrature(
     integrates the density for (g1(1/w), g2(1/w)) over |w| <= 1, which is
     the |z| >= 1 half of the sphere.  Punctures carry no mass.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     inner = _integrate_polar(_density(d.g1, d.g2), 0.0, 1.0, 0.5 * tol.quad_rtol, max_cells)
     outer = _integrate_polar(
         _density(_flip(d.g1), _flip(d.g2)), 0.0, 1.0, 0.5 * tol.quad_rtol, max_cells
@@ -223,7 +223,7 @@ def _flip(g: RationalFunction) -> RationalFunction:
 
 def total_curvature_closed_form(d: WeierstrassData, tol: Tolerances | None = None) -> TotalCurvatureReport:
     """-2 pi (d1 + d2) on the basic domain, plus the surface-level verdict."""
-    return Analysis(d, tol or default_tolerances()).curvature_closed_form
+    return Analysis(d, tol or Tolerances()).curvature_closed_form
 
 
 def closed_form_of(an: Analysis) -> TotalCurvatureReport:

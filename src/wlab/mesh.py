@@ -35,7 +35,7 @@ import numpy as np
 
 from .curvature import gauss_curvature
 from .report import format_float_rows
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances
 from .weierstrass import (
     WeierstrassData,
     compute_periods,
@@ -374,7 +374,7 @@ def build_mesh(
     is a base point that is excluded, outside, or at a degenerate metric
     point.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     require_genus_zero(d.genus)
     if not isinstance(region, (Rectangle, Annulus)):
         raise TypeError("region must be a Rectangle or an Annulus")

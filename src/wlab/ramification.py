@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprparse import as_sphere_point
-from .rational import INF, RationalFunction, SpherePoint
+from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances
 from .weierstrass import require_genus_zero
 
 __all__ = [
@@ -95,7 +95,7 @@ def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tup
     Finite a: roots of num - a*den.  a = infinity: roots of den.  Whenever
     the fiber polynomial drops below deg f, the balance sits at infinity.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     if f.is_constant:
         raise ValueError("preimages of a constant map are not a finite fiber")
     target = as_sphere_point(a)
@@ -134,15 +134,6 @@ def _critical_values(f: RationalFunction, tol: Tolerances) -> list[SpherePoint]:
     return values
 
 
-def _dedup(points: list[SpherePoint], eps_pt: float) -> list[SpherePoint]:
-    out: list[SpherePoint] = []
-    for p in points:
-        if not any(p.close_to(q, eps_pt) for q in out):
-            out.append(p)
-    out.sort(key=lambda p: p.sort_key())
-    return out
-
-
 def _classify_value(
     f: RationalFunction,
     value: SpherePoint,
@@ -177,9 +168,12 @@ def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = 
 
     Only an image of a puncture can be omitted, so those are the candidates.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     pts = _coerce_punctures(punctures)
-    candidates = _dedup([f.value_at_sphere(p, tol) for p in pts], tol.eps_pt)
+    candidates = sorted(
+        distinct_points([f.value_at_sphere(p, tol) for p in pts], tol.eps_pt),
+        key=SpherePoint.sort_key,
+    )
     out = []
     for value in candidates:
         rv = _classify_value(f, value, pts, tol)
@@ -190,11 +184,13 @@ def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = 
 
 def totally_ramified_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
     """All totally ramified values, with exceptional ones included and marked."""
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     pts = _coerce_punctures(punctures)
-    candidates = _dedup(
-        _critical_values(f, tol) + [f.value_at_sphere(p, tol) for p in pts],
-        tol.eps_pt,
+    candidates = sorted(
+        distinct_points(
+            _critical_values(f, tol) + [f.value_at_sphere(p, tol) for p in pts], tol.eps_pt
+        ),
+        key=SpherePoint.sort_key,
     )
     out = []
     for value in candidates:
@@ -225,7 +221,7 @@ def ramification_report(
     The ramified-weight inequality can fail legitimately when puncture
     preimages absorb branching; it is reported, not raised.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     require_genus_zero(genus)
     if f.is_constant:
         raise ValueError("ramification of a constant map is undefined")

@@ -16,9 +16,9 @@ import numpy as np
 
 from wlab.poly import Polynomial, approx_gcd, exact_divide
 from wlab.roots import roots_with_multiplicity
-from wlab.tolerances import Tolerances, default_tolerances
+from wlab.tolerances import Tolerances
 
-__all__ = ["SpherePoint", "INF", "DivisorEntry", "RationalFunction"]
+__all__ = ["SpherePoint", "INF", "distinct_points", "DivisorEntry", "RationalFunction"]
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,15 @@ class SpherePoint:
 INF = SpherePoint(None)
 
 
+def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
+    """The points with near-duplicates dropped, keeping the first of each group."""
+    out: list[SpherePoint] = []
+    for p in points:
+        if not any(p.close_to(q, eps_pt) for q in out):
+            out.append(p)
+    return out
+
+
 @dataclass(frozen=True)
 class DivisorEntry:
     """One row of a zero/pole table: positive order = zero, negative = pole."""
@@ -110,8 +119,8 @@ class RationalFunction:
 
     __slots__ = ("_num", "_den")
 
-    def __init__(self, num, den=None, *, tol: Tolerances | None = None, reduce: bool = True):
-        tol = tol or default_tolerances()
+    def __init__(self, num, den=None):
+        tol = Tolerances()
         n = _as_poly(num)
         d = _as_poly(1 if den is None else den)
         n = n.trim(tol.eps_coeff)
@@ -122,7 +131,7 @@ class RationalFunction:
             self._num = Polynomial()
             self._den = Polynomial((1.0,))
             return
-        if reduce and n.degree >= 1 and d.degree >= 1:
+        if n.degree >= 1 and d.degree >= 1:
             g = approx_gcd(n, d, tol.eps_gcd)
             if g.degree >= 1:
                 n = exact_divide(n, g, rel_eps=1e-6)
@@ -281,7 +290,7 @@ class RationalFunction:
             raise ValueError("degenerate moebius matrix (ad - bc ~ 0)")
         new_num = a * self._num + b * self._den
         new_den = c * self._num + d * self._den
-        if new_den.trim(default_tolerances().eps_coeff).is_zero:
+        if new_den.trim(Tolerances().eps_coeff).is_zero:
             raise ZeroDivisionError("moebius map sends this constant function to infinity")
         return RationalFunction(new_num, new_den)
 
@@ -305,7 +314,7 @@ class RationalFunction:
 
     def order_at(self, point, tol: Tolerances | None = None) -> int:
         """Order of vanishing at a sphere point (negative at a pole)."""
-        tol = tol or default_tolerances()
+        tol = tol or Tolerances()
         if self.is_zero:
             raise ValueError("order of the zero function is undefined")
         p = SpherePoint.of(point)
@@ -359,7 +368,7 @@ class RationalFunction:
         w = 1/z pullback so that the classical sum over the whole sphere
         vanishes.
         """
-        tol = tol or default_tolerances()
+        tol = tol or Tolerances()
         if self.is_zero:
             return 0j
         p = SpherePoint.of(point)
@@ -386,7 +395,7 @@ class RationalFunction:
 
         Constant functions have an empty divisor.
         """
-        tol = tol or default_tolerances()
+        tol = tol or Tolerances()
         if self.is_zero:
             raise ValueError("divisor of the zero function is undefined")
         if self.is_constant:
@@ -412,7 +421,7 @@ class RationalFunction:
 
     def finite_poles(self, tol: Tolerances | None = None) -> list[tuple[complex, int]]:
         """Finite poles as (point, positive order) pairs."""
-        tol = tol or default_tolerances()
+        tol = tol or Tolerances()
         if self._den.degree < 1:
             return []
         return [(r, m) for r, m in roots_with_multiplicity(self._den, tol)]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from wlab.poly import Polynomial, approx_gcd, exact_divide
-from wlab.tolerances import Tolerances, default_tolerances
+from wlab.tolerances import Tolerances
 
 __all__ = [
     "roots_with_multiplicity",
@@ -187,7 +187,7 @@ def roots_with_multiplicity(
     square-free analysis keeps distinct, a deeper-layer root with no
     unambiguous base match, or a residual violation.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     if p.is_zero:
         raise ValueError("zero polynomial has every point as a root")
     if p.degree < 1:

@@ -1,20 +1,19 @@
 """All numeric tolerances in one configuration record.
 
-Every cutoff used anywhere in the package lives here so that the CLI (and the
-``WLAB_TOLERANCE_SCALE`` environment variable) can scale them uniformly.
-Integer and rational quantities downstream of multiplicity extraction are
-exact and never touch these values.
+Every cutoff used anywhere in the package lives here so that the CLI's
+``--tolerance-scale`` flag can scale them uniformly through
+:meth:`Tolerances.scaled`; without it every default is ``Tolerances()``.
+Nothing reads the environment, so a result depends only on its inputs and
+the tolerances passed in.  Integer and rational quantities downstream of
+multiplicity extraction are exact and never touch these values.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, fields
 
-ENV_SCALE = "WLAB_TOLERANCE_SCALE"
-
-# Fields of Tolerances that are genuine tolerances (scaled by the env var).
+# Fields of Tolerances that are genuine tolerances (scaled by ``scaled``).
 # mesh_exclusion_factor is a geometric default, not a tolerance, and the
 # quadrature target is a requested accuracy; both stay fixed under scaling.
 _SCALED = (
@@ -71,22 +70,3 @@ class Tolerances:
             v = getattr(self, f.name)
             kwargs[f.name] = v * factor if f.name in _SCALED else v
         return Tolerances(**kwargs)
-
-
-def env_scale() -> float:
-    """Read the tolerance scale from the environment (default 1.0)."""
-    raw = os.environ.get(ENV_SCALE, "").strip()
-    if not raw:
-        return 1.0
-    try:
-        scale = float(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENV_SCALE} must be a number, got {raw!r}") from exc
-    return scale
-
-
-def default_tolerances() -> Tolerances:
-    """Tolerances scaled by ``WLAB_TOLERANCE_SCALE`` (read at call time)."""
-    scale = env_scale()
-    base = Tolerances()
-    return base if scale == 1.0 else base.scaled(scale)

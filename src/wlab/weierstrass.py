@@ -23,7 +23,7 @@ import numpy as np
 from .exprparse import as_sphere_point as _as_sphere_point
 from .poly import Polynomial
 from .rational import INF, RationalFunction, SpherePoint
-from .tolerances import Tolerances, default_tolerances
+from .tolerances import Tolerances
 
 __all__ = [
     "WeierstrassData",
@@ -99,7 +99,7 @@ class WeierstrassData:
             raise ValueError("h must not be the zero function")
         if self.genus < 0:
             raise ValueError("genus must be a nonnegative integer")
-        eps = default_tolerances().eps_pt
+        eps = Tolerances().eps_pt
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 if pts[i].close_to(pts[j], eps):
@@ -226,7 +226,7 @@ def _sample_nodes():
 
 def check_conformality(phi: PhiForms, tol: Tolerances | None = None) -> ConformalityReport:
     """Verify sum(phi_i^2) = 0, symbolically and at the first _SAMPLES finite nodes."""
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     numerator, scale = _conformality_numerator(phi)
     symbolic_residual = numerator.max_abs_coeff / scale
     symbolic_zero = numerator.is_zero or symbolic_residual <= tol.eps_conformal
@@ -308,7 +308,7 @@ def check_regularity(d: WeierstrassData, tol: Tolerances | None = None) -> Regul
     and must be finite and nonzero, which pins the order of h dz to the sum
     of the two pole orders.  Punctures are exempt.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     require_genus_zero(d.genus)
     violations = []
     checked = []
@@ -347,8 +347,8 @@ class EndClassification:
     records: tuple[EndRecord, ...]
     complete: bool
 
-    def record_at(self, point, eps_pt: float = 1e-8) -> EndRecord:
-        target = _as_sphere_point(point)
+    def record_at(self, point) -> EndRecord:
+        target, eps_pt = _as_sphere_point(point), Tolerances().eps_pt
         for rec in self.records:
             if rec.puncture.close_to(target, eps_pt):
                 return rec
@@ -364,7 +364,7 @@ def classify_ends(d: WeierstrassData, tol: Tolerances | None = None) -> EndClass
     extends regularly (the puncture was unnecessary), and m >= 1 means the
     immersion degenerates there.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     require_genus_zero(d.genus)
     records = []
     for p in d.punctures:
@@ -457,7 +457,7 @@ def compute_periods(
     at first use, so the first failing step is the one a plain evaluation
     would meet.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     require_genus_zero(d.genus)
     if phi is None:
         phi = phi_from_data(d)
@@ -547,7 +547,7 @@ def metric_factor(d: WeierstrassData, z):
         g1v = d.g1(z)
         g2v = d.g2(z)
         return 0.25 * np.abs(hv) ** 2 * (1.0 + np.abs(g1v) ** 2) * (1.0 + np.abs(g2v) ** 2)
-    eps = default_tolerances().eps_pt
+    eps = Tolerances().eps_pt
     if d.is_puncture(SpherePoint(complex(z)), eps):
         raise ValueError(f"metric evaluated at a puncture: {z}")
     hv = d.h(complex(z))
@@ -592,7 +592,7 @@ def quadric_embedding(phi: PhiForms, z, tol: Tolerances | None = None) -> tuple[
     the immersion and is rejected; the image otherwise always satisfies
     sum(w_i^2) = 0 — that is the quadric the Gauss map lives on.
     """
-    tol = tol or default_tolerances()
+    tol = tol or Tolerances()
     z0 = complex(z)
     try:
         vals = [f(z0) for f in phi.forms]

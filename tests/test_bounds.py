@@ -109,7 +109,7 @@ def random_regular_data(rng) -> WeierstrassData:
     return WeierstrassData(h=h, g1=g1, g2=g2, punctures=(*finite, "inf"))
 
 
-def test_rotation_oracle_pole_orders_match_mu():
+def loadable_fixtures() -> list[WeierstrassData]:
     from wlab.cli import CliUsageError, _load_data
 
     fixtures = Path(__file__).resolve().parents[1] / "fixtures"
@@ -119,6 +119,11 @@ def test_rotation_oracle_pole_orders_match_mu():
             cases.append(_load_data(str(path)))
         except CliUsageError:
             continue
+    return cases
+
+
+def test_rotation_oracle_pole_orders_match_mu():
+    cases = loadable_fixtures()
     rng = np.random.default_rng(3)
     cases += [random_regular_data(rng) for _ in range(40)]
     checked = identities = 0
@@ -296,6 +301,36 @@ def test_abstract_positive_genus():
     assert r.nu_bound_g1 == Fraction(5, 2)
     assert r.nu_bound_g1_ok and not r.nu_bound_g1_equality
     assert not r.contradiction
+
+
+def test_abstract_agrees_with_computed_on_every_fixture():
+    """The asserted invariants of a computed surface give the same verdicts."""
+    fields = (
+        "R1",
+        "R2",
+        "ratio_sum",
+        "nu_bound_g1",
+        "nu_bound_g1_ok",
+        "nu_bound_g1_equality",
+        "nu_bound_g2",
+        "nu_bound_g2_ok",
+        "nu_bound_g2_equality",
+        "joint_bound_applies",
+        "joint_bound_lhs",
+        "joint_bound_ok",
+        "joint_bound_equality",
+        "degree_identity_ok",
+        "strict_ok",
+    )
+    checked = 0
+    for d in loadable_fixtures():
+        r = compute_bounds(d)
+        a = compute_bounds_abstract(0, r.k, r.d1, r.d2, r.nu_g1, r.nu_g2, r.mu)
+        assert a.case == r.case, d.label
+        for name in fields:
+            assert getattr(a, name) == getattr(r, name), (d.label, name)
+        checked += 1
+    assert checked >= 8
 
 
 def test_abstract_input_validation():

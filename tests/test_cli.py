@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
-from wlab.tolerances import ENV_SCALE
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -56,12 +55,27 @@ def test_seed_flag_is_gone_and_tolerance_scale_is_recorded(capsys):
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
-def test_non_finite_or_zero_tolerance_scale_is_a_usage_error(capsys, monkeypatch, scale):
+def test_non_finite_or_zero_tolerance_scale_is_a_usage_error(capsys, scale):
     code, doc, err = run(capsys, "check", fixture("example23"), "--tolerance-scale", scale)
     assert code == EXIT_USAGE and doc is None and "positive and finite" in err
-    monkeypatch.setenv(ENV_SCALE, scale)
-    code, doc, err = run(capsys, "check", fixture("example23"))
-    assert code == EXIT_USAGE and doc is None and "positive and finite" in err
+
+
+def test_environment_does_not_change_the_document(capsys, monkeypatch, tmp_path):
+    # g1 is z - 1 over z - 1 - 1e-9: constant at the default tolerances, a
+    # degree-1 map at tolerances 1e-4 times tighter
+    path = tmp_path / "near_constant.json"
+    path.write_text(
+        json.dumps(
+            {"genus": 0, "punctures": ["inf"], "h": "1", "g1": "(z-1)/(z-1.000000001)", "g2": "z"}
+        )
+    )
+    monkeypatch.delenv("WLAB_TOLERANCE_SCALE", raising=False)
+    for flags in ([], ["--tolerance-scale", "1"]):
+        code, doc, _ = run(capsys, "ramify", str(path), *flags)
+        assert code == EXIT_OK and doc["report"]["verdict"] == "constant component"
+        monkeypatch.setenv("WLAB_TOLERANCE_SCALE", "1e-4")
+        assert run(capsys, "ramify", str(path), *flags) == (code, doc, "")
+        monkeypatch.delenv("WLAB_TOLERANCE_SCALE")
 
 
 def test_out_flag_writes_file_and_silences_stdout(capsys, tmp_path):

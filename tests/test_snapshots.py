@@ -61,6 +61,22 @@ def test_unicity_snapshots(tmp_path, pair):
     assert fresh == (SNAPSHOTS / f"unicity_{pair}.json").read_bytes()
 
 
+@pytest.mark.parametrize(
+    "name, args, code",
+    [
+        ("flat", "0 3 0 0", 0),
+        ("one_constant_mu", "0 3 1 0 --nu1 5/2 --mu 1,1,1", 0),
+        ("sharp", "0 4 1 1 --nu1 4 --nu2 4", 0),
+        ("mu_mismatch", "0 3 1 0 --mu 2,1,1", 2),
+        ("genus_one", "1 1 2 0 --nu1 2", 0),
+    ],
+)
+def test_abstract_bounds_snapshots(tmp_path, name, args, code):
+    out = tmp_path / "doc.json"
+    assert main(["bounds", "--abstract", *args.split(), "--out", str(out)]) == code
+    assert out.read_bytes() == (SNAPSHOTS / f"bounds_abstract_{name}.json").read_bytes()
+
+
 def test_mesh_snapshot(tmp_path):
     mesh_out = tmp_path / "mesh.csv"
     summary = regenerate(
