@@ -418,7 +418,7 @@ def compute_bounds_abstract(
     algebraic = None
     if mu is not None:
         mu = tuple(int(m) for m in mu)
-        if len(mu) != k and (d1 or d2):  # flat data ignores mu
+        if len(mu) != k:  # checked on flat data too, which then ignores it
             raise ValueError("mu must list one pole order per puncture")
         algebraic = bool(mu) and all(m >= 2 for m in mu)
     return _bounds_report(

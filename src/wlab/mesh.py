@@ -24,6 +24,13 @@ whole batch, and the increments are summed along the tree.  A sample of grid
 cells is re-integrated around the full cell loop, as one batch; the largest
 such loop residual is recorded on the mesh as an independent
 path-independence check.
+
+The export writes every float under the package's float rule (12 decimal
+places, then 12 significant digits) in blocks of rows: each block is
+rounded in numpy, with Python's scalar ``round`` only on the few fields
+where numpy's rounding is not certified to equal it, and turned into text
+by one %-format (see ``report.format_float_rows``).  The bytes are those of
+formatting each field on its own.
 """
 
 from __future__ import annotations
@@ -464,6 +471,7 @@ def build_mesh(
 # -- export ---------------------------------------------------------------------
 
 _CSV_HEADER = "re_z,im_z,x1,x2,x3,x4,metric_factor,gauss_curvature"
+_BLOCK_ROWS = 1024  # rows (or triangles) formatted and written at a time
 
 
 def _projection_matrix(projection) -> np.ndarray:
@@ -495,7 +503,11 @@ def export_mesh(mesh: SurfaceMesh, path, fmt: str = "csv", projection=None) -> N
     per included vertex.  OBJ writes only v/f records, with the 4D immersion
     projected by three coordinate axes (default x1x2x3) or an orthonormal
     3x4 matrix; quads become two triangles.  Every coordinate is written
-    through ``report.format_float`` (12 significant digits, no "-0").
+    under the float rule of ``report.format_float`` (12 significant digits,
+    no "-0"), through ``report.format_float_rows``: rounded in numpy, with
+    the scalar ``round`` only on fields where that is not certified exact.
+    The file is written in blocks of ``_BLOCK_ROWS`` rows (and of as many
+    faces), each formatted by one %-format.
     """
     included = np.flatnonzero(mesh.included)
     if fmt == "csv":
@@ -503,16 +515,23 @@ def export_mesh(mesh: SurfaceMesh, path, fmt: str = "csv", projection=None) -> N
         table = np.column_stack(
             (z.real, z.imag, mesh.x[included], mesh.metric[included], mesh.gauss[included])
         )
-        lines = [_CSV_HEADER, *format_float_rows(table, ",")]
+        header, sep, prefix = _CSV_HEADER + "\n", ",", ""
+        tris = np.zeros((0, 3), dtype=int)
     elif fmt == "obj-3d":
-        m = _projection_matrix(projection)
+        table = mesh.x[included] @ _projection_matrix(projection).T
+        header, sep, prefix = "", " ", "v "
         obj_index = np.zeros(mesh.z.size, dtype=int)
         obj_index[included] = np.arange(1, included.size + 1)  # OBJ indices are 1-based
-        lines = ["v " + row for row in format_float_rows(mesh.x[included] @ m.T, " ")]
-        for a, b, c, e in mesh.faces:
-            lines.append(f"f {obj_index[a]} {obj_index[b]} {obj_index[c]}")
-            lines.append(f"f {obj_index[a]} {obj_index[c]} {obj_index[e]}")
+        quads = obj_index[np.array(mesh.faces, dtype=int).reshape(-1, 4)]
+        # each quad (a, b, c, e) becomes the triangles (a, b, c) and (a, c, e)
+        tris = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     else:
         raise ValueError(f"unknown export format: {fmt!r} (expected 'csv' or 'obj-3d')")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header)
+        for start in range(0, len(table), _BLOCK_ROWS):
+            lines = format_float_rows(table[start : start + _BLOCK_ROWS], sep)
+            fh.write(prefix + ("\n" + prefix).join(lines) + "\n")
+        for start in range(0, len(tris), _BLOCK_ROWS):
+            block = tris[start : start + _BLOCK_ROWS]
+            fh.write("\n".join(["f %d %d %d"] * len(block)) % tuple(block.ravel().tolist()) + "\n")

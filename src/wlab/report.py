@@ -61,15 +61,53 @@ def format_float(x: float) -> float:
     return float(_float_text(float(x)))
 
 
+# Every float field of a table is written as this %-format field.  It is the
+# same C routine as the f-string spec in _float_text.
+_FIELD = f"%.{FLOAT_DIGITS}g"
+_SCALE = 10.0**FLOAT_DECIMALS  # an exact double
+_HALF_INTEGERS_END = 2.0**52  # from here up, no half-integer is a double
+
+
+def _rounded_fields(table: np.ndarray) -> list[float]:
+    """``round(v, FLOAT_DECIMALS) + 0.0`` for every field of ``table``, flattened.
+
+    With ``y = v * 1e12`` (1e12 is a double, so ``y`` is the exact product
+    rounded once), ``rint(y) / 1e12`` is exactly CPython's ``round(v, 12)``:
+    ``rint`` rounds half to even, as ``round`` does on the exact decimal
+    value, and the division rounds ``n * 1e-12`` correctly, as ``round``
+    parses its digits back.  Below 2**52 every half-integer is a double, so
+    the product's rounding, being monotone, never carries ``y`` across one;
+    it can only land on one, and then ``rint`` may pick the wrong side.  So
+    the scalar ``round`` takes exactly the fields where ``y`` is non-finite,
+    ``|y| >= 2**52``, or ``y`` is a half-integer.
+    """
+    values = table.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * _SCALE
+        fields = (np.rint(y) / _SCALE + 0.0).tolist()
+        a = np.abs(y)
+        unsure = np.flatnonzero(~(a < _HALF_INTEGERS_END) | (a - np.floor(a) == 0.5))
+    for i, v in zip(unsure.tolist(), values[unsure].tolist()):
+        fields[i] = round(v, FLOAT_DECIMALS) + 0.0
+    return fields
+
+
 def format_float_rows(table, sep: str) -> list[str]:
     """One text line per row of a 2-D float array, fields joined by ``sep``.
 
-    Every field is the ``%.12g`` text that ``format_float`` parses back
-    (at most ``FLOAT_DIGITS`` significant digits, never "-0").
+    Every field is the text ``_float_text`` gives it: the ``%.12g`` text that
+    ``format_float`` parses back (at most ``FLOAT_DIGITS`` significant
+    digits, never "-0").  The whole table is rounded at once in numpy, with
+    the scalar ``round`` only on the fields where numpy's rounding is not
+    certified to match it (see ``_rounded_fields``), and written by one
+    %-format.
     """
-    # row by row: a whole-table tolist() would hold a float object per field
     rows = np.asarray(table, dtype=float)
-    return [sep.join([_float_text(v) for v in row.tolist()]) for row in rows]
+    if rows.shape[0] == 0:
+        return []
+    line = sep.replace("%", "%%").join([_FIELD] * rows.shape[1])
+    text = "\n".join([line] * rows.shape[0]) % tuple(_rounded_fields(rows))
+    return text.split("\n")
 
 
 def _encode_float(x: float):

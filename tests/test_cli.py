@@ -242,6 +242,19 @@ def test_bounds_rejects_malformed_nu_and_mu(capsys):
     assert code == EXIT_USAGE and "--mu" in err
 
 
+@pytest.mark.parametrize("degrees", [("1", "0"), ("0", "0")])
+def test_bounds_abstract_rejects_mu_of_the_wrong_length(capsys, degrees):
+    code, doc, err = run(capsys, "bounds", "--abstract", "0", "3", *degrees, "--mu", "2,2")
+    assert code == EXIT_USAGE and doc is None
+    assert "mu must list one pole order per puncture" in err
+
+
+def test_bounds_abstract_flat_data_ignores_a_well_formed_mu(capsys):
+    code, doc, _ = run(capsys, "bounds", "--abstract", "0", "3", "0", "0", "--mu", "2,2,2")
+    assert code == EXIT_OK
+    assert doc["report"]["bounds"]["case"] == "flat" and doc["report"]["bounds"]["mu"] is None
+
+
 # -- unicity ------------------------------------------------------------------
 
 

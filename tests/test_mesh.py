@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import wlab.report
 from wlab.mesh import (
     Annulus,
     MeshRegionError,
@@ -30,6 +32,12 @@ def enneper_exact(z: complex) -> np.ndarray:
     """Antiderivative of (1/2, i/2, z/2, -iz/2): x = Re(z/2, iz/2, z^2/4, -iz^2/4)."""
     return np.array(
         [(z / 2).real, (1j * z / 2).real, (z * z / 4).real, (-1j * z * z / 4).real]
+    )
+
+
+def example21() -> WeierstrassData:
+    return WeierstrassData(
+        h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z, punctures=("1", "2", "3", "inf")
     )
 
 
@@ -157,10 +165,7 @@ def test_edge_quadrature_is_batched_per_row(monkeypatch):
         return evaluate(self, z)
 
     monkeypatch.setattr(RationalFunction, "__call__", counting)
-    example21 = WeierstrassData(
-        h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z, punctures=("1", "2", "3", "inf")
-    )
-    m = build_mesh(example21, Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
+    m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
     rows, _ = m.shape
     assert m.included_count == 65 * 65
     assert calls <= 12 * rows + 200
@@ -314,3 +319,38 @@ def test_obj_matrix_projection(tmp_path):
         export_mesh(m, tmp_path / "bad2.obj", "obj-3d", projection=(0, 0, 1))
     with pytest.raises(ValueError):
         export_mesh(m, tmp_path / "bad3.csv", "vtk")
+
+
+def test_export_is_formatted_in_blocks(tmp_path, monkeypatch):
+    # fields are rounded in numpy, with the scalar round only where that is
+    # not certified exact, and no Python line runs once per face or vertex
+    scalar_rounds = 0
+
+    def counting_round(x, ndigits=None):
+        nonlocal scalar_rounds
+        scalar_rounds += 1
+        return round(x, ndigits)
+
+    monkeypatch.setattr(wlab.report, "round", counting_round, raising=False)
+    lines = 0
+
+    def tracer(frame, event, arg):
+        nonlocal lines
+        if "wlab" not in frame.f_code.co_filename:
+            return None
+        lines += event == "line"
+        return tracer
+
+    m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
+    assert len(m.faces) == 64 * 64
+    for fmt, columns in (("csv", 8), ("obj-3d", 3)):
+        scalar_rounds = lines = 0
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            export_mesh(m, tmp_path / "mesh.out", fmt)
+        finally:
+            sys.settrace(previous)
+        assert scalar_rounds <= 0.01 * columns * m.included_count, fmt
+        # a line per vertex or per face would come to thousands
+        assert lines - 2 * scalar_rounds < 300, fmt

@@ -7,9 +7,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wlab.rational import RationalFunction, SpherePoint
-from wlab.report import SCHEMA_VERSION, document, encode, format_float, format_float_rows, to_json
+from wlab.report import (
+    SCHEMA_VERSION,
+    _float_text,
+    document,
+    encode,
+    format_float,
+    format_float_rows,
+    to_json,
+)
 
 
 def test_scalar_encodings():
@@ -125,3 +135,99 @@ def test_fraction_decimal_is_not_rounded():
     assert encode(third)["decimal"] == float(third) == 0.3333333333333333
     tiny = Fraction(1, 10**15)
     assert encode(tiny)["decimal"] == 1e-15
+
+
+# ---------------------------------------------------------------------------
+# format_float_rows against the scalar rule, field by field
+
+
+def scalar_rows(table, sep: str) -> list[str]:
+    """The reference: ``_float_text`` on every field, one at a time."""
+    return [sep.join(_float_text(v) for v in row) for row in np.asarray(table, dtype=float).tolist()]
+
+
+def assert_rows_match(values, cols: int = 4, sep: str = ","):
+    table = np.asarray(values, dtype=float).reshape(-1, cols)
+    assert format_float_rows(table, sep) == scalar_rows(table, sep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=64))
+def test_rows_match_the_scalar_rule_on_any_finite_floats(values):
+    assert_rows_match(values, cols=1)
+    assert_rows_match(values[: len(values) // 2 * 2], cols=2, sep=" ")
+
+
+RNG = np.random.default_rng(20261018)
+ODD = RNG.integers(-(2**40), 2**40, 20_000) * 2 + 1
+DECIMALS = RNG.integers(-(2**45), 2**45, 20_000)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        # exact binary ties of the 12th decimal: y = k * 122070312.5
+        ODD / 8192.0,
+        (ODD % 2**22) / 8192.0,
+        # the nearest doubles to decimal ties, and their neighbours
+        (DECIMALS + 0.5) / 1e12,
+        np.nextafter((DECIMALS + 0.5) / 1e12, np.inf),
+        np.nextafter((DECIMALS + 0.5) / 1e12, -np.inf),
+        (DECIMALS % 10**6 + 0.5) / 1e12,
+        # a 5 in the 13th decimal place
+        (DECIMALS * 10 + 5) / 1e13,
+        (DECIMALS % 10**9 * 10 + 5) / 1e13,
+    ],
+    ids=[
+        "binary-ties",
+        "small-binary-ties",
+        "decimal-ties",
+        "decimal-ties-up",
+        "decimal-ties-down",
+        "small-decimal-ties",
+        "digit-13-is-5",
+        "small-digit-13-is-5",
+    ],
+)
+def test_rows_match_the_scalar_rule_on_ties(family):
+    assert_rows_match(family)
+
+
+def test_rows_match_the_scalar_rule_on_large_values():
+    # 2**52 / 1e12: from here on x * 1e12 has no fractional bits
+    edge = 2.0**52 / 1e12
+    steps = np.arange(-2000, 2000) * np.spacing(edge)
+    values = np.concatenate(
+        [
+            edge + steps,
+            -(edge + steps),
+            RNG.uniform(4000.0, 5000.0, 4000) * RNG.choice([-1.0, 1.0], 4000),
+            10.0 ** RNG.uniform(3.0, 300.0, 4000),
+            [1.8e296, -1.8e296, 1e300, np.finfo(float).max, -np.finfo(float).max],
+        ]
+    )
+    assert_rows_match(values, cols=1)
+    # ties of the 12th significant digit, where rint(x * 1e12) / 1e12 being
+    # off by one ulp of x would show in the text
+    ties = (RNG.integers(10**11, 10**12, 8000) + 0.5) * 10.0 ** (RNG.integers(4, 300, 8000) - 11.0)
+    for family in (ties, np.nextafter(ties, np.inf), np.nextafter(ties, -np.inf)):
+        assert_rows_match(family, cols=1)
+
+
+def test_rows_match_the_scalar_rule_on_special_values():
+    tiny = np.finfo(float).tiny
+    values = [5e-324, -5e-324, tiny, -tiny, tiny / 3, 0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.0]
+    assert_rows_match(values)
+    assert format_float_rows([values[7:11]], ",") == ["inf,-inf,nan,nan"]
+
+
+def test_rows_match_the_scalar_rule_on_raw_bit_patterns():
+    bits = RNG.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    assert_rows_match(bits, cols=8)
+
+
+def test_rows_of_empty_and_one_column_tables():
+    assert format_float_rows(np.zeros((0, 3)), ",") == []
+    assert format_float_rows(np.zeros((0, 1)), " ") == []
+    column = [[0.1], [-2.5e-13], [7.0]]
+    assert format_float_rows(column, ",") == scalar_rows(column, ",") == ["0.1", "0", "7"]

@@ -3,10 +3,12 @@
 The files under snapshots/ were produced by the commands below with the
 default tolerance scale.  Regenerating them must reproduce every byte, on
 any platform: the JSON walker visits dataclass fields in declaration order,
-every float in a document or CSV is written through ``report.format_float``
-(12 decimal places, 12 significant digits, no -0), which drops the last-ulp
-differences of numpy's kernels between platforms, and no step draws random
-numbers (conformality is sampled at fixed nodes).  A diff here means the output
+every float in a document, CSV or OBJ file is written under the rule of
+``report.format_float`` (12 decimal places, 12 significant digits, no -0),
+which drops the last-ulp differences of numpy's kernels between platforms,
+and no step draws random numbers (conformality is sampled at fixed nodes).
+The OBJ snapshots were written before the export was vectorised, so they
+also pin its bytes to the field-by-field formatter.  A diff here means the output
 format or the numerics changed, and the snapshot should only be refreshed
 deliberately.
 """
@@ -97,3 +99,31 @@ def test_mesh_snapshot(tmp_path):
         b"tests/snapshots/mesh_example23.csv", b"X"
     )
     assert mesh_out.read_bytes() == (SNAPSHOTS / "mesh_example23.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        (
+            "mesh_example23.obj",
+            ["example23", "--region", "annulus:0,0,0.5,2", "--res", "5,9", "--base", "1,0"],
+        ),
+        (
+            "mesh_example21_p234.obj",
+            [
+                "example21", "--region", "rect:-0.5,0.5,-0.5,0.5", "--res", "9",
+                "--base", "0,0.25", "--project", "2,3,4",
+            ],
+        ),
+    ],
+)
+def test_obj_snapshots(tmp_path, name, argv):
+    fixture, *flags = argv
+    mesh_out = tmp_path / name
+    regenerate(
+        tmp_path,
+        "summary.json",
+        ["mesh", str(FIXTURES / f"{fixture}.json"), *flags, "--format", "obj-3d",
+         "--mesh-out", str(mesh_out)],
+    )
+    assert mesh_out.read_bytes() == (SNAPSHOTS / name).read_bytes()
