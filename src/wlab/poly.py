@@ -3,8 +3,9 @@
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
 coefficient tuple and reports degree -1. Tolerance-aware helpers (trimming,
-approximate gcd, exact-quotient division) live here because every meromorphic
-object in the package is carried by a quotient of these.
+the order and Taylor coefficients at a point, approximate gcd, exact-quotient
+division) live here because every meromorphic object in the package is
+carried by a quotient of these.
 """
 
 from __future__ import annotations
@@ -201,47 +202,41 @@ class Polynomial:
         )
         return Polynomial(q[::-1]), Polynomial(r[::-1])
 
-    def deflate(self, root: complex) -> tuple["Polynomial", complex]:
-        """Synthetic division by (z - root): returns (quotient, remainder).
+    def expansion_at(self, point: complex, eps_res: float, terms: int) -> tuple[int, tuple[complex, ...]]:
+        """Order of ``point`` as a root, and the Taylor coefficients beyond it.
 
-        The remainder equals the value of the polynomial at ``root``.
-        """
-        if self.is_zero:
-            return Polynomial(), 0j
-        acc = 0j
-        out = [0j] * (len(self._c) - 1)
-        for k in range(len(self._c) - 1, -1, -1):
-            acc = acc * root + self._c[k]
-            if k > 0:
-                out[k - 1] = acc
-        return Polynomial(out), acc
-
-    def multiplicity_at(self, point: complex, eps_res: float) -> int:
-        """Multiplicity of ``point`` as a root, within coefficient noise.
-
-        A deflation step is accepted while the synthetic-division remainder
-        -- which equals the value at the point -- stays below ``eps_res``
-        times the evaluation scale sum(|c_k| |point|^k): a relative
+        Returns ``(m, (t_0, ..., t_{terms-1}))`` with
+        p(z) = (z - point)^m * sum_k t_k (z - point)^k.  Repeated synthetic
+        division by (z - point) leaves the Taylor coefficients at the point
+        as its remainders, lowest first.  A remainder counts towards m while
+        it stays below ``eps_res`` times the evaluation scale
+        sum(|c_k| |point|^k) of the quotient it came from: a relative
         coefficient perturbation of size eps_res moves the value by about
-        that much. Taking the max with the plain coefficient scale keeps
+        that much.  Taking the max with the plain coefficient scale keeps
         the test meaningful at the origin, where the evaluation scale
         collapses to |c_0| and would otherwise certify nothing.
         """
-        m = 0
-        q = self
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no order at a point")
+        q = list(self._c)
         r = abs(point)
-        while not q.is_zero and q.degree >= 1:
+        m = 0
+        while len(q) >= 2:
             scale = 0.0
             rk = 1.0
-            for c in q.coeffs:
+            for c in q:
                 scale += abs(c) * rk
                 rk *= r
-            q2, rem = q.deflate(point)
-            if abs(rem) > eps_res * max(scale, q.max_abs_coeff, 1e-300):
+            quotient, rem = _synthetic_division(q, point)
+            if abs(rem) > eps_res * max(scale, max(abs(c) for c in q), 1e-300):
                 break
             m += 1
-            q = q2
-        return m
+            q = quotient
+        taylor = []
+        for _ in range(terms):
+            q, rem = _synthetic_division(q, point)
+            taylor.append(rem)
+        return m, tuple(taylor)
 
     def reversed_coeffs(self, length: int | None = None) -> "Polynomial":
         """Coefficient reversal z^n * p(1/z), optionally padded to ``length``.
@@ -261,6 +256,17 @@ class Polynomial:
         a = list(self._c) + [0j] * (n - len(self._c))
         b = list(other._c) + [0j] * (n - len(other._c))
         return all(abs(x - y) <= rel_eps * scale for x, y in zip(a, b))
+
+
+def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[complex], complex]:
+    """(quotient, remainder) of coefficients, lowest first, by (z - point)."""
+    acc = 0j
+    quotient = [0j] * max(len(coeffs) - 1, 0)
+    for k in range(len(coeffs) - 1, -1, -1):
+        acc = acc * point + coeffs[k]
+        if k > 0:
+            quotient[k - 1] = acc
+    return quotient, acc
 
 
 def approx_gcd(a: Polynomial, b: Polynomial, eps_gcd: float) -> Polynomial:

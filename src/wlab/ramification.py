@@ -120,7 +120,12 @@ def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int
     value = f.value_at_sphere(INF, tol)
     if value.is_infinity:
         return f.num.degree - f.den.degree
-    return (f - value.value).order_at(INF, tol)
+    # the order of f - c at infinity: deg D - deg(N - c D), with N - c D
+    # trimmed as the RationalFunction constructor trims it
+    rest = (f.num - f.den.scale(value.value)).trim(Tolerances().eps_coeff)
+    if rest.is_zero:
+        raise ValueError("local degree of a constant map is undefined")
+    return f.den.degree - rest.degree
 
 
 def _critical_values(f: RationalFunction, tol: Tolerances) -> list[SpherePoint]:

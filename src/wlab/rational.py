@@ -2,10 +2,11 @@
 
 A RationalFunction is a quotient of two Polynomials kept in reduced canonical
 form (approximate gcd cancelled, monic denominator). Orders, residues and
-divisors are computed for the function and for the differential f dz; the
-point at infinity is handled through the w = 1/z coordinate change rather
-than ad-hoc degree formulas, so the same code path serves orders, residues
-and the second quadrature chart.
+divisors are computed for the function and for the differential f dz. Each
+local number is read off Laurent expansions, not off a new RationalFunction:
+at a finite point from the Taylor coefficients of numerator and denominator
+(``Polynomial.expansion_at``), at infinity from the degrees and the
+coefficient-reversed numerator and denominator.
 """
 
 from __future__ import annotations
@@ -107,11 +108,40 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
-def _shift(p: Polynomial, k: int) -> Polynomial:
-    """Multiply by z^k."""
-    if k == 0 or p.is_zero:
-        return p
-    return Polynomial((0j,) * k + p.coeffs)
+def _trimmed(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Both polynomials with negligible trailing coefficients stripped."""
+    eps = Tolerances().eps_coeff
+    n, d = n.trim(eps), d.trim(eps)
+    if d.is_zero:
+        raise ZeroDivisionError("denominator is the zero polynomial")
+    return n, d
+
+
+def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Both polynomials divided by their approximate gcd."""
+    if a.degree >= 1 and b.degree >= 1:
+        g = approx_gcd(a, b, Tolerances().eps_gcd)
+        if g.degree >= 1:
+            return exact_divide(a, g, rel_eps=1e-6), exact_divide(b, g, rel_eps=1e-6)
+    return a, b
+
+
+def _normalised(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """The canonical pair: monic denominator, and 1 over the zero numerator."""
+    if n.is_zero:
+        return Polynomial(), Polynomial((1.0,))
+    return n.scale(1.0 / d.leading), d.monic()
+
+
+def _series_quotient(a, b, terms: int) -> list[complex]:
+    """The first ``terms`` coefficients of the power series a / b, b[0] != 0."""
+    out: list[complex] = []
+    for k in range(terms):
+        acc = a[k] if k < len(a) else 0j
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b[0])
+    return out
 
 
 class RationalFunction:
@@ -120,25 +150,15 @@ class RationalFunction:
     __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=None):
-        tol = Tolerances()
-        n = _as_poly(num)
-        d = _as_poly(1 if den is None else den)
-        n = n.trim(tol.eps_coeff)
-        d = d.trim(tol.eps_coeff)
-        if d.is_zero:
-            raise ZeroDivisionError("denominator is the zero polynomial")
-        if n.is_zero:
-            self._num = Polynomial()
-            self._den = Polynomial((1.0,))
-            return
-        if n.degree >= 1 and d.degree >= 1:
-            g = approx_gcd(n, d, tol.eps_gcd)
-            if g.degree >= 1:
-                n = exact_divide(n, g, rel_eps=1e-6)
-                d = exact_divide(d, g, rel_eps=1e-6)
-        lead = d.leading
-        self._num = n.scale(1.0 / lead)
-        self._den = d.monic()
+        n, d = _trimmed(_as_poly(num), _as_poly(1 if den is None else den))
+        self._num, self._den = _normalised(*_cancel(n, d))
+
+    @classmethod
+    def _of_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """The quotient num / den of two polynomials known to share no factor."""
+        out = cls.__new__(cls)
+        out._num, out._den = _normalised(*_trimmed(num, den))
+        return out
 
     # -- basic queries -------------------------------------------------------
 
@@ -226,10 +246,14 @@ class RationalFunction:
         return (-self) + other
 
     def __mul__(self, other):
+        # the factors are reduced, so cancel across only (Knuth, TAOCP 2,
+        # 4.5.1); a gcd of the whole product can split a multiple pole
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalFunction(self._num * o._num, self._den * o._den)
+        n1, d2 = _cancel(self._num, o._den)
+        n2, d1 = _cancel(o._num, self._den)
+        return RationalFunction._of_coprime(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -239,7 +263,9 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self._num * o._den, self._den * o._num)
+        n1, n2 = _cancel(self._num, o._num)
+        d2, d1 = _cancel(o._den, self._den)
+        return RationalFunction._of_coprime(n1 * d2, d1 * n2)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -252,13 +278,12 @@ class RationalFunction:
             return NotImplemented
         if n == 0:
             return RationalFunction.constant(1.0)
-        base = self
+        num, den = self._num, self._den
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
-            base = RationalFunction(self._den, self._num)
-            n = -n
-        return RationalFunction(base._num**n, base._den**n)
+            num, den, n = den, num, -n
+        return RationalFunction._of_coprime(num**n, den**n)
 
     def equals(self, other: "RationalFunction", rel_eps: float = 1e-10) -> bool:
         """Equality as functions: cross-multiplied coefficient comparison."""
@@ -267,9 +292,6 @@ class RationalFunction:
         return lhs.close_to(rhs, rel_eps)
 
     # -- calculus ------------------------------------------------------------
-
-    def derivative(self) -> "RationalFunction":
-        return RationalFunction(self.derivative_numerator(), self._den * self._den)
 
     def derivative_numerator(self) -> Polynomial:
         """The Wronskian-style numerator N'D - ND' of the derivative.
@@ -296,19 +318,8 @@ class RationalFunction:
 
     def reciprocal_argument(self) -> "RationalFunction":
         """The function w -> f(1/w) as a rational function of w."""
-        if self.is_zero:
-            return RationalFunction(Polynomial())
-        n, m = self._num.degree, self._den.degree
-        rn = self._num.reversed_coeffs()
-        rd = self._den.reversed_coeffs()
-        if m >= n:
-            return RationalFunction(_shift(rn, m - n), rd)
-        return RationalFunction(rn, _shift(rd, n - m))
-
-    def form_pullback_reciprocal(self) -> "RationalFunction":
-        """Pullback of the differential f dz under z = 1/w: -f(1/w)/w^2."""
-        g = self.reciprocal_argument()
-        return RationalFunction(-g.num, g.den * Polynomial((0j, 0j, 1.0)))
+        k = max(self._num.degree, self._den.degree) + 1
+        return RationalFunction(self._num.reversed_coeffs(k), self._den.reversed_coeffs(k))
 
     # -- orders, values, residues ----------------------------------------------
 
@@ -320,23 +331,18 @@ class RationalFunction:
         p = SpherePoint.of(point)
         if p.is_infinity:
             return self._den.degree - self._num.degree
-        z0 = p.value
-        if self._num.degree >= 1 or self._den.degree >= 1:
-            m_num = self._num.multiplicity_at(z0, tol.eps_res)
-            m_den = self._den.multiplicity_at(z0, tol.eps_res)
-            return m_num - m_den
-        return 0
+        m_num, _ = self._num.expansion_at(p.value, tol.eps_res, 0)
+        m_den, _ = self._den.expansion_at(p.value, tol.eps_res, 0)
+        return m_num - m_den
 
     def form_order_at(self, point, tol: Tolerances | None = None) -> int:
         """Order of the differential f dz at a sphere point.
 
-        At finite points this is order_at; at infinity dz contributes a
-        double pole, computed through the w = 1/z substitution.
+        At finite points this is order_at; at infinity dz = -dw/w^2 in
+        w = 1/z contributes a double pole.
         """
         p = SpherePoint.of(point)
-        if not p.is_infinity:
-            return self.order_at(p, tol)
-        return self.form_pullback_reciprocal().order_at(SpherePoint(0j), tol)
+        return self.order_at(p, tol) - (2 if p.is_infinity else 0)
 
     def value_at_sphere(self, point, tol: Tolerances | None = None) -> SpherePoint:
         """Value of the map at a sphere point, as a sphere point."""
@@ -360,35 +366,26 @@ class RationalFunction:
     def residue_at(self, point, tol: Tolerances | None = None) -> complex:
         """Residue of the differential f dz at a sphere point.
 
-        Computed by deflation plus the derivative formula
-
-            Res = [(d/dz)^(m-1) (N / D1)](p) / (m-1)!
-
-        where D = (z-p)^m D1; the residue at infinity goes through the
-        w = 1/z pullback so that the classical sum over the whole sphere
-        vanishes.
+        At a pole of order m, f = t^-m A(t)/B(t) in t = z - p, with A and B
+        the Taylor series of N and D with their zeros at p divided out; the
+        residue is the t^(m-1) coefficient of A/B.  At infinity
+        f(1/w) = w^k R(w) with k = ord_inf f and R = rev N / rev D, so the
+        residue of -w^(k-2) R(w) dw is minus the w^(1-k) coefficient of R.
         """
         tol = tol or Tolerances()
         if self.is_zero:
             return 0j
         p = SpherePoint.of(point)
         if p.is_infinity:
-            return self.form_pullback_reciprocal().residue_at(SpherePoint(0j), tol)
-        z0 = p.value
+            terms = 2 - self.order_at(p, tol)
+            r = _series_quotient(self._num.coeffs[::-1], self._den.coeffs[::-1], terms)
+            return -r[-1] if r else 0j
         m = -self.order_at(p, tol)
         if m <= 0:
             return 0j
-        d1 = self._den
-        for _ in range(m):
-            d1, _rem = d1.deflate(z0)
-        if m == 1:
-            return self._num(z0) / d1(z0)
-        part = RationalFunction(self._num, d1)
-        fact = 1.0
-        for j in range(m - 1):
-            part = part.derivative()
-            fact *= j + 1
-        return part(z0) / fact
+        _, a = self._num.expansion_at(p.value, tol.eps_res, m)
+        _, b = self._den.expansion_at(p.value, tol.eps_res, m)
+        return _series_quotient(a, b, m)[-1]
 
     def zeros_and_poles(self, tol: Tolerances | None = None) -> list[DivisorEntry]:
         """The divisor on the sphere; zero total (degree balance) guaranteed.

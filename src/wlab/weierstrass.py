@@ -453,9 +453,7 @@ def compute_periods(
     ``phi`` is the forms of ``d`` when the caller already holds them.
 
     Each distinct denominator's poles are located once, and each form's
-    residue at infinity and sum of finite-pole residues are computed once,
-    at first use, so the first failing step is the one a plain evaluation
-    would meet.
+    residue at infinity and sum of finite-pole residues are computed once.
     """
     tol = tol or Tolerances()
     require_genus_zero(d.genus)
@@ -477,18 +475,8 @@ def compute_periods(
             if all(abs(z0 - s) > tol.eps_pt for s in special):
                 special.append(z0)
 
-    residues_at_inf: dict[int, complex] = {}
-    finite_sums: dict[int, complex] = {}
-
-    def residue_at_inf(idx: int) -> complex:
-        if idx not in residues_at_inf:
-            residues_at_inf[idx] = forms[idx].residue_at(INF, tol)
-        return residues_at_inf[idx]
-
-    def finite_sum(idx: int) -> complex:
-        if idx not in finite_sums:
-            finite_sums[idx] = sum(forms[idx].residue_at(z0, tol) for z0 in poles[idx])
-        return finite_sums[idx]
+    at_inf = [f.residue_at(INF, tol) for f in forms]
+    finite_sums = [sum(f.residue_at(z0, tol) for z0 in fp) for f, fp in zip(forms, poles)]
 
     entries = []
     max_err = 0.0
@@ -496,9 +484,9 @@ def compute_periods(
         residues = []
         if p.is_infinity:
             for idx in range(len(forms)):
-                exact = residue_at_inf(idx)
+                exact = at_inf[idx]
                 # Dual route: residue at infinity must close the global sum.
-                others = finite_sum(idx)
+                others = finite_sums[idx]
                 err = abs(exact + others) / max(1.0, abs(exact))
                 if err > tol.residue_cross_rtol:
                     raise ResidueQuadratureError(p, idx, exact, -others)
@@ -521,11 +509,7 @@ def compute_periods(
         ok = all(abs(rp) <= eps_period for rp in real_parts)
         entries.append(PeriodEntry(p, res4, periods, real_parts, ok))
 
-    sums = []
-    for idx in range(len(forms)):
-        total = finite_sum(idx)
-        total += residue_at_inf(idx)
-        sums.append(complex(total))
+    sums = [complex(s + r) for s, r in zip(finite_sums, at_inf)]
 
     return PeriodReport(
         entries=tuple(entries),
@@ -603,19 +587,13 @@ def quadric_embedding(phi: PhiForms, z, tol: Tolerances | None = None) -> tuple[
             raise ValueError(f"branch point: all four forms vanish at {z0}")
         return _normalize_projective(vals)
 
-    cleared = _cleared_numerators(phi)
-    live = [w for w in cleared if not w.is_zero]
-    if not live:
+    # each cleared numerator divided by (z - z0)^mult, the least order there
+    expansions = [None if w.is_zero else w.expansion_at(z0, tol.eps_res, 1) for w in _cleared_numerators(phi)]
+    orders = [e[0] for e in expansions if e is not None]
+    if not orders:
         raise ValueError("all four forms vanish identically")
-    mult = min(w.multiplicity_at(z0, tol.eps_res) for w in live)
-    if mult > 0:
-        reduced = []
-        for w in cleared:
-            for _ in range(mult):
-                w, _rem = w.deflate(z0)
-            reduced.append(w)
-        cleared = reduced
-    return _normalize_projective([w(z0) for w in cleared])
+    mult = min(orders)
+    return _normalize_projective([e[1][0] if e is not None and e[0] == mult else 0j for e in expansions])
 
 
 def _normalize_projective(vals) -> tuple[complex, complex, complex, complex]:

@@ -151,6 +151,23 @@ def test_rotation_oracle_pole_orders_match_mu():
     assert checked >= 35 and identities >= 30
 
 
+def test_rotated_product_keeps_multiple_poles():
+    # a gcd of the whole product once split h's double pole at 1 of data
+    # set 0 into two simple poles off the puncture
+    rng = np.random.default_rng(3)
+    cases = [random_regular_data(rng) for _ in range(22)]
+    for d in (cases[0], cases[21]):
+        factors = [g * ROT_B + ROT_A.conjugate() for g in (d.g1, d.g2) if not g.is_constant]
+        product = d.h
+        for f in factors:
+            product = product * f
+        for p in d.punctures:
+            expected = d.h.form_order_at(p) + sum(f.order_at(p) for f in factors)
+            assert product.form_order_at(p) == expected, (p, d)
+    assert [str(p) for p in cases[0].punctures] == ["1", "0+1i", "0", "inf"]
+    assert rotated_mu(cases[0]) == (2, 1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # bounds on computed data
 

@@ -363,6 +363,25 @@ def test_mesh_quadrature_breakdown_exits_math(capsys, tmp_path):
     assert code in (EXIT_MATH, EXIT_USAGE)
 
 
+def test_check_exact_residue_at_infinity(capsys, tmp_path):
+    # the residue of phi_1 at inf is exactly -7/2; a float gcd route once
+    # gave -3.49998 and failed the global residue cross-check
+    data = tmp_path / "triple.json"
+    data.write_text(json.dumps({
+        "genus": 0,
+        "punctures": ["inf", "0", "1"],
+        "h": "(-z^2-2*z+1)/(z^3-z^2+2*z-1)",
+        "g1": "-z^3+z^2-2*z+3",
+        "g2": "(-2*z^2-2)/(z-1)",
+    }))
+    code, doc, err = run(capsys, "check", str(data))
+    assert doc is not None and "ResidueQuadratureError" not in err
+    periods = doc["report"]["periods"]
+    assert periods["entries"][0]["puncture"] == "inf"
+    assert periods["entries"][0]["residues"][0] == {"re": -3.5, "im": 0.0}
+    assert periods["max_cross_check_error"] == 0.0
+
+
 # -- report ---------------------------------------------------------------------
 
 

@@ -58,18 +58,34 @@ def test_divmod_roundtrip():
 
 
 def test_deflate_remainder_is_value():
+    # the Taylor coefficients at 2 are the remainders of repeated division
+    # by (z - 2): the first is the value, the rest make up the quotient
     p = Polynomial([2, -3, 0, 1])
-    q, rem = p.deflate(2.0)
+    m, taylor = p.expansion_at(2.0, 1e-9, 4)
+    assert m == 0
+    rem = taylor[0]
     assert rem == pytest.approx(p(2.0))
+    q = Polynomial()
+    for t in reversed(taylor[1:]):
+        q = q * Polynomial([-2, 1]) + Polynomial([t])
     assert (q * Polynomial([-2, 1]) + Polynomial([rem])).close_to(p, 1e-12)
 
 
 def test_multiplicity_at():
     # (z-1)^2 (z+2)
     p = Polynomial.from_roots([1, 1, -2])
-    assert p.multiplicity_at(1.0, 1e-9) == 2
-    assert p.multiplicity_at(-2.0, 1e-9) == 1
-    assert p.multiplicity_at(3.0, 1e-9) == 0
+    assert p.expansion_at(1.0, 1e-9, 0)[0] == 2
+    assert p.expansion_at(-2.0, 1e-9, 0)[0] == 1
+    assert p.expansion_at(3.0, 1e-9, 0)[0] == 0
+
+
+def test_expansion_divides_out_the_root():
+    # (z-1)^2 (z+2) = (z-1)^2 (3 + (z-1)): Taylor coefficients 3, 1, 0
+    m, taylor = Polynomial.from_roots([1, 1, -2]).expansion_at(1.0, 1e-9, 3)
+    assert m == 2
+    assert taylor == pytest.approx((3, 1, 0))
+    with pytest.raises(ValueError):
+        Polynomial().expansion_at(0.0, 1e-9, 1)
 
 
 def test_from_roots_expansion():

@@ -87,6 +87,52 @@ def test_residue_at_infinity_balances():
     assert finite + at_inf == pytest.approx(0.0, abs=1e-10)
 
 
+# The item-2 triple of the ROADMAP: h, g1, g2 with punctures inf, 0, 1.
+TRIPLE_H = (-(Z**2) - 2 * Z + 1) / (Z**3 - Z**2 + 2 * Z - 1)
+TRIPLE_G1 = -(Z**3) + Z**2 - 2 * Z + 3
+TRIPLE_G2 = (-2 * Z**2 - 2) / (Z - 1)
+
+
+def test_residues_at_infinity_of_the_triple_forms_are_exact():
+    from wlab.weierstrass import WeierstrassData, phi_from_data
+
+    data = WeierstrassData(h=TRIPLE_H, g1=TRIPLE_G1, g2=TRIPLE_G2, punctures=("inf", "0", "1"))
+    residues = [f.residue_at(INF) for f in phi_from_data(data).forms]
+    # exact values from sympy
+    assert residues == pytest.approx([-3.5, 4.5j, 5, 3j], rel=1e-15, abs=0)
+
+
+def test_residue_at_infinity_of_a_polynomial_part():
+    # z^5/((z-1)(z-3)): finite residues -1/2 and 243/2, so -121 at infinity
+    f = Z**5 / ((Z - 1) * (Z - 3))
+    assert f.residue_at(INF) == pytest.approx(-121, rel=1e-15, abs=0)
+
+
+def test_residue_at_a_triple_pole_is_exact():
+    # 1/((z-1)(z-2)) = 1/2 + 3z/4 + 7z^2/8 + ...
+    f = 1 / (Z**3 * (Z - 1) * (Z - 2))
+    assert f.residue_at(0j) == pytest.approx(0.875, rel=1e-15, abs=0)
+
+
+def test_local_numbers_run_no_gcd(monkeypatch):
+    import wlab.poly
+    import wlab.rational
+
+    at_inf = Z**5 / ((Z - 1) * (Z - 3))
+    triple = 1 / (Z**3 * (Z - 1) * (Z - 2))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return wlab.poly.approx_gcd(*args, **kwargs)
+
+    monkeypatch.setattr(wlab.rational, "approx_gcd", counting)
+    at_inf.residue_at(INF)
+    at_inf.form_order_at(INF)
+    triple.residue_at(0j)
+    assert calls == []
+
+
 def test_global_residue_sum_random():
     rng = np.random.default_rng(3)
     for _ in range(40):
