@@ -9,8 +9,11 @@ weight nu_f is the quantity the curvature bounds cap.
 The search is finite because only finitely many values can qualify: a value
 that is neither a critical value nor the image of a puncture has d simple
 non-puncture preimages.  The candidate set is therefore the critical values
-(both charts) together with the puncture images, each candidate verified by
-a full preimage computation.
+(both charts) together with the puncture images.  Every fiber is read off
+one table per map: each root c of the Wronskian N'D - ND' with local degree
+1 + ord_c, infinity with its local degree when it is critical, and the
+punctures.  Over a candidate value, deg f minus the local degrees of the
+table points counts the simple preimages outside the table.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprparse import as_sphere_point
+from .poly import Polynomial
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
@@ -35,10 +39,20 @@ __all__ = [
     "ramification_report",
     "KIND_EXCEPTIONAL",
     "KIND_TOTALLY_RAMIFIED",
+    "OverfullFiberError",
 ]
 
 KIND_EXCEPTIONAL = "exceptional"
 KIND_TOTALLY_RAMIFIED = "totally-ramified"
+
+
+class OverfullFiberError(ArithmeticError):
+    """The local degrees over one value add up to more than deg f.
+
+    Either two critical values fell within the point-identity radius while
+    their critical points did not, so two fibers were grouped as one, or a
+    multiple root of the Wronskian was located as several simple roots.
+    """
 
 
 @dataclass(frozen=True)
@@ -94,6 +108,8 @@ def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tup
 
     Finite a: roots of num - a*den.  a = infinity: roots of den.  Whenever
     the fiber polynomial drops below deg f, the balance sits at infinity.
+    ``bounds.shared_values`` compares the fibers of generic values with it,
+    and the tests check every fiber the Wronskian table gives against it.
     """
     tol = tol or Tolerances()
     if f.is_constant:
@@ -128,40 +144,42 @@ def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int
     return f.den.degree - rest.degree
 
 
-def _critical_values(f: RationalFunction, tol: Tolerances) -> list[SpherePoint]:
-    values: list[SpherePoint] = []
-    w = f.derivative_numerator()
-    if w.degree >= 1:
-        for root, _mult in roots_with_multiplicity(w, tol):
-            values.append(f.value_at_sphere(root, tol))
-    if _local_multiplicity_at_infinity(f, tol) >= 2:
-        values.append(f.value_at_sphere(INF, tol))
-    return values
-
-
-def _classify_value(
+def _ramified_values(
     f: RationalFunction,
-    value: SpherePoint,
     punctures: tuple[SpherePoint, ...],
+    w: Polynomial,
+    e_inf: int,
     tol: Tolerances,
-) -> RamifiedValue | None:
-    """RamifiedValue for a candidate, or None when the value is ordinary."""
-    fiber = []
-    for point, mult in preimages(f, value, tol):
-        snapped = point
-        is_punc = False
-        for p in punctures:
-            if point.close_to(p, tol.eps_pt):
-                snapped, is_punc = p, True
-                break
-        fiber.append(Preimage(snapped, mult, is_punc))
-    free = [pre for pre in fiber if not pre.is_puncture]
-    if not free:
-        return RamifiedValue(value=value, kind=KIND_EXCEPTIONAL, nu=math.inf, preimages=tuple(fiber))
-    if all(pre.multiplicity >= 2 for pre in free):
-        nu = min(pre.multiplicity for pre in free)
-        return RamifiedValue(value=value, kind=KIND_TOTALLY_RAMIFIED, nu=nu, preimages=tuple(fiber))
-    return None
+) -> tuple[RamifiedValue, ...]:
+    """The qualifying values of f, given its Wronskian w and local degree at infinity.
+
+    A critical point within eps_pt of a puncture is that puncture; every
+    other puncture has local degree 1.
+    """
+    critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if w.degree >= 1 else []
+    if e_inf >= 2:
+        critical.append((INF, e_inf))
+    table: list[tuple[Preimage, SpherePoint]] = []
+    for point, e in critical:
+        puncture = next((p for p in punctures if point.close_to(p, tol.eps_pt)), None)
+        table.append((Preimage(puncture or point, e, puncture is not None), f.value_at_sphere(point, tol)))
+    images = [f.value_at_sphere(p, tol) for p in punctures]
+    candidates = sorted(distinct_points([v for _, v in table] + images, tol.eps_pt), key=SpherePoint.sort_key)
+    claimed = {pre.point for pre, _ in table}
+    table += [(Preimage(p, 1, True), v) for p, v in zip(punctures, images) if p not in claimed]
+
+    out = []
+    for value in candidates:
+        over = [pre for pre, v in table if v.close_to(value, tol.eps_pt)]
+        fiber = sorted(over, key=lambda pre: pre.point.sort_key())
+        total = sum(pre.multiplicity for pre in fiber)
+        if total > f.degree:
+            raise OverfullFiberError(f"local degrees over {value} add up to {total} > deg f = {f.degree}")
+        free = [pre.multiplicity for pre in fiber if not pre.is_puncture]
+        if total == f.degree:
+            kind, nu = (KIND_TOTALLY_RAMIFIED, min(free)) if free else (KIND_EXCEPTIONAL, math.inf)
+            out.append(RamifiedValue(value, kind, nu, tuple(fiber)))
+    return tuple(out)
 
 
 def _coerce_punctures(punctures) -> tuple[SpherePoint, ...]:
@@ -169,40 +187,15 @@ def _coerce_punctures(punctures) -> tuple[SpherePoint, ...]:
 
 
 def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
-    """Values the restricted map omits entirely.
-
-    Only an image of a puncture can be omitted, so those are the candidates.
-    """
-    tol = tol or Tolerances()
-    pts = _coerce_punctures(punctures)
-    candidates = sorted(
-        distinct_points([f.value_at_sphere(p, tol) for p in pts], tol.eps_pt),
-        key=SpherePoint.sort_key,
-    )
-    out = []
-    for value in candidates:
-        rv = _classify_value(f, value, pts, tol)
-        if rv is not None and rv.is_exceptional:
-            out.append(rv)
-    return out
+    """Values the restricted map omits entirely (only puncture images can be)."""
+    return [rv for rv in totally_ramified_values(f, punctures, tol) if rv.is_exceptional]
 
 
 def totally_ramified_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
     """All totally ramified values, with exceptional ones included and marked."""
     tol = tol or Tolerances()
     pts = _coerce_punctures(punctures)
-    candidates = sorted(
-        distinct_points(
-            _critical_values(f, tol) + [f.value_at_sphere(p, tol) for p in pts], tol.eps_pt
-        ),
-        key=SpherePoint.sort_key,
-    )
-    out = []
-    for value in candidates:
-        rv = _classify_value(f, value, pts, tol)
-        if rv is not None:
-            out.append(rv)
-    return out
+    return list(_ramified_values(f, pts, f.derivative_numerator(), _local_multiplicity_at_infinity(f, tol), tol))
 
 
 def _branching_over(rv: RamifiedValue) -> int:
@@ -232,7 +225,9 @@ def ramification_report(
         raise ValueError("ramification of a constant map is undefined")
     pts = _coerce_punctures(punctures)
     d = f.degree
-    values = tuple(totally_ramified_values(f, pts, tol))
+    w = f.derivative_numerator()
+    e_inf = _local_multiplicity_at_infinity(f, tol)
+    values = _ramified_values(f, pts, w, e_inf, tol)
     r0 = sum(1 for rv in values if rv.is_exceptional)
 
     nu_f = Fraction(0)
@@ -241,8 +236,7 @@ def ramification_report(
 
     n0 = sum(_branching_over(rv) for rv in values if rv.is_exceptional)
     nr = sum(_branching_over(rv) for rv in values if not rv.is_exceptional)
-    w = f.derivative_numerator()
-    n1 = w.degree + (_local_multiplicity_at_infinity(f, tol) - 1)
+    n1 = w.degree + (e_inf - 1)
 
     free_values = [rv for rv in values if not rv.is_exceptional]
     l0 = len(free_values)

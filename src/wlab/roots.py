@@ -123,9 +123,14 @@ def _companion_roots(p: Polynomial) -> np.ndarray:
 
 
 def _match_root_sets(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy nearest matching; returns the worst pair distance."""
+    """Greedy nearest matching; returns the worst pair distance.
+
+    NaN when either set holds a non-finite root, so no bound accepts it.
+    """
     if len(a) != len(b):
         return np.inf
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return np.nan
     remaining = list(range(len(b)))
     worst = 0.0
     for x in a:
@@ -140,7 +145,7 @@ def _located_roots(p: Polynomial) -> list[complex]:
     located = _aberth(p)
     check = _companion_roots(p)
     worst = _match_root_sets(located, check)
-    if worst > _CROSS_CHECK_RTOL:
+    if not worst <= _CROSS_CHECK_RTOL:
         raise RootCrossCheckError(located, check, worst)
     order = np.lexsort((located.imag, located.real))
     return [complex(located[i]) for i in order]
@@ -232,7 +237,7 @@ def roots_with_multiplicity(
     for r, m in zip(base, mult):
         eps = tol.eps_res if m == 1 else tol.eps_gcd
         bound = eps * p.max_abs_coeff * (1.0 + abs(r)) ** p.degree
-        if abs(p(r)) > bound:
+        if not abs(p(r)) <= bound:
             raise IllConditionedRootsError(
                 f"root {r} (multiplicity {m}) fails the residual bound: "
                 f"{abs(p(r)):.3e} > {bound:.3e}",

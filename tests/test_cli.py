@@ -197,6 +197,24 @@ def test_ramify_inexact_division_is_a_typed_math_failure(capsys, tmp_path):
     assert err.startswith("failure: ExactDivisionError: ")
 
 
+def test_ramify_non_finite_roots_are_a_typed_math_failure(capsys, tmp_path):
+    # the simultaneous iteration returns NaN for every root of this map's Wronskian
+    data = tmp_path / "ladder.json"
+    data.write_text(json.dumps({
+        "genus": 0,
+        "punctures": ["inf"],
+        "h": "1",
+        "g1": "z",
+        "g2": "(z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6)^4/(4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28"
+        " - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21 - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16"
+        " - 8*z^15 + 3*z^14 - 6*z^13 - z^12 - 4*z^11 - 9*z^10 - 5*z^9 + 2*z^8 + 9*z^7 - 2*z^6 - 7*z^5 - 2*z^4"
+        " + z^3 - 3*z^2 - 9*z + 3)",
+    }))
+    code, doc, err = run(capsys, "ramify", str(data), "--component", "2")
+    assert code == EXIT_MATH and doc is None
+    assert err.startswith("failure: RootCrossCheckError: ")
+
+
 # -- bounds -------------------------------------------------------------------
 
 

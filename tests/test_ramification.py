@@ -1,21 +1,30 @@
 from __future__ import annotations
 
+import json
 import math
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wlab.poly import Polynomial
+from wlab.exprparse import parse_expression, parse_sphere_point
+from wlab.poly import ExactDivisionError, Polynomial
 from wlab.ramification import (
+    OverfullFiberError,
     exceptional_values,
     preimages,
     ramification_report,
     totally_ramified_values,
 )
 from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
+from wlab.tolerances import Tolerances
 
 Z = RationalFunction.variable()
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+PUNCTURE_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
 
 
 def points_of(fiber):
@@ -220,3 +229,113 @@ def test_preimage_multiplicities_sum_to_degree_in_reports():
     rep = ramification_report((Z**3 - 1) / (Z**3 + 1), ())
     for rv in rep.values:
         assert sum(pre.multiplicity for pre in rv.preimages) == rep.degree
+
+
+def test_overfull_fiber_is_a_typed_failure():
+    # the critical points +-0.1 map to -+0.002, one value at eps_pt = 1e-2,
+    # while the points themselves stay apart: local degrees 2 + 2 > 3
+    f = Z**3 - 0.03 * Z
+    assert issubclass(OverfullFiberError, ArithmeticError)
+    assert not issubclass(OverfullFiberError, ValueError)
+    with pytest.raises(OverfullFiberError):
+        totally_ramified_values(f, (), Tolerances(eps_pt=1e-2))
+    vals = totally_ramified_values(f, ())
+    assert [(str(v.value), v.kind, v.nu) for v in vals] == [("inf", "totally-ramified", 3)]
+
+
+# ---------------------------------------------------------------------------
+# fiber counting: the second route to every fiber
+
+
+def counted_fiber(f, value, punctures, tol):
+    """(point, multiplicity, is_puncture) over ``value`` from the roots of N - vD."""
+    fiber = []
+    for point, mult in preimages(f, value, tol):
+        puncture = next((p for p in punctures if point.close_to(p, tol.eps_pt)), None)
+        fiber.append((puncture or point, mult, puncture is not None))
+    return fiber
+
+
+def near(a: SpherePoint, b: SpherePoint) -> bool:
+    if a.is_infinity or b.is_infinity:
+        return a.is_infinity and b.is_infinity
+    return abs(a.value - b.value) <= 1e-6
+
+
+def assert_fibers_match_counting(f, punctures):
+    """Every reported fiber is the counted one; every other candidate is ordinary."""
+    tol = Tolerances()
+    reported = totally_ramified_values(f, punctures, tol)
+    for rv in reported:
+        counted = counted_fiber(f, rv.value, punctures, tol)
+        free = [mult for _p, mult, is_puncture in counted if not is_puncture]
+        if free:
+            assert (rv.kind, rv.nu) == ("totally-ramified", min(free)) and rv.nu >= 2, (f, rv, counted)
+        else:
+            assert (rv.kind, rv.nu) == ("exceptional", math.inf), (f, rv, counted)
+        assert len(rv.preimages) == len(counted), (f, rv)
+        # any order: conjugate pairs can swap on ulp-different real parts
+        for pre in rv.preimages:
+            hit = [
+                k
+                for k, (point, mult, is_puncture) in enumerate(counted)
+                if (mult, is_puncture) == (pre.multiplicity, pre.is_puncture) and near(point, pre.point)
+            ]
+            assert hit, (f, rv, counted)
+            counted.pop(hit[0])
+    w = f.derivative_numerator()
+    critical = [c for c, _m in roots_with_multiplicity(w, tol)] if w.degree >= 1 else []
+    candidates = [f.value_at_sphere(p, tol) for p in (*critical, INF, *punctures)]
+    for value in candidates:
+        if not any(value.close_to(rv.value, tol.eps_pt) for rv in reported):
+            fiber = counted_fiber(f, value, punctures, tol)
+            assert any(mult == 1 and not is_puncture for _p, mult, is_puncture in fiber), (f, value, fiber)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_fixture_fibers_match_counting(path):
+    raw = json.loads(path.read_text())
+    punctures = tuple(parse_sphere_point(str(p)) for p in raw["punctures"])
+    for key in ("g1", "g2"):
+        g = parse_expression(raw[key])
+        if not g.is_constant:
+            assert_fibers_match_counting(g, punctures)
+
+
+def integer_poly(rng, degree: int) -> RationalFunction:
+    coeffs = [complex(c) for c in rng.integers(-9, 10, size=degree)]
+    return RationalFunction(Polynomial(coeffs + [complex(rng.choice([-3, -2, -1, 1, 2, 3]))]))
+
+
+def random_map(rng, shape: int) -> RationalFunction:
+    """Generic N/D, A^m/B, a polynomial, or z^a/((z-1)^b (z+2))."""
+
+    def degree(lo: int, hi: int) -> int:
+        return int(rng.integers(lo, hi + 1))
+
+    if shape == 0:
+        return integer_poly(rng, degree(1, 6)) / integer_poly(rng, degree(0, 6))
+    if shape == 1:
+        m, a = degree(2, 4), integer_poly(rng, degree(1, 2))
+        return a**m / integer_poly(rng, degree(0, m * a.degree))
+    if shape == 2:
+        return integer_poly(rng, degree(1, 8))
+    return Z ** degree(1, 5) / ((Z - 1) ** degree(0, 4) * (Z + 2))
+
+
+def test_random_fibers_match_counting():
+    rng = np.random.default_rng(2026)
+    compared, failed = 0, Counter()
+    for k in range(240):
+        f = random_map(rng, k % 4)
+        names = rng.choice(PUNCTURE_POOL, size=int(rng.integers(0, 6)), replace=False)
+        if f.is_constant:
+            continue
+        try:
+            assert_fibers_match_counting(f, tuple(parse_sphere_point(str(p)) for p in names))
+            compared += 1
+        except (RootCrossCheckError, IllConditionedRootsError, ExactDivisionError, OverfullFiberError) as exc:
+            # float root-finding breaks down on a few A^m/B maps, by either
+            # route; a typed failure is allowed, a differing fiber is not
+            failed[type(exc).__name__] += 1
+    assert compared >= 200, failed

@@ -3,8 +3,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
-from wlab.roots import IllConditionedRootsError, roots_with_multiplicity
+from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
+
+# a degree-32 map A^4/B: the simultaneous iteration returns NaN for every
+# root of its Wronskian, and a check written as "x > bound" passes NaN
+NAN_ROOTS_MAP = (
+    "(z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6)^4/(4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28"
+    " - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21 - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16"
+    " - 8*z^15 + 3*z^14 - 6*z^13 - z^12 - 4*z^11 - 9*z^10 - 5*z^9 + 2*z^8 + 9*z^7 - 2*z^6 - 7*z^5 - 2*z^4"
+    " + z^3 - 3*z^2 - 9*z + 3)"
+)
 
 
 def by_value(result):
@@ -102,3 +112,10 @@ def test_errors_on_constant_and_zero():
         roots_with_multiplicity(Polynomial([1]))
     with pytest.raises(ValueError):
         roots_with_multiplicity(Polynomial())
+
+
+def test_non_finite_roots_fail_the_cross_check():
+    w = parse_expression(NAN_ROOTS_MAP).derivative_numerator()
+    with pytest.raises(RootCrossCheckError) as info:
+        roots_with_multiplicity(w)
+    assert not np.isfinite(info.value.aberth).any()
