@@ -48,7 +48,7 @@ from fractions import Fraction
 from .analysis import Analysis
 from .exprparse import as_sphere_point
 from .ramification import exceptional_values, preimages
-from .rational import RationalFunction, SpherePoint, distinct_points
+from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE, WeierstrassData
 
@@ -500,8 +500,9 @@ def shared_values(
     gA - gB, so the zeros of the difference together with the puncture
     images form a complete, finite candidate list; each candidate is then
     settled by comparing the two fibers as point sets (multiplicities do
-    not matter).  Identical maps share everything and are reported as a
-    special kind, as is a pair of distinct constants.
+    not matter).  Infinity is always a candidate, since a common pole is
+    no zero of gA - gB.  Identical maps share everything and are reported
+    as a special kind, as is a pair of distinct constants.
     """
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
@@ -520,14 +521,16 @@ def shared_values(
         vals.sort(key=lambda v: v.sort_key())
         return SharedValues(SHARED_GENERIC, tuple(SharedValue(v, 0) for v in vals))
 
-    diff = gA - gB
+    # the puncture images come first: they are exact where the input is,
+    # and ``distinct_points`` keeps the first of each group
     candidates: list[SpherePoint] = []
-    for e in diff.zeros_and_poles(tol):
-        if e.order > 0:
-            candidates.append(gA.value_at_sphere(e.point, tol))
     for p in pts:
         candidates.append(gA.value_at_sphere(p, tol))
         candidates.append(gB.value_at_sphere(p, tol))
+    for e in (gA - gB).zeros_and_poles(tol):
+        if e.order > 0:
+            candidates.append(gA.value_at_sphere(e.point, tol))
+    candidates.append(INF)
 
     shared: list[SharedValue] = []
     for a in distinct_points(candidates, tol.eps_pt):

@@ -22,8 +22,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .analysis import Analysis
 from .bounds import CASE_FLAT, BoundsReport, compute_bounds_abstract, corollary_check, unicity_of
 from .curvature import total_curvature_quadrature
@@ -303,7 +301,7 @@ def cmd_mesh(args) -> int:
         "faces": len(mesh.faces),
         "universal_cover_patch": mesh.universal_cover_patch,
         "max_loop_residual": mesh.max_loop_residual,
-        "max_path_error": float(np.nanmax(mesh.path_error)),
+        "max_path_error": mesh.max_path_error,
         "base_point": mesh.base_point,
     }
     _emit(document("mesh", data.label, summary, tolerance_scale=scale), args.out)

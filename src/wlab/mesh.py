@@ -1,11 +1,23 @@
-"""Numerical immersion x(z) = Re integral(phi) on a chart grid, plus export.
+"""Immersion x(z) = Re integral(phi) on a chart grid, in closed form, plus export.
 
-The four 1-forms phi_i dz are integrated over the edges of a rectangular or
-annular grid with composite Gauss-Legendre quadrature: order 8 supplies the
-value, the difference against order 4 the error estimate, and both are
-accumulated along the integration path from the base point.  Edges that fail
-to converge are bisected; an edge that keeps failing (it is grazing a pole)
-raises instead of silently degrading.
+Every form phi_k is rational, so x_k = Re(F_k(z) - F_k(z0)) for an exact
+primitive F_k: the integral of the polynomial part of phi_k (from
+``Polynomial.divmod_by``), plus a_-n / ((1 - n) (z - p)^(n-1)) for each
+principal-part term a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
+residue c at each pole p (Bronstein, *Symbolic Integration I*, ch. 2).  The
+Laurent coefficients are read off ``RationalFunction.principal_part_at`` at
+the exclusion centres the mesh locates anyway, so meshing finds no roots
+beyond those.
+
+Re(c log(z - p)) = Re(c) log|z - p| - Im(c) arg(z - p).  Where Im c != 0 the
+arg is continued along a fixed integration tree, laid out from the grid
+before anything is evaluated: the column through the base vertex first,
+then each row from that column outward, then a breadth-first sweep for any
+vertices whose row was interrupted by an exclusion.  On a tree edge a -> b
+that misses p the arg changes by angle((b - p) / (a - p)), in (-pi, pi);
+the tree sum only picks each vertex's branch, and the arg itself is taken
+in one step from the base point.  A vertex or tree edge that meets a pole
+raises ``PoleOnPathError`` rather than guess a side.
 
 Punctures and poles of h, g1, g2 are fenced off by an exclusion radius
 (mesh_exclusion_factor times the region diameter), because the metric blows
@@ -15,15 +27,13 @@ mesh is then stamped ``universal_cover_patch`` to record that the surface as
 a whole only closes up on the universal cover.  Annular grids are cut along
 the angle-0 seam, with the seam column duplicated, for the same reason.
 
-Integration paths form a fixed tree, laid out before any quadrature: the
-column through the base vertex first, then each row from that column
-outward, then a breadth-first sweep for any vertices whose row was
-interrupted by an exclusion.  The tree's edges are then integrated in
-batches of one grid row's worth, each form evaluated once per order on the
-whole batch, and the increments are summed along the tree.  A sample of grid
-cells is re-integrated around the full cell loop, as one batch; the largest
-such loop residual is recorded on the mesh as an independent
-path-independence check.
+An independent check runs first, on a sample of at most 64 grid cells: each
+cell's four edges are integrated by adaptive Gauss-Legendre quadrature
+(order 8 for the value, order 4 for the error estimate, bisecting edges
+that disagree, and raising ``QuadratureConvergenceError`` on one that keeps
+failing, as an edge through a pole does).  The largest sum around a cell is
+recorded as ``max_loop_residual``, and the largest gap between a quadrature
+increment and the closed form's as ``max_path_error``.
 
 The export writes every float under the package's float rule (12 decimal
 places, then 12 significant digits) in blocks of rows: each block is
@@ -41,6 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import gauss_curvature
+from .poly import Polynomial
 from .report import format_float_rows
 from .tolerances import Tolerances
 from .weierstrass import (
@@ -56,6 +67,7 @@ __all__ = [
     "Annulus",
     "SurfaceMesh",
     "MeshRegionError",
+    "PoleOnPathError",
     "QuadratureConvergenceError",
     "build_mesh",
     "export_mesh",
@@ -64,6 +76,19 @@ __all__ = [
 
 class MeshRegionError(ValueError):
     """The requested region, base point, and exclusions are incompatible."""
+
+
+class PoleOnPathError(ArithmeticError):
+    """A grid vertex or an integration-tree edge meets a pole of a form."""
+
+    def __init__(self, pole: complex, a: complex, b: complex):
+        self.pole = pole
+        self.a = a
+        self.b = b
+        super().__init__(
+            f"the path from {a} to {b} meets the pole {pole}, where the "
+            "primitive has no value; raise the exclusion factor"
+        )
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -126,12 +151,15 @@ class Annulus:
 
 @dataclass(frozen=True)
 class SurfaceMesh:
-    """Grid immersion with per-vertex metric, curvature, and error estimates.
+    """Grid immersion with per-vertex metric and curvature.
 
     Arrays are flat over the row-major grid of ``shape`` = (rows, cols);
     ``included`` masks vertices inside exclusion zones or unreachable from
-    the base point (their x, metric, and K entries are NaN).  ``faces`` are
-    counter-clockwise quads of flat indices, only over included vertices.
+    the base point (their x, metric, and K entries are NaN).  ``faces`` holds
+    one counter-clockwise quad of flat indices per row, only over included
+    vertices.
+    ``max_loop_residual`` and ``max_path_error`` come from the sampled
+    quadrature check (module docstring); both are 0 when there are no faces.
     """
 
     z: np.ndarray  # (n,) complex grid points
@@ -139,15 +167,15 @@ class SurfaceMesh:
     metric: np.ndarray  # (n,) lambda^2
     gauss: np.ndarray  # (n,) K
     included: np.ndarray  # (n,) bool
-    path_error: np.ndarray  # (n,) accumulated quadrature error estimate
-    faces: tuple[tuple[int, int, int, int], ...]
+    faces: np.ndarray  # (F, 4) vertex indices
     shape: tuple[int, int]
     base_point: complex
     universal_cover_patch: bool
     max_loop_residual: float
+    max_path_error: float
 
     def __post_init__(self):
-        for arr in (self.z, self.x, self.metric, self.gauss, self.included, self.path_error):
+        for arr in (self.z, self.x, self.metric, self.gauss, self.included, self.faces):
             arr.setflags(write=False)
 
     @property
@@ -190,11 +218,10 @@ def _gauss_rule(forms, mid: np.ndarray, half: np.ndarray, nodes, weights) -> np.
 
 
 def _integrate_edges(forms, a: np.ndarray, b: np.ndarray, rtol: float, depth: int = 0):
-    """Integrals of the four forms along each segment [a[k], b[k]].
+    """(E, 4) integrals of the four forms along each segment [a[k], b[k]].
 
-    Returns the (E, 4) increments and the (E,) error estimates.  Edges whose
-    order-8 and order-4 values disagree are bisected together as one
-    sub-batch; a NaN from a node on a pole fails the test like any other
+    Edges whose order-8 and order-4 values disagree are bisected together as
+    one sub-batch; a NaN from a node on a pole fails the test like any other
     disagreement.
     """
     mid, half = (a + b) / 2.0, (b - a) / 2.0
@@ -202,19 +229,18 @@ def _integrate_edges(forms, a: np.ndarray, b: np.ndarray, rtol: float, depth: in
     err = _row_norms(inc - _gauss_rule(forms, mid, half, _GL4_NODES, _GL4_WEIGHTS))
     bad = np.flatnonzero(~(err <= rtol * np.fmax(1.0, _row_norms(inc))))
     if bad.size == 0:
-        return inc, err
+        return inc
     if depth >= _MAX_EDGE_SPLITS:
         k = bad[0]
         raise QuadratureConvergenceError(complex(a[k]), complex(b[k]), float(err[k]))
     # halves interleaved, so the sub-batch stays in depth-first order and
     # a failure names the first piece, in path order, that gives up
     ends = np.stack((a[bad], mid[bad], b[bad]), axis=1)
-    sub_inc, sub_err = _integrate_edges(
+    sub = _integrate_edges(
         forms, ends[:, :2].reshape(-1), ends[:, 1:].reshape(-1), rtol, depth + 1
     )
-    inc[bad] = sub_inc[0::2] + sub_inc[1::2]
-    err[bad] = sub_err[0::2] + sub_err[1::2]
-    return inc, err
+    inc[bad] = sub[0::2] + sub[1::2]
+    return inc
 
 
 # -- grid construction ----------------------------------------------------------
@@ -323,35 +349,8 @@ def _integration_tree(right, down, anchor: int, cols: int):
     return parent[:count], child[:count], depth[child[:count]]
 
 
-def _integrate_tree(forms, zs, z0: complex, anchor: int, right, down, rtol: float):
-    """x (complex, before taking real parts) and the path error at each vertex.
-
-    Vertices the integration tree does not reach keep NaN and inf.
-    """
-    cols = right.shape[1] + 1
-    parent, child, depth = _integration_tree(right, down, anchor, cols)
-    values = np.full((zs.size, 4), np.nan + 0j, dtype=complex)
-    errors = np.full(zs.size, np.inf)
-    inc0, err0 = _integrate_edges(forms, np.array([z0]), zs[anchor : anchor + 1], rtol)
-    values[anchor], errors[anchor] = inc0[0], err0[0]
-    # one grid row's worth of edges per batch keeps the node arrays small;
-    # each increment waits in its child's slot until the parent is final
-    for k in range(0, child.size, cols):
-        block = slice(k, k + cols)
-        values[child[block]], errors[child[block]] = _integrate_edges(
-            forms, zs[parent[block]], zs[child[block]], rtol
-        )
-    # a child's depth is one more than its parent's, so adding depth by depth
-    # adds every increment to a finished value, as walking the tree does
-    order = np.argsort(depth, kind="stable")
-    for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
-        values[child[level]] += values[parent[level]]
-        errors[child[level]] += errors[parent[level]]
-    return values, errors
-
-
-def _faces(included: np.ndarray, clear_right: np.ndarray, clear_down: np.ndarray):
-    """Counter-clockwise quads, row-major, of the grid cells whose four
+def _faces(included: np.ndarray, clear_right: np.ndarray, clear_down: np.ndarray) -> np.ndarray:
+    """(F, 4) counter-clockwise quads, row-major, of the grid cells whose four
     corners are included and whose four sides clear every exclusion."""
     cols = included.shape[1]
     cell = (
@@ -359,7 +358,155 @@ def _faces(included: np.ndarray, clear_right: np.ndarray, clear_down: np.ndarray
         & clear_right[:-1, :] & clear_right[1:, :] & clear_down[:, :-1] & clear_down[:, 1:]
     )
     ci, cj = np.nonzero(cell)
-    return tuple((c, c + 1, c + cols + 1, c + cols) for c in (ci * cols + cj).tolist())
+    c = ci * cols + cj
+    return np.stack((c, c + 1, c + cols + 1, c + cols), axis=1)
+
+
+# -- closed-form primitive ------------------------------------------------------
+
+# |Im((b - p) conj(a - p))| up to this multiple of |b - p| |a - p| is rounding
+# noise: which side of p the segment [a, b] passes is then unknown
+_ANGLE_NOISE = 16 * np.finfo(float).eps
+_BLOCK_VERTICES = 4096  # vertices whose closed form is evaluated at a time
+
+
+@dataclass(frozen=True)
+class _Primitive:
+    """An exact primitive F_k of each form phi_k, by its parts.
+
+    F_k(z) = poly[k](z) + sum_j sum_n inverse[k, j, n - 1] (z - p_j)^-n
+             + sum_j residues[k, j] log(z - p_j)
+    """
+
+    poly: tuple[Polynomial, ...]
+    poles: np.ndarray  # (J,) every finite pole of some form
+    inverse: np.ndarray  # (4, J, M)
+    residues: np.ndarray  # (4, J)
+
+    def difference(self, z: np.ndarray, base) -> np.ndarray:
+        """(N, 4): each F_k(z) - F_k(base), with every log(z - p) taken as
+        log|z - p|.
+
+        Each part is differenced on its own.  The log term is half the log1p
+        of (|z - p|^2 - |base - p|^2) / |base - p|^2, whose numerator
+        Re((z - base) conj((z - p) + (base - p))) shrinks with z - base, so
+        its rounding error does not scale with the size of the logs.
+        """
+        base = np.asarray(base, dtype=complex)  # one point, or one per z
+        out = np.empty((z.size, 4), dtype=complex)
+        for k, poly in enumerate(self.poly):
+            out[:, k] = poly(z) - poly(base)
+        for j, p in enumerate(self.poles):
+            d, d0 = z - p, base - p
+            w, w0 = 1.0 / d, 1.0 / d0
+            ratio = ((z - base) * np.conj(d + d0)).real / (d0.real**2 + d0.imag**2)
+            # much nearer p than base is, log1p gains nothing, and rounding
+            # could take ratio below -1: there the plain log of |d| / |d0|
+            near = ratio < -0.5
+            log_ratio = 0.5 * np.log1p(np.where(near, 0.0, ratio))
+            log_ratio[near] = np.log(np.abs(d[near]) / np.abs(np.broadcast_to(d0, d.shape)[near]))
+            for k in range(4):
+                acc = acc0 = 0j
+                for c in self.inverse[k, j, ::-1]:
+                    acc, acc0 = (acc + c) * w, (acc0 + c) * w0
+                out[:, k] += (acc - acc0) + self.residues[k, j] * log_ratio
+        return out
+
+
+def _primitive(forms, centers, tol: Tolerances) -> _Primitive:
+    """Each form's primitive, with its principal parts read at the centres.
+
+    A centre within eps_pt of an earlier one is the same point.  The poles
+    found must account for every form's (monic) denominator.
+    """
+    seen: list[complex] = []
+    poles, parts = [], []
+    for c in centers:
+        if any(abs(c - s) <= tol.eps_pt for s in seen):
+            continue
+        seen.append(c)
+        laurent = [f.principal_part_at(c, tol) for f in forms]
+        if any(laurent):
+            poles.append(c)
+            parts.append(laurent)
+    for k, f in enumerate(forms):
+        located = sum(len(laurent[k]) for laurent in parts)
+        if located != f.den.degree:
+            raise RuntimeError(
+                f"the poles of phi_{k + 1} at the exclusion centres have total "
+                f"order {located}, but its denominator has degree {f.den.degree}"
+            )
+    width = max((len(a) for laurent in parts for a in laurent), default=1) - 1
+    inverse = np.zeros((4, len(poles), width), dtype=complex)
+    residues = np.zeros((4, len(poles)), dtype=complex)
+    for j, laurent in enumerate(parts):
+        for k, a in enumerate(laurent):
+            # a = (a_-m, ..., a_-1); a_-(n+1) (z - p)^-(n+1) integrates to
+            # -a_-(n+1) / n (z - p)^-n
+            m = len(a)
+            if m:
+                residues[k, j] = a[-1]
+            for n in range(1, m):
+                inverse[k, j, n - 1] = -a[m - 1 - n] / n
+    poly = tuple(f.num.divmod_by(f.den)[0].antiderivative() for f in forms)
+    return _Primitive(poly, np.array(poles, dtype=complex), inverse, residues)
+
+
+def _turns(prim: _Primitive, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(E, J) changes of arg(z - p_j) along each segment [a, b]: the angle of
+    (b - p) conj(a - p).  Raises where a segment meets a pole."""
+    out = np.empty((a.size, prim.poles.size))
+    for j, p in enumerate(prim.poles):
+        w = (b - p) * np.conj(a - p)
+        meets = (w.real <= 0.0) & (np.abs(w.imag) <= _ANGLE_NOISE * np.abs(w))
+        if meets.any():
+            e = int(np.argmax(meets))
+            raise PoleOnPathError(complex(p), complex(a[e]), complex(b[e]))
+        out[:, j] = np.angle(w)
+    return out
+
+
+def _increments(prim: _Primitive, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(E, 4) integrals F(b) - F(a) of the forms along each segment [a, b]."""
+    turns = _turns(prim, a, b)
+    out = prim.difference(b, a)
+    for j in range(prim.poles.size):
+        out += 1j * turns[:, j, None] * prim.residues[:, j]
+    return out
+
+
+def _closed_form(prim: _Primitive, zs, z0: complex, anchor: int, parent, child, depth):
+    """x at the anchor and at every child of the tree; NaN elsewhere.
+
+    x_k(z) = Re(F_k(z) - F_k(z0)), with arg(z - p) continued from z0 along
+    the segment to the anchor and then the tree, wherever Im c != 0.
+    """
+    reached = np.concatenate(([anchor], child))
+    turns = _turns(
+        prim, np.concatenate(([z0], zs[parent])), np.concatenate(([zs[anchor]], zs[child]))
+    )
+    z = zs[reached]
+    values = np.empty((z.size, 4))
+    for start in range(0, z.size, _BLOCK_VERTICES):  # bounds the temporaries
+        block = slice(start, start + _BLOCK_VERTICES)
+        values[block] = prim.difference(z[block], z0).real
+    winding = np.flatnonzero(np.any(prim.residues.imag != 0.0, axis=0))
+    if winding.size:
+        # the tree sum of the turns only picks the branch; the arg itself is
+        # one angle off the base point, so no rounding accumulates in it
+        tree = np.zeros((zs.size, winding.size))
+        tree[reached] = turns[:, winding]
+        order = np.argsort(depth, kind="stable")
+        for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1):
+            tree[child[level]] += tree[parent[level]]
+        p = prim.poles[winding]
+        direct = np.angle((z[:, None] - p) * np.conj(z0 - p))
+        arg = direct + 2.0 * np.pi * np.round((tree[reached] - direct) / (2.0 * np.pi))
+        for i, j in enumerate(winding):
+            values -= arg[:, i, None] * prim.residues[:, j].imag
+    x = np.full((zs.size, 4), np.nan)
+    x[reached] = values
+    return x
 
 
 # -- mesh assembly --------------------------------------------------------------
@@ -372,14 +519,16 @@ def build_mesh(
     z0: complex,
     tol: Tolerances | None = None,
 ) -> SurfaceMesh:
-    """Integrate the immersion over a grid on ``region`` anchored at ``z0``.
+    """The immersion on a grid over ``region``, from each form's exact
+    primitive, anchored at ``z0``.
 
     ``region`` is a Rectangle or Annulus; ``resolution`` a vertex count per
     axis (int or (rows, cols)).  x(z0) = 0 fixes the translation.  Punctures
     and poles are fenced off by mesh_exclusion_factor * diameter; a puncture
     strictly inside the region with a zero exclusion factor is an error, as
     is a base point that is excluded, outside, or at a degenerate metric
-    point.
+    point.  A path that meets a pole raises ``PoleOnPathError`` (or
+    ``QuadratureConvergenceError``, when the sampled check meets it first).
     """
     tol = tol or Tolerances()
     require_genus_zero(d.genus)
@@ -423,28 +572,30 @@ def build_mesh(
     down = clear_down & inc2[:-1, :] & inc2[1:, :]
 
     forms = phi.forms
+    prim = _primitive(forms, centers, tol)
     candidates = np.flatnonzero(included)
     anchor = int(candidates[np.argmin(np.abs(zs[candidates] - z0))])
-    values, errors = _integrate_tree(forms, zs, z0, anchor, right, down, tol.quad_rtol)
-    # vertices the tree never reached kept an infinite error; drop them
-    included &= np.isfinite(errors)
+    parent, child, depth = _integration_tree(right, down, anchor, cols)
+    # vertices the tree never reaches are dropped
+    reached = np.zeros(n, dtype=bool)
+    reached[anchor] = True
+    reached[child] = True
+    included &= reached
     faces = _faces(included.reshape(rows, cols), clear_right, clear_down)
 
-    max_residual = 0.0
-    if faces:
-        sample = np.array(faces[:: max(1, len(faces) // 64)])
-        inc, _ = _integrate_edges(
-            forms,
-            zs[sample].reshape(-1),
-            zs[np.roll(sample, -1, axis=1)].reshape(-1),
-            tol.quad_rtol,
-        )
+    # the sampled check runs first, so an edge through a pole in the sample
+    # fails there, with QuadratureConvergenceError
+    max_residual = max_path_error = 0.0
+    if len(faces):
+        sample = faces[:: max(1, len(faces) // 64)]
+        a = zs[sample].reshape(-1)
+        b = zs[np.roll(sample, -1, axis=1)].reshape(-1)
+        inc = _integrate_edges(forms, a, b, tol.quad_rtol)
         loops = np.sum(inc.reshape(-1, 4, 4), axis=1)
         max_residual = float(np.max(_row_norms(loops.real)))
+        max_path_error = float(np.max(_row_norms(inc - _increments(prim, a, b))))
 
-    x = values.real.copy()
-    x[~included] = np.nan
-    errors[~included] = np.nan
+    x = _closed_form(prim, zs, z0, anchor, parent, child, depth)
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = metric_factor_from_phi(phi, zs)
         curvature = gauss_curvature(d, zs)
@@ -459,12 +610,12 @@ def build_mesh(
         metric=metric,
         gauss=curvature,
         included=included,
-        path_error=errors,
         faces=faces,
         shape=(rows, cols),
         base_point=z0,
         universal_cover_patch=not period_ok,
         max_loop_residual=max_residual,
+        max_path_error=max_path_error,
     )
 
 
@@ -522,7 +673,7 @@ def export_mesh(mesh: SurfaceMesh, path, fmt: str = "csv", projection=None) -> N
         header, sep, prefix = "", " ", "v "
         obj_index = np.zeros(mesh.z.size, dtype=int)
         obj_index[included] = np.arange(1, included.size + 1)  # OBJ indices are 1-based
-        quads = obj_index[np.array(mesh.faces, dtype=int).reshape(-1, 4)]
+        quads = obj_index[mesh.faces]
         # each quad (a, b, c, e) becomes the triangles (a, b, c) and (a, c, e)
         tris = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)
     else:

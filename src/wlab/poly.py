@@ -175,6 +175,10 @@ class Polynomial:
             return Polynomial()
         return Polynomial(tuple(k * c for k, c in enumerate(self._c) if k >= 1))
 
+    def antiderivative(self) -> "Polynomial":
+        """The primitive that vanishes at 0."""
+        return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
+
     def trim(self, rel_eps: float) -> "Polynomial":
         """Strip trailing coefficients that are tiny relative to the largest.
 

@@ -1,12 +1,12 @@
 """Rational functions on the Riemann sphere.
 
 A RationalFunction is a quotient of two Polynomials kept in reduced canonical
-form (approximate gcd cancelled, monic denominator). Orders, residues and
-divisors are computed for the function and for the differential f dz. Each
-local number is read off Laurent expansions, not off a new RationalFunction:
-at a finite point from the Taylor coefficients of numerator and denominator
-(``Polynomial.expansion_at``), at infinity from the degrees and the
-coefficient-reversed numerator and denominator.
+form (approximate gcd cancelled, monic denominator). Orders, principal parts,
+residues and divisors are computed for the function and for the differential
+f dz. Each local number is read off Laurent expansions, not off a new
+RationalFunction: at a finite point from the Taylor coefficients of numerator
+and denominator (``Polynomial.expansion_at``), at infinity from the degrees
+and the coefficient-reversed numerator and denominator.
 """
 
 from __future__ import annotations
@@ -380,12 +380,27 @@ class RationalFunction:
             terms = 2 - self.order_at(p, tol)
             r = _series_quotient(self._num.coeffs[::-1], self._den.coeffs[::-1], terms)
             return -r[-1] if r else 0j
-        m = -self.order_at(p, tol)
+        principal = self.principal_part_at(p.value, tol)
+        return principal[-1] if principal else 0j
+
+    def principal_part_at(
+        self, point: complex, tol: Tolerances | None = None
+    ) -> tuple[complex, ...]:
+        """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
+
+        Empty where f is regular.  As in ``residue_at``: the leading m
+        coefficients of A/B, the Taylor series of N and D with their zeros
+        at the point divided out.
+        """
+        tol = tol or Tolerances()
+        if self.is_zero:
+            return ()
+        m = -self.order_at(point, tol)
         if m <= 0:
-            return 0j
-        _, a = self._num.expansion_at(p.value, tol.eps_res, m)
-        _, b = self._den.expansion_at(p.value, tol.eps_res, m)
-        return _series_quotient(a, b, m)[-1]
+            return ()
+        _, a = self._num.expansion_at(point, tol.eps_res, m)
+        _, b = self._den.expansion_at(point, tol.eps_res, m)
+        return tuple(_series_quotient(a, b, m))
 
     def zeros_and_poles(self, tol: Tolerances | None = None) -> list[DivisorEntry]:
         """The divisor on the sphere; zero total (degree balance) guaranteed.

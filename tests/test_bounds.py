@@ -26,7 +26,7 @@ from wlab.bounds import (
     shared_values,
     unicity_report,
 )
-from wlab.exprparse import parse_sphere_point
+from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError
@@ -445,6 +445,28 @@ def test_shared_values_reciprocal_pair_three_punctures():
 def test_shared_values_translation_pair():
     sv = shared_values(Z, Z + 1, ("0", "inf"))
     assert _shared_as_dict(sv) == {"inf": 0}
+
+
+def test_shared_values_common_pole_shares_infinity():
+    # both fibres over infinity are {3}, yet a common pole is no zero of
+    # gA - gB: infinity must be a candidate of its own
+    a = parse_expression("(z+4)/(z-3)")
+    b = parse_expression("-(z+4)/(z-3)")
+    assert _shared_as_dict(shared_values(a, b, ("0", "inf"))) == {"0": 1, "inf": 1}
+
+
+def test_shared_values_exact_puncture_image_beats_a_float_zero():
+    # gA(4/3) = 0.9999999999999977 falls in one group with gA(inf) = 1; the
+    # exact puncture image must be the one kept, or the fibre polynomial of
+    # the float value grows a spurious root near 1e15
+    a = parse_expression("(z^2-3*z+3)/(z^2-1)")
+    b = parse_expression("1/((z^2-3*z+3)/(z^2-1))")
+    sv = shared_values(a, b, ("2", "i", "0", "inf"))
+    # -1 is read off a float zero of gA - gB
+    assert [(v.value.value, v.delta) for v in sv.values] == [
+        (pytest.approx(-1, abs=1e-12), 2),
+        (1, 1),
+    ]
 
 
 def test_shared_values_identical_and_constant_kinds():

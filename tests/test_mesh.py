@@ -1,23 +1,36 @@
 from __future__ import annotations
 
+import json
 import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
+import wlab.cli
+import wlab.rational
 import wlab.report
+from wlab.exprparse import parse_expression
 from wlab.mesh import (
     Annulus,
     MeshRegionError,
+    PoleOnPathError,
     QuadratureConvergenceError,
     Rectangle,
     build_mesh,
     export_mesh,
 )
 from wlab.rational import RationalFunction
+from wlab.report import format_float
 from wlab.tolerances import Tolerances
 from wlab.weierstrass import WeierstrassData
+
+HERE = Path(__file__).resolve().parent
+FIXTURES = HERE.parent / "fixtures"
+SNAPSHOTS = HERE / "snapshots"
 
 Z = RationalFunction.variable()
 ONE = RationalFunction.constant(1)
@@ -39,6 +52,22 @@ def example21() -> WeierstrassData:
     return WeierstrassData(
         h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z, punctures=("1", "2", "3", "inf")
     )
+
+
+def example23_exact(z: complex, z0: complex) -> np.ndarray:
+    """x for h = 1/z^3, g1 = z, g2 = 1, whose forms have no residues."""
+
+    def antiderivative(w):
+        return np.array(
+            [
+                -1 / (4 * w * w) - 1 / (2 * w),
+                1j * (-1 / (4 * w * w) + 1 / (2 * w)),
+                1 / (4 * w * w) - 1 / (2 * w),
+                1j * (1 / (2 * w) + 1 / (4 * w * w)),
+            ]
+        )
+
+    return (antiderivative(z) - antiderivative(z0)).real
 
 
 def vertex_at(mesh, z: complex) -> int:
@@ -67,24 +96,30 @@ def test_base_point_maps_to_origin():
 
 
 def test_refinement_stays_within_error_estimate():
+    # the closed form is exact to rounding at every resolution: the coarse
+    # and fine meshes agree with the exact primitive, and so with each other
     d = WeierstrassData(h=1 / Z**3, g1=Z, g2=ONE, punctures=("0", "inf"))
     region = Rectangle(0.5, 2.5, 0.5, 2.5)
-    coarse = build_mesh(d, region, 9, 1.0 + 1.0j)
-    fine = build_mesh(d, region, 17, 1.0 + 1.0j)
+    z0 = 1.0 + 1.0j
+    coarse = build_mesh(d, region, 9, z0)
+    fine = build_mesh(d, region, 17, z0)
     rows, cols = coarse.shape
     for i in range(rows):
         for j in range(cols):
             u = i * cols + j
             v = (2 * i) * (2 * cols - 1) + 2 * j
             assert abs(fine.z[v] - coarse.z[u]) < 1e-12
-            budget = coarse.path_error[u] + fine.path_error[v] + 1e-12
-            assert np.linalg.norm(fine.x[v] - coarse.x[u]) <= budget
+            assert np.linalg.norm(coarse.x[u] - example23_exact(coarse.z[u], z0)) <= 1e-12
+            assert np.linalg.norm(fine.x[v] - coarse.x[u]) <= 1e-12
 
 
 def test_loop_residuals_far_below_error_budget():
+    # the forms are linear, so order-8 quadrature is exact on every edge
     m = build_mesh(enneper(), Rectangle(-1.0, 1.0, -1.0, 1.0), 13, 0j)
-    budget = 10 * np.nanmax(m.path_error) + 1e-12
-    assert m.max_loop_residual <= budget
+    assert m.max_loop_residual <= 1e-12
+    assert m.max_path_error <= 1e-12
+    for v in np.flatnonzero(m.included):
+        assert np.linalg.norm(m.x[v] - enneper_exact(m.z[v])) <= 1e-12
 
 
 def test_discrete_conformality_and_pullback_metric():
@@ -138,7 +173,7 @@ def test_matches_closed_form_through_an_exclusion(resolution, included, faces):
     assert (m.included_count, m.z.size - m.included_count, len(m.faces)) == (included, 1, faces)
     for v in np.flatnonzero(m.included):
         exact = inverse_square_exact(m.z[v], z0)
-        assert np.linalg.norm(m.x[v] - exact) <= m.path_error[v] + 1e-12
+        assert np.linalg.norm(m.x[v] - exact) <= 1e-12
 
 
 @pytest.mark.parametrize("resolution", [2, (2, 5), 5])
@@ -153,9 +188,10 @@ def test_edges_grazing_a_pole_bisect_to_the_closed_form(resolution):
     assert m.max_loop_residual < 1e-4
 
 
-def test_edge_quadrature_is_batched_per_row(monkeypatch):
-    # each form is evaluated once per order on a whole row of edges, so
-    # the evaluation count grows with the rows, not with the vertices
+def test_forms_are_evaluated_a_fixed_number_of_times(monkeypatch):
+    # x comes from the closed form, and the only quadrature is the sampled
+    # check, one batch of at most 64 cells: the number of form evaluations
+    # does not grow with the grid
     calls = 0
     evaluate = RationalFunction.__call__
 
@@ -165,10 +201,172 @@ def test_edge_quadrature_is_batched_per_row(monkeypatch):
         return evaluate(self, z)
 
     monkeypatch.setattr(RationalFunction, "__call__", counting)
-    m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
-    rows, _ = m.shape
-    assert m.included_count == 65 * 65
-    assert calls <= 12 * rows + 200
+    counts = []
+    for resolution in (17, 65):
+        calls = 0
+        m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), resolution, 0.25j)
+        assert m.included_count == resolution * resolution
+        counts.append(calls)
+    assert counts[0] == counts[1] <= 64
+
+
+# ---------------------------------------------------------------------------
+# the exact primitive, at 30 digits
+
+I = mpmath.mpc(0, 1)
+
+
+def _example23_primitive(z):
+    # phi = (1 + z, i (1 - z), z - 1, -i (z + 1)) / (2 z^3)
+    return (
+        -1 / (4 * z**2) - 1 / (2 * z),
+        I * (-1 / (4 * z**2) + 1 / (2 * z)),
+        1 / (4 * z**2) - 1 / (2 * z),
+        I * (1 / (2 * z) + 1 / (4 * z**2)),
+    )
+
+
+def _example21_primitive(z):
+    # with h = 1/((z-1)(z-2)(z-3)): (1 + z^2) h = 1/(z-1) - 5/(z-2) + 5/(z-3),
+    # (1 - z^2) h = 3/(z-2) - 4/(z-3) and z h = 1/(2(z-1)) - 2/(z-2) + 3/(2(z-3));
+    # log(p - z) keeps the branch cut right of every pole, off the region
+    l1, l2, l3 = mpmath.log(1 - z), mpmath.log(2 - z), mpmath.log(3 - z)
+    return (
+        (l1 - 5 * l2 + 5 * l3) / 2,
+        I / 2 * (3 * l2 - 4 * l3),
+        mpmath.mpf(0),
+        -I * (l1 / 2 - 2 * l2 + 3 * l3 / 2),
+    )
+
+
+# fixture: (primitive, region, base point) of the snapshot and bench meshes
+EXACT_CASES = {
+    "example23": (_example23_primitive, Annulus(0j, 0.5, 2.0), 1.0 + 0j),
+    "example21": (_example21_primitive, Rectangle(-0.5, 0.5, -0.5, 0.5), 0.25j),
+}
+
+
+def load_fixture(name: str) -> WeierstrassData:
+    raw = json.loads((FIXTURES / f"{name}.json").read_text())
+    return WeierstrassData(
+        h=parse_expression(raw["h"]),
+        g1=parse_expression(raw["g1"]),
+        g2=parse_expression(raw["g2"]),
+        punctures=tuple(raw["punctures"]),
+    )
+
+
+def exact_mesh(name: str, resolution):
+    """The mesh of a fixture, and x at its included vertices from the exact
+    primitive at 30 digits, each rounded once to a double."""
+    primitive, region, z0 = EXACT_CASES[name]
+    mesh = build_mesh(load_fixture(name), region, resolution, z0)
+    with mpmath.workdps(30):
+        base = primitive(mpmath.mpmathify(z0))
+        exact = [
+            [float(mpmath.re(f - f0)) for f, f0 in zip(primitive(mpmath.mpmathify(z)), base)]
+            for z in mesh.z[mesh.included]
+        ]
+    return mesh, np.array(exact)
+
+
+@pytest.mark.parametrize(
+    "name, resolution",
+    [
+        ("example23", (5, 9)),
+        ("example21", 9),
+        ("example23", 17),
+        ("example23", 33),
+        ("example21", 17),
+        ("example21", 33),
+    ],
+)
+def test_vertices_equal_the_exact_primitive(name, resolution):
+    # the snapshot meshes and the benchmark's cases: within 1e-12, and the
+    # same value under the float rule the CSV and OBJ files are written by
+    mesh, exact = exact_mesh(name, resolution)
+    x = mesh.x[mesh.included]
+    assert np.max(np.abs(x - exact)) <= 1e-12
+    assert [format_float(v) for v in x.ravel()] == [format_float(v) for v in exact.ravel()]
+
+
+@pytest.mark.parametrize(
+    "snapshot, name, resolution, columns",
+    [
+        ("mesh_example23.csv", "example23", (5, 9), None),
+        ("mesh_example23.obj", "example23", (5, 9), (0, 1, 2)),
+        ("mesh_example21_p234.obj", "example21", 9, (1, 2, 3)),
+    ],
+)
+def test_mesh_snapshots_carry_the_exact_primitive(snapshot, name, resolution, columns):
+    lines = (SNAPSHOTS / snapshot).read_text().splitlines()
+    if columns is None:  # csv: re_z, im_z, x1..x4, metric, K
+        stored = [[float(f) for f in line.split(",")[2:6]] for line in lines[1:]]
+        columns = (0, 1, 2, 3)
+    else:
+        stored = [[float(f) for f in line.split()[1:]] for line in lines if line.startswith("v ")]
+    _, exact = exact_mesh(name, resolution)
+    expected = [[format_float(v) for v in row] for row in exact[:, list(columns)]]
+    assert stored == expected
+
+
+def _through_pole() -> WeierstrassData:
+    # g1 has a pole at 0.125, not a puncture, so only a positive exclusion
+    # radius fences it off
+    return WeierstrassData(h=ONE, g1=1 / (Z - 0.125), g2=ZERO, punctures=("inf",))
+
+
+def test_unsampled_edge_through_pole_fails_typed():
+    # at 33 x 33 on [-1, 1]^2 the pole is the vertex (0.125, 0), and the
+    # sampled cells (columns 0 and 16 of each row) miss it: the closed form's
+    # own path check must refuse, not pick a side of the pole
+    bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
+    with pytest.raises(PoleOnPathError) as caught:
+        build_mesh(_through_pole(), Rectangle(-1.0, 1.0, -1.0, 1.0), 33, -1.0 + 0j, tol=bare)
+    assert caught.value.pole == 0.125
+
+
+def test_unsampled_edge_through_pole_exits_math(monkeypatch, tmp_path, capsys):
+    data = tmp_path / "pole.json"
+    data.write_text(
+        json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1/(z-1/8)", "g2": "0"})
+    )
+    bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
+    monkeypatch.setattr(wlab.cli, "_tolerances", lambda args: (bare, 1.0))
+    code = wlab.cli.main(
+        ["mesh", str(data), "--region", "rect:-1,1,-1,1", "--res", "33", "--base=-1,0",
+         "--mesh-out", str(tmp_path / "m.csv")]
+    )
+    assert code == wlab.cli.EXIT_MATH
+    assert "PoleOnPathError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_CASES))
+def test_benchmark_meshes_raise_no_runtime_warning(name):
+    _, region, z0 = EXACT_CASES[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for resolution in (17, 33):
+            build_mesh(load_fixture(name), region, resolution, z0)
+
+
+@pytest.mark.parametrize("name, most", [("example23", 2), ("example21", 3)])
+def test_mesh_locates_no_extra_roots(monkeypatch, name, most):
+    # the principal parts are read at the exclusion centres already located
+    calls = 0
+    locate = wlab.rational.roots_with_multiplicity
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(wlab.rational, "roots_with_multiplicity", counting)
+    _, region, z0 = EXACT_CASES[name]
+    data = load_fixture(name)
+    calls = 0
+    build_mesh(data, region, 17, z0)
+    assert calls <= most
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +445,9 @@ def test_region_and_resolution_validation():
 
 def test_edge_through_pole_fails_loudly():
     # g1 has a pole at 0.1, placed exactly on a grid row, and the exclusion
-    # radius is zeroed so nothing fences it off: the edge quadrature must
-    # refuse rather than return garbage.
+    # radius is zeroed so nothing fences it off.  At 9 x 9 every cell is in
+    # the sampled check, whose edge quadrature must refuse rather than return
+    # garbage.
     d = WeierstrassData(h=ONE, g1=1 / (Z - 0.1), g2=ZERO, punctures=("inf",))
     bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
     with pytest.raises(QuadratureConvergenceError):
@@ -269,7 +468,8 @@ def test_csv_two_by_two(tmp_path):
 
 
 def test_csv_fields_follow_the_float_rule(tmp_path):
-    # x2 and x4 vanish along the real axis here, where quadrature leaves -0.0
+    # x2 and x4 vanish along the real axis here, where rounding leaves
+    # values below 1e-12 of either sign
     d = WeierstrassData(h=1 / Z**3, g1=Z, g2=ONE, punctures=("0", "inf"))
     m = build_mesh(d, Annulus(0j, 0.5, 2.0), (5, 9), 1.0 + 0j)
     out = tmp_path / "m.csv"
