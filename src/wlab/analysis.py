@@ -4,8 +4,8 @@ The paper's bounds rest on a few invariants of one triple (h dz, g1, g2):
 the φ-forms, the three surface conditions, the end classification, the
 periods and the ramification of each Gauss component.  ``Analysis`` derives
 each of them at most once, on first use, and every consumer reads them from
-it: the CLI commands, the bounds, the unicity comparison and the closed-form
-total curvature.  Nothing is derived before it is asked for, so ``ramify``
+it: the CLI commands, the bounds, the unicity comparison, the closed-form
+total curvature and the mesh.  Nothing is derived before it is asked for, so ``ramify``
 computes only its own component, and each step runs in the order its first
 consumer asks for it, so the first failing step is the one a plain
 evaluation would meet.

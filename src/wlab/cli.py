@@ -9,10 +9,10 @@ about one data set in a single document).
 Exit codes: 0 clean, 1 usage or input error (a genus other than 0 included),
 2 mathematical failure (a failed condition, a contradiction verdict, or a
 numerical cross-check that did not converge).  Each command that reads a data
-file derives what it reports from one ``Analysis`` of that file.  Documents go
-to stdout, or to --out when given.  No step draws random numbers, so a
-document depends only on its input and flags; every document records the
-tolerance scale used.
+file derives what it reports from one ``Analysis`` of that file (for mesh, the
+one ``build_mesh`` holds).  Documents go to stdout, or to --out when given.
+No step draws random numbers, so a document depends only on its input and
+flags; every document records the tolerance scale used.
 """
 
 from __future__ import annotations

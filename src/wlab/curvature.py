@@ -34,6 +34,7 @@ __all__ = [
     "TotalCurvatureReport",
     "QuadratureError",
     "spherical_derivative",
+    "curvature_from_metric",
     "gauss_curvature",
     "total_curvature_quadrature",
     "total_curvature_closed_form",
@@ -99,18 +100,23 @@ def _density(g1: RationalFunction, g2: RationalFunction):
     return fn
 
 
+def curvature_from_metric(d: WeierstrassData, z, lam2):
+    """K = -(sigma_1^2 + sigma_2^2) / (2 lambda^2) at z (scalar or array),
+    given lambda^2 there; the mesh passes the lambda^2 it already evaluated."""
+    s1 = spherical_derivative(d.g1, z)
+    s2 = spherical_derivative(d.g2, z)
+    return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
+
+
 def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
     """K(z) for the induced metric; always <= 0.
 
     Scalar calls validate the point (not a puncture, metric nondegenerate);
-    array calls are unchecked and vectorized for mesh sampling.
+    array calls are unchecked.
     """
     phi = phi_from_data(d)
     if isinstance(z, np.ndarray):
-        lam2 = metric_factor_from_phi(phi, z)
-        s1 = spherical_derivative(d.g1, z)
-        s2 = spherical_derivative(d.g2, z)
-        return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
+        return curvature_from_metric(d, z, metric_factor_from_phi(phi, z))
     tol = tol or Tolerances()
     from .rational import SpherePoint
 
@@ -119,9 +125,7 @@ def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
     lam2 = metric_factor_from_phi(phi, complex(z))
     if lam2 == 0.0:
         raise ValueError(f"metric degenerates at {z}: curvature undefined")
-    s1 = spherical_derivative(d.g1, z)
-    s2 = spherical_derivative(d.g2, z)
-    return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
+    return curvature_from_metric(d, z, lam2)
 
 
 @lru_cache(maxsize=8)

@@ -50,17 +50,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import gauss_curvature
+from .analysis import Analysis
+from .curvature import curvature_from_metric
 from .poly import Polynomial
 from .report import format_float_rows
 from .tolerances import Tolerances
-from .weierstrass import (
-    WeierstrassData,
-    compute_periods,
-    metric_factor_from_phi,
-    phi_from_data,
-    require_genus_zero,
-)
+from .weierstrass import WeierstrassData, metric_factor_from_phi
 
 __all__ = [
     "Rectangle",
@@ -190,31 +185,9 @@ _GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _MAX_EDGE_SPLITS = 8
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of ``v``, through the same dot products."""
-    re, im = v.real[:, None, :], v.imag[:, None, :]
-    return np.sqrt((re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0])
-
-
-def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a * b with the rounding of scalar complex arithmetic.
-
-    numpy's vectorised complex multiply may round the last bit differently
-    (it can fuse a product into the sum), so an edge's value would depend on
-    the batch it is in; four real products and two sums, each rounded once,
-    give the same bits alone or in a batch.
-    """
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def _gauss_rule(forms, mid: np.ndarray, half: np.ndarray, nodes, weights) -> np.ndarray:
     z = mid[:, None] + half[:, None] * nodes
-    return np.stack(
-        [_unfused_product(half, np.sum(weights * f(z), axis=1)) for f in forms], axis=1
-    )
+    return np.stack([half * np.sum(weights * f(z), axis=1) for f in forms], axis=1)
 
 
 def _integrate_edges(forms, a: np.ndarray, b: np.ndarray, rtol: float, depth: int = 0):
@@ -226,8 +199,8 @@ def _integrate_edges(forms, a: np.ndarray, b: np.ndarray, rtol: float, depth: in
     """
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     inc = _gauss_rule(forms, mid, half, _GL8_NODES, _GL8_WEIGHTS)
-    err = _row_norms(inc - _gauss_rule(forms, mid, half, _GL4_NODES, _GL4_WEIGHTS))
-    bad = np.flatnonzero(~(err <= rtol * np.fmax(1.0, _row_norms(inc))))
+    err = np.linalg.norm(inc - _gauss_rule(forms, mid, half, _GL4_NODES, _GL4_WEIGHTS), axis=1)
+    bad = np.flatnonzero(~(err <= rtol * np.fmax(1.0, np.linalg.norm(inc, axis=1))))
     if bad.size == 0:
         return inc
     if depth >= _MAX_EDGE_SPLITS:
@@ -529,9 +502,10 @@ def build_mesh(
     is a base point that is excluded, outside, or at a degenerate metric
     point.  A path that meets a pole raises ``PoleOnPathError`` (or
     ``QuadratureConvergenceError``, when the sampled check meets it first).
+    The forms and the periods come from one ``Analysis`` of ``d``.
     """
     tol = tol or Tolerances()
-    require_genus_zero(d.genus)
+    an = Analysis(d, tol)
     if not isinstance(region, (Rectangle, Annulus)):
         raise TypeError("region must be a Rectangle or an Annulus")
     rows, cols = _normalize_resolution(resolution)
@@ -552,7 +526,7 @@ def build_mesh(
         raise MeshRegionError(f"base point {z0} is outside the region")
     if any(abs(z0 - c) < radius for c in centers):
         raise MeshRegionError(f"base point {z0} is inside an exclusion zone")
-    phi = phi_from_data(d)
+    phi = an.phi
     if not metric_factor_from_phi(phi, z0) > 0.0:
         raise MeshRegionError(f"metric degenerates at the base point {z0}")
 
@@ -592,17 +566,15 @@ def build_mesh(
         b = zs[np.roll(sample, -1, axis=1)].reshape(-1)
         inc = _integrate_edges(forms, a, b, tol.quad_rtol)
         loops = np.sum(inc.reshape(-1, 4, 4), axis=1)
-        max_residual = float(np.max(_row_norms(loops.real)))
-        max_path_error = float(np.max(_row_norms(inc - _increments(prim, a, b))))
+        max_residual = float(np.max(np.linalg.norm(loops.real, axis=1)))
+        max_path_error = float(np.max(np.linalg.norm(inc - _increments(prim, a, b), axis=1)))
 
     x = _closed_form(prim, zs, z0, anchor, parent, child, depth)
     with np.errstate(divide="ignore", invalid="ignore"):
         metric = metric_factor_from_phi(phi, zs)
-        curvature = gauss_curvature(d, zs)
+        curvature = curvature_from_metric(d, zs, metric)
     metric = np.where(included, metric, np.nan)
     curvature = np.where(included, curvature, np.nan)
-
-    period_ok = bool(compute_periods(d, tol, phi=phi).period_ok)
 
     return SurfaceMesh(
         z=zs,
@@ -613,7 +585,7 @@ def build_mesh(
         faces=faces,
         shape=(rows, cols),
         base_point=z0,
-        universal_cover_patch=not period_ok,
+        universal_cover_patch=not an.periods.period_ok,
         max_loop_residual=max_residual,
         max_path_error=max_path_error,
     )

@@ -29,6 +29,7 @@ __all__ = [
     "WeierstrassData",
     "PhiForms",
     "ConformalityReport",
+    "ConformalityOverflowError",
     "RegularityViolation",
     "RegularityReport",
     "EndRecord",
@@ -209,50 +210,67 @@ def _conformality_numerator(phi: PhiForms) -> tuple[Polynomial, float]:
 _SAMPLES = 100
 _SAMPLE_SIGMA = 1.5
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+# node k turns by k golden angles, at the ((k mod _SAMPLES) + 1/2) / _SAMPLES
+# quantile of the Rayleigh law with scale _SAMPLE_SIGMA (the law of |z| for a
+# complex Gaussian z with that deviation per part); later rounds repeat the
+# radii at new angles, standing in for nodes at poles
+_NODES = np.array(
+    [
+        cmath.rect(
+            _SAMPLE_SIGMA * math.sqrt(-2.0 * math.log1p(-(k % _SAMPLES + 0.5) / _SAMPLES)),
+            k * _GOLDEN_ANGLE,
+        )
+        for k in range(4 * _SAMPLES)
+    ]
+)
 
 
-def _sample_nodes():
-    """Fixed conformality sample nodes: 4 * _SAMPLES candidates.
+class ConformalityOverflowError(ArithmeticError):
+    """The conformality check leaves the range of a double.
 
-    Node k turns by k golden angles, at the ((k mod _SAMPLES) + 1/2) /
-    _SAMPLES quantile of the Rayleigh law with scale _SAMPLE_SIGMA (the law
-    of |z| for a complex Gaussian z with that deviation per part).  Later
-    rounds repeat the radii at new angles, standing in for nodes at poles.
+    Either the numerator of sum(phi_i^2) has a non-finite coefficient, or
+    fewer than _SAMPLES nodes give finite, nonzero forms.
     """
-    for k in range(4 * _SAMPLES):
-        u = (k % _SAMPLES + 0.5) / _SAMPLES
-        yield cmath.rect(_SAMPLE_SIGMA * math.sqrt(-2.0 * math.log1p(-u)), k * _GOLDEN_ANGLE)
 
 
 def check_conformality(phi: PhiForms, tol: Tolerances | None = None) -> ConformalityReport:
-    """Verify sum(phi_i^2) = 0, symbolically and at the first _SAMPLES finite nodes."""
+    """Verify sum(phi_i^2) = 0, symbolically and at _SAMPLES fixed nodes.
+
+    The four forms are evaluated once each on the 4 * _SAMPLES nodes of
+    ``_NODES``.  A node is usable when sum(|phi_i|^2) is finite and nonzero,
+    which skips every node at a pole of some form (its value is not finite);
+    the first _SAMPLES usable nodes are kept, and ``numeric_residual`` is the
+    largest |sum(phi_i^2)| / sum(|phi_i|^2) over them.  Raises
+    ``ConformalityOverflowError`` when the numerator has a non-finite
+    coefficient or fewer than _SAMPLES nodes are usable.
+    """
     tol = tol or Tolerances()
     numerator, scale = _conformality_numerator(phi)
+    if not np.isfinite(np.asarray(numerator.coeffs, dtype=complex)).all():
+        raise ConformalityOverflowError(
+            "the numerator of sum(phi_i^2) has a coefficient beyond the range of a double"
+        )
     symbolic_residual = numerator.max_abs_coeff / scale
     symbolic_zero = numerator.is_zero or symbolic_residual <= tol.eps_conformal
 
-    numeric_residual = 0.0
-    samples = 0
-    for z in _sample_nodes():
-        if samples == _SAMPLES:
-            break
-        try:
-            vals = [f(z) for f in phi.forms]
-        except ZeroDivisionError:
-            continue
-        mag = sum(abs(v) ** 2 for v in vals)
-        if not math.isfinite(mag) or mag == 0.0:
-            continue
-        residual = abs(sum(v * v for v in vals)) / max(mag, 1e-300)
-        numeric_residual = max(numeric_residual, residual)
-        samples += 1
+    with np.errstate(all="ignore"):
+        vals = [f(_NODES) for f in phi.forms]
+        mag = sum(np.abs(v) ** 2 for v in vals)
+        keep = np.flatnonzero(np.isfinite(mag) & (mag != 0.0))[:_SAMPLES]
+    if keep.size < _SAMPLES:
+        raise ConformalityOverflowError(
+            f"only {keep.size} of {_NODES.size} sample nodes give finite, nonzero "
+            f"forms; the check needs {_SAMPLES}"
+        )
+    squares = sum(v[keep] * v[keep] for v in vals)
+    numeric_residual = float(np.max(np.abs(squares) / np.maximum(mag[keep], 1e-300)))
     ok = symbolic_zero and numeric_residual <= 100 * tol.eps_conformal
     return ConformalityReport(
         ok=ok,
         symbolic_zero=symbolic_zero,
         symbolic_residual=symbolic_residual,
         numeric_residual=numeric_residual,
-        samples=samples,
+        samples=_SAMPLES,
     )
 
 

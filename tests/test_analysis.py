@@ -118,6 +118,23 @@ def test_ramify_locates_the_wronskian_once(monkeypatch, capsys, tmp_path, g, pun
     assert fibers == []
 
 
+@pytest.mark.parametrize(
+    "name, region, base",
+    [("example23", "annulus:0,0,0.5,2", "1,0"), ("example21", "rect:-0.5,0.5,-0.5,0.5", "0,0.25")],
+)
+def test_mesh_derives_phi_and_periods_once(monkeypatch, capsys, tmp_path, name, region, base):
+    derived = {fn: record_calls(monkeypatch, mod, fn) for mod, fn in DERIVATIONS}
+
+    code = run(
+        capsys, "mesh", str(FIXTURES / f"{name}.json"), "--region", region,
+        f"--base={base}", "--res", "9", "--mesh-out", str(tmp_path / "m.csv"),
+    )
+
+    assert code == 0
+    assert len(derived["phi_from_data"]) == 1
+    assert len(derived["compute_periods"]) == 1
+
+
 def test_analysis_is_lazy_and_keeps_what_it_derived(monkeypatch):
     z = RationalFunction.variable()
     data = WeierstrassData(h=1 / ((z - 1) * (z - 2) * (z - 3)), g1=z, g2=z, punctures=("1", "2", "3", "inf"))

@@ -12,11 +12,14 @@ import random
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import wlab.cli
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from wlab.tolerances import Tolerances
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -354,8 +357,8 @@ def test_mesh_usage_errors(capsys, tmp_path):
     assert code == EXIT_USAGE
 
 
-def test_mesh_quadrature_breakdown_exits_math(capsys, tmp_path):
-    """A puncture sitting on a grid line defeats the adaptive edge rule."""
+def test_mesh_quadrature_breakdown_exits_math(monkeypatch, capsys, tmp_path):
+    """A pole on a grid line, left unfenced, defeats the adaptive edge rule."""
     bad = tmp_path / "onaxis.json"
     bad.write_text(
         json.dumps(
@@ -368,17 +371,42 @@ def test_mesh_quadrature_breakdown_exits_math(capsys, tmp_path):
             }
         )
     )
+    bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
+    monkeypatch.setattr(wlab.cli, "_tolerances", lambda args: (bare, 1.0))
+    # at 9 x 9 every face is sampled, so the edge (0, 0.25) through the pole
+    # at 0.1 reaches the quadrature check before the closed form's path check
     code, _, err = run(
         capsys,
         "mesh", str(bad),
         "--region", "rect:-1,1,-1,1",
         "--res", "9",
-        "--base", "-1,0",
-        "--tolerance-scale", "1e-9",
+        "--base=-1,0",
         "--mesh-out", str(tmp_path / "m.csv"),
     )
-    # either the edge rule gives up (math failure) or the region check catches it
-    assert code in (EXIT_MATH, EXIT_USAGE)
+    assert code == EXIT_MATH
+    assert "QuadratureConvergenceError" in err
+
+
+def huge_h_data(tmp_path, h: str) -> str:
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": h, "g1": "z", "g2": "0"}))
+    return str(data)
+
+
+def test_forms_beyond_a_double_fail_typed(capsys, tmp_path):
+    # (h/2)^2 overflows: a typed failure, not a document with a NaN residual
+    code = main(["check", huge_h_data(tmp_path, "1e160")])
+    captured = capsys.readouterr()
+    assert code == EXIT_MATH
+    assert "ConformalityOverflowError" in captured.err
+    assert "nan" not in captured.out
+
+
+def test_forms_near_the_double_limit_keep_their_document(capsys, tmp_path):
+    code, doc, _ = run(capsys, "check", huge_h_data(tmp_path, "1e150"))
+    assert code == EXIT_OK
+    assert doc["report"]["conformality"]["ok"] is True
+    assert doc["report"]["conformality"]["samples"] == 100
 
 
 def test_check_exact_residue_at_infinity(capsys, tmp_path):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from wlab import weierstrass
+from wlab.exprparse import parse_expression
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.weierstrass import (
+    ConformalityOverflowError,
     DataRequiresRotationError,
     PhiForms,
     WeierstrassData,
@@ -21,6 +27,7 @@ from wlab.weierstrass import (
     quadric_embedding,
 )
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 Z = RationalFunction.variable()
 ONE = RationalFunction.constant(1)
 ZERO = RationalFunction.constant(0)
@@ -112,11 +119,111 @@ def test_conformality_by_construction():
 
 
 def test_conformality_detects_corruption():
-    phi = phi_from_data(double_pole_pair())
-    bad = PhiForms(phi.phi1, phi.phi2, phi.phi3, phi.phi4 * 1.01)
-    report = check_conformality(bad)
+    report = check_conformality(corrupted_phi())
     assert not report.ok
     assert not report.symbolic_zero
+
+
+def corrupted_phi() -> PhiForms:
+    phi = phi_from_data(double_pole_pair())
+    return PhiForms(phi.phi1, phi.phi2, phi.phi3, phi.phi4 * 1.01)
+
+
+def reference_nodes():
+    """The conformality nodes, one at a time: 4 * 100 candidates."""
+    golden_angle = math.pi * (3.0 - math.sqrt(5.0))
+    for k in range(400):
+        u = (k % 100 + 0.5) / 100
+        yield cmath.rect(1.5 * math.sqrt(-2.0 * math.log1p(-u)), k * golden_angle)
+
+
+def reference_conformality(phi: PhiForms) -> tuple[float, int]:
+    """(numeric_residual, samples) by scalar evaluation, node after node."""
+    numeric_residual = 0.0
+    samples = 0
+    for z in reference_nodes():
+        if samples == 100:
+            break
+        try:
+            vals = [f(z) for f in phi.forms]
+        except ZeroDivisionError:
+            continue
+        mag = sum(abs(v) ** 2 for v in vals)
+        if not math.isfinite(mag) or mag == 0.0:
+            continue
+        residual = abs(sum(v * v for v in vals)) / max(mag, 1e-300)
+        numeric_residual = max(numeric_residual, residual)
+        samples += 1
+    return numeric_residual, samples
+
+
+def fixture_phi(name: str) -> PhiForms:
+    raw = json.loads((FIXTURES / f"{name}.json").read_text())
+    return phi_from_data(
+        WeierstrassData(
+            h=parse_expression(raw["h"]),
+            g1=parse_expression(raw["g1"]),
+            g2=parse_expression(raw["g2"]),
+            punctures=tuple(raw["punctures"]),
+        )
+    )
+
+
+def pole_on_first_node() -> PhiForms:
+    first = next(reference_nodes())
+    phi = phi_from_data(WeierstrassData(h=1 / (Z - first), g1=Z, g2=ZERO, punctures=("inf",)))
+    assert all(f.den(first) == 0 for f in phi.forms if not f.is_zero)
+    return phi
+
+
+def test_conformality_nodes_are_the_reference_nodes():
+    assert np.array_equal(weierstrass._NODES, np.array(list(reference_nodes())))
+
+
+FIXTURE_NAMES = (
+    "example21", "example22", "example23", "irregular",
+    "unicity_five_a", "unicity_five_b", "unicity_six_a", "unicity_six_b",
+)
+CONFORMALITY_CASES = {
+    **{name: (lambda name=name: fixture_phi(name)) for name in FIXTURE_NAMES},
+    "corrupted": corrupted_phi,
+    "pole-on-first-node": pole_on_first_node,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFORMALITY_CASES))
+def test_conformality_batch_matches_the_node_loop(name):
+    phi = CONFORMALITY_CASES[name]()
+    residual, samples = reference_conformality(phi)
+    report = check_conformality(phi)
+    assert report.samples == samples == 100
+    assert abs(report.numeric_residual - residual) <= 1e-14
+
+
+def test_conformality_evaluates_each_form_once(monkeypatch):
+    phi = phi_from_data(triple_poles_123())
+    calls = 0
+    evaluate = RationalFunction.__call__
+
+    def counting(self, z):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, z)
+
+    monkeypatch.setattr(RationalFunction, "__call__", counting)
+    check_conformality(phi)
+    assert calls == 4
+
+
+def test_conformality_overflow_is_typed():
+    huge = phi_from_data(WeierstrassData(h=RationalFunction.constant(1e160), g1=Z, g2=ZERO))
+    with pytest.raises(ConformalityOverflowError, match="numerator"):
+        check_conformality(huge)
+    # the numerator 1e308 z^2 - 1e308 z^2 is finite, but |phi|^2 = 2e308 |z|^2
+    # is finite only for |z| < 0.95, at fewer than 100 of the nodes
+    edge = PhiForms(Z * 1e154, Z * 1e154j, ZERO, ZERO)
+    with pytest.raises(ConformalityOverflowError, match="sample nodes"):
+        check_conformality(edge)
 
 
 # ---------------------------------------------------------------------------
