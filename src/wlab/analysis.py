@@ -10,6 +10,12 @@ computes only its own component, and each step runs in the order its first
 consumer asks for it, so the first failing step is the one a plain
 evaluation would meet.
 
+Every pole of a φ-form is a pole of h, g1 or g2, so each distinct
+denominator of those is root-found once (``singular_points``) and the
+forms' principal parts are read there (``principal_parts``): regularity,
+the periods and the mesh primitive all read that one table.  Equal Gauss
+components share one ramification report.
+
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.
 
@@ -25,6 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .ramification import RamificationReport, ramification_report
+from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
     ConformalityReport,
@@ -45,7 +52,11 @@ if TYPE_CHECKING:
     from .bounds import BoundsReport
     from .curvature import TotalCurvatureReport
 
-__all__ = ["Analysis"]
+__all__ = ["Analysis", "PoleTableError"]
+
+
+class PoleTableError(ArithmeticError):
+    """The poles located for h, g1 and g2 miss part of a φ-form's denominator."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,12 +79,50 @@ class Analysis:
         return phi_from_data(self.data)
 
     @cached_property
+    def singular_points(self) -> tuple[complex, ...]:
+        """The finite punctures, then every finite pole of h, g1 and g2: each
+        distinct denominator is root-found once, and a point within eps_pt of
+        an earlier one is dropped."""
+        d, tol = self.data, self.tol
+        points = d.finite_punctures()
+        for den in dict.fromkeys(f.den for f in (d.h, d.g1, d.g2) if f.den.degree >= 1):
+            points += [r for r, _m in roots_with_multiplicity(den, tol)]
+        out: list[complex] = []
+        for p in points:
+            if all(abs(p - q) > tol.eps_pt for q in out):
+                out.append(p)
+        return tuple(out)
+
+    @cached_property
+    def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:
+        """Each singular point where some form has a pole, mapped to the four
+        forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular.
+
+        Raises ``PoleTableError`` unless each form's pole orders add up to
+        its (monic) denominator's degree: no pole went unlocated.
+        """
+        forms = self.phi.forms
+        table = {}
+        for p in self.singular_points:
+            laurent = tuple(f.principal_part_at(p, self.tol) for f in forms)
+            if any(laurent):
+                table[p] = laurent
+        for k, f in enumerate(forms):
+            located = sum(len(laurent[k]) for laurent in table.values())
+            if located != f.den.degree:
+                raise PoleTableError(
+                    f"the poles of phi_{k + 1} at the data's singular points have total "
+                    f"order {located}, but its denominator has degree {f.den.degree}"
+                )
+        return table
+
+    @cached_property
     def conformality(self) -> ConformalityReport:
         return check_conformality(self.phi, self.tol)
 
     @cached_property
     def regularity(self) -> RegularityReport:
-        return check_regularity(self.data, self.tol)
+        return check_regularity(self)
 
     @cached_property
     def ends(self) -> EndClassification:
@@ -81,16 +130,21 @@ class Analysis:
 
     @cached_property
     def periods(self) -> PeriodReport:
-        return compute_periods(self.data, self.tol, phi=self.phi)
+        return compute_periods(self)
 
     def ramification(self, component: int) -> RamificationReport:
-        """Ramification report of Gauss component 1 or 2 (non-constant only)."""
-        if component not in self._ramification:
-            g = self.data.g1 if component == 1 else self.data.g2
-            self._ramification[component] = ramification_report(
+        """Ramification report of Gauss component 1 or 2 (non-constant only).
+
+        Reports are kept by the component's reduced coefficients, so equal
+        components share one.
+        """
+        g = self.data.g1 if component == 1 else self.data.g2
+        key = (g.num.coeffs, g.den.coeffs)
+        if key not in self._ramification:
+            self._ramification[key] = ramification_report(
                 g, self.data.punctures, self.data.genus, self.tol
             )
-        return self._ramification[component]
+        return self._ramification[key]
 
     @cached_property
     def bounds(self) -> BoundsReport:

@@ -6,8 +6,8 @@ primitive F_k: the integral of the polynomial part of phi_k (from
 principal-part term a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
 residue c at each pole p (Bronstein, *Symbolic Integration I*, ch. 2).  The
 Laurent coefficients are read off ``RationalFunction.principal_part_at`` at
-the exclusion centres the mesh locates anyway, so meshing finds no roots
-beyond those.
+the data's poles, from the ``Analysis`` table of principal parts, so
+meshing seeks no root of its own.
 
 Re(c log(z - p)) = Re(c) log|z - p| - Im(c) arg(z - p).  Where Im c != 0 the
 arg is continued along a fixed integration tree, laid out from the grid
@@ -19,12 +19,13 @@ the tree sum only picks each vertex's branch, and the arg itself is taken
 in one step from the base point.  A vertex or tree edge that meets a pole
 raises ``PoleOnPathError`` rather than guess a side.
 
-Punctures and poles of h, g1, g2 are fenced off by an exclusion radius
-(mesh_exclusion_factor times the region diameter), because the metric blows
-up at complete ends.  The patch itself is always simply connected, so x is
-single-valued on it even when the periods of the data do not vanish; the
-mesh is then stamped ``universal_cover_patch`` to record that the surface as
-a whole only closes up on the universal cover.  Annular grids are cut along
+Punctures and poles of h, g1, g2 (``Analysis.singular_points``) are fenced
+off by an exclusion radius (mesh_exclusion_factor times the region
+diameter), because the metric blows up at complete ends.  The patch itself
+is always simply connected, so x is single-valued on it even when the
+periods of the data do not vanish; the mesh is then stamped
+``universal_cover_patch`` to record that the surface as a whole only closes
+up on the universal cover.  Annular grids are cut along
 the angle-0 seam, with the seam column duplicated, for the same reason.
 
 An independent check runs first, on a sample of at most 64 grid cells: each
@@ -239,14 +240,6 @@ def _grid_points(region, rows: int, cols: int) -> np.ndarray:
     return (region.center + radii[:, None] * np.exp(1j * angles[None, :])).reshape(-1)
 
 
-def _exclusion_centers(d: WeierstrassData, tol: Tolerances) -> list[complex]:
-    centers = list(d.finite_punctures())
-    for f in (d.h, d.g1, d.g2):
-        for point, _order in f.finite_poles(tol):
-            centers.append(point)
-    return centers
-
-
 def _segments_clear(a: np.ndarray, b: np.ndarray, centers, radius: float) -> np.ndarray:
     """Whether each segment [a, b] stays at least ``radius`` from every center."""
     ab = b - a
@@ -386,33 +379,12 @@ class _Primitive:
         return out
 
 
-def _primitive(forms, centers, tol: Tolerances) -> _Primitive:
-    """Each form's primitive, with its principal parts read at the centres.
-
-    A centre within eps_pt of an earlier one is the same point.  The poles
-    found must account for every form's (monic) denominator.
-    """
-    seen: list[complex] = []
-    poles, parts = [], []
-    for c in centers:
-        if any(abs(c - s) <= tol.eps_pt for s in seen):
-            continue
-        seen.append(c)
-        laurent = [f.principal_part_at(c, tol) for f in forms]
-        if any(laurent):
-            poles.append(c)
-            parts.append(laurent)
-    for k, f in enumerate(forms):
-        located = sum(len(laurent[k]) for laurent in parts)
-        if located != f.den.degree:
-            raise RuntimeError(
-                f"the poles of phi_{k + 1} at the exclusion centres have total "
-                f"order {located}, but its denominator has degree {f.den.degree}"
-            )
-    width = max((len(a) for laurent in parts for a in laurent), default=1) - 1
-    inverse = np.zeros((4, len(poles), width), dtype=complex)
-    residues = np.zeros((4, len(poles)), dtype=complex)
-    for j, laurent in enumerate(parts):
+def _primitive(forms, parts: dict) -> _Primitive:
+    """Each form's primitive, from its principal parts at the table's poles."""
+    width = max((len(a) for laurent in parts.values() for a in laurent), default=1) - 1
+    inverse = np.zeros((4, len(parts), width), dtype=complex)
+    residues = np.zeros((4, len(parts)), dtype=complex)
+    for j, laurent in enumerate(parts.values()):
         for k, a in enumerate(laurent):
             # a = (a_-m, ..., a_-1); a_-(n+1) (z - p)^-(n+1) integrates to
             # -a_-(n+1) / n (z - p)^-n
@@ -422,7 +394,7 @@ def _primitive(forms, centers, tol: Tolerances) -> _Primitive:
             for n in range(1, m):
                 inverse[k, j, n - 1] = -a[m - 1 - n] / n
     poly = tuple(f.num.divmod_by(f.den)[0].antiderivative() for f in forms)
-    return _Primitive(poly, np.array(poles, dtype=complex), inverse, residues)
+    return _Primitive(poly, np.array(list(parts), dtype=complex), inverse, residues)
 
 
 def _turns(prim: _Primitive, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -501,8 +473,10 @@ def build_mesh(
     strictly inside the region with a zero exclusion factor is an error, as
     is a base point that is excluded, outside, or at a degenerate metric
     point.  A path that meets a pole raises ``PoleOnPathError`` (or
-    ``QuadratureConvergenceError``, when the sampled check meets it first).
-    The forms and the periods come from one ``Analysis`` of ``d``.
+    ``QuadratureConvergenceError``, when the sampled check meets it first),
+    and a metric factor at the base point beyond the range of a double
+    raises ``MetricOverflowError``.  The forms, the exclusion centres, the
+    principal parts and the periods come from one ``Analysis`` of ``d``.
     """
     tol = tol or Tolerances()
     an = Analysis(d, tol)
@@ -514,7 +488,7 @@ def build_mesh(
     zs = _grid_points(region, rows, cols)
     n = zs.size
     radius = tol.mesh_exclusion_factor * region.diameter
-    centers = _exclusion_centers(d, tol)
+    centers = an.singular_points
 
     if radius <= 0.0:
         for p in d.finite_punctures():
@@ -530,11 +504,7 @@ def build_mesh(
     if not metric_factor_from_phi(phi, z0) > 0.0:
         raise MeshRegionError(f"metric degenerates at the base point {z0}")
 
-    included = np.ones(n, dtype=bool)
-    if centers:
-        carr = np.array(centers)
-        dist = np.min(np.abs(zs[:, None] - carr[None, :]), axis=1)
-        included &= dist >= radius
+    included = _segments_clear(zs, zs, centers, radius)  # each vertex as a point segment
     if not included.any():
         raise MeshRegionError("every grid vertex falls inside an exclusion zone")
 
@@ -546,7 +516,7 @@ def build_mesh(
     down = clear_down & inc2[:-1, :] & inc2[1:, :]
 
     forms = phi.forms
-    prim = _primitive(forms, centers, tol)
+    prim = _primitive(forms, an.principal_parts)
     candidates = np.flatnonzero(included)
     anchor = int(candidates[np.argmin(np.abs(zs[candidates] - z0))])
     parent, child, depth = _integration_tree(right, down, anchor, cols)

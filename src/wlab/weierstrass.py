@@ -16,14 +16,19 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
 from .poly import Polynomial
-from .rational import INF, RationalFunction, SpherePoint
+from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 __all__ = [
     "WeierstrassData",
@@ -37,6 +42,7 @@ __all__ = [
     "PeriodEntry",
     "PeriodReport",
     "DataRequiresRotationError",
+    "MetricOverflowError",
     "ResidueQuadratureError",
     "UnsupportedGenusError",
     "require_genus_zero",
@@ -62,6 +68,10 @@ class DataRequiresRotationError(ValueError):
 
 class UnsupportedGenusError(ValueError):
     """Computed (function-level) analyses exist only on the genus-0 sphere."""
+
+
+class MetricOverflowError(ArithmeticError):
+    """The metric factor at a point leaves the range of a double."""
 
 
 class ResidueQuadratureError(RuntimeError):
@@ -293,44 +303,23 @@ class RegularityReport:
     checked_points: tuple[SpherePoint, ...]
 
 
-def _candidate_points(d: WeierstrassData, tol: Tolerances) -> list[SpherePoint]:
-    """Every point where the metric factor could vanish or blow up.
-
-    Away from zeros/poles of h and poles of g1, g2 the metric is a positive
-    finite multiple of |dz|^2, so those are the only points to inspect
-    (infinity always is, because dz itself degenerates there).
-    """
-    found: list[SpherePoint] = [INF]
-
-    def push(pt: SpherePoint) -> None:
-        for known in found:
-            if pt.close_to(known, tol.eps_pt):
-                return
-        found.append(pt)
-
-    for entry in d.h.zeros_and_poles(tol):
-        push(entry.point)
-    for g in (d.g1, d.g2):
-        for z0, _order in g.finite_poles(tol):
-            push(SpherePoint(z0))
-        if not g.is_constant and g.order_at(INF, tol) < 0:
-            push(INF)
-    found.sort(key=lambda p: p.sort_key())
-    return found
-
-
-def check_regularity(d: WeierstrassData, tol: Tolerances | None = None) -> RegularityReport:
+def check_regularity(an: Analysis) -> RegularityReport:
     """Check that h dz vanishes exactly where the Gauss maps have poles.
 
     At every non-puncture point the metric factor is ``|h dz|^2 (1+|g1|^2)(1+|g2|^2) / 4``
     and must be finite and nonzero, which pins the order of h dz to the sum
-    of the two pole orders.  Punctures are exempt.
+    of the two pole orders.  Punctures are exempt.  Away from zeros and
+    poles of h and poles of g1, g2 the metric is a positive finite multiple
+    of |dz|^2, so only those points are inspected, and infinity, where dz
+    itself degenerates.  Only h's zeros are root-found here; they come
+    before ``an.singular_points``, and a point within eps_pt of an earlier
+    one is the same point.
     """
-    tol = tol or Tolerances()
-    require_genus_zero(d.genus)
-    violations = []
-    checked = []
-    for pt in _candidate_points(d, tol):
+    d, tol = an.data, an.tol
+    zeros = [z0 for z0, _m in roots_with_multiplicity(d.h.num, tol)] if d.h.num.degree >= 1 else []
+    candidates = distinct_points([INF, *map(SpherePoint, (*zeros, *an.singular_points))], tol.eps_pt)
+    violations, checked = [], []
+    for pt in sorted(candidates, key=SpherePoint.sort_key):
         if d.is_puncture(pt, tol.eps_pt):
             continue
         checked.append(pt)
@@ -457,9 +446,7 @@ def _quadrature_cross_check(
     return worst
 
 
-def compute_periods(
-    d: WeierstrassData, tol: Tolerances | None = None, *, phi: PhiForms | None = None
-) -> PeriodReport:
+def compute_periods(an: Analysis) -> PeriodReport:
     """Residues of the four forms at each puncture and the resulting periods.
 
     On a genus-0 domain every cycle is homologous to a sum of small loops
@@ -468,72 +455,50 @@ def compute_periods(
     authoritative; trapezoidal contour quadrature (finite punctures only)
     guards against mis-clustered poles.  The loop around infinity is
     resolved through the global residue relation instead of a contour.
-    ``phi`` is the forms of ``d`` when the caller already holds them.
 
-    Each distinct denominator's poles are located once, and each form's
-    residue at infinity and sum of finite-pole residues are computed once.
+    Every finite residue is the last Laurent coefficient of a form in
+    ``an.principal_parts``, so no root is sought here; the contours avoid
+    every puncture and every point of that table.
     """
-    tol = tol or Tolerances()
-    require_genus_zero(d.genus)
-    if phi is None:
-        phi = phi_from_data(d)
-    forms = phi.forms
-    scale = phi.coefficient_scale()
-    eps_period = tol.eps_period_rel * scale
-
-    # forms often share a denominator, and equal denominators have equal poles
-    poles_of_den: dict[tuple[complex, ...], list[complex]] = {}
-    for f in forms:
-        if f.den.coeffs not in poles_of_den:
-            poles_of_den[f.den.coeffs] = [z0 for z0, _ in f.finite_poles(tol)]
-    poles = [poles_of_den[f.den.coeffs] for f in forms]
-    special: list[complex] = list(d.finite_punctures())
-    for form_poles in poles:
-        for z0 in form_poles:
-            if all(abs(z0 - s) > tol.eps_pt for s in special):
-                special.append(z0)
+    d, tol, forms = an.data, an.tol, an.phi.forms
+    eps_period = tol.eps_period_rel * an.phi.coefficient_scale()
+    parts = an.principal_parts
+    special = [*d.finite_punctures(), *parts]
 
     at_inf = [f.residue_at(INF, tol) for f in forms]
-    finite_sums = [sum(f.residue_at(z0, tol) for z0 in fp) for f, fp in zip(forms, poles)]
+    finite_sums = [sum(row[k][-1] for row in parts.values() if row[k]) for k in range(4)]
 
     entries = []
     max_err = 0.0
     for p in d.punctures:
-        residues = []
         if p.is_infinity:
-            for idx in range(len(forms)):
-                exact = at_inf[idx]
+            res4 = tuple(at_inf)
+            for idx, (exact, others) in enumerate(zip(at_inf, finite_sums)):
                 # Dual route: residue at infinity must close the global sum.
-                others = finite_sums[idx]
                 err = abs(exact + others) / max(1.0, abs(exact))
                 if err > tol.residue_cross_rtol:
                     raise ResidueQuadratureError(p, idx, exact, -others)
                 max_err = max(max_err, err)
-                residues.append(exact)
         else:
             center = p.value
             others = [s for s in special if abs(s - center) > tol.eps_pt]
             radius = 0.5 * min((abs(s - center) for s in others), default=2.0)
+            res4 = tuple(a[-1] if a else 0j for a in parts.get(center, ((),) * 4))
             for idx, f in enumerate(forms):
-                exact = f.residue_at(center, tol)
                 err = _quadrature_cross_check(
-                    f, center, radius, exact, tol.residue_cross_rtol, p, idx
+                    f, center, radius, res4[idx], tol.residue_cross_rtol, p, idx
                 )
                 max_err = max(max_err, err)
-                residues.append(exact)
-        res4 = tuple(residues)
         periods = tuple(2j * math.pi * r for r in res4)
         real_parts = tuple(pd.real for pd in periods)
         ok = all(abs(rp) <= eps_period for rp in real_parts)
         entries.append(PeriodEntry(p, res4, periods, real_parts, ok))
 
-    sums = [complex(s + r) for s, r in zip(finite_sums, at_inf)]
-
     return PeriodReport(
         entries=tuple(entries),
         period_ok=bool(entries) and all(e.ok for e in entries),
         eps_period=eps_period,
-        residue_sums=tuple(sums),
+        residue_sums=tuple(complex(s + r) for s, r in zip(finite_sums, at_inf)),
         max_cross_check_error=max_err,
     )
 
@@ -559,13 +524,23 @@ def metric_factor(d: WeierstrassData, z):
 
 
 def metric_factor_from_phi(phi: PhiForms, z):
-    """lambda^2 computed as sum(|phi_i|^2)/2; finite across poles of g1, g2."""
+    """lambda^2 computed as sum(|phi_i|^2)/2; finite across poles of g1, g2.
+
+    A scalar lambda^2 beyond the range of a double raises
+    ``MetricOverflowError``; arrays carry inf.
+    """
     if isinstance(z, np.ndarray):
         total = np.zeros(z.shape, dtype=float)
         for f in phi.forms:
             total += np.abs(f(z)) ** 2
         return 0.5 * total
-    return 0.5 * sum(abs(f(complex(z))) ** 2 for f in phi.forms)
+    try:
+        total = 0.5 * sum(abs(f(complex(z))) ** 2 for f in phi.forms)
+    except OverflowError:
+        total = math.inf
+    if math.isinf(total):
+        raise MetricOverflowError(f"the metric factor at {complex(z)} exceeds the range of a double")
+    return total
 
 
 def _cleared_numerators(phi: PhiForms) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:

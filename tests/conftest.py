@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import sys
 
 import pytest
 
@@ -30,3 +31,29 @@ def _time_limit(seconds: float):
 def time_limit():
     """``with time_limit(s): ...`` fails the test instead of hanging past s seconds."""
     return _time_limit
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """``record_calls(module, name)``: the positional arguments of every later
+    call to ``module.name``.
+
+    The counting wrapper is bound into every ``wlab`` module that holds the
+    function, so a call is seen whichever module's binding makes it.
+    """
+
+    def record(module, name: str) -> list[tuple]:
+        original = getattr(module, name)
+        calls: list[tuple] = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "wlab" or modname.startswith("wlab."):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    return record

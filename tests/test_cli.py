@@ -7,6 +7,7 @@ entry point itself.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import subprocess
@@ -407,6 +408,38 @@ def test_forms_near_the_double_limit_keep_their_document(capsys, tmp_path):
     assert code == EXIT_OK
     assert doc["report"]["conformality"]["ok"] is True
     assert doc["report"]["conformality"]["samples"] == 100
+
+
+MESH_NEAR_ORIGIN = ("--region", "rect:-1,1,-1,1", "--base=0,0", "--res", "5")
+
+
+def test_mesh_metric_beyond_a_double_fails_typed(capsys, tmp_path):
+    # lambda^2 ~ 1e320 at the base point: a typed failure, not OverflowError
+    out = tmp_path / "m.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, err = run(
+            capsys, "mesh", huge_h_data(tmp_path, "1e160"), *MESH_NEAR_ORIGIN, "--mesh-out", str(out)
+        )
+    assert code == EXIT_MATH and doc is None
+    assert err.startswith("failure: MetricOverflowError: the metric factor at 0j")
+    assert not out.exists()
+
+
+def test_mesh_near_the_double_limit_keeps_its_file(capsys, tmp_path):
+    out = tmp_path / "m.csv"
+    code, doc, err = run(
+        capsys, "mesh", huge_h_data(tmp_path, "1e150"), *MESH_NEAR_ORIGIN, "--mesh-out", str(out)
+    )
+    assert code == EXIT_OK and err == ""
+    summary = doc["report"]
+    assert (summary["vertices"], summary["included"], summary["faces"]) == (25, 25, 16)
+    assert summary["universal_cover_patch"] is False
+    text = out.read_text()
+    assert text.splitlines()[1] == "-1,-1,-5e+149,5e+149,0,5e+149,7.5e+299,0"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "e3c9bdebbeb1862b7daafce4761f16a06e1add7e5d24a03612131f5c54998e34"
+    )
 
 
 def test_check_exact_residue_at_infinity(capsys, tmp_path):

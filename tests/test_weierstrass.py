@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from wlab import weierstrass
+from wlab.analysis import Analysis
 from wlab.exprparse import parse_expression
 from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.tolerances import Tolerances
 from wlab.weierstrass import (
     ConformalityOverflowError,
     DataRequiresRotationError,
@@ -26,6 +28,8 @@ from wlab.weierstrass import (
     phi_from_data,
     quadric_embedding,
 )
+
+from test_bounds import loadable_fixtures, random_regular_data
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 Z = RationalFunction.variable()
@@ -232,13 +236,13 @@ def test_conformality_overflow_is_typed():
 
 def test_regularity_passes_on_fixtures():
     for data in (triple_poles_123(), double_pole_pair(), cubic_pole()):
-        report = check_regularity(data)
+        report = check_regularity(Analysis(data))
         assert report.ok, [str(v) for v in report.violations]
 
 
 def test_regularity_gauss_pole_without_zero():
     data = WeierstrassData(h=ONE, g1=1 / Z, g2=ZERO, punctures=())
-    report = check_regularity(data)
+    report = check_regularity(Analysis(data))
     assert not report.ok
     bad_points = {str(v.point) for v in report.violations}
     assert "0" in bad_points
@@ -250,7 +254,7 @@ def test_regularity_gauss_pole_without_zero():
 def test_regularity_counts_infinity():
     # plain dz degenerates at infinity, so leaving it unpunctured must fail
     data = WeierstrassData(h=ONE, g1=ZERO, g2=ZERO, punctures=())
-    report = check_regularity(data)
+    report = check_regularity(Analysis(data))
     assert not report.ok
     assert any(v.point.is_infinity for v in report.violations)
 
@@ -258,7 +262,7 @@ def test_regularity_counts_infinity():
 def test_regularity_compensated_double_zero():
     # h dz vanishing to order 2 at 1 against two simple Gauss-map poles
     data = WeierstrassData(h=(Z - 1) ** 2, g1=1 / (Z - 1), g2=1 / (Z - 1), punctures=("inf",))
-    assert check_regularity(data).ok
+    assert check_regularity(Analysis(data)).ok
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +328,7 @@ def test_ends_moebius_invariance():
 
 
 def test_periods_triple_poles_fail_with_known_residue():
-    report = compute_periods(triple_poles_123())
+    report = compute_periods(Analysis(triple_poles_123()))
     assert not report.period_ok
     entry1 = next(e for e in report.entries if e.puncture.close_to(SpherePoint(1 + 0j), 1e-9))
     assert entry1.residues[3] == pytest.approx(-0.5j, abs=1e-10)
@@ -336,7 +340,7 @@ def test_periods_triple_poles_fail_with_known_residue():
 
 
 def test_periods_double_pole_pair_fails_via_phi2():
-    report = compute_periods(double_pole_pair())
+    report = compute_periods(Analysis(double_pole_pair()))
     assert not report.period_ok
     entry0 = next(e for e in report.entries if e.puncture.close_to(SpherePoint(0j), 1e-9))
     assert entry0.residues[1] == pytest.approx(-0.5j, abs=1e-10)
@@ -344,7 +348,7 @@ def test_periods_double_pole_pair_fails_via_phi2():
 
 
 def test_periods_cubic_pole_all_zero():
-    report = compute_periods(cubic_pole())
+    report = compute_periods(Analysis(cubic_pole()))
     assert report.period_ok
     for entry in report.entries:
         for r in entry.residues:
@@ -353,8 +357,52 @@ def test_periods_cubic_pole_all_zero():
 
 
 def test_periods_scale_recorded():
-    report = compute_periods(cubic_pole())
+    report = compute_periods(Analysis(cubic_pole()))
     assert report.eps_period >= 1e-10
+
+
+def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
+    """Residue sums and the largest cross-check error, each form's poles
+    root-found from its own denominator: the second route to the numbers
+    ``compute_periods`` reads off the Analysis pole table."""
+    forms = phi_from_data(d).forms
+    poles = [[z0 for z0, _ in f.finite_poles(tol)] for f in forms]
+    special = list(d.finite_punctures())
+    for z0 in (z0 for form_poles in poles for z0 in form_poles):
+        if all(abs(z0 - s) > tol.eps_pt for s in special):
+            special.append(z0)
+    finite = [sum(f.residue_at(z0, tol) for z0 in fp) for f, fp in zip(forms, poles)]
+    at_inf = [f.residue_at(INF, tol) for f in forms]
+    worst = 0.0
+    for p in d.punctures:
+        if p.is_infinity:
+            errs = [abs(r + s) / max(1.0, abs(r)) for r, s in zip(at_inf, finite)]
+        else:
+            c = p.value
+            radius = 0.5 * min((abs(s - c) for s in special if abs(s - c) > tol.eps_pt), default=2.0)
+            errs = [
+                weierstrass._quadrature_cross_check(f, c, radius, f.residue_at(c, tol), math.inf, p, k)
+                for k, f in enumerate(forms)
+            ]
+        worst = max(worst, *errs)
+    return [s + r for s, r in zip(finite, at_inf)], worst
+
+
+def test_periods_from_the_pole_table_match_the_phi_denominators():
+    # each route's residue sums estimate the exact 0 of the residue theorem;
+    # root-finding a product denominator costs the second route up to
+    # 1.4e-12 there (random set 15), the table's stay below 1e-14 * scale
+    tol = Tolerances()
+    rng = np.random.default_rng(3)
+    for d in loadable_fixtures() + [random_regular_data(rng) for _ in range(40)]:
+        sums, worst = periods_from_phi_denominators(d, tol)
+        an = Analysis(d, tol)
+        scale = an.phi.coefficient_scale()
+        report = an.periods
+        for got, want in zip(report.residue_sums, sums):
+            assert abs(got) <= 1e-14 * scale, d
+            assert abs(got - want) <= 1e-12 * scale, d
+        assert abs(report.max_cross_check_error - worst) <= 1e-12 * scale, d
 
 
 # ---------------------------------------------------------------------------
