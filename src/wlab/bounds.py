@@ -49,6 +49,7 @@ from .analysis import Analysis
 from .exprparse import as_sphere_point
 from .ramification import exceptional_values, preimages
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE, WeierstrassData
 
@@ -527,9 +528,14 @@ def shared_values(
     for p in pts:
         candidates.append(gA.value_at_sphere(p, tol))
         candidates.append(gB.value_at_sphere(p, tol))
-    for e in (gA - gB).zeros_and_poles(tol):
-        if e.order > 0:
-            candidates.append(gA.value_at_sphere(e.point, tol))
+    # only the zeros of the difference are candidates, so its denominator is
+    # never located; a zero at infinity is read off the degrees
+    diff = gA - gB
+    if diff.num.degree >= 1:
+        for r, _m in roots_with_multiplicity(diff.num, tol):
+            candidates.append(gA.value_at_sphere(SpherePoint(r), tol))
+    if diff.den.degree > diff.num.degree:
+        candidates.append(gA.value_at_sphere(INF, tol))
     candidates.append(INF)
 
     shared: list[SharedValue] = []
@@ -618,7 +624,11 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
         notes.append("2G-2+k <= 0: ratios undefined")
 
     shared1 = shared_values(dataA.g1, dataB.g1, dataA.punctures, tol) if not id1 else SharedValues(SHARED_IDENTICAL, ())
-    shared2 = shared_values(dataA.g2, dataB.g2, dataA.punctures, tol) if not id2 else SharedValues(SHARED_IDENTICAL, ())
+    # equal reduced coefficients in both data sets: the second pair is the first
+    if all((d.g2.num, d.g2.den) == (d.g1.num, d.g1.den) for d in (dataA, dataB)):
+        shared2 = shared1
+    else:
+        shared2 = shared_values(dataA.g2, dataB.g2, dataA.punctures, tol) if not id2 else SharedValues(SHARED_IDENTICAL, ())
 
     def _count(sv: SharedValues) -> int | None:
         return len(sv.values) if sv.kind == SHARED_GENERIC else None

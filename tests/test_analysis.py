@@ -93,6 +93,26 @@ def test_equal_components_share_one_ramification_report(record_calls, capsys, na
     assert len(ramified) == 1
 
 
+# root-finding calls of one ``unicity`` on a fixture pair: the two analyses'
+# own, the numerator of gA - gB once per distinct component pair, and the
+# fibres of the candidate values
+UNICITY_ROOT_CALLS = {"five": 14, "six": 14}
+
+
+@pytest.mark.parametrize("pair", sorted(UNICITY_ROOT_CALLS))
+def test_unicity_locates_each_difference_numerator_once(record_calls, capsys, pair):
+    located = record_calls(roots, "roots_with_multiplicity")
+    paths = [str(FIXTURES / f"unicity_{pair}_{side}.json") for side in "ab"]
+
+    code = run(capsys, "unicity", *paths)
+
+    assert code == 0
+    assert len(located) == UNICITY_ROOT_CALLS[pair]
+    a, b = (_load_data(p) for p in paths)
+    diff = (a.g1 - b.g1).num.coeffs
+    assert [call[0].coeffs for call in located].count(diff) == 1
+
+
 def test_a_pole_missing_from_the_table_is_a_typed_failure():
     an = Analysis(_load_data(str(FIXTURES / "example21.json")))
     # drop the pole at 3 from the located points

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
+from wlab import roots
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 
-# a degree-32 map A^4/B: the simultaneous iteration returns NaN for every
-# root of its Wronskian, and a check written as "x > bound" passes NaN
-NAN_ROOTS_MAP = (
+# a degree-32 map A^4/B: the float square-free layers miss the triple roots
+# of its Wronskian, so both routes scatter each triple root differently
+TRIPLE_ROOTS_MAP = (
     "(z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6)^4/(4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28"
     " - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21 - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16"
     " - 8*z^15 + 3*z^14 - 6*z^13 - z^12 - 4*z^11 - 9*z^10 - 5*z^9 + 2*z^8 + 9*z^7 - 2*z^6 - 7*z^5 - 2*z^4"
@@ -114,8 +117,78 @@ def test_errors_on_constant_and_zero():
         roots_with_multiplicity(Polynomial())
 
 
-def test_non_finite_roots_fail_the_cross_check():
-    w = parse_expression(NAN_ROOTS_MAP).derivative_numerator()
+def test_non_finite_roots_fail_the_cross_check(monkeypatch):
+    # a check written as "x > bound" passes NaN; the cross-check must not
+    p = Polynomial.from_roots([1.0, 2.0, 3j])
+    monkeypatch.setattr(roots, "_aberth", lambda q: np.full(q.degree, np.nan + 0j))
+    with pytest.raises(RootCrossCheckError) as info:
+        roots_with_multiplicity(p)
+    assert len(info.value.aberth) == 3
+    assert not np.isfinite(info.value.aberth).any()
+
+
+def test_unresolved_triple_roots_fail_the_cross_check_typed():
+    w = parse_expression(TRIPLE_ROOTS_MAP).derivative_numerator()
     with pytest.raises(RootCrossCheckError) as info:
         roots_with_multiplicity(w)
-    assert not np.isfinite(info.value.aberth).any()
+    assert np.isfinite(info.value.aberth).all() and np.isfinite(info.value.companion).all()
+
+
+def test_newton_polygon_start_is_finite_and_deterministic():
+    w = parse_expression(TRIPLE_ROOTS_MAP).derivative_numerator()
+    c = np.asarray(w.monic().coeffs, dtype=complex)
+    start = roots._newton_polygon_start(c)
+    assert len(start) == w.degree and np.isfinite(start).all()
+    assert np.array_equal(start, roots._newton_polygon_start(c.copy()))
+    # no two start points coincide
+    assert len({complex(z) for z in start}) == w.degree
+
+
+def test_start_radii_are_the_newton_polygon_radii():
+    # root moduli 1e-3, 1 and 1e3, two roots each; the odd coefficients vanish
+    p = Polynomial.from_roots([1e-3j, -1e-3j, 1.0, -1.0, 1e3j, -1e3j])
+    c = np.asarray(p.monic().coeffs, dtype=complex)
+    assert (c[1::2] == 0).all()
+    # the hull vertices are k = 0, 2, 4, 6: one edge per modulus, two roots each
+    hull = [(abs(c[i]) / abs(c[i + 2])) ** 0.5 for i in (0, 2, 4)]
+    radii = np.abs(roots._newton_polygon_start(c))
+    assert radii == pytest.approx(np.repeat(hull, 2), rel=1e-12)
+    assert radii == pytest.approx([1e-3, 1e-3, 1.0, 1.0, 1e3, 1e3], rel=1e-5)
+
+
+def test_root_at_zero_starts_and_stays_there():
+    p = Polynomial.from_roots([0.0, 1j, -1j, 2.0])
+    assert p.coeffs[0] == 0
+    start = roots._newton_polygon_start(np.asarray(p.monic().coeffs, dtype=complex))
+    assert start[0] == 0 and (start[1:] != 0).all()
+    got = roots_with_multiplicity(p)
+    assert (0j, 1) in got
+    assert by_value(got) == {0j: 1, 1j: 1, -1j: 1, (2 + 0j): 1}
+
+
+def _integer_poly(rng: random.Random, degree: int) -> list[int]:
+    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    coeffs[-1] = coeffs[-1] or 1
+    return coeffs
+
+
+@pytest.mark.parametrize("degree", [24, 32, 48])
+def test_generic_wronskian_has_2d_minus_2_simple_critical_points(degree):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"generic:{degree}")
+    num, den = _integer_poly(rng, degree), _integer_poly(rng, degree)
+
+    def text(coeffs):
+        return " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs))
+
+    w = parse_expression(f"({text(num)})/({text(den)})").derivative_numerator()
+    got = roots_with_multiplicity(w)
+    assert len(got) == w.degree == 2 * degree - 2
+    assert all(m == 1 for _, m in got)
+
+    z = sympy.Symbol("z")
+    n, d = (sympy.Poly(list(reversed(c)), z) for c in (num, den))
+    exact = (n.diff(z) * d - n * d.diff(z))
+    _, factors = exact.sqf_list()
+    assert exact.degree() == 2 * degree - 2
+    assert [m for _, m in factors] == [1]
