@@ -31,6 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .ramification import RamificationReport, ramification_report
+from .rational import SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
@@ -87,11 +88,7 @@ class Analysis:
         points = d.finite_punctures()
         for den in dict.fromkeys(f.den for f in (d.h, d.g1, d.g2) if f.den.degree >= 1):
             points += [r for r, _m in roots_with_multiplicity(den, tol)]
-        out: list[complex] = []
-        for p in points:
-            if all(abs(p - q) > tol.eps_pt for q in out):
-                out.append(p)
-        return tuple(out)
+        return tuple(p.value for p in distinct_points(map(SpherePoint, points), tol.eps_pt))
 
     @cached_property
     def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:

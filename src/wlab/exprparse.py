@@ -11,7 +11,8 @@ Literals are decimal numbers with an optional exponent part and an optional
 trailing 'i' for the imaginary unit ('2', '2.5', '3i', '1e-3', bare 'i').
 A literal must be a finite double: '1e400' is an error, not infinity.
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2). Division is
-symbolic: the result is always an exact RationalFunction, never a float.
+symbolic: the result is always a RationalFunction, never a number, with
+double coefficients reduced by the float gcd of ``rational``.
 Exponents are integers with |exponent| <= 64.
 """
 

@@ -183,8 +183,8 @@ class Polynomial:
         """Strip trailing coefficients that are tiny relative to the largest.
 
         Degree decisions downstream (orders at infinity, preimage counts at
-        infinity) hinge on this; rel_eps is eps_coeff from the tolerance
-        record.
+        infinity) hinge on this; the canonical form of ``rational`` trims at
+        its fixed ``TRIM_RTOL``.
         """
         if not self._c:
             return self

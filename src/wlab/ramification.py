@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from .exprparse import as_sphere_point
 from .poly import Polynomial
-from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import require_genus_zero
@@ -111,7 +111,6 @@ def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tup
     ``bounds.shared_values`` compares the fibers of generic values with it,
     and the tests check every fiber the Wronskian table gives against it.
     """
-    tol = tol or Tolerances()
     if f.is_constant:
         raise ValueError("preimages of a constant map are not a finite fiber")
     target = as_sphere_point(a)
@@ -138,7 +137,7 @@ def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int
         return f.num.degree - f.den.degree
     # the order of f - c at infinity: deg D - deg(N - c D), with N - c D
     # trimmed as the RationalFunction constructor trims it
-    rest = (f.num - f.den.scale(value.value)).trim(Tolerances().eps_coeff)
+    rest = (f.num - f.den.scale(value.value)).trim(TRIM_RTOL)
     if rest.is_zero:
         raise ValueError("local degree of a constant map is undefined")
     return f.den.degree - rest.degree
@@ -182,10 +181,6 @@ def _ramified_values(
     return tuple(out)
 
 
-def _coerce_punctures(punctures) -> tuple[SpherePoint, ...]:
-    return tuple(as_sphere_point(p) for p in punctures)
-
-
 def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
     """Values the restricted map omits entirely (only puncture images can be)."""
     return [rv for rv in totally_ramified_values(f, punctures, tol) if rv.is_exceptional]
@@ -193,9 +188,7 @@ def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = 
 
 def totally_ramified_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
     """All totally ramified values, with exceptional ones included and marked."""
-    tol = tol or Tolerances()
-    pts = _coerce_punctures(punctures)
-    return list(_ramified_values(f, pts, f.derivative_numerator(), _local_multiplicity_at_infinity(f, tol), tol))
+    return list(ramification_report(f, punctures, tol=tol).values)
 
 
 def _branching_over(rv: RamifiedValue) -> int:
@@ -223,7 +216,7 @@ def ramification_report(
     require_genus_zero(genus)
     if f.is_constant:
         raise ValueError("ramification of a constant map is undefined")
-    pts = _coerce_punctures(punctures)
+    pts = tuple(as_sphere_point(p) for p in punctures)
     d = f.degree
     w = f.derivative_numerator()
     e_inf = _local_multiplicity_at_infinity(f, tol)

@@ -17,9 +17,14 @@ import numpy as np
 
 from wlab.poly import Polynomial, approx_gcd, exact_divide
 from wlab.roots import roots_with_multiplicity
-from wlab.tolerances import Tolerances
+from wlab.tolerances import Tolerances, format_float
 
 __all__ = ["SpherePoint", "INF", "distinct_points", "DivisorEntry", "RationalFunction"]
+
+# The canonical form's cut-offs.  They are fixed, not fields of Tolerances: a
+# parsed expression is reduced before any command's tolerances exist.
+TRIM_RTOL = 1e-12  # a trailing coefficient this small, relative, is zero
+CANCEL_RTOL = 1e-8  # a gcd remainder this small, relative, is zero
 
 
 @dataclass(frozen=True)
@@ -61,10 +66,16 @@ class SpherePoint:
         return abs(self.value - other.value) <= eps_pt
 
     def sort_key(self):
-        """Canonical ordering: finite points by (re, im), infinity last."""
+        """Canonical ordering, infinity last.
+
+        Finite points go by their printed (re, im) under ``format_float``,
+        then by the raw (re, im): points whose real parts print alike are
+        ordered by im, not by an ulp of re.
+        """
         if self.is_infinity:
-            return (1, 0.0, 0.0)
-        return (0, self.value.real, self.value.imag)
+            return (1,)
+        re, im = self.value.real, self.value.imag
+        return (0, format_float(re), format_float(im), re, im)
 
     def __str__(self) -> str:
         if self.is_infinity:
@@ -110,8 +121,7 @@ def _as_poly(x) -> Polynomial:
 
 def _trimmed(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Both polynomials with negligible trailing coefficients stripped."""
-    eps = Tolerances().eps_coeff
-    n, d = n.trim(eps), d.trim(eps)
+    n, d = n.trim(TRIM_RTOL), d.trim(TRIM_RTOL)
     if d.is_zero:
         raise ZeroDivisionError("denominator is the zero polynomial")
     return n, d
@@ -120,7 +130,7 @@ def _trimmed(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
 def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Both polynomials divided by their approximate gcd."""
     if a.degree >= 1 and b.degree >= 1:
-        g = approx_gcd(a, b, Tolerances().eps_gcd)
+        g = approx_gcd(a, b, CANCEL_RTOL)
         if g.degree >= 1:
             return exact_divide(a, g, rel_eps=1e-6), exact_divide(b, g, rel_eps=1e-6)
     return a, b
@@ -312,7 +322,7 @@ class RationalFunction:
             raise ValueError("degenerate moebius matrix (ad - bc ~ 0)")
         new_num = a * self._num + b * self._den
         new_den = c * self._num + d * self._den
-        if new_den.trim(Tolerances().eps_coeff).is_zero:
+        if new_den.trim(TRIM_RTOL).is_zero:
             raise ZeroDivisionError("moebius map sends this constant function to infinity")
         return RationalFunction(new_num, new_den)
 
@@ -372,7 +382,6 @@ class RationalFunction:
         f(1/w) = w^k R(w) with k = ord_inf f and R = rev N / rev D, so the
         residue of -w^(k-2) R(w) dw is minus the w^(1-k) coefficient of R.
         """
-        tol = tol or Tolerances()
         if self.is_zero:
             return 0j
         p = SpherePoint.of(point)
@@ -407,7 +416,6 @@ class RationalFunction:
 
         Constant functions have an empty divisor.
         """
-        tol = tol or Tolerances()
         if self.is_zero:
             raise ValueError("divisor of the zero function is undefined")
         if self.is_constant:
@@ -433,7 +441,6 @@ class RationalFunction:
 
     def finite_poles(self, tol: Tolerances | None = None) -> list[tuple[complex, int]]:
         """Finite poles as (point, positive order) pairs."""
-        tol = tol or Tolerances()
         if self._den.degree < 1:
             return []
         return [(r, m) for r, m in roots_with_multiplicity(self._den, tol)]

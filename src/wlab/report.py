@@ -8,7 +8,8 @@ sphere points "inf" or {"re", "im"}, and non-finite floats the strings
 input and flags produce byte-identical documents.
 
 Every other float -- in a document, a mesh CSV or an OBJ file -- is written
-through ``format_float``: rounded to 12 decimal places, then to 12
+through ``format_float`` (kept in :mod:`wlab.tolerances`, where
+``rational`` also reads it): rounded to 12 decimal places, then to 12
 significant digits, with -0.0 written as 0.  Root positions, quadratures and
 meshes carry last-ulp noise from numpy's vectorised kernels that differs
 between platforms; no check in the package works anywhere near that
@@ -25,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .rational import RationalFunction, SpherePoint
 from .exprparse import format_expression
+from .rational import RationalFunction, SpherePoint
+from .tolerances import FLOAT_DECIMALS, FLOAT_DIGITS, _float_text, format_float
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -40,25 +42,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 2
-
-# Declared in docs/format.md; fixed, with no flag or environment override.
-FLOAT_DECIMALS = 12  # nothing below 1e-12 absolute
-FLOAT_DIGITS = 12  # significant digits
-
-
-def _float_text(x: float) -> str:
-    # round() is correctly rounded on every platform; + 0.0 turns -0.0 into 0.0
-    return f"{round(x, FLOAT_DECIMALS) + 0.0:.{FLOAT_DIGITS}g}"
-
-
-def format_float(x: float) -> float:
-    """The value a document, CSV or OBJ file carries for a numeric-route float.
-
-    Rounds to ``FLOAT_DECIMALS`` decimal places, then to ``FLOAT_DIGITS``
-    significant digits; -0.0 becomes 0.0.  nan and +-inf pass through (the
-    JSON encoder turns them into strings).
-    """
-    return float(_float_text(float(x)))
 
 
 # Every float field of a table is written as this %-format field.  It is the

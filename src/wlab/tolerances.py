@@ -1,11 +1,12 @@
-"""All numeric tolerances in one configuration record.
+"""The numeric tolerances a command passes around, and the document float rule.
 
-Every cutoff used anywhere in the package lives here so that the CLI's
-``--tolerance-scale`` flag can scale them uniformly through
-:meth:`Tolerances.scaled`; without it every default is ``Tolerances()``.
-Nothing reads the environment, so a result depends only on its inputs and
-the tolerances passed in.  Integer and rational quantities downstream of
-multiplicity extraction are exact and never touch these values.
+``Tolerances`` holds the cutoffs the analysis steps read from the record a
+command gives them; ``--tolerance-scale`` scales them through
+:meth:`Tolerances.scaled`, and the default is ``Tolerances()``.  Nothing
+reads the environment, so a result depends only on its inputs and the
+tolerances passed in.  Integer and rational quantities downstream of
+multiplicity extraction are exact and never touch these values.  The
+canonical form's cut-offs are fixed and live in :mod:`wlab.rational`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ _SCALED = (
     "eps_pt",
     "eps_res",
     "eps_gcd",
-    "eps_coeff",
     "eps_conformal",
     "eps_period_rel",
     "residue_cross_rtol",
@@ -29,7 +29,7 @@ _SCALED = (
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numeric cutoffs shared across the package.
+    """Numeric cutoffs passed from a command to its analysis steps.
 
     Attributes:
         eps_pt: point identity on the sphere; two finite points closer than
@@ -37,9 +37,8 @@ class Tolerances:
         eps_res: root residual bound, relative to the coefficient scale and
             ``(1+|r|)^deg``.
         eps_gcd: relative threshold that classifies a Euclidean remainder as
-            zero during approximate polynomial gcd.
-        eps_coeff: relative threshold below which a trailing coefficient of a
-            computed polynomial is treated as zero (degree trimming).
+            zero in the gcd chain of ``roots._square_free_layers``; a
+            multiple root's residual is held to it.
         eps_conformal: relative bound on the residual of the quadratic-form
             identity satisfied by the four component 1-forms.
         eps_period_rel: period-condition cutoff, relative to the coefficient
@@ -54,7 +53,6 @@ class Tolerances:
     eps_pt: float = 1e-8
     eps_res: float = 1e-9
     eps_gcd: float = 1e-8
-    eps_coeff: float = 1e-12
     eps_conformal: float = 1e-12
     eps_period_rel: float = 1e-10
     quad_rtol: float = 1e-3
@@ -70,3 +68,25 @@ class Tolerances:
             v = getattr(self, f.name)
             kwargs[f.name] = v * factor if f.name in _SCALED else v
         return Tolerances(**kwargs)
+
+
+# The document float rule, declared in docs/format.md; fixed, with no flag or
+# environment override.  ``report`` writes every float by it, and
+# ``rational.SpherePoint`` orders points by the values it prints.
+FLOAT_DECIMALS = 12  # nothing below 1e-12 absolute
+FLOAT_DIGITS = 12  # significant digits
+
+
+def _float_text(x: float) -> str:
+    # round() is correctly rounded on every platform; + 0.0 turns -0.0 into 0.0
+    return f"{round(x, FLOAT_DECIMALS) + 0.0:.{FLOAT_DIGITS}g}"
+
+
+def format_float(x: float) -> float:
+    """The value a document, CSV or OBJ file carries for a numeric-route float.
+
+    Rounds to ``FLOAT_DECIMALS`` decimal places, then to ``FLOAT_DIGITS``
+    significant digits; -0.0 becomes 0.0.  nan and +-inf pass through (the
+    JSON encoder turns them into strings).
+    """
+    return float(_float_text(float(x)))

@@ -197,18 +197,11 @@ class ConformalityReport:
 def _conformality_numerator(phi: PhiForms) -> tuple[Polynomial, float]:
     """Numerator of sum(phi_i^2) over the common denominator, plus its scale.
 
-    Built term by term without gcd reduction so that exact cancellation is
-    visible: for conformal data the four term polynomials sum to zero.
+    The sum of the squares of ``_cleared_numerators``, built term by term
+    without gcd reduction so that exact cancellation is visible: for
+    conformal data the four term polynomials sum to zero.
     """
-    nums = [f.num for f in phi.forms]
-    dens = [f.den for f in phi.forms]
-    terms = []
-    for i in range(4):
-        t = nums[i] * nums[i]
-        for j in range(4):
-            if j != i:
-                t = t * (dens[j] * dens[j])
-        terms.append(t)
+    terms = [w * w for w in _cleared_numerators(phi)]
     total = Polynomial()
     scale = 0.0
     for t in terms:
@@ -355,9 +348,10 @@ class EndClassification:
     complete: bool
 
     def record_at(self, point) -> EndRecord:
-        target, eps_pt = _as_sphere_point(point), Tolerances().eps_pt
+        """The record of the puncture ``point``, matched exactly."""
+        target = _as_sphere_point(point)
         for rec in self.records:
-            if rec.puncture.close_to(target, eps_pt):
+            if rec.puncture == target:
                 return rec
         raise KeyError(f"no puncture at {target}")
 

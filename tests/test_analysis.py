@@ -122,6 +122,20 @@ def test_a_pole_missing_from_the_table_is_a_typed_failure():
     assert issubclass(PoleTableError, ArithmeticError)
 
 
+def test_a_fourth_order_pole_at_zero_is_located_exactly():
+    # the pole table holds the pole of z^4 as exactly 0, not a point near it;
+    # no finite puncture is given, so both points come from root-finding
+    data = WeierstrassData(
+        h=parse_expression("1/(z^4*(z-1))"),
+        g1=parse_expression("z"),
+        g2=parse_expression("1"),
+        punctures=("inf",),
+    )
+    an = Analysis(data)
+    assert an.singular_points == (0j, 1 + 0j)
+    assert list(an.principal_parts) == [0j, 1 + 0j]
+
+
 def test_ramify_derives_only_its_own_component(record_calls, capsys):
     derived = {fn: record_calls(mod, fn) for mod, fn in DERIVATIONS}
     ramified = record_calls(ramification, "ramification_report")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
 from wlab.rational import INF, DivisorEntry, RationalFunction, SpherePoint
 
@@ -72,6 +73,13 @@ def test_residues_partial_fractions():
 
 def test_residue_no_inverse_power_term():
     assert (1 / Z**3).residue_at(0j) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("text", ["1/z^4", "(z^2+1)/z^4"])
+def test_residue_of_a_fourth_order_pole_is_exactly_zero(text):
+    # the root of z^4 is the exact start point 0, and the Laurent route
+    # reads the t^3 coefficient of a Taylor quotient with no t^3 term
+    assert parse_expression(text).residue_at(0) == 0j
 
 
 def test_residue_higher_order_pole():
@@ -225,3 +233,14 @@ def test_sphere_point_identity():
     assert not SpherePoint(1 + 0j).close_to(INF, 1e-8)
     assert INF.close_to(INF, 1e-8)
     assert SpherePoint.of("inf") is INF or SpherePoint.of("inf") == INF
+
+
+@pytest.mark.parametrize("im", [0.8982697572, -0.8982697572])
+def test_sort_key_orders_by_printed_re_then_im(im):
+    # a conjugate pair whose real parts differ by one ulp: the order is set
+    # by the imaginary parts, whichever point has the larger real part
+    re = 0.05394226018119466
+    pair = [SpherePoint(complex(re, im)), SpherePoint(complex(np.nextafter(re, 1.0), -im))]
+    ordered = sorted(pair, key=SpherePoint.sort_key)
+    assert [p.value.imag for p in ordered] == [-0.8982697572, 0.8982697572]
+    assert sorted([INF, *pair], key=SpherePoint.sort_key)[-1] == INF

@@ -15,6 +15,7 @@ deliberately.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -32,21 +33,41 @@ def regenerate(tmp_path, name: str, argv: list[str]) -> bytes:
     return out.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "example21",
-        "example22",
-        "example23",
-        "unicity_six_a",
-        "unicity_six_b",
-        "unicity_five_a",
-        "unicity_five_b",
-    ],
-)
+REPORTS = [
+    "example21",
+    "example22",
+    "example23",
+    "unicity_six_a",
+    "unicity_six_b",
+    "unicity_five_a",
+    "unicity_five_b",
+]
+
+
+@pytest.mark.parametrize("name", REPORTS)
 def test_report_snapshots(tmp_path, name):
     fresh = regenerate(tmp_path, "doc.json", ["report", str(FIXTURES / f"{name}.json")])
     assert fresh == (SNAPSHOTS / f"report_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", REPORTS)
+@pytest.mark.parametrize(
+    "command, flags, subtree",
+    [
+        ("check", [], lambda body: body["check"]),
+        ("ramify", ["--component", "1"], lambda body: body["ramification"]["g1"]),
+        ("ramify", ["--component", "2"], lambda body: body["ramification"]["g2"]),
+        ("bounds", [], lambda body: {"bounds": body["bounds"], "corollary": body["corollary"]}),
+    ],
+    ids=["check", "ramify1", "ramify2", "bounds"],
+)
+def test_commands_emit_subtrees_of_the_report(tmp_path, name, command, flags, subtree):
+    # the benchmark reads each command's reference document off the report
+    # snapshot (bench/checks.py, expected_fixture_doc)
+    report = json.loads((SNAPSHOTS / f"report_{name}.json").read_text())
+    doc = json.loads(regenerate(tmp_path, "doc.json", [command, str(FIXTURES / f"{name}.json"), *flags]))
+    assert (doc["command"], doc["label"]) == (command, report["label"])
+    assert doc["report"] == subtree(report["report"])
 
 
 @pytest.mark.parametrize("pair", ["six", "five"])
