@@ -14,6 +14,14 @@ A literal must be a finite double: '1e400' is an error, not infinity.
 symbolic: the result is always a RationalFunction, never a number, with
 double coefficients reduced by the float gcd of ``rational``.
 Exponents are integers with |exponent| <= 64.
+
+A subexpression with no '/' and no negative power is held as the polynomial
+p of p / 1 in canonical form, and '+', '-', '*', '^' and unary minus act on p
+with the steps of ``RationalFunction``'s arithmetic that can change a bit
+(``rational.canonical_polynomial``, ``rational.canonical_sum``).  A
+``RationalFunction`` is built only at a quotient, a negative power, and the
+end, so the result is bit for bit the one that reduced rational arithmetic
+on every subexpression gives, without a gcd per term.
 """
 
 from __future__ import annotations
@@ -21,11 +29,21 @@ from __future__ import annotations
 import math
 
 from wlab.poly import Polynomial
-from wlab.rational import RationalFunction, SpherePoint
+from wlab.rational import RationalFunction, SpherePoint, canonical_polynomial, canonical_sum
 
 __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sphere_point"]
 
 MAX_EXPONENT = 64
+
+# the canonical z; z^k of it is the monomial, as the squaring chain of exact
+# 0s and 1s gives it
+_Z = canonical_polynomial(Polynomial.variable())
+
+_Value = Polynomial | RationalFunction
+
+
+def _quotient(v: _Value) -> RationalFunction:
+    return v if isinstance(v, RationalFunction) else RationalFunction._of_polynomial(v)
 
 
 class ExpressionError(ValueError):
@@ -120,30 +138,37 @@ class _Parser:
         return self.next()
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> RationalFunction:
+    def expr(self) -> _Value:
         out = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
             op = self.next().value
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            if op == "-":
+                rhs = -rhs
+            if isinstance(out, Polynomial) and isinstance(rhs, Polynomial):
+                out = canonical_sum(out, rhs)
+            else:
+                out = _quotient(out) + _quotient(rhs)
         return out
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> RationalFunction:
+    def term(self) -> _Value:
         out = self.factor()
         while self.peek().kind == "op" and self.peek().value in "*/":
             tok = self.next()
             rhs = self.factor()
-            if tok.value == "*":
-                out = out * rhs
-            else:
+            if tok.value == "/":
                 if rhs.is_zero:
                     raise ExpressionError("division by the zero polynomial", tok.pos)
-                out = out / rhs
+                out = _quotient(out) / _quotient(rhs)
+            elif isinstance(out, Polynomial) and isinstance(rhs, Polynomial):
+                out = canonical_polynomial(out * rhs)
+            else:
+                out = _quotient(out) * _quotient(rhs)
         return out
 
     # factor := '-' factor | base ('^' signed-int)?
-    def factor(self) -> RationalFunction:
+    def factor(self) -> _Value:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.next()
@@ -159,7 +184,12 @@ class _Parser:
                 )
             if exp < 0 and out.is_zero:
                 raise ExpressionError("negative power of zero", caret.pos)
-            out = out**exp
+            if exp < 0 or isinstance(out, RationalFunction):
+                out = _quotient(out) ** exp
+            elif out is _Z:
+                out = Polynomial((0j,) * exp + (1 + 0j,))
+            else:
+                out = canonical_polynomial(out**exp)
         return out
 
     def exponent(self) -> int:
@@ -177,12 +207,12 @@ class _Parser:
         self.next()
         return sign * int(val.real)
 
-    def base(self) -> RationalFunction:
+    def base(self) -> _Value:
         tok = self.next()
         if tok.kind == "num":
-            return RationalFunction.constant(tok.value)
+            return canonical_polynomial(Polynomial((tok.value,)))
         if tok.kind == "z":
-            return RationalFunction.variable()
+            return _Z
         if tok.kind == "op" and tok.value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -202,7 +232,7 @@ def parse_expression(text: str) -> RationalFunction:
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionError("unexpected trailing input", tail.pos)
-    return out
+    return _quotient(out)
 
 
 def parse_sphere_point(text: str) -> SpherePoint:

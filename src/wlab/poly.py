@@ -17,6 +17,12 @@ import numpy as np
 
 __all__ = ["Polynomial", "GcdBreakdownError", "ExactDivisionError", "approx_gcd", "exact_divide"]
 
+# A leading remainder entry of ``divmod_by`` this small, absolute, is dropped
+# (np.polydiv's allclose test).  Fixed, not a field of Tolerances: it decides
+# degrees inside ``approx_gcd`` and ``exact_divide`` whatever their own
+# thresholds, and truncating the remainder instead brings back a bogus gcd.
+REMAINDER_ATOL = 1e-8
+
 
 class GcdBreakdownError(ArithmeticError):
     """The gcd remainder sequence met a non-finite coefficient or stalled."""
@@ -36,7 +42,10 @@ class Polynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        c = [complex(x) for x in coeffs]
+        if isinstance(coeffs, np.ndarray):
+            c = coeffs.astype(complex, copy=False).tolist()
+        else:
+            c = [complex(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -195,16 +204,29 @@ class Polynomial:
         return Polynomial(c)
 
     def divmod_by(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division: self = q * divisor + r with deg r < deg divisor."""
+        """Long division: self = q * divisor + r with deg r < deg divisor.
+
+        np.polydiv's loop, operation for operation, without its per-call
+        overhead: leading remainder entries within ``REMAINDER_ATOL`` of 0 are
+        dropped, as its ``allclose`` test drops them (NaN and inf are kept).
+        """
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if self.is_zero or self.degree < divisor.degree:
             return Polynomial(), self
-        q, r = np.polydiv(
-            np.asarray(self._c[::-1], dtype=complex),
-            np.asarray(divisor._c[::-1], dtype=complex),
-        )
-        return Polynomial(q[::-1]), Polynomial(r[::-1])
+        r = np.array(self._c[::-1], dtype=complex) + 0.0
+        v = np.array(divisor._c[::-1], dtype=complex) + 0.0
+        m, n = len(r) - 1, len(v) - 1
+        scale = 1.0 / v[0]
+        q = np.zeros(m - n + 1, dtype=complex)
+        for k in range(m - n + 1):
+            d = scale * r[k]
+            q[k] = d
+            r[k : k + n + 1] -= d * v
+        i = 0
+        while i < m and abs(r[i]) <= REMAINDER_ATOL:
+            i += 1
+        return Polynomial(q[::-1]), Polynomial(r[i:][::-1])
 
     def expansion_at(self, point: complex, eps_res: float, terms: int) -> tuple[int, tuple[complex, ...]]:
         """Order of ``point`` as a root, and the Taylor coefficients beyond it.

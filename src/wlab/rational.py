@@ -119,6 +119,10 @@ def _as_poly(x) -> Polynomial:
     raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
 
 
+_ONE = Polynomial((1.0,))
+_UNIT = _ONE.coeffs[0]
+
+
 def _trimmed(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Both polynomials with negligible trailing coefficients stripped."""
     n, d = n.trim(TRIM_RTOL), d.trim(TRIM_RTOL)
@@ -141,6 +145,28 @@ def _normalised(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
     if n.is_zero:
         return Polynomial(), Polynomial((1.0,))
     return n.scale(1.0 / d.leading), d.monic()
+
+
+def canonical_polynomial(p: Polynomial) -> Polynomial:
+    """The numerator of p / 1 in canonical form, as ``RationalFunction(p)`` holds it.
+
+    The two steps of the canonical form that can change a bit of a
+    polynomial: trimming at ``TRIM_RTOL``, and ``_normalised``'s rescale by
+    1 / 1, which can flip the sign of a zero part.
+    """
+    return p.trim(TRIM_RTOL).scale(1.0 / _UNIT)
+
+
+def canonical_sum(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The numerator of a / 1 + b / 1, as ``RationalFunction.__add__`` forms it.
+
+    The sum first multiplies each numerator by the other's denominator 1:
+    per coefficient that product is 0j + c * 1, which turns a -0.0 part into
+    0.0 and the partner of an infinite part into nan, so it is kept.
+    """
+    x = Polynomial([0j + c * _UNIT for c in a.coeffs])
+    y = Polynomial([0j + c * _UNIT for c in b.coeffs])
+    return canonical_polynomial(x + y)
 
 
 def _series_quotient(a, b, terms: int) -> list[complex]:
@@ -168,6 +194,13 @@ class RationalFunction:
         """The quotient num / den of two polynomials known to share no factor."""
         out = cls.__new__(cls)
         out._num, out._den = _normalised(*_trimmed(num, den))
+        return out
+
+    @classmethod
+    def _of_polynomial(cls, p: Polynomial) -> "RationalFunction":
+        """p / 1 for a polynomial already in canonical form (``canonical_polynomial``)."""
+        out = cls.__new__(cls)
+        out._num, out._den = p, _ONE
         return out
 
     # -- basic queries -------------------------------------------------------

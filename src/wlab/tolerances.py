@@ -5,8 +5,12 @@ command gives them; ``--tolerance-scale`` scales them through
 :meth:`Tolerances.scaled`, and the default is ``Tolerances()``.  Nothing
 reads the environment, so a result depends only on its inputs and the
 tolerances passed in.  Integer and rational quantities downstream of
-multiplicity extraction are exact and never touch these values.  The
-canonical form's cut-offs are fixed and live in :mod:`wlab.rational`.
+multiplicity extraction are exact and never touch these values.
+
+Three cut-offs are fixed and ``--tolerance-scale`` does not reach them: the
+canonical form's ``rational.TRIM_RTOL`` and ``rational.CANCEL_RTOL``, and
+``poly.REMAINDER_ATOL``, below which a leading remainder entry of polynomial
+division is dropped (inside ``approx_gcd`` and ``exact_divide`` too).
 """
 
 from __future__ import annotations

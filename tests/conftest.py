@@ -39,7 +39,8 @@ def record_calls(monkeypatch):
     call to ``module.name``.
 
     The counting wrapper is bound into every ``wlab`` module that holds the
-    function, so a call is seen whichever module's binding makes it.
+    function, so a call is seen whichever module's binding makes it.  Given a
+    class, it replaces the method on the class (``Polynomial, "__mul__"``).
     """
 
     def record(module, name: str) -> list[tuple]:
@@ -50,6 +51,8 @@ def record_calls(monkeypatch):
             calls.append(args)
             return original(*args, **kwargs)
 
+        if isinstance(module, type):
+            monkeypatch.setattr(module, name, counted)
         for modname, mod in list(sys.modules.items()):
             if modname == "wlab" or modname.startswith("wlab."):
                 if getattr(mod, name, None) is original:

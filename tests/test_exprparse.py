@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wlab import exprparse, rational
 from wlab.exprparse import (
     ExpressionError,
     format_complex,
@@ -13,6 +19,7 @@ from wlab.exprparse import (
     parse_expression,
     parse_sphere_point,
 )
+from wlab.poly import Polynomial
 from wlab.rational import INF, RationalFunction, SpherePoint
 
 Z = RationalFunction.variable()
@@ -164,3 +171,203 @@ def test_parser_never_crashes(text):
         parse_expression(text)
     except ExpressionError:
         pass
+
+
+# -- the parser against reduced rational arithmetic on every subexpression ------
+
+
+class _QuotientParser(exprparse._Parser):
+    """The same grammar, every subexpression a reduced RationalFunction."""
+
+    def expr(self):
+        out = self.term()
+        while self.peek().kind == "op" and self.peek().value in "+-":
+            op = self.next().value
+            rhs = self.term()
+            out = out + rhs if op == "+" else out - rhs
+        return out
+
+    def term(self):
+        out = self.factor()
+        while self.peek().kind == "op" and self.peek().value in "*/":
+            tok = self.next()
+            rhs = self.factor()
+            if tok.value == "*":
+                out = out * rhs
+            else:
+                if rhs.is_zero:
+                    raise ExpressionError("division by the zero polynomial", tok.pos)
+                out = out / rhs
+        return out
+
+    def factor(self):
+        tok = self.peek()
+        if tok.kind == "op" and tok.value == "-":
+            self.next()
+            return -self.factor()
+        out = self.base()
+        tok = self.peek()
+        if tok.kind == "op" and tok.value == "^":
+            caret = self.next()
+            exp = self.exponent()
+            if abs(exp) > exprparse.MAX_EXPONENT:
+                raise ExpressionError(
+                    f"exponent overflow: |{exp}| > {exprparse.MAX_EXPONENT}", caret.pos
+                )
+            if exp < 0 and out.is_zero:
+                raise ExpressionError("negative power of zero", caret.pos)
+            out = out**exp
+        return out
+
+    def base(self):
+        tok = self.next()
+        if tok.kind == "num":
+            return RationalFunction.constant(tok.value)
+        if tok.kind == "z":
+            return RationalFunction.variable()
+        if tok.kind == "op" and tok.value == "(":
+            inner = self.expr()
+            self.expect_op(")")
+            return inner
+        raise ExpressionError("expected a number, 'z' or '('", tok.pos)
+
+
+def _quotient_parse(text: str) -> RationalFunction:
+    parser = _QuotientParser(exprparse._lex(text))
+    out = parser.expr()
+    tail = parser.peek()
+    if tail.kind != "end":
+        raise ExpressionError("unexpected trailing input", tail.pos)
+    return out
+
+
+def _outcome(parse, text: str) -> tuple:
+    """The coefficients' reprs (so signed zeros count), or the error raised."""
+    try:
+        f = parse(text)
+    except ExpressionError as err:
+        return ("ExpressionError", str(err), err.position)
+    except ArithmeticError as err:
+        return (type(err).__name__, str(err))
+    return (repr(f.num.coeffs), repr(f.den.coeffs))
+
+
+def _integer_poly(rng: random.Random, degree: int) -> str:
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-9, -4, -1, 1, 3, 9])]
+    terms = [f"{c}*z^{k}" for k, c in enumerate(coeffs) if c]
+    return "+".join(terms).replace("+-", "-")
+
+
+def _ladder_maps() -> list[str]:
+    """Seeded integer maps A/B and A^m/B at degrees 4..64."""
+    rng = random.Random(20060313)
+    out = []
+    for degree in (4, 8, 12, 16, 20, 24, 32, 48, 64):
+        for _ in range(2):
+            out.append(f"({_integer_poly(rng, degree)})/({_integer_poly(rng, degree)})")
+            m = rng.choice([m for m in (2, 3, 4) if degree % m == 0])
+            out.append(f"({_integer_poly(rng, degree // m)})^{m}/({_integer_poly(rng, degree)})")
+    return out
+
+
+# parts that are -0.0 after a negation, trimming edges relative to 1e15 and to
+# 1, literals whose products overflow, and the quotient-only constructs
+_LEAVES = ("0", "1", "2", "i", "3i", "0.5", "2.5e-3", "1e15", "1e-13", "7", "z", "z", "1e200")
+_EDGE_CASES = (
+    "-(0-i) + -(0-i)",
+    "-(i*z) - i*z",
+    "-(0-i)*z + -(0-i)*z",
+    "(1e15*z^2 + z + 1) - 1e15*z^2",
+    "1e-13*z^3 + z^2",
+    "z^0 + 0^0 - (z-z)^0",
+    "(1e200*z + 1e200)*(1e200*z - 1e200) + z",
+    "(1e200+1e200i)^2*z + 1",
+    "-0*z - 0",
+    "z^-2 + z^2",
+    "(z^2-1)/(z+1) - z",
+)
+
+
+def _random_expression(rng: random.Random, depth: int) -> str:
+    if depth == 0 or rng.random() < 0.25:
+        leaf = rng.choice(_LEAVES)
+        if leaf == "z" and rng.random() < 0.5:
+            leaf = f"z^{rng.randint(0, 6)}"
+        return leaf
+    kind = rng.random()
+    a = _random_expression(rng, depth - 1)
+    if kind < 0.15:
+        return f"-{a}" if rng.random() < 0.5 else f"-({a})"
+    if kind < 0.3:
+        return f"({a})^{rng.choice([0, 1, 2, 3, -1, -2])}"
+    b = _random_expression(rng, depth - 1)
+    op = rng.choice("++--**/")
+    if rng.random() < 0.5:
+        return f"({a}){op}({b})"
+    return f"{a}{op}{b}"
+
+
+def _random_expressions(count: int) -> list[str]:
+    rng = random.Random(1)
+    out = []
+    for _ in range(count):
+        text = _random_expression(rng, rng.randint(1, 4))
+        if rng.random() < 0.05:  # malformed: a cut, or an exponent over the cap
+            text = text[: rng.randint(0, len(text))] if rng.random() < 0.5 else f"({text})^65"
+        out.append(text)
+    return out
+
+
+def _fixture_expressions() -> list[str]:
+    root = Path(__file__).resolve().parents[1] / "fixtures"
+    out = []
+    for path in sorted(root.glob("*.json")):
+        doc = json.loads(path.read_text())
+        out.extend(doc[key] for key in ("h", "g1", "g2") if key in doc)
+    return out
+
+
+def _assert_parses_as_quotient_route(texts) -> Counter:
+    outcomes = Counter()
+    for text in texts:
+        got = _outcome(parse_expression, text)
+        assert got == _outcome(_quotient_parse, text), text
+        outcomes["value" if got[0].startswith("(") else got[0]] += 1
+    return outcomes
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        pytest.param(_EDGE_CASES, id="edges"),
+        pytest.param(_fixture_expressions(), id="fixtures"),
+        pytest.param(_ladder_maps(), id="ladder_maps"),
+    ],
+)
+def test_parse_matches_rational_arithmetic_bit_for_bit(texts):
+    _assert_parses_as_quotient_route(texts)
+
+
+def test_parse_matches_rational_arithmetic_on_random_grammar():
+    outcomes = _assert_parses_as_quotient_route(_random_expressions(2400))
+    # the draw reaches both values and malformed input
+    assert outcomes["value"] > 2000
+    assert outcomes["ExpressionError"] > 0
+
+
+def test_signed_zero_parts_follow_rational_arithmetic():
+    # the quotient route multiplies by the denominator 1 before a sum, which
+    # turns -0.0 into 0.0; a plain polynomial sum would keep (-0+2j)
+    assert parse_expression("-(0-i)").num.coeffs == (complex(-0.0, 1.0),)
+    assert repr(parse_expression("-(0-i) + -(0-i)").num.coeffs) == "(2j,)"
+
+
+def test_parsing_a_ladder_map_reduces_one_quotient(record_calls):
+    rng = random.Random(7)
+    text = f"({_integer_poly(rng, 20)})/({_integer_poly(rng, 20)})"
+    gcds = record_calls(rational, "approx_gcd")
+    products = record_calls(Polynomial, "__mul__")
+    f = parse_expression(text)
+    assert f.degree == 20
+    assert len(gcds) == 1
+    assert len(products) <= 60
