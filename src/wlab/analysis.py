@@ -17,19 +17,18 @@ the periods and the mesh primitive all read that one table.  Equal Gauss
 components share one ramification report.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
-library call); no cache outlives it.
-
-``bounds`` and ``curvature`` build on this module: their public entry points
-wrap an ``Analysis``.  The two fields that read their results reach them
-through an import at first use, so this module imports neither at load time.
+library call); no cache outlives it.  It is the library's one entry to the
+invariants of a data set: ``bounds`` and ``curvature`` read an ``Analysis``
+and never build one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
+from .bounds import BoundsReport, bounds_of
+from .curvature import TotalCurvatureReport, closed_form_of
 from .ramification import RamificationReport, ramification_report
 from .rational import SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
@@ -48,10 +47,6 @@ from .weierstrass import (
     phi_from_data,
     require_genus_zero,
 )
-
-if TYPE_CHECKING:
-    from .bounds import BoundsReport
-    from .curvature import TotalCurvatureReport
 
 __all__ = ["Analysis", "PoleTableError"]
 
@@ -138,19 +133,13 @@ class Analysis:
         g = self.data.g1 if component == 1 else self.data.g2
         key = (g.num.coeffs, g.den.coeffs)
         if key not in self._ramification:
-            self._ramification[key] = ramification_report(
-                g, self.data.punctures, self.data.genus, self.tol
-            )
+            self._ramification[key] = ramification_report(g, self.data.punctures, self.tol)
         return self._ramification[key]
 
     @cached_property
     def bounds(self) -> BoundsReport:
-        from .bounds import bounds_of
-
         return bounds_of(self)
 
     @cached_property
     def curvature_closed_form(self) -> TotalCurvatureReport:
-        from .curvature import closed_form_of
-
         return closed_form_of(self)

@@ -30,7 +30,8 @@ per-component ceiling x <= c + 1/R_i (``_ceiling``) and a joint inequality
 1/(x - c) + 1/(y - c) >= R_1 + R_2 (``_joint``), with c = 2 for totally
 ramified value numbers and c = 4 for shared-value counts.  One evaluator
 (``_bounds_report``) applies them to the invariants of a surface, whether
-computed from data (``compute_bounds``) or asserted (``compute_bounds_abstract``).
+computed from data (``bounds_of``, behind ``Analysis.bounds``) or asserted
+(``compute_bounds_abstract``).
 
 Every verdict here is evaluated in integer / Fraction arithmetic; floats
 enter only upstream (root finding, residues).  Conclusions that depend on
@@ -44,14 +45,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .analysis import Analysis
 from .exprparse import as_sphere_point
-from .ramification import exceptional_values, preimages
+from .ramification import preimages, ramification_report
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
-from .weierstrass import VERDICT_DEGENERATE, WeierstrassData
+from .weierstrass import VERDICT_DEGENERATE
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 __all__ = [
     "CASE_BOTH",
@@ -70,12 +74,10 @@ __all__ = [
     "SharedValue",
     "SharedValues",
     "UnicityReport",
-    "compute_bounds",
     "compute_bounds_abstract",
     "corollary_check",
     "shared_values",
     "unicity_of",
-    "unicity_report",
 ]
 
 CASE_BOTH = "both-nonconstant"
@@ -333,11 +335,6 @@ def _bounds_report(
     )
 
 
-def compute_bounds(d: WeierstrassData, tol: Tolerances | None = None) -> BoundsReport:
-    """Evaluate every degree/ramification bound on concrete genus-0 data."""
-    return Analysis(d, tol or Tolerances()).bounds
-
-
 def bounds_of(an: Analysis) -> BoundsReport:
     """Every degree/ramification bound, from the invariants of one analysis."""
     d = an.data
@@ -516,8 +513,8 @@ def shared_values(
         c = SpherePoint.of(const.constant_value)
         vals = [
             rv.value
-            for rv in exceptional_values(varying, pts, tol)
-            if not rv.value.close_to(c, tol.eps_pt)
+            for rv in ramification_report(varying, pts, tol).values
+            if rv.is_exceptional and not rv.value.close_to(c, tol.eps_pt)
         ]
         vals.sort(key=lambda v: v.sort_key())
         return SharedValues(SHARED_GENERIC, tuple(SharedValue(v, 0) for v in vals))
@@ -546,14 +543,6 @@ def shared_values(
             shared.append(SharedValue(a, len(fa)))
     shared.sort(key=lambda sv: sv.value.sort_key())
     return SharedValues(SHARED_GENERIC, tuple(shared))
-
-
-def unicity_report(
-    dataA: WeierstrassData, dataB: WeierstrassData, tol: Tolerances | None = None
-) -> UnicityReport:
-    """Compare the Gauss maps of two genus-0 data sets on the same punctured sphere."""
-    tol = tol or Tolerances()
-    return unicity_of(Analysis(dataA, tol), Analysis(dataB, tol))
 
 
 def _complete_surface(an: Analysis) -> bool:

@@ -10,9 +10,11 @@ Exit codes: 0 clean, 1 usage or input error (a genus other than 0 included),
 2 mathematical failure (a failed condition, a contradiction verdict, or a
 numerical cross-check that did not converge).  Each command that reads a data
 file derives what it reports from one ``Analysis`` of that file (for mesh, the
-one ``build_mesh`` holds).  Documents go to stdout, or to --out when given.
-No step draws random numbers, so a document depends only on its input and
-flags; every document records the tolerance scale used.
+one ``build_mesh`` holds).  Each command returns its label, body and
+verdict; ``main`` alone writes the document, to stdout or to --out when
+given, and maps the verdict to the exit code.  The parser is built once, at
+import.  No step draws random numbers, so a document depends only on its
+input and flags; every document records the tolerance scale used.
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ def _load_data(path: str) -> WeierstrassData:
             genus=genus,
             label=label,
         )
-    except (ExpressionError, ValueError) as exc:
+    except (ExpressionError, ValueError, OverflowError) as exc:
         raise CliUsageError(f"{path}: {exc}") from exc
     return data
 
@@ -130,12 +132,10 @@ def _check_body(an: Analysis) -> tuple[dict, list[str]]:
     return body, failures
 
 
-def cmd_check(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_check(args, tol: Tolerances) -> tuple[str, dict, bool]:
     an = Analysis(_load_data(args.file), tol)
     body, failures = _check_body(an)
-    _emit(document("check", an.data.label, body, tolerance_scale=scale), args.out)
-    return EXIT_MATH if failures else EXIT_OK
+    return an.data.label, body, not failures
 
 
 def _ramify_body(an: Analysis, component: int) -> tuple[dict, bool]:
@@ -154,12 +154,10 @@ def _ramify_body(an: Analysis, component: int) -> tuple[dict, bool]:
     return body, bool(rep.rh_ok and rep.puncture_budget_ok)
 
 
-def cmd_ramify(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_ramify(args, tol: Tolerances) -> tuple[str, dict, bool]:
     an = Analysis(_load_data(args.file), tol)
     body, ok = _ramify_body(an, args.component)
-    _emit(document("ramify", an.data.label, body, tolerance_scale=scale), args.out)
-    return EXIT_OK if ok else EXIT_MATH
+    return an.data.label, body, ok
 
 
 def _parse_fraction(text: str | None, flag: str):
@@ -178,8 +176,7 @@ def _corollary(rep: BoundsReport) -> str | None:
     return corollary_check(rep)
 
 
-def cmd_bounds(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_bounds(args, tol: Tolerances) -> tuple[str, dict, bool]:
     if args.abstract is not None and args.file:
         raise CliUsageError("give either an input file or --abstract, not both")
     if args.abstract is not None:
@@ -213,12 +210,10 @@ def cmd_bounds(args) -> int:
     corollary = _corollary(rep)
     if corollary is not None:
         body["corollary"] = corollary
-    _emit(document("bounds", label, body, tolerance_scale=scale), args.out)
-    return EXIT_MATH if rep.contradiction else EXIT_OK
+    return label, body, not rep.contradiction
 
 
-def cmd_unicity(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_unicity(args, tol: Tolerances) -> tuple[str, dict, bool]:
     data_a = _load_data(args.file_a)
     data_b = _load_data(args.file_b)
     a, b = Analysis(data_a, tol), Analysis(data_b, tol)
@@ -227,8 +222,7 @@ def cmd_unicity(args) -> int:
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     label = " vs ".join(x for x in (data_a.label, data_b.label) if x)
-    _emit(document("unicity", label, {"unicity": rep}, tolerance_scale=scale), args.out)
-    return EXIT_MATH if rep.contradiction else EXIT_OK
+    return label, {"unicity": rep}, not rep.contradiction
 
 
 def _parse_region(text: str):
@@ -281,8 +275,7 @@ def _parse_projection(text: str):
     return axes
 
 
-def cmd_mesh(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_mesh(args, tol: Tolerances) -> tuple[str, dict, bool]:
     data = _load_data(args.file)
     region = _parse_region(args.region)
     resolution = _parse_resolution(args.res)
@@ -304,12 +297,10 @@ def cmd_mesh(args) -> int:
         "max_path_error": mesh.max_path_error,
         "base_point": mesh.base_point,
     }
-    _emit(document("mesh", data.label, summary, tolerance_scale=scale), args.out)
-    return EXIT_OK
+    return data.label, summary, True
 
 
-def cmd_report(args) -> int:
-    tol, scale = _tolerances(args)
+def cmd_report(args, tol: Tolerances) -> tuple[str, dict, bool]:
     an = Analysis(_load_data(args.file), tol)
     check_body, failures = _check_body(an)
     ram1, _ = _ramify_body(an, 1)
@@ -331,9 +322,7 @@ def cmd_report(args) -> int:
             "routes_agree": agree,
         },
     }
-    _emit(document("report", an.data.label, body, tolerance_scale=scale), args.out)
-    failed = bool(failures) or bounds.contradiction or not agree
-    return EXIT_MATH if failed else EXIT_OK
+    return an.data.label, body, not failures and not bounds.contradiction and agree
 
 
 # -- argument wiring ------------------------------------------------------------
@@ -392,11 +381,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = _PARSER.parse_args(argv)
+        tol, scale = _tolerances(args)
+        label, body, ok = args.fn(args, tol)
+        _emit(document(args.command, label, body, tolerance_scale=scale), args.out)
+        return EXIT_OK if ok else EXIT_MATH
     except (CliUsageError, ExpressionError, UnsupportedGenusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -22,13 +22,16 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import Analysis
-from .rational import RationalFunction
+from .rational import RationalFunction, SpherePoint
 from .tolerances import Tolerances
 from .weierstrass import WeierstrassData, metric_factor_from_phi, phi_from_data
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
 
 __all__ = [
     "TotalCurvatureReport",
@@ -37,7 +40,6 @@ __all__ = [
     "curvature_from_metric",
     "gauss_curvature",
     "total_curvature_quadrature",
-    "total_curvature_closed_form",
 ]
 
 VERDICT_FLAT = "flat"
@@ -118,8 +120,6 @@ def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
     if isinstance(z, np.ndarray):
         return curvature_from_metric(d, z, metric_factor_from_phi(phi, z))
     tol = tol or Tolerances()
-    from .rational import SpherePoint
-
     if d.is_puncture(SpherePoint(complex(z)), tol.eps_pt):
         raise ValueError(f"curvature evaluated at a puncture: {z}")
     lam2 = metric_factor_from_phi(phi, complex(z))
@@ -225,13 +225,9 @@ def _flip(g: RationalFunction) -> RationalFunction:
     return g.reciprocal_argument()
 
 
-def total_curvature_closed_form(d: WeierstrassData, tol: Tolerances | None = None) -> TotalCurvatureReport:
-    """-2 pi (d1 + d2) on the basic domain, plus the surface-level verdict."""
-    return Analysis(d, tol or Tolerances()).curvature_closed_form
-
-
 def closed_form_of(an: Analysis) -> TotalCurvatureReport:
-    """The closed-form total curvature of one analysed data set.
+    """-2 pi (d1 + d2) on the basic domain of one analysed data set, plus the
+    surface-level verdict.
 
     Degenerate Gauss maps give the flat verdict with zero curvature; a
     period failure means the immersion only closes up on the universal

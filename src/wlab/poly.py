@@ -193,10 +193,13 @@ class Polynomial:
 
         Degree decisions downstream (orders at infinity, preimage counts at
         infinity) hinge on this; the canonical form of ``rational`` trims at
-        its fixed ``TRIM_RTOL``.
+        its fixed ``TRIM_RTOL``.  Raises ``OverflowError`` on a non-finite
+        coefficient, against which every other one would look tiny.
         """
         if not self._c:
             return self
+        if not all(map(cmath.isfinite, self._c)):
+            raise OverflowError("a coefficient is beyond the range of a double")
         scale = self.max_abs_coeff
         c = list(self._c)
         while c and abs(c[-1]) <= rel_eps * scale:

@@ -27,15 +27,12 @@ from .poly import Polynomial
 from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
-from .weierstrass import require_genus_zero
 
 __all__ = [
     "Preimage",
     "RamifiedValue",
     "RamificationReport",
     "preimages",
-    "exceptional_values",
-    "totally_ramified_values",
     "ramification_report",
     "KIND_EXCEPTIONAL",
     "KIND_TOTALLY_RAMIFIED",
@@ -181,24 +178,15 @@ def _ramified_values(
     return tuple(out)
 
 
-def exceptional_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
-    """Values the restricted map omits entirely (only puncture images can be)."""
-    return [rv for rv in totally_ramified_values(f, punctures, tol) if rv.is_exceptional]
-
-
-def totally_ramified_values(f: RationalFunction, punctures, tol: Tolerances | None = None) -> list[RamifiedValue]:
-    """All totally ramified values, with exceptional ones included and marked."""
-    return list(ramification_report(f, punctures, tol=tol).values)
-
-
 def _branching_over(rv: RamifiedValue) -> int:
     return sum(pre.multiplicity - 1 for pre in rv.preimages)
 
 
-def ramification_report(
-    f: RationalFunction, punctures, genus: int = 0, tol: Tolerances | None = None
-) -> RamificationReport:
+def ramification_report(f: RationalFunction, punctures, tol: Tolerances | None = None) -> RamificationReport:
     """All Definition-level quantities plus the instance inequalities.
+
+    ``values`` holds every totally ramified value, the exceptional ones
+    (those the restricted map omits) included and marked.
 
     n1 is the total branching order over the whole sphere, computed from
     the Wronskian degree and the local degree at infinity; rh_ok asserts
@@ -213,7 +201,6 @@ def ramification_report(
     preimages absorb branching; it is reported, not raised.
     """
     tol = tol or Tolerances()
-    require_genus_zero(genus)
     if f.is_constant:
         raise ValueError("ramification of a constant map is undefined")
     pts = tuple(as_sphere_point(p) for p in punctures)

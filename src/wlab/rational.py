@@ -162,7 +162,7 @@ def canonical_sum(a: Polynomial, b: Polynomial) -> Polynomial:
 
     The sum first multiplies each numerator by the other's denominator 1:
     per coefficient that product is 0j + c * 1, which turns a -0.0 part into
-    0.0 and the partner of an infinite part into nan, so it is kept.
+    0.0, so it is kept.
     """
     x = Polynomial([0j + c * _UNIT for c in a.coeffs])
     y = Polynomial([0j + c * _UNIT for c in b.coeffs])

@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wlab.bounds import compute_bounds, unicity_report
+from wlab.analysis import Analysis
+from wlab.bounds import unicity_of
 from wlab.cli import main
 from wlab.curvature import total_curvature_quadrature
 from wlab.mesh import Rectangle, build_mesh
@@ -205,7 +206,7 @@ def test_criterion_05_branching_identity_suite():
             if f.degree != d:
                 continue
             try:
-                rep = ramification_report(f, punctures=(), genus=0)
+                rep = ramification_report(f, punctures=())
             except (IllConditionedRootsError, RootCrossCheckError):
                 continue
             assert rep.n1 == 2 * d - 2, f
@@ -305,8 +306,9 @@ def test_criterion_08_consistency_fuzz():
             if (a.g1.degree, a.g2.degree) != (b.g1.degree, b.g2.degree):
                 continue
             try:
-                bounds_a = compute_bounds(a)
-                u = unicity_report(a, b)
+                an_a = Analysis(a)
+                bounds_a = an_a.bounds
+                u = unicity_of(an_a, Analysis(b))
             except (IllConditionedRootsError, RootCrossCheckError):
                 continue
             assert bounds_a.contradiction is False, a

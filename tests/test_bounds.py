@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wlab.analysis import Analysis
 from wlab.bounds import (
     CASE_BOTH,
     CASE_FLAT,
@@ -20,11 +21,10 @@ from wlab.bounds import (
     SHARED_GENERIC,
     SHARED_IDENTICAL,
     BoundsReport,
-    compute_bounds,
     compute_bounds_abstract,
     corollary_check,
     shared_values,
-    unicity_report,
+    unicity_of,
 )
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
@@ -134,7 +134,7 @@ def test_rotation_oracle_pole_orders_match_mu():
         # random data; those data sets say nothing about mu and are skipped
         try:
             mu = rotated_mu(d)
-            r = compute_bounds(d)
+            r = Analysis(d).bounds
         except (
             IllConditionedRootsError,
             RootCrossCheckError,
@@ -173,7 +173,7 @@ def test_rotated_product_keeps_multiple_poles():
 
 
 def test_bounds_four_punctures_identity_maps():
-    r = compute_bounds(four_punctures())
+    r = Analysis(four_punctures()).bounds
     assert r.case == CASE_BOTH
     assert (r.G, r.k, r.chi_term, r.d1, r.d2) == (0, 4, 2, 1, 1)
     assert r.nu_g1 == 4 and r.nu_g2 == 4
@@ -191,7 +191,7 @@ def test_bounds_four_punctures_identity_maps():
 
 
 def test_bounds_one_constant_component():
-    r = compute_bounds(one_constant_three())
+    r = Analysis(one_constant_three()).bounds
     assert r.case == CASE_ONE_CONSTANT
     assert (r.k, r.chi_term, r.d1, r.d2) == (3, 1, 1, 0)
     assert r.nu_g1 == 3 and r.nu_g2 is None
@@ -204,7 +204,7 @@ def test_bounds_one_constant_component():
 
 
 def test_bounds_vanishing_period_data():
-    r = compute_bounds(algebraic_cubic())
+    r = Analysis(algebraic_cubic()).bounds
     assert r.case == CASE_ONE_CONSTANT
     assert (r.k, r.chi_term) == (2, 0)
     assert r.chi_nonpositive
@@ -219,7 +219,7 @@ def test_bounds_vanishing_period_data():
 
 def test_bounds_flat_data():
     d = WeierstrassData(h=ONE, g1=ONE * 2, g2=ONE * 3, punctures=("inf",))
-    r = compute_bounds(d)
+    r = Analysis(d).bounds
     assert r.case == CASE_FLAT
     assert not r.contradiction
     assert r.nu_g1 is None and r.nu_bound_g1 is None
@@ -228,7 +228,7 @@ def test_bounds_flat_data():
 def test_bounds_reject_positive_genus():
     d = WeierstrassData(h=ONE, g1=Z, g2=Z, punctures=("inf",), genus=1)
     with pytest.raises(ValueError):
-        compute_bounds(d)
+        Analysis(d).bounds
 
 
 def test_bounds_random_data_never_contradict():
@@ -254,7 +254,7 @@ def test_bounds_random_data_never_contradict():
             punctures=tuple(pool[i] for i in idx),
         )
         try:
-            r = compute_bounds(data)
+            r = Analysis(data).bounds
         except (IllConditionedRootsError, RootCrossCheckError):
             continue
         assert not r.contradiction, data
@@ -341,7 +341,7 @@ def test_abstract_agrees_with_computed_on_every_fixture():
     )
     checked = 0
     for d in loadable_fixtures():
-        r = compute_bounds(d)
+        r = Analysis(d).bounds
         a = compute_bounds_abstract(0, r.k, r.d1, r.d2, r.nu_g1, r.nu_g2, r.mu)
         assert a.case == r.case, d.label
         for name in fields:
@@ -364,9 +364,9 @@ def test_abstract_input_validation():
 
 
 def test_corollary_sharp_on_reference_data():
-    assert corollary_check(compute_bounds(four_punctures())) == COROLLARY_SHARP
-    assert corollary_check(compute_bounds(one_constant_three())) == COROLLARY_SHARP
-    assert corollary_check(compute_bounds(algebraic_cubic())) == COROLLARY_SHARP
+    assert corollary_check(Analysis(four_punctures()).bounds) == COROLLARY_SHARP
+    assert corollary_check(Analysis(one_constant_three()).bounds) == COROLLARY_SHARP
+    assert corollary_check(Analysis(algebraic_cubic()).bounds) == COROLLARY_SHARP
 
 
 def _handcrafted(case, r1, r2, algebraic, d1=1, d2=1):
@@ -407,7 +407,7 @@ def test_corollary_one_constant_thresholds():
 
 
 def test_corollary_flat_and_missing_counts():
-    flat = compute_bounds(WeierstrassData(h=ONE, g1=ONE, g2=ONE, punctures=("inf",)))
+    flat = Analysis(WeierstrassData(h=ONE, g1=ONE, g2=ONE, punctures=("inf",))).bounds
     assert corollary_check(flat) == COROLLARY_CONSISTENT
     rep = _handcrafted(CASE_BOTH, None, 4, algebraic=False)
     with pytest.raises(ValueError):
@@ -488,7 +488,7 @@ def test_shared_values_against_constant_map():
 
 def test_unicity_six_shared_values_at_the_boundary():
     a, b = sharp_pair(("0", "2", "1/2", "inf"))
-    u = unicity_report(a, b)
+    u = unicity_of(Analysis(a), Analysis(b))
     assert u.case == CASE_BOTH
     assert (u.p, u.q) == (6, 6)
     assert u.count_bound_g1 == 6 and u.count_bound_g1_ok and u.count_bound_g1_equality
@@ -507,7 +507,7 @@ def test_unicity_one_constant_pair():
     zero = RationalFunction.constant(0)
     a = WeierstrassData(h=h, g1=Z, g2=zero, punctures=("0", "2", "inf"))
     b = WeierstrassData(h=h, g1=1 / Z, g2=zero, punctures=("0", "2", "inf"))
-    u = unicity_report(a, b)
+    u = unicity_of(Analysis(a), Analysis(b))
     assert u.case == CASE_ONE_CONSTANT
     assert u.p == 4 and u.q is None
     assert _shared_as_dict(u.shared_g1) == {"0": 0, "inf": 0, "1": 1, "-1": 1}
@@ -520,7 +520,7 @@ def test_unicity_one_constant_pair():
 
 def test_unicity_identical_data():
     a, _ = sharp_pair(("0", "2", "1/2", "inf"))
-    u = unicity_report(a, a)
+    u = unicity_of(Analysis(a), Analysis(a))
     assert u.case == "identical"
     assert u.identity_verdict == IDENTITY_IDENTICAL
     assert u.p is None and u.q is None
@@ -533,7 +533,7 @@ def test_unicity_forced_identity_needs_hypotheses():
     # complete-surface hypotheses, which this pair does not.
     pts = ("0", "inf", "1", "-1", "i", "-i", "2", "1/2")
     a, b = sharp_pair(pts)
-    u = unicity_report(a, b)
+    u = unicity_of(Analysis(a), Analysis(b))
     assert (u.p, u.q) == (8, 8)
     assert u.identity_verdict == IDENTITY_FORCED
     assert not u.hypotheses_ok
@@ -545,13 +545,13 @@ def test_unicity_rejects_mismatched_inputs():
     a, b = sharp_pair(("0", "2", "1/2", "inf"))
     other_punctures = WeierstrassData(h=b.h, g1=b.g1, g2=b.g2, punctures=("0", "3", "1/2", "inf"))
     with pytest.raises(ValueError):
-        unicity_report(a, other_punctures)
+        unicity_of(Analysis(a), Analysis(other_punctures))
     higher_degree = WeierstrassData(h=b.h, g1=Z**2, g2=b.g2, punctures=a.punctures)
     with pytest.raises(ValueError):
-        unicity_report(a, higher_degree)
+        unicity_of(Analysis(a), Analysis(higher_degree))
     genus_one = WeierstrassData(h=b.h, g1=b.g1, g2=b.g2, punctures=a.punctures, genus=1)
     with pytest.raises(ValueError):
-        unicity_report(a, genus_one)
+        unicity_of(Analysis(a), Analysis(genus_one))
 
 
 def test_unicity_random_pairs_never_contradict():
@@ -577,7 +577,7 @@ def test_unicity_random_pairs_never_contradict():
         if a.g1.degree != b.g1.degree or a.g2.degree != b.g2.degree:
             continue
         try:
-            u = unicity_report(a, b)
+            u = unicity_of(Analysis(a), Analysis(b))
         except (IllConditionedRootsError, RootCrossCheckError):
             continue
         assert not u.contradiction, (a, b)

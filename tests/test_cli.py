@@ -7,6 +7,7 @@ entry point itself.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
@@ -179,6 +180,16 @@ def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
     assert code == EXIT_USAGE and doc is None
     assert "'1e400' overflows" in err
+
+
+@pytest.mark.parametrize("g1", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
+@pytest.mark.parametrize("command", ["check", "ramify"])
+def test_a_coefficient_that_overflows_is_a_usage_error(capsys, tmp_path, command, g1):
+    data = tmp_path / "huge.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    code, doc, err = run(capsys, command, str(data))
+    assert code == EXIT_USAGE and doc is None
+    assert err == f"error: {data}: a coefficient is beyond the range of a double\n"
 
 
 def test_ramify_inexact_division_is_a_typed_math_failure(capsys, tmp_path):
@@ -542,6 +553,14 @@ def test_unknown_subcommand_and_bad_flags_exit_usage(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "check", fixture("example23"), "--tolerance-scale", "-1")
     assert code == EXIT_USAGE and "positive" in err
+
+
+def test_main_builds_no_parser_per_call(capsys, record_calls):
+    built = record_calls(argparse.ArgumentParser, "__init__")
+    assert run(capsys, "check", fixture("example23"))[0] == EXIT_OK
+    assert run(capsys, "bounds", "--abstract", "0", "4", "1", "1")[0] == EXIT_OK
+    assert run(capsys, "check", fixture("example23"), "--seed", "7")[0] == EXIT_USAGE
+    assert built == []
 
 
 def test_module_entry_point(tmp_path):

@@ -5,13 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from wlab.analysis import Analysis
 from wlab.curvature import (
     QuadratureError,
     _density,
     _integrate_polar,
     gauss_curvature,
     spherical_derivative,
-    total_curvature_closed_form,
     total_curvature_quadrature,
 )
 from wlab.rational import RationalFunction
@@ -126,7 +126,7 @@ def test_chart_independence_on_overlap():
 def test_closed_form_universal_cover():
     data = WeierstrassData(h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z,
                            punctures=("1", "2", "3", "inf"))
-    report = total_curvature_closed_form(data)
+    report = Analysis(data).curvature_closed_form
     assert report.basic_domain_value == pytest.approx(-4 * math.pi)
     assert not report.period_ok
     assert report.surface_verdict == "infinite-universal-cover"
@@ -135,7 +135,7 @@ def test_closed_form_universal_cover():
 
 def test_closed_form_algebraic():
     data = WeierstrassData(h=1 / Z**3, g1=Z, g2=ONE, punctures=("0", "inf"))
-    report = total_curvature_closed_form(data)
+    report = Analysis(data).curvature_closed_form
     assert report.basic_domain_value == pytest.approx(-2 * math.pi)
     assert report.period_ok
     assert report.surface_verdict == "finite-algebraic"
@@ -145,7 +145,7 @@ def test_closed_form_algebraic():
 
 def test_closed_form_flat():
     data = WeierstrassData(h=ONE, g1=ZERO, g2=ZERO, punctures=("inf",))
-    report = total_curvature_closed_form(data)
+    report = Analysis(data).curvature_closed_form
     assert report.surface_verdict == "flat"
     assert report.surface_value == 0.0
 
@@ -157,7 +157,7 @@ def test_quadrature_matches_closed_form_across_fixtures():
         WeierstrassData(h=1 / Z**3, g1=Z, g2=ONE, punctures=("0", "inf")),
     ]
     for data in fixtures:
-        expect = total_curvature_closed_form(data).basic_domain_value
+        expect = Analysis(data).curvature_closed_form.basic_domain_value
         assert total_curvature_quadrature(data) == pytest.approx(expect, rel=0.01)
 
 

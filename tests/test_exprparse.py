@@ -87,6 +87,14 @@ def test_literal_overflowing_a_double_is_rejected(text):
     assert err.value.position == text.index("1e400")
 
 
+@pytest.mark.parametrize("text", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
+def test_coefficient_overflowing_a_double_is_rejected(text):
+    # every literal is finite, but a product is not: trimmed against an
+    # infinite largest coefficient, every other one would vanish
+    with pytest.raises(OverflowError, match="beyond the range of a double"):
+        parse_expression(text)
+
+
 def test_exponent_must_be_integer_literal():
     with pytest.raises(ExpressionError):
         parse_expression("z^1.5")

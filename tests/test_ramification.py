@@ -11,13 +11,7 @@ import pytest
 
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
-from wlab.ramification import (
-    OverfullFiberError,
-    exceptional_values,
-    preimages,
-    ramification_report,
-    totally_ramified_values,
-)
+from wlab.ramification import OverfullFiberError, preimages, ramification_report
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
@@ -78,22 +72,22 @@ def test_preimages_constant_rejected():
 
 
 def test_exceptional_identity_map_four_punctures():
-    vals = exceptional_values(Z, ("1", "2", "3", "inf"))
+    vals = [v for v in ramification_report(Z, ("1", "2", "3", "inf")).values if v.is_exceptional]
     assert sorted(str(v.value) for v in vals) == ["1", "2", "3", "inf"]
     assert all(v.is_exceptional and v.nu == math.inf for v in vals)
 
 
 def test_exceptional_skips_unpunctured_infinity():
-    vals = exceptional_values(Z, ("0", "2"))
+    vals = [v for v in ramification_report(Z, ("0", "2")).values if v.is_exceptional]
     assert sorted(str(v.value) for v in vals) == ["0", "2"]
 
 
 def test_exceptional_none_without_punctures():
-    assert exceptional_values(Z**2, ()) == []
+    assert [v for v in ramification_report(Z**2, ()).values if v.is_exceptional] == []
 
 
 def test_exceptional_preimages_flagged():
-    vals = exceptional_values(Z**2, ("0", "inf"))
+    vals = [v for v in ramification_report(Z**2, ("0", "inf")).values if v.is_exceptional]
     assert len(vals) == 2
     for v in vals:
         assert all(pre.is_puncture for pre in v.preimages)
@@ -104,27 +98,27 @@ def test_exceptional_preimages_flagged():
 
 
 def test_squaring_map_unpunctured():
-    vals = totally_ramified_values(Z**2, ())
+    vals = ramification_report(Z**2, ()).values
     assert sorted(str(v.value) for v in vals) == ["0", "inf"]
     assert all(v.kind == "totally-ramified" and v.nu == 2 for v in vals)
 
 
 def test_squaring_map_with_punctures_promotes_to_exceptional():
-    vals = totally_ramified_values(Z**2, ("0", "inf"))
+    vals = ramification_report(Z**2, ("0", "inf")).values
     assert all(v.is_exceptional for v in vals)
 
 
 def test_identity_map_has_no_ramified_values():
-    assert totally_ramified_values(Z, ()) == []
+    assert ramification_report(Z, ()).values == ()
 
 
 def test_mixed_fiber_disqualifies():
     # value 0 of z^2(z-1) has a double root at 0 and a simple root at 1
     f = Z**2 * (Z - 1)
-    vals = totally_ramified_values(f, ())
+    vals = ramification_report(f, ()).values
     assert not any(str(v.value) == "0" for v in vals)
     # but puncturing the simple preimage re-qualifies it
-    vals_p = totally_ramified_values(f, ("1",))
+    vals_p = ramification_report(f, ("1",)).values
     zero = next(v for v in vals_p if str(v.value) == "0")
     assert zero.nu == 2
     free = [pre for pre in zero.preimages if not pre.is_puncture]
@@ -169,11 +163,6 @@ def test_report_degree_five_total_branching():
     assert rep.degree == 5
     assert rep.n1 == 8
     assert rep.rh_ok
-
-
-def test_report_genus_gate():
-    with pytest.raises(ValueError):
-        ramification_report(Z**2, (), genus=1)
 
 
 def test_riemann_hurwitz_many_random_maps():
@@ -238,8 +227,8 @@ def test_overfull_fiber_is_a_typed_failure():
     assert issubclass(OverfullFiberError, ArithmeticError)
     assert not issubclass(OverfullFiberError, ValueError)
     with pytest.raises(OverfullFiberError):
-        totally_ramified_values(f, (), Tolerances(eps_pt=1e-2))
-    vals = totally_ramified_values(f, ())
+        ramification_report(f, (), Tolerances(eps_pt=1e-2)).values
+    vals = ramification_report(f, ()).values
     assert [(str(v.value), v.kind, v.nu) for v in vals] == [("inf", "totally-ramified", 3)]
 
 
@@ -265,7 +254,7 @@ def near(a: SpherePoint, b: SpherePoint) -> bool:
 def assert_fibers_match_counting(f, punctures):
     """Every reported fiber is the counted one; every other candidate is ordinary."""
     tol = Tolerances()
-    reported = totally_ramified_values(f, punctures, tol)
+    reported = ramification_report(f, punctures, tol).values
     for rv in reported:
         counted = counted_fiber(f, rv.value, punctures, tol)
         free = [mult for _p, mult, is_puncture in counted if not is_puncture]
