@@ -33,6 +33,12 @@ ramified value numbers and c = 4 for shared-value counts.  One evaluator
 computed from data (``bounds_of``, behind ``Analysis.bounds``) or asserted
 (``compute_bounds_abstract``).
 
+Shared values are decided by counting, on the one fiber route of
+``ramification.fiber_table``: a value a is shared when the common points of
+the two maps over a (roots of the cross numerator N_A D_B - N_B D_A, which
+is never reduced) are as many as the distinct preimages of a off the
+punctures under each map.  No fiber polynomial is root-found.
+
 Every verdict here is evaluated in integer / Fraction arithmetic; floats
 enter only upstream (root finding, residues).  Conclusions that depend on
 the surface hypotheses (conformality, regularity, completeness) are gated
@@ -48,8 +54,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exprparse import as_sphere_point
-from .ramification import preimages, ramification_report
-from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .ramification import fiber_table
+from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE
@@ -461,17 +467,6 @@ def corollary_check(report: BoundsReport) -> str:
 # -- shared values and unicity --------------------------------------------------
 
 
-def _fiber_in_domain(
-    f: RationalFunction, a: SpherePoint, punctures, tol: Tolerances
-) -> list[SpherePoint]:
-    """Distinct preimage points of ``a`` that are not punctures."""
-    return [
-        pt
-        for pt, _mult in preimages(f, a, tol)
-        if not any(pt.close_to(q, tol.eps_pt) for q in punctures)
-    ]
-
-
 def _point_sets_equal(xs, ys, eps_pt: float) -> bool:
     if len(xs) != len(ys):
         return False
@@ -492,15 +487,20 @@ def shared_values(
 ) -> SharedValues:
     """All values whose preimage sets off the punctures coincide.
 
-    A value can be shared in two ways: through common solution points of
-    gA = gB in the domain, or with both preimage sets empty (exceptional
-    for both maps).  Every nonempty shared preimage point is a zero of
-    gA - gB, so the zeros of the difference together with the puncture
-    images form a complete, finite candidate list; each candidate is then
-    settled by comparing the two fibers as point sets (multiplicities do
-    not matter).  Infinity is always a candidate, since a common pole is
-    no zero of gA - gB.  Identical maps share everything and are reported
-    as a special kind, as is a pair of distinct constants.
+    Both maps' fibers are read off their ``ramification.fiber_table``; no
+    fiber is root-found.  The common points, where gA = gB, are the distinct
+    roots of the cross numerator N_A D_B - N_B D_A (common poles included)
+    and infinity when gA(inf) = gB(inf), punctures dropped.  The common
+    points over a value a lie in both fibers, so the two preimage sets off
+    the punctures coincide exactly when both hold as many distinct points
+    as there are common points over a: a is shared iff that count equals
+    ``free_count`` of both tables, and delta is the count.  A shared value
+    is a value at a common point, or has both preimage sets empty, and is
+    then a puncture image; so the puncture images, the values at the
+    common points and infinity form a complete candidate list.  Identical
+    maps share everything and are reported as a special kind, as is a pair
+    of distinct constants.  Against a constant c, the shared values are
+    the varying map's exceptional values other than c.
     """
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
@@ -511,36 +511,33 @@ def shared_values(
     if gA.is_constant or gB.is_constant:
         const, varying = (gA, gB) if gA.is_constant else (gB, gA)
         c = SpherePoint.of(const.constant_value)
-        vals = [
-            rv.value
-            for rv in ramification_report(varying, pts, tol).values
-            if rv.is_exceptional and not rv.value.close_to(c, tol.eps_pt)
-        ]
-        vals.sort(key=lambda v: v.sort_key())
-        return SharedValues(SHARED_GENERIC, tuple(SharedValue(v, 0) for v in vals))
+        table = fiber_table(varying, pts, tol)
+        return SharedValues(
+            SHARED_GENERIC,
+            tuple(
+                SharedValue(v, 0)
+                for v in table.candidates
+                if table.free_count(v) == 0 and not v.close_to(c, tol.eps_pt)
+            ),
+        )
+
+    tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
+    cross = (gA.num * gB.den - gB.num * gA.den).trim(TRIM_RTOL)
+    common = [SpherePoint(r) for r, _m in roots_with_multiplicity(cross, tol)] if cross.degree >= 1 else []
+    if gA.value_at_sphere(INF, tol).close_to(gB.value_at_sphere(INF, tol), tol.eps_pt):
+        common.append(INF)
+    common_values = [
+        gA.value_at_sphere(c, tol) for c in common if not any(c.close_to(p, tol.eps_pt) for p in pts)
+    ]
 
     # the puncture images come first: they are exact where the input is,
     # and ``distinct_points`` keeps the first of each group
-    candidates: list[SpherePoint] = []
-    for p in pts:
-        candidates.append(gA.value_at_sphere(p, tol))
-        candidates.append(gB.value_at_sphere(p, tol))
-    # only the zeros of the difference are candidates, so its denominator is
-    # never located; a zero at infinity is read off the degrees
-    diff = gA - gB
-    if diff.num.degree >= 1:
-        for r, _m in roots_with_multiplicity(diff.num, tol):
-            candidates.append(gA.value_at_sphere(SpherePoint(r), tol))
-    if diff.den.degree > diff.num.degree:
-        candidates.append(gA.value_at_sphere(INF, tol))
-    candidates.append(INF)
-
+    images = [g.value_at_sphere(p, tol) for p in pts for g in (gA, gB)]
     shared: list[SharedValue] = []
-    for a in distinct_points(candidates, tol.eps_pt):
-        fa = _fiber_in_domain(gA, a, pts, tol)
-        fb = _fiber_in_domain(gB, a, pts, tol)
-        if _point_sets_equal(fa, fb, tol.eps_pt):
-            shared.append(SharedValue(a, len(fa)))
+    for a in distinct_points([*images, *common_values, INF], tol.eps_pt):
+        delta = sum(1 for v in common_values if v.close_to(a, tol.eps_pt))
+        if delta == tableA.free_count(a) == tableB.free_count(a):
+            shared.append(SharedValue(a, delta))
     shared.sort(key=lambda sv: sv.value.sort_key())
     return SharedValues(SHARED_GENERIC, tuple(shared))
 

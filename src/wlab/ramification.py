@@ -10,10 +10,16 @@ The search is finite because only finitely many values can qualify: a value
 that is neither a critical value nor the image of a puncture has d simple
 non-puncture preimages.  The candidate set is therefore the critical values
 (both charts) together with the puncture images.  Every fiber is read off
-one table per map: each root c of the Wronskian N'D - ND' with local degree
-1 + ord_c, infinity with its local degree when it is critical, and the
-punctures.  Over a candidate value, deg f minus the local degrees of the
-table points counts the simple preimages outside the table.
+one table per map (``fiber_table``): each root c of the Wronskian N'D - ND'
+with local degree 1 + ord_c, infinity with its local degree when it is
+critical, and the punctures.  Over any value, deg f minus the local degrees
+of the table points counts the simple preimages outside the table.
+
+The table is the one route to a fiber, and it has two readers:
+``ramification_report`` reads the fibers over its candidates, and
+``bounds.shared_values`` reads ``FiberTable.free_count``, the number of
+distinct preimages off the punctures, over the values two maps may share.
+No fiber polynomial N - aD is root-found.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprparse import as_sphere_point
-from .poly import Polynomial
 from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
@@ -32,7 +37,8 @@ __all__ = [
     "Preimage",
     "RamifiedValue",
     "RamificationReport",
-    "preimages",
+    "FiberTable",
+    "fiber_table",
     "ramification_report",
     "KIND_EXCEPTIONAL",
     "KIND_TOTALLY_RAMIFIED",
@@ -100,33 +106,6 @@ class RamificationReport:
     ramified_weight_rhs: Fraction
 
 
-def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tuple[SpherePoint, int]]:
-    """The fiber f^{-1}(a) with multiplicities; they always sum to deg f.
-
-    Finite a: roots of num - a*den.  a = infinity: roots of den.  Whenever
-    the fiber polynomial drops below deg f, the balance sits at infinity.
-    ``bounds.shared_values`` compares the fibers of generic values with it,
-    and the tests check every fiber the Wronskian table gives against it.
-    """
-    if f.is_constant:
-        raise ValueError("preimages of a constant map are not a finite fiber")
-    target = as_sphere_point(a)
-    d = f.degree
-    if target.is_infinity:
-        fiber_poly = f.den
-    else:
-        fiber_poly = f.num - f.den.scale(target.value)
-    out: list[tuple[SpherePoint, int]] = []
-    if fiber_poly.degree >= 1:
-        for root, mult in roots_with_multiplicity(fiber_poly, tol):
-            out.append((SpherePoint(root), mult))
-    covered = sum(m for _, m in out)
-    if covered < d:
-        out.append((INF, d - covered))
-    out.sort(key=lambda pm: pm[0].sort_key())
-    return out
-
-
 def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int:
     """Local degree of the map at z = infinity."""
     value = f.value_at_sphere(INF, tol)
@@ -140,41 +119,83 @@ def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int
     return f.den.degree - rest.degree
 
 
-def _ramified_values(
-    f: RationalFunction,
-    punctures: tuple[SpherePoint, ...],
-    w: Polynomial,
-    e_inf: int,
-    tol: Tolerances,
-) -> tuple[RamifiedValue, ...]:
-    """The qualifying values of f, given its Wronskian w and local degree at infinity.
+@dataclass(frozen=True)
+class FiberTable:
+    """Every point of one map's fibers that is not a simple non-puncture preimage.
 
-    A critical point within eps_pt of a puncture is that puncture; every
-    other puncture has local degree 1.
+    ``entries`` pairs each table point, as a ``Preimage`` carrying its local
+    degree, with its value: the roots of the Wronskian with local degree 1 +
+    their multiplicity, infinity when its local degree is at least 2, then
+    every puncture no critical point claimed, with local degree 1.  A
+    critical point within eps_pt of a puncture is that puncture.  Every
+    other point of the sphere is a simple preimage of its value.
+    ``candidates`` are the critical values and the puncture images, sorted:
+    the only values that can be exceptional or totally ramified.
+    ``branching`` is the total branching order n1 over the whole sphere.
     """
+
+    degree: int
+    branching: int
+    entries: tuple[tuple[Preimage, SpherePoint], ...]
+    candidates: tuple[SpherePoint, ...]
+    eps_pt: float
+
+    def fiber(self, value: SpherePoint) -> tuple[Preimage, ...]:
+        """The table points over ``value``, sorted.
+
+        Raises ``OverfullFiberError`` when their local degrees add up to more
+        than deg f.
+        """
+        over = sorted(
+            (pre for pre, v in self.entries if v.close_to(value, self.eps_pt)),
+            key=lambda pre: pre.point.sort_key(),
+        )
+        total = sum(pre.multiplicity for pre in over)
+        if total > self.degree:
+            raise OverfullFiberError(f"local degrees over {value} add up to {total} > deg f = {self.degree}")
+        return tuple(over)
+
+    def free_count(self, value: SpherePoint) -> int:
+        """The number of distinct preimages of ``value`` off the punctures.
+
+        The non-puncture table points over ``value``, plus the simple
+        preimages outside the table: deg f minus the local degrees of all
+        table points over ``value``.
+        """
+        fiber = self.fiber(value)
+        free = sum(1 for pre in fiber if not pre.is_puncture)
+        return free + self.degree - sum(pre.multiplicity for pre in fiber)
+
+
+def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -> FiberTable:
+    """The fiber table of a non-constant map: one root-finding, of its Wronskian."""
+    tol = tol or Tolerances()
+    pts = tuple(as_sphere_point(p) for p in punctures)
+    w = f.derivative_numerator()
+    e_inf = _local_multiplicity_at_infinity(f, tol)
     critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if w.degree >= 1 else []
     if e_inf >= 2:
         critical.append((INF, e_inf))
-    table: list[tuple[Preimage, SpherePoint]] = []
+    entries: list[tuple[Preimage, SpherePoint]] = []
     for point, e in critical:
-        puncture = next((p for p in punctures if point.close_to(p, tol.eps_pt)), None)
-        table.append((Preimage(puncture or point, e, puncture is not None), f.value_at_sphere(point, tol)))
-    images = [f.value_at_sphere(p, tol) for p in punctures]
-    candidates = sorted(distinct_points([v for _, v in table] + images, tol.eps_pt), key=SpherePoint.sort_key)
-    claimed = {pre.point for pre, _ in table}
-    table += [(Preimage(p, 1, True), v) for p, v in zip(punctures, images) if p not in claimed]
+        puncture = next((p for p in pts if point.close_to(p, tol.eps_pt)), None)
+        entries.append((Preimage(puncture or point, e, puncture is not None), f.value_at_sphere(point, tol)))
+    images = [f.value_at_sphere(p, tol) for p in pts]
+    candidates = sorted(distinct_points([v for _, v in entries] + images, tol.eps_pt), key=SpherePoint.sort_key)
+    claimed = {pre.point for pre, _ in entries}
+    entries += [(Preimage(p, 1, True), v) for p, v in zip(pts, images) if p not in claimed]
+    return FiberTable(f.degree, w.degree + e_inf - 1, tuple(entries), tuple(candidates), tol.eps_pt)
 
+
+def _ramified_values(table: FiberTable) -> tuple[RamifiedValue, ...]:
+    """The candidates whose table points carry all of deg f."""
     out = []
-    for value in candidates:
-        over = [pre for pre, v in table if v.close_to(value, tol.eps_pt)]
-        fiber = sorted(over, key=lambda pre: pre.point.sort_key())
-        total = sum(pre.multiplicity for pre in fiber)
-        if total > f.degree:
-            raise OverfullFiberError(f"local degrees over {value} add up to {total} > deg f = {f.degree}")
-        free = [pre.multiplicity for pre in fiber if not pre.is_puncture]
-        if total == f.degree:
+    for value in table.candidates:
+        fiber = table.fiber(value)
+        if sum(pre.multiplicity for pre in fiber) == table.degree:
+            free = [pre.multiplicity for pre in fiber if not pre.is_puncture]
             kind, nu = (KIND_TOTALLY_RAMIFIED, min(free)) if free else (KIND_EXCEPTIONAL, math.inf)
-            out.append(RamifiedValue(value, kind, nu, tuple(fiber)))
+            out.append(RamifiedValue(value, kind, nu, fiber))
     return tuple(out)
 
 
@@ -200,14 +221,12 @@ def ramification_report(f: RationalFunction, punctures, tol: Tolerances | None =
     The ramified-weight inequality can fail legitimately when puncture
     preimages absorb branching; it is reported, not raised.
     """
-    tol = tol or Tolerances()
     if f.is_constant:
         raise ValueError("ramification of a constant map is undefined")
     pts = tuple(as_sphere_point(p) for p in punctures)
+    table = fiber_table(f, pts, tol)
     d = f.degree
-    w = f.derivative_numerator()
-    e_inf = _local_multiplicity_at_infinity(f, tol)
-    values = _ramified_values(f, pts, w, e_inf, tol)
+    values = _ramified_values(table)
     r0 = sum(1 for rv in values if rv.is_exceptional)
 
     nu_f = Fraction(0)
@@ -216,7 +235,7 @@ def ramification_report(f: RationalFunction, punctures, tol: Tolerances | None =
 
     n0 = sum(_branching_over(rv) for rv in values if rv.is_exceptional)
     nr = sum(_branching_over(rv) for rv in values if not rv.is_exceptional)
-    n1 = w.degree + (e_inf - 1)
+    n1 = table.branching
 
     free_values = [rv for rv in values if not rv.is_exceptional]
     l0 = len(free_values)

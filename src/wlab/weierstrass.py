@@ -296,6 +296,12 @@ class RegularityReport:
     checked_points: tuple[SpherePoint, ...]
 
 
+def _orders_at(d: WeierstrassData, point: SpherePoint, tol: Tolerances) -> tuple[int, int, int]:
+    """ord(h dz), poleord(g1) and poleord(g2) at one point: the triple that
+    both regularity (away from the punctures) and the ends (at them) read."""
+    return d.h.form_order_at(point, tol), d.g1.pole_order_at(point, tol), d.g2.pole_order_at(point, tol)
+
+
 def check_regularity(an: Analysis) -> RegularityReport:
     """Check that h dz vanishes exactly where the Gauss maps have poles.
 
@@ -316,9 +322,7 @@ def check_regularity(an: Analysis) -> RegularityReport:
         if d.is_puncture(pt, tol.eps_pt):
             continue
         checked.append(pt)
-        a = d.h.form_order_at(pt, tol)
-        d1 = d.g1.pole_order_at(pt, tol)
-        d2 = d.g2.pole_order_at(pt, tol)
+        a, d1, d2 = _orders_at(d, pt, tol)
         if a != d1 + d2:
             violations.append(RegularityViolation(pt, a, d1, d2))
     return RegularityReport(ok=not violations, violations=tuple(violations), checked_points=tuple(checked))
@@ -369,9 +373,7 @@ def classify_ends(d: WeierstrassData, tol: Tolerances | None = None) -> EndClass
     require_genus_zero(d.genus)
     records = []
     for p in d.punctures:
-        a = d.h.form_order_at(p, tol)
-        d1 = d.g1.pole_order_at(p, tol)
-        d2 = d.g2.pole_order_at(p, tol)
+        a, d1, d2 = _orders_at(d, p, tol)
         m = a - d1 - d2
         if m <= -1:
             verdict = VERDICT_COMPLETE

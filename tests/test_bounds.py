@@ -469,6 +469,38 @@ def test_shared_values_exact_puncture_image_beats_a_float_zero():
     ]
 
 
+def test_shared_values_over_a_rounded_value_at_infinity():
+    # B(0) = -7/3 = A(inf) up to the last bit; read off the fibre tables,
+    # A's fibre over it is {inf}, where a root-found N_A - B(0) D_A put a
+    # finite root near 1.3e16 and missed the value
+    a = parse_expression("(-8-7*z)/(-4+3*z)")
+    b = parse_expression("(-8*z-7)/(-4*z+3)")
+    sv = shared_values(a, b, ("2", "i", "0", "inf"))
+    assert [(v.value.value, v.delta) for v in sv.values] == [
+        (pytest.approx(-7 / 3, rel=1e-12), 0),
+        (pytest.approx(1 / 7, rel=1e-12), 1),
+        (2, 0),
+        (pytest.approx(15, rel=1e-12), 1),
+    ]
+
+
+def test_shared_values_of_a_map_and_its_negative():
+    # the cross numerator is 2 N D, never reduced: gA - gB through the float
+    # gcd lost about 8 digits and with them the shared value 0
+    a = parse_expression("(z^4-2*z^3+6*z^2+2*z-6)/(z^4+9*z^3-6*z^2+8*z+3)")
+    b = parse_expression("-(z^4-2*z^3+6*z^2+2*z-6)/(z^4+9*z^3-6*z^2+8*z+3)")
+    assert _shared_as_dict(shared_values(a, b, ("0", "1", "inf"))) == {"0": 4, "inf": 4}
+
+
+def test_shared_values_need_no_fibre_polynomial_layers():
+    # root-finding the fibres' N - aD raised ExactDivisionError in the
+    # square-free layers; the oracle shares no value
+    a = parse_expression("(6*z^3-6*z^2-9*z+6)/(5*z^3+4*z+4)")
+    b = parse_expression("(6*z^3-9*z^2-6*z+6)/(4*z^3+4*z^2+5)")
+    sv = shared_values(a, b, ("2", "i", "0", "inf"))
+    assert sv.kind == SHARED_GENERIC and sv.values == ()
+
+
 def test_shared_values_identical_and_constant_kinds():
     assert shared_values(Z, Z, ("inf",)).kind == SHARED_IDENTICAL
     one = RationalFunction.constant(1)
@@ -585,3 +617,186 @@ def test_unicity_random_pairs_never_contradict():
         assert u.pole_budget_g2_ok is not False
         checked += 1
     assert checked >= 12
+
+
+# ---------------------------------------------------------------------------
+# shared values against a 60-digit oracle
+#
+# The oracle decides each candidate value the way the definition reads: it
+# compares the two preimage sets off the punctures as point sets.  Every
+# fiber is the root set of the square-free part of N - aD (of D at a =
+# infinity), found by mpmath at 60 digits, plus infinity when that
+# polynomial drops below the degree of the map.
+
+ORACLE_EPS = 1e-15  # point identity at 60 digits
+PROPERTY_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
+
+
+def _mp_trim(p: list, scale) -> list:
+    p = list(p)
+    while p and abs(p[-1]) <= 1e-30 * scale:
+        p.pop()
+    return p
+
+
+def _mp_divmod(a: list, b: list) -> tuple[list, list]:
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            a[k + j] -= q[k] * c
+    return q, a[: len(b) - 1]
+
+
+def _mp_distinct_roots(mp, p: list) -> list:
+    """The distinct roots of p (coefficients lowest first): the roots of p / gcd(p, p')."""
+    p = _mp_trim(p, max(abs(c) for c in p))
+    if len(p) < 2:
+        return []
+    g, r = p, _mp_trim([k * c for k, c in enumerate(p)][1:], max(abs(c) for c in p))
+    while len(r) > 1:
+        g, r = r, _mp_trim(_mp_divmod(g, r)[1], max(abs(c) for c in g))
+    if r:  # a nonzero constant remainder: p is square-free
+        g = [1]
+    q = _mp_divmod(p, g)[0][::-1]
+    if len(q) < 2:
+        return []
+    # started from double-precision eigenvalue roots, the iteration only polishes
+    start = np.roots([complex(c) for c in q])
+    return mp.polyroots(q, maxsteps=100, extraprec=20, roots_init=[mp.mpc(r) for r in start])
+
+
+def _mp_eval(p: list, z):
+    return sum(c * z**k for k, c in enumerate(p))
+
+
+def _oracle_value(mp, num: list, den: list, z):
+    """num/den at z, with None for infinity."""
+    if z is None:
+        if len(num) != len(den):
+            return None if len(num) > len(den) else mp.mpc(0)
+        return mp.mpc(num[-1]) / den[-1]
+    d = _mp_eval(den, z)
+    if abs(d) <= 1e-30 * sum(abs(c) for c in den) * (1 + abs(z)) ** len(den):
+        return None
+    return _mp_eval(num, z) / d
+
+
+def _oracle_close(x, y) -> bool:
+    if x is None or y is None:
+        return x is None and y is None
+    return abs(x - y) <= ORACLE_EPS * (1 + abs(x))
+
+
+def _oracle_fiber(mp, num: list, den: list, a, punctures) -> list:
+    """The distinct preimages of a off the punctures."""
+    size = max(len(num), len(den))
+    if a is None:
+        poly = [mp.mpc(c) for c in den]
+    else:
+        num, den = num + [0] * (size - len(num)), den + [0] * (size - len(den))
+        poly = [n - a * d for n, d in zip(num, den)]
+    poly = _mp_trim(poly, max(abs(c) for c in poly))
+    points = list(_mp_distinct_roots(mp, poly))
+    if len(poly) < size:
+        points.append(None)
+    return [z for z in points if not any(_oracle_close(z, p) for p in punctures)]
+
+
+def _same_point_sets(xs: list, ys: list) -> bool:
+    pool = list(ys)
+    for x in xs:
+        hit = next((i for i, y in enumerate(pool) if _oracle_close(x, y)), None)
+        if hit is None:
+            return False
+        pool.pop(hit)
+    return not pool
+
+
+def oracle_shared_values(mp, a: tuple[list, list], b: tuple[list, list], punctures) -> list[tuple] | None:
+    """(value, delta) of every shared value of two maps; None when they are identical.
+
+    Each map is a coprime pair of integer coefficient lists, lowest first;
+    a puncture is an mpc or None for infinity.
+    """
+    (na, da), (nb, db) = a, b
+    cross = [0] * (max(len(na) + len(db), len(nb) + len(da)) - 1)
+    for x, y, sign in ((na, db, 1), (nb, da, -1)):
+        for i, c in enumerate(x):
+            for j, e in enumerate(y):
+                cross[i + j] += sign * c * e
+    if not any(cross):
+        return None
+    common = list(_mp_distinct_roots(mp, [mp.mpc(c) for c in cross]))
+    if _oracle_close(_oracle_value(mp, na, da, None), _oracle_value(mp, nb, db, None)):
+        common.append(None)
+    candidates = [_oracle_value(mp, *m, p) for p in punctures for m in (a, b)]
+    candidates += [_oracle_value(mp, na, da, z) for z in common if not any(_oracle_close(z, p) for p in punctures)]
+    shared = []
+    for value in [*candidates, None]:
+        if any(_oracle_close(value, v) for v, _delta in shared):
+            continue
+        fa, fb = (_oracle_fiber(mp, *m, value, punctures) for m in (a, b))
+        if _same_point_sets(fa, fb):
+            shared.append((value, len(fa)))
+    return shared
+
+
+def _integer_coeffs(rng, degree: int) -> list[int]:
+    return [int(c) for c in rng.integers(-9, 10, size=degree)] + [int(rng.choice([-3, -2, -1, 1, 2, 3]))]
+
+
+def _stripped(coeffs: list[int]) -> list[int]:
+    while coeffs[-1] == 0:
+        coeffs = coeffs[:-1]
+    return coeffs
+
+
+def _random_coprime_map(rng, sympy) -> tuple[list[int], list[int]]:
+    """An integer N/D of degree 1 to 4 in lowest terms, coefficients lowest first."""
+    z = sympy.Symbol("z")
+    while True:
+        degrees = [int(rng.integers(1, 5))]
+        degrees.insert(int(rng.integers(2)), int(rng.integers(0, degrees[0] + 1)))
+        num, den = (_integer_coeffs(rng, k) for k in degrees)
+        if sympy.gcd(sympy.Poly(num[::-1], z), sympy.Poly(den[::-1], z)).degree() == 0:
+            return num, den
+
+
+def _pair_of_kind(rng, sympy, kind: int) -> tuple[tuple[list, list], tuple[list, list]]:
+    """(A, 1/A), (A, -A), A(1/z), A(-z) or an unrelated pair."""
+    num, den = a = _random_coprime_map(rng, sympy)
+    if kind == 0:
+        return a, (den, num)
+    if kind == 1:
+        return a, ([-c for c in num], den)
+    if kind == 2:
+        k = max(len(num), len(den))
+        return a, (_stripped((num + [0] * (k - len(num)))[::-1]), _stripped((den + [0] * (k - len(den)))[::-1]))
+    if kind == 3:
+        return a, ([c * (-1) ** j for j, c in enumerate(num)], [c * (-1) ** j for j, c in enumerate(den)])
+    return a, _random_coprime_map(rng, sympy)
+
+
+def test_shared_values_match_a_high_precision_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    sympy = pytest.importorskip("sympy")
+    rng = np.random.default_rng(19)
+    with mpmath.mp.workdps(60):
+        for k in range(150):
+            a, b = _pair_of_kind(rng, sympy, k % 5)
+            names = [str(x) for x in rng.choice(PROPERTY_POOL, size=int(rng.integers(1, 5)), replace=False)]
+            points = [None if x == "inf" else mpmath.mpc(parse_sphere_point(x).value) for x in names]
+            expected = oracle_shared_values(mpmath.mp, a, b, points)
+            ga, gb = (RationalFunction(Polynomial(num), Polynomial(den)) for num, den in (a, b))
+            sv = shared_values(ga, gb, names)
+            if expected is None:
+                assert sv.kind == SHARED_IDENTICAL, (a, b)
+                continue
+            got = [(v.value.value, v.delta) for v in sv.values]
+            assert sv.kind == SHARED_GENERIC and len(got) == len(expected), (a, b, names, got, expected)
+            for value, delta in got:
+                assert any(
+                    d == delta and (value is None if y is None else value is not None and abs(value - complex(y)) <= 1e-6 * (1 + abs(value)))
+                    for y, d in expected
+                ), (a, b, names, got, expected)

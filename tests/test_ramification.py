@@ -9,16 +9,42 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wlab.exprparse import parse_expression, parse_sphere_point
+from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
-from wlab.ramification import OverfullFiberError, preimages, ramification_report
-from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.ramification import OverfullFiberError, fiber_table, ramification_report
+from wlab.rational import INF, TRIM_RTOL, RationalFunction, SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
 
 Z = RationalFunction.variable()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 PUNCTURE_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
+
+
+def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tuple[SpherePoint, int]]:
+    """The fiber f^{-1}(a) with multiplicities, from the roots of N - aD.
+
+    The test oracle for every fiber the Wronskian table gives.  Finite a:
+    roots of N - aD, trimmed at ``TRIM_RTOL`` as the canonical form trims,
+    so a value that equals f(inf) up to rounding loses its negligible top
+    coefficient instead of growing a root near 1e16.  a = infinity: roots
+    of D.  Whenever the fiber polynomial drops below deg f, the balance
+    sits at infinity.
+    """
+    if f.is_constant:
+        raise ValueError("preimages of a constant map are not a finite fiber")
+    target = as_sphere_point(a)
+    if target.is_infinity:
+        fiber_poly = f.den
+    else:
+        fiber_poly = (f.num - f.den.scale(target.value)).trim(TRIM_RTOL)
+    out = []
+    if fiber_poly.degree >= 1:
+        out = [(SpherePoint(root), mult) for root, mult in roots_with_multiplicity(fiber_poly, tol)]
+    covered = sum(m for _, m in out)
+    if covered < f.degree:
+        out.append((INF, f.degree - covered))
+    return sorted(out, key=lambda pm: pm[0].sort_key())
 
 
 def points_of(fiber):
@@ -60,6 +86,26 @@ def test_preimages_sum_to_degree_random():
             continue
         a = complex(rng.normal(), rng.normal())
         assert sum(m for _p, m in preimages(f, a)) == f.degree
+
+
+def test_preimages_over_a_rounded_value_at_infinity():
+    # A(inf) = -7/3 = B(0), but the two floats differ in the last bit, so
+    # N_A - B(0)*D_A keeps a top coefficient of 4.4e-16; untrimmed, infinity
+    # came back as a finite root near 1.3e16
+    a = parse_expression("(-8-7*z)/(-4+3*z)")
+    b = parse_expression("(-8*z-7)/(-4*z+3)")
+    value = b.value_at_sphere(0j)
+    assert value != a.value_at_sphere(INF)
+    assert preimages(a, value) == [(INF, 1)]
+
+
+def test_free_count_is_the_number_of_distinct_preimages_off_the_punctures():
+    # z^2 (z - 1) over 0: a double point at 0 and the puncture 1; over
+    # -4/27: a double point at 2/3 and a simple one; over infinity: only
+    # the puncture infinity, with local degree 3
+    table = fiber_table(Z**2 * (Z - 1), ("1", "inf"))
+    assert [table.free_count(SpherePoint(v)) for v in (0j, -4 / 27 + 0j, 5 + 0j)] == [1, 2, 3]
+    assert table.free_count(INF) == 0
 
 
 def test_preimages_constant_rejected():
