@@ -35,17 +35,18 @@ from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
     ConformalityReport,
+    DuplicatePunctureError,
     EndClassification,
     PeriodReport,
     PhiForms,
     RegularityReport,
+    UnsupportedGenusError,
     WeierstrassData,
     check_conformality,
     check_regularity,
     classify_ends,
     compute_periods,
     phi_from_data,
-    require_genus_zero,
 )
 
 __all__ = ["Analysis", "PoleTableError"]
@@ -59,8 +60,9 @@ class PoleTableError(ArithmeticError):
 class Analysis:
     """The derived invariants of one genus-0 data set at one tolerance setting.
 
-    Construction only checks the genus; every other field is computed on
-    first access and then kept.
+    Construction checks only that the punctures are distinct at ``tol.eps_pt``
+    and that the genus is 0, the one genus gate of every computed analysis;
+    every other field is computed on first access and then kept.
     """
 
     data: WeierstrassData
@@ -68,7 +70,16 @@ class Analysis:
     _ramification: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        require_genus_zero(self.data.genus)
+        pts = self.data.punctures
+        for i, p in enumerate(pts):
+            for q in pts[i + 1 :]:
+                if p.close_to(q, self.tol.eps_pt):
+                    raise DuplicatePunctureError(f"punctures must be pairwise distinct: {p} ~ {q}")
+        if self.data.genus != 0:
+            raise UnsupportedGenusError(
+                f"computed analyses require genus 0, got genus {self.data.genus}; "
+                "use the abstract bounds for higher genus"
+            )
 
     @cached_property
     def phi(self) -> PhiForms:
@@ -118,7 +129,7 @@ class Analysis:
 
     @cached_property
     def ends(self) -> EndClassification:
-        return classify_ends(self.data, self.tol)
+        return classify_ends(self)
 
     @cached_property
     def periods(self) -> PeriodReport:

@@ -31,7 +31,12 @@ from .exprparse import ExpressionError, format_complex, parse_expression, parse_
 from .mesh import Annulus, Rectangle, build_mesh, export_mesh
 from .report import document, to_json
 from .tolerances import Tolerances
-from .weierstrass import VERDICT_REMOVABLE, UnsupportedGenusError, WeierstrassData
+from .weierstrass import (
+    VERDICT_REMOVABLE,
+    DuplicatePunctureError,
+    UnsupportedGenusError,
+    WeierstrassData,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -391,7 +396,7 @@ def main(argv=None) -> int:
         label, body, ok = args.fn(args, tol)
         _emit(document(args.command, label, body, tolerance_scale=scale), args.out)
         return EXIT_OK if ok else EXIT_MATH
-    except (CliUsageError, ExpressionError, UnsupportedGenusError) as exc:
+    except (CliUsageError, ExpressionError, DuplicatePunctureError, UnsupportedGenusError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # numerical cross-checks, contradictory data

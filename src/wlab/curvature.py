@@ -26,9 +26,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .rational import RationalFunction, SpherePoint
+from .rational import RationalFunction
 from .tolerances import Tolerances
-from .weierstrass import WeierstrassData, metric_factor_from_phi, phi_from_data
+from .weierstrass import WeierstrassData
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -38,7 +38,6 @@ __all__ = [
     "QuadratureError",
     "spherical_derivative",
     "curvature_from_metric",
-    "gauss_curvature",
     "total_curvature_quadrature",
 ]
 
@@ -77,18 +76,16 @@ class TotalCurvatureReport:
     surface_value: float
 
 
-def spherical_derivative(g: RationalFunction, z):
-    """|g'| / (1 + |g|^2), computed pole-safely from the reduced fraction.
+def spherical_derivative(g: RationalFunction, z: np.ndarray) -> np.ndarray:
+    """|g'| / (1 + |g|^2) on an array of points, computed pole-safely from
+    the reduced fraction.
 
     With g = N/D reduced, this equals |N'D - ND'| / (|N|^2 + |D|^2), which
-    stays finite and correct at poles of g.  Accepts scalars or arrays.
+    stays finite and correct at poles of g.
     """
     w = g.derivative_numerator()
     n, d = g.num, g.den
-    if isinstance(z, np.ndarray):
-        return np.abs(w(z)) / (np.abs(n(z)) ** 2 + np.abs(d(z)) ** 2)
-    zz = complex(z)
-    return abs(w(zz)) / (abs(n(zz)) ** 2 + abs(d(zz)) ** 2)
+    return np.abs(w(z)) / (np.abs(n(z)) ** 2 + np.abs(d(z)) ** 2)
 
 
 def _density(g1: RationalFunction, g2: RationalFunction):
@@ -103,29 +100,11 @@ def _density(g1: RationalFunction, g2: RationalFunction):
 
 
 def curvature_from_metric(d: WeierstrassData, z, lam2):
-    """K = -(sigma_1^2 + sigma_2^2) / (2 lambda^2) at z (scalar or array),
+    """K = -(sigma_1^2 + sigma_2^2) / (2 lambda^2) on an array of points,
     given lambda^2 there; the mesh passes the lambda^2 it already evaluated."""
     s1 = spherical_derivative(d.g1, z)
     s2 = spherical_derivative(d.g2, z)
     return -(s1 * s1 + s2 * s2) / (2.0 * lam2)
-
-
-def gauss_curvature(d: WeierstrassData, z, tol: Tolerances | None = None):
-    """K(z) for the induced metric; always <= 0.
-
-    Scalar calls validate the point (not a puncture, metric nondegenerate);
-    array calls are unchecked.
-    """
-    phi = phi_from_data(d)
-    if isinstance(z, np.ndarray):
-        return curvature_from_metric(d, z, metric_factor_from_phi(phi, z))
-    tol = tol or Tolerances()
-    if d.is_puncture(SpherePoint(complex(z)), tol.eps_pt):
-        raise ValueError(f"curvature evaluated at a puncture: {z}")
-    lam2 = metric_factor_from_phi(phi, complex(z))
-    if lam2 == 0.0:
-        raise ValueError(f"metric degenerates at {z}: curvature undefined")
-    return curvature_from_metric(d, z, lam2)
 
 
 @lru_cache(maxsize=8)

@@ -326,7 +326,3 @@ def format_expression(f: RationalFunction) -> str:
         return num
     den = format_polynomial(f.den)
     return f"({num})/({den})"
-
-
-def format_sphere_point(p: SpherePoint) -> str:
-    return "inf" if p.is_infinity else format_complex(p.value)

@@ -568,25 +568,12 @@ _BLOCK_ROWS = 1024  # rows (or triangles) formatted and written at a time
 
 
 def _projection_matrix(projection) -> np.ndarray:
-    if projection is None:
-        projection = (0, 1, 2)
-    if isinstance(projection, (tuple, list)) and len(projection) == 3 and all(
-        isinstance(i, int) for i in projection
-    ):
-        if sorted(set(projection)) != sorted(projection) or not all(
-            0 <= i <= 3 for i in projection
-        ):
-            raise ValueError("projection axes must be three distinct indices in 0..3")
-        m = np.zeros((3, 4))
-        for row, axis in enumerate(projection):
-            m[row, axis] = 1.0
-        return m
-    m = np.asarray(projection, dtype=float)
-    if m.shape != (3, 4):
-        raise ValueError("projection matrix must have shape (3, 4)")
-    if not np.allclose(m @ m.T, np.eye(3), atol=1e-9):
-        raise ValueError("projection matrix rows must be orthonormal")
-    return m
+    """The 3x4 matrix that keeps the axes ``projection`` (default x1x2x3)."""
+    axes = tuple((0, 1, 2) if projection is None else projection)
+    valid = all(isinstance(i, int) and 0 <= i <= 3 for i in axes)
+    if len(axes) != 3 or not valid or len(set(axes)) != 3:
+        raise ValueError("projection axes must be three distinct indices in 0..3")
+    return np.eye(4)[list(axes)]
 
 
 def export_mesh(mesh: SurfaceMesh, path, fmt: str = "csv", projection=None) -> None:
@@ -594,11 +581,11 @@ def export_mesh(mesh: SurfaceMesh, path, fmt: str = "csv", projection=None) -> N
 
     CSV columns: re_z, im_z, x1..x4, metric_factor, gauss_curvature, one row
     per included vertex.  OBJ writes only v/f records, with the 4D immersion
-    projected by three coordinate axes (default x1x2x3) or an orthonormal
-    3x4 matrix; quads become two triangles.  Every coordinate is written
-    under the float rule of ``report.format_float`` (12 significant digits,
-    no "-0"), through ``report.format_float_rows``: rounded in numpy, with
-    the scalar ``round`` only on fields where that is not certified exact.
+    projected by three coordinate axes (default x1x2x3); quads become two
+    triangles.  Every coordinate is written under the float rule of
+    ``report.format_float`` (12 significant digits, no "-0"), through
+    ``report.format_float_rows``: rounded in numpy, with the scalar
+    ``round`` only on fields where that is not certified exact.
     The file is written in blocks of ``_BLOCK_ROWS`` rows (and of as many
     faces), each formatted by one %-format.
     """

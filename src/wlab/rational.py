@@ -1,9 +1,9 @@
 """Rational functions on the Riemann sphere.
 
 A RationalFunction is a quotient of two Polynomials kept in reduced canonical
-form (approximate gcd cancelled, monic denominator). Orders, principal parts,
-residues and divisors are computed for the function and for the differential
-f dz. Each local number is read off Laurent expansions, not off a new
+form (approximate gcd cancelled, monic denominator). Orders, principal parts
+and residues are computed for the function and for the differential f dz.
+Each local number is read off Laurent expansions, not off a new
 RationalFunction: at a finite point from the Taylor coefficients of numerator
 and denominator (``Polynomial.expansion_at``), at infinity from the degrees
 and the coefficient-reversed numerator and denominator.
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from wlab.poly import Polynomial, approx_gcd, exact_divide
-from wlab.roots import roots_with_multiplicity
 from wlab.tolerances import Tolerances, format_float
 
-__all__ = ["SpherePoint", "INF", "distinct_points", "DivisorEntry", "RationalFunction"]
+__all__ = ["SpherePoint", "INF", "distinct_points", "RationalFunction"]
 
 # The canonical form's cut-offs.  They are fixed, not fields of Tolerances: a
 # parsed expression is reduced before any command's tolerances exist.
@@ -101,14 +100,6 @@ def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
         if not any(p.close_to(q, eps_pt) for q in out):
             out.append(p)
     return out
-
-
-@dataclass(frozen=True)
-class DivisorEntry:
-    """One row of a zero/pole table: positive order = zero, negative = pole."""
-
-    point: SpherePoint
-    order: int
 
 
 def _as_poly(x) -> Polynomial:
@@ -347,18 +338,6 @@ class RationalFunction:
 
     # -- coordinate changes ----------------------------------------------------
 
-    def compose_moebius(self, a: complex, b: complex, c: complex, d: complex) -> "RationalFunction":
-        """Post-compose with T(w) = (a w + b)/(c w + d); degree is preserved."""
-        det = a * d - b * c
-        scale = max(abs(a * d), abs(b * c), 1.0)
-        if abs(det) <= 1e-12 * scale:
-            raise ValueError("degenerate moebius matrix (ad - bc ~ 0)")
-        new_num = a * self._num + b * self._den
-        new_den = c * self._num + d * self._den
-        if new_den.trim(TRIM_RTOL).is_zero:
-            raise ZeroDivisionError("moebius map sends this constant function to infinity")
-        return RationalFunction(new_num, new_den)
-
     def reciprocal_argument(self) -> "RationalFunction":
         """The function w -> f(1/w) as a rational function of w."""
         k = max(self._num.degree, self._den.degree) + 1
@@ -443,40 +422,6 @@ class RationalFunction:
         _, a = self._num.expansion_at(point, tol.eps_res, m)
         _, b = self._den.expansion_at(point, tol.eps_res, m)
         return tuple(_series_quotient(a, b, m))
-
-    def zeros_and_poles(self, tol: Tolerances | None = None) -> list[DivisorEntry]:
-        """The divisor on the sphere; zero total (degree balance) guaranteed.
-
-        Constant functions have an empty divisor.
-        """
-        if self.is_zero:
-            raise ValueError("divisor of the zero function is undefined")
-        if self.is_constant:
-            return []
-        entries: list[DivisorEntry] = []
-        if self._num.degree >= 1:
-            for r, m in roots_with_multiplicity(self._num, tol):
-                entries.append(DivisorEntry(SpherePoint(r), m))
-        if self._den.degree >= 1:
-            for r, m in roots_with_multiplicity(self._den, tol):
-                entries.append(DivisorEntry(SpherePoint(r), -m))
-        o_inf = self._den.degree - self._num.degree
-        if o_inf != 0:
-            entries.append(DivisorEntry(INF, o_inf))
-        entries.sort(key=lambda e: e.point.sort_key())
-        plus = sum(e.order for e in entries if e.order > 0)
-        minus = -sum(e.order for e in entries if e.order < 0)
-        if plus != minus or plus != self.degree:
-            raise RuntimeError(
-                f"divisor imbalance: zeros {plus}, poles {minus}, degree {self.degree}"
-            )
-        return entries
-
-    def finite_poles(self, tol: Tolerances | None = None) -> list[tuple[complex, int]]:
-        """Finite poles as (point, positive order) pairs."""
-        if self._den.degree < 1:
-            return []
-        return [(r, m) for r, m in roots_with_multiplicity(self._den, tol)]
 
     def pole_order_at(self, point, tol: Tolerances | None = None) -> int:
         """max(0, -order_at): the pole order, zero when regular.

@@ -1,11 +1,11 @@
 """Weierstrass data for minimal surfaces in R^4.
 
 A surface is described by a triple ``(h dz, g1, g2)`` of rational functions
-on a punctured sphere.  This module converts the triple to and from the four
+on a punctured sphere.  This module converts the triple to the four
 holomorphic forms ``phi_1 .. phi_4``, checks the three structural conditions
 (conformality, regularity of the induced metric, vanishing real periods),
 classifies the behaviour of the metric at each puncture, and evaluates the
-metric and the projective Gauss-map image pointwise.
+metric pointwise.
 
 All order bookkeeping is exact integer arithmetic on top of the tolerance
 layer in :mod:`wlab.rational`; the only genuinely numeric step here is the
@@ -41,20 +41,16 @@ __all__ = [
     "EndClassification",
     "PeriodEntry",
     "PeriodReport",
-    "DataRequiresRotationError",
     "MetricOverflowError",
     "ResidueQuadratureError",
     "UnsupportedGenusError",
-    "require_genus_zero",
+    "DuplicatePunctureError",
     "phi_from_data",
-    "data_from_phi",
     "check_conformality",
     "check_regularity",
     "classify_ends",
     "compute_periods",
-    "metric_factor",
     "metric_factor_from_phi",
-    "quadric_embedding",
 ]
 
 VERDICT_COMPLETE = "complete-end"
@@ -62,12 +58,12 @@ VERDICT_REMOVABLE = "removable-point"
 VERDICT_DEGENERATE = "degenerate"
 
 
-class DataRequiresRotationError(ValueError):
-    """phi_1 - i*phi_2 vanishes identically, so h dz cannot be recovered."""
-
-
 class UnsupportedGenusError(ValueError):
     """Computed (function-level) analyses exist only on the genus-0 sphere."""
+
+
+class DuplicatePunctureError(ValueError):
+    """Two punctures lie within the analysis's eps_pt of each other."""
 
 
 class MetricOverflowError(ArithmeticError):
@@ -94,6 +90,8 @@ class WeierstrassData:
 
     ``genus`` is carried for the abstract bound computations; every function
     in this module that actually evaluates on the domain requires genus 0.
+    That the punctures are distinct depends on eps_pt, so ``Analysis``
+    checks it at its own tolerances.
     """
 
     h: RationalFunction
@@ -110,11 +108,6 @@ class WeierstrassData:
             raise ValueError("h must not be the zero function")
         if self.genus < 0:
             raise ValueError("genus must be a nonnegative integer")
-        eps = Tolerances().eps_pt
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i].close_to(pts[j], eps):
-                    raise ValueError(f"punctures must be pairwise distinct: {pts[i]} ~ {pts[j]}")
 
     def is_puncture(self, point: SpherePoint, eps_pt: float) -> bool:
         return any(point.close_to(p, eps_pt) for p in self.punctures)
@@ -144,15 +137,6 @@ class PhiForms:
         return out
 
 
-def require_genus_zero(genus: int) -> None:
-    """The one genus gate of every computed analysis."""
-    if genus != 0:
-        raise UnsupportedGenusError(
-            f"computed analyses require genus 0, got genus {genus}; "
-            "use the abstract bounds for higher genus"
-        )
-
-
 def phi_from_data(d: WeierstrassData) -> PhiForms:
     """Produce the coordinate forms.
 
@@ -167,22 +151,6 @@ def phi_from_data(d: WeierstrassData) -> PhiForms:
         phi3=(d.g1 - d.g2) * d.h * 0.5,
         phi4=(d.g1 + d.g2) * d.h * (-0.5j),
     )
-
-
-def data_from_phi(phi: PhiForms, punctures: tuple[SpherePoint, ...] = (), genus: int = 0) -> WeierstrassData:
-    """Invert :func:`phi_from_data`.
-
-    h dz = phi1 - i phi2,  g1 = (phi3 + i phi4) / (h dz),  g2 = (-phi3 + i phi4) / (h dz).
-    """
-    h = phi.phi1 - phi.phi2 * 1j
-    if h.is_zero:
-        raise DataRequiresRotationError(
-            "phi1 - i*phi2 is identically zero: data requires rotation before the "
-            "(h, g1, g2) chart applies"
-        )
-    g1 = (phi.phi3 + phi.phi4 * 1j) / h
-    g2 = (-phi.phi3 + phi.phi4 * 1j) / h
-    return WeierstrassData(h=h, g1=g1, g2=g2, punctures=punctures, genus=genus)
 
 
 @dataclass(frozen=True)
@@ -351,16 +319,8 @@ class EndClassification:
     records: tuple[EndRecord, ...]
     complete: bool
 
-    def record_at(self, point) -> EndRecord:
-        """The record of the puncture ``point``, matched exactly."""
-        target = _as_sphere_point(point)
-        for rec in self.records:
-            if rec.puncture == target:
-                return rec
-        raise KeyError(f"no puncture at {target}")
 
-
-def classify_ends(d: WeierstrassData, tol: Tolerances | None = None) -> EndClassification:
+def classify_ends(an: Analysis) -> EndClassification:
     """Classify each puncture as a genuine end, a removable point, or worse.
 
     The metric factor near a puncture behaves like |w|^m with
@@ -369,8 +329,7 @@ def classify_ends(d: WeierstrassData, tol: Tolerances | None = None) -> EndClass
     extends regularly (the puncture was unnecessary), and m >= 1 means the
     immersion degenerates there.
     """
-    tol = tol or Tolerances()
-    require_genus_zero(d.genus)
+    d, tol = an.data, an.tol
     records = []
     for p in d.punctures:
         a, d1, d2 = _orders_at(d, p, tol)
@@ -499,26 +458,6 @@ def compute_periods(an: Analysis) -> PeriodReport:
     )
 
 
-def metric_factor(d: WeierstrassData, z):
-    """Squared conformal factor lambda^2 with ds^2 = lambda^2 |dz|^2.
-
-    lambda^2 = |h|^2 (1 + |g1|^2) (1 + |g2|^2) / 4.  Scalars raise at poles
-    and punctures; arrays propagate inf/nan and are the caller's problem.
-    """
-    if isinstance(z, np.ndarray):
-        hv = d.h(z)
-        g1v = d.g1(z)
-        g2v = d.g2(z)
-        return 0.25 * np.abs(hv) ** 2 * (1.0 + np.abs(g1v) ** 2) * (1.0 + np.abs(g2v) ** 2)
-    eps = Tolerances().eps_pt
-    if d.is_puncture(SpherePoint(complex(z)), eps):
-        raise ValueError(f"metric evaluated at a puncture: {z}")
-    hv = d.h(complex(z))
-    g1v = d.g1(complex(z))
-    g2v = d.g2(complex(z))
-    return 0.25 * abs(hv) ** 2 * (1.0 + abs(g1v) ** 2) * (1.0 + abs(g2v) ** 2)
-
-
 def metric_factor_from_phi(phi: PhiForms, z):
     """lambda^2 computed as sum(|phi_i|^2)/2; finite across poles of g1, g2.
 
@@ -555,37 +494,3 @@ def _cleared_numerators(phi: PhiForms) -> tuple[Polynomial, Polynomial, Polynomi
         out.append(w)
     return tuple(out)
 
-
-def quadric_embedding(phi: PhiForms, z, tol: Tolerances | None = None) -> tuple[complex, complex, complex, complex]:
-    """Projective image (phi1 : phi2 : phi3 : phi4) at a point.
-
-    Poles are cleared symbolically (the projective limit of the rational
-    forms) and the tuple is scaled so its largest component is exactly 1.
-    A point where all four forms are finite and vanish is a branch point of
-    the immersion and is rejected; the image otherwise always satisfies
-    sum(w_i^2) = 0 — that is the quadric the Gauss map lives on.
-    """
-    tol = tol or Tolerances()
-    z0 = complex(z)
-    try:
-        vals = [f(z0) for f in phi.forms]
-    except ZeroDivisionError:
-        vals = None
-    if vals is not None:
-        if max(abs(v) for v in vals) == 0.0:
-            raise ValueError(f"branch point: all four forms vanish at {z0}")
-        return _normalize_projective(vals)
-
-    # each cleared numerator divided by (z - z0)^mult, the least order there
-    expansions = [None if w.is_zero else w.expansion_at(z0, tol.eps_res, 1) for w in _cleared_numerators(phi)]
-    orders = [e[0] for e in expansions if e is not None]
-    if not orders:
-        raise ValueError("all four forms vanish identically")
-    mult = min(orders)
-    return _normalize_projective([e[1][0] if e is not None and e[0] == mult else 0j for e in expansions])
-
-
-def _normalize_projective(vals) -> tuple[complex, complex, complex, complex]:
-    mags = [abs(v) for v in vals]
-    pivot = vals[mags.index(max(mags))]
-    return tuple(v / pivot for v in vals)

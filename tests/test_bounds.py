@@ -29,7 +29,7 @@ from wlab.bounds import (
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
 from wlab.rational import RationalFunction
-from wlab.roots import IllConditionedRootsError, RootCrossCheckError
+from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 from wlab.weierstrass import ResidueQuadratureError, WeierstrassData
 
 Z = RationalFunction.variable()
@@ -80,9 +80,11 @@ def rotated_mu(d: WeierstrassData) -> tuple[int, ...]:
     for g in (d.g1, d.g2):
         if g.is_constant:
             continue
-        gr = g.compose_moebius(ROT_A, -ROT_B.conjugate(), ROT_B, ROT_A.conjugate())
+        gr = (g * ROT_A - ROT_B.conjugate()) / (g * ROT_B + ROT_A.conjugate())
         assert not any(gr.value_at_sphere(p).is_infinity for p in d.punctures)
-        assert all(e.order == -1 for e in gr.zeros_and_poles() if e.order < 0)
+        # simple poles only: the finite ones, and at most degree gap 1 at inf
+        poles = roots_with_multiplicity(gr.den) if gr.den.degree else []
+        assert all(m == 1 for _, m in poles) and gr.num.degree <= gr.den.degree + 1
         h = h * (g * ROT_B + ROT_A.conjugate())
     return tuple(-h.form_order_at(p) for p in d.punctures)
 

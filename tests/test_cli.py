@@ -543,6 +543,41 @@ def test_every_file_command_rejects_other_genera_as_usage(capsys, tmp_path, comm
     assert err.startswith("error: ") and "genus 0" in err
 
 
+# -- puncture distinctness at the command's eps_pt ---------------------------------
+
+
+def near_punctures(tmp_path, second: str) -> str:
+    """example21's Gauss maps with punctures 0, ``second`` and inf, h dz
+    with a double pole at 0 and a simple one at ``second``."""
+    data = tmp_path / "near.json"
+    data.write_text(json.dumps({
+        "genus": 0, "punctures": ["0", second, "inf"],
+        "h": f"1/(z^2*(z-{second}))", "g1": "z", "g2": "z",
+    }))
+    return str(data)
+
+
+@pytest.mark.parametrize("command", ["check", "ramify", "report"])
+def test_punctures_within_the_command_eps_pt_are_a_usage_error(capsys, tmp_path, command):
+    # eps_pt is 1e-5 at scale 1000, so 0 and 1e-6 are one point
+    path = near_punctures(tmp_path, "1e-6")
+    code, doc, err = run(capsys, command, path, "--tolerance-scale", "1000")
+    assert code == EXIT_USAGE and doc is None
+    assert err == "error: punctures must be pairwise distinct: 0 ~ 1e-06\n"
+
+
+def test_punctures_apart_at_the_command_eps_pt_are_accepted(capsys, tmp_path):
+    # eps_pt is 1e-11 at scale 1e-3, so 0 and 1e-9 are two points; at the
+    # default 1e-8 they are one
+    path = near_punctures(tmp_path, "1e-9")
+    code, doc, err = run(capsys, "ramify", path, "--tolerance-scale", "1e-3")
+    assert code == EXIT_OK and err == ""
+    assert doc["report"]["ramification"]["rh_ok"] is True
+    code, doc, err = run(capsys, "ramify", path)
+    assert code == EXIT_USAGE and doc is None
+    assert err == "error: punctures must be pairwise distinct: 0 ~ 1e-09\n"
+
+
 # -- global flags / wiring --------------------------------------------------------
 
 

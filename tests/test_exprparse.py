@@ -15,7 +15,6 @@ from wlab.exprparse import (
     ExpressionError,
     format_complex,
     format_expression,
-    format_sphere_point,
     parse_expression,
     parse_sphere_point,
 )
@@ -133,11 +132,6 @@ def test_format_expression_readable():
     text = format_expression(1 / (Z * (Z - 1)))
     f = parse_expression(text)
     check_same(f, 1 / (Z * (Z - 1)))
-
-
-def test_format_sphere_point_roundtrip():
-    for p in (INF, SpherePoint(0j), SpherePoint(1.5 - 2j)):
-        assert parse_sphere_point(format_sphere_point(p)) == p
 
 
 @given(

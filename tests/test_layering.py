@@ -1,6 +1,7 @@
-"""Each module is reached one way: imports sit at the top of a module, and
+"""Each module is reached one way: imports sit at the top of a module,
 ``Analysis`` is the one entry to a data set's invariants, so ``bounds`` and
-``curvature`` need it only for type hints and never load it."""
+``curvature`` need it only for type hints and never load it, and every
+definition in the package is reached from inside it."""
 
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ def test_no_import_inside_a_function_body(path):
     assert not hits, hits
 
 
-def test_bounds_and_curvature_do_not_load_analysis():
-    code = "import sys, wlab.bounds, wlab.curvature; print('wlab.analysis' in sys.modules)"
+def loads(imports: str, module: str) -> bool:
+    """Whether a fresh interpreter that imports ``imports`` has loaded ``module``."""
+    code = f"import sys, {imports}; print({module!r} in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -38,4 +40,33 @@ def test_bounds_and_curvature_do_not_load_analysis():
         check=True,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip() == "True"
+
+
+def test_bounds_and_curvature_do_not_load_analysis():
+    assert not loads("wlab.bounds, wlab.curvature", "wlab.analysis")
+
+
+def test_every_definition_is_reached_from_the_package():
+    # a function or class nothing in the package names is a second route no
+    # command takes; names in ``__all__`` are strings and do not count, and
+    # classmethod/staticmethod constructors exist for callers outside
+    defined, named = {}, set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                decorators = {d.id for d in node.decorator_list if isinstance(d, ast.Name)}
+                if not dunder and not decorators & {"classmethod", "staticmethod"}:
+                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+    unreached = sorted(f"{where}: {name}" for name, where in defined.items() if name not in named)
+    assert not unreached, unreached
+
+
+def test_rational_does_not_load_roots():
+    assert not loads("wlab.rational", "wlab.roots")

@@ -498,17 +498,19 @@ def test_obj_counts_and_projection(tmp_path):
 
 
 def test_obj_matrix_projection(tmp_path):
+    # the projection matrix keeps three of the four coordinates; a 3x4
+    # matrix is not an axis triple and is rejected like any other
     m = build_mesh(enneper(), Rectangle(0.0, 1.0, 0.0, 1.0), 3, 0j)
+    export_mesh(m, tmp_path / "ok.obj", "obj-3d", projection=(0, 1, 3))
+    rows = [line.split()[1:] for line in (tmp_path / "ok.obj").read_text().splitlines()
+            if line.startswith("v ")]
+    assert np.array(rows, dtype=float) == pytest.approx(m.x[m.included][:, [0, 1, 3]], abs=1e-11)
     ortho = np.array(
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.6, 0.8]]
     )
-    export_mesh(m, tmp_path / "ok.obj", "obj-3d", projection=ortho)
-    skewed = ortho.copy()
-    skewed[2, 2] = 1.0
-    with pytest.raises(ValueError):
-        export_mesh(m, tmp_path / "bad.obj", "obj-3d", projection=skewed)
-    with pytest.raises(ValueError):
-        export_mesh(m, tmp_path / "bad2.obj", "obj-3d", projection=(0, 0, 1))
+    for bad in (ortho, (0, 0, 1), (0, 1, 4)):
+        with pytest.raises(ValueError):
+            export_mesh(m, tmp_path / "bad.obj", "obj-3d", projection=bad)
     with pytest.raises(ValueError):
         export_mesh(m, tmp_path / "bad3.csv", "vtk")
 

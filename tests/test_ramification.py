@@ -237,7 +237,7 @@ def test_nu_f_moebius_invariant():
             a, b, c, d = (complex(rng.normal(), rng.normal()) for _ in range(4))
             if abs(a * d - b * c) < 1e-3:
                 continue
-            rotated = f.compose_moebius(a, b, c, d)
+            rotated = (f * a + b) / (f * c + d)
             assert ramification_report(rotated, pts).nu_f == base
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
-from wlab.rational import INF, DivisorEntry, RationalFunction, SpherePoint
+from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.roots import roots_with_multiplicity
 
 Z = RationalFunction.variable()
 
@@ -148,56 +149,10 @@ def test_global_residue_sum_random():
         k = int(rng.integers(1, 5))
         den_roots = rng.normal(size=k) + 1j * rng.normal(size=k)
         f = RationalFunction(num, Polynomial.from_roots(den_roots))
-        total = sum(f.residue_at(r) for r, _ in f.finite_poles()) + f.residue_at(INF)
+        finite = sum(f.residue_at(r) for r, _ in roots_with_multiplicity(f.den))
+        total = finite + f.residue_at(INF)
         scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
         assert abs(total) <= 1e-10 * scale
-
-
-def assert_divisor(entries, expected):
-    """Compare a computed divisor against (point, order) pairs up to eps_pt."""
-    assert len(entries) == len(expected)
-    for entry, (point, order) in zip(entries, expected):
-        assert entry.order == order
-        assert entry.point.close_to(SpherePoint.of(point), 1e-8)
-
-
-def test_zeros_and_poles_examples():
-    assert_divisor(Z.zeros_and_poles(), [(0j, 1), ("inf", -1)])
-    f = 1 / ((Z - 1) * (Z - 2))
-    assert_divisor(f.zeros_and_poles(), [(1, -1), (2, -1), ("inf", 2)])
-    g = (Z - 1) ** 2 / (Z + 2)
-    assert_divisor(g.zeros_and_poles(), [(-2, -1), (1, 2), ("inf", -1)])
-
-
-def test_divisor_balance_random():
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        num = Polynomial.from_roots(rng.normal(size=rng.integers(0, 4)))
-        den = Polynomial.from_roots(rng.normal(size=rng.integers(1, 4)))
-        f = RationalFunction(num, den)
-        if f.is_constant:
-            assert f.zeros_and_poles() == []
-            continue
-        entries = f.zeros_and_poles()
-        assert sum(e.order for e in entries) == 0
-        assert sum(e.order for e in entries if e.order > 0) == f.degree
-
-
-def test_compose_moebius_inversion():
-    inv = Z.compose_moebius(0, 1, 1, 0)  # w -> 1/w applied after z
-    assert inv.equals(1 / Z)
-    assert inv.degree == Z.degree == 1
-
-
-def test_compose_moebius_degree_preserved():
-    f = (Z**2 + 1) / (Z - 1)
-    g = f.compose_moebius(2, 1, 1, 3)
-    assert g.degree == f.degree
-
-
-def test_compose_moebius_degenerate():
-    with pytest.raises(ValueError):
-        Z.compose_moebius(1, 2, 2, 4)
 
 
 def test_difference_cancels_to_zero():

@@ -10,23 +10,22 @@ import pytest
 
 from wlab import weierstrass
 from wlab.analysis import Analysis
-from wlab.exprparse import parse_expression
+from wlab.exprparse import as_sphere_point, parse_expression
 from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.roots import roots_with_multiplicity
 from wlab.tolerances import Tolerances
 from wlab.weierstrass import (
     ConformalityOverflowError,
-    DataRequiresRotationError,
+    DuplicatePunctureError,
     PhiForms,
+    UnsupportedGenusError,
     WeierstrassData,
     check_conformality,
     check_regularity,
     classify_ends,
     compute_periods,
-    data_from_phi,
-    metric_factor,
     metric_factor_from_phi,
     phi_from_data,
-    quadric_embedding,
 )
 
 from test_bounds import loadable_fixtures, random_regular_data
@@ -79,34 +78,6 @@ def test_phi_from_data_flat():
     assert phi.phi4.is_zero
     assert phi.phi1.equals(h * 0.5)
     assert phi.phi2.equals(h * 0.5j)
-
-
-def test_data_from_phi_direct():
-    phi = PhiForms(
-        RationalFunction.constant(0.5),
-        RationalFunction.constant(0.5j),
-        Z * 0.5,
-        Z * -0.5j,
-    )
-    d = data_from_phi(phi)
-    assert d.h.equals(ONE)
-    assert d.g1.equals(Z)
-    assert d.g2.equals(ZERO)
-
-
-def test_data_from_phi_round_trip():
-    original = triple_poles_123()
-    restored = data_from_phi(phi_from_data(original))
-    assert restored.h.equals(original.h)
-    assert restored.g1.equals(original.g1)
-    assert restored.g2.equals(original.g2)
-
-
-def test_data_from_phi_rotation_needed():
-    # phi1 - i*phi2 = z - i*(-i z) = 0, so the chart is unusable as-is
-    phi = PhiForms(Z, Z * -1j, ZERO, ZERO)
-    with pytest.raises(DataRequiresRotationError):
-        data_from_phi(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -269,27 +240,37 @@ def test_regularity_compensated_double_zero():
 # end classification
 
 
+def ends_of(d: WeierstrassData):
+    return classify_ends(Analysis(d))
+
+
+def record_at(ends, point):
+    """The end record of the puncture ``point``, matched exactly."""
+    target = as_sphere_point(point)
+    return next(rec for rec in ends.records if rec.puncture == target)
+
+
 def test_ends_all_complete_on_double_pole_pair():
-    ends = classify_ends(double_pole_pair())
+    ends = ends_of(double_pole_pair())
     assert ends.complete
     assert [r.metric_exponent for r in ends.records] == [-1, -1, -1]
-    at_inf = ends.record_at("inf")
+    at_inf = record_at(ends, "inf")
     assert at_inf.form_order == 0
     assert at_inf.g1_pole_order == 1
 
 
 def test_ends_cubic_pole_flags_removable_point():
-    ends = classify_ends(cubic_pole())
+    ends = ends_of(cubic_pole())
     assert not ends.complete
-    at0 = ends.record_at(0j)
+    at0 = record_at(ends, 0j)
     assert (at0.form_order, at0.metric_exponent, at0.verdict) == (-3, -3, "complete-end")
     assert at0.mu == 3
-    ati = ends.record_at("inf")
+    ati = record_at(ends, "inf")
     assert (ati.form_order, ati.metric_exponent, ati.verdict) == (1, 0, "removable-point")
 
 
 def test_ends_flat_plane():
-    ends = classify_ends(WeierstrassData(h=ONE, g1=ZERO, g2=ZERO, punctures=("inf",)))
+    ends = ends_of(WeierstrassData(h=ONE, g1=ZERO, g2=ZERO, punctures=("inf",)))
     assert ends.complete
     assert ends.records[0].metric_exponent == -2
 
@@ -298,9 +279,9 @@ def test_ends_degenerate_uncompensated_zero():
     # h dz keeps a zero at the puncture that no Gauss-map pole eats
     data = WeierstrassData(h=1 / (Z * (Z - 2) * (2 * Z - 1)), g1=1 / Z, g2=1 / Z,
                            punctures=("0", "2", "1/2", "inf"))
-    ends = classify_ends(data)
-    assert ends.record_at("inf").verdict == "degenerate"
-    assert ends.record_at("inf").metric_exponent == 1
+    ends = ends_of(data)
+    assert record_at(ends, "inf").verdict == "degenerate"
+    assert record_at(ends, "inf").metric_exponent == 1
     assert not ends.complete
 
 
@@ -315,12 +296,12 @@ def test_ends_moebius_invariance():
         g2=data.g2.reciprocal_argument(),
         punctures=("inf", "1", "0"),  # preimages of 0, 1, inf under z = 1/w
     )
-    before = classify_ends(data)
-    after = classify_ends(pulled)
+    before = ends_of(data)
+    after = ends_of(pulled)
     pairs = [("0", "inf"), ("1", "1"), ("inf", "0")]
     for src, dst in pairs:
-        assert before.record_at(src).verdict == after.record_at(dst).verdict
-        assert before.record_at(src).metric_exponent == after.record_at(dst).metric_exponent
+        assert record_at(before, src).verdict == record_at(after, dst).verdict
+        assert record_at(before, src).metric_exponent == record_at(after, dst).metric_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +347,10 @@ def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
     root-found from its own denominator: the second route to the numbers
     ``compute_periods`` reads off the Analysis pole table."""
     forms = phi_from_data(d).forms
-    poles = [[z0 for z0, _ in f.finite_poles(tol)] for f in forms]
+    poles = [
+        [z0 for z0, _ in roots_with_multiplicity(f.den, tol)] if f.den.degree else []
+        for f in forms
+    ]
     special = list(d.finite_punctures())
     for z0 in (z0 for form_poles in poles for z0 in form_poles):
         if all(abs(z0 - s) > tol.eps_pt for s in special):
@@ -411,24 +395,21 @@ def test_periods_from_the_pole_table_match_the_phi_denominators():
 
 def test_metric_factor_constants():
     flat = WeierstrassData(h=ONE, g1=ZERO, g2=ZERO, punctures=("inf",))
-    assert metric_factor(flat, 0.3 + 7j) == pytest.approx(0.25)
+    assert metric_factor_from_phi(phi_from_data(flat), 0.3 + 7j) == pytest.approx(0.25)
     both = WeierstrassData(h=ONE, g1=Z, g2=Z, punctures=("inf",))
-    assert metric_factor(both, 1.0) == pytest.approx(1.0)
+    assert metric_factor_from_phi(phi_from_data(both), 1.0) == pytest.approx(1.0)
 
 
 def test_metric_factor_matches_phi_identity():
+    # lambda^2 = |h|^2 (1 + |g1|^2) (1 + |g2|^2) / 4 against sum(|phi_i|^2) / 2
     data = triple_poles_123()
     phi = phi_from_data(data)
     rng = np.random.default_rng(11)
     z = rng.normal(size=100) + 1j * rng.normal(size=100)
-    direct = metric_factor(data, z)
+    h, g1, g2 = (np.abs(f(z)) ** 2 for f in (data.h, data.g1, data.g2))
+    direct = 0.25 * h * (1 + g1) * (1 + g2)
     via_phi = metric_factor_from_phi(phi, z)
     assert np.allclose(direct, via_phi, rtol=1e-12, atol=0)
-
-
-def test_metric_factor_errors_at_puncture():
-    with pytest.raises((ValueError, ZeroDivisionError)):
-        metric_factor(double_pole_pair(), 0.0)
 
 
 def test_metric_factor_from_phi_finite_at_gauss_pole():
@@ -440,55 +421,18 @@ def test_metric_factor_from_phi_finite_at_gauss_pole():
 
 
 # ---------------------------------------------------------------------------
-# quadric embedding
-
-
-def project(w):
-    return tuple(v / w[0] for v in w)
-
-
-def test_quadric_embedding_simple_point():
-    phi = phi_from_data(WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("inf",)))
-    w = quadric_embedding(phi, 0.0)
-    assert project(w) == pytest.approx((1, 1j, 0, 0))
-    assert abs(sum(v * v for v in w)) < 1e-12
-    assert max(abs(v) for v in w) == pytest.approx(1.0)
-
-
-def test_quadric_embedding_clears_pole():
-    w = quadric_embedding(phi_from_data(cubic_pole(c=0.0)), 0.0)
-    assert project(w) == pytest.approx((1, 1j, 0, 0))
-    assert abs(sum(v * v for v in w)) < 1e-12
-
-
-def test_quadric_embedding_at_gauss_pole():
-    data = WeierstrassData(h=(Z - 1) ** 2, g1=1 / (Z - 1), g2=1 / (Z - 1), punctures=("inf",))
-    w = quadric_embedding(phi_from_data(data), 1.0)
-    assert project(w) == pytest.approx((1, -1j, 0, 0))
-
-
-def test_quadric_embedding_branch_point():
-    phi = phi_from_data(WeierstrassData(h=Z, g1=ZERO, g2=ZERO, punctures=("inf",)))
-    with pytest.raises(ValueError):
-        quadric_embedding(phi, 0.0)
-
-
-def test_quadric_residual_random_points():
-    phi = phi_from_data(triple_poles_123())
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        z = complex(rng.normal(), rng.normal())
-        w = quadric_embedding(phi, z)
-        assert abs(sum(v * v for v in w)) < 1e-10
-
-
-# ---------------------------------------------------------------------------
 # data validation
 
 
 def test_duplicate_punctures_rejected():
-    with pytest.raises(ValueError):
-        WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("1", "1"))
+    # distinctness is a question of eps_pt, so the Analysis decides it
+    data = WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("1", "1"))
+    with pytest.raises(DuplicatePunctureError, match="pairwise distinct: 1 ~ 1"):
+        Analysis(data)
+    near = WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("0", "1e-9"))
+    with pytest.raises(DuplicatePunctureError):
+        Analysis(near)
+    Analysis(near, Tolerances().scaled(1e-3))
 
 
 def test_zero_h_rejected():
@@ -498,5 +442,5 @@ def test_zero_h_rejected():
 
 def test_genus_gate():
     data = WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("inf",), genus=2)
-    with pytest.raises(ValueError):
-        classify_ends(data)
+    with pytest.raises(UnsupportedGenusError):
+        Analysis(data)
