@@ -9,17 +9,18 @@ group of roots of like modulus starts on its own circle, with no random
 start, so the iteration stays within 6-18 steps on Wronskians of integer
 maps up to degree 126, where a start on one Cauchy-bound circle stalled.
 
-Multiplicities come from the square-free decomposition. The chain
-c_0 = p, c_{i+1} = gcd(c_i, c_i') peels one copy of every repeated root per
-step, so each layer quotient s_i = c_i / c_{i+1} is square-free and a root
-of multiplicity m appears in exactly the first m layers. Every layer is
-located separately (both routes) and matched back to the base layer; the
-multiplicity of a base root is the number of layers containing it. Layer
-degrees telescope, so multiplicities sum to deg p by construction, and they
-are integers read off polynomial division rather than counted from repeated
-deflation -- they feed exact bookkeeping downstream (branching orders,
-degree identities) where an off-by-one is fatal. Deflation survives only as
-a per-root residual sanity bound on the final answer.
+Multiplicities come from Yun's square-free factorization (Yun 1976). The
+chain c_0 = p, c_{i+1} = gcd(c_i, c_i') peels one copy of every repeated
+root per step, so each layer quotient s_i = c_i / c_{i+1} is square-free
+and holds the roots of multiplicity at least i+1; the Yun factor
+f_m = s_{m-1} / s_m holds exactly the roots of multiplicity m. Each factor
+is located once (both routes) and its roots carry m; no root is matched
+across factors. The degrees telescope, so multiplicities sum to deg p by
+construction, and they are integers read off polynomial division rather
+than off root positions -- they feed exact bookkeeping downstream
+(branching orders, degree identities) where an off-by-one is fatal. The
+divisions' remainder tests are the consistency check of the chain, and
+each root's residual in p is a sanity bound on the final answer.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
 _CROSS_CHECK_RTOL = 1e-6
-_LAYER_MATCH_RTOL = 1e-6
 
 
 class RootCrossCheckError(RuntimeError):
@@ -116,8 +116,8 @@ def _aberth(p: Polynomial) -> np.ndarray:
 
         w_i = (p/p')(z_i) / (1 - (p/p')(z_i) * sum_{j!=i} 1/(z_i - z_j))
 
-    which converges cubically for simple roots. The caller passes the
-    square-free part, so simple roots is the expected situation.
+    which converges cubically for simple roots. The caller passes a
+    square-free Yun factor, so simple roots is the expected situation.
     """
     n = p.degree
     if n < 1:
@@ -181,15 +181,16 @@ def _located_roots(p: Polynomial) -> list[complex]:
     worst = _match_root_sets(located, check)
     if not worst <= _CROSS_CHECK_RTOL:
         raise RootCrossCheckError(located, check, worst)
-    order = np.lexsort((located.imag, located.real))
-    return [complex(located[i]) for i in order]
+    return [complex(z) for z in located]
 
 
-def _square_free_layers(p: Polynomial, tol: Tolerances) -> list[Polynomial]:
-    """Quotients s_i = c_i / c_{i+1} of the gcd chain c_{i+1} = gcd(c_i, c_i').
+def _yun_factors(p: Polynomial, tol: Tolerances) -> list[Polynomial]:
+    """Yun factors f_1, f_2, ...: f_m holds exactly the roots of p of multiplicity m.
 
-    Each s_i is square-free; its roots are exactly the roots of p with
-    multiplicity at least i+1, and the layer degrees sum to deg p.
+    The gcd chain c_0 = p, c_{i+1} = gcd(c_i, c_i') gives square-free layers
+    s_i = c_i / c_{i+1}, whose roots are those of multiplicity at least i+1;
+    so f_m = s_{m-1} / s_m (Yun 1976), and the last layer is the last factor.
+    Each f_m is monic and may be constant; sum(m * deg f_m) = deg p.
     """
     chain = [p.monic()]
     while chain[-1].degree >= 1:
@@ -201,14 +202,11 @@ def _square_free_layers(p: Polynomial, tol: Tolerances) -> list[Polynomial]:
     # the quotient inherits a remainder of the same order as the gcd
     # threshold, so the divisibility check must track eps_gcd
     rel_eps = max(1e-6, 10 * tol.eps_gcd)
-    layers = []
-    for i in range(len(chain)):
-        upper = chain[i]
-        if i + 1 < len(chain):
-            layers.append(exact_divide(upper, chain[i + 1], rel_eps=rel_eps).monic())
-        else:
-            layers.append(upper)
-    return layers
+
+    def quotients(seq: list[Polynomial]) -> list[Polynomial]:
+        return [exact_divide(a, b, rel_eps=rel_eps).monic() for a, b in zip(seq, seq[1:])] + seq[-1:]
+
+    return quotients(quotients(chain))
 
 
 def roots_with_multiplicity(
@@ -216,15 +214,15 @@ def roots_with_multiplicity(
 ) -> list[tuple[complex, int]]:
     """All roots of ``p`` with multiplicities (summing to deg p).
 
-    Returns a list of (root, multiplicity) sorted by (re, im). Each simple
-    root r satisfies |p(r)| <= eps_res * max|coeff| * (1+|r|)^deg; a
-    multiple root's residual is held to the same bound at eps_gcd, the
-    tolerance its multiplicity was extracted with. Raises
-    RootCrossCheckError when the two location routes disagree and
-    IllConditionedRootsError when the located roots cannot be reconciled
-    with the gcd chain: a pair inside the point-identity radius that the
-    square-free analysis keeps distinct, a deeper-layer root with no
-    unambiguous base match, or a residual violation.
+    Returns a list of (root, multiplicity) sorted by (re, im). Each Yun
+    factor f_m is located once, and its roots carry multiplicity m; no root
+    is matched against another factor's. Each simple root r satisfies
+    |p(r)| <= eps_res * max|coeff| * (1+|r|)^deg; a multiple root's residual
+    is held to the same bound at eps_gcd, the tolerance its multiplicity was
+    extracted with. Raises RootCrossCheckError when the two location routes
+    disagree and IllConditionedRootsError when two located roots fall inside
+    the point-identity radius, which the gcd chain keeps distinct, or a root
+    violates its residual bound.
     """
     tol = tol or Tolerances()
     if p.is_zero:
@@ -232,43 +230,30 @@ def roots_with_multiplicity(
     if p.degree < 1:
         raise ValueError("constant polynomial has no roots")
 
-    layers = [_located_roots(s) if s.degree >= 1 else [] for s in _square_free_layers(p, tol)]
-    base = layers[0]
+    located = sorted(
+        (
+            (r, m)
+            for m, f in enumerate(_yun_factors(p, tol), start=1)
+            if f.degree >= 1
+            for r in _located_roots(f)
+        ),
+        key=lambda rm: (rm[0].real, rm[0].imag),
+    )
 
-    # the base layer should have pairwise-distinct roots; two of them inside
-    # the point-identity radius means the gcd analysis (distinct) and the
-    # point identity (equal) disagree, and we refuse to pick a side.
-    for i in range(len(base)):
-        for j in range(i + 1, len(base)):
-            if abs(base[i] - base[j]) <= tol.eps_pt:
-                merged = [(0.5 * (base[i] + base[j]), 2)]
-                separate = [(base[i], 1), (base[j], 1)]
+    # the located roots should be pairwise distinct; two of them inside the
+    # point-identity radius means the gcd analysis (distinct) and the point
+    # identity (equal) disagree, and we refuse to pick a side.
+    for i, (a, ma) in enumerate(located):
+        for b, mb in located[i + 1 :]:
+            if abs(a - b) <= tol.eps_pt:
                 raise IllConditionedRootsError(
                     "two roots of the square-free part fall within the point "
-                    f"identity radius: {base[i]} vs {base[j]}",
-                    merged,
-                    separate,
+                    f"identity radius: {a} vs {b}",
+                    [(0.5 * (a + b), ma + mb)],
+                    [(a, ma), (b, mb)],
                 )
 
-    mult = [1] * len(base)
-    for depth, layer in enumerate(layers[1:], start=2):
-        for r in layer:
-            dist = [abs(b - r) for b in base]
-            k = min(range(len(base)), key=dist.__getitem__)
-            runner_up = min(
-                (dist[j] for j in range(len(base)) if j != k), default=np.inf
-            )
-            if dist[k] > _LAYER_MATCH_RTOL * (1.0 + abs(r)) or 2 * dist[k] >= runner_up:
-                raise IllConditionedRootsError(
-                    f"depth-{depth} root {r} of the gcd chain has no "
-                    "unambiguous match among the base roots",
-                    [(base[k], depth)],
-                    [(r, 1), (base[k], 1)],
-                )
-            mult[k] += 1
-
-    out: list[tuple[complex, int]] = []
-    for r, m in zip(base, mult):
+    for r, m in located:
         eps = tol.eps_res if m == 1 else tol.eps_gcd
         bound = eps * p.max_abs_coeff * (1.0 + abs(r)) ** p.degree
         if not abs(p(r)) <= bound:
@@ -278,13 +263,4 @@ def roots_with_multiplicity(
                 [(r, m)],
                 [(r, 0)],
             )
-        out.append((r, m))
-
-    total = sum(m for _, m in out)
-    if total != p.degree:
-        raise IllConditionedRootsError(
-            f"multiplicities sum to {total}, expected degree {p.degree}",
-            out,
-            [(r, 1) for r, _ in out],
-        )
-    return out
+    return located

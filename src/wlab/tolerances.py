@@ -41,8 +41,8 @@ class Tolerances:
         eps_res: root residual bound, relative to the coefficient scale and
             ``(1+|r|)^deg``.
         eps_gcd: relative threshold that classifies a Euclidean remainder as
-            zero in the gcd chain of ``roots._square_free_layers``; a
-            multiple root's residual is held to it.
+            zero in the gcd chain of ``roots._yun_factors``; a multiple
+            root's residual is held to it.
         eps_conformal: relative bound on the residual of the quadratic-form
             identity satisfied by the four component 1-forms.
         eps_period_rel: period-condition cutoff, relative to the coefficient

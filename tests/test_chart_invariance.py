@@ -1,0 +1,141 @@
+"""Chart invariance: a Möbius change of the domain leaves every verdict alone.
+
+The paper's quantities belong to the surface, not to the coordinate z.  A
+change of chart z = M(w), with M(w) = (a w + b)/(c w + d), maps g to g∘M,
+h dz to (h∘M)·M' dw and each puncture p to M^{-1}(p).  The maps are applied
+to the fixtures' text by substitution, so the moved data are exact; the
+punctures are moved in Gaussian-rational arithmetic.  Domain coordinates
+(punctures, preimage points, checked points) move with the chart and are
+dropped before comparing; values live in the target and stay.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from wlab.cli import main
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+REPORTED = [
+    "example21",
+    "example22",
+    "example23",
+    "irregular",
+    "unicity_six_a",
+    "unicity_six_b",
+    "unicity_five_a",
+    "unicity_five_b",
+]
+PAIRS = [("unicity_six_a", "unicity_six_b"), ("unicity_five_a", "unicity_five_b")]
+
+# (M, M', (a, b, c, d)) with M(z) = (a z + b)/(c z + d); M' = (ad - bc)/(c z + d)^2
+MAPS = [
+    ("1/z", "-1/z^2", (0, 1, 1, 0)),
+    ("z+1", "1", (1, 1, 0, 1)),
+    ("(z+1)/(z-1)", "-2/(z-1)^2", (1, 1, 1, -1)),
+    ("(2*z+i)/(z-3)", "(-6-i)/(z-3)^2", (2, 1j, 1, -3)),
+    ("i*z", "i", (1j, 0, 0, 1)),
+    ("(z-2)/(3*z+1)", "7/(3*z+1)^2", (1, -2, 3, 1)),
+]
+MAP_IDS = [m for m, _, _ in MAPS]
+
+COORDINATES = {"puncture", "point", "checked_points"}
+# numeric routes, residuals and the period threshold scale with the chart
+MARGINS = {"symbolic_residual", "numeric_residual", "max_cross_check_error", "quadrature_value", "eps_period"}
+
+
+def _gaussian(x) -> tuple[Fraction, Fraction]:
+    x = complex(x)
+    return Fraction(x.real), Fraction(x.imag)
+
+
+def _inverse_image(text: str, coeffs) -> str:
+    """M^{-1}(p) = (d p - b)/(-c p + a), exactly, as puncture text."""
+    a, b, c, d = (_gaussian(x) for x in coeffs)
+    if text == "inf":
+        num, den = d, (-c[0], -c[1])
+    else:
+        p = (Fraction(text), Fraction(0))
+        num = (d[0] * p[0] - b[0], d[1] * p[0] - b[1])
+        den = (a[0] - c[0] * p[0], a[1] - c[1] * p[0])
+    norm = den[0] ** 2 + den[1] ** 2
+    if norm == 0:
+        return "inf"
+    re_ = (num[0] * den[0] + num[1] * den[1]) / norm
+    im_ = (num[1] * den[0] - num[0] * den[1]) / norm
+    return f"({re_})+({im_})*i"
+
+
+def moved(data: dict, chart) -> dict:
+    m, dm, coeffs = chart
+
+    def pull(expr: str) -> str:
+        return expr.replace("z", f"({m})")
+
+    return {
+        **data,
+        "punctures": [_inverse_image(p, coeffs) for p in data["punctures"]],
+        "h": f"({pull(data['h'])})*({dm})",
+        "g1": pull(data["g1"]),
+        "g2": pull(data["g2"]),
+    }
+
+
+def chart_free(value, key=None):
+    """The document without domain coordinates, floats to 6 significant digits."""
+    if isinstance(value, dict):
+        return {k: chart_free(v, k) for k, v in value.items() if k not in COORDINATES | MARGINS}
+    if isinstance(value, list):
+        items = [chart_free(v) for v in value]
+        # records listed in the order of their domain points, and the
+        # per-puncture end orders, become multisets
+        if key == "mu" or any(isinstance(v, dict) and COORDINATES & set(v) for v in value):
+            items.sort(key=repr)
+        return items
+    if isinstance(value, float):
+        return 0.0 if abs(value) < 1e-9 else float(f"{value:.6g}")
+    if isinstance(value, str):
+        return re.sub(r"^end at .+ is ", "end at _ is ", value)
+    return value
+
+
+def run(capsys, tmp_path, command: str, *datas: dict) -> tuple[int, dict | None]:
+    paths = []
+    for n, data in enumerate(datas):
+        path = tmp_path / f"data{n}.json"
+        path.write_text(json.dumps(data))
+        paths.append(str(path))
+    code = main([command, *paths])
+    out = capsys.readouterr().out
+    return code, chart_free(json.loads(out)["report"]) if out.strip() else None
+
+
+def load(name: str) -> dict:
+    return json.loads((FIXTURES / f"{name}.json").read_text())
+
+
+def test_inverse_images_are_exact():
+    assert _inverse_image("inf", MAPS[0][2]) == "(0)+(0)*i"
+    assert _inverse_image("0", MAPS[0][2]) == "inf"
+    assert _inverse_image("1/2", MAPS[3][2]) == "(-1)+(-2/3)*i"
+    assert _inverse_image("inf", MAPS[4][2]) == "inf"
+
+
+@pytest.mark.parametrize("chart", MAPS, ids=MAP_IDS)
+@pytest.mark.parametrize("name", REPORTED)
+def test_report_is_chart_invariant(capsys, tmp_path, name, chart):
+    data = load(name)
+    assert run(capsys, tmp_path, "report", moved(data, chart)) == run(capsys, tmp_path, "report", data)
+
+
+@pytest.mark.parametrize("chart", MAPS, ids=MAP_IDS)
+@pytest.mark.parametrize("pair", PAIRS, ids=["six", "five"])
+def test_unicity_is_chart_invariant(capsys, tmp_path, pair, chart):
+    datas = [load(name) for name in pair]
+    expected = run(capsys, tmp_path, "unicity", *datas)
+    assert run(capsys, tmp_path, "unicity", *(moved(d, chart) for d in datas)) == expected

@@ -8,6 +8,8 @@ import pytest
 from wlab import roots
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
+from wlab.ramification import ramification_report
+from wlab.rational import SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 
 # a degree-32 map A^4/B: the float square-free layers miss the triple roots
@@ -83,7 +85,7 @@ def test_multiset_union_on_products():
 
 
 def test_cluster_below_point_identity_merges():
-    # separation far below eps_pt: gcd and deflation agree on one double root
+    # separation far below eps_pt: the gcd chain reads one double root
     p = Polynomial.from_roots([1.0, 1.0 + 1e-9])
     got = roots_with_multiplicity(p)
     assert len(got) == 1
@@ -192,3 +194,46 @@ def test_generic_wronskian_has_2d_minus_2_simple_critical_points(degree):
     _, factors = exact.sqf_list()
     assert exact.degree() == 2 * degree - 2
     assert [m for _, m in factors] == [1]
+
+
+def test_each_yun_factor_is_located_once(record_calls):
+    # (z-1)^3 (z+2)^2 (z-i), expanded: the factors z+2, z-1 and z-i hold
+    # three distinct roots, and no deeper layer is root-found again
+    located = record_calls(roots, "_located_roots")
+    p = Polynomial.from_roots([1, 1, 1, -2, -2, 1j])
+    got = by_value(roots_with_multiplicity(p))
+    assert got == {(1 + 0j): 3, (-2 + 0j): 2, 1j: 1}
+    assert sum(f.degree for (f,) in located) == 3
+
+
+def test_exponents_of_gaussian_integer_products_are_recovered():
+    # the invariant the runtime no longer checks: multiplicities sum to deg p
+    rng = random.Random("yun-products")
+    grid = [complex(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+    for _ in range(60):
+        exponents: dict[complex, int] = {}
+        for r in rng.sample(grid, rng.randint(1, 5)):
+            m = rng.randint(1, 3)
+            if sum(exponents.values()) + m <= 9:
+                exponents[r] = m
+        p = Polynomial.from_roots([r for r, m in exponents.items() for _ in range(m)])
+        got = roots_with_multiplicity(p)
+        assert sum(m for _, m in got) == p.degree
+        assert by_value(got) == exponents
+        assert got == sorted(got, key=lambda rm: (rm[0].real, rm[0].imag))
+
+
+def test_multiple_roots_sit_on_their_30_digit_positions():
+    sympy = pytest.importorskip("sympy")
+    base = "-8*z^4 + 2*z^3 - 4*z^2 + 7*z - 9"
+    den = (
+        "-5*z^16 - 6*z^15 + 9*z^14 + 5*z^13 + 3*z^12 - z^11 - 4*z^10 + 2*z^9 + z^8"
+        " + 4*z^7 + 6*z^6 + 2*z^4 + 8*z^3 - 9*z^2 - 7*z - 9"
+    )
+    report = ramification_report(parse_expression(f"({base})^4/({den})"), ("inf",))
+    (zero,) = [v for v in report.values if v.value.close_to(SpherePoint(0j), 1e-9)]
+    exact = [complex(r) for r in sympy.Poly(sympy.sympify(base.replace("^", "**"))).nroots(n=30)]
+    assert len(zero.preimages) == len(exact) == 4
+    for pre in zero.preimages:
+        assert pre.multiplicity == 4
+        assert min(abs(pre.point.value - r) for r in exact) < 1e-9

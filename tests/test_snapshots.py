@@ -16,11 +16,15 @@ deliberately.
 from __future__ import annotations
 
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from wlab.cli import main
+from wlab.cli import EXIT_MATH, main
 
 HERE = Path(__file__).resolve().parent
 SNAPSHOTS = HERE / "snapshots"
@@ -148,3 +152,24 @@ def test_obj_snapshots(tmp_path, name, argv):
          "--mesh-out", str(mesh_out)],
     )
     assert mesh_out.read_bytes() == (SNAPSHOTS / name).read_bytes()
+
+
+# numpy picks its kernels at import from the CPU's features; this list leaves
+# an x86-64 CPU with numpy's baseline (X86_V2) kernels only
+NO_SIMD_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")
+def test_report_bytes_do_not_depend_on_simd_dispatch():
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_SIMD_DISPATCH}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_SIMD_DISPATCH!r}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "wlab.cli", "report", str(FIXTURES / "example21.json")],
+        env=env,
+        capture_output=True,
+    )
+    # example21 fails the period check, so its report exits 2 with a full document
+    assert (proc.returncode, proc.stderr) == (EXIT_MATH, b"")
+    assert proc.stdout == (SNAPSHOTS / "report_example21.json").read_bytes()
