@@ -138,14 +138,13 @@ class Analysis:
     def ramification(self, component: int) -> RamificationReport:
         """Ramification report of Gauss component 1 or 2 (non-constant only).
 
-        Reports are kept by the component's reduced coefficients, so equal
-        components share one.
+        Reports are kept by the exact component, so equal components share
+        one.
         """
         g = self.data.g1 if component == 1 else self.data.g2
-        key = (g.num.coeffs, g.den.coeffs)
-        if key not in self._ramification:
-            self._ramification[key] = ramification_report(g, self.data.punctures, self.tol)
-        return self._ramification[key]
+        if g not in self._ramification:
+            self._ramification[g] = ramification_report(g, self.data.punctures, self.tol)
+        return self._ramification[g]
 
     @cached_property
     def bounds(self) -> BoundsReport:

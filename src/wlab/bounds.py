@@ -55,7 +55,7 @@ from typing import TYPE_CHECKING
 
 from .exprparse import as_sphere_point
 from .ramification import fiber_table
-from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
+from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE
@@ -504,7 +504,7 @@ def shared_values(
     """
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
-    if gA.equals(gB):
+    if gA == gB:
         return SharedValues(SHARED_IDENTICAL, ())
     if gA.is_constant and gB.is_constant:
         return SharedValues(SHARED_CONSTANT_PAIR, ())
@@ -522,7 +522,7 @@ def shared_values(
         )
 
     tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
-    cross = (gA.num * gB.den - gB.num * gA.den).trim(TRIM_RTOL)
+    cross = gA.cross_numerator(gB)
     common = [SpherePoint(r) for r, _m in roots_with_multiplicity(cross, tol)] if cross.degree >= 1 else []
     if gA.value_at_sphere(INF, tol).close_to(gB.value_at_sphere(INF, tol), tol.eps_pt):
         common.append(INF)
@@ -575,8 +575,8 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
     chi = 2 * G - 2 + k
     notes: list[str] = []
 
-    id1 = dataA.g1.equals(dataB.g1)
-    id2 = dataA.g2.equals(dataB.g2)
+    id1 = dataA.g1 == dataB.g1
+    id2 = dataA.g2 == dataB.g2
     const2 = dataA.g2.is_constant and dataB.g2.is_constant
 
     complete_a = _complete_surface(a)
@@ -610,8 +610,8 @@ def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:
         notes.append("2G-2+k <= 0: ratios undefined")
 
     shared1 = shared_values(dataA.g1, dataB.g1, dataA.punctures, tol) if not id1 else SharedValues(SHARED_IDENTICAL, ())
-    # equal reduced coefficients in both data sets: the second pair is the first
-    if all((d.g2.num, d.g2.den) == (d.g1.num, d.g1.den) for d in (dataA, dataB)):
+    # equal components in both data sets: the second pair is the first
+    if all(d.g2 == d.g1 for d in (dataA, dataB)):
         shared2 = shared1
     else:
         shared2 = shared_values(dataA.g2, dataB.g2, dataA.punctures, tol) if not id2 else SharedValues(SHARED_IDENTICAL, ())

@@ -9,41 +9,28 @@ Grammar (input surface syntax for the CLI JSON documents):
 
 Literals are decimal numbers with an optional exponent part and an optional
 trailing 'i' for the imaginary unit ('2', '2.5', '3i', '1e-3', bare 'i').
-A literal must be a finite double: '1e400' is an error, not infinity.
-'^' binds tighter than unary minus, so -z^2 parses as -(z^2). Division is
-symbolic: the result is always a RationalFunction, never a number, with
-double coefficients reduced by the float gcd of ``rational``.
-Exponents are integers with |exponent| <= 64.
-
-A subexpression with no '/' and no negative power is held as the polynomial
-p of p / 1 in canonical form, and '+', '-', '*', '^' and unary minus act on p
-with the steps of ``RationalFunction``'s arithmetic that can change a bit
-(``rational.canonical_polynomial``, ``rational.canonical_sum``).  A
-``RationalFunction`` is built only at a quotient, a negative power, and the
-end, so the result is bit for bit the one that reduced rational arithmetic
-on every subexpression gives, without a gcd per term.
+They are read exactly ('2.5e-3' is 1/400), and a nonzero literal must lie in
+the range of a double: '1e400' and '1e-400' are errors, not infinity and 0.
+'^' binds tighter than unary minus, so -z^2 parses as -(z^2). Exponents are
+integers with |exponent| <= 64.  Each operator is one exact operation of
+``RationalFunction``, so division is symbolic and the result is a reduced
+RationalFunction, never a number; a coefficient of an intermediate result
+beyond the range of a double raises ``OverflowError``.
 """
 
 from __future__ import annotations
 
 import math
+import re
+from fractions import Fraction
 
 from wlab.poly import Polynomial
-from wlab.rational import RationalFunction, SpherePoint, canonical_polynomial, canonical_sum
+from wlab.rational import RationalFunction, SpherePoint
 
 __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sphere_point"]
 
 MAX_EXPONENT = 64
-
-# the canonical z; z^k of it is the monomial, as the squaring chain of exact
-# 0s and 1s gives it
-_Z = canonical_polynomial(Polynomial.variable())
-
-_Value = Polynomial | RationalFunction
-
-
-def _quotient(v: _Value) -> RationalFunction:
-    return v if isinstance(v, RationalFunction) else RationalFunction._of_polynomial(v)
+_NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
 
 
 class ExpressionError(ValueError):
@@ -81,37 +68,25 @@ def _lex(text: str) -> list[_Token]:
             i += 1
             continue
         if ch == "i":
-            tokens.append(_Token("num", 1j, i))
+            tokens.append(_Token("num", (1, True), i))
             i += 1
             continue
         if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and text[i].isdigit():
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i].isdigit():
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
+            start, i = i, _NUMBER.match(text, i).end()
             raw = text[start:i]
             try:
-                value = float(raw)
+                rounded = float(raw)
             except ValueError:
                 raise ExpressionError(f"malformed number {raw!r}", start) from None
-            if not math.isfinite(value):
+            if math.isinf(rounded):
                 raise ExpressionError(f"number {raw!r} overflows a double", start)
-            if i < n and text[i] == "i":
-                i += 1
-                tokens.append(_Token("num", value * 1j, start))
-            else:
-                tokens.append(_Token("num", complex(value), start))
+            if rounded == 0 and raw.lower().split("e")[0].strip("0."):
+                raise ExpressionError(f"number {raw!r} underflows a double", start)
+            # the range check comes first: it bounds the exponent Fraction expands
+            value = int(raw) if raw.isdigit() else Fraction(raw) if rounded else 0
+            imaginary = i < n and text[i] == "i"
+            i += imaginary
+            tokens.append(_Token("num", (value, imaginary), start))
             continue
         raise ExpressionError(f"unexpected character {ch!r}", i)
     tokens.append(_Token("end", None, n))
@@ -138,37 +113,30 @@ class _Parser:
         return self.next()
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> _Value:
+    def expr(self) -> RationalFunction:
         out = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
             op = self.next().value
             rhs = self.term()
-            if op == "-":
-                rhs = -rhs
-            if isinstance(out, Polynomial) and isinstance(rhs, Polynomial):
-                out = canonical_sum(out, rhs)
-            else:
-                out = _quotient(out) + _quotient(rhs)
+            out = out + rhs if op == "+" else out - rhs
         return out
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> _Value:
+    def term(self) -> RationalFunction:
         out = self.factor()
         while self.peek().kind == "op" and self.peek().value in "*/":
             tok = self.next()
             rhs = self.factor()
-            if tok.value == "/":
-                if rhs.is_zero:
-                    raise ExpressionError("division by the zero polynomial", tok.pos)
-                out = _quotient(out) / _quotient(rhs)
-            elif isinstance(out, Polynomial) and isinstance(rhs, Polynomial):
-                out = canonical_polynomial(out * rhs)
+            if tok.value == "*":
+                out = out * rhs
+            elif rhs.is_zero:
+                raise ExpressionError("division by the zero polynomial", tok.pos)
             else:
-                out = _quotient(out) * _quotient(rhs)
+                out = out / rhs
         return out
 
     # factor := '-' factor | base ('^' signed-int)?
-    def factor(self) -> _Value:
+    def factor(self) -> RationalFunction:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.next()
@@ -184,12 +152,7 @@ class _Parser:
                 )
             if exp < 0 and out.is_zero:
                 raise ExpressionError("negative power of zero", caret.pos)
-            if exp < 0 or isinstance(out, RationalFunction):
-                out = _quotient(out) ** exp
-            elif out is _Z:
-                out = Polynomial((0j,) * exp + (1 + 0j,))
-            else:
-                out = canonical_polynomial(out**exp)
+            out = out**exp
         return out
 
     def exponent(self) -> int:
@@ -201,18 +164,20 @@ class _Parser:
             tok = self.peek()
         if tok.kind != "num":
             raise ExpressionError("expected an integer exponent", tok.pos)
-        val = tok.value
-        if val.imag != 0 or val.real != int(val.real):
+        value, imaginary = tok.value
+        if (imaginary and value) or value.denominator != 1:
             raise ExpressionError("expected an integer exponent", tok.pos)
         self.next()
-        return sign * int(val.real)
+        return sign * int(value)
 
-    def base(self) -> _Value:
+    def base(self) -> RationalFunction:
         tok = self.next()
         if tok.kind == "num":
-            return canonical_polynomial(Polynomial((tok.value,)))
+            value, imaginary = tok.value
+            out = RationalFunction.constant(value)
+            return out * 1j if imaginary else out
         if tok.kind == "z":
-            return _Z
+            return RationalFunction.variable()
         if tok.kind == "op" and tok.value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -232,7 +197,7 @@ def parse_expression(text: str) -> RationalFunction:
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionError("unexpected trailing input", tail.pos)
-    return _quotient(out)
+    return out
 
 
 def parse_sphere_point(text: str) -> SpherePoint:
@@ -318,8 +283,9 @@ def format_polynomial(p: Polynomial) -> str:
 def format_expression(f: RationalFunction) -> str:
     """Reparsable text for a rational function.
 
-    parse_expression(format_expression(f)) equals f as a function (the
-    canonical form is already normalized, so round-trips are exact).
+    Every coefficient is printed at its float view's exact value, so
+    parse_expression(format_expression(f)) is f with the views as its
+    exact coefficients.
     """
     num = format_polynomial(f.num)
     if f.den.degree < 1:

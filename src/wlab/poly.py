@@ -1,17 +1,20 @@
-"""Dense complex polynomials.
+"""Dense complex polynomials, and the exact polynomials over Q(i) they view.
 
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
-coefficient tuple and reports degree -1. Tolerance-aware helpers (trimming,
-the order and Taylor coefficients at a point, approximate gcd, exact-quotient
-division) live here because every meromorphic object in the package is
-carried by a quotient of these.
+coefficient tuple and reports degree -1. The numeric helpers (the order and
+Taylor coefficients at a point, approximate gcd, exact-quotient division)
+live here, beside the exact polynomials over Z[i] that ``rational`` keeps
+its canonical form in: their arithmetic, subresultant gcd and correctly
+rounded float views.
 """
 
 from __future__ import annotations
 
 import cmath
-from typing import Iterable, Sequence
+import math
+from fractions import Fraction
+from typing import Iterable
 
 import numpy as np
 
@@ -52,23 +55,6 @@ class Polynomial:
 
     # -- construction helpers ------------------------------------------------
 
-    @classmethod
-    def constant(cls, value: complex) -> "Polynomial":
-        return cls((value,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The monomial z."""
-        return cls((0.0, 1.0))
-
-    @classmethod
-    def from_roots(cls, roots: Sequence[complex], leading: complex = 1.0) -> "Polynomial":
-        """Monic-times-``leading`` polynomial with the given roots."""
-        if len(roots) == 0:
-            return cls((leading,))
-        c = np.poly(np.asarray(roots, dtype=complex))  # highest first
-        return cls((leading * c)[::-1])
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -106,60 +92,23 @@ class Polynomial:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _coerce(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            return other
-        if isinstance(other, (int, float, complex)):
-            return Polynomial((other,))
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        n = max(len(self._c), len(o._c))
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        n = max(len(self._c), len(other._c))
         a = list(self._c) + [0j] * (n - len(self._c))
-        for i, x in enumerate(o._c):
+        for i, x in enumerate(other._c):
             a[i] += x
         return Polynomial(a)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(tuple(-x for x in self._c))
 
-    def __sub__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + (-other)
 
-    def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
-
-    def __mul__(self, other) -> "Polynomial":
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if self.is_zero or o.is_zero:
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
+        if self.is_zero or other.is_zero:
             return Polynomial()
-        prod = np.convolve(np.asarray(self._c), np.asarray(o._c))
-        return Polynomial(prod)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial((1.0,))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return Polynomial(np.convolve(np.asarray(self._c), np.asarray(other._c)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._c == other._c
@@ -187,24 +136,6 @@ class Polynomial:
     def antiderivative(self) -> "Polynomial":
         """The primitive that vanishes at 0."""
         return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
-
-    def trim(self, rel_eps: float) -> "Polynomial":
-        """Strip trailing coefficients that are tiny relative to the largest.
-
-        Degree decisions downstream (orders at infinity, preimage counts at
-        infinity) hinge on this; the canonical form of ``rational`` trims at
-        its fixed ``TRIM_RTOL``.  Raises ``OverflowError`` on a non-finite
-        coefficient, against which every other one would look tiny.
-        """
-        if not self._c:
-            return self
-        if not all(map(cmath.isfinite, self._c)):
-            raise OverflowError("a coefficient is beyond the range of a double")
-        scale = self.max_abs_coeff
-        c = list(self._c)
-        while c and abs(c[-1]) <= rel_eps * scale:
-            c.pop()
-        return Polynomial(c)
 
     def divmod_by(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         """Long division: self = q * divisor + r with deg r < deg divisor.
@@ -267,26 +198,6 @@ class Polynomial:
             taylor.append(rem)
         return m, tuple(taylor)
 
-    def reversed_coeffs(self, length: int | None = None) -> "Polynomial":
-        """Coefficient reversal z^n * p(1/z), optionally padded to ``length``.
-
-        Used by the w = 1/z coordinate change.
-        """
-        n = length if length is not None else len(self._c)
-        if n < len(self._c):
-            raise ValueError("reversal length shorter than the polynomial")
-        padded = list(self._c) + [0j] * (n - len(self._c))
-        return Polynomial(padded[::-1])
-
-    def close_to(self, other: "Polynomial", rel_eps: float) -> bool:
-        """Coefficient-wise comparison relative to the joint scale."""
-        scale = max(self.max_abs_coeff, other.max_abs_coeff, 1e-300)
-        n = max(len(self._c), len(other._c))
-        a = list(self._c) + [0j] * (n - len(self._c))
-        b = list(other._c) + [0j] * (n - len(other._c))
-        return all(abs(x - y) <= rel_eps * scale for x, y in zip(a, b))
-
-
 def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[complex], complex]:
     """(quotient, remainder) of coefficients, lowest first, by (z - point)."""
     acc = 0j
@@ -345,3 +256,148 @@ def exact_divide(p: Polynomial, divisor: Polynomial, rel_eps: float = 1e-8) -> P
     if not r.is_zero and r.max_abs_coeff > rel_eps * max(p.max_abs_coeff, 1e-300):
         raise ExactDivisionError("polynomial division left a significant remainder")
     return q
+
+
+# -- exact polynomials over Q(i) -------------------------------------------------
+# A Gaussian integer is a pair (re, im) of ints.  A polynomial over Z[i] is a
+# tuple of them, lowest degree first, with no trailing (0, 0); over Q(i) it
+# has one positive int denominator besides.  ``rational`` keeps its exact
+# canonical form in these and reads its float views off them.
+
+Exact = tuple[tuple[int, int], ...]
+_OUT_OF_RANGE = "a coefficient is beyond the range of a double"
+
+
+def exact_coeffs(coeffs: Iterable) -> tuple[Exact, int]:
+    """(p, q) with p / q the exact value of int, Fraction, float or complex
+    coefficients; a double is read at its binary value."""
+    parts = []
+    for c in coeffs:
+        if not isinstance(c, (int, Fraction)) and not cmath.isfinite(c := complex(c)):
+            raise OverflowError(_OUT_OF_RANGE)
+        parts += [c.real.as_integer_ratio(), c.imag.as_integer_ratio()]
+    q = math.lcm(*(d for _, d in parts))
+    scaled = iter([n * (q // d) for n, d in parts])
+    return _stripped(zip(scaled, scaled)), q
+
+
+def _stripped(p) -> Exact:
+    p = list(p)
+    while p and p[-1] == (0, 0):
+        p.pop()
+    return tuple(p)
+
+
+def rounded(p: Exact, q: int) -> Polynomial:
+    """The float view of p / q, each part correctly rounded (int division
+    is); ``OverflowError`` when a part is beyond the range of a double."""
+    try:
+        view = [complex(x / q, y / q) for x, y in p]
+    except OverflowError:
+        raise OverflowError(_OUT_OF_RANGE) from None
+    while view and not view[-1]:  # below the least double, a coefficient rounds to 0
+        view.pop()
+    out = Polynomial.__new__(Polynomial)
+    out._c = tuple(view)
+    return out
+
+
+def exact_add(a: Exact, b: Exact) -> Exact:
+    if len(a) < len(b):
+        a, b = b, a
+    return _stripped([(x + u, y + v) for (x, y), (u, v) in zip(a, b)] + list(a[len(b) :]))
+
+
+def exact_mul(a: Exact, b: Exact) -> Exact:
+    """The product; zero coefficients of a are skipped, so z^k costs little."""
+    if not a or not b:
+        return ()
+    if b == ((1, 0),) or a == ((1, 0),):
+        return a if b == ((1, 0),) else b
+    re = [0] * (len(a) + len(b) - 1)
+    im = re[:]
+    for i, (x, y) in enumerate(a):
+        if x:
+            for j, (u, v) in enumerate(b, i):
+                re[j] += x * u
+                im[j] += x * v
+        if y:
+            for j, (u, v) in enumerate(b, i):
+                re[j] -= y * v
+                im[j] += y * u
+    return tuple(zip(re, im))
+
+
+def exact_pow(a: Exact, n: int) -> Exact:
+    """a^n by squaring; a monomial c z^k, z^k above all, as c^n z^(kn)."""
+    if len(a) > 1 and not any(x or y for x, y in a[:-1]):
+        return ((0, 0),) * ((len(a) - 1) * n) + exact_pow(a[-1:], n)
+    out = ((1, 0),)
+    while n:
+        if n & 1:
+            out = exact_mul(out, a)
+        n >>= 1
+        a = exact_mul(a, a) if n else a
+    return out
+
+
+def _gdiv(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """a / b for Gaussian integers b dividing a."""
+    n = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n
+
+
+def _pseudo_divmod(a: Exact, b: Exact) -> tuple[Exact, Exact]:
+    """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r and deg r < deg b."""
+    n = len(b) - 1
+    u, v = b[-1]
+    r, q = list(a), []
+    for k in range(len(a) - 1 - n, -1, -1):
+        c, d = r.pop()
+        q = [(x * u - y * v, x * v + y * u) for x, y in q] + [(c, d)]
+        r = [(x * u - y * v, x * v + y * u) for x, y in r]
+        if c or d:
+            for j, (s, t) in enumerate(b[:n], k):
+                x, y = r[j]
+                r[j] = (x - c * s + d * t, y - c * t - d * s)
+    return tuple(reversed(q)), _stripped(r)
+
+
+def exact_gcd(a: Exact, b: Exact) -> Exact:
+    """A gcd of two nonzero polynomials over Z[i], up to a unit of Q(i).
+
+    The subresultant remainder sequence (Collins 1967; Brown and Traub
+    1971): each pseudo-remainder is divided by the factor g h^delta that it
+    is known to carry, so the coefficients grow only linearly, with no
+    content computation and no primes.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    g = h = (1, 0)
+    while True:
+        delta = len(a) - len(b)
+        r = _pseudo_divmod(a, b)[1]
+        if len(r) < 2:
+            return ((1, 0),) if r else b
+        divisor = exact_mul((g,), exact_pow((h,), delta))[0]
+        a, b = b, tuple(_gdiv(x, divisor) for x in r)
+        g = a[-1]
+        if delta:
+            h = _gdiv(exact_pow((g,), delta)[0], exact_pow((h,), delta - 1)[0])
+
+
+def exact_cofactors(a: Exact, b: Exact) -> tuple[Exact, Exact]:
+    """(a / g, b / g) for their gcd g, times one common factor, so that the
+    quotient stays a / b; a and b themselves when either is constant."""
+    g = exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),)
+    if len(g) < 2:
+        return a, b
+    # the two pseudo-quotients carry lc(g)^(deg a - deg g + 1) and the same in b
+    qa, qb = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
+    extra = exact_pow(g[-1:], abs(len(a) - len(b)))
+    return (exact_mul(qa, extra), qb) if len(a) < len(b) else (qa, exact_mul(qb, extra))
+
+
+def exact_reversed(a: Exact, k: int) -> Exact:
+    """z^(k-1) a(1/z), for deg a < k."""
+    return _stripped(reversed(a + ((0, 0),) * (k - len(a))))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exprparse import as_sphere_point
-from .rational import INF, TRIM_RTOL, RationalFunction, SpherePoint, distinct_points
+from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
 from .tolerances import Tolerances
 
@@ -106,19 +106,6 @@ class RamificationReport:
     ramified_weight_rhs: Fraction
 
 
-def _local_multiplicity_at_infinity(f: RationalFunction, tol: Tolerances) -> int:
-    """Local degree of the map at z = infinity."""
-    value = f.value_at_sphere(INF, tol)
-    if value.is_infinity:
-        return f.num.degree - f.den.degree
-    # the order of f - c at infinity: deg D - deg(N - c D), with N - c D
-    # trimmed as the RationalFunction constructor trims it
-    rest = (f.num - f.den.scale(value.value)).trim(TRIM_RTOL)
-    if rest.is_zero:
-        raise ValueError("local degree of a constant map is undefined")
-    return f.den.degree - rest.degree
-
-
 @dataclass(frozen=True)
 class FiberTable:
     """Every point of one map's fibers that is not a simple non-puncture preimage.
@@ -172,7 +159,7 @@ def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
     w = f.derivative_numerator()
-    e_inf = _local_multiplicity_at_infinity(f, tol)
+    e_inf = f.local_degree_at_infinity()
     critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if w.degree >= 1 else []
     if e_inf >= 2:
         critical.append((INF, e_inf))

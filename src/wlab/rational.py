@@ -1,7 +1,8 @@
 """Rational functions on the Riemann sphere.
 
-A RationalFunction is a quotient of two Polynomials kept in reduced canonical
-form (approximate gcd cancelled, monic denominator). Orders, principal parts
+A RationalFunction is a quotient of two polynomials over Q(i), kept exactly
+in reduced form with a monic denominator, and read through correctly rounded
+float views of numerator and denominator. Orders, principal parts
 and residues are computed for the function and for the differential f dz.
 Each local number is read off Laurent expansions, not off a new
 RationalFunction: at a finite point from the Taylor coefficients of numerator
@@ -11,20 +12,26 @@ and the coefficient-reversed numerator and denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from wlab.poly import Polynomial, approx_gcd, exact_divide
+from wlab.poly import (
+    Exact,
+    Polynomial,
+    exact_add,
+    exact_coeffs,
+    exact_cofactors,
+    exact_mul,
+    exact_pow,
+    exact_reversed,
+    rounded,
+)
 from wlab.tolerances import Tolerances, format_float
 
 __all__ = ["SpherePoint", "INF", "distinct_points", "RationalFunction"]
-
-# The canonical form's cut-offs.  They are fixed, not fields of Tolerances: a
-# parsed expression is reduced before any command's tolerances exist.
-TRIM_RTOL = 1e-12  # a trailing coefficient this small, relative, is zero
-CANCEL_RTOL = 1e-8  # a gcd remainder this small, relative, is zero
-
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -102,64 +109,6 @@ def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
     return out
 
 
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, float, complex)):
-        return Polynomial((x,))
-    raise TypeError(f"cannot interpret {type(x).__name__} as a polynomial")
-
-
-_ONE = Polynomial((1.0,))
-_UNIT = _ONE.coeffs[0]
-
-
-def _trimmed(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Both polynomials with negligible trailing coefficients stripped."""
-    n, d = n.trim(TRIM_RTOL), d.trim(TRIM_RTOL)
-    if d.is_zero:
-        raise ZeroDivisionError("denominator is the zero polynomial")
-    return n, d
-
-
-def _cancel(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """Both polynomials divided by their approximate gcd."""
-    if a.degree >= 1 and b.degree >= 1:
-        g = approx_gcd(a, b, CANCEL_RTOL)
-        if g.degree >= 1:
-            return exact_divide(a, g, rel_eps=1e-6), exact_divide(b, g, rel_eps=1e-6)
-    return a, b
-
-
-def _normalised(n: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """The canonical pair: monic denominator, and 1 over the zero numerator."""
-    if n.is_zero:
-        return Polynomial(), Polynomial((1.0,))
-    return n.scale(1.0 / d.leading), d.monic()
-
-
-def canonical_polynomial(p: Polynomial) -> Polynomial:
-    """The numerator of p / 1 in canonical form, as ``RationalFunction(p)`` holds it.
-
-    The two steps of the canonical form that can change a bit of a
-    polynomial: trimming at ``TRIM_RTOL``, and ``_normalised``'s rescale by
-    1 / 1, which can flip the sign of a zero part.
-    """
-    return p.trim(TRIM_RTOL).scale(1.0 / _UNIT)
-
-
-def canonical_sum(a: Polynomial, b: Polynomial) -> Polynomial:
-    """The numerator of a / 1 + b / 1, as ``RationalFunction.__add__`` forms it.
-
-    The sum first multiplies each numerator by the other's denominator 1:
-    per coefficient that product is 0j + c * 1, which turns a -0.0 part into
-    0.0, so it is kept.
-    """
-    x = Polynomial([0j + c * _UNIT for c in a.coeffs])
-    y = Polynomial([0j + c * _UNIT for c in b.coeffs])
-    return canonical_polynomial(x + y)
-
-
 def _series_quotient(a, b, terms: int) -> list[complex]:
     """The first ``terms`` coefficients of the power series a / b, b[0] != 0."""
     out: list[complex] = []
@@ -172,26 +121,44 @@ def _series_quotient(a, b, terms: int) -> list[complex]:
 
 
 class RationalFunction:
-    """Quotient of complex polynomials in reduced form, monic denominator."""
+    """Quotient N / D of polynomials over Q(i), reduced, with D monic.
 
-    __slots__ = ("_num", "_den")
+    The exact pair is held as (a, b) over Z[i] (``poly.Exact``) with
+    N = a / L and D = b / L, where L, the leading entry of b, is the least
+    positive integer that clears every denominator; so equal functions hold
+    equal pairs.  ``num`` and ``den`` are the float views, each part
+    correctly rounded, and every numeric step reads them.  A result with a
+    coefficient beyond the range of a double raises ``OverflowError``.
+    """
+
+    __slots__ = ("_pair", "_num", "_den")
 
     def __init__(self, num, den=None):
-        n, d = _trimmed(_as_poly(num), _as_poly(1 if den is None else den))
-        self._num, self._den = _normalised(*_cancel(n, d))
+        (n, qn), (d, qd) = (
+            exact_coeffs(x.coeffs if isinstance(x, Polynomial) else (x,)) for x in (num, 1 if den is None else den)
+        )
+        if not d:
+            raise ZeroDivisionError("denominator is the zero polynomial")
+        self._set(*exact_cofactors(exact_mul(n, ((qd, 0),)), exact_mul(d, ((qn, 0),))))
+
+    def _set(self, a: Exact, b: Exact) -> None:
+        """Hold a / b for coprime a, b over Z[i], in the form above."""
+        if not a:
+            b = ((1, 0),)
+        x, y = b[-1]
+        if y or x < 0:  # times the conjugate, the leading entry is real and positive
+            a, b = exact_mul(a, ((x, -y),)), exact_mul(b, ((x, -y),))
+        g = 1 if b[-1][0] == 1 else math.gcd(*(v for c in a + b for v in c))
+        if g > 1:
+            a, b = (tuple((x // g, y // g) for x, y in p) for p in (a, b))
+        self._pair = (a, b)
+        self._num, self._den = rounded(a, b[-1][0]), rounded(b, b[-1][0])
 
     @classmethod
-    def _of_coprime(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
-        """The quotient num / den of two polynomials known to share no factor."""
+    def _of(cls, a: Exact, b: Exact) -> "RationalFunction":
+        """a / b for coprime a, b over Z[i]."""
         out = cls.__new__(cls)
-        out._num, out._den = _normalised(*_trimmed(num, den))
-        return out
-
-    @classmethod
-    def _of_polynomial(cls, p: Polynomial) -> "RationalFunction":
-        """p / 1 for a polynomial already in canonical form (``canonical_polynomial``)."""
-        out = cls.__new__(cls)
-        out._num, out._den = p, _ONE
+        out._set(a, b)
         return out
 
     # -- basic queries -------------------------------------------------------
@@ -206,14 +173,12 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self._num.is_zero
+        return not self._pair[0]
 
     @property
     def degree(self) -> int:
-        """Degree as a self-map of the sphere: max(deg num, deg den)."""
-        if self.is_zero:
-            return 0
-        return max(self._num.degree, self._den.degree)
+        """Degree as a self-map of the sphere: max(deg N, deg D)."""
+        return max(map(len, self._pair)) - 1 if self._pair[0] else 0
 
     @property
     def is_constant(self) -> bool:
@@ -223,18 +188,24 @@ class RationalFunction:
     def constant_value(self) -> complex:
         if not self.is_constant:
             raise ValueError("not a constant rational function")
-        return 0j if self.is_zero else self._num.coeffs[0]
+        return self._num.coeffs[0] if self._num.coeffs else 0j
 
     @classmethod
-    def constant(cls, value: complex) -> "RationalFunction":
-        return cls(Polynomial((value,)))
+    def constant(cls, value) -> "RationalFunction":
+        return cls(value)
 
     @classmethod
     def variable(cls) -> "RationalFunction":
-        return cls(Polynomial.variable())
+        return cls._of(((0, 0), (1, 0)), ((1, 0),))
 
     def __repr__(self) -> str:
         return f"RationalFunction({list(self._num.coeffs)!r}, {list(self._den.coeffs)!r})"
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RationalFunction) and self._pair == other._pair
+
+    def __hash__(self) -> int:
+        return hash(self._pair)
 
     def __call__(self, z):
         """Evaluate; scalar arguments at a pole raise ZeroDivisionError."""
@@ -246,48 +217,56 @@ class RationalFunction:
         return self._num(z) / dv
 
     # -- arithmetic ----------------------------------------------------------
+    # Exact over Q(i).  The operands are reduced, so a gcd is taken only
+    # where a common factor can arise (Knuth, TAOCP 2, 4.5.1): across the
+    # factors of a product, and in a sum over two non-constant denominators.
 
     def _coerce(self, other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
             return other
-        if isinstance(other, (int, float, complex, Polynomial)):
-            return RationalFunction(_as_poly(other))
+        if isinstance(other, (int, float, complex, Fraction, Polynomial)):
+            return RationalFunction(other)
         return None
+
+    def _cross(self, other: "RationalFunction", sign: int) -> tuple[Exact, Exact, Exact]:
+        """(a d + sign c b, b, d) for self = a / b and other = c / d over Z[i]."""
+        (a, b), (c, d) = self._pair, other._pair
+        return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),)))), b, d
+
+    def _sum(self, other: "RationalFunction", sign: int) -> "RationalFunction":
+        num, b, d = self._cross(other, sign)
+        den = exact_mul(b, d)
+        if len(b) > 1 and len(d) > 1:
+            num, den = exact_cofactors(num, den)
+        return RationalFunction._of(num, den)
 
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalFunction(
-            self._num * o._den + o._num * self._den, self._den * o._den
-        )
+        return NotImplemented if o is None else self._sum(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalFunction.__new__(RationalFunction)
-        out._num = -self._num
-        out._den = self._den
-        return out
+        a, b = self._pair
+        return RationalFunction._of(exact_mul(a, ((-1, 0),)), b)
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return NotImplemented if o is None else self._sum(o, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
+    def _times(self, c: Exact, d: Exact) -> "RationalFunction":
+        """self times c / d, both reduced: cancel across the factors only."""
+        a, b = self._pair
+        a, d = exact_cofactors(a, d)
+        c, b = exact_cofactors(c, b)
+        return RationalFunction._of(exact_mul(a, c), exact_mul(b, d))
+
     def __mul__(self, other):
-        # the factors are reduced, so cancel across only (Knuth, TAOCP 2,
-        # 4.5.1); a gcd of the whole product can split a multiple pole
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        n1, d2 = _cancel(self._num, o._den)
-        n2, d1 = _cancel(o._num, self._den)
-        return RationalFunction._of_coprime(n1 * n2, d1 * d2)
+        return NotImplemented if o is None else self._times(*o._pair)
 
     __rmul__ = __mul__
 
@@ -297,33 +276,37 @@ class RationalFunction:
             return NotImplemented
         if o.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        n1, n2 = _cancel(self._num, o._num)
-        d2, d1 = _cancel(o._den, self._den)
-        return RationalFunction._of_coprime(n1 * d2, d1 * n2)
+        return self._times(*reversed(o._pair))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
+        return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
-        if n == 0:
-            return RationalFunction.constant(1.0)
-        num, den = self._num, self._den
+        a, b = self._pair
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
-            num, den, n = den, num, -n
-        return RationalFunction._of_coprime(num**n, den**n)
+            a, b, n = b, a, -n
+        return RationalFunction._of(exact_pow(a, n), exact_pow(b, n))
 
-    def equals(self, other: "RationalFunction", rel_eps: float = 1e-10) -> bool:
-        """Equality as functions: cross-multiplied coefficient comparison."""
-        lhs = self._num * other._den
-        rhs = other._num * self._den
-        return lhs.close_to(rhs, rel_eps)
+    def cross_numerator(self, other: "RationalFunction") -> Polynomial:
+        """N D_o - N_o D, formed exactly and not reduced, as its float view."""
+        return rounded(self._cross(other, -1)[0], self._pair[1][-1][0] * other._pair[1][-1][0])
+
+    def local_degree_at_infinity(self) -> int:
+        """Local degree of the map at z = infinity, from the exact pair: the
+        order there of f - f(inf), or of 1/f where f(inf) is infinite."""
+        if self.is_constant:
+            raise ValueError("local degree of a constant map is undefined")
+        a, b = self._pair
+        if len(a) != len(b):
+            return abs(len(a) - len(b))
+        # f(inf) = lc(a) / lc(b): the order of b f - lc(a) b / lc(b)
+        rest = exact_add(exact_mul(a, (b[-1],)), exact_mul(b, ((-a[-1][0], -a[-1][1]),)))
+        return len(b) - len(rest)
 
     # -- calculus ------------------------------------------------------------
 
@@ -339,9 +322,15 @@ class RationalFunction:
     # -- coordinate changes ----------------------------------------------------
 
     def reciprocal_argument(self) -> "RationalFunction":
-        """The function w -> f(1/w) as a rational function of w."""
-        k = max(self._num.degree, self._den.degree) + 1
-        return RationalFunction(self._num.reversed_coeffs(k), self._den.reversed_coeffs(k))
+        """The function w -> f(1/w) as a rational function of w.
+
+        w^k N(1/w) / (w^k D(1/w)) with k = deg f is already reduced: a
+        common root would be a common root of N and D, or 0, which at most
+        one of them has.
+        """
+        a, b = self._pair
+        k = max(len(a), len(b))
+        return RationalFunction._of(exact_reversed(a, k), exact_reversed(b, k))
 
     # -- orders, values, residues ----------------------------------------------
 

@@ -7,10 +7,10 @@ reads the environment, so a result depends only on its inputs and the
 tolerances passed in.  Integer and rational quantities downstream of
 multiplicity extraction are exact and never touch these values.
 
-Three cut-offs are fixed and ``--tolerance-scale`` does not reach them: the
-canonical form's ``rational.TRIM_RTOL`` and ``rational.CANCEL_RTOL``, and
-``poly.REMAINDER_ATOL``, below which a leading remainder entry of polynomial
-division is dropped (inside ``approx_gcd`` and ``exact_divide`` too).
+One cut-off is fixed and ``--tolerance-scale`` does not reach it:
+``poly.REMAINDER_ATOL``, below which a leading remainder entry of float
+polynomial division is dropped (in the Yun chain of ``roots`` too).  The
+canonical form of ``rational`` is exact and has none.
 """
 
 from __future__ import annotations

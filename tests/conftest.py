@@ -6,7 +6,15 @@ import contextlib
 import signal
 import sys
 
+import numpy as np
 import pytest
+
+from wlab.poly import Polynomial
+
+
+def from_roots(roots, leading: complex = 1.0) -> Polynomial:
+    """The polynomial leading * prod (z - r) over the given roots."""
+    return Polynomial((leading * np.atleast_1d(np.poly(np.asarray(roots, dtype=complex))))[::-1])
 
 
 class TimeLimitExceeded(BaseException):

@@ -12,11 +12,11 @@ from pathlib import Path
 import pytest
 
 import wlab.cli
-from wlab import ramification, roots, weierstrass
+from wlab import curvature, poly, ramification, roots, weierstrass
 from wlab.analysis import Analysis, PoleTableError
 from wlab.cli import _load_data
 from wlab.exprparse import parse_expression
-from wlab.rational import TRIM_RTOL, RationalFunction
+from wlab.rational import RationalFunction
 from wlab.weierstrass import UnsupportedGenusError, WeierstrassData, phi_from_data
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -110,7 +110,7 @@ def test_unicity_locates_each_difference_numerator_once(record_calls, capsys, pa
     assert code == 0
     assert len(located) == UNICITY_ROOT_CALLS[pair]
     a, b = (_load_data(p) for p in paths)
-    cross = (a.g1.num * b.g1.den - b.g1.num * a.g1.den).trim(TRIM_RTOL).coeffs
+    cross = a.g1.cross_numerator(b.g1).coeffs
     assert [call[0].coeffs for call in located].count(cross) == 1
 
 
@@ -207,3 +207,14 @@ def test_analysis_rejects_other_genera():
     data = WeierstrassData(h=RationalFunction.constant(1), g1=z, g2=z, punctures=("inf",), genus=1)
     with pytest.raises(UnsupportedGenusError, match="genus 0"):
         Analysis(data)
+
+
+@pytest.mark.parametrize("name", REPORT_FIXTURES)
+def test_building_a_data_set_takes_no_float_gcd(record_calls, name):
+    # the algebra is exact: the float gcd is left to the Yun chain of roots
+    float_gcds = record_calls(poly, "approx_gcd")
+    an = Analysis(_load_data(str(FIXTURES / f"{name}.json")))
+    an.phi
+    for g in (an.data.g1, an.data.g2):
+        curvature._flip(g)
+    assert float_gcds == []

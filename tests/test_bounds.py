@@ -98,14 +98,14 @@ def random_regular_data(rng) -> WeierstrassData:
 
     def rand_rat(deg):
         num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        return RationalFunction(Polynomial(num), Polynomial(den))
+        den = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        return RationalFunction(Polynomial(num), den), RationalFunction(den)
 
     pool = ["0", "1", "-1", "2", "i", "1/2"]
     finite = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(0, 4)), replace=False)]
-    g1 = rand_rat(int(rng.integers(1, 4)))
-    g2 = rand_rat(int(rng.integers(0, 3)))
-    h = RationalFunction(g1.den * g2.den, Polynomial((1.0,)))
+    g1, den1 = rand_rat(int(rng.integers(1, 4)))
+    g2, den2 = rand_rat(int(rng.integers(0, 3)))
+    h = den1 * den2
     for p in finite:
         h = h / (Z - parse_sphere_point(p).value) ** int(rng.integers(1, 4))
     return WeierstrassData(h=h, g1=g1, g2=g2, punctures=(*finite, "inf"))

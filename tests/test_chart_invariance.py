@@ -12,6 +12,7 @@ dropped before comparing; values live in the target and stay.
 from __future__ import annotations
 
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from wlab.cli import main
+from wlab.exprparse import parse_expression
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 REPORTED = [
@@ -139,3 +141,35 @@ def test_unicity_is_chart_invariant(capsys, tmp_path, pair, chart):
     datas = [load(name) for name in pair]
     expected = run(capsys, tmp_path, "unicity", *datas)
     assert run(capsys, tmp_path, "unicity", *(moved(d, chart) for d in datas)) == expected
+
+
+# -- spelling is a chart of its own --------------------------------------------------
+
+
+def _integer_coeffs(rng, degree: int) -> list[int]:
+    c = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    return [c[0] or 1, *c[1:-1], c[-1] or 1]
+
+
+def _in_inverse_powers(c: list[int]) -> str:
+    """sum c_k / z^k: the polynomial c at 1/z."""
+    return "+".join(f"{x}" if k == 0 else f"{x}/z^{k}" for k, x in enumerate(c) if x).replace("+-", "-")
+
+
+def _reversed(c: list[int]) -> str:
+    """sum c_k z^(d-k): z^d times the polynomial c at 1/z."""
+    return "+".join(f"{x}*z^{len(c) - 1 - k}" for k, x in enumerate(c) if x).replace("+-", "-")
+
+
+@pytest.mark.parametrize("degree", [8, 12, 32])
+def test_a_map_at_one_over_z_parses_alike_in_both_spellings(degree):
+    # N(1/z)/D(1/z) for seeded integer N, D of degree d: under the float
+    # canonical form 2/19, 7/17 and 11/17 of these parsed to a wrong degree
+    # or failed typed in the 1/z^k spelling
+    rng = random.Random(f"spelling:{degree}")
+    for _ in range(20):
+        n, d = _integer_coeffs(rng, degree), _integer_coeffs(rng, degree)
+        f = parse_expression(f"({_in_inverse_powers(n)})/({_in_inverse_powers(d)})")
+        g = parse_expression(f"({_reversed(n)})/({_reversed(d)})")
+        assert f == g, (n, d)
+        assert f.degree == degree, (n, d)

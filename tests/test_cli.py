@@ -66,8 +66,8 @@ def test_non_finite_or_zero_tolerance_scale_is_a_usage_error(capsys, scale):
 
 
 def test_environment_does_not_change_the_document(capsys, monkeypatch, tmp_path):
-    # g1 is z - 1 over z - 1 - 1e-9: constant at the default tolerances, a
-    # degree-1 map at tolerances 1e-4 times tighter
+    # g1 is z - 1 over z - 1 - 1e-9: a degree-1 map, read exactly; no
+    # variable in the environment makes it constant
     path = tmp_path / "near_constant.json"
     path.write_text(
         json.dumps(
@@ -77,7 +77,7 @@ def test_environment_does_not_change_the_document(capsys, monkeypatch, tmp_path)
     monkeypatch.delenv("WLAB_TOLERANCE_SCALE", raising=False)
     for flags in ([], ["--tolerance-scale", "1"]):
         code, doc, _ = run(capsys, "ramify", str(path), *flags)
-        assert code == EXIT_OK and doc["report"]["verdict"] == "constant component"
+        assert code == EXIT_OK and doc["report"]["ramification"]["degree"] == 1
         monkeypatch.setenv("WLAB_TOLERANCE_SCALE", "1e-4")
         assert run(capsys, "ramify", str(path), *flags) == (code, doc, "")
         monkeypatch.delenv("WLAB_TOLERANCE_SCALE")
@@ -180,6 +180,15 @@ def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
     assert code == EXIT_USAGE and doc is None
     assert "'1e400' overflows" in err
+
+
+def test_ramify_rejects_a_literal_below_the_range_of_a_double(capsys, tmp_path):
+    # read as 0, the literal would drop the cubic term: degree 2, silently
+    data = tmp_path / "tiny.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1e-400*z^3 + z^2", "g2": "z"}))
+    code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
+    assert code == EXIT_USAGE and doc is None
+    assert err == f"error: {data}: number '1e-400' underflows a double (at position 0)\n"
 
 
 @pytest.mark.parametrize("g1", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
@@ -576,6 +585,80 @@ def test_punctures_apart_at_the_command_eps_pt_are_accepted(capsys, tmp_path):
     code, doc, err = run(capsys, "ramify", path)
     assert code == EXIT_USAGE and doc is None
     assert err == "error: punctures must be pairwise distinct: 0 ~ 1e-09\n"
+
+
+# -- spellings that the float canonical form read as other maps ---------------------
+
+
+def write_data(tmp_path, name: str, punctures, h: str, g1: str, g2: str) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"genus": 0, "punctures": punctures, "h": h, "g1": g1, "g2": g2}))
+    return str(path)
+
+
+def test_a_map_written_in_inverse_powers_keeps_its_degree(capsys, tmp_path):
+    # a degree-8 map in powers of 1/z: the float gcd left the common z^7,
+    # so ramify reported degree 15 and check failed in the Wronskian layers
+    g1 = (
+        "(3-2/z-7/z^2+5/z^3+2/z^4-5/z^5-7/z^6-9/z^7+2/z^8)"
+        "/(2-9/z-9/z^2-1/z^3+8/z^4+5/z^5+3/z^6+7/z^7+1/z^8)"
+    )
+    expanded = "(3*z^8-2*z^7-7*z^6+5*z^5+2*z^4-5*z^3-7*z^2-9*z+2)/(2*z^8-9*z^7-9*z^6-z^5+8*z^4+5*z^3+3*z^2+7*z+1)"
+    paths = [write_data(tmp_path, name, ["0", "1", "inf"], "1", g, "z") for name, g in (("inv", g1), ("exp", expanded))]
+    (code, doc, err), (_, expected, _) = (run(capsys, "ramify", p, "--component", "1") for p in paths)
+    assert code == EXIT_OK and err == ""
+    assert doc["report"]["ramification"]["degree"] == 8
+    assert doc["report"] == expected["report"]
+    code, doc, err = run(capsys, "check", paths[0])
+    assert code == EXIT_MATH and err == "" and doc["report"]["failures"] == ["regularity", "period"]
+
+
+@pytest.mark.parametrize(
+    "component, punctures, h, spelled, expanded",
+    [
+        (
+            1,
+            ["1/3", "1"],
+            "-4/((3*z-1)*(z-1))",
+            "(2-2*M-4*M^2+3*M^3)/(4-4*M+2*M^2+M^3)".replace("M", "((z+1)/(z-1))"),
+            "(-z^3+z^2+21*z+3)/(3*z^3-3*z^2+17*z-9)",
+        ),
+        (2, ["-1/3"], "1", "-4-2*M+3*M^2".replace("M", "((z-2)/(3*z+1))"), "(-39*z^2-26*z+12)/(9*z^2+6*z+1)"),
+    ],
+)
+def test_a_moebius_spelling_ramifies_as_its_expanded_form(capsys, tmp_path, component, punctures, h, spelled, expanded):
+    # the float route failed both spellings: ExactDivisionError for the
+    # first, OverfullFiberError ("local degrees over -4.333333333333334")
+    # for the second; read exactly, the two spellings are one map
+    docs = []
+    for name, g in (("spelled", spelled), ("expanded", expanded)):
+        gs = (g, "z") if component == 1 else ("z", g)
+        code, doc, err = run(capsys, "ramify", write_data(tmp_path, name, punctures, h, *gs), "--component", str(component))
+        assert code == EXIT_OK and err == ""
+        docs.append(doc["report"])
+    assert docs[0] == docs[1]
+
+
+def test_conformality_of_exact_forms_is_exact(capsys, tmp_path):
+    # the float forms left a symbolic residual of 2e-11 > eps_conformal
+    path = write_data(
+        tmp_path, "conformal", ["1"], "-2/(z*(1-z))", "(2*z^3+z^2+3*z-1)/(z*(-3*z^2-2*z+1))", "z^2/(1-z^2)"
+    )
+    code, doc, err = run(capsys, "check", path)
+    assert err == ""
+    assert doc["report"]["conformality"] == {
+        "ok": True, "symbolic_zero": True, "symbolic_residual": 0.0, "numeric_residual": 0.0, "samples": 100,
+    }
+
+
+def test_a_tiny_imaginary_numerator_term_loads(capsys, tmp_path):
+    # the float gcd raised GcdBreakdownError while the data was loaded, so
+    # no command ran; read exactly, g1 is a map of degree 3 and check runs
+    # (its Wronskian's root near 1.5e8 i still defeats ``ramify``'s float
+    # layers and point grouping: ROADMAP items 3b and 4)
+    path = write_data(tmp_path, "tiny", ["inf"], "1", "(1+1e-8i*z)/(1+1.5*z+z^2+0.25*z^3)", "z")
+    code, doc, err = run(capsys, "check", path)
+    assert code == EXIT_MATH and err == "" and doc["report"]["conformality"]["ok"] is True
 
 
 # -- global flags / wiring --------------------------------------------------------

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wlab import exprparse, rational
+from wlab import exprparse, poly
 from wlab.exprparse import (
     ExpressionError,
     format_complex,
@@ -24,8 +27,13 @@ from wlab.rational import INF, RationalFunction, SpherePoint
 Z = RationalFunction.variable()
 
 
-def check_same(f: RationalFunction, g: RationalFunction) -> None:
-    assert f.equals(g, rel_eps=1e-9)
+def check_same(f: RationalFunction, g: RationalFunction, rel_eps: float = 1e-9) -> None:
+    """Equal as functions: the float views cross-multiplied, coefficient by coefficient."""
+    lhs, rhs = (f.num * g.den).coeffs, (g.num * f.den).coeffs
+    scale = max(map(abs, lhs + rhs), default=0.0)
+    n = max(len(lhs), len(rhs))
+    pairs = zip(lhs + (0j,) * (n - len(lhs)), rhs + (0j,) * (n - len(rhs)))
+    assert all(abs(x - y) <= rel_eps * scale for x, y in pairs)
 
 
 def test_basic_forms():
@@ -84,6 +92,25 @@ def test_literal_overflowing_a_double_is_rejected(text):
     with pytest.raises(ExpressionError, match="overflows") as err:
         parse_expression(text)
     assert err.value.position == text.index("1e400")
+
+
+@pytest.mark.parametrize("text", ["1e-400", "1e-400i", "1e-400*z^3 + z^2", "z - 0.0001e-320"])
+def test_nonzero_literal_below_the_range_of_a_double_is_rejected(text):
+    # read as 0, the literal would vanish: 1e-400*z^3 + z^2 became degree 2
+    literal = text.split()[-1] if text.startswith("z") else text.split("*")[0].rstrip("i")
+    with pytest.raises(ExpressionError, match="underflows") as err:
+        parse_expression(text)
+    assert err.value.position == text.index(literal)
+    assert repr(literal) in str(err.value)
+
+
+def test_literals_are_exact():
+    assert parse_expression("2.5e-3") == RationalFunction.constant(Fraction(1, 400))
+    assert parse_expression("0.1") != RationalFunction.constant(0.1)
+    assert parse_expression("0e-999 + 5e-324 * z").degree == 1
+    # a near-common factor is no common factor, and no coefficient is trimmed
+    assert parse_expression("(z-1)/(z-1.000000001)").degree == 1
+    assert parse_expression("1e-13*z^3 + z^2").degree == 3
 
 
 @pytest.mark.parametrize("text", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
@@ -175,18 +202,44 @@ def test_parser_never_crashes(text):
         pass
 
 
-# -- the parser against reduced rational arithmetic on every subexpression ------
+# -- the parser against exact arithmetic in sympy's QQ_I(z) ----------------------
+
+_ZS = sympy.symbols("z")
+_FIELD = sympy.QQ_I.frac_field(_ZS)
 
 
-class _QuotientParser(exprparse._Parser):
-    """The same grammar, every subexpression a reduced RationalFunction."""
+def _exact_parts(poly) -> list[tuple[Fraction, Fraction]]:
+    """The coefficients of a sympy polynomial over QQ_I, lowest degree first."""
+    out = [(Fraction(0), Fraction(0))] * (poly.degree() + 1 if poly else 0)
+    for (k,), c in poly.terms():
+        out[k] = (Fraction(int(c.x.numerator), int(c.x.denominator)), Fraction(int(c.y.numerator), int(c.y.denominator)))
+    return out
+
+
+def _reduced(f) -> tuple[list, list]:
+    """(N, D) of a field element with D monic."""
+    lead = f.denom.LC
+    return _exact_parts(f.numer.quo_ground(lead)), _exact_parts(f.denom.quo_ground(lead))
+
+
+class _ExactOracle(exprparse._Parser):
+    """The grammar over sympy's QQ_I(z), with the range rule after each step:
+    no part of the reduced pair may round to infinity."""
+
+    def _ranged(self, f):
+        for part in (x for side in _reduced(f) for c in side for x in c):
+            try:
+                float(part)
+            except OverflowError:
+                raise OverflowError("a coefficient is beyond the range of a double") from None
+        return f
 
     def expr(self):
         out = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
             op = self.next().value
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            out = self._ranged(out + rhs if op == "+" else out - rhs)
         return out
 
     def term(self):
@@ -195,11 +248,11 @@ class _QuotientParser(exprparse._Parser):
             tok = self.next()
             rhs = self.factor()
             if tok.value == "*":
-                out = out * rhs
+                out = self._ranged(out * rhs)
             else:
-                if rhs.is_zero:
+                if not rhs:
                     raise ExpressionError("division by the zero polynomial", tok.pos)
-                out = out / rhs
+                out = self._ranged(out / rhs)
         return out
 
     def factor(self):
@@ -216,17 +269,19 @@ class _QuotientParser(exprparse._Parser):
                 raise ExpressionError(
                     f"exponent overflow: |{exp}| > {exprparse.MAX_EXPONENT}", caret.pos
                 )
-            if exp < 0 and out.is_zero:
+            if exp < 0 and not out:
                 raise ExpressionError("negative power of zero", caret.pos)
-            out = out**exp
+            out = self._ranged(out**exp if exp else _FIELD.one)
         return out
 
     def base(self):
         tok = self.next()
         if tok.kind == "num":
-            return RationalFunction.constant(tok.value)
+            value, imaginary = tok.value
+            q = sympy.QQ_I(sympy.Rational(value.numerator, value.denominator))
+            return self._ranged(_FIELD.convert(q * sympy.QQ_I(0, 1) if imaginary else q))
         if tok.kind == "z":
-            return RationalFunction.variable()
+            return _FIELD.from_sympy(_ZS)
         if tok.kind == "op" and tok.value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -234,8 +289,8 @@ class _QuotientParser(exprparse._Parser):
         raise ExpressionError("expected a number, 'z' or '('", tok.pos)
 
 
-def _quotient_parse(text: str) -> RationalFunction:
-    parser = _QuotientParser(exprparse._lex(text))
+def _oracle_parse(text: str):
+    parser = _ExactOracle(exprparse._lex(text))
     out = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
@@ -243,15 +298,34 @@ def _quotient_parse(text: str) -> RationalFunction:
     return out
 
 
-def _outcome(parse, text: str) -> tuple:
-    """The coefficients' reprs (so signed zeros count), or the error raised."""
+def _view(parts) -> str:
+    """The correctly rounded parts, without the coefficients that round to 0 at the top."""
+    view = [complex(float(re), float(im)) for re, im in parts]
+    while view and not view[-1]:
+        view.pop()
+    return repr(tuple(view))
+
+
+def _outcome_of(parse, text: str, exact) -> tuple:
+    """The exact pair and the views' reprs (so signed zeros count), or the error."""
     try:
         f = parse(text)
     except ExpressionError as err:
         return ("ExpressionError", str(err), err.position)
     except ArithmeticError as err:
         return (type(err).__name__, str(err))
-    return (repr(f.num.coeffs), repr(f.den.coeffs))
+    return exact(f)
+
+
+def _parsed_pair(f: RationalFunction) -> tuple:
+    a, b = f._pair
+    num, den = ([(Fraction(re, b[-1][0]), Fraction(im, b[-1][0])) for re, im in p] for p in (a, b))
+    return (num, den, repr(f.num.coeffs), repr(f.den.coeffs))
+
+
+def _oracle_pair(f) -> tuple:
+    num, den = _reduced(f)
+    return (num, den, _view(num), _view(den))
 
 
 def _integer_poly(rng: random.Random, degree: int) -> str:
@@ -329,12 +403,12 @@ def _fixture_expressions() -> list[str]:
     return out
 
 
-def _assert_parses_as_quotient_route(texts) -> Counter:
+def _assert_parses_as_exact_arithmetic(texts) -> Counter:
     outcomes = Counter()
     for text in texts:
-        got = _outcome(parse_expression, text)
-        assert got == _outcome(_quotient_parse, text), text
-        outcomes["value" if got[0].startswith("(") else got[0]] += 1
+        got = _outcome_of(parse_expression, text, _parsed_pair)
+        assert got == _outcome_of(_oracle_parse, text, _oracle_pair), text
+        outcomes["value" if isinstance(got[0], list) else got[0]] += 1
     return outcomes
 
 
@@ -347,29 +421,32 @@ def _assert_parses_as_quotient_route(texts) -> Counter:
     ],
 )
 def test_parse_matches_rational_arithmetic_bit_for_bit(texts):
-    _assert_parses_as_quotient_route(texts)
+    # the exact pair is sympy's, and each view part is its correctly rounded value
+    _assert_parses_as_exact_arithmetic(texts)
 
 
 def test_parse_matches_rational_arithmetic_on_random_grammar():
-    outcomes = _assert_parses_as_quotient_route(_random_expressions(2400))
-    # the draw reaches both values and malformed input
+    outcomes = _assert_parses_as_exact_arithmetic(_random_expressions(2400))
+    # the draw reaches values, malformed input and coefficients out of range
     assert outcomes["value"] > 2000
     assert outcomes["ExpressionError"] > 0
+    assert outcomes["OverflowError"] > 0
 
 
 def test_signed_zero_parts_follow_rational_arithmetic():
-    # the quotient route multiplies by the denominator 1 before a sum, which
-    # turns -0.0 into 0.0; a plain polynomial sum would keep (-0+2j)
-    assert parse_expression("-(0-i)").num.coeffs == (complex(-0.0, 1.0),)
-    assert repr(parse_expression("-(0-i) + -(0-i)").num.coeffs) == "(2j,)"
+    # a view part is a correctly rounded quotient of ints, never -0.0
+    for text in ("-(0-i)", "-(0-i) + -(0-i)", "-(i*z) - i*z", "-0*z - 0", "-(1-i)*(1+i)"):
+        f = parse_expression(text)
+        parts = [x for c in f.num.coeffs + f.den.coeffs for x in (c.real, c.imag)]
+        assert all(math.copysign(1.0, x) == 1.0 for x in parts if x == 0), text
 
 
 def test_parsing_a_ladder_map_reduces_one_quotient(record_calls):
     rng = random.Random(7)
     text = f"({_integer_poly(rng, 20)})/({_integer_poly(rng, 20)})"
-    gcds = record_calls(rational, "approx_gcd")
-    products = record_calls(Polynomial, "__mul__")
+    gcds = record_calls(poly, "exact_gcd")
+    float_gcds = record_calls(poly, "approx_gcd")
     f = parse_expression(text)
     assert f.degree == 20
     assert len(gcds) == 1
-    assert len(products) <= 60
+    assert float_gcds == []

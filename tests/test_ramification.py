@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import from_roots
 from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import ExactDivisionError, Polynomial
 from wlab.ramification import OverfullFiberError, fiber_table, ramification_report
-from wlab.rational import INF, TRIM_RTOL, RationalFunction, SpherePoint
+from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
 
@@ -24,12 +25,13 @@ PUNCTURE_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
 def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tuple[SpherePoint, int]]:
     """The fiber f^{-1}(a) with multiplicities, from the roots of N - aD.
 
-    The test oracle for every fiber the Wronskian table gives.  Finite a:
-    roots of N - aD, trimmed at ``TRIM_RTOL`` as the canonical form trims,
-    so a value that equals f(inf) up to rounding loses its negligible top
-    coefficient instead of growing a root near 1e16.  a = infinity: roots
-    of D.  Whenever the fiber polynomial drops below deg f, the balance
-    sits at infinity.
+    The test oracle for every fiber the Wronskian table gives.  Finite a
+    (an expression, read exactly, or a number, read at its binary value):
+    roots of N - aD, formed exactly.  A value that prints as f(inf) does is
+    f(inf) up to rounding, and the exact pair's local degree at infinity
+    fixes the degree of its fibre polynomial, instead of a root near 1e16.
+    a = infinity: roots of D.  Whenever the fiber polynomial drops below
+    deg f, the balance sits at infinity.
     """
     if f.is_constant:
         raise ValueError("preimages of a constant map are not a finite fiber")
@@ -37,7 +39,10 @@ def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tup
     if target.is_infinity:
         fiber_poly = f.den
     else:
-        fiber_poly = (f.num - f.den.scale(target.value)).trim(TRIM_RTOL)
+        value = parse_expression(a) if isinstance(a, str) else RationalFunction.constant(target.value)
+        fiber_poly = f.cross_numerator(value)
+        if target == f.value_at_sphere(INF):
+            fiber_poly = Polynomial(fiber_poly.coeffs[: f.degree - f.local_degree_at_infinity() + 1])
     out = []
     if fiber_poly.degree >= 1:
         out = [(SpherePoint(root), mult) for root, mult in roots_with_multiplicity(fiber_poly, tol)]
@@ -79,8 +84,8 @@ def test_preimages_sum_to_degree_random():
     for _ in range(30):
         dn = int(rng.integers(1, 5))
         dd = int(rng.integers(0, 5))
-        num = Polynomial.from_roots(rng.normal(size=dn) + 1j * rng.normal(size=dn))
-        den = Polynomial.from_roots(rng.normal(size=dd) + 1j * rng.normal(size=dd))
+        num = from_roots(rng.normal(size=dn) + 1j * rng.normal(size=dn))
+        den = from_roots(rng.normal(size=dd) + 1j * rng.normal(size=dd))
         f = RationalFunction(num, den)
         if f.is_constant:
             continue
@@ -89,14 +94,13 @@ def test_preimages_sum_to_degree_random():
 
 
 def test_preimages_over_a_rounded_value_at_infinity():
-    # A(inf) = -7/3 = B(0), but the two floats differ in the last bit, so
-    # N_A - B(0)*D_A keeps a top coefficient of 4.4e-16; untrimmed, infinity
-    # came back as a finite root near 1.3e16
+    # A(inf) = -7/3 = B(0): the exact N_A - (-7/3) D_A is constant, so the
+    # whole fibre sits at infinity, and the correctly rounded views of the
+    # two values agree (they differed in the last bit under float reduction)
     a = parse_expression("(-8-7*z)/(-4+3*z)")
     b = parse_expression("(-8*z-7)/(-4*z+3)")
-    value = b.value_at_sphere(0j)
-    assert value != a.value_at_sphere(INF)
-    assert preimages(a, value) == [(INF, 1)]
+    assert b.value_at_sphere(0j) == a.value_at_sphere(INF)
+    assert preimages(a, "-7/3") == preimages(a, b.value_at_sphere(0j)) == [(INF, 1)]
 
 
 def test_free_count_is_the_number_of_distinct_preimages_off_the_punctures():
@@ -203,8 +207,8 @@ def test_report_squaring_map():
 
 def test_report_degree_five_total_branching():
     rng = np.random.default_rng(5)
-    num = Polynomial.from_roots(rng.normal(size=5) + 1j * rng.normal(size=5))
-    den = Polynomial.from_roots(rng.normal(size=3) + 1j * rng.normal(size=3))
+    num = from_roots(rng.normal(size=5) + 1j * rng.normal(size=5))
+    den = from_roots(rng.normal(size=3) + 1j * rng.normal(size=3))
     rep = ramification_report(RationalFunction(num, den), ())
     assert rep.degree == 5
     assert rep.n1 == 8
@@ -216,8 +220,8 @@ def test_riemann_hurwitz_many_random_maps():
     for _ in range(300):
         d = int(rng.integers(2, 9))
         split = int(rng.integers(0, d + 1))
-        num = Polynomial.from_roots(rng.normal(size=d) + 1j * rng.normal(size=d))
-        den = Polynomial.from_roots(rng.normal(size=split) + 1j * rng.normal(size=split))
+        num = from_roots(rng.normal(size=d) + 1j * rng.normal(size=d))
+        den = from_roots(rng.normal(size=split) + 1j * rng.normal(size=split))
         f = RationalFunction(num, den)
         rep = ramification_report(f, ())
         assert rep.n1 == 2 * f.degree - 2
@@ -245,8 +249,8 @@ def test_fundamental_bound_on_random_fixtures():
     rng = np.random.default_rng(31)
     for _ in range(40):
         d = int(rng.integers(2, 6))
-        num = Polynomial.from_roots(rng.normal(size=d) + 1j * rng.normal(size=d))
-        den = Polynomial.from_roots(rng.normal(size=int(rng.integers(0, d))) * 1j)
+        num = from_roots(rng.normal(size=d) + 1j * rng.normal(size=d))
+        den = from_roots(rng.normal(size=int(rng.integers(0, d))) * 1j)
         f = RationalFunction(num, den)
         k = int(rng.integers(0, 5))
         pts = []

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import from_roots
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
 from wlab.rational import INF, RationalFunction, SpherePoint
@@ -14,7 +15,43 @@ Z = RationalFunction.variable()
 def test_reduction_and_monic_denominator():
     f = RationalFunction(Polynomial([-1, 0, 1]), Polynomial([-2, 2]))  # (z^2-1)/(2z-2)
     assert f.den.coeffs == (1 + 0j,)  # cancelled to (z+1)/2 -> monic den 1
-    assert f.num.close_to(Polynomial([0.5, 0.5]), 1e-12)
+    assert f.num.coeffs == (0.5 + 0j, 0.5 + 0j)
+
+
+@pytest.mark.parametrize(
+    "num, den, degree",
+    [
+        # the float gcd raised GcdBreakdownError on the first (Hypothesis
+        # found it) and ExactDivisionError on the second
+        ([0.5j, 1e-10j], [1, 1, 1.5], 2),
+        ([0j, 1.5, 1e-9], [1, 1, 1, 1], 3),
+    ],
+)
+def test_near_common_factors_are_not_cancelled(num, den, degree):
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+    assert f.degree == degree
+    assert f == RationalFunction(Polynomial(num)) / RationalFunction(Polynomial(den))
+
+
+def test_exact_cancellation_of_a_gaussian_common_factor():
+    common = (Z - 1j) ** 3 * (2 * Z + 0.5)
+    f = common * (Z + 3) / (common * (Z**2 - 1j))
+    assert f == (Z + 3) / (Z**2 - 1j)
+    assert f.num.coeffs == (3 + 0j, 1 + 0j) and f.den.coeffs == (-1j, 0j, 1 + 0j)
+
+
+def test_a_coefficient_below_the_least_double_rounds_to_zero():
+    # 5e-324 / 2 is exactly half the least subnormal: its view rounds to 0
+    f = RationalFunction(Polynomial([5e-324]), Polynomial([2]))
+    assert f.num.coeffs == () and f != RationalFunction.constant(0)
+    g = RationalFunction(Polynomial([1, 0, 5e-324]), Polynomial([2]))
+    assert g.num.coeffs == (0.5 + 0j,)
+
+
+def test_equal_functions_are_equal_and_hash_alike():
+    f, g = (Z**2 - 1) / (2 * Z - 2), Z / 2 + 0.5
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != g + 1e-300
 
 
 def test_full_cancellation_gives_constant():
@@ -46,9 +83,9 @@ def test_order_at_examples():
 
 
 def test_order_invariant_under_common_factor():
-    common = Polynomial.from_roots([4, -2j])
-    f = RationalFunction(Polynomial([0, 1]) * common, Polynomial.from_roots([1]) * common)
-    g = RationalFunction(Polynomial([0, 1]), Polynomial.from_roots([1]))
+    common = from_roots([4, -2j])
+    f = RationalFunction(Polynomial([0, 1]) * common, from_roots([1]) * common)
+    g = RationalFunction(Polynomial([0, 1]), from_roots([1]))
     for p in (0j, 1.0 + 0j, INF):
         assert f.order_at(p) == g.order_at(p)
 
@@ -133,9 +170,9 @@ def test_local_numbers_run_no_gcd(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return wlab.poly.approx_gcd(*args, **kwargs)
+        return wlab.poly.exact_cofactors(*args, **kwargs)
 
-    monkeypatch.setattr(wlab.rational, "approx_gcd", counting)
+    monkeypatch.setattr(wlab.rational, "exact_cofactors", counting)
     at_inf.residue_at(INF)
     at_inf.form_order_at(INF)
     triple.residue_at(0j)
@@ -148,7 +185,7 @@ def test_global_residue_sum_random():
         num = Polynomial(rng.normal(size=rng.integers(1, 5)))
         k = int(rng.integers(1, 5))
         den_roots = rng.normal(size=k) + 1j * rng.normal(size=k)
-        f = RationalFunction(num, Polynomial.from_roots(den_roots))
+        f = RationalFunction(num, from_roots(den_roots))
         finite = sum(f.residue_at(r) for r, _ in roots_with_multiplicity(f.den))
         total = finite + f.residue_at(INF)
         scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
@@ -180,7 +217,7 @@ def test_value_at_sphere():
 
 def test_pow_negative():
     f = Z**-2
-    assert f.equals(1 / Z**2)
+    assert f == 1 / Z**2
 
 
 def test_sphere_point_identity():

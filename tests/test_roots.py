@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from conftest import from_roots
 from wlab import roots
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
@@ -62,7 +63,7 @@ def test_residual_bound_holds():
     for _ in range(25):
         deg = rng.integers(2, 9)
         roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
-        p = Polynomial.from_roots(roots)
+        p = from_roots(roots)
         for r, m in roots_with_multiplicity(p):
             bound = 1e-9 * p.max_abs_coeff * (1 + abs(r)) ** p.degree
             assert abs(p(r)) <= bound
@@ -73,7 +74,7 @@ def test_multiset_union_on_products():
     for _ in range(20):
         ra = rng.normal(size=3) + 1j * rng.normal(size=3)
         rb = rng.normal(size=2) + 1j * rng.normal(size=2)
-        p = Polynomial.from_roots(ra) * Polynomial.from_roots(rb)
+        p = from_roots(ra) * from_roots(rb)
         got = roots_with_multiplicity(p)
         expected = sorted(list(ra) + list(rb), key=lambda z: (z.real, z.imag))
         flat = sorted(
@@ -86,7 +87,7 @@ def test_multiset_union_on_products():
 
 def test_cluster_below_point_identity_merges():
     # separation far below eps_pt: the gcd chain reads one double root
-    p = Polynomial.from_roots([1.0, 1.0 + 1e-9])
+    p = from_roots([1.0, 1.0 + 1e-9])
     got = roots_with_multiplicity(p)
     assert len(got) == 1
     r, m = got[0]
@@ -121,7 +122,7 @@ def test_errors_on_constant_and_zero():
 
 def test_non_finite_roots_fail_the_cross_check(monkeypatch):
     # a check written as "x > bound" passes NaN; the cross-check must not
-    p = Polynomial.from_roots([1.0, 2.0, 3j])
+    p = from_roots([1.0, 2.0, 3j])
     monkeypatch.setattr(roots, "_aberth", lambda q: np.full(q.degree, np.nan + 0j))
     with pytest.raises(RootCrossCheckError) as info:
         roots_with_multiplicity(p)
@@ -148,7 +149,7 @@ def test_newton_polygon_start_is_finite_and_deterministic():
 
 def test_start_radii_are_the_newton_polygon_radii():
     # root moduli 1e-3, 1 and 1e3, two roots each; the odd coefficients vanish
-    p = Polynomial.from_roots([1e-3j, -1e-3j, 1.0, -1.0, 1e3j, -1e3j])
+    p = from_roots([1e-3j, -1e-3j, 1.0, -1.0, 1e3j, -1e3j])
     c = np.asarray(p.monic().coeffs, dtype=complex)
     assert (c[1::2] == 0).all()
     # the hull vertices are k = 0, 2, 4, 6: one edge per modulus, two roots each
@@ -159,7 +160,7 @@ def test_start_radii_are_the_newton_polygon_radii():
 
 
 def test_root_at_zero_starts_and_stays_there():
-    p = Polynomial.from_roots([0.0, 1j, -1j, 2.0])
+    p = from_roots([0.0, 1j, -1j, 2.0])
     assert p.coeffs[0] == 0
     start = roots._newton_polygon_start(np.asarray(p.monic().coeffs, dtype=complex))
     assert start[0] == 0 and (start[1:] != 0).all()
@@ -200,7 +201,7 @@ def test_each_yun_factor_is_located_once(record_calls):
     # (z-1)^3 (z+2)^2 (z-i), expanded: the factors z+2, z-1 and z-i hold
     # three distinct roots, and no deeper layer is root-found again
     located = record_calls(roots, "_located_roots")
-    p = Polynomial.from_roots([1, 1, 1, -2, -2, 1j])
+    p = from_roots([1, 1, 1, -2, -2, 1j])
     got = by_value(roots_with_multiplicity(p))
     assert got == {(1 + 0j): 3, (-2 + 0j): 2, 1j: 1}
     assert sum(f.degree for (f,) in located) == 3
@@ -216,7 +217,7 @@ def test_exponents_of_gaussian_integer_products_are_recovered():
             m = rng.randint(1, 3)
             if sum(exponents.values()) + m <= 9:
                 exponents[r] = m
-        p = Polynomial.from_roots([r for r, m in exponents.items() for _ in range(m)])
+        p = from_roots([r for r, m in exponents.items() for _ in range(m)])
         got = roots_with_multiplicity(p)
         assert sum(m for _, m in got) == p.degree
         assert by_value(got) == exponents

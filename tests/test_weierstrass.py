@@ -58,15 +58,15 @@ def cubic_pole(c: complex = 1.0) -> WeierstrassData:
 
 def test_phi_from_data_simple():
     phi = phi_from_data(WeierstrassData(h=ONE, g1=Z, g2=ZERO, punctures=("inf",)))
-    assert phi.phi1.equals(RationalFunction.constant(0.5))
-    assert phi.phi2.equals(RationalFunction.constant(0.5j))
-    assert phi.phi3.equals(Z * 0.5)
-    assert phi.phi4.equals(Z * -0.5j)
+    assert phi.phi1 == RationalFunction.constant(0.5)
+    assert phi.phi2 == RationalFunction.constant(0.5j)
+    assert phi.phi3 == Z * 0.5
+    assert phi.phi4 == Z * -0.5j
 
 
 def test_phi_from_data_cubic_third_component():
     phi = phi_from_data(cubic_pole(c=0.0))
-    assert phi.phi3.equals(1 / (2 * Z**2))
+    assert phi.phi3 == 1 / (2 * Z**2)
     for f in phi.forms:
         assert f.residue_at(0j) == pytest.approx(0.0, abs=1e-12)
 
@@ -76,8 +76,8 @@ def test_phi_from_data_flat():
     phi = phi_from_data(WeierstrassData(h=h, g1=ZERO, g2=ZERO, punctures=("4",)))
     assert phi.phi3.is_zero
     assert phi.phi4.is_zero
-    assert phi.phi1.equals(h * 0.5)
-    assert phi.phi2.equals(h * 0.5j)
+    assert phi.phi1 == h * 0.5
+    assert phi.phi2 == h * 0.5j
 
 
 # ---------------------------------------------------------------------------
