@@ -29,7 +29,7 @@ from .bounds import CASE_FLAT, BoundsReport, compute_bounds_abstract, corollary_
 from .curvature import total_curvature_quadrature
 from .exprparse import ExpressionError, format_complex, parse_expression, parse_sphere_point
 from .mesh import Annulus, Rectangle, build_mesh, export_mesh
-from .report import document, to_json
+from .report import to_json
 from .tolerances import Tolerances
 from .weierstrass import (
     VERDICT_REMOVABLE,
@@ -95,8 +95,7 @@ def _tolerances(args) -> tuple[Tolerances, float]:
         raise CliUsageError(str(exc)) from exc
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = to_json(doc)
+def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -394,7 +393,7 @@ def main(argv=None) -> int:
         args = _PARSER.parse_args(argv)
         tol, scale = _tolerances(args)
         label, body, ok = args.fn(args, tol)
-        _emit(document(args.command, label, body, tolerance_scale=scale), args.out)
+        _emit(to_json(args.command, label, body, scale), args.out)
         return EXIT_OK if ok else EXIT_MATH
     except (CliUsageError, ExpressionError, DuplicatePunctureError, UnsupportedGenusError) as exc:
         print(f"error: {exc}", file=sys.stderr)

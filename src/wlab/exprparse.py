@@ -12,7 +12,9 @@ trailing 'i' for the imaginary unit ('2', '2.5', '3i', '1e-3', bare 'i').
 They are read exactly ('2.5e-3' is 1/400), and a nonzero literal must lie in
 the range of a double: '1e400' and '1e-400' are errors, not infinity and 0.
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2). Exponents are
-integers with |exponent| <= 64.  Each operator is one exact operation of
+integers with |exponent| <= 64, and no intermediate result may reach a
+degree above 4096: each operator is refused before it runs when the degree
+its result can have is larger.  Each operator is one exact operation of
 ``RationalFunction``, so division is symbolic and the result is a reduced
 RationalFunction, never a number; a coefficient of an intermediate result
 beyond the range of a double raises ``OverflowError``.
@@ -30,6 +32,7 @@ from wlab.rational import RationalFunction, SpherePoint
 __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sphere_point"]
 
 MAX_EXPONENT = 64
+MAX_DEGREE = 4096
 _NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
 
 
@@ -39,6 +42,12 @@ class ExpressionError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _check_degree(bound: int, position: int) -> None:
+    """Refuse an operator whose result can have a degree above MAX_DEGREE."""
+    if bound > MAX_DEGREE:
+        raise ExpressionError(f"degree overflow: the result can reach degree {bound} > {MAX_DEGREE}", position)
 
 
 class _Token:
@@ -116,9 +125,11 @@ class _Parser:
     def expr(self) -> RationalFunction:
         out = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.next().value
+            tok = self.next()
             rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
+            (a, b), (c, d) = out.degrees, rhs.degrees
+            _check_degree(max(a + d, c + b, b + d), tok.pos)
+            out = out + rhs if tok.value == "+" else out - rhs
         return out
 
     # term := factor (('*'|'/') factor)*
@@ -127,11 +138,14 @@ class _Parser:
         while self.peek().kind == "op" and self.peek().value in "*/":
             tok = self.next()
             rhs = self.factor()
+            (a, b), (c, d) = out.degrees, rhs.degrees
             if tok.value == "*":
+                _check_degree(max(a + c, b + d), tok.pos)
                 out = out * rhs
             elif rhs.is_zero:
                 raise ExpressionError("division by the zero polynomial", tok.pos)
             else:
+                _check_degree(max(a + d, b + c), tok.pos)
                 out = out / rhs
         return out
 
@@ -152,6 +166,7 @@ class _Parser:
                 )
             if exp < 0 and out.is_zero:
                 raise ExpressionError("negative power of zero", caret.pos)
+            _check_degree(out.degree * abs(exp), caret.pos)
             out = out**exp
         return out
 
@@ -189,8 +204,9 @@ def parse_expression(text: str) -> RationalFunction:
     """Parse an expression into a reduced RationalFunction.
 
     Raises ExpressionError carrying the 0-based offending position for any
-    malformed input, division by an identically-zero subexpression, or an
-    exponent with absolute value above 64.
+    malformed input, division by an identically-zero subexpression, an
+    exponent with absolute value above 64, or an intermediate result that can
+    reach a degree above 4096.
     """
     parser = _Parser(_lex(text))
     out = parser.expr()

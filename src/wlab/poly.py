@@ -369,27 +369,37 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
     The subresultant remainder sequence (Collins 1967; Brown and Traub
     1971): each pseudo-remainder is divided by the factor g h^delta that it
     is known to carry, so the coefficients grow only linearly, with no
-    content computation and no primes.
+    content computation and no primes.  The power of z they share is split
+    off first, so a gcd with a monomial, such as a denominator z^k, runs no
+    remainder sequence.
     """
+    ka, kb = (next(k for k, c in enumerate(p) if c != (0, 0)) for p in (a, b))
+    shared, a, b = ((0, 0),) * min(ka, kb), a[ka:], b[kb:]
     if len(a) < len(b):
         a, b = b, a
     g = h = (1, 0)
-    while True:
+    while len(b) > 1:
         delta = len(a) - len(b)
         r = _pseudo_divmod(a, b)[1]
         if len(r) < 2:
-            return ((1, 0),) if r else b
+            return shared + (b if not r else ((1, 0),))
         divisor = exact_mul((g,), exact_pow((h,), delta))[0]
         a, b = b, tuple(_gdiv(x, divisor) for x in r)
         g = a[-1]
         if delta:
             h = _gdiv(exact_pow((g,), delta)[0], exact_pow((h,), delta - 1)[0])
+    return shared + ((1, 0),)
 
 
 def exact_cofactors(a: Exact, b: Exact) -> tuple[Exact, Exact]:
     """(a / g, b / g) for their gcd g, times one common factor, so that the
     quotient stays a / b; a and b themselves when either is constant."""
-    g = exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),)
+    return exact_divided(a, b, exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),))
+
+
+def exact_divided(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
+    """(a / g, b / g) for a common divisor g, times one common factor, so
+    that the quotient stays a / b; a and b themselves when g is constant."""
     if len(g) < 2:
         return a, b
     # the two pseudo-quotients carry lc(g)^(deg a - deg g + 1) and the same in b

@@ -24,6 +24,8 @@ from wlab.poly import (
     exact_add,
     exact_coeffs,
     exact_cofactors,
+    exact_divided,
+    exact_gcd,
     exact_mul,
     exact_pow,
     exact_reversed,
@@ -109,6 +111,11 @@ def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
     return out
 
 
+def _combination(a: Exact, d: Exact, c: Exact, b: Exact, sign: int) -> Exact:
+    """a d + sign c b over Z[i]."""
+    return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),))))
+
+
 def _series_quotient(a, b, terms: int) -> list[complex]:
     """The first ``terms`` coefficients of the power series a / b, b[0] != 0."""
     out: list[complex] = []
@@ -181,6 +188,12 @@ class RationalFunction:
         return max(map(len, self._pair)) - 1 if self._pair[0] else 0
 
     @property
+    def degrees(self) -> tuple[int, int]:
+        """(deg N, deg D) of the exact pair; the zero function's N has degree -1."""
+        a, b = self._pair
+        return len(a) - 1, len(b) - 1
+
+    @property
     def is_constant(self) -> bool:
         return self.degree == 0
 
@@ -219,7 +232,8 @@ class RationalFunction:
     # -- arithmetic ----------------------------------------------------------
     # Exact over Q(i).  The operands are reduced, so a gcd is taken only
     # where a common factor can arise (Knuth, TAOCP 2, 4.5.1): across the
-    # factors of a product, and in a sum over two non-constant denominators.
+    # factors of a product, and in a sum between the two denominators and
+    # then between the new numerator and their gcd.
 
     def _coerce(self, other) -> "RationalFunction | None":
         if isinstance(other, RationalFunction):
@@ -228,17 +242,20 @@ class RationalFunction:
             return RationalFunction(other)
         return None
 
-    def _cross(self, other: "RationalFunction", sign: int) -> tuple[Exact, Exact, Exact]:
-        """(a d + sign c b, b, d) for self = a / b and other = c / d over Z[i]."""
-        (a, b), (c, d) = self._pair, other._pair
-        return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),)))), b, d
-
     def _sum(self, other: "RationalFunction", sign: int) -> "RationalFunction":
-        num, b, d = self._cross(other, sign)
-        den = exact_mul(b, d)
-        if len(b) > 1 and len(d) > 1:
-            num, den = exact_cofactors(num, den)
-        return RationalFunction._of(num, den)
+        """Henrici's sum of self = a / b and sign times other = c / d.
+
+        With g = gcd(b, d), t = a (d/g) + sign c (b/g) over (b/g) d is the
+        sum; t is prime to b/g and to d/g, so the pair shares only
+        gcd(t, g), and that is all that is cancelled.
+        """
+        (a, b), (c, d) = self._pair, other._pair
+        g = exact_gcd(b, d) if len(b) > 1 and len(d) > 1 else ((1, 0),)
+        bg, dg = exact_divided(b, d, g)  # b/g and d/g, times one common factor
+        num = _combination(a, dg, c, bg, sign)
+        h = exact_gcd(num, g) if len(num) > 1 and len(g) > 1 else ((1, 0),)
+        num, d = exact_divided(num, d, h)
+        return RationalFunction._of(num, exact_mul(bg, d))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -294,7 +311,8 @@ class RationalFunction:
 
     def cross_numerator(self, other: "RationalFunction") -> Polynomial:
         """N D_o - N_o D, formed exactly and not reduced, as its float view."""
-        return rounded(self._cross(other, -1)[0], self._pair[1][-1][0] * other._pair[1][-1][0])
+        (a, b), (c, d) = self._pair, other._pair
+        return rounded(_combination(a, d, c, b, -1), b[-1][0] * d[-1][0])
 
     def local_degree_at_infinity(self) -> int:
         """Local degree of the map at z = infinity, from the exact pair: the

@@ -1,11 +1,18 @@
-"""Deterministic JSON rendering of analysis results.
+"""Deterministic JSON documents of analysis results.
 
-Every report type in the package is a frozen dataclass, so a document is
-produced by walking the dataclass tree: fields keep their declaration order,
-rationals become {"num", "den", "decimal"}, complex numbers {"re", "im"},
-sphere points "inf" or {"re", "im"}, and non-finite floats the strings
-"inf"/"-inf"/"nan" (keeping the output strict JSON).  Two runs on the same
-input and flags produce byte-identical documents.
+Every report type in the package is a frozen dataclass, and ``to_json``
+walks the tree once, straight to the document text: fields keep their
+declaration order, dict keys are written as ``str(key)``, rationals become
+{"num", "den", "decimal"}, complex numbers {"re", "im"}, sphere points "inf"
+or {"re", "im"}, rational functions their expression text, and non-finite
+floats the strings "inf"/"-inf"/"nan" (keeping the output strict JSON).
+The text has the layout docs/format.md freezes, that of
+``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline: two-space
+indent, ``": "`` after each key, a comma ending each item's line but the
+last, ``{}`` and ``[]`` for empty containers, and every character outside
+printable ASCII escaped, as ``\\uXXXX`` where JSON has no short escape
+(strings go through ``json``'s own C escaping routine).  Two runs on the
+same input and flags produce byte-identical documents.
 
 Every other float -- in a document, a mesh CSV or an OBJ file -- is written
 through ``format_float`` (kept in :mod:`wlab.tolerances`, where
@@ -36,8 +43,6 @@ __all__ = [
     "FLOAT_DIGITS",
     "format_float",
     "format_float_rows",
-    "encode",
-    "document",
     "to_json",
 ]
 
@@ -93,62 +98,166 @@ def format_float_rows(table, sep: str) -> list[str]:
     return text.split("\n")
 
 
-def _encode_float(x: float):
+# One walk from a report object to text: ``_write(value, out, nl)`` appends the
+# JSON text of ``value`` to ``out``, where ``nl`` is the newline and indent of
+# the line the value starts on.  The writer for a type is chosen once, by the
+# isinstance chain in ``_writer_for``, and kept in ``_WRITERS``.
+
+_escape = json.encoder.encode_basestring_ascii  # the C routine of ensure_ascii
+_INDENT = "  "
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
     if x != x:
-        return "nan"
-    if x == float("inf"):
-        return "inf"
-    if x == float("-inf"):
-        return "-inf"
-    return format_float(x)
+        return '"nan"'
+    if x == _INF:
+        return '"inf"'
+    if x == -_INF:
+        return '"-inf"'
+    return float.__repr__(format_float(x))
 
 
-def encode(value):
-    """Recursively convert a report object into JSON-ready primitives."""
-    if value is None or isinstance(value, (bool, np.bool_)):
-        return None if value is None else bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, Fraction):
-        return {
-            "num": int(value.numerator),
-            "den": int(value.denominator),
-            "decimal": float(value),
-        }
-    if isinstance(value, (float, np.floating)):
-        return _encode_float(float(value))
-    if isinstance(value, (complex, np.complexfloating)):
-        c = complex(value)
-        return {"re": _encode_float(c.real), "im": _encode_float(c.imag)}
-    if isinstance(value, str):
-        return value
-    if isinstance(value, SpherePoint):
-        if value.is_infinity:
-            return "inf"
-        return {"re": _encode_float(value.value.real), "im": _encode_float(value.value.imag)}
-    if isinstance(value, RationalFunction):
-        return format_expression(value)
-    if is_dataclass(value) and not isinstance(value, type):
-        return {f.name: encode(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {str(k): encode(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [encode(v) for v in value.tolist()]
-    raise TypeError(f"cannot encode {type(value).__name__} into a report")
+def _write(value, out: list, nl: str) -> None:
+    (_WRITERS.get(type(value)) or _writer_for(value))(value, out, nl)
 
 
-def document(command: str, label: str, body, tolerance_scale: float = 1.0) -> dict:
-    """Wrap an encoded body with the schema header common to all commands."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "label": label,
-        "tolerance_scale": _encode_float(float(tolerance_scale)),
-        "report": encode(body),
-    }
+def _write_str(value, out, nl):
+    out.append(_escape(value))
 
 
-def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+def _write_int(value, out, nl):
+    out.append(int.__repr__(int(value)))
+
+
+def _write_float(value, out, nl):
+    out.append(_float(float(value)))
+
+
+def _write_bool(value, out, nl):
+    out.append("true" if value else "false")
+
+
+def _write_null(value, out, nl):
+    out.append("null")
+
+
+def _write_complex(value, out, nl):
+    c, inner = complex(value), nl + _INDENT
+    out.append(f'{{{inner}"re": {_float(c.real)},{inner}"im": {_float(c.imag)}{nl}}}')
+
+
+def _write_point(value, out, nl):
+    if value.is_infinity:
+        out.append('"inf"')
+    else:
+        _write_complex(value.value, out, nl)
+
+
+def _write_fraction(value, out, nl):
+    # the decimal is written as is, not under the rule, so as JSON it must be finite
+    decimal, inner = float(value), nl + _INDENT
+    if decimal != decimal or decimal in (_INF, -_INF):
+        raise ValueError(f"Out of range float values are not JSON compliant: {decimal!r}")
+    out.append(
+        f'{{{inner}"num": {int.__repr__(int(value.numerator))},'
+        f'{inner}"den": {int.__repr__(int(value.denominator))},'
+        f'{inner}"decimal": {float.__repr__(decimal)}{nl}}}'
+    )
+
+
+def _write_expression(value, out, nl):
+    out.append(_escape(format_expression(value)))
+
+
+def _write_items(items, out, nl):
+    """An object from (key text with its colon, value) pairs."""
+    inner = nl + _INDENT
+    head, sep = "{" + inner, "," + inner
+    for key, v in items:
+        out.append(head + key)
+        head = sep
+        _write(v, out, inner)
+    out.append("{}" if head != sep else nl + "}")
+
+
+def _write_dict(value, out, nl):
+    _write_items(((_escape(str(k)) + ": ", v) for k, v in value.items()), out, nl)
+
+
+def _write_list(value, out, nl):
+    inner = nl + _INDENT
+    head, sep = "[" + inner, "," + inner
+    for v in value:
+        out.append(head)
+        head = sep
+        _write(v, out, inner)
+    out.append("[]" if head != sep else nl + "]")
+
+
+def _write_array(value, out, nl):
+    _write_list(value.tolist(), out, nl)
+
+
+def _dataclass_writer(cls):
+    keys = tuple((f.name, _escape(f.name) + ": ") for f in fields(cls))
+
+    def write(value, out, nl):
+        _write_items(((key, getattr(value, name)) for name, key in keys), out, nl)
+
+    return write
+
+
+def _writer_for(value):
+    """The writer for ``type(value)``, chosen in the order the types nest."""
+    cls = type(value)
+    if value is None:
+        write = _write_null
+    elif isinstance(value, (bool, np.bool_)):
+        write = _write_bool
+    elif isinstance(value, (int, np.integer)):
+        write = _write_int
+    elif isinstance(value, Fraction):
+        write = _write_fraction
+    elif isinstance(value, (float, np.floating)):
+        write = _write_float
+    elif isinstance(value, (complex, np.complexfloating)):
+        write = _write_complex
+    elif isinstance(value, str):
+        write = _write_str
+    elif isinstance(value, SpherePoint):
+        write = _write_point
+    elif isinstance(value, RationalFunction):
+        write = _write_expression
+    elif is_dataclass(cls):
+        write = _dataclass_writer(cls)
+    elif isinstance(value, dict):
+        write = _write_dict
+    elif isinstance(value, (list, tuple)):
+        write = _write_list
+    elif isinstance(value, np.ndarray):
+        write = _write_array
+    else:
+        raise TypeError(f"cannot encode {cls.__name__} into a report")
+    _WRITERS[cls] = write
+    return write
+
+
+_WRITERS: dict = {}
+
+
+def to_json(command: str, label: str, body, tolerance_scale: float = 1.0) -> str:
+    """The document text: ``body`` in the schema envelope common to all commands.
+
+    The layout is the one docs/format.md freezes, and the same text as
+    ``json.dumps(doc, indent=2, allow_nan=False) + "\\n"`` on the document
+    as primitives.  A value of no report type raises ``TypeError``.
+    """
+    out = [
+        f'{{\n  "schema": {SCHEMA_VERSION},\n  "command": {_escape(command)},'
+        f'\n  "label": {_escape(label)},'
+        f'\n  "tolerance_scale": {_float(float(tolerance_scale))},\n  "report": '
+    ]
+    _write(body, out, "\n  ")
+    out.append("\n}\n")
+    return "".join(out)

@@ -191,6 +191,17 @@ def test_ramify_rejects_a_literal_below_the_range_of_a_double(capsys, tmp_path):
     assert err == f"error: {data}: number '1e-400' underflows a double (at position 0)\n"
 
 
+def test_nested_powers_past_the_degree_cap_are_a_usage_error(capsys, tmp_path):
+    # each exponent is within its cap of 64; the result would have degree 262,144
+    data = tmp_path / "nested.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "((z^64)^64)^64", "g2": "z"}))
+    code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
+    assert code == EXIT_USAGE and doc is None
+    assert err == (
+        f"error: {data}: degree overflow: the result can reach degree 262144 > 4096 (at position 11)\n"
+    )
+
+
 @pytest.mark.parametrize("g1", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
 @pytest.mark.parametrize("command", ["check", "ramify"])
 def test_a_coefficient_that_overflows_is_a_usage_error(capsys, tmp_path, command, g1):

@@ -130,6 +130,30 @@ def test_exponent_must_be_integer_literal():
         parse_expression("z^100")  # above the size cap
 
 
+@pytest.mark.parametrize(
+    "text, operator, degree",
+    [
+        ("((z^64)^64)^64", "^", 262144),
+        ("(z^-64)^64*(1/z)", "*", 4097),
+        ("(z^64)^64/(z^-1)", "/", 4097),
+        ("(z^64)^64+1/z", "+", 4097),
+        ("1/z-(z^64)^64", "-", 4097),
+    ],
+)
+def test_an_operator_whose_result_can_pass_the_degree_cap_is_refused(time_limit, text, operator, degree):
+    # each operand is within the cap; the check runs before the result is built
+    with time_limit(2.0), pytest.raises(ExpressionError, match=f"degree {degree} > 4096") as err:
+        parse_expression(text)
+    assert err.value.position == text.rindex(operator)
+
+
+def test_results_up_to_the_degree_cap_parse():
+    assert parse_expression("(z^64)^64").degree == exprparse.MAX_DEGREE == 4096
+    assert parse_expression("(z^64)^64/(z+1)").degree == 4096
+    # a sum of polynomials keeps the larger degree
+    assert parse_expression("(z^64)^64 + (z^32)^64 - 1").degree == 4096
+
+
 def test_zero_to_negative_power():
     with pytest.raises(ExpressionError):
         parse_expression("0^-1")

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 from conftest import from_roots
 from wlab.exprparse import parse_expression
-from wlab.poly import Polynomial
+from wlab.poly import Polynomial, exact_add, exact_cofactors, exact_mul
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.roots import roots_with_multiplicity
 
@@ -168,11 +170,16 @@ def test_local_numbers_run_no_gcd(monkeypatch):
     triple = 1 / (Z**3 * (Z - 1) * (Z - 2))
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return wlab.poly.exact_cofactors(*args, **kwargs)
+    def counting(name):
+        def call(*args):
+            calls.append(args)
+            return getattr(wlab.poly, name)(*args)
 
-    monkeypatch.setattr(wlab.rational, "exact_cofactors", counting)
+        return call
+
+    # a sum reduces through exact_gcd, every other operation through exact_cofactors
+    for name in ("exact_cofactors", "exact_gcd"):
+        monkeypatch.setattr(wlab.rational, name, counting(name))
     at_inf.residue_at(INF)
     at_inf.form_order_at(INF)
     triple.residue_at(0j)
@@ -190,6 +197,36 @@ def test_global_residue_sum_random():
         total = finite + f.residue_at(INF)
         scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
         assert abs(total) <= 1e-10 * scale
+
+
+def _sum_by_one_gcd(f: RationalFunction, g: RationalFunction, sign: int) -> RationalFunction:
+    """(a d + sign c b) / (b d), reduced by one gcd of the whole pair."""
+    (a, b), (c, d) = f._pair, g._pair
+    num = exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),))))
+    return RationalFunction._of(*exact_cofactors(num, exact_mul(b, d)))
+
+
+def _gaussian_poly(rng: random.Random, degree: int) -> RationalFunction:
+    coeffs = [complex(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(degree)]
+    return RationalFunction(Polynomial([*coeffs, complex(rng.choice([1, -2, 3]), rng.randint(-2, 2))]))
+
+
+def test_henrici_sums_equal_the_sum_reduced_by_one_gcd():
+    # the canonical pair is unique, so both routes give the same exact pair;
+    # the draws share factors between the denominators (g = gcd(b, d)) and
+    # cancel a shared pole outright (then t and g share a factor too)
+    rng = random.Random(20261019)
+    shared_factors = 0
+    for _ in range(150):
+        common = _gaussian_poly(rng, rng.randint(0, 2)) * Z ** rng.randint(0, 3)
+        f = _gaussian_poly(rng, rng.randint(0, 3)) / (common * _gaussian_poly(rng, rng.randint(0, 2)))
+        g = _gaussian_poly(rng, rng.randint(0, 3)) / (common * _gaussian_poly(rng, rng.randint(0, 2)))
+        pole = _gaussian_poly(rng, rng.randint(0, 2)) / common**2
+        for x, y in ((f, g), (f + pole, g - pole), (f, -f), (f, g * 0)):
+            for sign, got in ((1, x + y), (-1, x - y)):
+                assert got._pair == _sum_by_one_gcd(x, y, sign)._pair
+        shared_factors += common.degree > 0
+    assert shared_factors > 100
 
 
 def test_difference_cancels_to_zero():
