@@ -29,6 +29,7 @@ from functools import cached_property
 
 from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
+from .poly import exact_primitive
 from .ramification import RamificationReport, ramification_report
 from .rational import SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
@@ -88,11 +89,11 @@ class Analysis:
     @cached_property
     def singular_points(self) -> tuple[complex, ...]:
         """The finite punctures, then every finite pole of h, g1 and g2: each
-        distinct denominator is root-found once, and a point within eps_pt of
-        an earlier one is dropped."""
+        distinct denominator is root-found once, from its exact primitive
+        part, and a point within eps_pt of an earlier one is dropped."""
         d, tol = self.data, self.tol
         points = d.finite_punctures()
-        for den in dict.fromkeys(f.den for f in (d.h, d.g1, d.g2) if f.den.degree >= 1):
+        for den in dict.fromkeys(exact_primitive(f.pair[1]) for f in (d.h, d.g1, d.g2) if f.den.degree >= 1):
             points += [r for r, _m in roots_with_multiplicity(den, tol)]
         return tuple(p.value for p in distinct_points(map(SpherePoint, points), tol.eps_pt))
 

@@ -523,7 +523,7 @@ def shared_values(
 
     tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
     cross = gA.cross_numerator(gB)
-    common = [SpherePoint(r) for r, _m in roots_with_multiplicity(cross, tol)] if cross.degree >= 1 else []
+    common = [SpherePoint(r) for r, _m in roots_with_multiplicity(cross, tol)] if len(cross) >= 2 else []
     if gA.value_at_sphere(INF, tol).close_to(gB.value_at_sphere(INF, tol), tol.eps_pt):
         common.append(INF)
     common_values = [

@@ -1,9 +1,10 @@
 """Immersion x(z) = Re integral(phi) on a chart grid, in closed form, plus export.
 
 Every form phi_k is rational, so x_k = Re(F_k(z) - F_k(z0)) for an exact
-primitive F_k: the integral of the polynomial part of phi_k (from
-``Polynomial.divmod_by``), plus a_-n / ((1 - n) (z - p)^(n-1)) for each
-principal-part term a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
+primitive F_k: the integral of the polynomial part of phi_k (read off the
+exact pair, ``RationalFunction.polynomial_part``), plus
+a_-n / ((1 - n) (z - p)^(n-1)) for each principal-part term
+a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
 residue c at each pole p (Bronstein, *Symbolic Integration I*, ch. 2).  The
 Laurent coefficients are read off ``RationalFunction.principal_part_at`` at
 the data's poles, from the ``Analysis`` table of principal parts, so
@@ -393,7 +394,7 @@ def _primitive(forms, parts: dict) -> _Primitive:
                 residues[k, j] = a[-1]
             for n in range(1, m):
                 inverse[k, j, n - 1] = -a[m - 1 - n] / n
-    poly = tuple(f.num.divmod_by(f.den)[0].antiderivative() for f in forms)
+    poly = tuple(f.polynomial_part().antiderivative() for f in forms)
     return _Primitive(poly, np.array(list(parts), dtype=complex), inverse, residues)
 
 

@@ -2,11 +2,11 @@
 
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
-coefficient tuple and reports degree -1. The numeric helpers (the order and
-Taylor coefficients at a point, approximate gcd, exact-quotient division)
-live here, beside the exact polynomials over Z[i] that ``rational`` keeps
-its canonical form in: their arithmetic, subresultant gcd and correctly
-rounded float views.
+coefficient tuple and reports degree -1. The one numeric helper (the order
+and Taylor coefficients at a point) lives here, beside the exact polynomials
+over Z[i] that ``rational`` keeps its canonical form in and ``roots`` reads
+multiplicities off: their arithmetic, subresultant gcd, primitive parts,
+exact quotients and correctly rounded float views.
 """
 
 from __future__ import annotations
@@ -18,21 +18,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Polynomial", "GcdBreakdownError", "ExactDivisionError", "approx_gcd", "exact_divide"]
-
-# A leading remainder entry of ``divmod_by`` this small, absolute, is dropped
-# (np.polydiv's allclose test).  Fixed, not a field of Tolerances: it decides
-# degrees inside ``approx_gcd`` and ``exact_divide`` whatever their own
-# thresholds, and truncating the remainder instead brings back a bogus gcd.
-REMAINDER_ATOL = 1e-8
-
-
-class GcdBreakdownError(ArithmeticError):
-    """The gcd remainder sequence met a non-finite coefficient or stalled."""
-
-
-class ExactDivisionError(ArithmeticError):
-    """A division expected to be exact left a significant remainder."""
+__all__ = ["Polynomial", "Exact", "exact_gcd", "exact_primitive", "exact_quotient", "rounded"]
 
 
 class Polynomial:
@@ -52,8 +38,6 @@ class Polynomial:
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
-
-    # -- construction helpers ------------------------------------------------
 
     # -- basic queries ---------------------------------------------------------
 
@@ -119,48 +103,9 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({list(self._c)!r})"
 
-    def scale(self, factor: complex) -> "Polynomial":
-        return Polynomial(tuple(factor * x for x in self._c))
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero:
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self._c[-1]
-        return Polynomial(tuple(x / lead for x in self._c))
-
-    def derivative(self) -> "Polynomial":
-        if len(self._c) <= 1:
-            return Polynomial()
-        return Polynomial(tuple(k * c for k, c in enumerate(self._c) if k >= 1))
-
     def antiderivative(self) -> "Polynomial":
         """The primitive that vanishes at 0."""
         return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
-
-    def divmod_by(self, divisor: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
-        """Long division: self = q * divisor + r with deg r < deg divisor.
-
-        np.polydiv's loop, operation for operation, without its per-call
-        overhead: leading remainder entries within ``REMAINDER_ATOL`` of 0 are
-        dropped, as its ``allclose`` test drops them (NaN and inf are kept).
-        """
-        if divisor.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        if self.is_zero or self.degree < divisor.degree:
-            return Polynomial(), self
-        r = np.array(self._c[::-1], dtype=complex) + 0.0
-        v = np.array(divisor._c[::-1], dtype=complex) + 0.0
-        m, n = len(r) - 1, len(v) - 1
-        scale = 1.0 / v[0]
-        q = np.zeros(m - n + 1, dtype=complex)
-        for k in range(m - n + 1):
-            d = scale * r[k]
-            q[k] = d
-            r[k : k + n + 1] -= d * v
-        i = 0
-        while i < m and abs(r[i]) <= REMAINDER_ATOL:
-            i += 1
-        return Polynomial(q[::-1]), Polynomial(r[i:][::-1])
 
     def expansion_at(self, point: complex, eps_res: float, terms: int) -> tuple[int, tuple[complex, ...]]:
         """Order of ``point`` as a root, and the Taylor coefficients beyond it.
@@ -207,55 +152,6 @@ def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[com
         if k > 0:
             quotient[k - 1] = acc
     return quotient, acc
-
-
-def approx_gcd(a: Polynomial, b: Polynomial, eps_gcd: float) -> Polynomial:
-    """Monic approximate gcd via the Euclidean remainder sequence.
-
-    Each remainder is rescaled to unit max-coefficient to keep the threshold
-    meaningful; a remainder whose coefficients all fall below ``eps_gcd``
-    (relative to the rescaled divisor) terminates the sequence.  Every
-    remainder must be finite and of lower degree than its divisor, so the
-    sequence ends after at most deg(b) divisions; otherwise
-    ``GcdBreakdownError`` is raised.
-    """
-    if a.is_zero and b.is_zero:
-        raise ValueError("gcd of two zero polynomials")
-    _require_finite(a)
-    _require_finite(b)
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
-    x = a.scale(1.0 / a.max_abs_coeff)
-    y = b.scale(1.0 / b.max_abs_coeff)
-    if x.degree < y.degree:
-        x, y = y, x
-    while y.degree >= 1:
-        _, r = x.divmod_by(y)
-        _require_finite(r)
-        if r.is_zero or r.max_abs_coeff <= eps_gcd:
-            return y.monic()
-        if r.degree >= y.degree:
-            raise GcdBreakdownError(
-                f"gcd remainder of degree {r.degree} did not fall below its "
-                f"divisor's degree {y.degree}"
-            )
-        x, y = y, r.scale(1.0 / r.max_abs_coeff)
-    return Polynomial((1.0,))
-
-
-def _require_finite(p: Polynomial) -> None:
-    if not all(cmath.isfinite(c) for c in p.coeffs):
-        raise GcdBreakdownError(f"non-finite coefficient in a degree-{p.degree} gcd operand")
-
-
-def exact_divide(p: Polynomial, divisor: Polynomial, rel_eps: float = 1e-8) -> Polynomial:
-    """Divide assuming divisibility; raises if the remainder is significant."""
-    q, r = p.divmod_by(divisor)
-    if not r.is_zero and r.max_abs_coeff > rel_eps * max(p.max_abs_coeff, 1e-300):
-        raise ExactDivisionError("polynomial division left a significant remainder")
-    return q
 
 
 # -- exact polynomials over Q(i) -------------------------------------------------
@@ -343,11 +239,13 @@ def exact_pow(a: Exact, n: int) -> Exact:
 
 def _gdiv(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     """a / b for Gaussian integers b dividing a."""
+    if not b[1]:  # a rational integer, as every divisor of an integer input is
+        return a[0] // b[0], a[1] // b[0]
     n = b[0] * b[0] + b[1] * b[1]
     return (a[0] * b[0] + a[1] * b[1]) // n, (a[1] * b[0] - a[0] * b[1]) // n
 
 
-def _pseudo_divmod(a: Exact, b: Exact) -> tuple[Exact, Exact]:
+def pseudo_divmod(a: Exact, b: Exact) -> tuple[Exact, Exact]:
     """(q, r) with lc(b)^(deg a - deg b + 1) a = q b + r and deg r < deg b."""
     n = len(b) - 1
     u, v = b[-1]
@@ -380,7 +278,7 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
     g = h = (1, 0)
     while len(b) > 1:
         delta = len(a) - len(b)
-        r = _pseudo_divmod(a, b)[1]
+        r = pseudo_divmod(a, b)[1]
         if len(r) < 2:
             return shared + (b if not r else ((1, 0),))
         divisor = exact_mul((g,), exact_pow((h,), delta))[0]
@@ -394,16 +292,16 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
 def exact_cofactors(a: Exact, b: Exact) -> tuple[Exact, Exact]:
     """(a / g, b / g) for their gcd g, times one common factor, so that the
     quotient stays a / b; a and b themselves when either is constant."""
-    return exact_divided(a, b, exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),))
+    return exact_cancelled(a, b, exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),))
 
 
-def exact_divided(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
+def exact_cancelled(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
     """(a / g, b / g) for a common divisor g, times one common factor, so
     that the quotient stays a / b; a and b themselves when g is constant."""
     if len(g) < 2:
         return a, b
     # the two pseudo-quotients carry lc(g)^(deg a - deg g + 1) and the same in b
-    qa, qb = _pseudo_divmod(a, g)[0], _pseudo_divmod(b, g)[0]
+    qa, qb = pseudo_divmod(a, g)[0], pseudo_divmod(b, g)[0]
     extra = exact_pow(g[-1:], abs(len(a) - len(b)))
     return (exact_mul(qa, extra), qb) if len(a) < len(b) else (qa, exact_mul(qb, extra))
 
@@ -411,3 +309,59 @@ def exact_divided(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
 def exact_reversed(a: Exact, k: int) -> Exact:
     """z^(k-1) a(1/z), for deg a < k."""
     return _stripped(reversed(a + ((0, 0),) * (k - len(a))))
+
+
+def exact_derivative(a: Exact) -> Exact:
+    return tuple((k * x, k * y) for k, (x, y) in enumerate(a) if k)
+
+
+def _gaussian_gcd(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """A gcd of two Gaussian integers: Euclid, each quotient rounded to the
+    nearest Gaussian integer, so each remainder has at most half the norm."""
+    while b != (0, 0):
+        n = b[0] * b[0] + b[1] * b[1]
+        x, y = a[0] * b[0] + a[1] * b[1], a[1] * b[0] - a[0] * b[1]  # a conj(b)
+        u, v = (2 * x + n) // (2 * n), (2 * y + n) // (2 * n)
+        a, b = b, (a[0] - u * b[0] + v * b[1], a[1] - u * b[1] - v * b[0])
+    return a
+
+
+def exact_primitive(a: Exact) -> Exact:
+    """a over its content in Z[i]: the integer gcd of all parts is divided out
+    first, then the Gaussian gcd of the coefficients that are left."""
+    g = math.gcd(*(v for c in a for v in c))
+    if g > 1:
+        a = tuple((x // g, y // g) for x, y in a)
+    u = (0, 0)
+    for c in a:
+        u = _gaussian_gcd(c, u)
+        if u[0] * u[0] + u[1] * u[1] == 1:
+            return a
+    return tuple(_gdiv(c, u) for c in a) if a else a
+
+
+def exact_quotient(a: Exact, b: Exact) -> Exact:
+    """a / b for a primitive divisor b of a: by Gauss's lemma the quotient
+    lies in Z[i][z], and is primitive when a is, so the long division runs in
+    Z[i], with no pseudo-division powers of lc(b) to grow.  A step that does
+    not divide, or a remainder, breaks the caller's invariant:
+    ``ArithmeticError``.
+    """
+    n = len(b) - 1
+    u, v = b[-1]
+    norm = u * u + v * v
+    r, q = list(a), []
+    for k in range(len(a) - 1 - n, -1, -1):
+        x, y = r.pop()
+        x, y = x * u + y * v, y * u - x * v  # times conj(lc(b))
+        if x % norm or y % norm:
+            break
+        c, d = x // norm, y // norm
+        q.append((c, d))
+        if c or d:
+            for j, (s, t) in enumerate(b[:n], k):
+                x, y = r[j]
+                r[j] = (x - c * s + d * t, y - c * t - d * s)
+    if len(q) != max(len(a) - n, 0) or any(x or y for x, y in r):
+        raise ArithmeticError(f"a degree-{n} polynomial does not divide a degree-{len(a) - 1} one over Q(i)")
+    return tuple(reversed(q))

@@ -160,7 +160,7 @@ def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -
     pts = tuple(as_sphere_point(p) for p in punctures)
     w = f.derivative_numerator()
     e_inf = f.local_degree_at_infinity()
-    critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if w.degree >= 1 else []
+    critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if len(w) >= 2 else []
     if e_inf >= 2:
         critical.append((INF, e_inf))
     entries: list[tuple[Preimage, SpherePoint]] = []
@@ -171,7 +171,7 @@ def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -
     candidates = sorted(distinct_points([v for _, v in entries] + images, tol.eps_pt), key=SpherePoint.sort_key)
     claimed = {pre.point for pre, _ in entries}
     entries += [(Preimage(p, 1, True), v) for p, v in zip(pts, images) if p not in claimed]
-    return FiberTable(f.degree, w.degree + e_inf - 1, tuple(entries), tuple(candidates), tol.eps_pt)
+    return FiberTable(f.degree, len(w) - 2 + e_inf, tuple(entries), tuple(candidates), tol.eps_pt)
 
 
 def _ramified_values(table: FiberTable) -> tuple[RamifiedValue, ...]:

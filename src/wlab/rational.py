@@ -24,11 +24,13 @@ from wlab.poly import (
     exact_add,
     exact_coeffs,
     exact_cofactors,
-    exact_divided,
+    exact_cancelled,
+    exact_derivative,
     exact_gcd,
     exact_mul,
     exact_pow,
     exact_reversed,
+    pseudo_divmod,
     rounded,
 )
 from wlab.tolerances import Tolerances, format_float
@@ -179,6 +181,11 @@ class RationalFunction:
         return self._den
 
     @property
+    def pair(self) -> tuple[Exact, Exact]:
+        """The exact pair (a, b): N = a / L and D = b / L, L the leading entry of b."""
+        return self._pair
+
+    @property
     def is_zero(self) -> bool:
         return not self._pair[0]
 
@@ -251,10 +258,10 @@ class RationalFunction:
         """
         (a, b), (c, d) = self._pair, other._pair
         g = exact_gcd(b, d) if len(b) > 1 and len(d) > 1 else ((1, 0),)
-        bg, dg = exact_divided(b, d, g)  # b/g and d/g, times one common factor
+        bg, dg = exact_cancelled(b, d, g)  # b/g and d/g, times one common factor
         num = _combination(a, dg, c, bg, sign)
         h = exact_gcd(num, g) if len(num) > 1 and len(g) > 1 else ((1, 0),)
-        num, d = exact_divided(num, d, h)
+        num, d = exact_cancelled(num, d, h)
         return RationalFunction._of(num, exact_mul(bg, d))
 
     def __add__(self, other):
@@ -309,10 +316,11 @@ class RationalFunction:
             a, b, n = b, a, -n
         return RationalFunction._of(exact_pow(a, n), exact_pow(b, n))
 
-    def cross_numerator(self, other: "RationalFunction") -> Polynomial:
-        """N D_o - N_o D, formed exactly and not reduced, as its float view."""
+    def cross_numerator(self, other: "RationalFunction") -> Exact:
+        """N D_o - N_o D over Z[i] (times L L_o), not reduced: its roots are
+        the finite points where the two maps agree, common poles included."""
         (a, b), (c, d) = self._pair, other._pair
-        return rounded(_combination(a, d, c, b, -1), b[-1][0] * d[-1][0])
+        return _combination(a, d, c, b, -1)
 
     def local_degree_at_infinity(self) -> int:
         """Local degree of the map at z = infinity, from the exact pair: the
@@ -328,14 +336,22 @@ class RationalFunction:
 
     # -- calculus ------------------------------------------------------------
 
-    def derivative_numerator(self) -> Polynomial:
-        """The Wronskian-style numerator N'D - ND' of the derivative.
+    def derivative_numerator(self) -> Exact:
+        """The Wronskian-style numerator N'D - ND' of the derivative, over
+        Z[i] as a'b - ab' = L^2 (N'D - ND').
 
         Kept un-divided because |N'D - ND'| / (|N|^2 + |D|^2) is the
         pole-safe spherical derivative used by the curvature code, and its
         roots are exactly the finite critical points of the map.
         """
-        return self._num.derivative() * self._den - self._num * self._den.derivative()
+        a, b = self._pair
+        return _combination(exact_derivative(a), b, a, exact_derivative(b), -1)
+
+    def polynomial_part(self) -> Polynomial:
+        """The polynomial part of N / D, as its float view: the pseudo-quotient
+        of the exact pair, which carries lc(b)^(deg a - deg b + 1)."""
+        a, b = self._pair
+        return rounded(pseudo_divmod(a, b)[0], b[-1][0] ** max(len(a) - len(b) + 1, 0))
 
     # -- coordinate changes ----------------------------------------------------
 

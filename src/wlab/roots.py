@@ -9,25 +9,24 @@ group of roots of like modulus starts on its own circle, with no random
 start, so the iteration stays within 6-18 steps on Wronskians of integer
 maps up to degree 126, where a start on one Cauchy-bound circle stalled.
 
-Multiplicities come from Yun's square-free factorization (Yun 1976). The
-chain c_0 = p, c_{i+1} = gcd(c_i, c_i') peels one copy of every repeated
-root per step, so each layer quotient s_i = c_i / c_{i+1} is square-free
-and holds the roots of multiplicity at least i+1; the Yun factor
-f_m = s_{m-1} / s_m holds exactly the roots of multiplicity m. Each factor
-is located once (both routes) and its roots carry m; no root is matched
-across factors. The degrees telescope, so multiplicities sum to deg p by
-construction, and they are integers read off polynomial division rather
-than off root positions -- they feed exact bookkeeping downstream
-(branching orders, degree identities) where an off-by-one is fatal. The
-divisions' remainder tests are the consistency check of the chain, and
-each root's residual in p is a sanity bound on the final answer.
+Multiplicities come from Yun's square-free factorization (Yun 1976) of the
+exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
+certifies it square-free first, as it does most inputs; no tolerance decides
+a multiplicity. Only the float view of each Yun factor is located, once
+(both routes), and its roots carry the factor's multiplicity; no root is
+matched across factors. The degrees telescope, so multiplicities sum to
+deg p by construction -- they feed exact bookkeeping downstream (branching
+orders, degree identities) where an off-by-one is fatal. Each root's
+residual in p is a sanity bound on the located positions.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from wlab.poly import Polynomial, approx_gcd, exact_divide
+from wlab.poly import (
+    Exact, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient, rounded,
+)
 from wlab.tolerances import Tolerances
 
 __all__ = [
@@ -39,6 +38,10 @@ __all__ = [
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
 _CROSS_CHECK_RTOL = 1e-6
+# The square-free certificate's prime: 1 mod 4, so -1 has the square root _I0
+# mod _P0 and Z[i] reduces onto F_P0 (3 generates F_P0^*).
+_P0 = 998244353
+_I0 = pow(3, (_P0 - 1) // 4, _P0)
 
 
 class RootCrossCheckError(RuntimeError):
@@ -60,11 +63,13 @@ class RootCrossCheckError(RuntimeError):
 
 
 class IllConditionedRootsError(RuntimeError):
-    """A root cluster cannot be resolved against the gcd analysis.
+    """The located roots disagree with the exact factors, or with p.
 
-    Two candidate readings of the same polynomial are attached: ``merged``
-    treats near-coincident points as one multiple root, ``separate`` keeps
-    them distinct. The caller sees both and decides; we refuse to guess.
+    Two roots the exact factors keep distinct fall within the point-identity
+    radius, or a root fails its residual bound. Two readings are attached:
+    ``merged`` treats near-coincident points as one multiple root,
+    ``separate`` keeps them distinct (a residual failure: the root with
+    multiplicity 0). The caller sees both and decides; we refuse to guess.
     """
 
     def __init__(self, message, merged, separate):
@@ -108,16 +113,17 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
 
 
 def _aberth(p: Polynomial) -> np.ndarray:
-    """Simultaneous (Aberth-Ehrlich) iteration for all roots of p.
+    """Simultaneous (Aberth-Ehrlich) iteration for all roots of the monic p.
 
-    Starting points sit on the Newton-polygon circles of the monic
-    coefficients (``_newton_polygon_start``), one circle per group of roots
-    of like modulus; the correction for root i is
+    Starting points sit on the Newton-polygon circles of the coefficients
+    (``_newton_polygon_start``), one circle per group of roots of like
+    modulus; the correction for root i is
 
         w_i = (p/p')(z_i) / (1 - (p/p')(z_i) * sum_{j!=i} 1/(z_i - z_j))
 
-    which converges cubically for simple roots. The caller passes a
-    square-free Yun factor, so simple roots is the expected situation.
+    which converges cubically for simple roots. The caller passes the monic
+    view of a square-free Yun factor, so simple roots is the expected
+    situation.
     """
     n = p.degree
     if n < 1:
@@ -125,7 +131,7 @@ def _aberth(p: Polynomial) -> np.ndarray:
     if n == 1:
         c0, c1 = p.coeffs
         return np.array([-c0 / c1], dtype=complex)
-    c = np.asarray(p.monic().coeffs, dtype=complex)
+    c = np.asarray(p.coeffs, dtype=complex)
     z = _newton_polygon_start(c)
     hi = c[::-1]
     dhi = np.polyder(hi)
@@ -184,64 +190,90 @@ def _located_roots(p: Polynomial) -> list[complex]:
     return [complex(z) for z in located]
 
 
-def _yun_factors(p: Polynomial, tol: Tolerances) -> list[Polynomial]:
+def _certified_square_free(p: Exact) -> bool:
+    """Whether p reduces to a square-free polynomial of the same degree mod _P0.
+
+    Reduction is a ring map Z[i] -> F_P0 (i to a square root of -1).  Were
+    p = q^2 r with q primitive over Z[i], q^2 would divide p in Z[i][z]
+    (Gauss's lemma), and mod _P0 at full degree, as lc(q) divides lc(p).  So
+    gcd(p, p') = 1 mod _P0 with lc(p) nonzero there certifies p square-free;
+    the converse can fail, and then the exact chain decides.
+    """
+    a = [(x + _I0 * y) % _P0 for x, y in p]
+    b = [k * c % _P0 for k, c in enumerate(a) if k]
+    if not a[-1]:
+        return False
+    while True:  # Euclid over F_P0: a ends as gcd(p, p') mod _P0
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv, n = pow(b[-1], -1, _P0), len(b) - 1
+        while len(a) > n:
+            c = a.pop() * inv % _P0
+            for j, s in enumerate(b[:n], len(a) - n):
+                a[j] = (a[j] - c * s) % _P0
+        a, b = b, a
+
+
+def _yun_factors(p: Exact) -> list[Exact]:
     """Yun factors f_1, f_2, ...: f_m holds exactly the roots of p of multiplicity m.
 
     The gcd chain c_0 = p, c_{i+1} = gcd(c_i, c_i') gives square-free layers
     s_i = c_i / c_{i+1}, whose roots are those of multiplicity at least i+1;
     so f_m = s_{m-1} / s_m (Yun 1976), and the last layer is the last factor.
-    Each f_m is monic and may be constant; sum(m * deg f_m) = deg p.
+    Every gcd and quotient is exact over Z[i] and primitive (each gcd is
+    made so, and a quotient of primitive polynomials is one), so the
+    coefficients stay as small as the factors themselves.  Each f_m may be
+    constant; sum(m * deg f_m) = deg p.
     """
-    chain = [p.monic()]
-    while chain[-1].degree >= 1:
-        c = chain[-1]
-        g = approx_gcd(c, c.derivative(), tol.eps_gcd).monic()
-        if g.degree < 1 or g.degree >= c.degree:
-            break
+    if _certified_square_free(p):
+        return [p]
+    chain = [exact_primitive(p)]
+    while len(g := exact_primitive(exact_gcd(chain[-1], exact_derivative(chain[-1])))) >= 2:
         chain.append(g)
-    # the quotient inherits a remainder of the same order as the gcd
-    # threshold, so the divisibility check must track eps_gcd
-    rel_eps = max(1e-6, 10 * tol.eps_gcd)
 
-    def quotients(seq: list[Polynomial]) -> list[Polynomial]:
-        return [exact_divide(a, b, rel_eps=rel_eps).monic() for a, b in zip(seq, seq[1:])] + seq[-1:]
+    def quotients(seq: list[Exact]) -> list[Exact]:
+        return [exact_quotient(a, b) for a, b in zip(seq, seq[1:])] + seq[-1:]
 
     return quotients(quotients(chain))
 
 
-def roots_with_multiplicity(
-    p: Polynomial, tol: Tolerances | None = None
-) -> list[tuple[complex, int]]:
-    """All roots of ``p`` with multiplicities (summing to deg p).
+def _monic_view(p: Exact) -> Polynomial:
+    """p / lc(p), each part correctly rounded."""
+    x, y = p[-1]
+    return rounded(exact_mul(p, ((x, -y),)), x * x + y * y)
 
-    Returns a list of (root, multiplicity) sorted by (re, im). Each Yun
-    factor f_m is located once, and its roots carry multiplicity m; no root
-    is matched against another factor's. Each simple root r satisfies
-    |p(r)| <= eps_res * max|coeff| * (1+|r|)^deg; a multiple root's residual
-    is held to the same bound at eps_gcd, the tolerance its multiplicity was
-    extracted with. Raises RootCrossCheckError when the two location routes
-    disagree and IllConditionedRootsError when two located roots fall inside
-    the point-identity radius, which the gcd chain keeps distinct, or a root
-    violates its residual bound.
+
+def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tuple[complex, int]]:
+    """All roots of the polynomial ``p`` over Z[i] with multiplicities (summing to deg p).
+
+    Returns (root, multiplicity) pairs sorted by (re, im); the roots of the
+    Yun factor f_m carry m. Every root r, simple or multiple, satisfies
+    |P(r)| <= eps_res * max|coeff| * (1+|r|)^deg for the monic float view P
+    of p. Raises RootCrossCheckError when the two location routes disagree
+    and IllConditionedRootsError when two located roots fall inside the
+    point-identity radius, though the exact factors keep them apart, or a
+    root violates its residual bound.
     """
     tol = tol or Tolerances()
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has every point as a root")
-    if p.degree < 1:
+    if len(p) < 2:
         raise ValueError("constant polynomial has no roots")
 
     located = sorted(
         (
             (r, m)
-            for m, f in enumerate(_yun_factors(p, tol), start=1)
-            if f.degree >= 1
-            for r in _located_roots(f)
+            for m, f in enumerate(_yun_factors(p), start=1)
+            if len(f) >= 2
+            for r in _located_roots(_monic_view(f))
         ),
         key=lambda rm: (rm[0].real, rm[0].imag),
     )
 
     # the located roots should be pairwise distinct; two of them inside the
-    # point-identity radius means the gcd analysis (distinct) and the point
+    # point-identity radius means the exact factors (distinct) and the point
     # identity (equal) disagree, and we refuse to pick a side.
     for i, (a, ma) in enumerate(located):
         for b, mb in located[i + 1 :]:
@@ -253,13 +285,13 @@ def roots_with_multiplicity(
                     [(a, ma), (b, mb)],
                 )
 
+    view = _monic_view(p)
     for r, m in located:
-        eps = tol.eps_res if m == 1 else tol.eps_gcd
-        bound = eps * p.max_abs_coeff * (1.0 + abs(r)) ** p.degree
-        if not abs(p(r)) <= bound:
+        bound = tol.eps_res * view.max_abs_coeff * (1.0 + abs(r)) ** view.degree
+        if not abs(view(r)) <= bound:
             raise IllConditionedRootsError(
                 f"root {r} (multiplicity {m}) fails the residual bound: "
-                f"{abs(p(r)):.3e} > {bound:.3e}",
+                f"{abs(view(r)):.3e} > {bound:.3e}",
                 [(r, m)],
                 [(r, 0)],
             )

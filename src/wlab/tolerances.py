@@ -4,13 +4,10 @@
 command gives them; ``--tolerance-scale`` scales them through
 :meth:`Tolerances.scaled`, and the default is ``Tolerances()``.  Nothing
 reads the environment, so a result depends only on its inputs and the
-tolerances passed in.  Integer and rational quantities downstream of
-multiplicity extraction are exact and never touch these values.
-
-One cut-off is fixed and ``--tolerance-scale`` does not reach it:
-``poly.REMAINDER_ATOL``, below which a leading remainder entry of float
-polynomial division is dropped (in the Yun chain of ``roots`` too).  The
-canonical form of ``rational`` is exact and has none.
+tolerances passed in.  Root multiplicities are read off exact square-free
+factors over Q(i), and the canonical form of ``rational`` is exact: no
+tolerance decides either, nor the integer and rational quantities
+downstream of them.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from dataclasses import dataclass, fields
 _SCALED = (
     "eps_pt",
     "eps_res",
-    "eps_gcd",
     "eps_conformal",
     "eps_period_rel",
     "residue_cross_rtol",
@@ -39,10 +35,8 @@ class Tolerances:
         eps_pt: point identity on the sphere; two finite points closer than
             this are the same point (infinity only equals infinity).
         eps_res: root residual bound, relative to the coefficient scale and
-            ``(1+|r|)^deg``.
-        eps_gcd: relative threshold that classifies a Euclidean remainder as
-            zero in the gcd chain of ``roots._yun_factors``; a multiple
-            root's residual is held to it.
+            ``(1+|r|)^deg``; every located root, simple or multiple, is held
+            to it.
         eps_conformal: relative bound on the residual of the quadratic-form
             identity satisfied by the four component 1-forms.
         eps_period_rel: period-condition cutoff, relative to the coefficient
@@ -56,7 +50,6 @@ class Tolerances:
 
     eps_pt: float = 1e-8
     eps_res: float = 1e-9
-    eps_gcd: float = 1e-8
     eps_conformal: float = 1e-12
     eps_period_rel: float = 1e-10
     quad_rtol: float = 1e-3

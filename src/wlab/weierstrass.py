@@ -283,7 +283,7 @@ def check_regularity(an: Analysis) -> RegularityReport:
     one is the same point.
     """
     d, tol = an.data, an.tol
-    zeros = [z0 for z0, _m in roots_with_multiplicity(d.h.num, tol)] if d.h.num.degree >= 1 else []
+    zeros = [z0 for z0, _m in roots_with_multiplicity(d.h.pair[0], tol)] if d.h.num.degree >= 1 else []
     candidates = distinct_points([INF, *map(SpherePoint, (*zeros, *an.singular_points))], tol.eps_pt)
     violations, checked = [], []
     for pt in sorted(candidates, key=SpherePoint.sort_key):

@@ -9,12 +9,18 @@ import sys
 import numpy as np
 import pytest
 
-from wlab.poly import Polynomial
+from wlab.poly import Exact, Polynomial, exact_coeffs
 
 
 def from_roots(roots, leading: complex = 1.0) -> Polynomial:
     """The polynomial leading * prod (z - r) over the given roots."""
     return Polynomial((leading * np.atleast_1d(np.poly(np.asarray(roots, dtype=complex))))[::-1])
+
+
+def exact(p: Polynomial) -> Exact:
+    """The float polynomial p read at its binary values: a positive integer
+    multiple of p over Z[i], with the same roots."""
+    return exact_coeffs(p.coeffs)[0]
 
 
 class TimeLimitExceeded(BaseException):

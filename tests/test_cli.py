@@ -17,9 +17,11 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wlab.cli
+import wlab.roots
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from wlab.tolerances import Tolerances
 
@@ -212,42 +214,56 @@ def test_a_coefficient_that_overflows_is_a_usage_error(capsys, tmp_path, command
     assert err == f"error: {data}: a coefficient is beyond the range of a double\n"
 
 
-def test_ramify_inexact_division_is_a_typed_math_failure(capsys, tmp_path):
-    # the square-free layers of this map's Wronskian do not divide within
-    # tolerance; that is a numerical failure (exit 2), not bad input
-    data = tmp_path / "ladder.json"
-    data.write_text(json.dumps({
-        "genus": 0,
-        "punctures": ["inf"],
-        "h": "1",
-        "g1": "z",
-        "g2": "(-z^16 + 7*z^15 + 2*z^14 + 9*z^13 - 9*z^12 - 5*z^11 + 5*z^9 - 9*z^8 - 3*z^7"
-        " + 8*z^6 + 4*z^5 - 7*z^4 + 9*z^3 + 7*z^2 + 2*z - 8)^2/(-6*z^32 - 5*z^31 + z^30"
-        " - z^29 + 6*z^28 - 9*z^27 - 9*z^26 - 2*z^25 + 3*z^23 + 8*z^22 - z^21 - 5*z^20"
+# two degree-32 ladder maps A^m / B: float square-free layers of their
+# Wronskians failed typed (ExactDivisionError for m = 2, RootCrossCheckError
+# for m = 4, whose Aberth iteration once returned NaN for every root)
+DEGREE_32_POWERS = {
+    2: (
+        "-z^16 + 7*z^15 + 2*z^14 + 9*z^13 - 9*z^12 - 5*z^11 + 5*z^9 - 9*z^8 - 3*z^7"
+        " + 8*z^6 + 4*z^5 - 7*z^4 + 9*z^3 + 7*z^2 + 2*z - 8",
+        "-6*z^32 - 5*z^31 + z^30 - z^29 + 6*z^28 - 9*z^27 - 9*z^26 - 2*z^25 + 3*z^23 + 8*z^22 - z^21 - 5*z^20"
         " + 4*z^19 - 8*z^18 + 3*z^17 - z^16 + 5*z^15 + 6*z^14 + 9*z^13 + z^12 + 9*z^11"
-        " - 9*z^10 - 6*z^9 + 9*z^8 + 5*z^7 + 5*z^6 + 3*z^5 + 2*z^4 + z^3 + 7*z^2 - 2*z - 7)",
-    }))
-    code, doc, err = run(capsys, "ramify", str(data), "--component", "2")
-    assert code == EXIT_MATH and doc is None
-    assert err.startswith("failure: ExactDivisionError: ")
+        " - 9*z^10 - 6*z^9 + 9*z^8 + 5*z^7 + 5*z^6 + 3*z^5 + 2*z^4 + z^3 + 7*z^2 - 2*z - 7",
+    ),
+    4: (
+        "z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6",
+        "4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28 - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21"
+        " - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16 - 8*z^15 + 3*z^14 - 6*z^13 - z^12 - 4*z^11 - 9*z^10"
+        " - 5*z^9 + 2*z^8 + 9*z^7 - 2*z^6 - 7*z^5 - 2*z^4 + z^3 - 3*z^2 - 9*z + 3",
+    ),
+}
 
 
-def test_ramify_non_finite_roots_are_a_typed_math_failure(capsys, tmp_path):
-    # the float square-free layers miss the triple roots of this map's
-    # Wronskian, so the two root routes disagree; the map once made the
-    # simultaneous iteration return NaN for every root
-    data = tmp_path / "ladder.json"
-    data.write_text(json.dumps({
-        "genus": 0,
-        "punctures": ["inf"],
-        "h": "1",
-        "g1": "z",
-        "g2": "(z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6)^4/(4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28"
-        " - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21 - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16"
-        " - 8*z^15 + 3*z^14 - 6*z^13 - z^12 - 4*z^11 - 9*z^10 - 5*z^9 + 2*z^8 + 9*z^7 - 2*z^6 - 7*z^5 - 2*z^4"
-        " + z^3 - 3*z^2 - 9*z + 3)",
-    }))
-    code, doc, err = run(capsys, "ramify", str(data), "--component", "2")
+def degree_32_power(tmp_path, m: int) -> str:
+    base, den = DEGREE_32_POWERS[m]
+    return write_data(tmp_path, "ladder", ["inf"], "1", "z", f"({base})^{m}/({den})")
+
+
+@pytest.mark.parametrize("m", sorted(DEGREE_32_POWERS))
+def test_degree_32_powers_ramify_exactly(capsys, tmp_path, time_limit, m):
+    # 0 is totally ramified with nu = m over the roots of A, within the
+    # ladders' 2 s; the exact Yun chain needs its primitive gcds for m = 4
+    sympy = pytest.importorskip("sympy")
+    path = degree_32_power(tmp_path, m)
+    with time_limit(2.0):
+        code, doc, err = run(capsys, "ramify", path, "--component", "2")
+    assert code == EXIT_OK and err == ""
+    zero = [v for v in doc["report"]["ramification"]["values"] if v["value"] == {"re": 0.0, "im": 0.0}]
+    assert [(v["kind"], v["nu"]) for v in zero] == [("totally-ramified", m)]
+    base = DEGREE_32_POWERS[m][0].replace("^", "**")
+    exact_roots = [complex(r) for r in sympy.Poly(sympy.sympify(base)).nroots(n=30)]
+    points = [complex(p["point"]["re"], p["point"]["im"]) for p in zero[0]["preimages"]]
+    assert [p["multiplicity"] for p in zero[0]["preimages"]] == [m] * len(exact_roots)
+    assert len(points) == len(exact_roots)
+    for z in points:
+        assert min(abs(z - r) for r in exact_roots) < 1e-11
+
+
+def test_ramify_non_finite_roots_are_a_typed_math_failure(capsys, tmp_path, monkeypatch):
+    # an Aberth iteration that returns NaN fails the root cross-check: a
+    # numerical failure (exit 2), not bad input
+    monkeypatch.setattr(wlab.roots, "_aberth", lambda p: np.full(p.degree, np.nan + 0j))
+    code, doc, err = run(capsys, "ramify", degree_32_power(tmp_path, 4), "--component", "2")
     assert code == EXIT_MATH and doc is None
     assert err.startswith("failure: RootCrossCheckError: ")
 
@@ -665,11 +681,31 @@ def test_conformality_of_exact_forms_is_exact(capsys, tmp_path):
 def test_a_tiny_imaginary_numerator_term_loads(capsys, tmp_path):
     # the float gcd raised GcdBreakdownError while the data was loaded, so
     # no command ran; read exactly, g1 is a map of degree 3 and check runs
-    # (its Wronskian's root near 1.5e8 i still defeats ``ramify``'s float
-    # layers and point grouping: ROADMAP items 3b and 4)
     path = write_data(tmp_path, "tiny", ["inf"], "1", "(1+1e-8i*z)/(1+1.5*z+z^2+0.25*z^3)", "z")
     code, doc, err = run(capsys, "check", path)
     assert code == EXIT_MATH and err == "" and doc["report"]["conformality"]["ok"] is True
+    # its Wronskian's roots are found (test_roots), but the value at the
+    # root near 1.5e8 i, about -5.9e-25 i, is grouped with g1(inf) = 0
+    # within eps_pt: an open defect of the point grouping (ROADMAP item 4)
+    code, doc, err = run(capsys, "ramify", path, "--component", "1")
+    assert code == EXIT_MATH and err.startswith("failure: OverfullFiberError: local degrees over ")
+
+
+@pytest.mark.parametrize("scale", ["1", "1e-3", "10"])
+def test_a_cube_over_a_sextic_is_totally_ramified_at_0(capsys, tmp_path, scale):
+    # W = A^2 (3A'D - AD') for A = z^2 - 8z + 8: the float square-free layers
+    # read each double root of W as two simple roots 1e-7 apart, so ramify
+    # failed with OverfullFiberError (and ExactDivisionError at scale 10)
+    g1 = "(z^2-8*z+8)^3/(z^6-9*z^5+4*z^4-6*z^3-5*z^2-5*z+7)"
+    path = write_data(tmp_path, "cube", ["-2", "inf", "-1", "0"], "1", g1, "z")
+    code, doc, err = run(capsys, "ramify", path, "--component", "1", "--tolerance-scale", scale)
+    assert code == EXIT_OK and err == ""
+    (zero,) = [v for v in doc["report"]["ramification"]["values"] if v["value"] == {"re": 0.0, "im": 0.0}]
+    assert (zero["kind"], zero["nu"]) == ("totally-ramified", 3)
+    points = [(complex(p["point"]["re"], p["point"]["im"]), p["multiplicity"]) for p in zero["preimages"]]
+    assert [m for _z, m in points] == [3, 3]
+    for (z, _m), exact in zip(points, (4 - 2 * 2**0.5, 4 + 2 * 2**0.5)):
+        assert abs(z - exact) < 1e-11
 
 
 # -- global flags / wiring --------------------------------------------------------

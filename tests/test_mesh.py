@@ -23,6 +23,7 @@ from wlab.mesh import (
     build_mesh,
     export_mesh,
 )
+from wlab.poly import exact_primitive
 from wlab.rational import RationalFunction
 from wlab.report import format_float
 from wlab.tolerances import Tolerances
@@ -358,7 +359,7 @@ def test_mesh_locates_no_extra_roots(record_calls, name):
     _, region, z0 = EXACT_CASES[name]
     data = load_fixture(name)
     build_mesh(data, region, 17, z0)
-    assert [call[0].coeffs for call in located] == [data.h.den.coeffs]
+    assert [call[0] for call in located] == [exact_primitive(data.h.pair[1])]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 import random
 
@@ -7,20 +8,21 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import from_roots
+from conftest import exact, from_roots
 from wlab.poly import (
-    REMAINDER_ATOL,
-    ExactDivisionError,
-    GcdBreakdownError,
     Polynomial,
-    approx_gcd,
+    exact_add,
     exact_coeffs,
     exact_cofactors,
-    exact_divide,
+    exact_derivative,
     exact_gcd,
     exact_mul,
+    exact_primitive,
+    exact_quotient,
+    pseudo_divmod,
     rounded,
 )
+from wlab.rational import RationalFunction
 
 
 def close(p: Polynomial, q: Polynomial, rel_eps: float) -> bool:
@@ -66,17 +68,18 @@ def test_arithmetic_basics():
 
 
 def test_derivative():
-    p = Polynomial([5, 0, 1])  # z^2 + 5
-    assert p.derivative().coeffs == (0j, 2 + 0j)
-    assert Polynomial([7]).derivative().is_zero
+    assert exact_derivative(((5, 0), (0, 0), (1, 0))) == ((0, 0), (2, 0))  # z^2 + 5
+    assert exact_derivative(((7, 0),)) == ()
 
 
 def test_divmod_roundtrip():
-    p = Polynomial([2, 0, -3, 1])
-    d = Polynomial([-1, 1])
-    q, r = p.divmod_by(d)
-    recomposed = q * d + r
-    assert close(recomposed, p, 1e-12)
+    # lc(d)^(deg p - deg d + 1) p = q d + r
+    p = ((2, 0), (0, 0), (-3, 1), (1, 0))
+    d = ((-1, 0), (3, 2))
+    q, r = pseudo_divmod(p, d)
+    lc3 = exact_mul(exact_mul(d[-1:], d[-1:]), d[-1:])
+    assert len(r) < len(d)
+    assert exact_add(exact_mul(q, d), r) == exact_mul(p, lc3)
 
 
 def test_deflate_remainder_is_value():
@@ -120,47 +123,63 @@ def test_gcd_exact_common_factor():
     common = from_roots([2, -1])
     a = common * from_roots([5])
     b = common * from_roots([-7, 3])
-    g = approx_gcd(a, b, 1e-8)
-    assert g.degree == 2
-    assert close(g, common.monic(), 1e-8)
+    g = exact_gcd(exact(a), exact(b))
+    assert len(g) == 3
+    assert exact_mul(g, exact(common)[-1:]) == exact_mul(exact(common), g[-1:])
 
 
 def test_gcd_coprime():
-    g = approx_gcd(from_roots([1]), from_roots([2]), 1e-8)
-    assert g.degree == 0
+    assert len(exact_gcd(exact(from_roots([1])), exact(from_roots([2])))) == 1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, math.nan)])
 def test_gcd_rejects_non_finite_coefficients(time_limit, bad):
-    # a NaN remainder once made the remainder degrees ping-pong forever
-    with time_limit(5.0), pytest.raises(GcdBreakdownError, match="non-finite"):
-        approx_gcd(Polynomial([1, 2, bad, 1]), Polynomial([1, 1, 1]), 1e-8)
+    # a NaN remainder once made the float remainder degrees ping-pong
+    # forever; a gcd now takes exact operands, and a non-finite
+    # coefficient has no exact value
+    with time_limit(5.0), pytest.raises(OverflowError, match="beyond the range of a double"):
+        exact(Polynomial([1, 2, bad, 1]))
 
 
-def test_gcd_rejects_a_remainder_that_does_not_fall_in_degree(time_limit):
-    # a divisor with a tiny leading coefficient leaves rounding residue above
-    # its degree; the sequence used to return a bogus quadratic "gcd" of
-    # these coprime polynomials
-    a = Polynomial([0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
-                    0.10490011715303971, -0.535669373161111, 0.36159505490948474,
-                    1.3040000451301372])
-    b = Polynomial([0.9470809631292422, -0.7037352358069926, -1.2654214710460525, 1e-08])
-    with time_limit(5.0), pytest.raises(GcdBreakdownError, match="did not fall"):
-        approx_gcd(a, b, 1e-8)
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # a divisor with a tiny leading coefficient: the float sequence
+        # returned a bogus quadratic "gcd", then broke down typed
+        (
+            [0.1257302210933933, -0.1321048632913019, 0.6404226504432821, 0.10490011715303971,
+             -0.535669373161111, 0.36159505490948474, 1.3040000451301372],
+            [0.9470809631292422, -0.7037352358069926, -1.2654214710460525, 1e-08],
+        ),
+        # the float sequence broke down on this pair (Hypothesis found it)
+        ([1, 1e-8j], [1, 1.5, 1, 0.25]),
+    ],
+)
+def test_gcd_of_a_pair_the_float_sequence_broke_on_is_exact(time_limit, a, b):
+    with time_limit(5.0):
+        assert len(exact_gcd(exact(Polynomial(a)), exact(Polynomial(b)))) == 1
 
 
-def _polydiv(p: Polynomial, d: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """``divmod_by`` as np.polydiv computes it."""
-    if p.is_zero or p.degree < d.degree:
-        return Polynomial(), p
-    q, r = np.polydiv(np.asarray(p.coeffs[::-1], dtype=complex), np.asarray(d.coeffs[::-1], dtype=complex))
-    return Polynomial(q[::-1]), Polynomial(r[::-1])
+def _polydiv(p: Polynomial, d: Polynomial) -> Polynomial:
+    """The quotient of p by d as np.polydiv computes it in floats."""
+    if p.degree < d.degree:
+        return Polynomial()
+    q, _r = np.polydiv(np.asarray(p.coeffs[::-1], dtype=complex), np.asarray(d.coeffs[::-1], dtype=complex))
+    return Polynomial(q[::-1])
 
 
 def _assert_divides_as_polydiv(p: Polynomial, d: Polynomial) -> None:
-    with np.errstate(all="ignore"):
-        got, want = p.divmod_by(d), _polydiv(p, d)
-    assert [repr(x.coeffs) for x in got] == [repr(x.coeffs) for x in want]
+    """The polynomial part read off the exact pair, which the mesh
+    integrates, is np.polydiv's float quotient to rounding; a non-finite
+    coefficient has no exact pair."""
+    if not all(cmath.isfinite(c) for c in p.coeffs + d.coeffs):
+        with pytest.raises(OverflowError, match="beyond the range of a double"):
+            RationalFunction(p, d)
+        return
+    got, want = RationalFunction(p, d).polynomial_part().coeffs, _polydiv(p, d).coeffs
+    assert len(got) == len(want)
+    scale = max((abs(c) for c in want), default=0.0)
+    assert all(abs(x - y) <= 1e-9 * scale for x, y in zip(got, want)), (got, want)
 
 
 def _random_pair(rng: random.Random) -> tuple[Polynomial, Polynomial]:
@@ -186,18 +205,18 @@ NZ = -0.0
         # parts equal to -0.0
         ([complex(NZ, NZ), complex(1, NZ), complex(NZ, 2), complex(3, NZ)], [complex(NZ, 1), complex(1, NZ)]),
         ([complex(2, NZ), 0j, complex(NZ, NZ), complex(NZ, 1)], [complex(NZ, NZ), complex(1, NZ)]),
-        # the remainder's leading entry exactly at the cut-off, and one ulp above
-        ([3, REMAINDER_ATOL, 1], [0, 0, 1]),
-        ([3, np.nextafter(REMAINDER_ATOL, 1), 1], [0, 0, 1]),
-        ([3, 1j * REMAINDER_ATOL, 1], [0, 0, 1]),
-        ([3, REMAINDER_ATOL, 0, 0, 1], [0, 0, 1]),
+        # a remainder entry at the float division's old cut-off, and one ulp above
+        ([3, 1e-8, 1], [0, 0, 1]),
+        ([3, np.nextafter(1e-8, 1), 1], [0, 0, 1]),
+        ([3, 1e-8j, 1], [0, 0, 1]),
+        ([3, 1e-8, 0, 0, 1], [0, 0, 1]),
         # non-finite entries
         ([1, math.nan, 2, 1], [1, 1]),
         ([1, 2, 3, math.nan], [1, 1]),
         ([math.inf, 2, 1], [1, 1]),
         ([1, 2, complex(0, math.inf)], [1, 1]),
         ([1, 2, 1], [math.nan, 1]),
-        # the coprime pair whose gcd chain breaks down
+        # the coprime pair whose float gcd chain broke down
         ([1, 1.5, 1, 0.25], [1, 1e-8j]),
     ],
 )
@@ -205,29 +224,33 @@ def test_divmod_matches_polydiv_on_edge_cases(p, d):
     _assert_divides_as_polydiv(Polynomial(p), Polynomial(d))
 
 
-def test_coprime_pair_still_breaks_down_typed():
-    # an open defect of the float gcd (exact algebra mends it); the absolute
-    # remainder cut-off keeps it a typed failure, where truncating the
-    # remainder brings back the bogus "gcd" of
-    # test_gcd_rejects_a_remainder_that_does_not_fall_in_degree
-    with pytest.raises(GcdBreakdownError, match="did not fall"):
-        approx_gcd(Polynomial([1, 1e-8j]), Polynomial([1, 1.5, 1, 0.25]), 1e-8)
-
-
 def test_exact_divide():
-    p = from_roots([1, 2, 3])
-    q = exact_divide(p, from_roots([2]))
-    assert close(q, from_roots([1, 3]), 1e-10)
-    with pytest.raises(ExactDivisionError):
-        exact_divide(Polynomial([1, 0, 1]), Polynomial([-1, 1]))
+    p = exact(from_roots([1, 2, 3]))
+    assert exact_quotient(p, exact(from_roots([2]))) == exact(from_roots([1, 3]))
+    # 2 (1+i) z (z - 1) / (z - 1), no content removed
+    assert exact_quotient(((0, 0), (-2, -2), (2, 2)), ((-1, 0), (1, 0))) == ((0, 0), (2, 2))
+    with pytest.raises(ArithmeticError, match="does not divide"):
+        exact_quotient(((1, 0), (0, 0), (1, 0)), ((-1, 0), (1, 0)))
 
 
 def test_exact_divide_failure_is_arithmetic_not_usage():
-    # a ValueError would be reported as a usage error by the CLI's input handlers
-    with pytest.raises(ExactDivisionError, match="significant remainder") as err:
-        exact_divide(from_roots([1, 2]), from_roots([3]))
-    assert isinstance(err.value, ArithmeticError)
+    # a ValueError would be reported as a usage error by the CLI's input
+    # handlers; a remainder is a broken invariant of the Yun chain (exit 2)
+    with pytest.raises(ArithmeticError, match="does not divide") as err:
+        exact_quotient(exact(from_roots([1, 2])), exact(from_roots([3])))
     assert not isinstance(err.value, ValueError)
+
+
+UNITS = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def test_primitive_part_divides_out_the_gaussian_content():
+    # content 6 (2 + i) of 6 (2 + i) (z^2 + (1 - i))
+    c = (12, 6)
+    p = exact_mul(((1, -1), (0, 0), (1, 0)), (c,))
+    q = exact_primitive(p)
+    assert any(q == exact_mul(((1, -1), (0, 0), (1, 0)), (u,)) for u in UNITS)
+    assert exact_primitive(((3, 0), (0, 3))) in {((u, v), (-v, u)) for u, v in UNITS}
 
 
 coeff = st.one_of(

@@ -5,16 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from conftest import from_roots
+from conftest import exact, from_roots
 from wlab import roots
 from wlab.exprparse import parse_expression
-from wlab.poly import Polynomial
+from wlab.poly import Exact, Polynomial, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
 from wlab.rational import SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
 
-# a degree-32 map A^4/B: the float square-free layers miss the triple roots
-# of its Wronskian, so both routes scatter each triple root differently
+# a degree-32 map A^4/B: each root of A is a triple root of its Wronskian,
+# which float square-free layers missed
 TRIPLE_ROOTS_MAP = (
     "(z^8 - 8*z^7 + 9*z^6 + 2*z^4 - z^3 + 7*z^2 - 7*z - 6)^4/(4*z^32 + 4*z^31 - 2*z^30 - 7*z^29 + 2*z^28"
     " - 6*z^27 + 2*z^26 + 3*z^25 + 5*z^24 + 6*z^22 - z^21 - 5*z^20 - 2*z^19 - 4*z^18 + 3*z^17 - 3*z^16"
@@ -30,13 +30,13 @@ def by_value(result):
 def test_double_root_plus_simple():
     # z^3 - 3z + 2 = (z-1)^2 (z+2), expanded by hand
     p = Polynomial([2, -3, 0, 1])
-    got = by_value(roots_with_multiplicity(p))
+    got = by_value(roots_with_multiplicity(exact(p)))
     assert got == {(1 + 0j): 2, (-2 + 0j): 1}
 
 
 def test_pair_of_simple_imaginary_roots():
     p = Polynomial([1, 0, 1])  # z^2 + 1
-    got = roots_with_multiplicity(p)
+    got = roots_with_multiplicity(exact(p))
     assert sorted(m for _, m in got) == [1, 1]
     values = sorted(got, key=lambda t: t[0].imag)
     assert values[0][0] == pytest.approx(-1j, abs=1e-10)
@@ -46,7 +46,7 @@ def test_pair_of_simple_imaginary_roots():
 def test_quadruple_root_from_expanded_coefficients():
     # (z-5)^4 = z^4 - 20 z^3 + 150 z^2 - 500 z + 625 (binomial expansion)
     p = Polynomial([625, -500, 150, -20, 1])
-    got = roots_with_multiplicity(p)
+    got = roots_with_multiplicity(exact(p))
     assert len(got) == 1
     r, m = got[0]
     assert m == 4
@@ -55,7 +55,7 @@ def test_quadruple_root_from_expanded_coefficients():
 
 def test_degree_one():
     p = Polynomial([3, 2])  # 2z + 3
-    assert roots_with_multiplicity(p) == [(-1.5 + 0j, 1)]
+    assert roots_with_multiplicity(exact(p)) == [(-1.5 + 0j, 1)]
 
 
 def test_residual_bound_holds():
@@ -64,7 +64,7 @@ def test_residual_bound_holds():
         deg = rng.integers(2, 9)
         roots = rng.normal(size=deg) + 1j * rng.normal(size=deg)
         p = from_roots(roots)
-        for r, m in roots_with_multiplicity(p):
+        for r, m in roots_with_multiplicity(exact(p)):
             bound = 1e-9 * p.max_abs_coeff * (1 + abs(r)) ** p.degree
             assert abs(p(r)) <= bound
 
@@ -75,7 +75,7 @@ def test_multiset_union_on_products():
         ra = rng.normal(size=3) + 1j * rng.normal(size=3)
         rb = rng.normal(size=2) + 1j * rng.normal(size=2)
         p = from_roots(ra) * from_roots(rb)
-        got = roots_with_multiplicity(p)
+        got = roots_with_multiplicity(exact(p))
         expected = sorted(list(ra) + list(rb), key=lambda z: (z.real, z.imag))
         flat = sorted(
             [r for r, m in got for _ in range(m)], key=lambda z: (z.real, z.imag)
@@ -85,29 +85,25 @@ def test_multiset_union_on_products():
             assert abs(a - b) < 1e-7
 
 
-def test_cluster_below_point_identity_merges():
-    # separation far below eps_pt: the gcd chain reads one double root
+def test_cluster_below_point_identity_is_two_simple_roots():
+    # separation far below eps_pt: the exact factors keep the roots apart,
+    # where the float gcd chain read one double root; in doubles each lands
+    # within eps_pt of its exact root, and the two fall just beyond eps_pt
+    # of each other (the pair of test_ambiguous_cluster_* does not)
     p = from_roots([1.0, 1.0 + 1e-9])
-    got = roots_with_multiplicity(p)
-    assert len(got) == 1
-    r, m = got[0]
-    assert m == 2
-    assert abs(r - 1.0) < 1e-8
+    got = roots_with_multiplicity(exact(p))
+    assert [m for _r, m in got] == [1, 1]
+    assert all(abs(r - 1.0) < 1e-8 for r, _m in got)
 
 
 def test_ambiguous_cluster_raises_with_both_candidates():
-    # a pair inside the point-identity radius that the square-free analysis
-    # keeps distinct: the merge threshold is forced below the separation, so
-    # gcd says "two simple roots" while the identity radius says "one point".
-    # The diagnostic must carry both readings instead of guessing.
-    from dataclasses import replace
-
-    from wlab.tolerances import Tolerances
-
-    strict = replace(Tolerances(), eps_gcd=1e-20)
-    p = Polynomial([0.0, -5e-9, 1.0])  # z (z - 5e-9), exact coefficients
+    # a pair inside the point-identity radius that the exact square-free
+    # factors keep distinct: Yun says "two simple roots" while the identity
+    # radius says "one point".  The diagnostic must carry both readings
+    # instead of guessing.
+    p = Polynomial([0.0, -5e-9, 1.0])  # z (z - 5e-9) at its binary values
     with pytest.raises(IllConditionedRootsError) as info:
-        roots_with_multiplicity(p, strict)
+        roots_with_multiplicity(exact(p))
     assert info.value.merged and info.value.separate
     (center, m), = info.value.merged
     assert m == 2 and abs(center - 2.5e-9) < 1e-8
@@ -115,9 +111,9 @@ def test_ambiguous_cluster_raises_with_both_candidates():
 
 def test_errors_on_constant_and_zero():
     with pytest.raises(ValueError):
-        roots_with_multiplicity(Polynomial([1]))
+        roots_with_multiplicity(((1, 0),))
     with pytest.raises(ValueError):
-        roots_with_multiplicity(Polynomial())
+        roots_with_multiplicity(())
 
 
 def test_non_finite_roots_fail_the_cross_check(monkeypatch):
@@ -125,32 +121,38 @@ def test_non_finite_roots_fail_the_cross_check(monkeypatch):
     p = from_roots([1.0, 2.0, 3j])
     monkeypatch.setattr(roots, "_aberth", lambda q: np.full(q.degree, np.nan + 0j))
     with pytest.raises(RootCrossCheckError) as info:
-        roots_with_multiplicity(p)
+        roots_with_multiplicity(exact(p))
     assert len(info.value.aberth) == 3
     assert not np.isfinite(info.value.aberth).any()
 
 
-def test_unresolved_triple_roots_fail_the_cross_check_typed():
+def test_triple_roots_of_a_degree_32_wronskian_are_exact():
+    sympy = pytest.importorskip("sympy")
     w = parse_expression(TRIPLE_ROOTS_MAP).derivative_numerator()
-    with pytest.raises(RootCrossCheckError) as info:
-        roots_with_multiplicity(w)
-    assert np.isfinite(info.value.aberth).all() and np.isfinite(info.value.companion).all()
+    got = roots_with_multiplicity(w)
+    assert sum(m for _r, m in got) == len(w) - 1
+    base = TRIPLE_ROOTS_MAP[1 : TRIPLE_ROOTS_MAP.index(")^4")].replace("^", "**")
+    exact_roots = [complex(r) for r in sympy.Poly(sympy.sympify(base)).nroots(n=30)]
+    triples = [r for r, m in got if m == 3]
+    assert len(triples) == len(exact_roots) == 8
+    for r in triples:
+        assert min(abs(r - x) for x in exact_roots) < 1e-11
 
 
 def test_newton_polygon_start_is_finite_and_deterministic():
     w = parse_expression(TRIPLE_ROOTS_MAP).derivative_numerator()
-    c = np.asarray(w.monic().coeffs, dtype=complex)
+    c = np.asarray(roots._monic_view(w).coeffs, dtype=complex)
     start = roots._newton_polygon_start(c)
-    assert len(start) == w.degree and np.isfinite(start).all()
+    assert len(start) == len(w) - 1 and np.isfinite(start).all()
     assert np.array_equal(start, roots._newton_polygon_start(c.copy()))
     # no two start points coincide
-    assert len({complex(z) for z in start}) == w.degree
+    assert len({complex(z) for z in start}) == len(w) - 1
 
 
 def test_start_radii_are_the_newton_polygon_radii():
     # root moduli 1e-3, 1 and 1e3, two roots each; the odd coefficients vanish
     p = from_roots([1e-3j, -1e-3j, 1.0, -1.0, 1e3j, -1e3j])
-    c = np.asarray(p.monic().coeffs, dtype=complex)
+    c = np.asarray(p.coeffs, dtype=complex)
     assert (c[1::2] == 0).all()
     # the hull vertices are k = 0, 2, 4, 6: one edge per modulus, two roots each
     hull = [(abs(c[i]) / abs(c[i + 2])) ** 0.5 for i in (0, 2, 4)]
@@ -162,9 +164,9 @@ def test_start_radii_are_the_newton_polygon_radii():
 def test_root_at_zero_starts_and_stays_there():
     p = from_roots([0.0, 1j, -1j, 2.0])
     assert p.coeffs[0] == 0
-    start = roots._newton_polygon_start(np.asarray(p.monic().coeffs, dtype=complex))
+    start = roots._newton_polygon_start(np.asarray(p.coeffs, dtype=complex))
     assert start[0] == 0 and (start[1:] != 0).all()
-    got = roots_with_multiplicity(p)
+    got = roots_with_multiplicity(exact(p))
     assert (0j, 1) in got
     assert by_value(got) == {0j: 1, 1j: 1, -1j: 1, (2 + 0j): 1}
 
@@ -186,7 +188,7 @@ def test_generic_wronskian_has_2d_minus_2_simple_critical_points(degree):
 
     w = parse_expression(f"({text(num)})/({text(den)})").derivative_numerator()
     got = roots_with_multiplicity(w)
-    assert len(got) == w.degree == 2 * degree - 2
+    assert len(got) == len(w) - 1 == 2 * degree - 2
     assert all(m == 1 for _, m in got)
 
     z = sympy.Symbol("z")
@@ -202,7 +204,7 @@ def test_each_yun_factor_is_located_once(record_calls):
     # three distinct roots, and no deeper layer is root-found again
     located = record_calls(roots, "_located_roots")
     p = from_roots([1, 1, 1, -2, -2, 1j])
-    got = by_value(roots_with_multiplicity(p))
+    got = by_value(roots_with_multiplicity(exact(p)))
     assert got == {(1 + 0j): 3, (-2 + 0j): 2, 1j: 1}
     assert sum(f.degree for (f,) in located) == 3
 
@@ -218,7 +220,7 @@ def test_exponents_of_gaussian_integer_products_are_recovered():
             if sum(exponents.values()) + m <= 9:
                 exponents[r] = m
         p = from_roots([r for r, m in exponents.items() for _ in range(m)])
-        got = roots_with_multiplicity(p)
+        got = roots_with_multiplicity(exact(p))
         assert sum(m for _, m in got) == p.degree
         assert by_value(got) == exponents
         assert got == sorted(got, key=lambda rm: (rm[0].real, rm[0].imag))
@@ -238,3 +240,61 @@ def test_multiple_roots_sit_on_their_30_digit_positions():
     for pre in zero.preimages:
         assert pre.multiplicity == 4
         assert min(abs(pre.point.value - r) for r in exact) < 1e-9
+
+
+def _gaussian_poly(rng: random.Random, degree: int) -> Exact:
+    coeffs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(degree)]
+    return tuple(coeffs) + ((rng.choice([-2, -1, 1, 3]), rng.randint(-2, 2)),)
+
+
+def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch):
+    rng = random.Random("certificate")
+    products = []
+    for _ in range(80):
+        p = ((1, 0),)
+        for _ in range(rng.randint(1, 3)):
+            p = exact_mul(p, exact_pow(_gaussian_poly(rng, rng.randint(1, 4)), rng.choice([1, 1, 2, 3])))
+        products.append(p)
+    verdicts = [roots._certified_square_free(p) for p in products]
+    monkeypatch.setattr(roots, "_certified_square_free", lambda p: False)
+    for p, certified in zip(products, verdicts):
+        factors = roots._yun_factors(p)
+        assert sum(m * (len(f) - 1) for m, f in enumerate(factors, start=1)) == len(p) - 1
+        assert certified == all(len(f) == 1 for f in factors[1:])
+    # both answers occur
+    assert 10 <= sum(verdicts) <= 70
+
+
+@pytest.mark.parametrize(
+    "p, expected",
+    [
+        # z (z - P0): square-free over Q(i), but z^2 mod P0
+        (((0, 0), (-roots._P0, 0), (1, 0)), {0j: 1, complex(roots._P0): 1}),
+        # P0 (z - 1)^2 (z + 1): the leading coefficient vanishes mod P0
+        (exact_mul(((roots._P0, 0),), ((1, 0), (-1, 0), (-1, 0), (1, 0))), {(-1 + 0j): 1, (1 + 0j): 2}),
+        # (P0 z - 1)(z - 2): square-free, with P0 | lc
+        (exact_mul(((-1, 0), (roots._P0, 0)), ((-2, 0), (1, 0))), {complex(1 / roots._P0): 1, (2 + 0j): 1}),
+    ],
+)
+def test_what_the_certificate_cannot_certify_falls_through_to_the_chain(p, expected):
+    # expected: root -> multiplicity, in the (re, im) order of the result
+    assert not roots._certified_square_free(p)
+    got = roots_with_multiplicity(p)
+    assert [m for _r, m in got] == list(expected.values())
+    for (r, _m), want in zip(got, expected):
+        assert r == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_wronskian_roots_of_a_tiny_imaginary_term_match_mpmath():
+    # one root lies near 1.5e8 i, where the float square-free layers left a
+    # remainder and raised
+    mpmath = pytest.importorskip("mpmath")
+    w = parse_expression("(1+1e-8i*z)/(1+1.5*z+z^2+0.25*z^3)").derivative_numerator()
+    got = roots_with_multiplicity(w)
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(x, y) for x, y in reversed(w)]
+        exact_roots = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=500, extraprec=200)]
+    assert [m for _r, m in got] == [1] * len(exact_roots) == [1] * 3
+    assert max(abs(r.imag) for r, _m in got) > 1e8
+    for r, _m in got:
+        assert min(abs(r - x) / abs(x) for x in exact_roots) < 1e-12

@@ -348,7 +348,7 @@ def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
     ``compute_periods`` reads off the Analysis pole table."""
     forms = phi_from_data(d).forms
     poles = [
-        [z0 for z0, _ in roots_with_multiplicity(f.den, tol)] if f.den.degree else []
+        [z0 for z0, _ in roots_with_multiplicity(f.pair[1], tol)] if f.den.degree else []
         for f in forms
     ]
     special = list(d.finite_punctures())
