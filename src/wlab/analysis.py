@@ -10,11 +10,17 @@ computes only its own component, and each step runs in the order its first
 consumer asks for it, so the first failing step is the one a plain
 evaluation would meet.
 
-Every pole of a φ-form is a pole of h, g1 or g2, so each distinct
-denominator of those is root-found once (``singular_points``) and the
-forms' principal parts are read there (``principal_parts``): regularity,
-the periods and the mesh primitive all read that one table.  Equal Gauss
-components share one ramification report.
+Every order of vanishing is an integer read off exact factors.  One
+gcd-free basis over Z[i] (``pieces``) factors h's numerator, the
+denominators of h, g1, g2 and the four φ-forms, and the linear factor of
+each finite puncture: at a root of a piece, the order of each of these is
+the piece's exponent in it (``orders``), and at infinity it comes from the
+degrees.  A puncture's piece has the puncture as its root, so it is never
+root-found; every other piece is root-found once (``located``).  Every pole
+of a φ-form is a pole of h, g1 or g2, and the forms' principal parts are
+read at those points (``principal_parts``): regularity, the ends, the
+periods and the mesh primitive all read these orders and that one table.
+Equal Gauss components share one ramification report.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.  It is the library's one entry to the
@@ -29,10 +35,10 @@ from functools import cached_property
 
 from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
-from .poly import exact_primitive
+from .poly import Exact, exact_exponent
 from .ramification import RamificationReport, ramification_report
-from .rational import SpherePoint, distinct_points
-from .roots import roots_with_multiplicity
+from .rational import INF, SpherePoint
+from .roots import gcd_free_basis, roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
     ConformalityReport,
@@ -87,36 +93,77 @@ class Analysis:
         return phi_from_data(self.data)
 
     @cached_property
+    def pieces(self) -> tuple[Exact, ...]:
+        """The gcd-free basis of the finite punctures' linear factors, h's
+        numerator and the denominators of h, g1, g2 and the φ-forms; each
+        linear factor stays a piece of its own."""
+        d = self.data
+        punctures = [p.linear_factor for p in d.punctures if not p.is_infinity]
+        dens = [f.pair[1] for f in (d.h, d.g1, d.g2, *self.phi.forms)]
+        return tuple(gcd_free_basis([*punctures, d.h.pair[0], *dens]))
+
+    def orders(self, piece: Exact | None) -> tuple[int, int, int]:
+        """ord(h dz), poleord(g1) and poleord(g2) at each root of a piece, or
+        at infinity for None: the triple that both regularity (away from the
+        punctures) and the ends (at them) read."""
+        d = self.data
+        if piece is None:
+            return d.h.form_order_at(INF), d.g1.pole_order_at(INF), d.g2.pole_order_at(INF)
+        (a, b), e = d.h.pair, exact_exponent
+        return e(a, piece) - e(b, piece), e(d.g1.pair[1], piece), e(d.g2.pair[1], piece)
+
+    @cached_property
+    def located(self) -> tuple[tuple[SpherePoint, Exact], ...]:
+        """Each root of a piece that is not a puncture's, with its piece:
+        each such piece is root-found once, from its exact polynomial."""
+        punctures = {p.linear_factor for p in self.data.punctures if not p.is_infinity}
+        return tuple(
+            (SpherePoint(r), piece)
+            for piece in self.pieces
+            if piece not in punctures
+            for r, _m in roots_with_multiplicity(piece, self.tol)
+        )
+
+    @cached_property
+    def _singular(self) -> tuple[tuple[complex, Exact], ...]:
+        """(point, piece) for the finite punctures, then for the other roots
+        of h's, g1's and g2's denominators, each sorted by (re, im)."""
+        d = self.data
+        out = [(p.value, p.linear_factor) for p in d.punctures if not p.is_infinity]
+        seen = {piece for _p, piece in out}
+        for f in (d.h, d.g1, d.g2):
+            b = f.pair[1]
+            new = [(p.value, piece) for p, piece in self.located if piece not in seen and exact_exponent(b, piece)]
+            out += sorted(new, key=lambda pp: (pp[0].real, pp[0].imag))
+            seen.update(piece for _p, piece in new)
+        return tuple(out)
+
+    @cached_property
     def singular_points(self) -> tuple[complex, ...]:
-        """The finite punctures, then every finite pole of h, g1 and g2: each
-        distinct denominator is root-found once, from its exact primitive
-        part, and a point within eps_pt of an earlier one is dropped."""
-        d, tol = self.data, self.tol
-        points = d.finite_punctures()
-        for den in dict.fromkeys(exact_primitive(f.pair[1]) for f in (d.h, d.g1, d.g2) if f.den.degree >= 1):
-            points += [r for r, _m in roots_with_multiplicity(den, tol)]
-        return tuple(p.value for p in distinct_points(map(SpherePoint, points), tol.eps_pt))
+        """The finite punctures, then every other finite pole of h, g1 and g2."""
+        return tuple(p for p, _piece in self._singular)
 
     @cached_property
     def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:
         """Each singular point where some form has a pole, mapped to the four
-        forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular.
+        forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular;
+        m is the exponent of the point's piece in the form's denominator.
 
         Raises ``PoleTableError`` unless each form's pole orders add up to
         its (monic) denominator's degree: no pole went unlocated.
         """
         forms = self.phi.forms
         table = {}
-        for p in self.singular_points:
-            laurent = tuple(f.principal_part_at(p, self.tol) for f in forms)
+        for p, piece in self._singular:
+            laurent = tuple(f.principal_part_at(p, exact_exponent(f.pair[1], piece)) for f in forms)
             if any(laurent):
                 table[p] = laurent
         for k, f in enumerate(forms):
-            located = sum(len(laurent[k]) for laurent in table.values())
-            if located != f.den.degree:
+            total = sum(len(laurent[k]) for laurent in table.values())
+            if total != f.den.degree:
                 raise PoleTableError(
                     f"the poles of phi_{k + 1} at the data's singular points have total "
-                    f"order {located}, but its denominator has degree {f.den.degree}"
+                    f"order {total}, but its denominator has degree {f.den.degree}"
                 )
         return table
 

@@ -37,7 +37,9 @@ Shared values are decided by counting, on the one fiber route of
 ``ramification.fiber_table``: a value a is shared when the common points of
 the two maps over a (roots of the cross numerator N_A D_B - N_B D_A, which
 is never reduced) are as many as the distinct preimages of a off the
-punctures under each map.  No fiber polynomial is root-found.
+punctures under each map.  No fiber polynomial is root-found.  The common
+poles and zeros are split off the cross numerator exactly, so a value is
+read off the float views only where it is finite and nonzero.
 
 Every verdict here is evaluated in integer / Fraction arithmetic; floats
 enter only upstream (root finding, residues).  Conclusions that depend on
@@ -54,6 +56,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exprparse import as_sphere_point
+from .poly import Exact, exact_gcd, exact_primitive, exact_quotient
 from .ramification import fiber_table
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
 from .roots import roots_with_multiplicity
@@ -489,8 +492,10 @@ def shared_values(
 
     Both maps' fibers are read off their ``ramification.fiber_table``; no
     fiber is root-found.  The common points, where gA = gB, are the distinct
-    roots of the cross numerator N_A D_B - N_B D_A (common poles included)
-    and infinity when gA(inf) = gB(inf), punctures dropped.  The common
+    roots of the cross numerator N_A D_B - N_B D_A and infinity when
+    gA(inf) = gB(inf), punctures dropped; its roots are located in three
+    exact parts: the common poles, gcd(b_A, b_B), the common zeros,
+    gcd(a_A, a_B), and the rest, where both values are finite and nonzero.  The common
     points over a value a lie in both fibers, so the two preimage sets off
     the punctures coincide exactly when both hold as many distinct points
     as there are common points over a: a is shared iff that count equals
@@ -522,17 +527,25 @@ def shared_values(
         )
 
     tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
-    cross = gA.cross_numerator(gB)
-    common = [SpherePoint(r) for r, _m in roots_with_multiplicity(cross, tol)] if len(cross) >= 2 else []
-    if gA.value_at_sphere(INF, tol).close_to(gB.value_at_sphere(INF, tol), tol.eps_pt):
-        common.append(INF)
+    (aA, bA), (aB, bB) = gA.pair, gB.pair
+    poles, zeros = _common_factor(bA, bB), _common_factor(aA, aB)
+    rest = _without_roots_of(_without_roots_of(gA.cross_numerator(gB), poles), zeros)
+    sources = ((poles, INF), (zeros, SpherePoint(0j)), (rest, None))
+    common = sorted(
+        ((SpherePoint(r), value) for p, value in sources if len(p) >= 2 for r, _m in roots_with_multiplicity(p, tol)),
+        key=lambda cv: (cv[0].value.real, cv[0].value.imag),
+    )
+    if gA.value_at_sphere(INF).close_to(gB.value_at_sphere(INF), tol.eps_pt):
+        common.append((INF, gA.value_at_sphere(INF)))
     common_values = [
-        gA.value_at_sphere(c, tol) for c in common if not any(c.close_to(p, tol.eps_pt) for p in pts)
+        value or SpherePoint(gA.num(c.value) / gA.den(c.value))
+        for c, value in common
+        if not any(c.close_to(p, tol.eps_pt) for p in pts)
     ]
 
     # the puncture images come first: they are exact where the input is,
     # and ``distinct_points`` keeps the first of each group
-    images = [g.value_at_sphere(p, tol) for p in pts for g in (gA, gB)]
+    images = [g.value_at_sphere(p) for p in pts for g in (gA, gB)]
     shared: list[SharedValue] = []
     for a in distinct_points([*images, *common_values, INF], tol.eps_pt):
         delta = sum(1 for v in common_values if v.close_to(a, tol.eps_pt))
@@ -540,6 +553,18 @@ def shared_values(
             shared.append(SharedValue(a, delta))
     shared.sort(key=lambda sv: sv.value.sort_key())
     return SharedValues(SHARED_GENERIC, tuple(shared))
+
+
+def _common_factor(p: Exact, q: Exact) -> Exact:
+    """gcd(p, q) made primitive; 1 when either is constant."""
+    return exact_primitive(exact_gcd(p, q)) if len(p) >= 2 and len(q) >= 2 else ((1, 0),)
+
+
+def _without_roots_of(p: Exact, g: Exact) -> Exact:
+    """p with every root it shares with g divided out, to its full multiplicity."""
+    while len(g) >= 2 and len(c := exact_primitive(exact_gcd(p, g))) >= 2:
+        p = exact_quotient(p, c)
+    return p
 
 
 def _complete_surface(an: Analysis) -> bool:

@@ -217,13 +217,14 @@ def parse_expression(text: str) -> RationalFunction:
 
 
 def parse_sphere_point(text: str) -> SpherePoint:
-    """Parse a puncture entry: 'inf' or any constant expression."""
+    """Parse a puncture entry: 'inf' or any constant expression, kept exactly."""
     if text.strip().lower() == "inf":
         return SpherePoint(None)
     value = parse_expression(text)
     if not value.is_constant:
         raise ExpressionError("puncture must be a constant", 0)
-    return SpherePoint(value.constant_value)
+    (a, b) = value.pair
+    return SpherePoint(value.constant_value, (a[0] if a else (0, 0), b[0][0]))
 
 
 def as_sphere_point(x) -> SpherePoint:

@@ -7,8 +7,8 @@ a_-n / ((1 - n) (z - p)^(n-1)) for each principal-part term
 a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
 residue c at each pole p (Bronstein, *Symbolic Integration I*, ch. 2).  The
 Laurent coefficients are read off ``RationalFunction.principal_part_at`` at
-the data's poles, from the ``Analysis`` table of principal parts, so
-meshing seeks no root of its own.
+the data's poles, with the exact pole orders of the ``Analysis`` table of
+principal parts, so meshing seeks no root of its own.
 
 Re(c log(z - p)) = Re(c) log|z - p| - Im(c) arg(z - p).  Where Im c != 0 the
 arg is continued along a fixed integration tree, laid out from the grid

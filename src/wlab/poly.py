@@ -2,11 +2,12 @@
 
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
-coefficient tuple and reports degree -1. The one numeric helper (the order
-and Taylor coefficients at a point) lives here, beside the exact polynomials
-over Z[i] that ``rational`` keeps its canonical form in and ``roots`` reads
-multiplicities off: their arithmetic, subresultant gcd, primitive parts,
-exact quotients and correctly rounded float views.
+coefficient tuple and reports degree -1. The one numeric helper (the Taylor
+coefficients at a root of a given order) lives here, beside the exact
+polynomials over Z[i] that ``rational`` keeps its canonical form in and
+``roots`` reads multiplicities and orders off: their arithmetic,
+subresultant gcd, primitive parts, exact quotients and exponents, and
+correctly rounded float views.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Polynomial", "Exact", "exact_gcd", "exact_primitive", "exact_quotient", "rounded"]
+__all__ = ["Polynomial", "Exact", "exact_gcd", "exact_primitive", "exact_quotient", "exact_exponent", "rounded"]
 
 
 class Polynomial:
@@ -107,41 +108,27 @@ class Polynomial:
         """The primitive that vanishes at 0."""
         return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
 
-    def expansion_at(self, point: complex, eps_res: float, terms: int) -> tuple[int, tuple[complex, ...]]:
-        """Order of ``point`` as a root, and the Taylor coefficients beyond it.
+    def expansion_at(self, point: complex, drop: int, terms: int) -> tuple[complex, ...]:
+        """Taylor coefficients of p / (z - point)^drop at ``point``, for a root of order ``drop``.
 
-        Returns ``(m, (t_0, ..., t_{terms-1}))`` with
-        p(z) = (z - point)^m * sum_k t_k (z - point)^k.  Repeated synthetic
+        Returns ``(t_0, ..., t_{terms-1})`` with
+        p(z) = (z - point)^drop * sum_k t_k (z - point)^k.  Repeated synthetic
         division by (z - point) leaves the Taylor coefficients at the point
-        as its remainders, lowest first.  A remainder counts towards m while
-        it stays below ``eps_res`` times the evaluation scale
-        sum(|c_k| |point|^k) of the quotient it came from: a relative
-        coefficient perturbation of size eps_res moves the value by about
-        that much.  Taking the max with the plain coefficient scale keeps
-        the test meaningful at the origin, where the evaluation scale
-        collapses to |c_0| and would otherwise certify nothing.
+        as its remainders, lowest first; the first ``drop`` of them vanish at
+        a root of that order and are dropped.  The order is the caller's: it
+        is read off exact factors, never off the size of a remainder.
         """
         if self.is_zero:
             raise ValueError("the zero polynomial has no order at a point")
         q = list(self._c)
-        r = abs(point)
-        m = 0
-        while len(q) >= 2:
-            scale = 0.0
-            rk = 1.0
-            for c in q:
-                scale += abs(c) * rk
-                rk *= r
-            quotient, rem = _synthetic_division(q, point)
-            if abs(rem) > eps_res * max(scale, max(abs(c) for c in q), 1e-300):
-                break
-            m += 1
-            q = quotient
+        for _ in range(drop):
+            q, _rem = _synthetic_division(q, point)
         taylor = []
         for _ in range(terms):
             q, rem = _synthetic_division(q, point)
             taylor.append(rem)
-        return m, tuple(taylor)
+        return tuple(taylor)
+
 
 def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[complex], complex]:
     """(quotient, remainder) of coefficients, lowest first, by (z - point)."""
@@ -365,3 +352,18 @@ def exact_quotient(a: Exact, b: Exact) -> Exact:
     if len(q) != max(len(a) - n, 0) or any(x or y for x, y in r):
         raise ArithmeticError(f"a degree-{n} polynomial does not divide a degree-{len(a) - 1} one over Q(i)")
     return tuple(reversed(q))
+
+
+def exact_exponent(a: Exact, b: Exact) -> int:
+    """The largest k with b^k dividing a, for a primitive non-constant b and
+    a nonzero a: the order of a at each root of a square-free b, when b's
+    roots are alike in a (as the pieces of a gcd-free basis are)."""
+    if not a:
+        raise ValueError("the zero polynomial has every order")
+    k = 0
+    try:
+        while True:
+            a = exact_quotient(a, b)
+            k += 1
+    except ArithmeticError:
+        return k

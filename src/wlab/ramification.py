@@ -13,7 +13,11 @@ non-puncture preimages.  The candidate set is therefore the critical values
 one table per map (``fiber_table``): each root c of the Wronskian N'D - ND'
 with local degree 1 + ord_c, infinity with its local degree when it is
 critical, and the punctures.  Over any value, deg f minus the local degrees
-of the table points counts the simple preimages outside the table.
+of the table points counts the simple preimages outside the table.  The
+Wronskian's roots come from three exact factors of it, each with its value:
+the multiple zeros (0), the multiple poles (infinity) and the rest, whose
+values are finite and nonzero; the puncture images are exact values,
+rounded once.
 
 The table is the one route to a fiber, and it has two readers:
 ``ramification_report`` reads the fibers over its candidates, and
@@ -30,7 +34,8 @@ from fractions import Fraction
 
 from .exprparse import as_sphere_point
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
-from .roots import roots_with_multiplicity
+from .poly import exact_quotient
+from .roots import multiple_part, roots_with_multiplicity
 from .tolerances import Tolerances
 
 __all__ = [
@@ -155,19 +160,36 @@ class FiberTable:
 
 
 def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -> FiberTable:
-    """The fiber table of a non-constant map: one root-finding, of its Wronskian."""
+    """The fiber table of a non-constant map f = a / b, from the Wronskian
+    W = a'b - ab' and three exact factors of it.
+
+    A zero of f of multiplicity m is a root of W of multiplicity m - 1, as
+    it is of gcd(a, a'), and likewise a pole, of gcd(b, b'); so these two
+    give the multiple zeros (value 0) and poles (value infinity), and
+    W1 = W / (gcd(a, a') gcd(b, b')) the critical points with finite
+    nonzero values, which are read off the float views.  For a map whose
+    a and b are square-free, W1 is W.
+    """
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
+    a, b = f.pair
     w = f.derivative_numerator()
+    zeros, poles = multiple_part(a), multiple_part(b)
+    sources = ((zeros, SpherePoint(0j)), (poles, INF), (exact_quotient(exact_quotient(w, zeros), poles), None))
+    critical = sorted(
+        ((c, 1 + m, value) for p, value in sources if len(p) >= 2 for c, m in roots_with_multiplicity(p, tol)),
+        key=lambda cmv: (cmv[0].real, cmv[0].imag),
+    )
     e_inf = f.local_degree_at_infinity()
-    critical = [(SpherePoint(c), 1 + m) for c, m in roots_with_multiplicity(w, tol)] if len(w) >= 2 else []
-    if e_inf >= 2:
-        critical.append((INF, e_inf))
     entries: list[tuple[Preimage, SpherePoint]] = []
-    for point, e in critical:
+    for c, e, value in critical:
+        point = SpherePoint(c)
         puncture = next((p for p in pts if point.close_to(p, tol.eps_pt)), None)
-        entries.append((Preimage(puncture or point, e, puncture is not None), f.value_at_sphere(point, tol)))
-    images = [f.value_at_sphere(p, tol) for p in pts]
+        value = value or SpherePoint(f.num(point.value) / f.den(point.value))
+        entries.append((Preimage(puncture or point, e, puncture is not None), value))
+    if e_inf >= 2:
+        entries.append((Preimage(INF, e_inf, INF in pts), f.value_at_sphere(INF)))
+    images = [f.value_at_sphere(p) for p in pts]
     candidates = sorted(distinct_points([v for _, v in entries] + images, tol.eps_pt), key=SpherePoint.sort_key)
     claimed = {pre.point for pre, _ in entries}
     entries += [(Preimage(p, 1, True), v) for p, v in zip(pts, images) if p not in claimed]

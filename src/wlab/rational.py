@@ -2,18 +2,20 @@
 
 A RationalFunction is a quotient of two polynomials over Q(i), kept exactly
 in reduced form with a monic denominator, and read through correctly rounded
-float views of numerator and denominator. Orders, principal parts
-and residues are computed for the function and for the differential f dz.
-Each local number is read off Laurent expansions, not off a new
-RationalFunction: at a finite point from the Taylor coefficients of numerator
-and denominator (``Polynomial.expansion_at``), at infinity from the degrees
-and the coefficient-reversed numerator and denominator.
+float views of numerator and denominator. Orders, values, principal parts
+and residues are computed for the function and for the differential f dz,
+with no tolerance: an order is an integer read off the exact pair, at
+infinity from the degrees and at a finite point from the exponent of the
+point's exact linear factor, and a value at a point is evaluated over Q(i)
+and rounded once.  Laurent coefficients come from the Taylor coefficients of
+the float views at a pole of known order (``Polynomial.expansion_at``), at
+infinity from the coefficient-reversed numerator and denominator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -26,14 +28,16 @@ from wlab.poly import (
     exact_cofactors,
     exact_cancelled,
     exact_derivative,
+    exact_exponent,
     exact_gcd,
     exact_mul,
     exact_pow,
+    exact_primitive,
     exact_reversed,
     pseudo_divmod,
     rounded,
 )
-from wlab.tolerances import Tolerances, format_float
+from wlab.tolerances import format_float
 
 __all__ = ["SpherePoint", "INF", "distinct_points", "RationalFunction"]
 
@@ -44,9 +48,15 @@ class SpherePoint:
     ``value is None`` encodes the point at infinity. Equality of the
     dataclass is exact; use :meth:`close_to` for tolerance identity (finite
     points compare within eps_pt, infinity only equals infinity).
+
+    ``exact`` is the exact value of a parsed literal such as 1/3, as (P, Q):
+    the Gaussian integer P = (re, im) over the integer Q > 0, of which
+    ``value`` is the correctly rounded view.  Equality and hashing go by
+    ``value`` alone.
     """
 
     value: complex | None = None
+    exact: tuple[tuple[int, int], int] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.value is not None:
@@ -69,6 +79,21 @@ class SpherePoint:
         if x is None:
             return INF
         return SpherePoint(complex(x))
+
+    @property
+    def exact_value(self) -> tuple[tuple[int, int], int]:
+        """(P, Q) for a finite point P / Q: ``exact`` where the parser kept
+        it, else ``value`` read at its binary value."""
+        if self.exact is not None:
+            return self.exact
+        p, q = exact_coeffs((self.value,))
+        return (p[0] if p else (0, 0)), q
+
+    @property
+    def linear_factor(self) -> Exact:
+        """The primitive Q z - P over Z[i] whose one root is this finite point."""
+        (x, y), q = self.exact_value
+        return exact_primitive(((-x, -y), (q, 0)))
 
     def close_to(self, other: "SpherePoint", eps_pt: float) -> bool:
         if self.is_infinity or other.is_infinity:
@@ -116,6 +141,16 @@ def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
 def _combination(a: Exact, d: Exact, c: Exact, b: Exact, sign: int) -> Exact:
     """a d + sign c b over Z[i]."""
     return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),))))
+
+
+def _homogeneous_value(a: Exact, x: int, y: int, q: int) -> tuple[int, int]:
+    """sum a_k P^k q^(n-k) over Z[i], P = x + iy and n = len(a) - 1: q^n a(P / q)."""
+    u = v = 0
+    qk = 1
+    for c, d in reversed(a):
+        u, v = u * x - v * y + c * qk, u * y + v * x + d * qk
+        qk *= q
+    return u, v
 
 
 def _series_quotient(a, b, terms: int) -> list[complex]:
@@ -368,29 +403,34 @@ class RationalFunction:
 
     # -- orders, values, residues ----------------------------------------------
 
-    def order_at(self, point, tol: Tolerances | None = None) -> int:
-        """Order of vanishing at a sphere point (negative at a pole)."""
-        tol = tol or Tolerances()
+    def order_at(self, point) -> int:
+        """Order of vanishing at a sphere point (negative at a pole), exactly:
+        at infinity from the degrees, at a finite point from the exponents of
+        its linear factor in the exact pair."""
         if self.is_zero:
             raise ValueError("order of the zero function is undefined")
         p = SpherePoint.of(point)
         if p.is_infinity:
             return self._den.degree - self._num.degree
-        m_num, _ = self._num.expansion_at(p.value, tol.eps_res, 0)
-        m_den, _ = self._den.expansion_at(p.value, tol.eps_res, 0)
-        return m_num - m_den
+        a, b = self._pair
+        return exact_exponent(a, p.linear_factor) - exact_exponent(b, p.linear_factor)
 
-    def form_order_at(self, point, tol: Tolerances | None = None) -> int:
+    def form_order_at(self, point) -> int:
         """Order of the differential f dz at a sphere point.
 
         At finite points this is order_at; at infinity dz = -dw/w^2 in
         w = 1/z contributes a double pole.
         """
         p = SpherePoint.of(point)
-        return self.order_at(p, tol) - (2 if p.is_infinity else 0)
+        return self.order_at(p) - (2 if p.is_infinity else 0)
 
-    def value_at_sphere(self, point, tol: Tolerances | None = None) -> SpherePoint:
-        """Value of the map at a sphere point, as a sphere point."""
+    def value_at_sphere(self, point) -> SpherePoint:
+        """Value of the map at a sphere point, as a sphere point.
+
+        At a finite point P / Q the exact pair is evaluated over Z[i] as
+        sum a_k P^k Q^(n-k), numerator and denominator alike, so the value
+        is rounded once; infinity where the denominator vanishes.
+        """
         p = SpherePoint.of(point)
         if self.is_zero:
             return SpherePoint(0j)
@@ -401,14 +441,18 @@ class RationalFunction:
             if dn < dd:
                 return SpherePoint(0j)
             return SpherePoint(self._num.leading / self._den.leading)
-        o = self.order_at(p, tol)
-        if o < 0:
+        (x, y), q = p.exact_value
+        a, b = self._pair
+        n = max(len(a), len(b))
+        (u, v), (s, t) = (_homogeneous_value(c + ((0, 0),) * (n - len(c)), x, y, q) for c in (a, b))
+        if not (s or t):
             return INF
-        if o > 0:
+        if not (u or v):
             return SpherePoint(0j)
-        return SpherePoint(self._num(p.value) / self._den(p.value))
+        norm = s * s + t * t  # (u + iv) / (s + it) = (u + iv)(s - it) / norm
+        return SpherePoint(complex((u * s + v * t) / norm, (v * s - u * t) / norm))
 
-    def residue_at(self, point, tol: Tolerances | None = None) -> complex:
+    def residue_at(self, point) -> complex:
         """Residue of the differential f dz at a sphere point.
 
         At a pole of order m, f = t^-m A(t)/B(t) in t = z - p, with A and B
@@ -421,36 +465,29 @@ class RationalFunction:
             return 0j
         p = SpherePoint.of(point)
         if p.is_infinity:
-            terms = 2 - self.order_at(p, tol)
+            terms = 2 - self.order_at(p)
             r = _series_quotient(self._num.coeffs[::-1], self._den.coeffs[::-1], terms)
             return -r[-1] if r else 0j
-        principal = self.principal_part_at(p.value, tol)
+        principal = self.principal_part_at(p.value, -self.order_at(p))
         return principal[-1] if principal else 0j
 
-    def principal_part_at(
-        self, point: complex, tol: Tolerances | None = None
-    ) -> tuple[complex, ...]:
+    def principal_part_at(self, point: complex, order: int) -> tuple[complex, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
-        Empty where f is regular.  As in ``residue_at``: the leading m
-        coefficients of A/B, the Taylor series of N and D with their zeros
-        at the point divided out.
+        ``order`` is m, the exact pole order there, which the caller reads off
+        exact factors; empty where m <= 0.  As in ``residue_at``: the leading
+        m coefficients of A/B, the Taylor series of N and D with D's zero of
+        order m at the point divided out (N has none: the pair is coprime).
         """
-        tol = tol or Tolerances()
-        if self.is_zero:
+        if self.is_zero or order <= 0:
             return ()
-        m = -self.order_at(point, tol)
-        if m <= 0:
-            return ()
-        _, a = self._num.expansion_at(point, tol.eps_res, m)
-        _, b = self._den.expansion_at(point, tol.eps_res, m)
-        return tuple(_series_quotient(a, b, m))
+        a = self._num.expansion_at(point, 0, order)
+        b = self._den.expansion_at(point, order, order)
+        return tuple(_series_quotient(a, b, order))
 
-    def pole_order_at(self, point, tol: Tolerances | None = None) -> int:
+    def pole_order_at(self, point) -> int:
         """max(0, -order_at): the pole order, zero when regular.
 
         Defined for every rational function; the zero function has no poles.
         """
-        if self.is_zero:
-            return 0
-        return max(0, -self.order_at(point, tol))
+        return 0 if self.is_zero else max(0, -self.order_at(point))

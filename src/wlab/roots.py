@@ -31,6 +31,8 @@ from wlab.tolerances import Tolerances
 
 __all__ = [
     "roots_with_multiplicity",
+    "multiple_part",
+    "gcd_free_basis",
     "RootCrossCheckError",
     "IllConditionedRootsError",
 ]
@@ -216,6 +218,16 @@ def _certified_square_free(p: Exact) -> bool:
         a, b = b, a
 
 
+def multiple_part(p: Exact) -> Exact:
+    """gcd(p, p') made primitive, the first link of Yun's chain: it holds each
+    root of p of multiplicity m >= 2 with multiplicity m - 1, and is 1 when
+    the certificate finds p square-free.  Nonzero p."""
+    if len(p) < 2 or _certified_square_free(p):
+        return ((1, 0),)
+    p = exact_primitive(p)
+    return exact_primitive(exact_gcd(p, exact_derivative(p)))
+
+
 def _yun_factors(p: Exact) -> list[Exact]:
     """Yun factors f_1, f_2, ...: f_m holds exactly the roots of p of multiplicity m.
 
@@ -227,9 +239,9 @@ def _yun_factors(p: Exact) -> list[Exact]:
     coefficients stay as small as the factors themselves.  Each f_m may be
     constant; sum(m * deg f_m) = deg p.
     """
-    if _certified_square_free(p):
+    if len(c1 := multiple_part(p)) < 2:
         return [p]
-    chain = [exact_primitive(p)]
+    chain = [exact_primitive(p), c1]
     while len(g := exact_primitive(exact_gcd(chain[-1], exact_derivative(chain[-1])))) >= 2:
         chain.append(g)
 
@@ -237,6 +249,39 @@ def _yun_factors(p: Exact) -> list[Exact]:
         return [exact_quotient(a, b) for a, b in zip(seq, seq[1:])] + seq[-1:]
 
     return quotients(quotients(chain))
+
+
+def gcd_free_basis(polys) -> list[Exact]:
+    """Pairwise coprime, square-free, primitive pieces that factor every input:
+    each nonzero input is a constant times a product of powers of them, and
+    the roots of one piece have one multiplicity in each input, so an order
+    read at one root of a piece holds at all of them.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
+    over the inputs' Yun factors: each factor f enters in turn, and where it
+    shares a factor g with a piece y, y is split into g and y / g and f goes
+    on as f / g, which is prime to both, as f and y are square-free.  A
+    piece never moves: a linear input that enters first stays where it
+    entered, one piece of its own.
+    """
+    basis: list[Exact] = []
+    for p in polys:
+        for f in _yun_factors(p):
+            if len(f) < 2:
+                continue
+            f = exact_primitive(f)
+            for i in range(len(basis)):
+                g = exact_primitive(exact_gcd(f, basis[i]))
+                if len(g) >= 2:
+                    f = exact_quotient(f, g)
+                    if len(g) < len(basis[i]):
+                        basis.append(exact_quotient(basis[i], g))
+                        basis[i] = g
+                    if len(f) < 2:
+                        break
+            if len(f) >= 2:
+                basis.append(f)
+    return basis
 
 
 def _monic_view(p: Exact) -> Polynomial:

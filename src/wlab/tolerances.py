@@ -5,9 +5,10 @@ command gives them; ``--tolerance-scale`` scales them through
 :meth:`Tolerances.scaled`, and the default is ``Tolerances()``.  Nothing
 reads the environment, so a result depends only on its inputs and the
 tolerances passed in.  Root multiplicities are read off exact square-free
-factors over Q(i), and the canonical form of ``rational`` is exact: no
-tolerance decides either, nor the integer and rational quantities
-downstream of them.
+factors over Q(i), every pole and zero order is the exponent of an exact
+factor, and the canonical form of ``rational`` is exact: no tolerance
+decides any of them, nor the integer and rational quantities downstream of
+them.  ``eps_res`` bounds only the residual of a located root.
 """
 
 from __future__ import annotations

@@ -7,8 +7,9 @@ holomorphic forms ``phi_1 .. phi_4``, checks the three structural conditions
 classifies the behaviour of the metric at each puncture, and evaluates the
 metric pointwise.
 
-All order bookkeeping is exact integer arithmetic on top of the tolerance
-layer in :mod:`wlab.rational`; the only genuinely numeric step here is the
+Every order is an exact integer, read off the exact factors that
+``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees; the
+only genuinely numeric steps here are the conformality samples and the
 contour-quadrature cross-check of the residues.
 """
 
@@ -23,8 +24,7 @@ import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
 from .poly import Polynomial
-from .rational import INF, RationalFunction, SpherePoint, distinct_points
-from .roots import roots_with_multiplicity
+from .rational import INF, RationalFunction, SpherePoint
 from .tolerances import Tolerances
 
 if TYPE_CHECKING:
@@ -108,9 +108,6 @@ class WeierstrassData:
             raise ValueError("h must not be the zero function")
         if self.genus < 0:
             raise ValueError("genus must be a nonnegative integer")
-
-    def is_puncture(self, point: SpherePoint, eps_pt: float) -> bool:
-        return any(point.close_to(p, eps_pt) for p in self.punctures)
 
     def finite_punctures(self) -> list[complex]:
         return [p.value for p in self.punctures if not p.is_infinity]
@@ -264,12 +261,6 @@ class RegularityReport:
     checked_points: tuple[SpherePoint, ...]
 
 
-def _orders_at(d: WeierstrassData, point: SpherePoint, tol: Tolerances) -> tuple[int, int, int]:
-    """ord(h dz), poleord(g1) and poleord(g2) at one point: the triple that
-    both regularity (away from the punctures) and the ends (at them) read."""
-    return d.h.form_order_at(point, tol), d.g1.pole_order_at(point, tol), d.g2.pole_order_at(point, tol)
-
-
 def check_regularity(an: Analysis) -> RegularityReport:
     """Check that h dz vanishes exactly where the Gauss maps have poles.
 
@@ -278,19 +269,15 @@ def check_regularity(an: Analysis) -> RegularityReport:
     of the two pole orders.  Punctures are exempt.  Away from zeros and
     poles of h and poles of g1, g2 the metric is a positive finite multiple
     of |dz|^2, so only those points are inspected, and infinity, where dz
-    itself degenerates.  Only h's zeros are root-found here; they come
-    before ``an.singular_points``, and a point within eps_pt of an earlier
-    one is the same point.
+    itself degenerates.  They are the roots of the pieces of
+    ``an.located``, which holds no puncture's piece, with the orders there
+    read off the piece.
     """
-    d, tol = an.data, an.tol
-    zeros = [z0 for z0, _m in roots_with_multiplicity(d.h.pair[0], tol)] if d.h.num.degree >= 1 else []
-    candidates = distinct_points([INF, *map(SpherePoint, (*zeros, *an.singular_points))], tol.eps_pt)
+    candidates = [*an.located] if INF in an.data.punctures else [(INF, None), *an.located]
     violations, checked = [], []
-    for pt in sorted(candidates, key=SpherePoint.sort_key):
-        if d.is_puncture(pt, tol.eps_pt):
-            continue
+    for pt, piece in sorted(candidates, key=lambda c: c[0].sort_key()):
         checked.append(pt)
-        a, d1, d2 = _orders_at(d, pt, tol)
+        a, d1, d2 = an.orders(piece)
         if a != d1 + d2:
             violations.append(RegularityViolation(pt, a, d1, d2))
     return RegularityReport(ok=not violations, violations=tuple(violations), checked_points=tuple(checked))
@@ -327,12 +314,12 @@ def classify_ends(an: Analysis) -> EndClassification:
     m = ord(h dz) - poleord(g1) - poleord(g2).  A divergent path into the
     puncture has infinite length iff m <= -1.  m = 0 means the metric
     extends regularly (the puncture was unnecessary), and m >= 1 means the
-    immersion degenerates there.
+    immersion degenerates there.  The orders at a finite puncture are read
+    off its exact linear factor, at infinity off the degrees.
     """
-    d, tol = an.data, an.tol
     records = []
-    for p in d.punctures:
-        a, d1, d2 = _orders_at(d, p, tol)
+    for p in an.data.punctures:
+        a, d1, d2 = an.orders(None if p.is_infinity else p.linear_factor)
         m = a - d1 - d2
         if m <= -1:
             verdict = VERDICT_COMPLETE
@@ -420,7 +407,7 @@ def compute_periods(an: Analysis) -> PeriodReport:
     parts = an.principal_parts
     special = [*d.finite_punctures(), *parts]
 
-    at_inf = [f.residue_at(INF, tol) for f in forms]
+    at_inf = [f.residue_at(INF) for f in forms]
     finite_sums = [sum(row[k][-1] for row in parts.values() if row[k]) for k in range(4)]
 
     entries = []

@@ -6,7 +6,9 @@ runs, through the ``record_calls`` fixture of ``conftest.py``.
 
 from __future__ import annotations
 
+import functools
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,18 +39,20 @@ DERIVATIONS = (
     (weierstrass, "classify_ends"),
     (weierstrass, "compute_periods"),
 )
-# root-finding calls of one ``report``: h's numerator and each distinct
-# denominator of h, g1 and g2 that is not constant (the Gauss maps of the
-# fixtures have constant Wronskians)
+# root-finding calls of one ``report``: each piece of the data's gcd-free
+# basis that is not a puncture's linear factor (the Gauss maps of the
+# fixtures have constant Wronskians).  Every pole of these fixtures lies at
+# a puncture, whose exact value is its place, so only the zero of h at 0 in
+# ``irregular`` is root-found.
 REPORT_ROOT_CALLS = {
-    "example21": 1,
-    "example22": 1,
-    "example23": 1,
+    "example21": 0,
+    "example22": 0,
+    "example23": 0,
     "irregular": 1,
-    "unicity_five_a": 1,
-    "unicity_five_b": 2,
-    "unicity_six_a": 1,
-    "unicity_six_b": 2,
+    "unicity_five_a": 0,
+    "unicity_five_b": 0,
+    "unicity_six_a": 0,
+    "unicity_six_b": 0,
 }
 
 
@@ -76,8 +80,7 @@ def test_report_derives_each_invariant_once(record_calls, capsys, name):
     polys = [call[0] for call in located]
     assert len(polys) == len(set(polys)) == REPORT_ROOT_CALLS[name]
     d = _load_data(str(FIXTURES / f"{name}.json"))
-    allowed = {d.h.pair[0]} | {poly.exact_primitive(f.pair[1]) for f in (d.h, d.g1, d.g2)}
-    allowed |= {g.derivative_numerator() for g in (d.g1, d.g2) if not g.is_constant}
+    allowed = set(Analysis(d).pieces) | {g.derivative_numerator() for g in (d.g1, d.g2) if not g.is_constant}
     assert set(polys) <= allowed
     # a φ-form's own denominator is never root-found
     assert not set(polys) & {poly.exact_primitive(f.pair[1]) for f in phi_from_data(d).forms} - allowed
@@ -94,10 +97,11 @@ def test_equal_components_share_one_ramification_report(record_calls, capsys, na
 
 
 # root-finding calls of one ``unicity`` on a fixture pair: the two analyses'
-# own, and the cross numerator N_A D_B - N_B D_A once per distinct component
-# pair; the fibres are read off the Wronskian tables (constant here), so no
-# fibre polynomial is root-found
-UNICITY_ROOT_CALLS = {"five": 4, "six": 4}
+# own, none here, as every pole lies at a puncture and h has no zero; and
+# the cross numerator N_A D_B - N_B D_A once per distinct component pair,
+# whole, as z and 1/z share no zero and no pole; the fibres are read off the
+# Wronskian tables (constant here), so no fibre polynomial is root-found
+UNICITY_ROOT_CALLS = {"five": 1, "six": 1}
 
 
 @pytest.mark.parametrize("pair", sorted(UNICITY_ROOT_CALLS))
@@ -115,9 +119,13 @@ def test_unicity_locates_each_difference_numerator_once(record_calls, capsys, pa
 
 
 def test_a_pole_missing_from_the_table_is_a_typed_failure():
-    an = Analysis(_load_data(str(FIXTURES / "example21.json")))
-    # drop the pole at 3 from the located points
-    an.__dict__["singular_points"] = an.singular_points[:-1]
+    # example21 with the pole at 3 off the punctures: its piece z - 3 is the
+    # last of the basis, and the one that is root-found
+    data = _load_data(str(FIXTURES / "example21.json"))
+    an = Analysis(replace(data, punctures=data.punctures[:2] + data.punctures[3:]))
+    assert [len(piece) for piece in an.pieces] == [2, 2, 2]
+    # drop the piece of the pole at 3
+    an.__dict__["pieces"] = an.pieces[:-1]
     with pytest.raises(PoleTableError, match="total order 2, but its denominator has degree 3"):
         an.principal_parts
     assert issubclass(PoleTableError, ArithmeticError)
@@ -148,6 +156,11 @@ def test_ramify_derives_only_its_own_component(record_calls, capsys):
     assert len(ramified) == 1
 
 
+# the non-constant exact parts of each map's Wronskian W: gcd(N, N'),
+# gcd(D, D') and W over both
+WRONSKIAN_PARTS = {"z": 0, "1/z": 0, "z^2": 1, "z^2*(z-1)": 2, "(z^3-1)/(z^3+1)": 1, "(z^2+1)^3/(z^4-2)": 2}
+
+
 @pytest.mark.parametrize(
     "g, punctures",
     [
@@ -167,8 +180,15 @@ def test_ramify_locates_the_wronskian_once(record_calls, capsys, tmp_path, g, pu
     code = run(capsys, "ramify", str(path), "--component", "1")
 
     assert code == 0
+    # W is located in its exact parts: the multiple zeros, the multiple
+    # poles and the rest, each once, and W itself when N and D are square-free
     w = parse_expression(g).derivative_numerator()
-    assert [call[0] for call in located] == ([w] if len(w) >= 2 else [])
+    polys = [call[0] for call in located]
+    assert len(polys) == len(set(polys)) == WRONSKIAN_PARTS[g]
+    product = functools.reduce(poly.exact_mul, polys, ((1, 0),))
+    assert len(poly.exact_quotient(w, poly.exact_primitive(product))) == 1
+    if g == "(z^3-1)/(z^3+1)":
+        assert polys == [w]
 
 
 @pytest.mark.parametrize(
@@ -218,3 +238,35 @@ def test_building_a_data_set_takes_no_float_gcd(name):
     for g in (an.data.g1, an.data.g2):
         curvature._flip(g)
     assert not hasattr(poly, "approx_gcd")
+
+
+@pytest.mark.parametrize("power, mu", [(1, 1), (2, 2)])
+def test_a_pole_1e_12_from_a_non_dyadic_puncture_is_its_own_point(power, mu):
+    # the poles at 1/3 and at 1/3 + 1e-12 are roots of different exact
+    # factors: the end at 1/3 reads only its own pole order, and the other
+    # pole, off the punctures, is a regularity violation of its own
+    data = WeierstrassData(
+        h=parse_expression(f"1/((3*z-1)^{power}*(3*z-1-3e-12))"),
+        g1=parse_expression("z"),
+        g2=parse_expression("z"),
+        punctures=("1/3", "inf"),
+    )
+    an = Analysis(data)
+    assert [(str(rec.puncture), rec.mu) for rec in an.ends.records] == [("0.3333333333333333", mu), ("inf", 1 - mu)]
+    reg = an.regularity
+    assert not reg.ok
+    (violation,) = reg.violations
+    assert violation.point == reg.checked_points[0]
+    assert 0 < violation.point.value.real - 1 / 3 < 2e-12
+    assert (violation.form_order, violation.g1_pole_order, violation.g2_pole_order) == (-1, 0, 0)
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("name", REPORT_FIXTURES)
+def test_poles_at_punctures_are_not_root_found(record_calls, capsys, name, command):
+    # a puncture's piece of the basis has the puncture as its root
+    located = record_calls(roots, "roots_with_multiplicity")
+
+    run(capsys, command, str(FIXTURES / f"{name}.json"))
+
+    assert len(located) == REPORT_ROOT_CALLS[name]

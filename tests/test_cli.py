@@ -22,7 +22,8 @@ import pytest
 
 import wlab.cli
 import wlab.roots
-from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from wlab.analysis import Analysis
+from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, _load_data, main
 from wlab.tolerances import Tolerances
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -612,6 +613,19 @@ def test_punctures_apart_at_the_command_eps_pt_are_accepted(capsys, tmp_path):
     code, doc, err = run(capsys, "ramify", path)
     assert code == EXIT_USAGE and doc is None
     assert err == "error: punctures must be pairwise distinct: 0 ~ 1e-09\n"
+    # the orders are exponents of the punctures' exact linear factors: the
+    # double pole at 0 and the simple one at 1e-9 are not read as one triple
+    # pole, so no command meets a PoleTableError
+    an = Analysis(_load_data(path), Tolerances().scaled(1e-3))
+    assert [(str(rec.puncture), rec.mu) for rec in an.ends.records] == [("0", 2), ("1e-09", 1), ("inf", -1)]
+    assert len(an.principal_parts) == 2
+    for command in ("check", "bounds", "report"):
+        code, doc, err = run(capsys, command, path, "--tolerance-scale", "1e-3")
+        # the periods' global residue check fails typed: the residues of
+        # phi_1 at 0 and 1e-9, about -5e17 and 5e17 + 1/2, sum to 0 in
+        # doubles, not to the 1/2 that balances the exact -1/2 at infinity
+        assert code == EXIT_MATH and doc is None
+        assert err.startswith("failure: ResidueQuadratureError: residue cross-check failed at inf for phi_1"), err
 
 
 # -- spellings that the float canonical form read as other maps ---------------------

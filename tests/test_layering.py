@@ -70,3 +70,10 @@ def test_every_definition_is_reached_from_the_package():
 
 def test_rational_does_not_load_roots():
     assert not loads("wlab.rational", "wlab.roots")
+
+
+def test_eps_res_bounds_root_residuals_only():
+    # every order is read off exact factors; the residual bound of located
+    # roots is the one step eps_res still guards
+    named = sorted(path.name for path in SRC.rglob("*.py") if "eps_res" in path.read_text(encoding="utf-8"))
+    assert named == ["roots.py", "tolerances.py"]

@@ -15,6 +15,7 @@ from wlab.poly import (
     exact_coeffs,
     exact_cofactors,
     exact_derivative,
+    exact_exponent,
     exact_gcd,
     exact_mul,
     exact_primitive,
@@ -86,8 +87,7 @@ def test_deflate_remainder_is_value():
     # the Taylor coefficients at 2 are the remainders of repeated division
     # by (z - 2): the first is the value, the rest make up the quotient
     p = Polynomial([2, -3, 0, 1])
-    m, taylor = p.expansion_at(2.0, 1e-9, 4)
-    assert m == 0
+    taylor = p.expansion_at(2.0, 0, 4)
     rem = taylor[0]
     assert rem == pytest.approx(p(2.0))
     q = Polynomial()
@@ -97,20 +97,22 @@ def test_deflate_remainder_is_value():
 
 
 def test_multiplicity_at():
-    # (z-1)^2 (z+2)
-    p = from_roots([1, 1, -2])
-    assert p.expansion_at(1.0, 1e-9, 0)[0] == 2
-    assert p.expansion_at(-2.0, 1e-9, 0)[0] == 1
-    assert p.expansion_at(3.0, 1e-9, 0)[0] == 0
+    # (z-1)^2 (z+2): the order at a point is the exponent of its exact linear factor
+    p = RationalFunction(from_roots([1, 1, -2]))
+    assert p.order_at(1.0) == 2
+    assert p.order_at(-2.0) == 1
+    assert p.order_at(3.0) == 0
 
 
 def test_expansion_divides_out_the_root():
     # (z-1)^2 (z+2) = (z-1)^2 (3 + (z-1)): Taylor coefficients 3, 1, 0
-    m, taylor = from_roots([1, 1, -2]).expansion_at(1.0, 1e-9, 3)
+    p = from_roots([1, 1, -2])
+    m = RationalFunction(p).order_at(1.0)
     assert m == 2
+    taylor = p.expansion_at(1.0, m, 3)
     assert taylor == pytest.approx((3, 1, 0))
     with pytest.raises(ValueError):
-        Polynomial().expansion_at(0.0, 1e-9, 1)
+        Polynomial().expansion_at(0.0, 0, 1)
 
 
 def test_from_roots_expansion():
@@ -305,3 +307,14 @@ def test_exact_coefficients_and_their_correctly_rounded_view():
         rounded(((10**400, 0),), 1)
     with pytest.raises(OverflowError, match="beyond the range of a double"):
         exact_coeffs([float("nan")])
+
+
+def test_exact_exponent_counts_each_power_of_a_primitive_factor():
+    line = exact_primitive(((-1, 0), (3, 0)))  # 3z - 1
+    near = ((-1 * 10**12 - 3, 0), (3 * 10**12, 0))  # 3z - 1 - 3e-12, over 10^12
+    p = exact_mul(exact_mul(line, line), near)
+    assert exact_exponent(p, line) == 2
+    assert exact_exponent(p, exact_primitive(near)) == 1
+    assert exact_exponent(p, ((0, 0), (1, 0))) == 0
+    with pytest.raises(ValueError):
+        exact_exponent((), line)

@@ -338,7 +338,7 @@ def assert_fibers_match_counting(f, punctures):
             counted.pop(hit[0])
     w = f.derivative_numerator()
     critical = [c for c, _m in roots_with_multiplicity(w, tol)] if len(w) >= 2 else []
-    candidates = [f.value_at_sphere(p, tol) for p in (*critical, INF, *punctures)]
+    candidates = [f.value_at_sphere(p) for p in (*critical, INF, *punctures)]
     for value in candidates:
         if not any(value.close_to(rv.value, tol.eps_pt) for rv in reported):
             fiber = counted_fiber(f, value, punctures, tol)

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import from_roots
-from wlab.exprparse import parse_expression
+from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import Polynomial, exact_add, exact_cofactors, exact_mul
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.roots import roots_with_multiplicity
@@ -193,7 +194,8 @@ def test_global_residue_sum_random():
         k = int(rng.integers(1, 5))
         den_roots = rng.normal(size=k) + 1j * rng.normal(size=k)
         f = RationalFunction(num, from_roots(den_roots))
-        finite = sum(f.residue_at(r) for r, _ in roots_with_multiplicity(f.pair[1]))
+        # f is reduced, so each root's multiplicity in the denominator is its pole order
+        finite = sum(f.principal_part_at(r, m)[-1] for r, m in roots_with_multiplicity(f.pair[1]))
         total = finite + f.residue_at(INF)
         scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
         assert abs(total) <= 1e-10 * scale
@@ -273,3 +275,28 @@ def test_sort_key_orders_by_printed_re_then_im(im):
     ordered = sorted(pair, key=SpherePoint.sort_key)
     assert [p.value.imag for p in ordered] == [-0.8982697572, 0.8982697572]
     assert sorted([INF, *pair], key=SpherePoint.sort_key)[-1] == INF
+
+
+def test_a_parsed_point_keeps_its_exact_value_out_of_equality():
+    third = parse_sphere_point("1/3")
+    assert third.exact == ((1, 0), 3)
+    assert third == SpherePoint(1 / 3) and hash(third) == hash(SpherePoint(1 / 3))
+    # a float is read at its binary value, which is not 1/3
+    assert SpherePoint(1 / 3).exact is None
+    assert SpherePoint(1 / 3).exact_value == (((1 / 3).as_integer_ratio()[0], 0), (1 / 3).as_integer_ratio()[1])
+    assert parse_sphere_point("(1+i)/2").linear_factor == ((1, 0), (-1, 1))
+
+
+def test_orders_and_values_at_a_non_dyadic_point_are_exact():
+    # 3z - 1 - 3e-12 has its root 1e-12 from 1/3: the float views cannot tell
+    # the two apart, the exact pair can
+    third = parse_sphere_point("1/3")
+    f = parse_expression("1/((3*z-1)*(3*z-1-3e-12))")
+    assert f.order_at(third) == -1
+    assert (f * parse_expression("1/(3*z-1)")).order_at(third) == -2
+    assert f.value_at_sphere(third) == INF
+    g = parse_expression("(z-1)/(z+1)")
+    assert g.value_at_sphere(third) == SpherePoint(-0.5)
+    # (1/9 + 1/3 + 1) / (1/3 - 5) = -13/42, rounded once
+    assert parse_expression("(z^2+z+1)/(z-5)").value_at_sphere(third).value == complex(Fraction(-13, 42))
+    assert (g - parse_expression("-1/2")).value_at_sphere(third) == SpherePoint(0j)

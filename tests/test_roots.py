@@ -8,7 +8,7 @@ import pytest
 from conftest import exact, from_roots
 from wlab import roots
 from wlab.exprparse import parse_expression
-from wlab.poly import Exact, Polynomial, exact_mul, exact_pow, exact_primitive
+from wlab.poly import Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
 from wlab.rational import SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
@@ -298,3 +298,50 @@ def test_wronskian_roots_of_a_tiny_imaginary_term_match_mpmath():
     assert max(abs(r.imag) for r, _m in got) > 1e8
     for r, _m in got:
         assert min(abs(r - x) / abs(x) for x in exact_roots) < 1e-12
+
+
+def test_gcd_free_basis_factors_every_input_with_one_order_per_piece():
+    # random products of Gaussian-integer linear factors: the pieces are
+    # pairwise coprime and square-free, each input is a constant times a
+    # product of their powers, and each root of a piece has the piece's
+    # exponent as its multiplicity in every input
+    rng = random.Random("gcd-free-basis")
+    grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    for _ in range(40):
+        inputs = []
+        for _k in range(rng.randint(1, 4)):
+            chosen = rng.sample(grid, rng.randint(1, 4))
+            inputs.append([r for r in chosen for _ in range(rng.randint(1, 3))])
+        basis = roots.gcd_free_basis([exact(from_roots(rs)) for rs in inputs])
+        located = [[r for r, _m in roots_with_multiplicity(piece)] for piece in basis]
+        for i, piece in enumerate(basis):
+            assert exact_primitive(piece) == piece
+            assert all(m == 1 for _r, m in roots_with_multiplicity(piece))
+            for other in basis[i + 1 :]:
+                assert len(exact_gcd(piece, other)) == 1
+        for rs in inputs:
+            p = exact(from_roots(rs))
+            orders = [exact_exponent(p, piece) for piece in basis]
+            assert sum(e * (len(piece) - 1) for e, piece in zip(orders, basis)) == len(p) - 1
+            for e, points in zip(orders, located):
+                for r in points:
+                    assert e == sum(1 for x in rs if abs(x - r) < 1e-9)
+
+
+def test_a_linear_input_that_enters_first_stays_its_own_piece():
+    # (3z - 1)^2 z (z - 2)(z - 5i), exact: the puncture-like lines 3z - 1 and
+    # z keep their places, and the rest is one piece, after them
+    lines = [exact_primitive(((-1, 0), (3, 0))), ((0, 0), (1, 0))]
+    rest = exact_mul(((-2, 0), (1, 0)), ((0, -5), (1, 0)))
+    other = exact_mul(exact_mul(exact_pow(lines[0], 2), lines[1]), rest)
+    basis = roots.gcd_free_basis([*lines, other, other])
+    assert basis[:2] == lines
+    assert len(basis) == 3 and len(exact_gcd(basis[2], rest)) == 3
+    assert [exact_exponent(other, piece) for piece in basis] == [2, 1, 1]
+
+
+def test_multiple_part_holds_each_multiple_root_once_less():
+    p = exact(from_roots([1, 1, 1, -2, -2, 1j]))
+    got = by_value(roots_with_multiplicity(roots.multiple_part(p)))
+    assert got == {(1 + 0j): 2, (-2 + 0j): 1}
+    assert roots.multiple_part(exact(from_roots([1, 2, 3]))) == ((1, 0),)
