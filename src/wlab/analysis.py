@@ -13,14 +13,17 @@ evaluation would meet.
 Every order of vanishing is an integer read off exact factors.  One
 gcd-free basis over Z[i] (``pieces``) factors h's numerator, the
 denominators of h, g1, g2 and the four φ-forms, and the linear factor of
-each finite puncture: at a root of a piece, the order of each of these is
-the piece's exponent in it (``orders``), and at infinity it comes from the
-degrees.  A puncture's piece has the puncture as its root, so it is never
-root-found; every other piece is root-found once (``located``).  Every pole
-of a φ-form is a pole of h, g1 or g2, and the forms' principal parts are
-read at those points (``principal_parts``): regularity, the ends, the
-periods and the mesh primitive all read these orders and that one table.
-Equal Gauss components share one ramification report.
+each finite puncture, so each piece's roots have one order in each of
+these.  A puncture's piece has the puncture as its root, so it is never
+root-found; every other piece is root-found at most once, when a step first
+needs its roots (``located``), and each root carries its piece as its
+``SpherePoint.factor``: the ``RationalFunction`` order methods read the
+orders there, at a puncture off its linear factor, and at infinity off the
+degrees.  Every pole of a φ-form is a pole of h, g1 or g2, and the forms'
+principal parts are read at those points (``principal_parts``):
+regularity, the ends, the periods and the mesh primitive all read these
+orders and that one table.  Equal Gauss components share one ramification
+report.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.  It is the library's one entry to the
@@ -37,7 +40,7 @@ from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
 from .poly import Exact, exact_exponent
 from .ramification import RamificationReport, ramification_report
-from .rational import INF, SpherePoint
+from .rational import SpherePoint
 from .roots import gcd_free_basis, roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
@@ -75,6 +78,7 @@ class Analysis:
     data: WeierstrassData
     tol: Tolerances = field(default_factory=Tolerances)
     _ramification: dict = field(default_factory=dict, init=False, repr=False)
+    _roots: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         pts = self.data.punctures
@@ -98,50 +102,44 @@ class Analysis:
         numerator and the denominators of h, g1, g2 and the φ-forms; each
         linear factor stays a piece of its own."""
         d = self.data
-        punctures = [p.linear_factor for p in d.punctures if not p.is_infinity]
+        punctures = [p.factor for p in d.punctures if not p.is_infinity]
         dens = [f.pair[1] for f in (d.h, d.g1, d.g2, *self.phi.forms)]
         return tuple(gcd_free_basis([*punctures, d.h.pair[0], *dens]))
 
-    def orders(self, piece: Exact | None) -> tuple[int, int, int]:
-        """ord(h dz), poleord(g1) and poleord(g2) at each root of a piece, or
-        at infinity for None: the triple that both regularity (away from the
-        punctures) and the ends (at them) read."""
-        d = self.data
-        if piece is None:
-            return d.h.form_order_at(INF), d.g1.pole_order_at(INF), d.g2.pole_order_at(INF)
-        (a, b), e = d.h.pair, exact_exponent
-        return e(a, piece) - e(b, piece), e(d.g1.pair[1], piece), e(d.g2.pair[1], piece)
+    def _located(self, pieces) -> tuple[SpherePoint, ...]:
+        """The roots of those pieces that are not a puncture's, each carrying
+        its piece; each piece is root-found once per analysis."""
+        punctures = {p.factor for p in self.data.punctures}
+        for piece in pieces:
+            if piece not in self._roots and piece not in punctures:
+                self._roots[piece] = [SpherePoint(r, piece) for r, _m in roots_with_multiplicity(piece, self.tol)]
+        return tuple(p for piece in pieces for p in self._roots.get(piece, ()))
 
     @cached_property
-    def located(self) -> tuple[tuple[SpherePoint, Exact], ...]:
-        """Each root of a piece that is not a puncture's, with its piece:
-        each such piece is root-found once, from its exact polynomial."""
-        punctures = {p.linear_factor for p in self.data.punctures if not p.is_infinity}
-        return tuple(
-            (SpherePoint(r), piece)
-            for piece in self.pieces
-            if piece not in punctures
-            for r, _m in roots_with_multiplicity(piece, self.tol)
-        )
+    def located(self) -> tuple[SpherePoint, ...]:
+        """The roots of every piece that is not a puncture's: the zeros and
+        poles of h and the poles of g1 and g2 off the punctures."""
+        return self._located(self.pieces)
 
     @cached_property
-    def _singular(self) -> tuple[tuple[complex, Exact], ...]:
-        """(point, piece) for the finite punctures, then for the other roots
-        of h's, g1's and g2's denominators, each sorted by (re, im)."""
+    def _singular(self) -> tuple[SpherePoint, ...]:
+        """The finite punctures, then the other roots of h's, g1's and g2's
+        denominators, each sorted by (re, im); only their pieces are
+        root-found."""
         d = self.data
-        out = [(p.value, p.linear_factor) for p in d.punctures if not p.is_infinity]
-        seen = {piece for _p, piece in out}
+        out = [p for p in d.punctures if not p.is_infinity]
+        seen = {p.factor for p in out}
         for f in (d.h, d.g1, d.g2):
             b = f.pair[1]
-            new = [(p.value, piece) for p, piece in self.located if piece not in seen and exact_exponent(b, piece)]
-            out += sorted(new, key=lambda pp: (pp[0].real, pp[0].imag))
-            seen.update(piece for _p, piece in new)
+            new = [piece for piece in self.pieces if piece not in seen and exact_exponent(b, piece)]
+            out += sorted(self._located(new), key=lambda p: (p.value.real, p.value.imag))
+            seen.update(new)
         return tuple(out)
 
     @cached_property
     def singular_points(self) -> tuple[complex, ...]:
         """The finite punctures, then every other finite pole of h, g1 and g2."""
-        return tuple(p for p, _piece in self._singular)
+        return tuple(p.value for p in self._singular)
 
     @cached_property
     def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:
@@ -154,10 +152,10 @@ class Analysis:
         """
         forms = self.phi.forms
         table = {}
-        for p, piece in self._singular:
-            laurent = tuple(f.principal_part_at(p, exact_exponent(f.pair[1], piece)) for f in forms)
+        for p in self._singular:
+            laurent = tuple(f.principal_part_at(p) for f in forms)
             if any(laurent):
-                table[p] = laurent
+                table[p.value] = laurent
         for k, f in enumerate(forms):
             total = sum(len(laurent[k]) for laurent in table.values())
             if total != f.den.degree:

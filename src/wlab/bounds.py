@@ -56,10 +56,10 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exprparse import as_sphere_point
-from .poly import Exact, exact_gcd, exact_primitive, exact_quotient
-from .ramification import fiber_table
+from .poly import Exact, exact_quotient
+from .ramification import fiber_table, roots_and_values
 from .rational import INF, RationalFunction, SpherePoint, distinct_points
-from .roots import roots_with_multiplicity
+from .roots import common_part
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE
 
@@ -494,8 +494,9 @@ def shared_values(
     fiber is root-found.  The common points, where gA = gB, are the distinct
     roots of the cross numerator N_A D_B - N_B D_A and infinity when
     gA(inf) = gB(inf), punctures dropped; its roots are located in three
-    exact parts: the common poles, gcd(b_A, b_B), the common zeros,
-    gcd(a_A, a_B), and the rest, where both values are finite and nonzero.  The common
+    exact parts (``roots_and_values``): the common poles, gcd(b_A, b_B),
+    the common zeros, gcd(a_A, a_B), and the rest, where both values are
+    finite and nonzero.  The common
     points over a value a lie in both fibers, so the two preimage sets off
     the punctures coincide exactly when both hold as many distinct points
     as there are common points over a: a is shared iff that count equals
@@ -528,20 +529,12 @@ def shared_values(
 
     tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
     (aA, bA), (aB, bB) = gA.pair, gB.pair
-    poles, zeros = _common_factor(bA, bB), _common_factor(aA, aB)
+    poles, zeros = common_part(bA, bB), common_part(aA, aB)
     rest = _without_roots_of(_without_roots_of(gA.cross_numerator(gB), poles), zeros)
-    sources = ((poles, INF), (zeros, SpherePoint(0j)), (rest, None))
-    common = sorted(
-        ((SpherePoint(r), value) for p, value in sources if len(p) >= 2 for r, _m in roots_with_multiplicity(p, tol)),
-        key=lambda cv: (cv[0].value.real, cv[0].value.imag),
-    )
+    common = [(c, value) for c, _m, value in roots_and_values(gA, (poles, zeros, rest), tol)]
     if gA.value_at_sphere(INF).close_to(gB.value_at_sphere(INF), tol.eps_pt):
         common.append((INF, gA.value_at_sphere(INF)))
-    common_values = [
-        value or SpherePoint(gA.num(c.value) / gA.den(c.value))
-        for c, value in common
-        if not any(c.close_to(p, tol.eps_pt) for p in pts)
-    ]
+    common_values = [value for c, value in common if not any(c.close_to(p, tol.eps_pt) for p in pts)]
 
     # the puncture images come first: they are exact where the input is,
     # and ``distinct_points`` keeps the first of each group
@@ -555,14 +548,9 @@ def shared_values(
     return SharedValues(SHARED_GENERIC, tuple(shared))
 
 
-def _common_factor(p: Exact, q: Exact) -> Exact:
-    """gcd(p, q) made primitive; 1 when either is constant."""
-    return exact_primitive(exact_gcd(p, q)) if len(p) >= 2 and len(q) >= 2 else ((1, 0),)
-
-
 def _without_roots_of(p: Exact, g: Exact) -> Exact:
     """p with every root it shares with g divided out, to its full multiplicity."""
-    while len(g) >= 2 and len(c := exact_primitive(exact_gcd(p, g))) >= 2:
+    while len(c := common_part(p, g)) >= 2:
         p = exact_quotient(p, c)
     return p
 

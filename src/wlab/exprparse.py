@@ -223,15 +223,20 @@ def parse_sphere_point(text: str) -> SpherePoint:
     value = parse_expression(text)
     if not value.is_constant:
         raise ExpressionError("puncture must be a constant", 0)
-    (a, b) = value.pair
-    return SpherePoint(value.constant_value, (a[0] if a else (0, 0), b[0][0]))
+    (a, ((q, _),)) = value.pair
+    (x, y) = a[0] if a else (0, 0)
+    return SpherePoint.literal(Fraction(x, q), Fraction(y, q))
 
 
 def as_sphere_point(x) -> SpherePoint:
-    """Coerce a SpherePoint, complex number, None, or literal text like "1/2"."""
+    """Coerce a SpherePoint, complex number, None, or literal text like "1/2".
+
+    A finite point comes out with its exact factor: a number is read as the
+    literal it prints as (``SpherePoint.literal``), as the CLI reads it."""
     if isinstance(x, str):
         return parse_sphere_point(x)
-    return SpherePoint.of(x)
+    p = SpherePoint.of(x)
+    return p if p.is_infinity or p.factor is not None else SpherePoint.literal(p.value)
 
 
 # -- formatting ---------------------------------------------------------------

@@ -19,7 +19,9 @@ from typing import Iterable
 
 import numpy as np
 
-__all__ = ["Polynomial", "Exact", "exact_gcd", "exact_primitive", "exact_quotient", "exact_exponent", "rounded"]
+__all__ = [
+    "Polynomial", "Exact", "LocatedRoot", "exact_gcd", "exact_primitive", "exact_quotient", "exact_exponent", "rounded",
+]
 
 
 class Polynomial:
@@ -355,9 +357,10 @@ def exact_quotient(a: Exact, b: Exact) -> Exact:
 
 
 def exact_exponent(a: Exact, b: Exact) -> int:
-    """The largest k with b^k dividing a, for a primitive non-constant b and
-    a nonzero a: the order of a at each root of a square-free b, when b's
-    roots are alike in a (as the pieces of a gcd-free basis are)."""
+    """The order of a nonzero a at each root of a primitive square-free b:
+    the largest k with b^k dividing a.  Raises ``ArithmeticError`` when b's
+    roots have different orders in a, as a / b^k then shares a root with b
+    (a linear b has one root; the pieces of a gcd-free basis pass)."""
     if not a:
         raise ValueError("the zero polynomial has every order")
     k = 0
@@ -366,4 +369,24 @@ def exact_exponent(a: Exact, b: Exact) -> int:
             a = exact_quotient(a, b)
             k += 1
     except ArithmeticError:
-        return k
+        pass
+    if len(b) > 2 and len(exact_gcd(a, b)) >= 2:
+        raise ArithmeticError("the roots of the factor have different orders in the polynomial")
+    return k
+
+
+class LocatedRoot(complex):
+    """A root located in floats, with the exact factor it was located from.
+
+    ``factor`` is the primitive square-free Yun factor over Z[i] that holds
+    the root, so each of its roots has one multiplicity in the polynomial
+    that was root-found; orders at the root are read off it.  Arithmetic on
+    a LocatedRoot gives a plain complex.
+    """
+
+    __slots__ = ("factor",)
+
+    def __new__(cls, value: complex, factor: Exact) -> "LocatedRoot":
+        self = super().__new__(cls, value)
+        self.factor = factor
+        return self

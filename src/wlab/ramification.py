@@ -159,34 +159,39 @@ class FiberTable:
         return free + self.degree - sum(pre.multiplicity for pre in fiber)
 
 
+def roots_and_values(f: RationalFunction, parts, tol: Tolerances) -> list[tuple[SpherePoint, int, SpherePoint]]:
+    """(point, multiplicity, f's value there) for each root of the exact
+    parts, sorted by (re, im).  Each point carries the Yun factor it was
+    located from, so the value is 0 or infinity exactly where that factor
+    divides f's numerator or denominator (``value_at_sphere``)."""
+    located = sorted(
+        ((SpherePoint(r), m) for p in parts if len(p) >= 2 for r, m in roots_with_multiplicity(p, tol)),
+        key=lambda pm: (pm[0].value.real, pm[0].value.imag),
+    )
+    return [(point, m, f.value_at_sphere(point)) for point, m in located]
+
+
 def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -> FiberTable:
     """The fiber table of a non-constant map f = a / b, from the Wronskian
     W = a'b - ab' and three exact factors of it.
 
     A zero of f of multiplicity m is a root of W of multiplicity m - 1, as
     it is of gcd(a, a'), and likewise a pole, of gcd(b, b'); so these two
-    give the multiple zeros (value 0) and poles (value infinity), and
-    W1 = W / (gcd(a, a') gcd(b, b')) the critical points with finite
-    nonzero values, which are read off the float views.  For a map whose
-    a and b are square-free, W1 is W.
+    give the multiple zeros and poles, and W1 = W / (gcd(a, a') gcd(b, b'))
+    the critical points with finite nonzero values (``roots_and_values``).
+    For a map whose a and b are square-free, W1 is W.
     """
     tol = tol or Tolerances()
     pts = tuple(as_sphere_point(p) for p in punctures)
     a, b = f.pair
     w = f.derivative_numerator()
     zeros, poles = multiple_part(a), multiple_part(b)
-    sources = ((zeros, SpherePoint(0j)), (poles, INF), (exact_quotient(exact_quotient(w, zeros), poles), None))
-    critical = sorted(
-        ((c, 1 + m, value) for p, value in sources if len(p) >= 2 for c, m in roots_with_multiplicity(p, tol)),
-        key=lambda cmv: (cmv[0].real, cmv[0].imag),
-    )
+    parts = (zeros, poles, exact_quotient(exact_quotient(w, zeros), poles))
     e_inf = f.local_degree_at_infinity()
     entries: list[tuple[Preimage, SpherePoint]] = []
-    for c, e, value in critical:
-        point = SpherePoint(c)
+    for point, m, value in roots_and_values(f, parts, tol):
         puncture = next((p for p in pts if point.close_to(p, tol.eps_pt)), None)
-        value = value or SpherePoint(f.num(point.value) / f.den(point.value))
-        entries.append((Preimage(puncture or point, e, puncture is not None), value))
+        entries.append((Preimage(puncture or point, 1 + m, puncture is not None), value))
     if e_inf >= 2:
         entries.append((Preimage(INF, e_inf, INF in pts), f.value_at_sphere(INF)))
     images = [f.value_at_sphere(p) for p in pts]

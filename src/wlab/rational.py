@@ -5,11 +5,13 @@ in reduced form with a monic denominator, and read through correctly rounded
 float views of numerator and denominator. Orders, values, principal parts
 and residues are computed for the function and for the differential f dz,
 with no tolerance: an order is an integer read off the exact pair, at
-infinity from the degrees and at a finite point from the exponent of the
-point's exact linear factor, and a value at a point is evaluated over Q(i)
-and rounded once.  Laurent coefficients come from the Taylor coefficients of
-the float views at a pole of known order (``Polynomial.expansion_at``), at
-infinity from the coefficient-reversed numerator and denominator.
+infinity from the degrees and at a finite point from the exponents of the
+point's exact factor (``SpherePoint.exact_factor``: the linear factor of a
+literal, or the Yun factor a located root was found from).  At a literal the
+value is evaluated over Q(i) and rounded once.  Laurent coefficients come
+from the Taylor coefficients of the float views at a pole of that order
+(``Polynomial.expansion_at``), at infinity from the coefficient-reversed
+numerator and denominator.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from wlab.poly import (
     exact_mul,
     exact_pow,
     exact_primitive,
+    exact_quotient,
     exact_reversed,
     pseudo_divmod,
     rounded,
@@ -49,17 +52,21 @@ class SpherePoint:
     dataclass is exact; use :meth:`close_to` for tolerance identity (finite
     points compare within eps_pt, infinity only equals infinity).
 
-    ``exact`` is the exact value of a parsed literal such as 1/3, as (P, Q):
-    the Gaussian integer P = (re, im) over the integer Q > 0, of which
-    ``value`` is the correctly rounded view.  Equality and hashing go by
-    ``value`` alone.
+    ``factor`` is a primitive square-free polynomial over Z[i] that has
+    the finite point as a root, and whose roots have one order in each
+    function the point is used with: the linear factor Q z - P of a parsed
+    literal P / Q, of which ``value`` is the correctly rounded view, or the
+    Yun factor a ``LocatedRoot`` was found from, which a point made from one
+    keeps.  Equality and hashing go by ``value`` alone.
     """
 
     value: complex | None = None
-    exact: tuple[tuple[int, int], int] | None = field(default=None, compare=False, repr=False)
+    factor: Exact | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.value is not None:
+            if self.factor is None:
+                object.__setattr__(self, "factor", getattr(self.value, "factor", None))
             # normalize -0.0 parts so formatting and sort order are stable
             v = complex(self.value)
             object.__setattr__(self, "value", complex(v.real + 0.0, v.imag + 0.0))
@@ -78,22 +85,23 @@ class SpherePoint:
             raise ValueError(f"not a sphere point literal: {x!r}")
         if x is None:
             return INF
-        return SpherePoint(complex(x))
+        return SpherePoint(x)
+
+    @staticmethod
+    def literal(x: Fraction | complex, y: Fraction = Fraction(0)) -> "SpherePoint":
+        """The finite point x + iy, kept exactly.  A float part is read as the
+        literal it prints as (its shortest repr), as the CLI reads a JSON
+        number: 0.1 is 1/10, not the double nearest it."""
+        if not isinstance(x, Fraction):
+            x, y = (Fraction(repr(t)) for t in (complex(x).real, complex(x).imag))
+        q = math.lcm(x.denominator, y.denominator)
+        u, v = x.numerator * (q // x.denominator), y.numerator * (q // y.denominator)
+        return SpherePoint(complex(x, y), exact_primitive(((-u, -v), (q, 0))))
 
     @property
-    def exact_value(self) -> tuple[tuple[int, int], int]:
-        """(P, Q) for a finite point P / Q: ``exact`` where the parser kept
-        it, else ``value`` read at its binary value."""
-        if self.exact is not None:
-            return self.exact
-        p, q = exact_coeffs((self.value,))
-        return (p[0] if p else (0, 0)), q
-
-    @property
-    def linear_factor(self) -> Exact:
-        """The primitive Q z - P over Z[i] whose one root is this finite point."""
-        (x, y), q = self.exact_value
-        return exact_primitive(((-x, -y), (q, 0)))
+    def exact_factor(self) -> Exact:
+        """``factor``, else the linear factor of the literal ``value`` prints as."""
+        return self.factor if self.factor is not None else SpherePoint.literal(self.value).factor
 
     def close_to(self, other: "SpherePoint", eps_pt: float) -> bool:
         if self.is_infinity or other.is_infinity:
@@ -143,13 +151,16 @@ def _combination(a: Exact, d: Exact, c: Exact, b: Exact, sign: int) -> Exact:
     return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),))))
 
 
-def _homogeneous_value(a: Exact, x: int, y: int, q: int) -> tuple[int, int]:
-    """sum a_k P^k q^(n-k) over Z[i], P = x + iy and n = len(a) - 1: q^n a(P / q)."""
+def _homogeneous_value(a: Exact, line: Exact, n: int) -> tuple[int, int]:
+    """q^n a(p / q) = sum a_k p^k q^(n-k) over Z[i], for the root p / q of the
+    linear factor q z - p and n >= deg a."""
+    ((x, y), (g, h)) = line
+    x, y = -x, -y
     u = v = 0
-    qk = 1
-    for c, d in reversed(a):
-        u, v = u * x - v * y + c * qk, u * y + v * x + d * qk
-        qk *= q
+    qr, qi = 1, 0
+    for c, d in reversed(a + ((0, 0),) * (n + 1 - len(a))):
+        u, v = u * x - v * y + c * qr - d * qi, u * y + v * x + c * qi + d * qr
+        qr, qi = qr * g - qi * h, qr * h + qi * g
     return u, v
 
 
@@ -406,14 +417,15 @@ class RationalFunction:
     def order_at(self, point) -> int:
         """Order of vanishing at a sphere point (negative at a pole), exactly:
         at infinity from the degrees, at a finite point from the exponents of
-        its linear factor in the exact pair."""
+        its exact factor in the exact pair.  A plain number is the literal it
+        prints as; a root as located (``LocatedRoot``) carries its factor."""
         if self.is_zero:
             raise ValueError("order of the zero function is undefined")
         p = SpherePoint.of(point)
         if p.is_infinity:
             return self._den.degree - self._num.degree
-        a, b = self._pair
-        return exact_exponent(a, p.linear_factor) - exact_exponent(b, p.linear_factor)
+        (a, b), f = self._pair, p.exact_factor
+        return exact_exponent(a, f) - exact_exponent(b, f)
 
     def form_order_at(self, point) -> int:
         """Order of the differential f dz at a sphere point.
@@ -427,9 +439,12 @@ class RationalFunction:
     def value_at_sphere(self, point) -> SpherePoint:
         """Value of the map at a sphere point, as a sphere point.
 
-        At a finite point P / Q the exact pair is evaluated over Z[i] as
+        At the root P / Q of a linear factor (a literal's, or a located
+        root's of degree one) the exact pair is evaluated over Z[i] as
         sum a_k P^k Q^(n-k), numerator and denominator alike, so the value
-        is rounded once; infinity where the denominator vanishes.
+        is rounded once; infinity where the denominator vanishes.  At a root
+        of a factor of higher degree the value is infinity or 0 where the
+        factor divides the denominator or numerator, else read off the views.
         """
         p = SpherePoint.of(point)
         if self.is_zero:
@@ -441,10 +456,18 @@ class RationalFunction:
             if dn < dd:
                 return SpherePoint(0j)
             return SpherePoint(self._num.leading / self._den.leading)
-        (x, y), q = p.exact_value
-        a, b = self._pair
-        n = max(len(a), len(b))
-        (u, v), (s, t) = (_homogeneous_value(c + ((0, 0),) * (n - len(c)), x, y, q) for c in (a, b))
+        (a, b), f = self._pair, p.exact_factor
+        if len(f) > 2:
+            for c, value in ((b, INF), (a, SpherePoint(0j))):
+                try:
+                    exact_quotient(c, f)
+                    return value
+                except ArithmeticError:
+                    pass
+            den = self._den(p.value)
+            return INF if den == 0 else SpherePoint(self._num(p.value) / den)
+        n = max(len(a), len(b)) - 1
+        (u, v), (s, t) = (_homogeneous_value(c, f, n) for c in (a, b))
         if not (s or t):
             return INF
         if not (u or v):
@@ -468,22 +491,24 @@ class RationalFunction:
             terms = 2 - self.order_at(p)
             r = _series_quotient(self._num.coeffs[::-1], self._den.coeffs[::-1], terms)
             return -r[-1] if r else 0j
-        principal = self.principal_part_at(p.value, -self.order_at(p))
+        principal = self.principal_part_at(p)
         return principal[-1] if principal else 0j
 
-    def principal_part_at(self, point: complex, order: int) -> tuple[complex, ...]:
+    def principal_part_at(self, point) -> tuple[complex, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
-        ``order`` is m, the exact pole order there, which the caller reads off
-        exact factors; empty where m <= 0.  As in ``residue_at``: the leading
-        m coefficients of A/B, the Taylor series of N and D with D's zero of
-        order m at the point divided out (N has none: the pair is coprime).
+        m is the exact pole order (``pole_order_at``); empty where f is
+        regular.  As in ``residue_at``: the leading m coefficients of A/B,
+        the Taylor series of N and D with D's zero of order m at the point
+        divided out (N has none: the pair is coprime).
         """
-        if self.is_zero or order <= 0:
+        p = SpherePoint.of(point)
+        m = self.pole_order_at(p)
+        if m == 0:
             return ()
-        a = self._num.expansion_at(point, 0, order)
-        b = self._den.expansion_at(point, order, order)
-        return tuple(_series_quotient(a, b, order))
+        a = self._num.expansion_at(p.value, 0, m)
+        b = self._den.expansion_at(p.value, m, m)
+        return tuple(_series_quotient(a, b, m))
 
     def pole_order_at(self, point) -> int:
         """max(0, -order_at): the pole order, zero when regular.

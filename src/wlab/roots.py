@@ -25,13 +25,14 @@ from __future__ import annotations
 import numpy as np
 
 from wlab.poly import (
-    Exact, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient, rounded,
+    Exact, LocatedRoot, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient, rounded,
 )
 from wlab.tolerances import Tolerances
 
 __all__ = [
     "roots_with_multiplicity",
     "multiple_part",
+    "common_part",
     "gcd_free_basis",
     "RootCrossCheckError",
     "IllConditionedRootsError",
@@ -218,6 +219,11 @@ def _certified_square_free(p: Exact) -> bool:
         a, b = b, a
 
 
+def common_part(p: Exact, q: Exact) -> Exact:
+    """gcd(p, q) made primitive; 1 when either is constant."""
+    return exact_primitive(exact_gcd(p, q)) if len(p) >= 2 and len(q) >= 2 else ((1, 0),)
+
+
 def multiple_part(p: Exact) -> Exact:
     """gcd(p, p') made primitive, the first link of Yun's chain: it holds each
     root of p of multiplicity m >= 2 with multiplicity m - 1, and is 1 when
@@ -225,7 +231,7 @@ def multiple_part(p: Exact) -> Exact:
     if len(p) < 2 or _certified_square_free(p):
         return ((1, 0),)
     p = exact_primitive(p)
-    return exact_primitive(exact_gcd(p, exact_derivative(p)))
+    return common_part(p, exact_derivative(p))
 
 
 def _yun_factors(p: Exact) -> list[Exact]:
@@ -240,9 +246,9 @@ def _yun_factors(p: Exact) -> list[Exact]:
     constant; sum(m * deg f_m) = deg p.
     """
     if len(c1 := multiple_part(p)) < 2:
-        return [p]
+        return [exact_primitive(p)]
     chain = [exact_primitive(p), c1]
-    while len(g := exact_primitive(exact_gcd(chain[-1], exact_derivative(chain[-1])))) >= 2:
+    while len(g := common_part(chain[-1], exact_derivative(chain[-1]))) >= 2:
         chain.append(g)
 
     def quotients(seq: list[Exact]) -> list[Exact]:
@@ -269,9 +275,8 @@ def gcd_free_basis(polys) -> list[Exact]:
         for f in _yun_factors(p):
             if len(f) < 2:
                 continue
-            f = exact_primitive(f)
             for i in range(len(basis)):
-                g = exact_primitive(exact_gcd(f, basis[i]))
+                g = common_part(f, basis[i])
                 if len(g) >= 2:
                     f = exact_quotient(f, g)
                     if len(g) < len(basis[i]):
@@ -294,7 +299,8 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
     """All roots of the polynomial ``p`` over Z[i] with multiplicities (summing to deg p).
 
     Returns (root, multiplicity) pairs sorted by (re, im); the roots of the
-    Yun factor f_m carry m. Every root r, simple or multiple, satisfies
+    Yun factor f_m carry m, and each root is a ``LocatedRoot`` that carries
+    f_m itself, so orders at it are read off f_m exactly. Every root r, simple or multiple, satisfies
     |P(r)| <= eps_res * max|coeff| * (1+|r|)^deg for the monic float view P
     of p. Raises RootCrossCheckError when the two location routes disagree
     and IllConditionedRootsError when two located roots fall inside the
@@ -309,7 +315,7 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
 
     located = sorted(
         (
-            (r, m)
+            (LocatedRoot(r, f), m)
             for m, f in enumerate(_yun_factors(p), start=1)
             if len(f) >= 2
             for r in _located_roots(_monic_view(f))

@@ -261,6 +261,12 @@ class RegularityReport:
     checked_points: tuple[SpherePoint, ...]
 
 
+def _orders_at(d: WeierstrassData, point: SpherePoint) -> tuple[int, int, int]:
+    """ord(h dz), poleord(g1) and poleord(g2) at one point: the triple that
+    both regularity (away from the punctures) and the ends (at them) read."""
+    return d.h.form_order_at(point), d.g1.pole_order_at(point), d.g2.pole_order_at(point)
+
+
 def check_regularity(an: Analysis) -> RegularityReport:
     """Check that h dz vanishes exactly where the Gauss maps have poles.
 
@@ -269,15 +275,15 @@ def check_regularity(an: Analysis) -> RegularityReport:
     of the two pole orders.  Punctures are exempt.  Away from zeros and
     poles of h and poles of g1, g2 the metric is a positive finite multiple
     of |dz|^2, so only those points are inspected, and infinity, where dz
-    itself degenerates.  They are the roots of the pieces of
-    ``an.located``, which holds no puncture's piece, with the orders there
-    read off the piece.
+    itself degenerates.  They are ``an.located``, the roots of the pieces
+    that are not a puncture's, each carrying its piece, which the orders
+    there are read off.
     """
-    candidates = [*an.located] if INF in an.data.punctures else [(INF, None), *an.located]
+    candidates = [*an.located] if INF in an.data.punctures else [INF, *an.located]
     violations, checked = [], []
-    for pt, piece in sorted(candidates, key=lambda c: c[0].sort_key()):
+    for pt in sorted(candidates, key=SpherePoint.sort_key):
         checked.append(pt)
-        a, d1, d2 = an.orders(piece)
+        a, d1, d2 = _orders_at(an.data, pt)
         if a != d1 + d2:
             violations.append(RegularityViolation(pt, a, d1, d2))
     return RegularityReport(ok=not violations, violations=tuple(violations), checked_points=tuple(checked))
@@ -319,7 +325,7 @@ def classify_ends(an: Analysis) -> EndClassification:
     """
     records = []
     for p in an.data.punctures:
-        a, d1, d2 = an.orders(None if p.is_infinity else p.linear_factor)
+        a, d1, d2 = _orders_at(an.data, p)
         m = a - d1 - d2
         if m <= -1:
             verdict = VERDICT_COMPLETE

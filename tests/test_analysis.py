@@ -270,3 +270,36 @@ def test_poles_at_punctures_are_not_root_found(record_calls, capsys, name, comma
     run(capsys, command, str(FIXTURES / f"{name}.json"))
 
     assert len(located) == REPORT_ROOT_CALLS[name]
+
+
+def test_a_float_puncture_reads_alike_from_the_library_and_the_cli(tmp_path):
+    # 0.1 is 1/10 both as a library float and as a JSON number, so the pole
+    # of 1/(z - 0.1), exactly at 1/10, is the puncture's on both routes
+    path = tmp_path / "tenth.json"
+    path.write_text(json.dumps({"genus": 0, "punctures": [0.1, "inf"], "h": "1/(z-0.1)", "g1": "z", "g2": "1"}))
+    cli = Analysis(_load_data(str(path)))
+    h, g1, g2 = (parse_expression(text) for text in ("1/(z-0.1)", "z", "1"))
+    lib = Analysis(WeierstrassData(h=h, g1=g1, g2=g2, punctures=(0.1, "inf")))
+    for an in (cli, lib):
+        assert [(rec.mu, rec.metric_exponent) for rec in an.ends.records] == [(1, -1), (1, -2)]
+        assert an.regularity.ok and an.regularity.checked_points == ()
+    assert cli.ends == lib.ends
+
+
+def test_the_pole_table_root_finds_only_the_poles_and_each_piece_once(record_calls):
+    # h's zeros at +-i sqrt(2) are located for regularity, never for the
+    # pole table that the periods and the mesh read
+    located = record_calls(roots, "roots_with_multiplicity")
+    data = WeierstrassData(
+        h=parse_expression("(z^2+2)/((z-1)*(z-2)*(z+3))"),
+        g1=parse_expression("z"),
+        g2=parse_expression("z"),
+        punctures=("1", "2", "inf"),
+    )
+    an = Analysis(data)
+    assert an.singular_points == (1, 2, -3)
+    an.principal_parts
+    assert [call[0] for call in located] == [((3, 0), (1, 0))]
+    an.regularity
+    an.ends
+    assert [call[0] for call in located] == [((3, 0), (1, 0)), ((2, 0), (0, 0), (1, 0))]

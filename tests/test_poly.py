@@ -318,3 +318,6 @@ def test_exact_exponent_counts_each_power_of_a_primitive_factor():
     assert exact_exponent(p, ((0, 0), (1, 0))) == 0
     with pytest.raises(ValueError):
         exact_exponent((), line)
+    # 3z - 1 is a double root of p and its sibling a simple one: no one order
+    with pytest.raises(ArithmeticError, match="different orders"):
+        exact_exponent(p, exact_mul(line, exact_primitive(near)))

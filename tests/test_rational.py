@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import from_roots
-from wlab.exprparse import parse_expression, parse_sphere_point
+from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import Polynomial, exact_add, exact_cofactors, exact_mul
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.roots import roots_with_multiplicity
@@ -194,8 +194,7 @@ def test_global_residue_sum_random():
         k = int(rng.integers(1, 5))
         den_roots = rng.normal(size=k) + 1j * rng.normal(size=k)
         f = RationalFunction(num, from_roots(den_roots))
-        # f is reduced, so each root's multiplicity in the denominator is its pole order
-        finite = sum(f.principal_part_at(r, m)[-1] for r, m in roots_with_multiplicity(f.pair[1]))
+        finite = sum(f.residue_at(r) for r, _ in roots_with_multiplicity(f.pair[1]))
         total = finite + f.residue_at(INF)
         scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
         assert abs(total) <= 1e-10 * scale
@@ -277,14 +276,43 @@ def test_sort_key_orders_by_printed_re_then_im(im):
     assert sorted([INF, *pair], key=SpherePoint.sort_key)[-1] == INF
 
 
-def test_a_parsed_point_keeps_its_exact_value_out_of_equality():
+def test_a_parsed_point_keeps_its_exact_factor_out_of_equality():
     third = parse_sphere_point("1/3")
-    assert third.exact == ((1, 0), 3)
+    assert third.factor == ((-1, 0), (3, 0))
     assert third == SpherePoint(1 / 3) and hash(third) == hash(SpherePoint(1 / 3))
-    # a float is read at its binary value, which is not 1/3
-    assert SpherePoint(1 / 3).exact is None
-    assert SpherePoint(1 / 3).exact_value == (((1 / 3).as_integer_ratio()[0], 0), (1 / 3).as_integer_ratio()[1])
-    assert parse_sphere_point("(1+i)/2").linear_factor == ((1, 0), (-1, 1))
+    # a float is the literal it prints as, which is not 1/3
+    assert SpherePoint(1 / 3).factor is None
+    assert SpherePoint(1 / 3).exact_factor == ((-3333333333333333, 0), (10**16, 0))
+    assert parse_sphere_point("(1+i)/2").factor == ((1, 0), (-1, 1))
+    # a library float and the CLI's JSON number read alike: 0.1 is 1/10
+    assert as_sphere_point(0.1).factor == parse_sphere_point(str(0.1)).factor == ((-1, 0), (10, 0))
+    assert as_sphere_point(complex(0.1, -2.5)).factor == parse_sphere_point("0.1-2.5i").factor
+
+
+def test_orders_at_a_located_root_are_read_off_its_yun_factor():
+    # no double is 1/3, but its located root carries the Yun factor 3z - 1
+    # it came from, as -i and i carry z^2 + 1
+    f = parse_expression("(z-2)/((3*z-1)^2*(z^2+1))")
+    located = roots_with_multiplicity(f.pair[1])
+    quadratic, line = ((1, 0), (0, 0), (1, 0)), ((-1, 0), (3, 0))
+    assert [(m, r.factor) for r, m in located] == [(1, quadratic), (1, quadratic), (2, line)]
+    for r, m in located:
+        assert f.order_at(r) == -m and f.pole_order_at(SpherePoint(r)) == m
+        assert f.value_at_sphere(r) == INF
+        assert len(f.principal_part_at(r)) == m
+    (zero, _m), = roots_with_multiplicity(f.pair[0])
+    assert f.order_at(zero) == 1 and f.value_at_sphere(zero) == SpherePoint(0j)
+    # the same float without its factor is the literal it prints as, and
+    # that number is no pole
+    r = complex(located[2][0])
+    assert f.order_at(r) == 0 and f.residue_at(r) == 0j
+    # a root located from another polynomial, whose factor's roots have
+    # different orders in g, has no order read off that factor
+    g = parse_expression("1/(z-2)")
+    two, three = (r for r, _m in roots_with_multiplicity(parse_expression("(z-2)*(z-3)").pair[0]))
+    for r in (two, three):
+        with pytest.raises(ArithmeticError, match="different orders"):
+            g.order_at(r)
 
 
 def test_orders_and_values_at_a_non_dyadic_point_are_exact():

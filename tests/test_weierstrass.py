@@ -347,13 +347,15 @@ def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
     root-found from its own denominator: the second route to the numbers
     ``compute_periods`` reads off the Analysis pole table."""
     forms = phi_from_data(d).forms
-    # each pole with its order: f is reduced, so that is its multiplicity in f's denominator
-    poles = [roots_with_multiplicity(f.pair[1], tol) if f.den.degree else [] for f in forms]
+    poles = [
+        [z0 for z0, _ in roots_with_multiplicity(f.pair[1], tol)] if f.den.degree else []
+        for f in forms
+    ]
     special = list(d.finite_punctures())
-    for z0, _m in (pole for form_poles in poles for pole in form_poles):
+    for z0 in (z0 for form_poles in poles for z0 in form_poles):
         if all(abs(z0 - s) > tol.eps_pt for s in special):
             special.append(z0)
-    finite = [sum(f.principal_part_at(z0, m)[-1] for z0, m in fp) for f, fp in zip(forms, poles)]
+    finite = [sum(f.residue_at(z0) for z0 in fp) for f, fp in zip(forms, poles)]
     at_inf = [f.residue_at(INF) for f in forms]
     worst = 0.0
     for p in d.punctures:
