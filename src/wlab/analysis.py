@@ -145,7 +145,9 @@ class Analysis:
     def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:
         """Each singular point where some form has a pole, mapped to the four
         forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular;
-        m is the exponent of the point's piece in the form's denominator.
+        m is the exponent of the point's piece in the form's denominator.  At
+        every point with a linear piece, each puncture among them, the
+        coefficients are exact ``GaussianRational`` values, rounded once.
 
         Raises ``PoleTableError`` unless each form's pole orders add up to
         its (monic) denominator's degree: no pole went unlocated.

@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .poly import rounded
 from .rational import RationalFunction
 from .tolerances import Tolerances
 from .weierstrass import WeierstrassData
@@ -82,11 +81,9 @@ def spherical_derivative(g: RationalFunction, z: np.ndarray) -> np.ndarray:
     the reduced fraction.
 
     With g = N/D reduced, this equals |N'D - ND'| / (|N|^2 + |D|^2), which
-    stays finite and correct at poles of g; the exact N'D - ND' carries L^2
-    (``RationalFunction.derivative_numerator``).
+    stays finite and correct at poles of g (``RationalFunction.wronskian``).
     """
-    w = rounded(g.derivative_numerator(), g.pair[1][-1][0] ** 2)
-    n, d = g.num, g.den
+    w, n, d = g.wronskian, g.num, g.den
     return np.abs(w(z)) / (np.abs(n(z)) ** 2 + np.abs(d(z)) ** 2)
 
 

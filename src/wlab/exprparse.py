@@ -12,9 +12,14 @@ trailing 'i' for the imaginary unit ('2', '2.5', '3i', '1e-3', bare 'i').
 They are read exactly ('2.5e-3' is 1/400), and a nonzero literal must lie in
 the range of a double: '1e400' and '1e-400' are errors, not infinity and 0.
 '^' binds tighter than unary minus, so -z^2 parses as -(z^2). Exponents are
-integers with |exponent| <= 64, and no intermediate result may reach a
-degree above 4096: each operator is refused before it runs when the degree
-its result can have is larger.  Each operator is one exact operation of
+integers, and no intermediate result may reach a degree above 4096: each
+operator is refused before it runs when the degree its result can have is
+larger.  An exponent with |exponent| > 64 is accepted only on a monomial
+c z^k with k != 0 (z^96 parses as z^64*z^32 does), whose power is one
+power of c, and only while |exponent| times the bit length of c's exact
+parts is at most 65536, the size of a 64th power of 1024-bit parts; any
+other base keeps the cap, as squaring a polynomial of several terms up to
+degree 4096 costs seconds.  Each operator is one exact operation of
 ``RationalFunction``, so division is symbolic and the result is a reduced
 RationalFunction, never a number; a coefficient of an intermediate result
 beyond the range of a double raises ``OverflowError``.
@@ -33,6 +38,7 @@ __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sp
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 4096
+MAX_POWER_BITS = MAX_EXPONENT * 1024
 _NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
 
 
@@ -48,6 +54,18 @@ def _check_degree(bound: int, position: int) -> None:
     """Refuse an operator whose result can have a degree above MAX_DEGREE."""
     if bound > MAX_DEGREE:
         raise ExpressionError(f"degree overflow: the result can reach degree {bound} > {MAX_DEGREE}", position)
+
+
+def _check_exponent(base: RationalFunction, exp: int, position: int) -> None:
+    """Refuse |exp| > MAX_EXPONENT unless ``base`` is a monomial c z^k,
+    k != 0, and |exp| times the bit length of c's exact parts is at most
+    MAX_POWER_BITS."""
+    if abs(exp) <= MAX_EXPONENT:
+        return
+    a, b = base.pair
+    monomial = not base.is_constant and not any(x or y for p in (a, b) for x, y in p[:-1])
+    if not monomial or abs(exp) * max(abs(x).bit_length() for x in a[-1] + b[-1]) > MAX_POWER_BITS:
+        raise ExpressionError(f"exponent overflow: |{exp}| > {MAX_EXPONENT}", position)
 
 
 class _Token:
@@ -160,10 +178,7 @@ class _Parser:
         if tok.kind == "op" and tok.value == "^":
             caret = self.next()
             exp = self.exponent()
-            if abs(exp) > MAX_EXPONENT:
-                raise ExpressionError(
-                    f"exponent overflow: |{exp}| > {MAX_EXPONENT}", caret.pos
-                )
+            _check_exponent(out, exp, caret.pos)
             if exp < 0 and out.is_zero:
                 raise ExpressionError("negative power of zero", caret.pos)
             _check_degree(out.degree * abs(exp), caret.pos)
@@ -205,8 +220,9 @@ def parse_expression(text: str) -> RationalFunction:
 
     Raises ExpressionError carrying the 0-based offending position for any
     malformed input, division by an identically-zero subexpression, an
-    exponent with absolute value above 64, or an intermediate result that can
-    reach a degree above 4096.
+    exponent with absolute value above 64 on a base other than a monomial
+    c z^k of small enough c, or an intermediate result that can reach a
+    degree above 4096.
     """
     parser = _Parser(_lex(text))
     out = parser.expr()

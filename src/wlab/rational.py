@@ -7,11 +7,15 @@ and residues are computed for the function and for the differential f dz,
 with no tolerance: an order is an integer read off the exact pair, at
 infinity from the degrees and at a finite point from the exponents of the
 point's exact factor (``SpherePoint.exact_factor``: the linear factor of a
-literal, or the Yun factor a located root was found from).  At a literal the
-value is evaluated over Q(i) and rounded once.  Laurent coefficients come
-from the Taylor coefficients of the float views at a pole of that order
-(``Polynomial.expansion_at``), at infinity from the coefficient-reversed
-numerator and denominator.
+literal, or the Yun factor a located root was found from).  Where that
+factor is linear (a literal P / Q, or a located root of degree one) the
+value and the Laurent coefficients are computed over Z[i], from the
+Taylor coefficients of the exact pair at P / Q, and each is rounded once;
+``GaussianRational`` keeps the exact value beside the rounded one.  The
+residue at infinity is read off the exact pseudo-remainder.  Only at a
+located root whose factor has higher degree do the Laurent coefficients
+come from the float views (``Polynomial.expansion_at``); such poles occur
+only in data that is not regular.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from wlab.poly import (
 )
 from wlab.tolerances import format_float
 
-__all__ = ["SpherePoint", "INF", "distinct_points", "RationalFunction"]
+__all__ = ["SpherePoint", "INF", "distinct_points", "GaussianRational", "EXACT_ZERO", "RationalFunction"]
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -146,22 +150,80 @@ def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
     return out
 
 
+class GaussianRational(complex):
+    """A Gaussian rational as its correctly rounded view, each part rounded
+    once, keeping its exact value: ``exact`` = (u, v, w) for (u + iv) / w
+    with w > 0.  Arithmetic on it gives a plain complex."""
+
+    __slots__ = ("exact",)
+
+    def __new__(cls, u: int, v: int, w: int) -> "GaussianRational":
+        self = super().__new__(cls, u / w, v / w)  # int division is correctly rounded
+        self.exact = (u, v, w)
+        return self
+
+    @classmethod
+    def quotient(cls, num: tuple[int, int], den: tuple[int, int]) -> "GaussianRational":
+        """num / den for Gaussian integers, den != 0: num conj(den) / |den|^2."""
+        (u, v), (s, t) = num, den
+        return cls(u * s + v * t, v * s - u * t, s * s + t * t)
+
+
+EXACT_ZERO = GaussianRational(0, 0, 1)
+
+
 def _combination(a: Exact, d: Exact, c: Exact, b: Exact, sign: int) -> Exact:
     """a d + sign c b over Z[i]."""
     return exact_add(exact_mul(a, d), exact_mul(c, exact_mul(b, ((sign, 0),))))
 
 
-def _homogeneous_value(a: Exact, line: Exact, n: int) -> tuple[int, int]:
-    """q^n a(p / q) = sum a_k p^k q^(n-k) over Z[i], for the root p / q of the
-    linear factor q z - p and n >= deg a."""
+def _taylor(a: Exact, line: Exact, n: int, terms: int) -> list[tuple[int, int]]:
+    """The first ``terms`` coefficients in t of q^n a(p / q + t) over Z[i],
+    for the root p / q of the linear factor q z - p and n >= deg a: the sum
+    of a_k (p + q t)^k q^(n-k), by Horner in t truncated to ``terms``.  Its
+    constant term is q^n a(p / q); the j-th is q^n a^(j)(p / q) / j!."""
     ((x, y), (g, h)) = line
     x, y = -x, -y
-    u = v = 0
+    acc = [(0, 0)] * terms
     qr, qi = 1, 0
     for c, d in reversed(a + ((0, 0),) * (n + 1 - len(a))):
-        u, v = u * x - v * y + c * qr - d * qi, u * y + v * x + c * qi + d * qr
+        # acc <- acc (p + q t) + a_k q^(n-k)
+        for j in range(terms - 1, 0, -1):
+            (u, v), (s, t) = acc[j], acc[j - 1]
+            acc[j] = (u * x - v * y + s * g - t * h, u * y + v * x + s * h + t * g)
+        u, v = acc[0]
+        acc[0] = (u * x - v * y + c * qr - d * qi, u * y + v * x + c * qi + d * qr)
         qr, qi = qr * g - qi * h, qr * h + qi * g
-    return u, v
+    return acc
+
+
+def _gmul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _laurent(a: Exact, b: Exact, line: Exact, m: int) -> tuple["GaussianRational", ...]:
+    """(a_-m, ..., a_-1) of a / b at the root p / q of the linear factor
+    ``line``, a root of order m of b.
+
+    With t = z - p / q and n = max(deg a, deg b), q^n a = sum A_j t^j and
+    q^n b = t^m sum B_j t^j (``_taylor``; the first m terms of b's vanish),
+    so the coefficients are those of the series A / B.  Each is kept over
+    one Gaussian-integer denominator, S_j / B_0^(j+1) with
+    S_j = A_j B_0^j - sum_{i=1..j} B_i S_(j-i) B_0^(i-1), and rounded once.
+    """
+    n = max(len(a), len(b)) - 1
+    big_a, big_b = _taylor(a, line, n, m), _taylor(b, line, n, 2 * m)[m:]
+    powers = [(1, 0)]
+    for _ in range(m):
+        powers.append(_gmul(powers[-1], big_b[0]))
+    s = []
+    for j in range(m):
+        x, y = _gmul(big_a[j], powers[j])
+        for i in range(1, j + 1):
+            u, v = _gmul(_gmul(big_b[i], s[j - i]), powers[i - 1])
+            x, y = x - u, y - v
+        s.append((x, y))
+    return tuple(GaussianRational.quotient(c, powers[j + 1]) for j, c in enumerate(s))
 
 
 def _series_quotient(a, b, terms: int) -> list[complex]:
@@ -182,11 +244,12 @@ class RationalFunction:
     N = a / L and D = b / L, where L, the leading entry of b, is the least
     positive integer that clears every denominator; so equal functions hold
     equal pairs.  ``num`` and ``den`` are the float views, each part
-    correctly rounded, and every numeric step reads them.  A result with a
+    correctly rounded, and every numeric step reads them; ``wronskian`` is
+    the float view of N'D - ND', built on first use.  A result with a
     coefficient beyond the range of a double raises ``OverflowError``.
     """
 
-    __slots__ = ("_pair", "_num", "_den")
+    __slots__ = ("_pair", "_num", "_den", "_wronskian")
 
     def __init__(self, num, den=None):
         (n, qn), (d, qd) = (
@@ -208,6 +271,7 @@ class RationalFunction:
             a, b = (tuple((x // g, y // g) for x, y in p) for p in (a, b))
         self._pair = (a, b)
         self._num, self._den = rounded(a, b[-1][0]), rounded(b, b[-1][0])
+        self._wronskian = None
 
     @classmethod
     def _of(cls, a: Exact, b: Exact) -> "RationalFunction":
@@ -225,6 +289,13 @@ class RationalFunction:
     @property
     def den(self) -> Polynomial:
         return self._den
+
+    @property
+    def wronskian(self) -> Polynomial:
+        """The float view of N'D - ND': ``derivative_numerator`` / L^2."""
+        if self._wronskian is None:
+            self._wronskian = rounded(self.derivative_numerator(), self._pair[1][-1][0] ** 2)
+        return self._wronskian
 
     @property
     def pair(self) -> tuple[Exact, Exact]:
@@ -467,45 +538,51 @@ class RationalFunction:
             den = self._den(p.value)
             return INF if den == 0 else SpherePoint(self._num(p.value) / den)
         n = max(len(a), len(b)) - 1
-        (u, v), (s, t) = (_homogeneous_value(c, f, n) for c in (a, b))
+        ((u, v),), ((s, t),) = (_taylor(c, f, n, 1) for c in (a, b))
         if not (s or t):
             return INF
         if not (u or v):
             return SpherePoint(0j)
-        norm = s * s + t * t  # (u + iv) / (s + it) = (u + iv)(s - it) / norm
-        return SpherePoint(complex((u * s + v * t) / norm, (v * s - u * t) / norm))
+        return SpherePoint(GaussianRational.quotient((u, v), (s, t)))
 
     def residue_at(self, point) -> complex:
         """Residue of the differential f dz at a sphere point.
 
-        At a pole of order m, f = t^-m A(t)/B(t) in t = z - p, with A and B
-        the Taylor series of N and D with their zeros at p divided out; the
-        residue is the t^(m-1) coefficient of A/B.  At infinity
-        f(1/w) = w^k R(w) with k = ord_inf f and R = rev N / rev D, so the
-        residue of -w^(k-2) R(w) dw is minus the w^(1-k) coefficient of R.
+        At a finite point, the last coefficient of ``principal_part_at``.
+        At infinity, with f = a / b and lc(b)^(k+1) a = q b + r the pseudo-
+        division (k = max(deg a - deg b, -1)), f = q / lc(b)^(k+1) plus
+        r / (lc(b)^(k+1) b), whose z^-1 coefficient is r_(deg b - 1) /
+        lc(b)^(k+2); the residue is minus that, exact and rounded once.
         """
         if self.is_zero:
-            return 0j
+            return EXACT_ZERO
         p = SpherePoint.of(point)
         if p.is_infinity:
-            terms = 2 - self.order_at(p)
-            r = _series_quotient(self._num.coeffs[::-1], self._den.coeffs[::-1], terms)
-            return -r[-1] if r else 0j
+            (a, b), n = self._pair, len(self._pair[1]) - 1
+            r = pseudo_divmod(a, b)[1]
+            u, v = r[n - 1] if 0 < n <= len(r) else (0, 0)
+            return GaussianRational(-u, -v, b[-1][0] ** (max(len(a) - n, 0) + 1))
         principal = self.principal_part_at(p)
-        return principal[-1] if principal else 0j
+        return principal[-1] if principal else EXACT_ZERO
 
     def principal_part_at(self, point) -> tuple[complex, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
         m is the exact pole order (``pole_order_at``); empty where f is
-        regular.  As in ``residue_at``: the leading m coefficients of A/B,
-        the Taylor series of N and D with D's zero of order m at the point
-        divided out (N has none: the pair is coprime).
+        regular.  At the root of a linear exact factor (a literal's, or a
+        located root's of degree one) they are exact over Q(i), each rounded
+        once (``_laurent``).  At a root of a factor of higher degree they are
+        the leading m coefficients of A/B, the Taylor series of the float
+        views N and D at the point with D's zero of order m there divided
+        out (N has none: the pair is coprime).
         """
         p = SpherePoint.of(point)
         m = self.pole_order_at(p)
         if m == 0:
             return ()
+        f = p.exact_factor
+        if len(f) == 2:
+            return _laurent(*self._pair, f, m)
         a = self._num.expansion_at(p.value, 0, m)
         b = self._den.expansion_at(p.value, m, m)
         return tuple(_series_quotient(a, b, m))

@@ -6,9 +6,10 @@ command gives them; ``--tolerance-scale`` scales them through
 reads the environment, so a result depends only on its inputs and the
 tolerances passed in.  Root multiplicities are read off exact square-free
 factors over Q(i), every pole and zero order is the exponent of an exact
-factor, and the canonical form of ``rational`` is exact: no tolerance
-decides any of them, nor the integer and rational quantities downstream of
-them.  ``eps_res`` bounds only the residual of a located root.
+factor, residues at punctures are exact over Q(i), and the canonical form
+of ``rational`` is exact: no tolerance decides any of them, nor the integer
+and rational quantities downstream of them, the period verdict among them.
+``eps_res`` bounds only the residual of a located root.
 """
 
 from __future__ import annotations
@@ -19,12 +20,14 @@ from dataclasses import dataclass, fields
 # Fields of Tolerances that are genuine tolerances (scaled by ``scaled``).
 # mesh_exclusion_factor is a geometric default, not a tolerance, and the
 # quadrature target is a requested accuracy; both stay fixed under scaling.
+# eps_period_rel decides a period only at a puncture placed at a located root
+# of higher degree (library data); it stays scaled so that the eps_period a
+# document prints keeps its bytes at every scale.
 _SCALED = (
     "eps_pt",
     "eps_res",
     "eps_conformal",
     "eps_period_rel",
-    "residue_cross_rtol",
 )
 
 
@@ -40,11 +43,13 @@ class Tolerances:
             to it.
         eps_conformal: relative bound on the residual of the quadratic-form
             identity satisfied by the four component 1-forms.
-        eps_period_rel: period-condition cutoff, relative to the coefficient
-            scale of the 1-forms.
+        eps_period_rel: relative to the coefficient scale of the 1-forms,
+            the ``eps_period`` a period report prints (until schema 3).
+            The verdict reads the exact residues at every literal puncture
+            and at infinity; ``eps_period`` bounds the real part of a
+            period only at a puncture placed at a located root whose exact
+            factor has higher degree, where the residues are floats.
         quad_rtol: requested relative accuracy of adaptive quadrature.
-        residue_cross_rtol: allowed disagreement between exact residues and
-            the contour-quadrature cross-check.
         mesh_exclusion_factor: exclusion radius around singular points when
             meshing, as a fraction of the region diameter.
     """
@@ -54,7 +59,6 @@ class Tolerances:
     eps_conformal: float = 1e-12
     eps_period_rel: float = 1e-10
     quad_rtol: float = 1e-3
-    residue_cross_rtol: float = 1e-6
     mesh_exclusion_factor: float = 1e-3
 
     def scaled(self, factor: float) -> "Tolerances":

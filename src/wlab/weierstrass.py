@@ -8,9 +8,11 @@ classifies the behaviour of the metric at each puncture, and evaluates the
 metric pointwise.
 
 Every order is an exact integer, read off the exact factors that
-``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees; the
-only genuinely numeric steps here are the conformality samples and the
-contour-quadrature cross-check of the residues.
+``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees, and
+the residues at every literal puncture and at infinity are exact over Q(i),
+so their period verdict is exact too; the only genuinely numeric steps here
+are the conformality samples and the period test at a puncture placed at a
+located root of higher degree.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
 from .poly import Polynomial
-from .rational import INF, RationalFunction, SpherePoint
+from .rational import EXACT_ZERO, INF, GaussianRational, RationalFunction, SpherePoint
 from .tolerances import Tolerances
 
 if TYPE_CHECKING:
@@ -42,7 +45,6 @@ __all__ = [
     "PeriodEntry",
     "PeriodReport",
     "MetricOverflowError",
-    "ResidueQuadratureError",
     "UnsupportedGenusError",
     "DuplicatePunctureError",
     "phi_from_data",
@@ -68,20 +70,6 @@ class DuplicatePunctureError(ValueError):
 
 class MetricOverflowError(ArithmeticError):
     """The metric factor at a point leaves the range of a double."""
-
-
-class ResidueQuadratureError(RuntimeError):
-    """Exact residue and contour quadrature disagree beyond tolerance."""
-
-    def __init__(self, puncture: SpherePoint, component: int, exact: complex, quadrature: complex):
-        self.puncture = puncture
-        self.component = component
-        self.exact = exact
-        self.quadrature = quadrature
-        super().__init__(
-            f"residue cross-check failed at {puncture} for phi_{component + 1}: "
-            f"exact {exact!r} vs contour {quadrature!r}"
-        )
 
 
 @dataclass(frozen=True)
@@ -366,32 +354,18 @@ class PeriodReport:
     max_cross_check_error: float
 
 
-def _contour_residue(f: RationalFunction, center: complex, radius: float, nodes: int) -> complex:
-    """Trapezoidal estimate of the residue on a circle around ``center``."""
-    k = np.arange(nodes)
-    w = np.exp(2j * np.pi * k / nodes)
-    vals = f(center + radius * w)
-    return complex(radius / nodes * np.sum(vals * w))
-
-
-def _quadrature_cross_check(
-    f: RationalFunction,
-    center: complex,
-    radius: float,
-    exact: complex,
-    rtol: float,
-    puncture: SpherePoint,
-    component: int,
-) -> float:
-    """Compare the exact residue against contour quadrature at two resolutions."""
-    worst = 0.0
-    for nodes in (256, 512):
-        approx = _contour_residue(f, center, radius, nodes)
-        err = abs(approx - exact) / max(1.0, abs(exact))
-        worst = max(worst, err)
-        if err > rtol:
-            raise ResidueQuadratureError(puncture, component, exact, approx)
-    return worst
+def _exact_sum(residues) -> complex:
+    """The sum of residues, the exact ones (``GaussianRational``) summed
+    over Q(i) and rounded once, plus the float ones (at located poles)."""
+    re = im = Fraction(0)
+    rest = 0j
+    for r in residues:
+        if isinstance(r, GaussianRational):
+            u, v, w = r.exact
+            re, im = re + Fraction(u, w), im + Fraction(v, w)
+        else:
+            rest += r
+    return complex(float(re), float(im)) + rest
 
 
 def compute_periods(an: Analysis) -> PeriodReport:
@@ -399,55 +373,47 @@ def compute_periods(an: Analysis) -> PeriodReport:
 
     On a genus-0 domain every cycle is homologous to a sum of small loops
     around punctures, so the period condition reduces to
-    Re(2*pi*i*Res) = 0 per puncture and component.  Exact residues are
-    authoritative; trapezoidal contour quadrature (finite punctures only)
-    guards against mis-clustered poles.  The loop around infinity is
-    resolved through the global residue relation instead of a contour.
-
-    Every finite residue is the last Laurent coefficient of a form in
-    ``an.principal_parts``, so no root is sought here; the contours avoid
-    every puncture and every point of that table.
+    Re(2*pi*i*Res) = 0, that is Im Res = 0, per puncture and component.
+    At a finite puncture a residue is the last Laurent coefficient of a form
+    in ``an.principal_parts``, at infinity ``residue_at``; both are exact
+    over Q(i) (``GaussianRational``) wherever the point's exact factor is
+    linear, so at every literal puncture and at infinity, and no root is
+    sought.  There the verdict reads the exact imaginary parts, never their
+    rounding, so a residue of 1e-400 i fails.  A puncture placed at a
+    located root whose factor has higher degree (library data only) has
+    float residues, and there a period passes when its real part is at most
+    ``eps_period``.  By the residue theorem the residues of each form sum to
+    zero, so the global-sum error is 0 (``max_cross_check_error``, printed
+    until schema 3); ``residue_sums`` adds the exact residues exactly and
+    the float ones in floats.
     """
-    d, tol, forms = an.data, an.tol, an.phi.forms
-    eps_period = tol.eps_period_rel * an.phi.coefficient_scale()
+    d, forms = an.data, an.phi.forms
+    eps_period = an.tol.eps_period_rel * an.phi.coefficient_scale()
     parts = an.principal_parts
-    special = [*d.finite_punctures(), *parts]
-
-    at_inf = [f.residue_at(INF) for f in forms]
-    finite_sums = [sum(row[k][-1] for row in parts.values() if row[k]) for k in range(4)]
+    at_inf = tuple(f.residue_at(INF) for f in forms)
 
     entries = []
-    max_err = 0.0
     for p in d.punctures:
         if p.is_infinity:
-            res4 = tuple(at_inf)
-            for idx, (exact, others) in enumerate(zip(at_inf, finite_sums)):
-                # Dual route: residue at infinity must close the global sum.
-                err = abs(exact + others) / max(1.0, abs(exact))
-                if err > tol.residue_cross_rtol:
-                    raise ResidueQuadratureError(p, idx, exact, -others)
-                max_err = max(max_err, err)
+            res4 = at_inf
         else:
-            center = p.value
-            others = [s for s in special if abs(s - center) > tol.eps_pt]
-            radius = 0.5 * min((abs(s - center) for s in others), default=2.0)
-            res4 = tuple(a[-1] if a else 0j for a in parts.get(center, ((),) * 4))
-            for idx, f in enumerate(forms):
-                err = _quadrature_cross_check(
-                    f, center, radius, res4[idx], tol.residue_cross_rtol, p, idx
-                )
-                max_err = max(max_err, err)
+            res4 = tuple(a[-1] if a else EXACT_ZERO for a in parts.get(p.value, ((),) * 4))
         periods = tuple(2j * math.pi * r for r in res4)
         real_parts = tuple(pd.real for pd in periods)
-        ok = all(abs(rp) <= eps_period for rp in real_parts)
+        ok = all(
+            r.exact[1] == 0 if isinstance(r, GaussianRational) else abs(rp) <= eps_period
+            for r, rp in zip(res4, real_parts)
+        )
         entries.append(PeriodEntry(p, res4, periods, real_parts, ok))
 
     return PeriodReport(
         entries=tuple(entries),
         period_ok=bool(entries) and all(e.ok for e in entries),
         eps_period=eps_period,
-        residue_sums=tuple(complex(s + r) for s, r in zip(finite_sums, at_inf)),
-        max_cross_check_error=max_err,
+        residue_sums=tuple(
+            _exact_sum([*(row[k][-1] for row in parts.values() if row[k]), at_inf[k]]) for k in range(4)
+        ),
+        max_cross_check_error=0.0,
     )
 
 

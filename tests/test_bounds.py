@@ -30,7 +30,7 @@ from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
-from wlab.weierstrass import ResidueQuadratureError, WeierstrassData
+from wlab.weierstrass import WeierstrassData
 
 Z = RationalFunction.variable()
 ONE = RationalFunction.constant(1)
@@ -132,16 +132,12 @@ def test_rotation_oracle_pole_orders_match_mu():
     for d in cases:
         if d.g1.is_constant and d.g2.is_constant:
             continue
-        # the float gcd and the residue cross-checks still fail on some
-        # random data; those data sets say nothing about mu and are skipped
+        # root location still fails on some random data; those data sets say
+        # nothing about mu and are skipped
         try:
             mu = rotated_mu(d)
             r = Analysis(d).bounds
-        except (
-            IllConditionedRootsError,
-            RootCrossCheckError,
-            ResidueQuadratureError,
-        ):
+        except (IllConditionedRootsError, RootCrossCheckError):
             continue
         assert r.mu == mu, d
         if r.regular_ok:

@@ -195,7 +195,7 @@ def test_ramify_rejects_a_literal_below_the_range_of_a_double(capsys, tmp_path):
 
 
 def test_nested_powers_past_the_degree_cap_are_a_usage_error(capsys, tmp_path):
-    # each exponent is within its cap of 64; the result would have degree 262,144
+    # each operand is within the degree cap; the result would have degree 262,144
     data = tmp_path / "nested.json"
     data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "((z^64)^64)^64", "g2": "z"}))
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
@@ -619,13 +619,34 @@ def test_punctures_apart_at_the_command_eps_pt_are_accepted(capsys, tmp_path):
     an = Analysis(_load_data(path), Tolerances().scaled(1e-3))
     assert [(str(rec.puncture), rec.mu) for rec in an.ends.records] == [("0", 2), ("1e-09", 1), ("inf", -1)]
     assert len(an.principal_parts) == 2
+    # the residues are exact: those of phi_1 at 0 and 1e-9, about -5e17 and
+    # 5e17 + 1/2, sum to the 1/2 that balances the -1/2 at infinity, though
+    # in doubles they sum to 0; the periods fail, and check exits 2 on that
+    bodies = {}
     for command in ("check", "bounds", "report"):
         code, doc, err = run(capsys, command, path, "--tolerance-scale", "1e-3")
-        # the periods' global residue check fails typed: the residues of
-        # phi_1 at 0 and 1e-9, about -5e17 and 5e17 + 1/2, sum to 0 in
-        # doubles, not to the 1/2 that balances the exact -1/2 at infinity
-        assert code == EXIT_MATH and doc is None
-        assert err.startswith("failure: ResidueQuadratureError: residue cross-check failed at inf for phi_1"), err
+        assert code == (EXIT_OK if command == "bounds" else EXIT_MATH) and err == "", err
+        bodies[command] = doc["report"]
+    periods = bodies["check"]["periods"]
+    assert bodies["report"]["check"]["periods"] == periods and periods["period_ok"] is False
+    assert periods["entries"][-1]["puncture"] == "inf"
+    assert periods["entries"][-1]["residues"] == [
+        {"re": -0.5, "im": 0.0}, {"re": 0.0, "im": 0.5}, {"re": 0.0, "im": 0.0}, {"re": 0.0, "im": 0.0},
+    ]
+
+
+def test_a_contour_enclosing_two_poles_is_gone(capsys, tmp_path):
+    # the pole 1e-12 from the puncture 1/3 is a point of its own: check
+    # reports the regularity violation there, with no typed error from a
+    # residue contour around 1/3 that enclosed it
+    path = write_data(tmp_path, "third", ["1/3", "inf"], "1/((3*z-1)*(3*z-1-3e-12))", "z", "z")
+    code, doc, err = run(capsys, "check", path)
+    assert code == EXIT_MATH and err == ""
+    body = doc["report"]
+    assert body["failures"] == ["regularity", "period"]
+    (violation,) = body["regularity"]["violations"]
+    assert violation["point"] == {"re": 0.333333333334, "im": 0.0}
+    assert violation["form_order"] == -1
 
 
 # -- spellings that the float canonical form read as other maps ---------------------

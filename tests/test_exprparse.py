@@ -127,7 +127,7 @@ def test_exponent_must_be_integer_literal():
     with pytest.raises(ExpressionError):
         parse_expression("z^z")
     with pytest.raises(ExpressionError):
-        parse_expression("z^100")  # above the size cap
+        parse_expression("(z+1)^100")  # above the exponent cap on a base that is not a monomial
 
 
 @pytest.mark.parametrize(
@@ -145,6 +145,32 @@ def test_an_operator_whose_result_can_pass_the_degree_cap_is_refused(time_limit,
     with time_limit(2.0), pytest.raises(ExpressionError, match=f"degree {degree} > 4096") as err:
         parse_expression(text)
     assert err.value.position == text.rindex(operator)
+
+
+def test_the_exponent_cap_does_not_depend_on_spelling_on_a_monomial():
+    # a power of c z^k is one power of c, bounded by the degree cap, so the spellings agree
+    assert parse_expression("z^96") == parse_expression("z^64*z^32") == Z**96
+    assert parse_expression("z^65+1") == parse_expression("z^64*z+1")
+    assert parse_expression("(2i*z^2)^-65") == parse_expression("(2i*z^2)^-64/(2i*z^2)")
+    assert parse_expression("(z/3)^100") == parse_expression("(z/3)^50*(z/3)^50")
+
+
+@pytest.mark.parametrize("text", ["2^65", "(1+i)^-65", "(z/z)^100", "z+0.5^65"])
+def test_a_constant_power_above_the_exponent_cap_is_refused(text):
+    with pytest.raises(ExpressionError, match=r"exponent overflow: \|-?\d+\| > 64") as err:
+        parse_expression(text)
+    assert err.value.position == text.index("^")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(z+1)^65", "(1e300*z+1)^4096", "(z^2+1e300*z+1)^2048", "(1e300*z)^4096", "(1e-300/z)^66", "(z+5e-324)^4096"],
+)
+def test_a_large_power_of_a_polynomial_or_coefficient_is_refused_before_it_runs(time_limit, text):
+    # squaring several terms up to degree 4096, or a 4096-fold 1000-bit part, would take seconds
+    with time_limit(1.0), pytest.raises(ExpressionError, match=r"exponent overflow: \|\d+\| > 64") as err:
+        parse_expression(text)
+    assert err.value.position == text.rindex("^")
 
 
 def test_results_up_to_the_degree_cap_parse():
@@ -246,6 +272,19 @@ def _reduced(f) -> tuple[list, list]:
     return _exact_parts(f.numer.quo_ground(lead)), _exact_parts(f.denom.quo_ground(lead))
 
 
+def _small_monomial(f, exp: int) -> bool:
+    """The parser's rule above the exponent cap: f = c z^k with k != 0, and
+    |exp| times the bit length of c's parts over their least common
+    denominator L, and of L, at most MAX_POWER_BITS."""
+    n, d = _reduced(f)
+    if len(n) + len(d) <= 2 or any(any(c) for c in n[:-1] + d[:-1]):
+        return False
+    re, im = n[-1]
+    q = math.lcm(re.denominator, im.denominator)
+    bits = max(abs(int(x * q)).bit_length() for x in (re, im, 1))
+    return abs(exp) * bits <= exprparse.MAX_POWER_BITS
+
+
 class _ExactOracle(exprparse._Parser):
     """The grammar over sympy's QQ_I(z), with the range rule after each step:
     no part of the reduced pair may round to infinity."""
@@ -289,7 +328,7 @@ class _ExactOracle(exprparse._Parser):
         if tok.kind == "op" and tok.value == "^":
             caret = self.next()
             exp = self.exponent()
-            if abs(exp) > exprparse.MAX_EXPONENT:
+            if abs(exp) > exprparse.MAX_EXPONENT and not _small_monomial(out, exp):
                 raise ExpressionError(
                     f"exponent overflow: |{exp}| > {exprparse.MAX_EXPONENT}", caret.pos
                 )

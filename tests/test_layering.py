@@ -1,17 +1,24 @@
 """Each module is reached one way: imports sit at the top of a module,
 ``Analysis`` is the one entry to a data set's invariants, so ``bounds`` and
 ``curvature`` need it only for type hints and never load it, and every
-definition in the package is reached from inside it."""
+definition in the package is reached from inside it.  The period path
+reads exact residues only, and the contour that once checked them is gone."""
 
 from __future__ import annotations
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from wlab.analysis import Analysis
+from wlab.poly import Polynomial
+
+from test_bounds import loadable_fixtures
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -77,3 +84,27 @@ def test_eps_res_bounds_root_residuals_only():
     # roots is the one step eps_res still guards
     named = sorted(path.name for path in SRC.rglob("*.py") if "eps_res" in path.read_text(encoding="utf-8"))
     assert named == ["roots.py", "tolerances.py"]
+
+
+def test_the_period_path_evaluates_no_float_form(monkeypatch):
+    # every residue a period report prints is exact, so reading the periods
+    # evaluates no float view: no contour, no sampled global sum
+    fixtures = loadable_fixtures()
+
+    def refuse(self, z):
+        raise AssertionError(f"a float polynomial was evaluated at {z!r}")
+
+    monkeypatch.setattr(Polynomial, "__call__", refuse)
+    for d in fixtures:
+        assert Analysis(d).periods.entries, d.label
+
+
+def test_the_residue_contour_is_gone():
+    pattern = re.compile(r"ResidueQuadratureError|residue_cross_rtol|_contour_residue")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits

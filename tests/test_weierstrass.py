@@ -3,15 +3,17 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from wlab import weierstrass
 from wlab.analysis import Analysis
 from wlab.exprparse import as_sphere_point, parse_expression
-from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.rational import INF, GaussianRational, RationalFunction, SpherePoint
 from wlab.roots import roots_with_multiplicity
 from wlab.tolerances import Tolerances
 from wlab.weierstrass import (
@@ -342,10 +344,18 @@ def test_periods_scale_recorded():
     assert report.eps_period >= 1e-10
 
 
+def contour_residue(f: RationalFunction, center: complex, radius: float, nodes: int) -> complex:
+    """Trapezoidal estimate of the residue of f dz on a circle around ``center``."""
+    w = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+    return complex(radius / nodes * np.sum(f(center + radius * w) * w))
+
+
 def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
-    """Residue sums and the largest cross-check error, each form's poles
+    """Residue sums and the largest quadrature error, each form's poles
     root-found from its own denominator: the second route to the numbers
-    ``compute_periods`` reads off the Analysis pole table."""
+    ``compute_periods`` reads off the Analysis pole table.  At infinity the
+    error is that of the global residue sum, at a finite puncture that of
+    trapezoidal contours of 256 and 512 nodes against ``residue_at``."""
     forms = phi_from_data(d).forms
     poles = [
         [z0 for z0, _ in roots_with_multiplicity(f.pair[1], tol)] if f.den.degree else []
@@ -365,8 +375,9 @@ def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
             c = p.value
             radius = 0.5 * min((abs(s - c) for s in special if abs(s - c) > tol.eps_pt), default=2.0)
             errs = [
-                weierstrass._quadrature_cross_check(f, c, radius, f.residue_at(p), math.inf, p, k)
-                for k, f in enumerate(forms)
+                abs(contour_residue(f, c, radius, nodes) - f.residue_at(p)) / max(1.0, abs(f.residue_at(p)))
+                for f in forms
+                for nodes in (256, 512)
             ]
         worst = max(worst, *errs)
     return [s + r for s, r in zip(finite, at_inf)], worst
@@ -375,7 +386,8 @@ def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
 def test_periods_from_the_pole_table_match_the_phi_denominators():
     # each route's residue sums estimate the exact 0 of the residue theorem;
     # root-finding a product denominator costs the second route up to
-    # 1.4e-12 there (random set 15), the table's stay below 1e-14 * scale
+    # 1.4e-12 there (random set 15), while the table's residues are exact and
+    # sum to 0; the contours meet the exact residues within 1e-6
     tol = Tolerances()
     rng = np.random.default_rng(3)
     for d in loadable_fixtures() + [random_regular_data(rng) for _ in range(40)]:
@@ -386,7 +398,90 @@ def test_periods_from_the_pole_table_match_the_phi_denominators():
         for got, want in zip(report.residue_sums, sums):
             assert abs(got) <= 1e-14 * scale, d
             assert abs(got - want) <= 1e-12 * scale, d
-        assert abs(report.max_cross_check_error - worst) <= 1e-12 * scale, d
+        assert report.max_cross_check_error == 0.0
+        assert worst <= 1e-6, d
+
+
+_T = sympy.Symbol("t")
+
+
+def shifted(p, z0) -> list:
+    """The coefficients of p(t + z0) over sympy's QQ_I, lowest first."""
+    poly = sympy.Poly([sympy.QQ_I(*c) for c in p[::-1]], _T, domain=sympy.QQ_I).shift(z0)
+    return [sympy.QQ_I.from_sympy(c) for c in reversed(poly.all_coeffs())]
+
+
+def oracle_residue(a, b, z0):
+    """Res at z0 of (a / b) dz, over sympy's QQ_I: a and b shifted to
+    t = z - z0, m the order of b at t = 0, and the t^(m-1) coefficient of the
+    series a / (b / t^m), by field division."""
+    qq_i = sympy.QQ_I
+    top, bottom = shifted(a, z0), shifted(b, z0)
+    m = next(k for k, c in enumerate(bottom) if c)
+    bottom = bottom[m:]
+    series = []
+    for j in range(m):
+        acc = top[j] if j < len(top) else qq_i(0, 0)
+        for i in range(1, min(j, len(bottom) - 1) + 1):
+            acc -= bottom[i] * series[j - i]
+        series.append(acc / bottom[0])
+    return series[-1] if series else qq_i(0, 0)
+
+
+def oracle_residue_at_infinity(a, b):
+    """Res at infinity of (a / b) dz: minus the residue at w = 0 of
+    a(1/w) / (w^2 b(1/w)) dw = w^(deg b - deg a - 2) rev a / rev b."""
+    e = len(b) - len(a) - 2
+    top, bottom = a[::-1], b[::-1]
+    if e >= 0:
+        top = ((0, 0),) * e + top
+    else:
+        bottom = ((0, 0),) * -e + bottom
+    return -oracle_residue(top, bottom, sympy.QQ_I(0, 0))
+
+
+def test_exact_residues_equal_a_qq_i_oracle():
+    # every residue a period report prints is exact: at each finite puncture
+    # and at infinity its unrounded value is the oracle's Gaussian rational
+    rng = np.random.default_rng(3)
+    checked = 0
+    for d in loadable_fixtures() + [random_regular_data(rng) for _ in range(40)]:
+        an = Analysis(d)
+        for entry in an.periods.entries:
+            p = entry.puncture
+            if not p.is_infinity:
+                (x0, y0), (x1, y1) = p.factor
+                z0 = sympy.QQ_I(-x0, -y0) / sympy.QQ_I(x1, y1)
+            for f, got in zip(an.phi.forms, entry.residues):
+                a, b = f.pair
+                want = oracle_residue_at_infinity(a, b) if p.is_infinity else oracle_residue(a, b, z0)
+                u, v, w = got.exact
+                assert (Fraction(u, w), Fraction(v, w)) == tuple(
+                    Fraction(int(q.numerator), int(q.denominator)) for q in (want.x, want.y)
+                ), (d, p)
+                assert got == complex(Fraction(u, w), Fraction(v, w))
+                checked += 1
+    assert checked >= 400
+
+
+@pytest.mark.parametrize("h, factor, period_ok", [("i/(z^2+1)^2", "z^2+1", True), ("1/(z^2+z+1)", "z^2+z+1", False)])
+def test_periods_at_punctures_on_located_roots_of_a_quadratic(h, factor, period_ok):
+    # a library caller may puncture at roots located from a quadratic factor:
+    # their residues are read off the float views, and a period there passes
+    # when its real part is at most eps_period; at infinity they stay exact
+    located = [r for r, _m in roots_with_multiplicity(parse_expression(factor).pair[0])]
+    d = WeierstrassData(h=parse_expression(h), g1=Z, g2=Z, punctures=(*located, "inf"))
+    an = Analysis(d)
+    report = compute_periods(an)
+    assert report.period_ok is period_ok
+    for entry in report.entries:
+        p = entry.puncture
+        assert entry.residues == tuple(f.residue_at(p) for f in an.phi.forms)
+        if p.is_infinity:
+            assert all(isinstance(r, GaussianRational) for r in entry.residues)
+        else:
+            assert len(p.factor) == 3
+            assert entry.ok is all(abs(rp) <= report.eps_period for rp in entry.real_parts) is period_ok
 
 
 # ---------------------------------------------------------------------------
