@@ -160,10 +160,10 @@ class Analysis:
                 table[p.value] = laurent
         for k, f in enumerate(forms):
             total = sum(len(laurent[k]) for laurent in table.values())
-            if total != f.den.degree:
+            if total != f.degrees[1]:
                 raise PoleTableError(
                     f"the poles of phi_{k + 1} at the data's singular points have total "
-                    f"order {total}, but its denominator has degree {f.den.degree}"
+                    f"order {total}, but its denominator has degree {f.degrees[1]}"
                 )
         return table
 

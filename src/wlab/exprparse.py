@@ -22,7 +22,11 @@ other base keeps the cap, as squaring a polynomial of several terms up to
 degree 4096 costs seconds.  Each operator is one exact operation of
 ``RationalFunction``, so division is symbolic and the result is a reduced
 RationalFunction, never a number; a coefficient of an intermediate result
-beyond the range of a double raises ``OverflowError``.
+beyond the range of a double raises ``OverflowError``.  A power raises it
+before it is multiplied out when its result certainly has one: when
+|N(x)|^e > (e deg N + 1) sqrt(2) 2^1024 at some x in {1, -1, i, -i}, for
+its numerator N = N_base^e (and likewise its denominator), so
+((z+1)^64)^40 is refused at once, not after seconds of squaring.
 """
 
 from __future__ import annotations

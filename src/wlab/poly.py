@@ -7,7 +7,8 @@ coefficients at a root of a given order) lives here, beside the exact
 polynomials over Z[i] that ``rational`` keeps its canonical form in and
 ``roots`` reads multiplicities and orders off: their arithmetic,
 subresultant gcd, primitive parts, exact quotients and exponents, and
-correctly rounded float views.
+correctly rounded float views, and their images modulo one prime, where a
+gcd of 1 certifies coprimality (``mod_p_gcd_degree``).
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self._c
-
-    @property
-    def leading(self) -> complex:
-        if not self._c:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._c[-1]
 
     @property
     def max_abs_coeff(self) -> float:
@@ -150,7 +145,11 @@ def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[com
 # canonical form in these and reads its float views off them.
 
 Exact = tuple[tuple[int, int], ...]
-_OUT_OF_RANGE = "a coefficient is beyond the range of a double"
+OUT_OF_RANGE = "a coefficient is beyond the range of a double"
+# The modular certificates' prime: 1 mod 4, so -1 has the square root _I0
+# mod P0 and Z[i] reduces onto F_P0 (3 generates F_P0^*).
+P0 = 998244353
+_I0 = pow(3, (P0 - 1) // 4, P0)
 
 
 def exact_coeffs(coeffs: Iterable) -> tuple[Exact, int]:
@@ -159,7 +158,7 @@ def exact_coeffs(coeffs: Iterable) -> tuple[Exact, int]:
     parts = []
     for c in coeffs:
         if not isinstance(c, (int, Fraction)) and not cmath.isfinite(c := complex(c)):
-            raise OverflowError(_OUT_OF_RANGE)
+            raise OverflowError(OUT_OF_RANGE)
         parts += [c.real.as_integer_ratio(), c.imag.as_integer_ratio()]
     q = math.lcm(*(d for _, d in parts))
     scaled = iter([n * (q // d) for n, d in parts])
@@ -179,7 +178,7 @@ def rounded(p: Exact, q: int) -> Polynomial:
     try:
         view = [complex(x / q, y / q) for x, y in p]
     except OverflowError:
-        raise OverflowError(_OUT_OF_RANGE) from None
+        raise OverflowError(OUT_OF_RANGE) from None
     while view and not view[-1]:  # below the least double, a coefficient rounds to 0
         view.pop()
     out = Polynomial.__new__(Polynomial)
@@ -250,18 +249,50 @@ def pseudo_divmod(a: Exact, b: Exact) -> tuple[Exact, Exact]:
     return tuple(reversed(q)), _stripped(r)
 
 
+def mod_p(a: Exact) -> list[int]:
+    """The image of a in F_P0[z] under the ring map Z[i] -> F_P0 that sends
+    i to _I0, lowest degree first; its leading entry may vanish."""
+    return [(x + _I0 * y) % P0 for x, y in a]
+
+
+def mod_p_gcd_degree(a: list[int], b: list[int]) -> int:
+    """The degree of gcd(a, b) in F_P0[z], -1 when both are 0: Euclid on
+    the two lists, lowest degree first, which it uses up."""
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        inv, n = pow(b[-1], -1, P0), len(b) - 1
+        while len(a) > n:
+            c, k = a.pop() * inv % P0, len(a) - n
+            a[k:] = [(x - c * s) % P0 for x, s in zip(a[k:], b)]
+        a, b = b, a
+        while b and not b[-1]:
+            b.pop()
+    while a and not a[-1]:
+        a.pop()
+    return len(a) - 1
+
+
 def exact_gcd(a: Exact, b: Exact) -> Exact:
     """A gcd of two nonzero polynomials over Z[i], up to a unit of Q(i).
 
-    The subresultant remainder sequence (Collins 1967; Brown and Traub
-    1971): each pseudo-remainder is divided by the factor g h^delta that it
-    is known to carry, so the coefficients grow only linearly, with no
-    content computation and no primes.  The power of z they share is split
-    off first, so a gcd with a monomial, such as a denominator z^k, runs no
-    remainder sequence.
+    The power of z they share is split off first, so a gcd with a monomial,
+    such as a denominator z^k, runs no remainder sequence.  Then a gcd of 1
+    modulo P0 certifies the rest coprime when either leading coefficient
+    survives there (Brown 1971): a common primitive factor g divides both in
+    Z[i][z] by Gauss's lemma, and keeps its full degree modulo P0, as lc(g)
+    divides that leading coefficient.  Otherwise the subresultant remainder
+    sequence decides (Collins 1967; Brown and Traub 1971): each
+    pseudo-remainder is divided by the factor g h^delta that it is known to
+    carry, so the coefficients grow only linearly, with no content
+    computation.
     """
     ka, kb = (next(k for k, c in enumerate(p) if c != (0, 0)) for p in (a, b))
     shared, a, b = ((0, 0),) * min(ka, kb), a[ka:], b[kb:]
+    if len(a) > 1 and len(b) > 1:
+        ra, rb = mod_p(a), mod_p(b)
+        if (ra[-1] or rb[-1]) and mod_p_gcd_degree(ra, rb) == 0:
+            return shared + ((1, 0),)
     if len(a) < len(b):
         a, b = b, a
     g = h = (1, 0)

@@ -163,12 +163,14 @@ def roots_and_values(f: RationalFunction, parts, tol: Tolerances) -> list[tuple[
     """(point, multiplicity, f's value there) for each root of the exact
     parts, sorted by (re, im).  Each point carries the Yun factor it was
     located from, so the value is 0 or infinity exactly where that factor
-    divides f's numerator or denominator (``value_at_sphere``)."""
-    located = sorted(
-        ((SpherePoint(r), m) for p in parts if len(p) >= 2 for r, m in roots_with_multiplicity(p, tol)),
-        key=lambda pm: (pm[0].value.real, pm[0].value.imag),
-    )
-    return [(point, m, f.value_at_sphere(point)) for point, m in located]
+    divides f's numerator or denominator; the values at one part's roots
+    are read together (``values_at``)."""
+    located = []
+    for p in parts:
+        if len(p) >= 2:
+            points, ms = zip(*((SpherePoint(r), m) for r, m in roots_with_multiplicity(p, tol)))
+            located += zip(points, ms, f.values_at(points))
+    return sorted(located, key=lambda pmv: (pmv[0].value.real, pmv[0].value.imag))
 
 
 def fiber_table(f: RationalFunction, punctures, tol: Tolerances | None = None) -> FiberTable:

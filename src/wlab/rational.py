@@ -2,20 +2,25 @@
 
 A RationalFunction is a quotient of two polynomials over Q(i), kept exactly
 in reduced form with a monic denominator, and read through correctly rounded
-float views of numerator and denominator. Orders, values, principal parts
-and residues are computed for the function and for the differential f dz,
-with no tolerance: an order is an integer read off the exact pair, at
-infinity from the degrees and at a finite point from the exponents of the
-point's exact factor (``SpherePoint.exact_factor``: the linear factor of a
-literal, or the Yun factor a located root was found from).  Where that
-factor is linear (a literal P / Q, or a located root of degree one) the
-value and the Laurent coefficients are computed over Z[i], from the
-Taylor coefficients of the exact pair at P / Q, and each is rounded once;
-``GaussianRational`` keeps the exact value beside the rounded one.  The
-residue at infinity is read off the exact pseudo-remainder.  Only at a
-located root whose factor has higher degree do the Laurent coefficients
-come from the float views (``Polynomial.expansion_at``); such poles occur
-only in data that is not regular.
+float views of numerator and denominator, each built on first read.  That no
+coefficient lies beyond the range of a double is proved on the exact pair
+when it is made, by bit lengths, and only where that proof fails are the
+views built then, to decide it.  Orders, values, principal parts and
+residues are computed for the function and for the differential f dz, with
+no tolerance: an order is an integer read off the exact pair, at infinity
+from the degrees and at a finite point from the exponents of the point's
+exact factor (``SpherePoint.exact_factor``: the linear factor of a literal,
+or the Yun factor a located root was found from); a pole order from the
+denominator's alone.  The value at infinity is read off the degrees and
+leading entries.  Where the factor is linear (a literal P / Q, or a located
+root of degree one) the value and the Laurent coefficients are computed over
+Z[i], from the Taylor coefficients of the exact pair at P / Q, and each is
+rounded once; ``GaussianRational`` keeps the exact value beside the rounded
+one.  The residue at infinity is read off the exact pseudo-remainder.  Only
+at located roots whose factor has higher degree are values read off the
+views (once per factor, ``values_at``), and the Laurent coefficients come
+from the float views (``Polynomial.expansion_at``); such poles occur only in
+data that is not regular.
 """
 
 from __future__ import annotations
@@ -23,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from wlab.poly import (
+    OUT_OF_RANGE,
     Exact,
     Polynomial,
     exact_add,
@@ -226,6 +233,35 @@ def _laurent(a: Exact, b: Exact, line: Exact, m: int) -> tuple["GaussianRational
     return tuple(GaussianRational.quotient(c, powers[j + 1]) for j, c in enumerate(s))
 
 
+# (sqrt(2) 2^1024)^2: a Gaussian rational of larger squared modulus has a
+# part beyond the range of a double
+_BEYOND_RANGE = 2 * 4**1024
+
+
+def _power_out_of_range(p: Exact, lead: tuple[int, int], n: int) -> bool:
+    """Whether (p / lead)^n, n >= 0, certainly has a part beyond the range of
+    a double.  A polynomial q of degree e has |q(x)| <= (e + 1) max|q_k| at
+    |x| = 1, so |p(x) / lead|^n > (n deg p + 1) sqrt(2) 2^1024 at one x in
+    {1, -1, i, -i} is a proof; it is tested squared, in integers."""
+    bound = _BEYOND_RANGE * ((len(p) - 1) * n + 1) ** 2 * (lead[0] ** 2 + lead[1] ** 2) ** n
+    for x, y in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        u = v = 0
+        for c, d in reversed(p):
+            u, v = u * x - v * y + c, u * y + v * x + d
+        if (u * u + v * v) ** n > bound:
+            return True
+    return False
+
+
+def _divides(f: Exact, c: Exact) -> bool:
+    """Whether the primitive f divides c over Q(i)."""
+    try:
+        exact_quotient(c, f)
+    except ArithmeticError:
+        return False
+    return True
+
+
 def _series_quotient(a, b, terms: int) -> list[complex]:
     """The first ``terms`` coefficients of the power series a / b, b[0] != 0."""
     out: list[complex] = []
@@ -245,8 +281,13 @@ class RationalFunction:
     positive integer that clears every denominator; so equal functions hold
     equal pairs.  ``num`` and ``den`` are the float views, each part
     correctly rounded, and every numeric step reads them; ``wronskian`` is
-    the float view of N'D - ND', built on first use.  A result with a
-    coefficient beyond the range of a double raises ``OverflowError``.
+    the float view of N'D - ND'.  Each view is built on first read.  A
+    result with a coefficient beyond the range of a double raises
+    ``OverflowError`` when it is made: every part x of the pair with
+    bit length at most that of L plus 1022 has |x / L| < 2^1023, and the
+    views are built at once only for a pair where some part is longer, to
+    decide it.  A power that certainly leaves the range is refused before it
+    is multiplied out.
     """
 
     __slots__ = ("_pair", "_num", "_den", "_wronskian")
@@ -270,8 +311,11 @@ class RationalFunction:
         if g > 1:
             a, b = (tuple((x // g, y // g) for x, y in p) for p in (a, b))
         self._pair = (a, b)
-        self._num, self._den = rounded(a, b[-1][0]), rounded(b, b[-1][0])
-        self._wronskian = None
+        self._num = self._den = self._wronskian = None
+        lead = b[-1][0]
+        # a part x with bits(x) <= bits(L) + 1022 has |x / L| < 2^1023: only a longer one is rounded to decide
+        if max(map(abs, chain(*a, *b))).bit_length() > lead.bit_length() + 1022:
+            self._num, self._den = rounded(a, lead), rounded(b, lead)
 
     @classmethod
     def _of(cls, a: Exact, b: Exact) -> "RationalFunction":
@@ -284,10 +328,14 @@ class RationalFunction:
 
     @property
     def num(self) -> Polynomial:
+        if self._num is None:
+            self._num = rounded(self._pair[0], self._pair[1][-1][0])
         return self._num
 
     @property
     def den(self) -> Polynomial:
+        if self._den is None:
+            self._den = rounded(self._pair[1], self._pair[1][-1][0])
         return self._den
 
     @property
@@ -325,10 +373,13 @@ class RationalFunction:
     def constant_value(self) -> complex:
         if not self.is_constant:
             raise ValueError("not a constant rational function")
-        return self._num.coeffs[0] if self._num.coeffs else 0j
+        return self.num.coeffs[0] if self.num.coeffs else 0j
 
     @classmethod
     def constant(cls, value) -> "RationalFunction":
+        """The constant ``value``; an int or a Fraction is its own pair."""
+        if isinstance(value, (int, Fraction)):
+            return cls._of(((value.numerator, 0),) if value else (), ((value.denominator, 0),))
         return cls(value)
 
     @classmethod
@@ -336,7 +387,7 @@ class RationalFunction:
         return cls._of(((0, 0), (1, 0)), ((1, 0),))
 
     def __repr__(self) -> str:
-        return f"RationalFunction({list(self._num.coeffs)!r}, {list(self._den.coeffs)!r})"
+        return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RationalFunction) and self._pair == other._pair
@@ -347,11 +398,11 @@ class RationalFunction:
     def __call__(self, z):
         """Evaluate; scalar arguments at a pole raise ZeroDivisionError."""
         if isinstance(z, np.ndarray):
-            return self._num(z) / self._den(z)
-        dv = self._den(z)
+            return self.num(z) / self.den(z)
+        dv = self.den(z)
         if dv == 0:
             raise ZeroDivisionError(f"evaluation at a pole: z={z}")
-        return self._num(z) / dv
+        return self.num(z) / dv
 
     # -- arithmetic ----------------------------------------------------------
     # Exact over Q(i).  The operands are reduced, so a gcd is taken only
@@ -424,6 +475,10 @@ class RationalFunction:
         return NotImplemented if o is None else o / self
 
     def __pow__(self, n: int):
+        """The power, refused with ``OverflowError`` before it is multiplied
+        out where a part of it certainly lies beyond the range of a double
+        (``_power_out_of_range``): its numerator and denominator are a^n and
+        b^n over lc(b)^n."""
         if not isinstance(n, int):
             return NotImplemented
         a, b = self._pair
@@ -431,6 +486,10 @@ class RationalFunction:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero function")
             a, b, n = b, a, -n
+        # a monomial's power is one power of its coefficient, whose range _set decides
+        several_terms = any(x or y for p in (a, b) for x, y in p[:-1])
+        if several_terms and any(_power_out_of_range(p, b[-1], n) for p in (a, b)):
+            raise OverflowError(OUT_OF_RANGE)
         return RationalFunction._of(exact_pow(a, n), exact_pow(b, n))
 
     def cross_numerator(self, other: "RationalFunction") -> Exact:
@@ -492,11 +551,12 @@ class RationalFunction:
         prints as; a root as located (``LocatedRoot``) carries its factor."""
         if self.is_zero:
             raise ValueError("order of the zero function is undefined")
-        p = SpherePoint.of(point)
+        (a, b), p = self._pair, SpherePoint.of(point)
         if p.is_infinity:
-            return self._den.degree - self._num.degree
-        (a, b), f = self._pair, p.exact_factor
-        return exact_exponent(a, f) - exact_exponent(b, f)
+            return len(b) - len(a)
+        f = p.exact_factor
+        k = exact_exponent(b, f)  # the pair is coprime: a pole is no zero
+        return -k if k else exact_exponent(a, f)
 
     def form_order_at(self, point) -> int:
         """Order of the differential f dz at a sphere point.
@@ -508,42 +568,58 @@ class RationalFunction:
         return self.order_at(p) - (2 if p.is_infinity else 0)
 
     def value_at_sphere(self, point) -> SpherePoint:
-        """Value of the map at a sphere point, as a sphere point.
+        """Value of the map at a sphere point, as a sphere point (``values_at``)."""
+        return self.values_at((point,))[0]
 
-        At the root P / Q of a linear factor (a literal's, or a located
-        root's of degree one) the exact pair is evaluated over Z[i] as
-        sum a_k P^k Q^(n-k), numerator and denominator alike, so the value
-        is rounded once; infinity where the denominator vanishes.  At a root
-        of a factor of higher degree the value is infinity or 0 where the
-        factor divides the denominator or numerator, else read off the views.
+    def values_at(self, points) -> list[SpherePoint]:
+        """Values of the map at sphere points, as sphere points.
+
+        At infinity the value is read off the degrees and leading entries of
+        the exact pair.  At the root P / Q of a linear factor (a literal's,
+        or a located root's of degree one) the exact pair is evaluated over
+        Z[i] as sum a_k P^k Q^(n-k), numerator and denominator alike, so the
+        value is rounded once; infinity where the denominator vanishes.  At
+        the roots of a factor of higher degree the value is infinity or 0
+        where the factor divides the denominator or numerator, else read off
+        the views, infinity where the denominator's is exactly 0; each such
+        factor is tested once, and the views are evaluated once at all of
+        its points.
         """
-        p = SpherePoint.of(point)
+        points = [SpherePoint.of(p) for p in points]
         if self.is_zero:
-            return SpherePoint(0j)
-        if p.is_infinity:
-            dn, dd = self._num.degree, self._den.degree
-            if dn > dd:
-                return INF
-            if dn < dd:
-                return SpherePoint(0j)
-            return SpherePoint(self._num.leading / self._den.leading)
-        (a, b), f = self._pair, p.exact_factor
-        if len(f) > 2:
-            for c, value in ((b, INF), (a, SpherePoint(0j))):
-                try:
-                    exact_quotient(c, f)
-                    return value
-                except ArithmeticError:
-                    pass
-            den = self._den(p.value)
-            return INF if den == 0 else SpherePoint(self._num(p.value) / den)
-        n = max(len(a), len(b)) - 1
-        ((u, v),), ((s, t),) = (_taylor(c, f, n, 1) for c in (a, b))
-        if not (s or t):
-            return INF
-        if not (u or v):
-            return SpherePoint(0j)
-        return SpherePoint(GaussianRational.quotient((u, v), (s, t)))
+            return [SpherePoint(0j) for _ in points]
+        (a, b), out, shared = self._pair, [], {}
+        for k, p in enumerate(points):
+            if p.is_infinity:
+                out.append(
+                    INF if len(a) > len(b) else SpherePoint(0j) if len(a) < len(b)
+                    else SpherePoint(GaussianRational.quotient(a[-1], b[-1]))
+                )
+                continue
+            f = p.exact_factor
+            if len(f) > 2:
+                shared.setdefault(f, []).append(k)
+                out.append(None)
+                continue
+            n = max(len(a), len(b)) - 1
+            ((u, v),), ((s, t),) = (_taylor(c, f, n, 1) for c in (a, b))
+            if not (s or t):
+                out.append(INF)
+            elif not (u or v):
+                out.append(SpherePoint(0j))
+            else:
+                out.append(SpherePoint(GaussianRational.quotient((u, v), (s, t))))
+        for f, ks in shared.items():
+            if _divides(f, b):
+                values = [INF] * len(ks)
+            elif _divides(f, a):
+                values = [SpherePoint(0j)] * len(ks)
+            else:
+                z = np.array([points[k].value for k in ks])
+                values = [INF if d == 0 else SpherePoint(x / d) for x, d in zip(self.num(z).tolist(), self.den(z).tolist())]
+            for k, value in zip(ks, values):
+                out[k] = value
+        return out
 
     def residue_at(self, point) -> complex:
         """Residue of the differential f dz at a sphere point.
@@ -568,28 +644,33 @@ class RationalFunction:
     def principal_part_at(self, point) -> tuple[complex, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
-        m is the exact pole order (``pole_order_at``); empty where f is
-        regular.  At the root of a linear exact factor (a literal's, or a
-        located root's of degree one) they are exact over Q(i), each rounded
-        once (``_laurent``).  At a root of a factor of higher degree they are
-        the leading m coefficients of A/B, the Taylor series of the float
-        views N and D at the point with D's zero of order m there divided
-        out (N has none: the pair is coprime).
+        m is the exact pole order, read off the denominator alone
+        (``pole_order_at``); empty where f is regular.  At the root of a
+        linear exact factor (a literal's, or a located root's of degree one)
+        they are exact over Q(i), each rounded once (``_laurent``).  At a
+        root of a factor of higher degree they are the leading m
+        coefficients of A/B, the Taylor series of the float views N and D at
+        the point with D's zero of order m there divided out (N has none:
+        the pair is coprime).
         """
         p = SpherePoint.of(point)
-        m = self.pole_order_at(p)
+        f = p.exact_factor
+        m = exact_exponent(self._pair[1], f)
         if m == 0:
             return ()
-        f = p.exact_factor
         if len(f) == 2:
             return _laurent(*self._pair, f, m)
-        a = self._num.expansion_at(p.value, 0, m)
-        b = self._den.expansion_at(p.value, m, m)
+        a = self.num.expansion_at(p.value, 0, m)
+        b = self.den.expansion_at(p.value, m, m)
         return tuple(_series_quotient(a, b, m))
 
     def pole_order_at(self, point) -> int:
-        """max(0, -order_at): the pole order, zero when regular.
+        """max(0, -order_at): the pole order, zero when regular, read off the
+        denominator alone, as the pair is coprime.
 
         Defined for every rational function; the zero function has no poles.
         """
-        return 0 if self.is_zero else max(0, -self.order_at(point))
+        (a, b), p = self._pair, SpherePoint.of(point)
+        if p.is_infinity:
+            return max(0, len(a) - len(b))
+        return exact_exponent(b, p.exact_factor)

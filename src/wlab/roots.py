@@ -11,13 +11,15 @@ maps up to degree 126, where a start on one Cauchy-bound circle stalled.
 
 Multiplicities come from Yun's square-free factorization (Yun 1976) of the
 exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
-certifies it square-free first, as it does most inputs; no tolerance decides
-a multiplicity. Only the float view of each Yun factor is located, once
-(both routes), and its roots carry the factor's multiplicity; no root is
-matched across factors. The degrees telescope, so multiplicities sum to
+certifies it square-free first, as it does most inputs; a gcd of the chain
+or of the gcd-free basis that is 1 is certified so too (``poly.exact_gcd``).
+No tolerance decides a multiplicity. Only the float view of each Yun factor
+is located, once (both routes), and its roots carry the factor's
+multiplicity; no root is matched across factors. The degrees telescope, so multiplicities sum to
 deg p by construction -- they feed exact bookkeeping downstream (branching
 orders, degree identities) where an off-by-one is fatal. Each root's
-residual in p is a sanity bound on the located positions.
+residual in p is a sanity bound on the located positions; the monic view of
+p is evaluated once, at all of them.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from wlab.poly import (
-    Exact, LocatedRoot, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient, rounded,
+    P0, Exact, LocatedRoot, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient,
+    mod_p, mod_p_gcd_degree, rounded,
 )
 from wlab.tolerances import Tolerances
 
@@ -41,10 +44,6 @@ __all__ = [
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
 _CROSS_CHECK_RTOL = 1e-6
-# The square-free certificate's prime: 1 mod 4, so -1 has the square root _I0
-# mod _P0 and Z[i] reduces onto F_P0 (3 generates F_P0^*).
-_P0 = 998244353
-_I0 = pow(3, (_P0 - 1) // 4, _P0)
 
 
 class RootCrossCheckError(RuntimeError):
@@ -194,29 +193,15 @@ def _located_roots(p: Polynomial) -> list[complex]:
 
 
 def _certified_square_free(p: Exact) -> bool:
-    """Whether p reduces to a square-free polynomial of the same degree mod _P0.
+    """Whether p reduces to a square-free polynomial of the same degree mod P0.
 
-    Reduction is a ring map Z[i] -> F_P0 (i to a square root of -1).  Were
-    p = q^2 r with q primitive over Z[i], q^2 would divide p in Z[i][z]
-    (Gauss's lemma), and mod _P0 at full degree, as lc(q) divides lc(p).  So
-    gcd(p, p') = 1 mod _P0 with lc(p) nonzero there certifies p square-free;
+    Were p = q^2 r with q primitive over Z[i], q^2 would divide p in Z[i][z]
+    (Gauss's lemma), and mod P0 at full degree, as lc(q) divides lc(p).  So
+    gcd(p, p') = 1 mod P0 with lc(p) nonzero there certifies p square-free;
     the converse can fail, and then the exact chain decides.
     """
-    a = [(x + _I0 * y) % _P0 for x, y in p]
-    b = [k * c % _P0 for k, c in enumerate(a) if k]
-    if not a[-1]:
-        return False
-    while True:  # Euclid over F_P0: a ends as gcd(p, p') mod _P0
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        inv, n = pow(b[-1], -1, _P0), len(b) - 1
-        while len(a) > n:
-            c = a.pop() * inv % _P0
-            for j, s in enumerate(b[:n], len(a) - n):
-                a[j] = (a[j] - c * s) % _P0
-        a, b = b, a
+    a = mod_p(p)
+    return bool(a[-1]) and mod_p_gcd_degree(a, [k * c % P0 for k, c in enumerate(a) if k]) == 0
 
 
 def common_part(p: Exact, q: Exact) -> Exact:
@@ -337,12 +322,13 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
                 )
 
     view = _monic_view(p)
-    for r, m in located:
+    residuals = view(np.array([r for r, _ in located])).tolist()
+    for (r, m), residual in zip(located, residuals):
         bound = tol.eps_res * view.max_abs_coeff * (1.0 + abs(r)) ** view.degree
-        if not abs(view(r)) <= bound:
+        if not abs(residual) <= bound:
             raise IllConditionedRootsError(
                 f"root {r} (multiplicity {m}) fails the residual bound: "
-                f"{abs(view(r)):.3e} > {bound:.3e}",
+                f"{abs(residual):.3e} > {bound:.3e}",
                 [(r, m)],
                 [(r, 0)],
             )

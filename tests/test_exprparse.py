@@ -173,6 +173,23 @@ def test_a_large_power_of_a_polynomial_or_coefficient_is_refused_before_it_runs(
     assert err.value.position == text.rindex("^")
 
 
+@pytest.mark.parametrize("text", ["((z+1)^64)^40", "((z+1)^64)^64", "((z^2+z+1)^64)^32", "((z-i)^64)^-40"])
+def test_a_power_that_certainly_overflows_is_refused_before_it_is_multiplied_out(time_limit, text):
+    # |N(x)|^e above (e deg N + 1) sqrt(2) 2^1024 at x = 1, -1, i or -i
+    with time_limit(1.0), pytest.raises(OverflowError, match="beyond the range of a double"):
+        parse_expression(text)
+
+
+def test_a_power_short_of_that_proof_is_multiplied_out():
+    # |N(1)|^15 = 2^960: the largest coefficient, C(960, 480) < 2^956, is in range
+    f = parse_expression("((z+1)^64)^15")
+    assert f.degree == 960 and f.pair[0][480][0] == math.comb(960, 480)
+    # the proof is all but tight on equal coefficients c (1 + i), c the
+    # largest double: |N(1)| = 2 sqrt(2) c, under the bound 2 sqrt(2) 2^1024
+    big = "(1.7976931348623157e308+1.7976931348623157e308i)*(z+1)"
+    assert parse_expression(f"({big})^1") == parse_expression(big)
+
+
 def test_results_up_to_the_degree_cap_parse():
     assert parse_expression("(z^64)^64").degree == exprparse.MAX_DEGREE == 4096
     assert parse_expression("(z^64)^64/(z+1)").degree == 4096
@@ -424,6 +441,13 @@ _EDGE_CASES = (
     "-0*z - 0",
     "z^-2 + z^2",
     "(z^2-1)/(z+1) - z",
+    # the monic denominator z + 1e400 is out of range, though the pair is not
+    "1/(1e-200*z + 1e200)",
+    # one on each side of the largest double: the bit-length proof fails on both
+    "8.98846567431158e307*z*2",
+    "8.98846567431157e307*z*2",
+    # refused before it is multiplied out; the oracle multiplies it out
+    "((z+1)^64)^40",
 )
 
 

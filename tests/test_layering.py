@@ -15,10 +15,14 @@ from pathlib import Path
 
 import pytest
 
+from wlab import poly
 from wlab.analysis import Analysis
+from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
+from wlab.rational import INF
 
 from test_bounds import loadable_fixtures
+from test_exprparse import _ladder_maps
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -97,6 +101,16 @@ def test_the_period_path_evaluates_no_float_form(monkeypatch):
     monkeypatch.setattr(Polynomial, "__call__", refuse)
     for d in fixtures:
         assert Analysis(d).periods.entries, d.label
+
+
+def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
+    # the views are built on first read, and the range rule is proved on the
+    # exact pair, so parsing alone rounds nothing
+    text = _ladder_maps()[16]  # a generic A / B of degree 20
+    rounded = record_calls(poly, "rounded")
+    f = parse_expression(text)
+    assert f.degree == 20 and f.order_at(INF) == 0
+    assert not rounded
 
 
 def test_the_residue_contour_is_gone():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import exact, from_roots
+from wlab import poly
 from wlab.poly import (
+    P0,
     Polynomial,
     exact_add,
     exact_coeffs,
@@ -297,6 +299,37 @@ def test_subresultant_gcd_recovers_a_gaussian_common_factor():
         assert exact_mul(g, a[-1:]) == exact_mul(a, g[-1:])
         qb, qc = exact_cofactors(ab, ac)
         assert exact_mul(qb, c) == exact_mul(qc, b) and len(qb) == len(b)
+
+
+def _subresultant_gcd(monkeypatch, a, b):
+    """exact_gcd with the modular certificate never succeeding."""
+    with monkeypatch.context() as m:
+        m.setattr(poly, "mod_p_gcd_degree", lambda a, b: 1)
+        return exact_gcd(a, b)
+
+
+def test_the_modular_certificate_returns_what_the_subresultant_sequence_does(monkeypatch, record_calls):
+    rng = random.Random("coprime")
+    pairs = [
+        # z and z + 1 against their shifts by P0: equal mod P0, coprime over Q(i)
+        (((0, 0), (1, 0)), ((P0, 0), (1, 0))),
+        (((1, 0), (1, 0)), ((1 + P0, 0), (1, 0))),
+        # a leading coefficient divisible by P0, on one side and on both
+        (((3, 1), (2, 0), (P0, 0)), _gaussian_poly(rng, 3)),
+        (((3, 1), (2, 0), (P0, 0)), ((1, 0), (5, 2), (2 * P0, 0))),
+        # P0 z - 1 times z - 2 and z - 3: coprime mod P0, where the factor drops to -1
+        (exact_mul(((-1, 0), (P0, 0)), ((-2, 0), (1, 0))), exact_mul(((-1, 0), (P0, 0)), ((-3, 0), (1, 0)))),
+    ]
+    for _ in range(40):
+        a, b, c = (_gaussian_poly(rng, rng.randint(1, 8)) for _ in range(3))
+        pairs += [(a, b), (exact_mul(a, c), exact_mul(b, c))]
+    for a, b in pairs:
+        assert exact_gcd(a, b) == _subresultant_gcd(monkeypatch, a, b), (a, b)
+    # a random coprime pair is certified without a remainder sequence
+    remainders = record_calls(poly, "pseudo_divmod")
+    for a, b in pairs[5::2]:
+        assert exact_gcd(a, b) == ((1, 0),)
+    assert not remainders
 
 
 def test_exact_coefficients_and_their_correctly_rounded_view():

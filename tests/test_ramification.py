@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import from_roots
+from test_exprparse import _ladder_maps
+from test_snapshots import NO_SIMD_DISPATCH
 from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import Polynomial
 from wlab.ramification import OverfullFiberError, fiber_table, ramification_report
@@ -392,3 +398,44 @@ def test_random_fibers_match_counting():
             # route; a typed failure is allowed, a differing fiber is not
             failed[type(exc).__name__] += 1
     assert compared >= 200, failed
+
+
+def _bits(point: SpherePoint) -> str:
+    return "inf" if point.is_infinity else f"{point.value.real.hex()} {point.value.imag.hex()}"
+
+
+def values_batch_against_single() -> tuple[int, list[str]]:
+    """(points compared, mismatches): each ladder map of degree at most 20
+    is read at all roots of its Wronskian, at infinity and at 1/3 in one
+    ``values_at`` batch, and at each point alone."""
+    count, mismatches = 0, []
+    for text in _ladder_maps():
+        f = parse_expression(text)
+        if f.degree > 20:
+            continue
+        points = [SpherePoint(r) for r, _m in roots_with_multiplicity(f.derivative_numerator())]
+        points += [INF, parse_sphere_point("1/3")]
+        for point, value in zip(points, f.values_at(points)):
+            count += 1
+            if _bits(value) != _bits(f.value_at_sphere(point)):
+                mismatches.append(f"{text} at {point}")
+    return count, mismatches
+
+
+def test_values_at_a_batch_are_the_values_at_each_point_alone():
+    count, mismatches = values_batch_against_single()
+    assert count > 400 and not mismatches
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")
+def test_values_at_a_batch_are_the_values_at_each_point_alone_without_simd_dispatch():
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": NO_SIMD_DISPATCH}
+    probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True)
+    if probe.returncode != 0:
+        pytest.skip(f"numpy refuses NPY_DISABLE_CPU_FEATURES={NO_SIMD_DISPATCH!r}")
+    tests, src = Path(__file__).resolve().parent, Path(__file__).resolve().parents[1] / "src"
+    code = "import json, test_ramification as t; print(json.dumps(t.values_batch_against_single()))"
+    env["PYTHONPATH"] = os.pathsep.join([str(tests), str(src)])
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    count, mismatches = json.loads(proc.stdout)
+    assert count > 400 and not mismatches

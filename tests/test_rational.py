@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import from_roots
+from wlab import poly
 from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import Polynomial, exact_add, exact_cofactors, exact_mul
 from wlab.rational import INF, RationalFunction, SpherePoint
@@ -253,6 +254,19 @@ def test_value_at_sphere():
     assert h.value_at_sphere(INF) == SpherePoint(2 + 0j)
 
 
+def test_order_and_value_at_infinity_are_read_off_the_exact_pair(record_calls):
+    # 1e-600 z^2: the numerator's view rounds to 0, the exact pair does not
+    f = parse_expression("(1e-300*z)^2")
+    rounded = record_calls(poly, "rounded")
+    assert f.order_at(INF) == -2 and f.value_at_sphere(INF) == INF
+    h = parse_expression("(1e-300*z)^2/(z^3+1)")
+    assert h.order_at(INF) == 1 and h.value_at_sphere(INF) == SpherePoint(0j)
+    g = parse_expression("(1e-300*z^2 + 1)/(3*z^2 + z)")
+    assert g.order_at(INF) == 0 and g.value_at_sphere(INF).value == complex(Fraction(1, 3 * 10**300))
+    assert not rounded  # no view was built
+    assert f.num.coeffs == () and f.degrees == (2, 0)
+
+
 def test_pow_negative():
     f = Z**-2
     assert f == 1 / Z**2
@@ -313,6 +327,13 @@ def test_orders_at_a_located_root_are_read_off_its_yun_factor():
     for r in (two, three):
         with pytest.raises(ArithmeticError, match="different orders"):
             g.order_at(r)
+    # a pole order is read off the denominator alone: where that factor
+    # shares nothing with it, there is no pole, whatever the numerator holds
+    h = parse_expression("(z-2)/(z-5)")
+    for r in (two, three):
+        with pytest.raises(ArithmeticError, match="different orders"):
+            h.order_at(r)
+        assert h.pole_order_at(r) == 0 and h.principal_part_at(r) == () and h.residue_at(r) == 0j
 
 
 def test_orders_and_values_at_a_non_dyadic_point_are_exact():

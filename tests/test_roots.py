@@ -8,7 +8,7 @@ import pytest
 from conftest import exact, from_roots
 from wlab import roots
 from wlab.exprparse import parse_expression
-from wlab.poly import Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
+from wlab.poly import P0, Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
 from wlab.rational import SpherePoint
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
@@ -269,11 +269,11 @@ def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch):
     "p, expected",
     [
         # z (z - P0): square-free over Q(i), but z^2 mod P0
-        (((0, 0), (-roots._P0, 0), (1, 0)), {0j: 1, complex(roots._P0): 1}),
+        (((0, 0), (-P0, 0), (1, 0)), {0j: 1, complex(P0): 1}),
         # P0 (z - 1)^2 (z + 1): the leading coefficient vanishes mod P0
-        (exact_mul(((roots._P0, 0),), ((1, 0), (-1, 0), (-1, 0), (1, 0))), {(-1 + 0j): 1, (1 + 0j): 2}),
+        (exact_mul(((P0, 0),), ((1, 0), (-1, 0), (-1, 0), (1, 0))), {(-1 + 0j): 1, (1 + 0j): 2}),
         # (P0 z - 1)(z - 2): square-free, with P0 | lc
-        (exact_mul(((-1, 0), (roots._P0, 0)), ((-2, 0), (1, 0))), {complex(1 / roots._P0): 1, (2 + 0j): 1}),
+        (exact_mul(((-1, 0), (P0, 0)), ((-2, 0), (1, 0))), {complex(1 / P0): 1, (2 + 0j): 1}),
     ],
 )
 def test_what_the_certificate_cannot_certify_falls_through_to_the_chain(p, expected):
