@@ -1,7 +1,7 @@
 """One lazy analysis of one Weierstrass data set.
 
 The paper's bounds rest on a few invariants of one triple (h dz, g1, g2):
-the φ-forms, the three surface conditions, the end classification, the
+the φ-forms, the regularity of the metric, the end classification, the
 periods and the ramification of each Gauss component.  ``Analysis`` derives
 each of them at most once, on first use, and every consumer reads them from
 it: the CLI commands, the bounds, the unicity comparison, the closed-form
@@ -44,7 +44,6 @@ from .rational import SpherePoint
 from .roots import gcd_free_basis, roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
-    ConformalityReport,
     DuplicatePunctureError,
     EndClassification,
     PeriodReport,
@@ -52,7 +51,6 @@ from .weierstrass import (
     RegularityReport,
     UnsupportedGenusError,
     WeierstrassData,
-    check_conformality,
     check_regularity,
     classify_ends,
     compute_periods,
@@ -166,10 +164,6 @@ class Analysis:
                     f"order {total}, but its denominator has degree {f.degrees[1]}"
                 )
         return table
-
-    @cached_property
-    def conformality(self) -> ConformalityReport:
-        return check_conformality(self.phi, self.tol)
 
     @cached_property
     def regularity(self) -> RegularityReport:

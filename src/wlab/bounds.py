@@ -43,10 +43,11 @@ read off the float views only where it is finite and nonzero.
 
 Every verdict here is evaluated in integer / Fraction arithmetic; floats
 enter only upstream (root finding, residues).  Conclusions that depend on
-the surface hypotheses (conformality, regularity, completeness) are gated
-on those checks: a falsified conclusion on data satisfying the hypotheses
-is reported as a contradiction, because the underlying statements are
-theorems and a contradiction can only mean an implementation bug.
+the surface hypotheses (regularity and completeness; conformality holds by
+construction of the φ-forms) are gated on those checks: a falsified
+conclusion on data satisfying the hypotheses is reported as a
+contradiction, because the underlying statements are theorems and a
+contradiction can only mean an implementation bug.
 """
 
 from __future__ import annotations
@@ -354,14 +355,11 @@ def bounds_of(an: Analysis) -> BoundsReport:
     notes: list[str] = []
     # every hypothesis is evaluated, in this order, before any verdict
     ends = an.ends
-    conformal = an.conformality.ok
     regular = an.regularity.ok
     nondegenerate = bool(ends.records) and all(
         r.verdict != VERDICT_DEGENERATE for r in ends.records
     )
-    hypotheses_ok = conformal and regular and nondegenerate  # non-flat here
-    if not conformal:
-        notes.append("conformality fails: not minimal-surface data")
+    hypotheses_ok = regular and nondegenerate  # non-flat here
     if not regular:
         notes.append("metric degenerates away from the punctures")
     if not nondegenerate:
@@ -387,7 +385,7 @@ def bounds_of(an: Analysis) -> BoundsReport:
         notes=notes,
         exceptional_g1=ram1.exceptional_count if ram1 else None,
         exceptional_g2=ram2.exceptional_count if ram2 else None,
-        conformal_ok=conformal,
+        conformal_ok=True,  # sum phi_k^2 = 0 by construction
         regular_ok=regular,
         complete_ok=nondegenerate,
         hypotheses_ok=hypotheses_ok,
@@ -556,11 +554,12 @@ def _without_roots_of(p: Exact, g: Exact) -> Exact:
 
 
 def _complete_surface(an: Analysis) -> bool:
-    """Conformal, regular, non-flat, and every end a genuine complete end."""
+    """Regular, non-flat, and every end a genuine complete end (conformal by
+    construction)."""
     d = an.data
-    ends, conformal, regular = an.ends, an.conformality.ok, an.regularity.ok
+    ends, regular = an.ends, an.regularity.ok
     nonflat = d.g1.degree >= 1 or d.g2.degree >= 1
-    return conformal and regular and ends.complete and nonflat
+    return regular and ends.complete and nonflat
 
 
 def unicity_of(a: Analysis, b: Analysis) -> UnicityReport:

@@ -72,26 +72,6 @@ class Polynomial:
             return out
         return complex(out)
 
-    # -- arithmetic ------------------------------------------------------------
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self._c), len(other._c))
-        a = list(self._c) + [0j] * (n - len(self._c))
-        for i, x in enumerate(other._c):
-            a[i] += x
-        return Polynomial(a)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-x for x in self._c))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        return Polynomial(np.convolve(np.asarray(self._c), np.asarray(other._c)))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._c == other._c
 

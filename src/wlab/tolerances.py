@@ -9,7 +9,8 @@ factors over Q(i), every pole and zero order is the exponent of an exact
 factor, residues at punctures are exact over Q(i), and the canonical form
 of ``rational`` is exact: no tolerance decides any of them, nor the integer
 and rational quantities downstream of them, the period verdict among them.
-``eps_res`` bounds only the residual of a located root.
+Conformality is an identity of the φ-forms, so no tolerance decides it
+either.  ``eps_res`` bounds only the residual of a located root.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass, fields
 _SCALED = (
     "eps_pt",
     "eps_res",
-    "eps_conformal",
     "eps_period_rel",
 )
 
@@ -41,8 +41,6 @@ class Tolerances:
         eps_res: root residual bound, relative to the coefficient scale and
             ``(1+|r|)^deg``; every located root, simple or multiple, is held
             to it.
-        eps_conformal: relative bound on the residual of the quadratic-form
-            identity satisfied by the four component 1-forms.
         eps_period_rel: relative to the coefficient scale of the 1-forms,
             the ``eps_period`` a period report prints (until schema 3).
             The verdict reads the exact residues at every literal puncture
@@ -56,7 +54,6 @@ class Tolerances:
 
     eps_pt: float = 1e-8
     eps_res: float = 1e-9
-    eps_conformal: float = 1e-12
     eps_period_rel: float = 1e-10
     quad_rtol: float = 1e-3
     mesh_exclusion_factor: float = 1e-3

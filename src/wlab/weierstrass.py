@@ -2,22 +2,23 @@
 
 A surface is described by a triple ``(h dz, g1, g2)`` of rational functions
 on a punctured sphere.  This module converts the triple to the four
-holomorphic forms ``phi_1 .. phi_4``, checks the three structural conditions
-(conformality, regularity of the induced metric, vanishing real periods),
+holomorphic forms ``phi_1 .. phi_4``, checks the structural conditions that
+can fail (regularity of the induced metric, vanishing real periods),
 classifies the behaviour of the metric at each puncture, and evaluates the
-metric pointwise.
+metric pointwise.  The third condition, conformality (sum phi_k^2 = 0), is
+an identity of ``phi_from_data``: (1 + g1 g2)^2 - (1 - g1 g2)^2 +
+(g1 - g2)^2 - (g1 + g2)^2 = 0 for all g1, g2 (Hoffman and Osserman, Mem.
+AMS 236, 1980), and the forms are exact, so nothing here checks it.
 
 Every order is an exact integer, read off the exact factors that
 ``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees, and
 the residues at every literal puncture and at infinity are exact over Q(i),
-so their period verdict is exact too; the only genuinely numeric steps here
-are the conformality samples and the period test at a puncture placed at a
-located root of higher degree.
+so their period verdict is exact too; the only genuinely numeric step here
+is the period test at a puncture placed at a located root of higher degree.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
-from .poly import Polynomial
 from .rational import EXACT_ZERO, INF, GaussianRational, RationalFunction, SpherePoint
-from .tolerances import Tolerances
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -36,8 +35,6 @@ if TYPE_CHECKING:
 __all__ = [
     "WeierstrassData",
     "PhiForms",
-    "ConformalityReport",
-    "ConformalityOverflowError",
     "RegularityViolation",
     "RegularityReport",
     "EndRecord",
@@ -48,7 +45,6 @@ __all__ = [
     "UnsupportedGenusError",
     "DuplicatePunctureError",
     "phi_from_data",
-    "check_conformality",
     "check_regularity",
     "classify_ends",
     "compute_periods",
@@ -127,6 +123,8 @@ def phi_from_data(d: WeierstrassData) -> PhiForms:
 
     phi1 = (1 + g1 g2) h / 2        phi2 = i (1 - g1 g2) h / 2
     phi3 = (g1 - g2) h / 2          phi4 = -i (g1 + g2) h / 2
+
+    so that phi1^2 + phi2^2 + phi3^2 + phi4^2 = 0 identically.
     """
     gg = d.g1 * d.g2
     one = RationalFunction.constant(1.0)
@@ -135,98 +133,6 @@ def phi_from_data(d: WeierstrassData) -> PhiForms:
         phi2=(one - gg) * d.h * 0.5j,
         phi3=(d.g1 - d.g2) * d.h * 0.5,
         phi4=(d.g1 + d.g2) * d.h * (-0.5j),
-    )
-
-
-@dataclass(frozen=True)
-class ConformalityReport:
-    ok: bool
-    symbolic_zero: bool
-    symbolic_residual: float
-    numeric_residual: float
-    samples: int
-
-
-def _conformality_numerator(phi: PhiForms) -> tuple[Polynomial, float]:
-    """Numerator of sum(phi_i^2) over the common denominator, plus its scale.
-
-    The sum of the squares of ``_cleared_numerators``, built term by term
-    without gcd reduction so that exact cancellation is visible: for
-    conformal data the four term polynomials sum to zero.
-    """
-    terms = [w * w for w in _cleared_numerators(phi)]
-    total = Polynomial()
-    scale = 0.0
-    for t in terms:
-        total = total + t
-        scale = max(scale, t.max_abs_coeff)
-    return total, max(scale, 1.0)
-
-
-_SAMPLES = 100
-_SAMPLE_SIGMA = 1.5
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-# node k turns by k golden angles, at the ((k mod _SAMPLES) + 1/2) / _SAMPLES
-# quantile of the Rayleigh law with scale _SAMPLE_SIGMA (the law of |z| for a
-# complex Gaussian z with that deviation per part); later rounds repeat the
-# radii at new angles, standing in for nodes at poles
-_NODES = np.array(
-    [
-        cmath.rect(
-            _SAMPLE_SIGMA * math.sqrt(-2.0 * math.log1p(-(k % _SAMPLES + 0.5) / _SAMPLES)),
-            k * _GOLDEN_ANGLE,
-        )
-        for k in range(4 * _SAMPLES)
-    ]
-)
-
-
-class ConformalityOverflowError(ArithmeticError):
-    """The conformality check leaves the range of a double.
-
-    Either the numerator of sum(phi_i^2) has a non-finite coefficient, or
-    fewer than _SAMPLES nodes give finite, nonzero forms.
-    """
-
-
-def check_conformality(phi: PhiForms, tol: Tolerances | None = None) -> ConformalityReport:
-    """Verify sum(phi_i^2) = 0, symbolically and at _SAMPLES fixed nodes.
-
-    The four forms are evaluated once each on the 4 * _SAMPLES nodes of
-    ``_NODES``.  A node is usable when sum(|phi_i|^2) is finite and nonzero,
-    which skips every node at a pole of some form (its value is not finite);
-    the first _SAMPLES usable nodes are kept, and ``numeric_residual`` is the
-    largest |sum(phi_i^2)| / sum(|phi_i|^2) over them.  Raises
-    ``ConformalityOverflowError`` when the numerator has a non-finite
-    coefficient or fewer than _SAMPLES nodes are usable.
-    """
-    tol = tol or Tolerances()
-    numerator, scale = _conformality_numerator(phi)
-    if not np.isfinite(np.asarray(numerator.coeffs, dtype=complex)).all():
-        raise ConformalityOverflowError(
-            "the numerator of sum(phi_i^2) has a coefficient beyond the range of a double"
-        )
-    symbolic_residual = numerator.max_abs_coeff / scale
-    symbolic_zero = numerator.is_zero or symbolic_residual <= tol.eps_conformal
-
-    with np.errstate(all="ignore"):
-        vals = [f(_NODES) for f in phi.forms]
-        mag = sum(np.abs(v) ** 2 for v in vals)
-        keep = np.flatnonzero(np.isfinite(mag) & (mag != 0.0))[:_SAMPLES]
-    if keep.size < _SAMPLES:
-        raise ConformalityOverflowError(
-            f"only {keep.size} of {_NODES.size} sample nodes give finite, nonzero "
-            f"forms; the check needs {_SAMPLES}"
-        )
-    squares = sum(v[keep] * v[keep] for v in vals)
-    numeric_residual = float(np.max(np.abs(squares) / np.maximum(mag[keep], 1e-300)))
-    ok = symbolic_zero and numeric_residual <= 100 * tol.eps_conformal
-    return ConformalityReport(
-        ok=ok,
-        symbolic_zero=symbolic_zero,
-        symbolic_residual=symbolic_residual,
-        numeric_residual=numeric_residual,
-        samples=_SAMPLES,
     )
 
 
@@ -435,21 +341,3 @@ def metric_factor_from_phi(phi: PhiForms, z):
     if math.isinf(total):
         raise MetricOverflowError(f"the metric factor at {complex(z)} exceeds the range of a double")
     return total
-
-
-def _cleared_numerators(phi: PhiForms) -> tuple[Polynomial, Polynomial, Polynomial, Polynomial]:
-    """Multiply the four forms by their common denominator.
-
-    The result is a polynomial representative of the projective tuple
-    (phi1 : phi2 : phi3 : phi4), valid away from common zeros.
-    """
-    dens = [f.den for f in phi.forms]
-    out = []
-    for i, f in enumerate(phi.forms):
-        w = f.num
-        for j, dj in enumerate(dens):
-            if j != i:
-                w = w * dj
-        out.append(w)
-    return tuple(out)
-

@@ -54,7 +54,7 @@ def record_calls(monkeypatch):
 
     The counting wrapper is bound into every ``wlab`` module that holds the
     function, so a call is seen whichever module's binding makes it.  Given a
-    class, it replaces the method on the class (``Polynomial, "__mul__"``).
+    class, it replaces the method on the class (``Polynomial, "__call__"``).
     """
 
     def record(module, name: str) -> list[tuple]:

@@ -33,7 +33,7 @@ from wlab.poly import Polynomial
 from wlab.ramification import ramification_report
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootCrossCheckError
-from wlab.weierstrass import WeierstrassData, check_conformality, phi_from_data
+from wlab.weierstrass import WeierstrassData, phi_from_data
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 ANALYZABLE = [
@@ -250,12 +250,12 @@ def test_criterion_06_total_curvature_suite():
 
 
 def test_criterion_07_conformality_and_metric_identity():
-    with verdict("7", "sum of squared forms vanishes symbolically; metric identity to 1e-12"):
+    with verdict("7", "sum of squared forms vanishes exactly over Q(i); metric identity to 1e-12"):
         rng = np.random.default_rng(8128)
         for name in ANALYZABLE:
             data = load(name)
             phi = phi_from_data(data)
-            assert check_conformality(phi).symbolic_zero is True, name
+            assert sum((f * f for f in phi.forms), RationalFunction.constant(0)).pair[0] == (), name
             checked = 0
             while checked < 100:
                 z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))

@@ -34,7 +34,6 @@ REPORT_FIXTURES = [
 ]
 DERIVATIONS = (
     (weierstrass, "phi_from_data"),
-    (weierstrass, "check_conformality"),
     (weierstrass, "check_regularity"),
     (weierstrass, "classify_ends"),
     (weierstrass, "compute_periods"),

@@ -444,13 +444,15 @@ def huge_h_data(tmp_path, h: str) -> str:
     return str(data)
 
 
-def test_forms_beyond_a_double_fail_typed(capsys, tmp_path):
-    # (h/2)^2 overflows: a typed failure, not a document with a NaN residual
-    code = main(["check", huge_h_data(tmp_path, "1e160")])
-    captured = capsys.readouterr()
-    assert code == EXIT_MATH
-    assert "ConformalityOverflowError" in captured.err
-    assert "nan" not in captured.out
+def test_forms_beyond_a_double_keep_their_document(capsys, tmp_path):
+    # (h/2)^2 is beyond a double, but sum(phi_k^2) = 0 holds by construction
+    # and is never summed in floats: each document is written, with no NaN
+    for h in ("1e160", "1e300"):
+        for command in ("check", "report", "bounds"):
+            code = main([command, huge_h_data(tmp_path, h)])
+            captured = capsys.readouterr()
+            assert code == EXIT_OK and captured.err == "", (h, command)
+            assert "nan" not in captured.out
 
 
 def test_forms_near_the_double_limit_keep_their_document(capsys, tmp_path):
@@ -711,6 +713,19 @@ def test_conformality_of_exact_forms_is_exact(capsys, tmp_path):
     assert doc["report"]["conformality"] == {
         "ok": True, "symbolic_zero": True, "symbolic_residual": 0.0, "numeric_residual": 0.0, "samples": 100,
     }
+
+
+def test_conformality_holds_at_every_tolerance_scale(capsys):
+    # conformality is an identity of the forms, so no tolerance scale makes
+    # it fail; a float residual would round to ~1e-16, far above 1e-19
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.stem == "malformed":
+            continue
+        code, doc, err = run(capsys, "check", str(path), "--tolerance-scale", "1e-7")
+        assert err == "" and "conformality" not in doc["report"]["failures"], path.stem
+    for command in ("check", "report"):
+        code, doc, err = run(capsys, command, fixture("example23"), "--tolerance-scale", "1e-7")
+        assert code == EXIT_OK and err == "", command
 
 
 def test_a_tiny_imaginary_numerator_term_loads(capsys, tmp_path):

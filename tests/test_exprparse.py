@@ -27,9 +27,14 @@ from wlab.rational import INF, RationalFunction, SpherePoint
 Z = RationalFunction.variable()
 
 
+def product(p: Polynomial, q: Polynomial) -> tuple[complex, ...]:
+    """The coefficients of p q, convolved in floats."""
+    return Polynomial(np.convolve(p.coeffs, q.coeffs)).coeffs if p.coeffs and q.coeffs else ()
+
+
 def check_same(f: RationalFunction, g: RationalFunction, rel_eps: float = 1e-9) -> None:
     """Equal as functions: the float views cross-multiplied, coefficient by coefficient."""
-    lhs, rhs = (f.num * g.den).coeffs, (g.num * f.den).coeffs
+    lhs, rhs = product(f.num, g.den), product(g.num, f.den)
     scale = max(map(abs, lhs + rhs), default=0.0)
     n = max(len(lhs), len(rhs))
     pairs = zip(lhs + (0j,) * (n - len(lhs)), rhs + (0j,) * (n - len(rhs)))
@@ -302,16 +307,84 @@ def _small_monomial(f, exp: int) -> bool:
     return abs(exp) * bits <= exprparse.MAX_POWER_BITS
 
 
+def _signed_digits(v: int, k: int, n: int) -> list[int]:
+    """The n integers c_j, each |c_j| < 2^(k-1), with v = sum c_j 2^(k j);
+    k is a multiple of 8.  Adding 2^(k-1) to every c_j leaves digits in
+    [0, 2^k) with no carry, so they are read off the bytes."""
+    width = k // 8
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    raw = (v + bias).to_bytes(width * n, "little")
+    half = 1 << (k - 1)
+    return [int.from_bytes(raw[j * width : (j + 1) * width], "little") - half for j in range(n)]
+
+
+def _kronecker_power(p: list, m: int) -> list:
+    """p^m for p over Q(i), parts as Fractions, lowest degree first.
+
+    The shared power of z is split off, and the numerator P over Z[i] is
+    evaluated at z = 2^k as one Gaussian integer and raised there; k
+    exceeds the bits of |P|_1^m, which bounds every part of P^m, so the
+    parts of P^m are the signed base-2^k digits of the result.
+    """
+    if not p:
+        return []
+    shift = next(j for j, c in enumerate(p) if any(c))
+    p = p[shift:]
+    q = math.lcm(*(x.denominator for c in p for x in c))
+    ints = [(int(re * q), int(im * q)) for re, im in p]
+    k = -(-(m * sum(abs(a) + abs(b) for a, b in ints).bit_length() + 2) // 8) * 8
+    x = sum(a << (k * j) for j, (a, _b) in enumerate(ints))
+    y = sum(b << (k * j) for j, (_a, b) in enumerate(ints))
+    rx, ry = 1, 0
+    e = m
+    while e:
+        if e & 1:
+            rx, ry = rx * x - ry * y, rx * y + ry * x
+        e >>= 1
+        if e:
+            x, y = x * x - y * y, 2 * x * y
+    n = m * (len(ints) - 1) + 1
+    qm = q**m
+    zero = (Fraction(0), Fraction(0))
+    return [zero] * (shift * m) + [
+        (Fraction(a, qm), Fraction(b, qm)) for a, b in zip(_signed_digits(rx, k, n), _signed_digits(ry, k, n))
+    ]
+
+
+def _power_parts(f, exp: int) -> tuple[list, list]:
+    """The reduced pair of f^exp (exp != 0, f != 0 where exp < 0), computed
+    apart from sympy: the reduced pair of f raised side by side (they stay
+    coprime), then divided by the leading coefficient of the denominator."""
+    num, den = _reduced(f)
+    if exp < 0:
+        num, den, exp = den, num, -exp
+    num, den = _kronecker_power(num, exp), _kronecker_power(den, exp)
+    c, d = den[-1]
+    if (c, d) != (1, 0):
+        norm = c * c + d * d
+        num, den = ([((a * c + b * d) / norm, (b * c - a * d) / norm) for a, b in side] for side in (num, den))
+    return num, den
+
+
+def _check_range(parts) -> None:
+    """The range rule: no part of the reduced pair may round to infinity."""
+    for part in (x for side in parts for c in side for x in c):
+        try:
+            float(part)
+        except OverflowError:
+            raise OverflowError("a coefficient is beyond the range of a double") from None
+
+
 class _ExactOracle(exprparse._Parser):
-    """The grammar over sympy's QQ_I(z), with the range rule after each step:
-    no part of the reduced pair may round to infinity."""
+    """The grammar over sympy's QQ_I(z), with the range rule after each step.
+
+    A power is first raised apart from sympy (``_power_parts``) and its
+    range checked there, so a power beyond the range is refused without
+    sympy multiplying it out; sympy's power must then give the same pair.
+    """
 
     def _ranged(self, f):
-        for part in (x for side in _reduced(f) for c in side for x in c):
-            try:
-                float(part)
-            except OverflowError:
-                raise OverflowError("a coefficient is beyond the range of a double") from None
+        _check_range(_reduced(f))
         return f
 
     def expr(self):
@@ -351,7 +424,13 @@ class _ExactOracle(exprparse._Parser):
                 )
             if exp < 0 and not out:
                 raise ExpressionError("negative power of zero", caret.pos)
-            out = self._ranged(out**exp if exp else _FIELD.one)
+            if exp:
+                parts = _power_parts(out, exp)
+                _check_range(parts)
+                out = out**exp
+                assert _reduced(out) == parts
+            else:
+                out = _FIELD.one
         return out
 
     def base(self):

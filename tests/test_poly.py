@@ -6,7 +6,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from conftest import exact, from_roots
 from wlab import poly
@@ -61,15 +60,6 @@ def test_eval_vectorized():
     assert np.allclose(p(zs), zs)
 
 
-def test_arithmetic_basics():
-    a = Polynomial([1, 1])  # 1 + z
-    b = Polynomial([-1, 1])  # -1 + z
-    assert (a * b).coeffs == (-1 + 0j, 0j, 1 + 0j)
-    assert (a + b).coeffs == (0j, 2 + 0j)
-    assert (a - a).is_zero
-    assert (a * a * a).coeffs == (1 + 0j, 3 + 0j, 3 + 0j, 1 + 0j)
-
-
 def test_derivative():
     assert exact_derivative(((5, 0), (0, 0), (1, 0))) == ((0, 0), (2, 0))  # z^2 + 5
     assert exact_derivative(((7, 0),)) == ()
@@ -92,10 +82,16 @@ def test_deflate_remainder_is_value():
     taylor = p.expansion_at(2.0, 0, 4)
     rem = taylor[0]
     assert rem == pytest.approx(p(2.0))
-    q = Polynomial()
+
+    def times_z_minus_2_plus(q, c):  # coefficients, lowest first
+        out = np.convolve(q, [-2, 1])
+        out[0] += c
+        return out
+
+    q = np.zeros(1, dtype=complex)
     for t in reversed(taylor[1:]):
-        q = q * Polynomial([-2, 1]) + Polynomial([t])
-    assert close(q * Polynomial([-2, 1]) + Polynomial([rem]), p, 1e-12)
+        q = times_z_minus_2_plus(q, t)
+    assert close(Polynomial(times_z_minus_2_plus(q, rem)), p, 1e-12)
 
 
 def test_multiplicity_at():
@@ -125,8 +121,8 @@ def test_from_roots_expansion():
 
 def test_gcd_exact_common_factor():
     common = from_roots([2, -1])
-    a = common * from_roots([5])
-    b = common * from_roots([-7, 3])
+    a = from_roots([2, -1, 5])
+    b = from_roots([2, -1, -7, 3])
     g = exact_gcd(exact(a), exact(b))
     assert len(g) == 3
     assert exact_mul(g, exact(common)[-1:]) == exact_mul(exact(common), g[-1:])
@@ -255,29 +251,6 @@ def test_primitive_part_divides_out_the_gaussian_content():
     q = exact_primitive(p)
     assert any(q == exact_mul(((1, -1), (0, 0), (1, 0)), (u,)) for u in UNITS)
     assert exact_primitive(((3, 0), (0, 3))) in {((u, v), (-v, u)) for u, v in UNITS}
-
-
-coeff = st.one_of(
-    st.just(0j),
-    st.complex_numbers(
-        min_magnitude=1e-6, max_magnitude=10, allow_nan=False, allow_infinity=False
-    ),
-)
-
-
-@given(st.lists(coeff, min_size=1, max_size=6), st.lists(coeff, min_size=1, max_size=6))
-def test_degree_of_product(ca, cb):
-    a, b = Polynomial(ca), Polynomial(cb)
-    if a.is_zero or b.is_zero:
-        assert (a * b).is_zero
-    else:
-        assert (a * b).degree == a.degree + b.degree
-
-
-@given(st.lists(coeff, min_size=1, max_size=6))
-def test_add_neg_cancels(cs):
-    a = Polynomial(cs)
-    assert (a + (-a)).is_zero
 
 
 # -- exact polynomials over Z[i] --------------------------------------------------

@@ -87,8 +87,8 @@ def test_order_at_examples():
 
 
 def test_order_invariant_under_common_factor():
-    common = from_roots([4, -2j])
-    f = RationalFunction(Polynomial([0, 1]) * common, from_roots([1]) * common)
+    # z (z - 4)(z + 2i) / ((z - 1)(z - 4)(z + 2i))
+    f = RationalFunction(from_roots([0, 4, -2j]), from_roots([1, 4, -2j]))
     g = RationalFunction(Polynomial([0, 1]), from_roots([1]))
     for p in (0j, 1.0 + 0j, INF):
         assert f.order_at(p) == g.order_at(p)

@@ -6,7 +6,7 @@ any platform: the JSON walker visits dataclass fields in declaration order,
 every float in a document, CSV or OBJ file is written under the rule of
 ``report.format_float`` (12 decimal places, 12 significant digits, no -0),
 which drops the last-ulp differences of numpy's kernels between platforms,
-and no step draws random numbers (conformality is sampled at fixed nodes).
+and no step draws random numbers.
 The OBJ snapshots were written before the export was vectorised, so they
 also pin its bytes to the field-by-field formatter.  A diff here means the output
 format or the numerics changed, and the snapshot should only be refreshed
