@@ -132,6 +132,9 @@ def test_conformality_by_construction():
     phis += [phi_from_data(d) for d in (triple_poles_123(), double_pole_pair(), cubic_pole())]
     for phi in phis:
         assert oracle_sum_of_squares(phi).is_zero, phi
+
+
+def test_conformality_detects_corruption():
     # the oracle can fail: phi4 scaled by 1.01 leaves 0.0201 phi4^2 != 0
     assert not oracle_sum_of_squares(corrupted_phi()).is_zero
 
