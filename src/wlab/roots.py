@@ -1,9 +1,12 @@
-"""Complex polynomial roots with multiplicities, via two independent routes.
+"""Complex polynomial roots with multiplicities, located once and certified.
 
-Distinct roots are located by an Aberth-Ehrlich simultaneous iteration and,
-independently, by the eigenvalues of the companion matrix (numpy.roots);
-the two sets are matched, and any disagreement beyond tolerance is raised
-as a diagnostic carrying both candidate lists rather than silently averaged.
+Distinct roots are located by an Aberth-Ehrlich simultaneous iteration and
+certified by inclusion discs built from its own Weierstrass corrections:
+pairwise disjoint discs hold one root each (``_inclusion_radii``).  Where
+the discs overlap, as for roots closer than about sqrt(u) times their
+scale, the eigenvalues of the companion matrix (numpy.roots) cross-check
+the located roots instead, and a disagreement beyond tolerance is raised as
+a diagnostic carrying both candidate lists rather than silently averaged.
 The iteration starts from the Newton polygon of the coefficients: each
 group of roots of like modulus starts on its own circle, with no random
 start, so the iteration stays within 6-18 steps on Wronskians of integer
@@ -14,8 +17,8 @@ exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
 certifies it square-free first, as it does most inputs; a gcd of the chain
 or of the gcd-free basis that is 1 is certified so too (``poly.exact_gcd``).
 No tolerance decides a multiplicity. Only the float view of each Yun factor
-is located, once (both routes), and its roots carry the factor's
-multiplicity; no root is matched across factors. The degrees telescope, so multiplicities sum to
+is located, once, and its roots carry the factor's multiplicity; no root is
+matched across factors. The degrees telescope, so multiplicities sum to
 deg p by construction -- they feed exact bookkeeping downstream (branching
 orders, degree identities) where an off-by-one is fatal. Each root's
 residual in p is a sanity bound on the located positions; the monic view of
@@ -23,6 +26,8 @@ p is evaluated once, at all of them.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -44,6 +49,9 @@ __all__ = [
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
 _CROSS_CHECK_RTOL = 1e-6
+_U = 2.0**-53  # unit roundoff of a double
+_SUBNORMAL = 2.0**-1074  # the least double: what one rounding below the normal range can lose
+_TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
 class RootCrossCheckError(RuntimeError):
@@ -182,13 +190,71 @@ def _match_root_sets(a: np.ndarray, b: np.ndarray) -> float:
     return worst
 
 
+def _inclusion_radii(p: Polynomial, z: np.ndarray) -> np.ndarray | None:
+    """Radii of pairwise disjoint discs about the z_i, one root of q in each; None if they overlap.
+
+    ``p`` is the monic float view of an exact monic q, each part correctly
+    rounded, and z its n Aberth roots.  With the Weierstrass corrections
+    W_i = q(z_i) / prod_{j!=i} (z_i - z_j), the discs D(z_i, n|W_i|) cover
+    every root of q, and a connected component of m of them holds exactly m
+    (Braess and Hadeler 1973, Numer. Math. 21; Carstensen 1991, Numer. Math.
+    59): disjoint discs hold one root each.
+
+    |q(z_i)| is bounded above rigorously.  Horner's computed partial sums
+    y_k of p(z_i) give G = sum_k |y_k| |z_i|^k; with u the unit roundoff,
+    each step's complex product errs by at most sqrt(2) gamma_2 < 3u of
+    |z_i y_(k+1)| (Higham, *Accuracy and Stability*, Lemma 3.5) and its sum
+    by at most u / (1 - u) < 2u of |y_k|, so the running error bound (ibid.,
+    section 5.1) of the computed p(z_i) is at most 5uG.  Each coefficient
+    of p errs from q's by at most u relative, and sum_k |p_k| |z_i|^k <=
+    2G + 5uG, so |q(z_i)| <= |y_0| + 10uG, plus 8(n + 1)(1 + G) least
+    doubles for what rounds below the normal range.  The product of
+    distances is bounded below, its factors below 1 certifying that no
+    partial product left the normal range.  Every sum and product of
+    positive terms above errs by at most (1 + u)^(4n + 8); the factor
+    1 + 16(n + 2)u on the radii and 1 - 8u on the distances cover them.
+    Anything non-finite, overflowed or underflowed is no certificate.
+    """
+    n = len(z)
+    c = np.asarray(p.coeffs, dtype=complex)
+    with np.errstate(all="ignore"):
+        az = np.abs(z)
+        y = np.full(n, c[n])
+        g = np.abs(y)
+        for ck in c[n - 1 :: -1]:
+            y = y * z + ck
+            g = az * g + np.abs(y)
+        bound = np.abs(y) + 10 * _U * g + 8 * (n + 1) * _SUBNORMAL * (1 + g)
+        dist = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(dist, 1.0)
+        product = dist.prod(axis=1)
+        floor = np.minimum(dist, 1.0).prod(axis=1)
+        radii = n * (1 + 16 * (n + 2) * _U) * bound / product
+        np.fill_diagonal(dist, np.inf)
+        certified = (
+            (floor >= _TINY).all()
+            and np.isfinite(product).all()
+            and np.isfinite(radii).all()
+            and (radii[:, None] + radii[None, :] < dist * (1 - 8 * _U)).all()
+        )
+    return radii if certified else None
+
+
 def _located_roots(p: Polynomial) -> list[complex]:
-    """Roots of a square-free polynomial, by both routes, cross-checked."""
+    """Aberth's roots of a square-free monic view, certified by inclusion discs.
+
+    Where the discs do not separate them -- roots closer than about sqrt(u)
+    times their scale, a non-finite iterate, an evaluation that overflows --
+    the eigenvalues of the companion matrix cross-check them instead, and a
+    disagreement raises RootCrossCheckError.  Either way the roots returned
+    are Aberth's own.
+    """
     located = _aberth(p)
-    check = _companion_roots(p)
-    worst = _match_root_sets(located, check)
-    if not worst <= _CROSS_CHECK_RTOL:
-        raise RootCrossCheckError(located, check, worst)
+    if _inclusion_radii(p, located) is None:
+        check = _companion_roots(p)
+        worst = _match_root_sets(located, check)
+        if not worst <= _CROSS_CHECK_RTOL:
+            raise RootCrossCheckError(located, check, worst)
     return [complex(z) for z in located]
 
 
@@ -285,12 +351,15 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
 
     Returns (root, multiplicity) pairs sorted by (re, im); the roots of the
     Yun factor f_m carry m, and each root is a ``LocatedRoot`` that carries
-    f_m itself, so orders at it are read off f_m exactly. Every root r, simple or multiple, satisfies
+    f_m itself, so orders at it are read off f_m exactly. The roots of each
+    f_m are certified by disjoint inclusion discs, or else cross-checked
+    against the companion matrix, which raises RootCrossCheckError when the
+    two disagree. Every root r, simple or multiple, satisfies
     |P(r)| <= eps_res * max|coeff| * (1+|r|)^deg for the monic float view P
-    of p. Raises RootCrossCheckError when the two location routes disagree
-    and IllConditionedRootsError when two located roots fall inside the
-    point-identity radius, though the exact factors keep them apart, or a
-    root violates its residual bound.
+    of p, decided through the reversed P at 1/r where P(r) leaves the range
+    of a double. Raises IllConditionedRootsError when two located roots fall
+    inside the point-identity radius, though the exact factors keep them
+    apart, or a root violates its residual bound.
     """
     tol = tol or Tolerances()
     if not p:
@@ -313,6 +382,8 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
     # identity (equal) disagree, and we refuse to pick a side.
     for i, (a, ma) in enumerate(located):
         for b, mb in located[i + 1 :]:
+            if (b - a).real > tol.eps_pt:
+                break  # sorted by (re, im): every later b is farther still
             if abs(a - b) <= tol.eps_pt:
                 raise IllConditionedRootsError(
                     "two roots of the square-free part fall within the point "
@@ -322,14 +393,28 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
                 )
 
     view = _monic_view(p)
-    residuals = view(np.array([r for r, _ in located])).tolist()
+    n, scale = view.degree, tol.eps_res * view.max_abs_coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        residuals = view(np.array([r for r, _ in located])).tolist()
     for (r, m), residual in zip(located, residuals):
-        bound = tol.eps_res * view.max_abs_coeff * (1.0 + abs(r)) ** view.degree
-        if not abs(residual) <= bound:
+        residual, bound = abs(residual), scale * _power(1.0 + abs(r), n)
+        if not math.isfinite(residual) and abs(r) > 1:
+            # |P(r)| = |r|^n |P~(1/r)| for the reversed P~, which stays in range
+            residual = abs(complex(np.polyval(np.asarray(view.coeffs), 1 / r)))
+            bound = scale * _power(1.0 + 1 / abs(r), n)
+        if not residual <= bound:
             raise IllConditionedRootsError(
                 f"root {r} (multiplicity {m}) fails the residual bound: "
-                f"{abs(residual):.3e} > {bound:.3e}",
+                f"{residual:.3e} > {bound:.3e}",
                 [(r, m)],
                 [(r, 0)],
             )
     return located
+
+
+def _power(x: float, n: int) -> float:
+    """x ** n, or inf where that leaves the range of a double."""
+    try:
+        return x**n
+    except OverflowError:
+        return math.inf

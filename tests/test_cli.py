@@ -269,6 +269,27 @@ def test_ramify_non_finite_roots_are_a_typed_math_failure(capsys, tmp_path, monk
     assert err.startswith("failure: RootCrossCheckError: ")
 
 
+def test_ramify_residual_bound_of_a_far_root_of_high_degree_stays_in_range(capsys, tmp_path):
+    # (1 + 300)^128 is beyond a double: the residual bound of the root 300 of
+    # the degree-128 zeros part raised a raw OverflowError
+    g1 = "(z-300)^2*(z-1)^64*(z-1)^64/((z-299)^2*(z+1)^64*(z+1)^64)"
+    path = write_data(tmp_path, "far_root", ["inf"], "1", g1, "z")
+    code, doc, err = run(capsys, "ramify", path, "--component", "1")
+    assert code == EXIT_OK and err == ""
+    report = doc["report"]["ramification"]
+    assert (report["n1"], report["rh_ok"], report["exceptional_count"]) == (258, True, 0)
+    fibers = {
+        "inf" if v["value"] == "inf" else complex(v["value"]["re"], v["value"]["im"]): (
+            v["kind"], v["nu"], [(complex(p["point"]["re"], p["point"]["im"]), p["multiplicity"]) for p in v["preimages"]]
+        )
+        for v in report["values"]
+    }
+    assert fibers == {
+        0j: ("totally-ramified", 2, [(1 + 0j, 128), (300 + 0j, 2)]),
+        "inf": ("totally-ramified", 2, [(-1 + 0j, 128), (299 + 0j, 2)]),
+    }
+
+
 # -- bounds -------------------------------------------------------------------
 
 

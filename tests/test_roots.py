@@ -345,3 +345,45 @@ def test_multiple_part_holds_each_multiple_root_once_less():
     got = by_value(roots_with_multiplicity(roots.multiple_part(p)))
     assert got == {(1 + 0j): 2, (-2 + 0j): 1}
     assert roots.multiple_part(exact(from_roots([1, 2, 3]))) == ((1, 0),)
+
+
+def _ladder_map(rng: random.Random, degree: int, power: int) -> str:
+    """A random integer map A^power / B of the given degree, A of degree degree / power."""
+
+    def text(coeffs):
+        return " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs))
+
+    return f"({text(_integer_poly(rng, degree // power))})^{power}/({text(_integer_poly(rng, degree))})"
+
+
+@pytest.mark.parametrize("power", [1, 2, 3])
+def test_every_inclusion_disc_holds_one_50_digit_root(power):
+    # the discs of each Yun factor of a Wronskian, against mpmath's roots of
+    # the exact factor: each disc holds exactly one of them, so none is left out
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"discs:{power}")
+    for degree in (6, 12, 18):
+        w = parse_expression(_ladder_map(rng, degree, power)).derivative_numerator()
+        for f in roots._yun_factors(w):
+            if len(f) < 2:
+                continue
+            view = roots._monic_view(f)
+            located = roots._aberth(view)
+            radii = roots._inclusion_radii(view, located)
+            assert radii is not None
+            with mpmath.workdps(50):
+                exact_roots = mpmath.polyroots([mpmath.mpc(x, y) for x, y in reversed(f)], maxsteps=400, extraprec=200)
+                for z, r in zip(located, radii):
+                    centre = mpmath.mpc(z.real, z.imag)
+                    assert sum(1 for x in exact_roots if abs(x - centre) <= r) == 1
+
+
+def test_certified_roots_take_no_companion_matrix(record_calls):
+    # disjoint discs certify Aberth's roots; the 1e-9 pair's discs overlap in
+    # doubles, and the eigenvalues cross-check it instead
+    companion = record_calls(roots, "_companion_roots")
+    roots_with_multiplicity(exact(from_roots([1, 1, 1, -2, -2, 1j])))
+    roots_with_multiplicity(parse_expression(_ladder_map(random.Random("companion"), 20, 1)).derivative_numerator())
+    assert companion == []
+    roots_with_multiplicity(exact(from_roots([1.0, 1.0 + 1e-9])))
+    assert len(companion) == 1
