@@ -581,9 +581,9 @@ class RationalFunction:
         value is rounded once; infinity where the denominator vanishes.  At
         the roots of a factor of higher degree the value is infinity or 0
         where the factor divides the denominator or numerator, else read off
-        the views, infinity where the denominator's is exactly 0; each such
-        factor is tested once, and the views are evaluated once at all of
-        its points.
+        the views (the reversed ones where that is not finite), infinity where
+        the denominator's is exactly 0; each such factor is tested once, and
+        the views are evaluated once at all of its points.
         """
         points = [SpherePoint.of(p) for p in points]
         if self.is_zero:
@@ -616,10 +616,24 @@ class RationalFunction:
                 values = [SpherePoint(0j)] * len(ks)
             else:
                 z = np.array([points[k].value for k in ks])
-                values = [INF if d == 0 else SpherePoint(x / d) for x, d in zip(self.num(z).tolist(), self.den(z).tolist())]
+                with np.errstate(over="ignore", invalid="ignore"):
+                    values = [
+                        INF if d == 0 else SpherePoint(v if math.isfinite(abs(v := x / d)) else self._far_value(w))
+                        for w, x, d in zip(z.tolist(), self.num(z).tolist(), self.den(z).tolist())
+                    ]
             for k, value in zip(ks, values):
                 out[k] = value
         return out
+
+    def _far_value(self, z: complex) -> complex | None:
+        """N(z) / D(z) as z^(n - m) N~(1/z) / D~(1/z) through the reversed views,
+        where N(z) and D(z) leave the range of a double; None (infinity) where
+        the value does too."""
+        (num, den), w = (self.num.coeffs, self.den.coeffs), 1 / z
+        try:
+            return complex(np.polyval(num, w)) / complex(np.polyval(den, w)) * z ** (len(num) - len(den))
+        except (OverflowError, ZeroDivisionError):
+            return None
 
     def residue_at(self, point) -> complex:
         """Residue of the differential f dz at a sphere point.

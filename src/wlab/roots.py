@@ -3,26 +3,24 @@
 Distinct roots are located by an Aberth-Ehrlich simultaneous iteration and
 certified by inclusion discs built from its own Weierstrass corrections:
 pairwise disjoint discs hold one root each (``_inclusion_radii``).  Where
-the discs overlap, as for roots closer than about sqrt(u) times their
-scale, the eigenvalues of the companion matrix (numpy.roots) cross-check
-the located roots instead, and a disagreement beyond tolerance is raised as
-a diagnostic carrying both candidate lists rather than silently averaged.
-The iteration starts from the Newton polygon of the coefficients: each
-group of roots of like modulus starts on its own circle, with no random
-start, so the iteration stays within 6-18 steps on Wronskians of integer
-maps up to degree 126, where a start on one Cauchy-bound circle stalled.
+the discs overlap in doubles, as for roots closer than about sqrt(u) times
+their scale, a few more Aberth steps run with exact Newton ratios over Z[i]
+and the discs are tested with exact values (``_refined_roots``); where even
+those overlap, RootIsolationError carries them.  The discs are the one
+certificate: no second float route and no residual bound.  The iteration
+starts from the Newton polygon of the coefficients, one circle per group of
+roots of like modulus and no random start, so it stays within 6-18 steps on
+Wronskians of integer maps up to degree 126.
 
 Multiplicities come from Yun's square-free factorization (Yun 1976) of the
 exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
 certifies it square-free first, as it does most inputs; a gcd of the chain
 or of the gcd-free basis that is 1 is certified so too (``poly.exact_gcd``).
-No tolerance decides a multiplicity. Only the float view of each Yun factor
-is located, once, and its roots carry the factor's multiplicity; no root is
-matched across factors. The degrees telescope, so multiplicities sum to
-deg p by construction -- they feed exact bookkeeping downstream (branching
-orders, degree identities) where an off-by-one is fatal. Each root's
-residual in p is a sanity bound on the located positions; the monic view of
-p is evaluated once, at all of them.
+No tolerance decides a multiplicity. Each Yun factor is located once, and
+its roots carry the factor's multiplicity; the degrees telescope, so
+multiplicities sum to deg p by construction -- they feed exact bookkeeping
+downstream (branching orders, degree identities) where an off-by-one is
+fatal.
 """
 
 from __future__ import annotations
@@ -38,49 +36,34 @@ from wlab.poly import (
 from wlab.tolerances import Tolerances
 
 __all__ = [
-    "roots_with_multiplicity",
-    "multiple_part",
-    "common_part",
-    "gcd_free_basis",
-    "RootCrossCheckError",
+    "roots_with_multiplicity", "multiple_part", "common_part", "gcd_free_basis", "RootIsolationError",
     "IllConditionedRootsError",
 ]
 
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
-_CROSS_CHECK_RTOL = 1e-6
+_REFINE_MAX_STEPS = 8
+_OFF_AXIS = 0.25 * complex(math.cos(1.0), math.sin(1.0))  # off-axis move, times the nearest distance
 _U = 2.0**-53  # unit roundoff of a double
 _SUBNORMAL = 2.0**-1074  # the least double: what one rounding below the normal range can lose
 _TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
-class RootCrossCheckError(RuntimeError):
-    """Aberth iteration and companion matrix disagree on the root set.
+class RootIsolationError(RuntimeError):
+    """The inclusion discs of a factor's roots overlap after exact refinement,
+    or an iterate is not finite.  ``roots`` holds the last iterates and
+    ``radii`` their discs' radii (inf where none is bounded)."""
 
-    Attributes:
-        aberth: roots located by the simultaneous iteration.
-        companion: roots located by the eigenvalue route.
-    """
-
-    def __init__(self, aberth, companion, max_distance):
-        super().__init__(
-            "root cross-check failed: simultaneous iteration and companion "
-            f"matrix disagree by {max_distance:.3e}"
-        )
-        self.aberth = tuple(aberth)
-        self.companion = tuple(companion)
-        self.max_distance = max_distance
+    def __init__(self, roots, radii):
+        self.roots = tuple(complex(z) for z in roots)
+        self.radii = tuple(float(r) for r in radii)
+        super().__init__(f"root isolation failed: the inclusion discs of {len(self.roots)} roots overlap")
 
 
 class IllConditionedRootsError(RuntimeError):
-    """The located roots disagree with the exact factors, or with p.
-
-    Two roots the exact factors keep distinct fall within the point-identity
-    radius, or a root fails its residual bound. Two readings are attached:
-    ``merged`` treats near-coincident points as one multiple root,
-    ``separate`` keeps them distinct (a residual failure: the root with
-    multiplicity 0). The caller sees both and decides; we refuse to guess.
-    """
+    """Two roots the exact factors keep distinct fall within the point-identity
+    radius.  ``merged`` reads them as one multiple root, ``separate`` as two;
+    the caller sees both and decides, as we refuse to guess."""
 
     def __init__(self, message, merged, separate):
         super().__init__(message)
@@ -149,13 +132,7 @@ def _aberth(p: Polynomial) -> np.ndarray:
         pv = np.polyval(hi, z)
         dv = np.polyval(dhi, z)
         dv = np.where(dv == 0, 1e-300, dv)
-        ratio = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        s = (1.0 / diff).sum(axis=1) - 1.0  # remove the diagonal 1/1 terms
-        denom = 1.0 - ratio * s
-        denom = np.where(denom == 0, 1e-300, denom)
-        corr = ratio / denom
+        corr = _aberth_correction(z, pv / dv)
         z = z - corr
         if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_STOP:
             break
@@ -168,52 +145,54 @@ def _aberth(p: Polynomial) -> np.ndarray:
     return z
 
 
-def _companion_roots(p: Polynomial) -> np.ndarray:
-    return np.roots(np.asarray(p.coeffs[::-1], dtype=complex))
+def _aberth_correction(z: np.ndarray, ratio: np.ndarray) -> np.ndarray:
+    """Aberth's w_i for the iterates z and the Newton ratios (p/p')(z_i)."""
+    diff = z[:, None] - z[None, :]
+    np.fill_diagonal(diff, 1.0)
+    s = (1.0 / diff).sum(axis=1) - 1.0  # remove the diagonal 1/1 terms
+    denom = 1.0 - ratio * s
+    return ratio / np.where(denom == 0, 1e-300, denom)
 
 
-def _match_root_sets(a: np.ndarray, b: np.ndarray) -> float:
-    """Greedy nearest matching; returns the worst pair distance.
+def _disc_radii(z: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii of discs about the z_i that hold the roots of q, and which discs may meet another.
 
-    NaN when either set holds a non-finite root, so no bound accepts it.
-    """
-    if len(a) != len(b):
-        return np.inf
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return np.nan
-    remaining = list(range(len(b)))
-    worst = 0.0
-    for x in a:
-        j = min(remaining, key=lambda idx: abs(b[idx] - x))
-        worst = max(worst, abs(b[j] - x) / (1.0 + abs(x)))
-        remaining.remove(j)
-    return worst
-
-
-def _inclusion_radii(p: Polynomial, z: np.ndarray) -> np.ndarray | None:
-    """Radii of pairwise disjoint discs about the z_i, one root of q in each; None if they overlap.
-
-    ``p`` is the monic float view of an exact monic q, each part correctly
-    rounded, and z its n Aberth roots.  With the Weierstrass corrections
-    W_i = q(z_i) / prod_{j!=i} (z_i - z_j), the discs D(z_i, n|W_i|) cover
-    every root of q, and a connected component of m of them holds exactly m
+    ``bound`` bounds |q(z_i)| above, q the exact monic polynomial whose n
+    roots the z_i approximate.  With the Weierstrass corrections W_i =
+    q(z_i) / prod_{j!=i} (z_i - z_j), the discs D(z_i, n|W_i|) cover every
+    root of q, and a connected component of m of them holds exactly m
     (Braess and Hadeler 1973, Numer. Math. 21; Carstensen 1991, Numer. Math.
-    59): disjoint discs hold one root each.
+    59).  The product of distances is bounded below, its factors below 1
+    certifying that no partial product left the normal range; the factors
+    1 + 16(n + 2)u on the radii and 1 - 8u on the distances cover the
+    (1 + u)^(4n + 8) that sums and products of positive terms can err by;
+    a non-finite, overflowed or underflowed disc clashes.
+    """
+    n = len(z)
+    with np.errstate(all="ignore"):
+        dist = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(dist, 1.0)
+        product = dist.prod(axis=1)
+        floor = np.minimum(dist, 1.0).prod(axis=1)
+        radii = n * (1 + 16 * (n + 2) * _U) * bound / product
+        np.fill_diagonal(dist, np.inf)
+        apart = (radii[:, None] + radii[None, :] < dist * (1 - 8 * _U)).all(axis=1)
+        clash = ~(apart & (floor >= _TINY) & np.isfinite(product) & np.isfinite(radii))
+    return radii, clash
 
-    |q(z_i)| is bounded above rigorously.  Horner's computed partial sums
-    y_k of p(z_i) give G = sum_k |y_k| |z_i|^k; with u the unit roundoff,
-    each step's complex product errs by at most sqrt(2) gamma_2 < 3u of
-    |z_i y_(k+1)| (Higham, *Accuracy and Stability*, Lemma 3.5) and its sum
-    by at most u / (1 - u) < 2u of |y_k|, so the running error bound (ibid.,
-    section 5.1) of the computed p(z_i) is at most 5uG.  Each coefficient
-    of p errs from q's by at most u relative, and sum_k |p_k| |z_i|^k <=
-    2G + 5uG, so |q(z_i)| <= |y_0| + 10uG, plus 8(n + 1)(1 + G) least
-    doubles for what rounds below the normal range.  The product of
-    distances is bounded below, its factors below 1 certifying that no
-    partial product left the normal range.  Every sum and product of
-    positive terms above errs by at most (1 + u)^(4n + 8); the factor
-    1 + 16(n + 2)u on the radii and 1 - 8u on the distances cover them.
-    Anything non-finite, overflowed or underflowed is no certificate.
+
+def _horner_bound(p: Polynomial, z: np.ndarray) -> np.ndarray:
+    """Upper bounds of |q(z_i)|, for the monic float view p of an exact monic q, each part correctly rounded.
+
+    Horner's computed partial sums y_k of p(z_i) give G = sum_k |y_k|
+    |z_i|^k; with u the unit roundoff, each step's complex product errs by
+    at most sqrt(2) gamma_2 < 3u of |z_i y_(k+1)| (Higham, *Accuracy and
+    Stability*, Lemma 3.5) and its sum by at most u / (1 - u) < 2u of |y_k|,
+    so the running error bound (ibid., section 5.1) of the computed p(z_i)
+    is at most 5uG.  Each coefficient of p errs from q's by at most u
+    relative, and sum_k |p_k| |z_i|^k <= 2G + 5uG, so |q(z_i)| <= |y_0| +
+    10uG, plus 8(n + 1)(1 + G) least doubles for what rounds below the
+    normal range.
     """
     n = len(z)
     c = np.asarray(p.coeffs, dtype=complex)
@@ -224,37 +203,81 @@ def _inclusion_radii(p: Polynomial, z: np.ndarray) -> np.ndarray | None:
         for ck in c[n - 1 :: -1]:
             y = y * z + ck
             g = az * g + np.abs(y)
-        bound = np.abs(y) + 10 * _U * g + 8 * (n + 1) * _SUBNORMAL * (1 + g)
-        dist = np.abs(z[:, None] - z[None, :])
-        np.fill_diagonal(dist, 1.0)
-        product = dist.prod(axis=1)
-        floor = np.minimum(dist, 1.0).prod(axis=1)
-        radii = n * (1 + 16 * (n + 2) * _U) * bound / product
-        np.fill_diagonal(dist, np.inf)
-        certified = (
-            (floor >= _TINY).all()
-            and np.isfinite(product).all()
-            and np.isfinite(radii).all()
-            and (radii[:, None] + radii[None, :] < dist * (1 - 8 * _U)).all()
-        )
-    return radii if certified else None
+        return np.abs(y) + 10 * _U * g + 8 * (n + 1) * _SUBNORMAL * (1 + g)
 
 
-def _located_roots(p: Polynomial) -> list[complex]:
-    """Aberth's roots of a square-free monic view, certified by inclusion discs.
+def _inclusion_radii(p: Polynomial, z: np.ndarray) -> np.ndarray | None:
+    """Radii of pairwise disjoint discs about the Aberth roots z of the exact
+    monic q, one root in each (``_disc_radii``, with ``_horner_bound``'s
+    bounds for the monic view p); None if they overlap."""
+    radii, clash = _disc_radii(z, _horner_bound(p, z))
+    return None if clash.any() else radii
 
-    Where the discs do not separate them -- roots closer than about sqrt(u)
-    times their scale, a non-finite iterate, an evaluation that overflows --
-    the eigenvalues of the companion matrix cross-check them instead, and a
-    disagreement raises RootCrossCheckError.  Either way the roots returned
-    are Aberth's own.
+
+def _exact_step(q: Exact, z: complex) -> tuple[float, complex]:
+    """(a bound above |q(z) / lc(q)|, q(z) / q'(z) rounded once), for the double z read exactly.
+
+    With z = w / 2^k, Horner's scheme on the homogenised q gives V =
+    2^(kn) q(z) and W = 2^(k(n-1)) q'(z) over Z[i]; each part of V / (2^k W)
+    is one int / int, which Python rounds correctly.  ``OverflowError``
+    where a part is beyond the range of a double.
     """
-    located = _aberth(p)
-    if _inclusion_radii(p, located) is None:
-        check = _companion_roots(p)
-        worst = _match_root_sets(located, check)
-        if not worst <= _CROSS_CHECK_RTOL:
-            raise RootCrossCheckError(located, check, worst)
+    (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+    d = max(da, db)
+    a, b, k, n = a * (d // da), b * (d // db), d.bit_length() - 1, len(q) - 1
+    (vr, vi), wr, wi = q[-1], 0, 0
+    for j in range(n - 1, -1, -1):
+        x, y = q[j]
+        wr, wi = wr * a - wi * b + vr, wr * b + wi * a + vi
+        vr, vi = vr * a - vi * b + (x << k * (n - j)), vr * b + vi * a + (y << k * (n - j))
+    num, den = vr * vr + vi * vi, (q[-1][0] ** 2 + q[-1][1] ** 2) << 2 * k * n
+    # isqrt(floor(t)) + 1 exceeds sqrt(t); the 2m extra bits leave the root about 60
+    m = max(0, 121 - num.bit_length() + den.bit_length()) // 2 + 1
+    bound = math.nextafter((math.isqrt((num << 2 * m) // den) + 1) / (1 << m), math.inf)
+    norm = (wr * wr + wi * wi) << k
+    return bound, complex((vr * wr + vi * wi) / norm, (vi * wr - vr * wi) / norm) if norm else 0j
+
+
+def _refined_roots(q: Exact, p: Polynomial, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of the exact square-free q and their disjoint discs, refined from Aberth's z.
+
+    Only iterates whose discs meet another's move (p is q's monic view): each
+    first off the real axis by a fixed-angle fraction of its nearest-neighbour
+    distance, as real steps keep a near-real conjugate pair real, then by up
+    to ``_REFINE_MAX_STEPS`` Aberth steps with exact Newton ratios, its bound
+    now the exact |q(z_i)| (``_exact_step``).  RootIsolationError where the
+    discs still overlap.
+    """
+    bound = _horner_bound(p, z)
+    radii, active = _disc_radii(z, bound)
+    corr, ratio = np.zeros(len(z), dtype=complex), np.zeros(len(z), dtype=complex)
+    with np.errstate(all="ignore"):
+        dist = np.abs(z[:, None] - z[None, :])
+        np.fill_diagonal(dist, np.inf)
+        z = np.where(active, z + _OFF_AXIS * dist.min(axis=1), z)
+        for step in range(_REFINE_MAX_STEPS + 1):
+            if step:
+                z = z - (corr := np.where(active, _aberth_correction(z, ratio), 0))
+            moved = np.flatnonzero(active)
+            try:
+                bound[moved], ratio[moved] = zip(*(_exact_step(q, x) for x in z[moved].tolist()))
+            except (OverflowError, ValueError):  # a part beyond the range of a double, or NaN
+                raise RootIsolationError(z, np.full(len(z), np.inf)) from None
+            radii, clash = _disc_radii(z, bound)
+            converged = step and np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_STOP
+            if not clash.any() and (converged or step == _REFINE_MAX_STEPS):
+                return z, radii
+            active |= clash
+    raise RootIsolationError(z, radii)
+
+
+def _located_roots(q: Exact) -> list[complex]:
+    """The roots of the exact square-free q: Aberth's, where their double
+    discs are disjoint, else ``_refined_roots``."""
+    view = _monic_view(q)
+    located = _aberth(view)
+    if _inclusion_radii(view, located) is None:
+        located, _radii = _refined_roots(q, view, located)
     return [complex(z) for z in located]
 
 
@@ -351,15 +374,10 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
 
     Returns (root, multiplicity) pairs sorted by (re, im); the roots of the
     Yun factor f_m carry m, and each root is a ``LocatedRoot`` that carries
-    f_m itself, so orders at it are read off f_m exactly. The roots of each
-    f_m are certified by disjoint inclusion discs, or else cross-checked
-    against the companion matrix, which raises RootCrossCheckError when the
-    two disagree. Every root r, simple or multiple, satisfies
-    |P(r)| <= eps_res * max|coeff| * (1+|r|)^deg for the monic float view P
-    of p, decided through the reversed P at 1/r where P(r) leaves the range
-    of a double. Raises IllConditionedRootsError when two located roots fall
-    inside the point-identity radius, though the exact factors keep them
-    apart, or a root violates its residual bound.
+    f_m itself, so orders at it are read off f_m exactly. Each root of f_m
+    lies in its own inclusion disc (RootIsolationError where none separate
+    them); IllConditionedRootsError when two fall within the point-identity
+    radius, though the exact factors keep them apart.
     """
     tol = tol or Tolerances()
     if not p:
@@ -372,7 +390,7 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
             (LocatedRoot(r, f), m)
             for m, f in enumerate(_yun_factors(p), start=1)
             if len(f) >= 2
-            for r in _located_roots(_monic_view(f))
+            for r in _located_roots(f)
         ),
         key=lambda rm: (rm[0].real, rm[0].imag),
     )
@@ -391,30 +409,4 @@ def roots_with_multiplicity(p: Exact, tol: Tolerances | None = None) -> list[tup
                     [(0.5 * (a + b), ma + mb)],
                     [(a, ma), (b, mb)],
                 )
-
-    view = _monic_view(p)
-    n, scale = view.degree, tol.eps_res * view.max_abs_coeff
-    with np.errstate(over="ignore", invalid="ignore"):
-        residuals = view(np.array([r for r, _ in located])).tolist()
-    for (r, m), residual in zip(located, residuals):
-        residual, bound = abs(residual), scale * _power(1.0 + abs(r), n)
-        if not math.isfinite(residual) and abs(r) > 1:
-            # |P(r)| = |r|^n |P~(1/r)| for the reversed P~, which stays in range
-            residual = abs(complex(np.polyval(np.asarray(view.coeffs), 1 / r)))
-            bound = scale * _power(1.0 + 1 / abs(r), n)
-        if not residual <= bound:
-            raise IllConditionedRootsError(
-                f"root {r} (multiplicity {m}) fails the residual bound: "
-                f"{residual:.3e} > {bound:.3e}",
-                [(r, m)],
-                [(r, 0)],
-            )
     return located
-
-
-def _power(x: float, n: int) -> float:
-    """x ** n, or inf where that leaves the range of a double."""
-    try:
-        return x**n
-    except OverflowError:
-        return math.inf

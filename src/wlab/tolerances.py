@@ -10,7 +10,8 @@ factor, residues at punctures are exact over Q(i), and the canonical form
 of ``rational`` is exact: no tolerance decides any of them, nor the integer
 and rational quantities downstream of them, the period verdict among them.
 Conformality is an identity of the φ-forms, so no tolerance decides it
-either.  ``eps_res`` bounds only the residual of a located root.
+either, and a located root is certified by its inclusion disc, not by a
+residual bound.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ from dataclasses import dataclass, fields
 # eps_period_rel decides a period only at a puncture placed at a located root
 # of higher degree (library data); it stays scaled so that the eps_period a
 # document prints keeps its bytes at every scale.
-_SCALED = (
-    "eps_pt",
-    "eps_res",
-    "eps_period_rel",
-)
+_SCALED = ("eps_pt", "eps_period_rel")
 
 
 @dataclass(frozen=True)
@@ -38,9 +35,6 @@ class Tolerances:
     Attributes:
         eps_pt: point identity on the sphere; two finite points closer than
             this are the same point (infinity only equals infinity).
-        eps_res: root residual bound, relative to the coefficient scale and
-            ``(1+|r|)^deg``; every located root, simple or multiple, is held
-            to it.
         eps_period_rel: relative to the coefficient scale of the 1-forms,
             the ``eps_period`` a period report prints (until schema 3).
             The verdict reads the exact residues at every literal puncture
@@ -53,7 +47,6 @@ class Tolerances:
     """
 
     eps_pt: float = 1e-8
-    eps_res: float = 1e-9
     eps_period_rel: float = 1e-10
     quad_rtol: float = 1e-3
     mesh_exclusion_factor: float = 1e-3

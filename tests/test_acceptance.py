@@ -32,7 +32,7 @@ from wlab.mesh import Rectangle, build_mesh
 from wlab.poly import Polynomial
 from wlab.ramification import ramification_report
 from wlab.rational import RationalFunction
-from wlab.roots import IllConditionedRootsError, RootCrossCheckError
+from wlab.roots import IllConditionedRootsError, RootIsolationError
 from wlab.weierstrass import WeierstrassData, phi_from_data
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -207,7 +207,7 @@ def test_criterion_05_branching_identity_suite():
                 continue
             try:
                 rep = ramification_report(f, punctures=())
-            except (IllConditionedRootsError, RootCrossCheckError):
+            except (IllConditionedRootsError, RootIsolationError):
                 continue
             assert rep.n1 == 2 * d - 2, f
             assert rep.rh_ok
@@ -240,7 +240,7 @@ def test_criterion_06_total_curvature_suite():
             data = WeierstrassData(h=RationalFunction.constant(1), g1=g1, g2=g2, punctures=("inf",))
             try:
                 tau = total_curvature_quadrature(data)
-            except (IllConditionedRootsError, RootCrossCheckError):
+            except (IllConditionedRootsError, RootIsolationError):
                 continue
             expect = -2 * math.pi * (d1 + d2)
             assert abs(tau - expect) <= 0.01 * abs(expect), (g1, g2, tau)
@@ -309,7 +309,7 @@ def test_criterion_08_consistency_fuzz():
                 an_a = Analysis(a)
                 bounds_a = an_a.bounds
                 u = unicity_of(an_a, Analysis(b))
-            except (IllConditionedRootsError, RootCrossCheckError):
+            except (IllConditionedRootsError, RootIsolationError):
                 continue
             assert bounds_a.contradiction is False, a
             assert u.contradiction is False, (a, b)

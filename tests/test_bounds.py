@@ -29,7 +29,7 @@ from wlab.bounds import (
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
-from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
+from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
 from wlab.weierstrass import WeierstrassData
 
 Z = RationalFunction.variable()
@@ -137,7 +137,7 @@ def test_rotation_oracle_pole_orders_match_mu():
         try:
             mu = rotated_mu(d)
             r = Analysis(d).bounds
-        except (IllConditionedRootsError, RootCrossCheckError):
+        except (IllConditionedRootsError, RootIsolationError):
             continue
         assert r.mu == mu, d
         if r.regular_ok:
@@ -252,7 +252,7 @@ def test_bounds_random_data_never_contradict():
         )
         try:
             r = Analysis(data).bounds
-        except (IllConditionedRootsError, RootCrossCheckError):
+        except (IllConditionedRootsError, RootIsolationError):
             continue
         assert not r.contradiction, data
         checked += 1
@@ -607,7 +607,7 @@ def test_unicity_random_pairs_never_contradict():
             continue
         try:
             u = unicity_of(Analysis(a), Analysis(b))
-        except (IllConditionedRootsError, RootCrossCheckError):
+        except (IllConditionedRootsError, RootIsolationError):
             continue
         assert not u.contradiction, (a, b)
         assert u.pole_budget_g1_ok is not False

@@ -261,12 +261,12 @@ def test_degree_32_powers_ramify_exactly(capsys, tmp_path, time_limit, m):
 
 
 def test_ramify_non_finite_roots_are_a_typed_math_failure(capsys, tmp_path, monkeypatch):
-    # an Aberth iteration that returns NaN fails the root cross-check: a
+    # an Aberth iteration that returns NaN fails root isolation: a
     # numerical failure (exit 2), not bad input
     monkeypatch.setattr(wlab.roots, "_aberth", lambda p: np.full(p.degree, np.nan + 0j))
     code, doc, err = run(capsys, "ramify", degree_32_power(tmp_path, 4), "--component", "2")
     assert code == EXIT_MATH and doc is None
-    assert err.startswith("failure: RootCrossCheckError: ")
+    assert err.startswith("failure: RootIsolationError: ")
 
 
 def test_ramify_residual_bound_of_a_far_root_of_high_degree_stays_in_range(capsys, tmp_path):

@@ -83,11 +83,17 @@ def test_rational_does_not_load_roots():
     assert not loads("wlab.rational", "wlab.roots")
 
 
-def test_eps_res_bounds_root_residuals_only():
-    # every order is read off exact factors; the residual bound of located
-    # roots is the one step eps_res still guards
-    named = sorted(path.name for path in SRC.rglob("*.py") if "eps_res" in path.read_text(encoding="utf-8"))
-    assert named == ["roots.py", "tolerances.py"]
+def test_the_companion_route_and_residual_bound_are_gone():
+    # inclusion discs certify every located root, refined exactly where the
+    # double discs overlap: no second float route and no residual bound
+    pattern = re.compile(r"eps_res|_companion_roots|_match_root_sets|RootCrossCheckError|_CROSS_CHECK_RTOL|np\.roots")
+    hits = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.rglob("*.py"))
+        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert not hits, hits
 
 
 def test_the_period_path_evaluates_no_float_form(monkeypatch):

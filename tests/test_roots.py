@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import exact, from_roots
+from test_ramification import PUNCTURE_POOL, assert_fibers_match_counting, random_map
 from wlab import roots
-from wlab.exprparse import parse_expression
+from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import P0, Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
 from wlab.rational import SpherePoint
-from wlab.roots import IllConditionedRootsError, RootCrossCheckError, roots_with_multiplicity
+from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
+from wlab.tolerances import Tolerances
 
 # a degree-32 map A^4/B: each root of A is a triple root of its Wronskian,
 # which float square-free layers missed
@@ -85,15 +87,20 @@ def test_multiset_union_on_products():
             assert abs(a - b) < 1e-7
 
 
-def test_cluster_below_point_identity_is_two_simple_roots():
+def test_cluster_below_point_identity_raises_with_both_candidates():
     # separation far below eps_pt: the exact factors keep the roots apart,
-    # where the float gcd chain read one double root; in doubles each lands
-    # within eps_pt of its exact root, and the two fall just beyond eps_pt
-    # of each other (the pair of test_ambiguous_cluster_* does not)
+    # where the float gcd chain read one double root.  Refined, the roots
+    # lie 1e-9 apart, inside eps_pt as the 5e-9 pair below does, so they are
+    # one point or two simple roots and the diagnostic carries both readings
+    # (Aberth's unrefined roots, each about 1e-8 off, fell just beyond it)
     p = from_roots([1.0, 1.0 + 1e-9])
-    got = roots_with_multiplicity(exact(p))
-    assert [m for _r, m in got] == [1, 1]
-    assert all(abs(r - 1.0) < 1e-8 for r, _m in got)
+    with pytest.raises(IllConditionedRootsError) as info:
+        roots_with_multiplicity(exact(p))
+    assert [m for _r, m in info.value.separate] == [1, 1]
+    assert all(abs(r - 1.0) < 1e-8 for r, _m in info.value.separate)
+    # below the pair's separation, the identity radius keeps them apart
+    got = roots_with_multiplicity(exact(p), Tolerances().scaled(1e-3))
+    assert [r for r, _m in got] == [r for r, _m in info.value.separate]
 
 
 def test_ambiguous_cluster_raises_with_both_candidates():
@@ -117,13 +124,13 @@ def test_errors_on_constant_and_zero():
 
 
 def test_non_finite_roots_fail_the_cross_check(monkeypatch):
-    # a check written as "x > bound" passes NaN; the cross-check must not
+    # a check written as "x > bound" passes NaN; the disc test must not
     p = from_roots([1.0, 2.0, 3j])
     monkeypatch.setattr(roots, "_aberth", lambda q: np.full(q.degree, np.nan + 0j))
-    with pytest.raises(RootCrossCheckError) as info:
+    with pytest.raises(RootIsolationError) as info:
         roots_with_multiplicity(exact(p))
-    assert len(info.value.aberth) == 3
-    assert not np.isfinite(info.value.aberth).any()
+    assert len(info.value.roots) == len(info.value.radii) == 3
+    assert not np.isfinite(info.value.roots).any()
 
 
 def test_triple_roots_of_a_degree_32_wronskian_are_exact():
@@ -206,7 +213,7 @@ def test_each_yun_factor_is_located_once(record_calls):
     p = from_roots([1, 1, 1, -2, -2, 1j])
     got = by_value(roots_with_multiplicity(exact(p)))
     assert got == {(1 + 0j): 3, (-2 + 0j): 2, 1j: 1}
-    assert sum(f.degree for (f,) in located) == 3
+    assert sum(len(f) - 1 for (f,) in located) == 3
 
 
 def test_exponents_of_gaussian_integer_products_are_recovered():
@@ -356,11 +363,33 @@ def _ladder_map(rng: random.Random, degree: int, power: int) -> str:
     return f"({text(_integer_poly(rng, degree // power))})^{power}/({text(_integer_poly(rng, degree))})"
 
 
+def assert_one_50_digit_root_per_disc(f: Exact, centres, radii) -> None:
+    """Each disc about the centres holds exactly one of mpmath's 50-digit roots of the exact f.
+
+    The iteration starts from the companion matrix's eigenvalues, which
+    shortens it on near-double roots from hundreds of steps to a few; where
+    that start does not converge, from mpmath's own.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    assert len(centres) == len(radii) == len(f) - 1
+    start = np.roots([complex(x, y) for x, y in reversed(f)])
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(x, y) for x, y in reversed(f)]
+        try:
+            exact_roots = mpmath.polyroots(
+                coeffs, maxsteps=400, extraprec=200, roots_init=[mpmath.mpc(z.real, z.imag) for z in start]
+            )
+        except mpmath.libmp.NoConvergence:
+            exact_roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=200)
+        for z, r in zip(centres, radii):
+            centre = mpmath.mpc(z.real, z.imag)
+            assert sum(1 for x in exact_roots if abs(x - centre) <= r) == 1, (f, z, r)
+
+
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_every_inclusion_disc_holds_one_50_digit_root(power):
     # the discs of each Yun factor of a Wronskian, against mpmath's roots of
     # the exact factor: each disc holds exactly one of them, so none is left out
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(f"discs:{power}")
     for degree in (6, 12, 18):
         w = parse_expression(_ladder_map(rng, degree, power)).derivative_numerator()
@@ -371,19 +400,54 @@ def test_every_inclusion_disc_holds_one_50_digit_root(power):
             located = roots._aberth(view)
             radii = roots._inclusion_radii(view, located)
             assert radii is not None
-            with mpmath.workdps(50):
-                exact_roots = mpmath.polyroots([mpmath.mpc(x, y) for x, y in reversed(f)], maxsteps=400, extraprec=200)
-                for z, r in zip(located, radii):
-                    centre = mpmath.mpc(z.real, z.imag)
-                    assert sum(1 for x in exact_roots if abs(x - centre) <= r) == 1
+            assert_one_50_digit_root_per_disc(f, located, radii)
 
 
-def test_certified_roots_take_no_companion_matrix(record_calls):
-    # disjoint discs certify Aberth's roots; the 1e-9 pair's discs overlap in
-    # doubles, and the eigenvalues cross-check it instead
-    companion = record_calls(roots, "_companion_roots")
+def test_every_refined_disc_holds_one_50_digit_root(record_calls):
+    # the factors whose double discs overlap: the 1e-9 pair, and the
+    # near-double fibre factors of N - aD for a float critical value a that
+    # test_random_fibers_match_counting locates on its first 80 maps
+    refined = record_calls(roots, "_refined_roots")
+    with pytest.raises(IllConditionedRootsError):
+        roots_with_multiplicity(exact(from_roots([1.0, 1.0 + 1e-9])))
+    rng = np.random.default_rng(2026)
+    for k in range(80):
+        f = random_map(rng, k % 4)
+        names = rng.choice(PUNCTURE_POOL, size=int(rng.integers(0, 6)), replace=False)
+        if not f.is_constant:
+            try:
+                assert_fibers_match_counting(f, tuple(parse_sphere_point(str(p)) for p in names))
+            except RootIsolationError:
+                pass
+    factors = {q: (view, z) for q, view, z in refined}
+    assert len(factors) >= 200
+    for q, (view, z) in factors.items():
+        centres, radii = roots._refined_roots(q, view, z)
+        assert_one_50_digit_root_per_disc(q, centres, radii)
+
+
+def test_only_overlapping_discs_take_the_refinement(record_calls):
+    # disjoint double discs certify Aberth's roots; the 1e-9 pair's discs
+    # overlap in doubles, and only that factor is refined
+    refined = record_calls(roots, "_refined_roots")
     roots_with_multiplicity(exact(from_roots([1, 1, 1, -2, -2, 1j])))
     roots_with_multiplicity(parse_expression(_ladder_map(random.Random("companion"), 20, 1)).derivative_numerator())
-    assert companion == []
-    roots_with_multiplicity(exact(from_roots([1.0, 1.0 + 1e-9])))
-    assert len(companion) == 1
+    assert refined == []
+    p = exact(from_roots([1.0, 1.0 + 1e-9]))
+    roots_with_multiplicity(p, Tolerances().scaled(1e-3))
+    assert [q for q, _view, _z in refined] == [exact_primitive(p)]
+
+
+def test_roots_closer_than_two_doubles_hold_apart_raise_with_their_discs():
+    # 2^254 (-(z - 2)(z - 1)^2 (2z^3 + 2z^2 - z - 2)) + i: the double root 1
+    # splits into 1 +- 4.2e-39 (1 - i), which no two doubles resolve; the
+    # companion cross-check once passed a pair up to 3e-8 from them
+    p = tuple((c << 254, 0) for c in (-4, 8, 1, -8, -1, 6, -2))
+    p = ((p[0][0], 1),) + p[1:]
+    with pytest.raises(RootIsolationError) as info:
+        roots_with_multiplicity(p)
+    assert len(info.value.roots) == len(info.value.radii) == 6
+    near = [(z, r) for z, r in zip(info.value.roots, info.value.radii) if abs(z - 1) < 1e-6]
+    assert len(near) == 2
+    (a, ra), (b, rb) = near
+    assert abs(a - b) <= ra + rb
