@@ -185,6 +185,7 @@ class SurfaceMesh:
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _GL4_NODES, _GL4_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _MAX_EDGE_SPLITS = 8
+_EDGE_RTOL = 1e-3  # requested relative accuracy of the sampled edge check
 
 
 def _gauss_rule(forms, mid: np.ndarray, half: np.ndarray, nodes, weights) -> np.ndarray:
@@ -535,7 +536,7 @@ def build_mesh(
         sample = faces[:: max(1, len(faces) // 64)]
         a = zs[sample].reshape(-1)
         b = zs[np.roll(sample, -1, axis=1)].reshape(-1)
-        inc = _integrate_edges(forms, a, b, tol.quad_rtol)
+        inc = _integrate_edges(forms, a, b, _EDGE_RTOL)
         loops = np.sum(inc.reshape(-1, 4, 4), axis=1)
         max_residual = float(np.max(np.linalg.norm(loops.real, axis=1)))
         max_path_error = float(np.max(np.linalg.norm(inc - _increments(prim, a, b), axis=1)))

@@ -306,11 +306,6 @@ def exact_cancelled(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
     return (exact_mul(qa, extra), qb) if len(a) < len(b) else (qa, exact_mul(qb, extra))
 
 
-def exact_reversed(a: Exact, k: int) -> Exact:
-    """z^(k-1) a(1/z), for deg a < k."""
-    return _stripped(reversed(a + ((0, 0),) * (k - len(a))))
-
-
 def exact_derivative(a: Exact) -> Exact:
     return tuple((k * x, k * y) for k, (x, y) in enumerate(a) if k)
 

@@ -47,7 +47,6 @@ from wlab.poly import (
     exact_pow,
     exact_primitive,
     exact_quotient,
-    exact_reversed,
     pseudo_divmod,
     rounded,
 )
@@ -528,19 +527,6 @@ class RationalFunction:
         of the exact pair, which carries lc(b)^(deg a - deg b + 1)."""
         a, b = self._pair
         return rounded(pseudo_divmod(a, b)[0], b[-1][0] ** max(len(a) - len(b) + 1, 0))
-
-    # -- coordinate changes ----------------------------------------------------
-
-    def reciprocal_argument(self) -> "RationalFunction":
-        """The function w -> f(1/w) as a rational function of w.
-
-        w^k N(1/w) / (w^k D(1/w)) with k = deg f is already reduced: a
-        common root would be a common root of N and D, or 0, which at most
-        one of them has.
-        """
-        a, b = self._pair
-        k = max(len(a), len(b))
-        return RationalFunction._of(exact_reversed(a, k), exact_reversed(b, k))
 
     # -- orders, values, residues ----------------------------------------------
 

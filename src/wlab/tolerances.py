@@ -9,9 +9,9 @@ factors over Q(i), every pole and zero order is the exponent of an exact
 factor, residues at punctures are exact over Q(i), and the canonical form
 of ``rational`` is exact: no tolerance decides any of them, nor the integer
 and rational quantities downstream of them, the period verdict among them.
-Conformality is an identity of the φ-forms, so no tolerance decides it
-either, and a located root is certified by its inclusion disc, not by a
-residual bound.
+Conformality is an identity of the φ-forms, and the total curvature is
+-2 pi (d1 + d2) by identity, so no tolerance decides either; a located root
+is certified by its inclusion disc, not by a residual bound.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass, fields
 
 # Fields of Tolerances that are genuine tolerances (scaled by ``scaled``).
-# mesh_exclusion_factor is a geometric default, not a tolerance, and the
-# quadrature target is a requested accuracy; both stay fixed under scaling.
+# mesh_exclusion_factor is a geometric default, not a tolerance; it stays
+# fixed under scaling.
 # eps_period_rel decides a period only at a puncture placed at a located root
 # of higher degree (library data); it stays scaled so that the eps_period a
 # document prints keeps its bytes at every scale.
@@ -41,14 +41,12 @@ class Tolerances:
             and at infinity; ``eps_period`` bounds the real part of a
             period only at a puncture placed at a located root whose exact
             factor has higher degree, where the residues are floats.
-        quad_rtol: requested relative accuracy of adaptive quadrature.
         mesh_exclusion_factor: exclusion radius around singular points when
             meshing, as a fraction of the region diameter.
     """
 
     eps_pt: float = 1e-8
     eps_period_rel: float = 1e-10
-    quad_rtol: float = 1e-3
     mesh_exclusion_factor: float = 1e-3
 
     def scaled(self, factor: float) -> "Tolerances":

@@ -27,13 +27,14 @@ import pytest
 from wlab.analysis import Analysis
 from wlab.bounds import unicity_of
 from wlab.cli import main
-from wlab.curvature import total_curvature_quadrature
 from wlab.mesh import Rectangle, build_mesh
 from wlab.poly import Polynomial
 from wlab.ramification import ramification_report
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootIsolationError
 from wlab.weierstrass import WeierstrassData, phi_from_data
+
+from test_curvature import total_curvature_quadrature
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 ANALYZABLE = [

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wlab.cli
-from wlab import curvature, poly, ramification, roots, weierstrass
+from wlab import poly, ramification, roots, weierstrass
 from wlab.analysis import Analysis, PoleTableError
 from wlab.cli import _load_data
 from wlab.exprparse import parse_expression
@@ -234,8 +234,6 @@ def test_building_a_data_set_takes_no_float_gcd(name):
     # is left to take
     an = Analysis(_load_data(str(FIXTURES / f"{name}.json")))
     an.phi
-    for g in (an.data.g1, an.data.g2):
-        curvature._flip(g)
     assert not hasattr(poly, "approx_gcd")
 
 

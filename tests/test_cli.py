@@ -546,6 +546,17 @@ def test_report_bundles_all_sections(capsys):
     assert rep["ramification"]["g2"]["verdict"] == "constant component"
 
 
+def test_report_prints_the_closed_form_total_curvature(capsys, tmp_path):
+    # -2 pi (5 + 3) by identity; a quadrature of it printed -50.2655429636
+    path = write_data(tmp_path, "degree_eight", ["inf"], "1", "z^5+2*z+i", "z^3-1")
+    code, doc, _ = run(capsys, "report", path)
+    assert code == EXIT_OK
+    curvature = doc["report"]["curvature"]
+    assert curvature["closed_form"]["basic_domain_value"] == -50.2654824574
+    assert curvature["quadrature_value"] == curvature["closed_form"]["basic_domain_value"]
+    assert curvature["routes_agree"] is True
+
+
 def test_report_propagates_check_failure(capsys):
     code, doc, _ = run(capsys, "report", fixture("example21"))
     assert code == EXIT_MATH

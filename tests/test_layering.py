@@ -2,7 +2,8 @@
 ``Analysis`` is the one entry to a data set's invariants, so ``bounds`` and
 ``curvature`` need it only for type hints and never load it, and every
 definition in the package is reached from inside it.  The period path
-reads exact residues only, and the contour that once checked them is gone."""
+reads exact residues only, and the contour that once checked them is gone,
+as is the quadrature that once checked the total curvature."""
 
 from __future__ import annotations
 
@@ -119,12 +120,21 @@ def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
     assert not rounded
 
 
-def test_the_residue_contour_is_gone():
-    pattern = re.compile(r"ResidueQuadratureError|residue_cross_rtol|_contour_residue")
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        # residues at punctures are exact over Q(i): no contour checks them
+        pytest.param(r"ResidueQuadratureError|residue_cross_rtol|_contour_residue", id="residue-contour"),
+        # the total curvature is -2 pi (d1 + d2) by identity: no quadrature
+        # of it runs, and no tolerance is kept for one
+        pytest.param(r"total_curvature_quadrature|QuadratureError|_integrate_polar|quad_rtol", id="curvature-quadrature"),
+    ],
+)
+def test_a_removed_route_is_gone(pattern):
     hits = [
         f"{path.name}:{n}"
         for path in sorted(SRC.rglob("*.py"))
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if pattern.search(line)
+        if re.search(pattern, line)
     ]
     assert not hits, hits

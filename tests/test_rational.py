@@ -236,13 +236,6 @@ def test_difference_cancels_to_zero():
     assert (f - f).is_zero
 
 
-def test_reciprocal_argument():
-    f = (Z**2 + 1) / (Z - 3)
-    g = f.reciprocal_argument()
-    for w in (0.5, 2.0 - 1j, -0.7j):
-        assert g(w) == pytest.approx(f(1 / w))
-
-
 def test_value_at_sphere():
     f = (Z - 1) ** 2 / (Z + 2)
     assert f.value_at_sphere(1.0) == SpherePoint(0j)

@@ -106,8 +106,9 @@ def test_document_envelope():
 @pytest.mark.parametrize(
     "a, b",
     [
-        # curvature quadrature_value, mesh max_loop_residual and max_path_error
-        # as written on two platforms whose numpy kernels differ in the last ulps
+        # a total curvature near -4 pi, mesh max_loop_residual and
+        # max_path_error, as numpy kernels that differ in the last ulps
+        # on two platforms write them
         (-12.566370614359167, -12.566370614359174),
         (2.1168129922294368e-09, 2.116813262206963e-09),
         (0.0042004283999627174, 0.004200428399957981),

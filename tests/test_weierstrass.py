@@ -27,6 +27,7 @@ from wlab.weierstrass import (
 )
 
 from test_bounds import loadable_fixtures, random_regular_data
+from test_curvature import at_reciprocal
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 Z = RationalFunction.variable()
@@ -229,9 +230,9 @@ def test_ends_moebius_invariance():
     data = double_pole_pair()
     w = RationalFunction.variable()
     pulled = WeierstrassData(
-        h=-data.h.reciprocal_argument() / w**2,
-        g1=data.g1.reciprocal_argument(),
-        g2=data.g2.reciprocal_argument(),
+        h=-at_reciprocal(data.h) / w**2,
+        g1=at_reciprocal(data.g1),
+        g2=at_reciprocal(data.g2),
         punctures=("inf", "1", "0"),  # preimages of 0, 1, inf under z = 1/w
     )
     before = ends_of(data)
