@@ -392,6 +392,22 @@ def bounds_of(an: Analysis) -> BoundsReport:
     )
 
 
+# Every invariant, and the numerator and denominator of a nu, lies below this,
+# so each ratio and bound built from them prints as a finite double.
+_ABSTRACT_LIMIT = 2**1000
+
+
+def _nu(value, name: str) -> Fraction | None:
+    if value is None:
+        return None
+    nu = Fraction(value)
+    if nu < 0:
+        raise ValueError(f"{name} must be non-negative")
+    if max(nu.numerator, nu.denominator) >= _ABSTRACT_LIMIT:
+        raise ValueError(f"{name} must have a numerator and denominator below 2^1000")
+    return nu
+
+
 def compute_bounds_abstract(
     G: int,
     k: int,
@@ -414,8 +430,9 @@ def compute_bounds_abstract(
     for name, v in (("G", G), ("k", k), ("d1", d1), ("d2", d2)):
         if not isinstance(v, int) or v < 0:
             raise ValueError(f"{name} must be a non-negative integer")
-    nu1 = None if nu1 is None else Fraction(nu1)
-    nu2 = None if nu2 is None else Fraction(nu2)
+        if v >= _ABSTRACT_LIMIT:
+            raise ValueError(f"{name} must be below 2^1000")
+    nu1, nu2 = _nu(nu1, "nu1"), _nu(nu2, "nu2")
     if d1 == 0 and nu1 is not None:
         raise ValueError("nu1 given for a constant first component")
     if d2 == 0 and nu2 is not None:

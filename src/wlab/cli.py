@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -174,7 +175,11 @@ def cmd_ramify(args, tol: Tolerances) -> tuple[str, dict, bool]:
 def _parse_fraction(text: str | None, flag: str):
     if text is None:
         return None
+    exponent = re.search(r"[eE]([-+]?[\d_]+)", text)
     try:
+        # Fraction multiplies out 10^exponent, which for a long exponent takes minutes
+        if exponent and abs(int(exponent[1])) > 1000:
+            raise CliUsageError(f"{flag} must have a numerator and denominator below 2^1000, got {text!r}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliUsageError(f"{flag} must be an integer or fraction, got {text!r}") from exc

@@ -19,14 +19,25 @@ c z^k with k != 0 (z^96 parses as z^64*z^32 does), whose power is one
 power of c, and only while |exponent| times the bit length of c's exact
 parts is at most 65536, the size of a 64th power of 1024-bit parts; any
 other base keeps the cap, as squaring a polynomial of several terms up to
-degree 4096 costs seconds.  Each operator is one exact operation of
-``RationalFunction``, so division is symbolic and the result is a reduced
-RationalFunction, never a number; a coefficient of an intermediate result
-beyond the range of a double raises ``OverflowError``.  A power raises it
-before it is multiplied out when its result certainly has one: when
-|N(x)|^e > (e deg N + 1) sqrt(2) 2^1024 at some x in {1, -1, i, -i}, for
-its numerator N = N_base^e (and likewise its denominator), so
-((z+1)^64)^40 is refused at once, not after seconds of squaring.
+degree 4096 costs seconds.  Digits are ASCII '0' to '9' only: any other
+Unicode digit, a superscript 2 say, is an unexpected character.
+
+Every operator is exact arithmetic over Q(i), so division is symbolic and
+the result is a reduced RationalFunction, never a number.  A subexpression
+that is a polynomial is held as one sparse table of coefficients over one
+denominator (``_Sum``): a sum merges its right operand's terms into it in
+one pass, a product with a monomial shifts and scales the other's terms,
+and no gcd runs.  A ``RationalFunction`` is built only for a quotient (a
+'/' or a negative power), which an exact gcd reduces, for an operand that
+meets one, for the base of an exponent above 64, whose reduced pair the
+rule above reads, and once for the result.  The degree check and the range rule are those of the reduced
+result at every operator: a coefficient of an intermediate result beyond
+the range of a double raises ``OverflowError`` (a sum checks the
+coefficients it changed).  A power raises it before it is multiplied out
+when its result certainly has one: when |N(x)|^e > (e deg N + 1) sqrt(2)
+2^1024 at some x in {1, -1, i, -i}, for its numerator N = N_base^e (and
+likewise its denominator), so ((z+1)^64)^40 is refused at once, not after
+seconds of squaring.
 """
 
 from __future__ import annotations
@@ -34,16 +45,17 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
-from wlab.poly import Polynomial
-from wlab.rational import RationalFunction, SpherePoint
+from wlab.poly import OUT_OF_RANGE, Exact, Polynomial, exact_mul, exact_pow, in_range, rounded
+from wlab.rational import RationalFunction, SpherePoint, _power_out_of_range
 
 __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sphere_point"]
 
 MAX_EXPONENT = 64
 MAX_DEGREE = 4096
 MAX_POWER_BITS = MAX_EXPONENT * 1024
-_NUMBER = re.compile(r"\d*\.?\d*(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
 
 
 class ExpressionError(ValueError):
@@ -70,6 +82,127 @@ def _check_exponent(base: RationalFunction, exp: int, position: int) -> None:
     monomial = not base.is_constant and not any(x or y for p in (a, b) for x, y in p[:-1])
     if not monomial or abs(exp) * max(abs(x).bit_length() for x in a[-1] + b[-1]) > MAX_POWER_BITS:
         raise ExpressionError(f"exponent overflow: |{exp}| > {MAX_EXPONENT}", position)
+
+
+class _Sum:
+    """A polynomial over Q(i) as a sparse table: ``terms`` maps a power to
+    its nonzero coefficient over Z[i], each over the one positive int
+    ``den``; ``top`` is the highest power, -1 for zero.
+
+    The parser owns every table, so ``+=`` and ``-=`` merge the right
+    operand's terms into the left's in place (Knuth, TAOCP 1, 2.2.4,
+    Algorithm A).  A product or power makes a new table, a quotient the
+    reduced ``RationalFunction``.  Degrees are those of the reduced pair
+    N / 1.
+    """
+
+    __slots__ = ("terms", "den", "top")
+
+    def __init__(self, terms: dict[int, tuple[int, int]], den: int = 1):
+        self.terms, self.den = terms, den
+        self.top = max(terms, default=-1)
+
+    @classmethod
+    def _checked(cls, terms: dict[int, tuple[int, int]], den: int) -> "_Sum":
+        _check_range(terms.values(), den)
+        return cls(terms, den)
+
+    def dense(self) -> Exact:
+        out = [(0, 0)] * (self.top + 1)
+        for k, c in self.terms.items():
+            out[k] = c
+        return tuple(out)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @property
+    def degree(self) -> int:
+        return max(self.top, 0)
+
+    @property
+    def degrees(self) -> tuple[int, int]:
+        return self.top, 0
+
+    def rational(self) -> RationalFunction:
+        return RationalFunction.of_exact(self.dense(), ((self.den, 0),))
+
+    def _merge(self, other: "_Sum", sign: int) -> "_Sum":
+        """self + sign other, in place: only the coefficients it changes are range-checked."""
+        den = math.lcm(self.den, other.den)
+        if den != self.den:
+            s = den // self.den
+            self.terms = {k: (x * s, y * s) for k, (x, y) in self.terms.items()}
+            self.den = den
+        s, terms, changed = sign * (den // other.den), self.terms, []
+        for k, (u, v) in other.terms.items():
+            x, y = terms.get(k, (0, 0))
+            c = (x + s * u, y + s * v)
+            if c == (0, 0):
+                del terms[k]
+            else:
+                terms[k] = c
+                changed.append(c)
+        _check_range(changed, den)
+        self.top = max(self.top, other.top)
+        if self.top not in terms:
+            self.top = max(terms, default=-1)
+        return self
+
+    def __iadd__(self, other: "_Sum") -> "_Sum":
+        return self._merge(other, 1)
+
+    def __isub__(self, other: "_Sum") -> "_Sum":
+        return self._merge(other, -1)
+
+    def __neg__(self) -> "_Sum":
+        return _Sum({k: (-x, -y) for k, (x, y) in self.terms.items()}, self.den)
+
+    def __mul__(self, other: "_Sum") -> "_Sum":
+        a, b = (self, other) if len(self.terms) == 1 else (other, self)
+        if len(a.terms) == 1:
+            ((j, (x, y)),) = a.terms.items()
+            terms = {j + k: (x * u - y * v, x * v + y * u) for k, (u, v) in b.terms.items()}
+        else:
+            terms = _table(exact_mul(self.dense(), other.dense()))
+        return _Sum._checked(terms, self.den * other.den)
+
+    def __truediv__(self, other: "_Sum") -> RationalFunction:
+        a, b = exact_mul(self.dense(), ((other.den, 0),)), exact_mul(other.dense(), ((self.den, 0),))
+        return RationalFunction.of_exact(a, b)
+
+    def __pow__(self, n: int) -> "_Sum":
+        """The power for 0 <= n; a monomial's is one power of its coefficient."""
+        if len(self.terms) == 1:
+            ((k, c),) = self.terms.items()
+            return _Sum._checked({k * n: exact_pow((c,), n)[0]}, self.den**n)
+        p = self.dense()
+        if p and _power_out_of_range(p, (self.den, 0), n):
+            raise OverflowError(OUT_OF_RANGE)
+        return _Sum._checked(_table(exact_pow(p, n)), self.den**n)
+
+
+def _check_range(coeffs, den: int) -> None:
+    """The range rule on coefficients over Z[i] over den: ``OverflowError``
+    when a part of one is beyond the range of a double."""
+    if not in_range(chain.from_iterable(coeffs), den):
+        rounded(coeffs, den)
+
+
+def _table(p: Exact) -> dict[int, tuple[int, int]]:
+    return {k: c for k, c in enumerate(p) if c != (0, 0)}
+
+
+def _rational(value: _Sum | RationalFunction) -> RationalFunction:
+    return value.rational() if isinstance(value, _Sum) else value
+
+
+def _operands(a: _Sum | RationalFunction, b: _Sum | RationalFunction) -> tuple:
+    """Two tables, or else two RationalFunctions: a table meets a quotient as one."""
+    if isinstance(a, _Sum) and isinstance(b, _Sum):
+        return a, b
+    return _rational(a), _rational(b)
 
 
 class _Token:
@@ -102,7 +235,7 @@ def _lex(text: str) -> list[_Token]:
             tokens.append(_Token("num", (1, True), i))
             i += 1
             continue
-        if ch.isdigit() or ch == ".":
+        if "0" <= ch <= "9" or ch == ".":
             start, i = i, _NUMBER.match(text, i).end()
             raw = text[start:i]
             try:
@@ -144,22 +277,25 @@ class _Parser:
         return self.next()
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> RationalFunction:
+    def expr(self) -> _Sum | RationalFunction:
         out = self.term()
         while self.peek().kind == "op" and self.peek().value in "+-":
             tok = self.next()
-            rhs = self.term()
+            out, rhs = _operands(out, self.term())
             (a, b), (c, d) = out.degrees, rhs.degrees
             _check_degree(max(a + d, c + b, b + d), tok.pos)
-            out = out + rhs if tok.value == "+" else out - rhs
+            if tok.value == "+":
+                out += rhs
+            else:
+                out -= rhs
         return out
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> RationalFunction:
+    def term(self) -> _Sum | RationalFunction:
         out = self.factor()
         while self.peek().kind == "op" and self.peek().value in "*/":
             tok = self.next()
-            rhs = self.factor()
+            out, rhs = _operands(out, self.factor())
             (a, b), (c, d) = out.degrees, rhs.degrees
             if tok.value == "*":
                 _check_degree(max(a + c, b + d), tok.pos)
@@ -172,7 +308,7 @@ class _Parser:
         return out
 
     # factor := '-' factor | base ('^' signed-int)?
-    def factor(self) -> RationalFunction:
+    def factor(self) -> _Sum | RationalFunction:
         tok = self.peek()
         if tok.kind == "op" and tok.value == "-":
             self.next()
@@ -182,6 +318,8 @@ class _Parser:
         if tok.kind == "op" and tok.value == "^":
             caret = self.next()
             exp = self.exponent()
+            if not 0 <= exp <= MAX_EXPONENT:  # the reduced pair decides these
+                out = _rational(out)
             _check_exponent(out, exp, caret.pos)
             if exp < 0 and out.is_zero:
                 raise ExpressionError("negative power of zero", caret.pos)
@@ -204,14 +342,14 @@ class _Parser:
         self.next()
         return sign * int(value)
 
-    def base(self) -> RationalFunction:
+    def base(self) -> _Sum | RationalFunction:
         tok = self.next()
-        if tok.kind == "num":
+        if tok.kind == "num":  # in range, as the lexer checked
             value, imaginary = tok.value
-            out = RationalFunction.constant(value)
-            return out * 1j if imaginary else out
+            c = (0, value.numerator) if imaginary else (value.numerator, 0)
+            return _Sum({0: c} if value else {}, value.denominator)
         if tok.kind == "z":
-            return RationalFunction.variable()
+            return _Sum({1: (1, 0)})
         if tok.kind == "op" and tok.value == "(":
             inner = self.expr()
             self.expect_op(")")
@@ -233,7 +371,7 @@ def parse_expression(text: str) -> RationalFunction:
     tail = parser.peek()
     if tail.kind != "end":
         raise ExpressionError("unexpected trailing input", tail.pos)
-    return out
+    return _rational(out)
 
 
 def parse_sphere_point(text: str) -> SpherePoint:

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "Polynomial", "Exact", "LocatedRoot", "exact_gcd", "exact_primitive", "exact_quotient", "exact_exponent", "rounded",
+    "in_range",
 ]
 
 
@@ -164,6 +165,13 @@ def rounded(p: Exact, q: int) -> Polynomial:
     out = Polynomial.__new__(Polynomial)
     out._c = tuple(view)
     return out
+
+
+def in_range(parts: Iterable[int], q: int) -> bool:
+    """The range proof for parts x over q > 0: bits(x) <= bits(q) + 1022 for
+    every x proves |x / q| < 2^1023.  Where it fails, ``rounded`` decides:
+    it raises ``OverflowError`` when a part is beyond the range of a double."""
+    return max(map(abs, parts), default=0).bit_length() <= q.bit_length() + 1022
 
 
 def exact_add(a: Exact, b: Exact) -> Exact:

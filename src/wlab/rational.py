@@ -47,6 +47,7 @@ from wlab.poly import (
     exact_pow,
     exact_primitive,
     exact_quotient,
+    in_range,
     pseudo_divmod,
     rounded,
 )
@@ -283,10 +284,10 @@ class RationalFunction:
     the float view of N'D - ND'.  Each view is built on first read.  A
     result with a coefficient beyond the range of a double raises
     ``OverflowError`` when it is made: every part x of the pair with
-    bit length at most that of L plus 1022 has |x / L| < 2^1023, and the
-    views are built at once only for a pair where some part is longer, to
-    decide it.  A power that certainly leaves the range is refused before it
-    is multiplied out.
+    bit length at most that of L plus 1022 has |x / L| < 2^1023
+    (``poly.in_range``), and the views are built at once only for a pair
+    where some part is longer, to decide it.  A power that certainly leaves
+    the range is refused before it is multiplied out.
     """
 
     __slots__ = ("_pair", "_num", "_den", "_wronskian")
@@ -312,8 +313,7 @@ class RationalFunction:
         self._pair = (a, b)
         self._num = self._den = self._wronskian = None
         lead = b[-1][0]
-        # a part x with bits(x) <= bits(L) + 1022 has |x / L| < 2^1023: only a longer one is rounded to decide
-        if max(map(abs, chain(*a, *b))).bit_length() > lead.bit_length() + 1022:
+        if not in_range(chain(*a, *b), lead):
             self._num, self._den = rounded(a, lead), rounded(b, lead)
 
     @classmethod
@@ -322,6 +322,11 @@ class RationalFunction:
         out = cls.__new__(cls)
         out._set(a, b)
         return out
+
+    @classmethod
+    def of_exact(cls, a: Exact, b: Exact) -> "RationalFunction":
+        """a / b for polynomials over Z[i], b nonzero, reduced by their gcd."""
+        return cls._of(*exact_cofactors(a, b))
 
     # -- basic queries -------------------------------------------------------
 
@@ -376,9 +381,6 @@ class RationalFunction:
 
     @classmethod
     def constant(cls, value) -> "RationalFunction":
-        """The constant ``value``; an int or a Fraction is its own pair."""
-        if isinstance(value, (int, Fraction)):
-            return cls._of(((value.numerator, 0),) if value else (), ((value.denominator, 0),))
         return cls(value)
 
     @classmethod

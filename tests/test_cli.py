@@ -335,6 +335,26 @@ def test_bounds_rejects_malformed_nu_and_mu(capsys):
     assert code == EXIT_USAGE and "--mu" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # printed as a decimal, 10^400 leaves the range of a double
+        pytest.param(
+            ("0", "4", "1", "1", "--nu1", "1e400"), "nu1 must have a numerator and denominator below 2^1000", id="nu-1e400"
+        ),
+        pytest.param(("0", str(10**400), "1", "1"), "k must be below 2^1000", id="k-10^400"),
+        # nu counts values, so it is never negative
+        pytest.param(("0", "4", "1", "1", "--nu1", "-1"), "nu1 must be non-negative", id="nu-negative"),
+        # refused before Fraction multiplies the exponent out
+        pytest.param(("0", "4", "1", "1", "--nu1", "1e999999999"), "--nu1 must have a numerator", id="nu-long-exponent"),
+    ],
+)
+def test_bounds_abstract_refuses_invariants_out_of_range(capsys, argv, message):
+    code, doc, err = run(capsys, "bounds", "--abstract", *argv)
+    assert code == EXIT_USAGE and doc is None
+    assert message in err and "failure" not in err
+
+
 @pytest.mark.parametrize("degrees", [("1", "0"), ("0", "0")])
 def test_bounds_abstract_rejects_mu_of_the_wrong_length(capsys, degrees):
     code, doc, err = run(capsys, "bounds", "--abstract", "0", "3", *degrees, "--mu", "2,2")

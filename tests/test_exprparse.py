@@ -90,6 +90,14 @@ def test_syntax_error_positions():
         parse_expression("z + q")
 
 
+@pytest.mark.parametrize("text, position", [("٣*z", 0), ("１+z", 0), ("z²", 1)])
+def test_only_ascii_digits_make_a_number(text, position):
+    # str.isdigit and re's \d accept these, which read ٣*z as 3z
+    with pytest.raises(ExpressionError, match="unexpected character") as err:
+        parse_expression(text)
+    assert err.value.position == position
+
+
 @pytest.mark.parametrize("text", ["1e400", "1e400i", "(z^2+1e400)/(z-1)"])
 def test_literal_overflowing_a_double_is_rejected(text):
     # read as inf, the literal would vanish from the polynomial and the

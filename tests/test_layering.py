@@ -20,7 +20,7 @@ from wlab import poly
 from wlab.analysis import Analysis
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
-from wlab.rational import INF
+from wlab.rational import INF, RationalFunction
 
 from test_bounds import loadable_fixtures
 from test_exprparse import _ladder_maps
@@ -84,19 +84,6 @@ def test_rational_does_not_load_roots():
     assert not loads("wlab.rational", "wlab.roots")
 
 
-def test_the_companion_route_and_residual_bound_are_gone():
-    # inclusion discs certify every located root, refined exactly where the
-    # double discs overlap: no second float route and no residual bound
-    pattern = re.compile(r"eps_res|_companion_roots|_match_root_sets|RootCrossCheckError|_CROSS_CHECK_RTOL|np\.roots")
-    hits = [
-        f"{path.name}:{n}"
-        for path in sorted(SRC.rglob("*.py"))
-        for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if pattern.search(line)
-    ]
-    assert not hits, hits
-
-
 def test_the_period_path_evaluates_no_float_form(monkeypatch):
     # every residue a period report prints is exact, so reading the periods
     # evaluates no float view: no contour, no sampled global sum
@@ -120,6 +107,18 @@ def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
     assert not rounded
 
 
+def test_parse_cost_does_not_grow_with_degree(record_calls):
+    # a sum of polynomials is merged into one coefficient table: the only
+    # RationalFunction a ladder map A / B builds is its reduced quotient
+    built = record_calls(RationalFunction, "_set")
+    counts = {}
+    for text in _ladder_maps()[0], _ladder_maps()[16], _ladder_maps()[32]:  # A / B of degree 4, 20, 64
+        before = len(built)
+        degree = parse_expression(text).degree
+        counts[degree] = len(built) - before
+    assert counts == {4: 1, 20: 1, 64: 1}
+
+
 @pytest.mark.parametrize(
     "pattern",
     [
@@ -128,6 +127,12 @@ def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
         # the total curvature is -2 pi (d1 + d2) by identity: no quadrature
         # of it runs, and no tolerance is kept for one
         pytest.param(r"total_curvature_quadrature|QuadratureError|_integrate_polar|quad_rtol", id="curvature-quadrature"),
+        # inclusion discs certify every located root, refined exactly where the
+        # double discs overlap: no second float route and no residual bound
+        pytest.param(
+            r"eps_res|_companion_roots|_match_root_sets|RootCrossCheckError|_CROSS_CHECK_RTOL|np\.roots",
+            id="companion-route",
+        ),
     ],
 )
 def test_a_removed_route_is_gone(pattern):
