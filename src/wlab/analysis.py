@@ -19,11 +19,13 @@ root-found; every other piece is root-found at most once, when a step first
 needs its roots (``located``), and each root carries its piece as its
 ``SpherePoint.factor``: the ``RationalFunction`` order methods read the
 orders there, at a puncture off its linear factor, and at infinity off the
-degrees.  Every pole of a φ-form is a pole of h, g1 or g2, and the forms'
-principal parts are read at those points (``principal_parts``):
-regularity, the ends, the periods and the mesh primitive all read these
-orders and that one table.  Equal Gauss components share one ramification
-report.
+degrees: regularity and the ends read these orders, and the periods the
+exact residues at the punctures.  Every pole of a φ-form is a pole of h, g1
+or g2, and the mesh primitive reads the forms' principal parts at those
+points (``principal_parts``), exact where each point's piece is linear; a
+pole on a piece of higher degree, off the punctures, makes the data
+irregular, and the table refuses it.  Equal Gauss components share one
+ramification report.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.  It is the library's one entry to the
@@ -40,7 +42,7 @@ from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
 from .poly import Exact, exact_exponent
 from .ramification import RamificationReport, ramification_report
-from .rational import SpherePoint
+from .rational import GaussianRational, SpherePoint
 from .roots import gcd_free_basis, roots_with_multiplicity
 from .tolerances import Tolerances
 from .weierstrass import (
@@ -61,7 +63,8 @@ __all__ = ["Analysis", "PoleTableError"]
 
 
 class PoleTableError(ArithmeticError):
-    """The poles located for h, g1 and g2 miss part of a φ-form's denominator."""
+    """The poles located for h, g1 and g2 miss part of a φ-form's denominator,
+    or one lies on a piece of higher degree, where the data is not regular."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,19 +143,26 @@ class Analysis:
         return tuple(p.value for p in self._singular)
 
     @cached_property
-    def principal_parts(self) -> dict[complex, tuple[tuple[complex, ...], ...]]:
+    def principal_parts(self) -> dict[complex, tuple[tuple[GaussianRational, ...], ...]]:
         """Each singular point where some form has a pole, mapped to the four
         forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular;
-        m is the exponent of the point's piece in the form's denominator.  At
-        every point with a linear piece, each puncture among them, the
-        coefficients are exact ``GaussianRational`` values, rounded once.
+        m is the exponent of the point's piece in the form's denominator.
+        Every point with a pole has a linear piece, so the coefficients are
+        exact ``GaussianRational`` values, rounded once.
 
-        Raises ``PoleTableError`` unless each form's pole orders add up to
-        its (monic) denominator's degree: no pole went unlocated.
+        Raises ``PoleTableError`` where a form has a pole at a root of a
+        piece of higher degree (off the punctures, so the data is not
+        regular), and unless each form's pole orders add up to its (monic)
+        denominator's degree: no pole went unlocated.
         """
         forms = self.phi.forms
         table = {}
         for p in self._singular:
+            if len(p.factor) > 2 and any(f.pole_order_at(p) for f in forms):
+                raise PoleTableError(
+                    f"the data is not regular: a phi-form has a pole at {p}, "
+                    f"a root of a degree-{len(p.factor) - 1} piece off the punctures"
+                )
             laurent = tuple(f.principal_part_at(p) for f in forms)
             if any(laurent):
                 table[p.value] = laurent

@@ -6,9 +6,11 @@ exact pair, ``RationalFunction.polynomial_part``), plus
 a_-n / ((1 - n) (z - p)^(n-1)) for each principal-part term
 a_-n (z - p)^-n, n >= 2, plus c log(z - p) for the
 residue c at each pole p (Bronstein, *Symbolic Integration I*, ch. 2).  The
-Laurent coefficients are read off ``RationalFunction.principal_part_at`` at
-the data's poles, with the exact pole orders of the ``Analysis`` table of
-principal parts, so meshing seeks no root of its own.
+Laurent coefficients are the ``Analysis`` table of principal parts, exact
+over Q(i) and read at the data's poles with their exact orders, so meshing
+seeks no root of its own.  A form's pole at a root of a piece of higher
+degree, off the punctures, has no exact principal part: the data is not
+regular there, and the table raises ``PoleTableError``.
 
 Re(c log(z - p)) = Re(c) log|z - p| - Im(c) arg(z - p).  Where Im c != 0 the
 arg is continued along a fixed integration tree, laid out from the grid
@@ -477,7 +479,8 @@ def build_mesh(
     point.  A path that meets a pole raises ``PoleOnPathError`` (or
     ``QuadratureConvergenceError``, when the sampled check meets it first),
     and a metric factor at the base point beyond the range of a double
-    raises ``MetricOverflowError``.  The forms, the exclusion centres, the
+    raises ``MetricOverflowError``; a form's pole on a piece of higher
+    degree raises ``PoleTableError``.  The forms, the exclusion centres, the
     principal parts and the periods come from one ``Analysis`` of ``d``.
     """
     tol = tol or Tolerances()

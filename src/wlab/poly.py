@@ -2,8 +2,7 @@
 
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
-coefficient tuple and reports degree -1. The one numeric helper (the Taylor
-coefficients at a root of a given order) lives here, beside the exact
+coefficient tuple and reports degree -1.  Beside them live the exact
 polynomials over Z[i] that ``rational`` keeps its canonical form in and
 ``roots`` reads multiplicities and orders off: their arithmetic,
 subresultant gcd, primitive parts, exact quotients and exponents, and
@@ -85,38 +84,6 @@ class Polynomial:
     def antiderivative(self) -> "Polynomial":
         """The primitive that vanishes at 0."""
         return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
-
-    def expansion_at(self, point: complex, drop: int, terms: int) -> tuple[complex, ...]:
-        """Taylor coefficients of p / (z - point)^drop at ``point``, for a root of order ``drop``.
-
-        Returns ``(t_0, ..., t_{terms-1})`` with
-        p(z) = (z - point)^drop * sum_k t_k (z - point)^k.  Repeated synthetic
-        division by (z - point) leaves the Taylor coefficients at the point
-        as its remainders, lowest first; the first ``drop`` of them vanish at
-        a root of that order and are dropped.  The order is the caller's: it
-        is read off exact factors, never off the size of a remainder.
-        """
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no order at a point")
-        q = list(self._c)
-        for _ in range(drop):
-            q, _rem = _synthetic_division(q, point)
-        taylor = []
-        for _ in range(terms):
-            q, rem = _synthetic_division(q, point)
-            taylor.append(rem)
-        return tuple(taylor)
-
-
-def _synthetic_division(coeffs: list[complex], point: complex) -> tuple[list[complex], complex]:
-    """(quotient, remainder) of coefficients, lowest first, by (z - point)."""
-    acc = 0j
-    quotient = [0j] * max(len(coeffs) - 1, 0)
-    for k in range(len(coeffs) - 1, -1, -1):
-        acc = acc * point + coeffs[k]
-        if k > 0:
-            quotient[k - 1] = acc
-    return quotient, acc
 
 
 # -- exact polynomials over Q(i) -------------------------------------------------

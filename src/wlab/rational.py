@@ -16,11 +16,10 @@ leading entries.  Where the factor is linear (a literal P / Q, or a located
 root of degree one) the value and the Laurent coefficients are computed over
 Z[i], from the Taylor coefficients of the exact pair at P / Q, and each is
 rounded once; ``GaussianRational`` keeps the exact value beside the rounded
-one.  The residue at infinity is read off the exact pseudo-remainder.  Only
-at located roots whose factor has higher degree are values read off the
-views (once per factor, ``values_at``), and the Laurent coefficients come
-from the float views (``Polynomial.expansion_at``); such poles occur only in
-data that is not regular.
+one.  The residue at infinity is read off the exact pseudo-remainder.  At
+located roots whose factor has higher degree, values are read off the views
+(once per factor, ``values_at``), and a principal part there is refused:
+such poles occur only in data that is not regular.
 """
 
 from __future__ import annotations
@@ -260,17 +259,6 @@ def _divides(f: Exact, c: Exact) -> bool:
     except ArithmeticError:
         return False
     return True
-
-
-def _series_quotient(a, b, terms: int) -> list[complex]:
-    """The first ``terms`` coefficients of the power series a / b, b[0] != 0."""
-    out: list[complex] = []
-    for k in range(terms):
-        acc = a[k] if k < len(a) else 0j
-        for j in range(1, min(k, len(b) - 1) + 1):
-            acc -= b[j] * out[k - j]
-        out.append(acc / b[0])
-    return out
 
 
 class RationalFunction:
@@ -623,7 +611,7 @@ class RationalFunction:
         except (OverflowError, ZeroDivisionError):
             return None
 
-    def residue_at(self, point) -> complex:
+    def residue_at(self, point) -> GaussianRational:
         """Residue of the differential f dz at a sphere point.
 
         At a finite point, the last coefficient of ``principal_part_at``.
@@ -643,28 +631,24 @@ class RationalFunction:
         principal = self.principal_part_at(p)
         return principal[-1] if principal else EXACT_ZERO
 
-    def principal_part_at(self, point) -> tuple[complex, ...]:
+    def principal_part_at(self, point) -> tuple[GaussianRational, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
         m is the exact pole order, read off the denominator alone
         (``pole_order_at``); empty where f is regular.  At the root of a
         linear exact factor (a literal's, or a located root's of degree one)
         they are exact over Q(i), each rounded once (``_laurent``).  At a
-        root of a factor of higher degree they are the leading m
-        coefficients of A/B, the Taylor series of the float views N and D at
-        the point with D's zero of order m there divided out (N has none:
-        the pair is coprime).
+        pole on a factor of higher degree they are not computed:
+        ``ArithmeticError``.
         """
         p = SpherePoint.of(point)
         f = p.exact_factor
         m = exact_exponent(self._pair[1], f)
         if m == 0:
             return ()
-        if len(f) == 2:
-            return _laurent(*self._pair, f, m)
-        a = self.num.expansion_at(p.value, 0, m)
-        b = self.den.expansion_at(p.value, m, m)
-        return tuple(_series_quotient(a, b, m))
+        if len(f) > 2:
+            raise ArithmeticError(f"a pole at {p} on a degree-{len(f) - 1} factor has no exact principal part")
+        return _laurent(*self._pair, f, m)
 
     def pole_order_at(self, point) -> int:
         """max(0, -order_at): the pole order, zero when regular, read off the

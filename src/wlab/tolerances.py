@@ -22,9 +22,8 @@ from dataclasses import dataclass, fields
 # Fields of Tolerances that are genuine tolerances (scaled by ``scaled``).
 # mesh_exclusion_factor is a geometric default, not a tolerance; it stays
 # fixed under scaling.
-# eps_period_rel decides a period only at a puncture placed at a located root
-# of higher degree (library data); it stays scaled so that the eps_period a
-# document prints keeps its bytes at every scale.
+# eps_period_rel decides nothing: it stays scaled only so that the eps_period
+# a document prints keeps its bytes at every scale until schema 3.
 _SCALED = ("eps_pt", "eps_period_rel")
 
 
@@ -36,11 +35,9 @@ class Tolerances:
         eps_pt: point identity on the sphere; two finite points closer than
             this are the same point (infinity only equals infinity).
         eps_period_rel: relative to the coefficient scale of the 1-forms,
-            the ``eps_period`` a period report prints (until schema 3).
-            The verdict reads the exact residues at every literal puncture
-            and at infinity; ``eps_period`` bounds the real part of a
-            period only at a puncture placed at a located root whose exact
-            factor has higher degree, where the residues are floats.
+            the ``eps_period`` a period report prints (until schema 3).  It
+            decides nothing: the verdict reads the exact residues at every
+            puncture.
         mesh_exclusion_factor: exclusion radius around singular points when
             meshing, as a fraction of the region diameter.
     """

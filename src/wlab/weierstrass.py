@@ -11,23 +11,22 @@ an identity of ``phi_from_data``: (1 + g1 g2)^2 - (1 - g1 g2)^2 +
 AMS 236, 1980), and the forms are exact, so nothing here checks it.
 
 Every order is an exact integer, read off the exact factors that
-``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees, and
-the residues at every literal puncture and at infinity are exact over Q(i),
-so their period verdict is exact too; the only genuinely numeric step here
-is the period test at a puncture placed at a located root of higher degree.
+``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees.
+Every finite puncture is a Gaussian-rational point, with a linear exact
+factor, so the residues at every puncture, infinity included, are exact over
+Q(i), and so is the period verdict; no step here is numeric but the metric.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
-from .rational import EXACT_ZERO, INF, GaussianRational, RationalFunction, SpherePoint
+from .rational import EXACT_ZERO, INF, RationalFunction, SpherePoint
 
 if TYPE_CHECKING:
     from .analysis import Analysis
@@ -74,8 +73,10 @@ class WeierstrassData:
 
     ``genus`` is carried for the abstract bound computations; every function
     in this module that actually evaluates on the domain requires genus 0.
-    That the punctures are distinct depends on eps_pt, so ``Analysis``
-    checks it at its own tolerances.
+    A finite puncture is a Gaussian-rational point: one whose exact factor
+    is not linear (a root located from a factor of higher degree) is refused
+    with ``ValueError``.  That the punctures are distinct depends on eps_pt,
+    so ``Analysis`` checks it at its own tolerances.
     """
 
     h: RationalFunction
@@ -88,6 +89,11 @@ class WeierstrassData:
     def __post_init__(self):
         pts = tuple(_as_sphere_point(p) for p in self.punctures)
         object.__setattr__(self, "punctures", pts)
+        for p in pts:
+            if not p.is_infinity and len(p.factor) > 2:
+                raise ValueError(
+                    f"puncture {p} is a root of a degree-{len(p.factor) - 1} factor, not a Gaussian-rational point"
+                )
         if self.h.is_zero:
             raise ValueError("h must not be the zero function")
         if self.genus < 0:
@@ -260,65 +266,35 @@ class PeriodReport:
     max_cross_check_error: float
 
 
-def _exact_sum(residues) -> complex:
-    """The sum of residues, the exact ones (``GaussianRational``) summed
-    over Q(i) and rounded once, plus the float ones (at located poles)."""
-    re = im = Fraction(0)
-    rest = 0j
-    for r in residues:
-        if isinstance(r, GaussianRational):
-            u, v, w = r.exact
-            re, im = re + Fraction(u, w), im + Fraction(v, w)
-        else:
-            rest += r
-    return complex(float(re), float(im)) + rest
-
-
 def compute_periods(an: Analysis) -> PeriodReport:
     """Residues of the four forms at each puncture and the resulting periods.
 
     On a genus-0 domain every cycle is homologous to a sum of small loops
     around punctures, so the period condition reduces to
     Re(2*pi*i*Res) = 0, that is Im Res = 0, per puncture and component.
-    At a finite puncture a residue is the last Laurent coefficient of a form
-    in ``an.principal_parts``, at infinity ``residue_at``; both are exact
-    over Q(i) (``GaussianRational``) wherever the point's exact factor is
-    linear, so at every literal puncture and at infinity, and no root is
-    sought.  There the verdict reads the exact imaginary parts, never their
-    rounding, so a residue of 1e-400 i fails.  A puncture placed at a
-    located root whose factor has higher degree (library data only) has
-    float residues, and there a period passes when its real part is at most
-    ``eps_period``.  By the residue theorem the residues of each form sum to
-    zero, so the global-sum error is 0 (``max_cross_check_error``, printed
-    until schema 3); ``residue_sums`` adds the exact residues exactly and
-    the float ones in floats.
+    Each residue is ``residue_at`` the puncture, exact over Q(i)
+    (``GaussianRational``): every finite puncture has a linear exact factor,
+    and at infinity the residue is read off the exact pseudo-remainder, so no
+    root is sought.  The verdict reads the exact imaginary parts, never their
+    rounding, so a residue of 1e-400 i fails.  By the residue theorem the
+    residues of each form sum to zero: ``residue_sums`` and the global-sum
+    error ``max_cross_check_error`` print those exact zeros, and
+    ``eps_period`` decides nothing; all three are printed until schema 3.
     """
-    d, forms = an.data, an.phi.forms
     eps_period = an.tol.eps_period_rel * an.phi.coefficient_scale()
-    parts = an.principal_parts
-    at_inf = tuple(f.residue_at(INF) for f in forms)
-
     entries = []
-    for p in d.punctures:
-        if p.is_infinity:
-            res4 = at_inf
-        else:
-            res4 = tuple(a[-1] if a else EXACT_ZERO for a in parts.get(p.value, ((),) * 4))
+    for p in an.data.punctures:
+        res4 = tuple(f.residue_at(p) for f in an.phi.forms)
         periods = tuple(2j * math.pi * r for r in res4)
         real_parts = tuple(pd.real for pd in periods)
-        ok = all(
-            r.exact[1] == 0 if isinstance(r, GaussianRational) else abs(rp) <= eps_period
-            for r, rp in zip(res4, real_parts)
-        )
+        ok = all(r.exact[1] == 0 for r in res4)
         entries.append(PeriodEntry(p, res4, periods, real_parts, ok))
 
     return PeriodReport(
         entries=tuple(entries),
         period_ok=bool(entries) and all(e.ok for e in entries),
         eps_period=eps_period,
-        residue_sums=tuple(
-            _exact_sum([*(row[k][-1] for row in parts.values() if row[k]), at_inf[k]]) for k in range(4)
-        ),
+        residue_sums=(EXACT_ZERO,) * 4,
         max_cross_check_error=0.0,
     )
 

@@ -535,6 +535,28 @@ def test_mesh_near_the_double_limit_keeps_its_file(capsys, tmp_path):
     )
 
 
+def test_mesh_refuses_a_form_pole_on_a_quadratic_piece(capsys, tmp_path):
+    # g1's poles at -i and i are not balanced by h = 1, so the data is not
+    # regular; their principal parts have no exact value, so the mesh refuses
+    # the data, while check and report print the two violations
+    data = tmp_path / "quadratic.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1/(z^2+1)", "g2": "0"}))
+    out = tmp_path / "m.csv"
+    code, doc, err = run(
+        capsys, "mesh", str(data), "--region", "rect:-2,2,-2,2", "--res", "9", "--base=-2,-2", "--mesh-out", str(out)
+    )
+    assert code == EXIT_MATH and doc is None
+    assert err.startswith("failure: PoleTableError: the data is not regular: a phi-form has a pole at ")
+    assert err.endswith(", a root of a degree-2 piece off the punctures\n")
+    assert not out.exists()
+    for command in ("check", "report"):
+        code, doc, err = run(capsys, command, str(data))
+        assert code == EXIT_MATH and err == ""
+        body = doc["report"] if command == "check" else doc["report"]["check"]
+        assert body["failures"] == ["regularity"] and len(body["regularity"]["violations"]) == 2
+        assert body["periods"]["residue_sums"] == [{"re": 0.0, "im": 0.0}] * 4
+
+
 def test_check_exact_residue_at_infinity(capsys, tmp_path):
     # the residue of phi_1 at inf is exactly -7/2; a float gcd route once
     # gave -3.49998 and failed the global residue cross-check

@@ -3,7 +3,8 @@
 ``curvature`` need it only for type hints and never load it, and every
 definition in the package is reached from inside it.  The period path
 reads exact residues only, and the contour that once checked them is gone,
-as is the quadrature that once checked the total curvature."""
+as are the float Laurent expansions and the quadrature that once checked
+the total curvature."""
 
 from __future__ import annotations
 
@@ -133,6 +134,9 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
             r"eps_res|_companion_roots|_match_root_sets|RootCrossCheckError|_CROSS_CHECK_RTOL|np\.roots",
             id="companion-route",
         ),
+        # principal parts and residues are exact over Q(i) or refused: no
+        # Taylor series of the float views is taken
+        pytest.param(r"expansion_at|_synthetic_division|_series_quotient", id="float-laurent"),
     ],
 )
 def test_a_removed_route_is_gone(pattern):

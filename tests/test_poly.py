@@ -75,42 +75,12 @@ def test_divmod_roundtrip():
     assert exact_add(exact_mul(q, d), r) == exact_mul(p, lc3)
 
 
-def test_deflate_remainder_is_value():
-    # the Taylor coefficients at 2 are the remainders of repeated division
-    # by (z - 2): the first is the value, the rest make up the quotient
-    p = Polynomial([2, -3, 0, 1])
-    taylor = p.expansion_at(2.0, 0, 4)
-    rem = taylor[0]
-    assert rem == pytest.approx(p(2.0))
-
-    def times_z_minus_2_plus(q, c):  # coefficients, lowest first
-        out = np.convolve(q, [-2, 1])
-        out[0] += c
-        return out
-
-    q = np.zeros(1, dtype=complex)
-    for t in reversed(taylor[1:]):
-        q = times_z_minus_2_plus(q, t)
-    assert close(Polynomial(times_z_minus_2_plus(q, rem)), p, 1e-12)
-
-
 def test_multiplicity_at():
     # (z-1)^2 (z+2): the order at a point is the exponent of its exact linear factor
     p = RationalFunction(from_roots([1, 1, -2]))
     assert p.order_at(1.0) == 2
     assert p.order_at(-2.0) == 1
     assert p.order_at(3.0) == 0
-
-
-def test_expansion_divides_out_the_root():
-    # (z-1)^2 (z+2) = (z-1)^2 (3 + (z-1)): Taylor coefficients 3, 1, 0
-    p = from_roots([1, 1, -2])
-    m = RationalFunction(p).order_at(1.0)
-    assert m == 2
-    taylor = p.expansion_at(1.0, m, 3)
-    assert taylor == pytest.approx((3, 1, 0))
-    with pytest.raises(ValueError):
-        Polynomial().expansion_at(0.0, 0, 1)
 
 
 def test_from_roots_expansion():

@@ -189,16 +189,28 @@ def test_local_numbers_run_no_gcd(monkeypatch):
 
 
 def test_global_residue_sum_random():
+    # poles drawn as Gaussian-rational literals, so every residue is exact:
+    # by the residue theorem the finite ones and the one at infinity sum to
+    # exactly 0 over Q(i)
     rng = np.random.default_rng(3)
     for _ in range(40):
-        num = Polynomial(rng.normal(size=rng.integers(1, 5)))
-        k = int(rng.integers(1, 5))
-        den_roots = rng.normal(size=k) + 1j * rng.normal(size=k)
-        f = RationalFunction(num, from_roots(den_roots))
-        finite = sum(f.residue_at(r) for r, _ in roots_with_multiplicity(f.pair[1]))
-        total = finite + f.residue_at(INF)
-        scale = max(1.0, f.num.max_abs_coeff, f.den.max_abs_coeff)
-        assert abs(total) <= 1e-10 * scale
+        num = tuple((int(x), int(y)) for x, y in rng.integers(-9, 10, size=(int(rng.integers(1, 6)), 2)))
+        if not any(x or y for x, y in num):
+            continue
+        poles = [
+            SpherePoint.literal(Fraction(int(x) - 4, int(q)), Fraction(int(y) - 4, int(q)))
+            for x, y, q in rng.integers(1, 8, size=(int(rng.integers(1, 5)), 3))
+        ]
+        den = ((1, 0),)
+        for p in poles:
+            den = exact_mul(den, p.factor)
+        f = RationalFunction.of_exact(num, den)
+        total = [Fraction(0), Fraction(0)]
+        for r in [*(f.residue_at(p) for p in set(poles)), f.residue_at(INF)]:
+            u, v, w = r.exact
+            total[0] += Fraction(u, w)
+            total[1] += Fraction(v, w)
+        assert total == [0, 0], (num, poles)
 
 
 def _sum_by_one_gcd(f: RationalFunction, g: RationalFunction, sign: int) -> RationalFunction:
@@ -306,7 +318,12 @@ def test_orders_at_a_located_root_are_read_off_its_yun_factor():
     for r, m in located:
         assert f.order_at(r) == -m and f.pole_order_at(SpherePoint(r)) == m
         assert f.value_at_sphere(r) == INF
-        assert len(f.principal_part_at(r)) == m
+    # a principal part is exact at the root of 3z - 1, and refused at a pole
+    # on the quadratic factor, where it could only be read off the floats
+    assert len(f.principal_part_at(located[2][0])) == 2
+    for r, _m in located[:2]:
+        with pytest.raises(ArithmeticError, match="degree-2 factor has no exact principal part"):
+            f.principal_part_at(r)
     (zero, _m), = roots_with_multiplicity(f.pair[0])
     assert f.order_at(zero) == 1 and f.value_at_sphere(zero) == SpherePoint(0j)
     # the same float without its factor is the literal it prints as, and

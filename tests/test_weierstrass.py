@@ -11,7 +11,7 @@ import sympy
 
 from wlab.analysis import Analysis
 from wlab.exprparse import as_sphere_point, parse_expression
-from wlab.rational import INF, GaussianRational, RationalFunction, SpherePoint
+from wlab.rational import GaussianRational, RationalFunction
 from wlab.roots import roots_with_multiplicity
 from wlab.tolerances import Tolerances
 from wlab.weierstrass import (
@@ -247,33 +247,48 @@ def test_ends_moebius_invariance():
 # periods
 
 
+def entry_at(report, point):
+    """The period entry of the puncture ``point``, matched exactly."""
+    target = as_sphere_point(point)
+    return next(entry for entry in report.entries if entry.puncture == target)
+
+
+def as_fractions(r: GaussianRational) -> tuple[Fraction, Fraction]:
+    """The exact (re, im) of a residue, read off its unreduced ``exact``."""
+    u, v, w = r.exact
+    return Fraction(u, w), Fraction(v, w)
+
+
 def test_periods_triple_poles_fail_with_known_residue():
     report = compute_periods(Analysis(triple_poles_123()))
     assert not report.period_ok
-    entry1 = next(e for e in report.entries if e.puncture.close_to(SpherePoint(1 + 0j), 1e-9))
-    assert entry1.residues[3] == pytest.approx(-0.5j, abs=1e-10)
-    assert entry1.real_parts[3] == pytest.approx(math.pi, abs=1e-9)
-    assert entry1.real_parts[0] == pytest.approx(0.0, abs=1e-10)
+    entry1 = entry_at(report, "1")
+    assert entry1.residues[3].exact == (0, -2, 4)
+    assert [as_fractions(r) for r in entry1.residues] == [
+        (Fraction(1, 2), 0), (0, 0), (0, 0), (0, Fraction(-1, 2)),
+    ]
+    assert entry1.real_parts[3] == math.pi
+    assert entry1.real_parts[0] == 0.0
     assert not entry1.ok
-    for s in report.residue_sums:
-        assert abs(s) <= 1e-10
+    assert report.residue_sums == (0j,) * 4
 
 
 def test_periods_double_pole_pair_fails_via_phi2():
     report = compute_periods(Analysis(double_pole_pair()))
     assert not report.period_ok
-    entry0 = next(e for e in report.entries if e.puncture.close_to(SpherePoint(0j), 1e-9))
-    assert entry0.residues[1] == pytest.approx(-0.5j, abs=1e-10)
-    assert entry0.real_parts[1] == pytest.approx(math.pi, abs=1e-9)
+    entry0 = entry_at(report, "0")
+    assert [as_fractions(r) for r in entry0.residues] == [
+        (Fraction(-1, 2), 0), (0, Fraction(-1, 2)), (0, 0), (0, 0),
+    ]
+    assert entry0.real_parts[1] == math.pi
 
 
 def test_periods_cubic_pole_all_zero():
     report = compute_periods(Analysis(cubic_pole()))
     assert report.period_ok
     for entry in report.entries:
-        for r in entry.residues:
-            assert r == pytest.approx(0.0, abs=1e-12)
-    assert report.max_cross_check_error < 1e-6
+        assert [as_fractions(r) for r in entry.residues] == [(0, 0)] * 4
+    assert report.max_cross_check_error == 0.0
 
 
 def test_periods_scale_recorded():
@@ -287,56 +302,40 @@ def contour_residue(f: RationalFunction, center: complex, radius: float, nodes: 
     return complex(radius / nodes * np.sum(f(center + radius * w) * w))
 
 
-def periods_from_phi_denominators(d: WeierstrassData, tol: Tolerances):
-    """Residue sums and the largest quadrature error, each form's poles
-    root-found from its own denominator: the second route to the numbers
-    ``compute_periods`` reads off the Analysis pole table.  At infinity the
-    error is that of the global residue sum, at a finite puncture that of
-    trapezoidal contours of 256 and 512 nodes against ``residue_at``."""
-    forms = phi_from_data(d).forms
-    poles = [
-        [z0 for z0, _ in roots_with_multiplicity(f.pair[1], tol)] if f.den.degree else []
-        for f in forms
-    ]
-    special = list(d.finite_punctures())
-    for z0 in (z0 for form_poles in poles for z0 in form_poles):
-        if all(abs(z0 - s) > tol.eps_pt for s in special):
-            special.append(z0)
-    finite = [sum(f.residue_at(z0) for z0 in fp) for f, fp in zip(forms, poles)]
-    at_inf = [f.residue_at(INF) for f in forms]
+def contour_error(an: Analysis) -> float:
+    """The largest relative gap between trapezoidal contours of 256 and 512
+    nodes around each finite puncture and the exact residues there; each
+    circle's radius is half the distance to the nearest other singular
+    point of the data."""
     worst = 0.0
-    for p in d.punctures:
-        if p.is_infinity:
-            errs = [abs(r + s) / max(1.0, abs(r)) for r, s in zip(at_inf, finite)]
-        else:
-            c = p.value
-            radius = 0.5 * min((abs(s - c) for s in special if abs(s - c) > tol.eps_pt), default=2.0)
-            errs = [
-                abs(contour_residue(f, c, radius, nodes) - f.residue_at(p)) / max(1.0, abs(f.residue_at(p)))
-                for f in forms
-                for nodes in (256, 512)
-            ]
-        worst = max(worst, *errs)
-    return [s + r for s, r in zip(finite, at_inf)], worst
+    for entry in an.periods.entries:
+        if entry.puncture.is_infinity:
+            continue
+        c = entry.puncture.value
+        radius = 0.5 * min((abs(s - c) for s in an.singular_points if s != c), default=2.0)
+        for f, r in zip(an.phi.forms, entry.residues):
+            for nodes in (256, 512):
+                worst = max(worst, abs(contour_residue(f, c, radius, nodes) - r) / max(1.0, abs(r)))
+    return worst
 
 
 def test_periods_from_the_pole_table_match_the_phi_denominators():
-    # each route's residue sums estimate the exact 0 of the residue theorem;
-    # root-finding a product denominator costs the second route up to
-    # 1.4e-12 there (random set 15), while the table's residues are exact and
-    # sum to 0; the contours meet the exact residues within 1e-6
-    tol = Tolerances()
+    # on regular data every pole of a form is a puncture, so each form's
+    # exact residues at the punctures, infinity included, sum to exactly 0
+    # by the residue theorem; the contours meet the exact residues within 1e-6
     rng = np.random.default_rng(3)
+    regular = 0
     for d in loadable_fixtures() + [random_regular_data(rng) for _ in range(40)]:
-        sums, worst = periods_from_phi_denominators(d, tol)
-        an = Analysis(d, tol)
-        scale = an.phi.coefficient_scale()
+        an = Analysis(d)
         report = an.periods
-        for got, want in zip(report.residue_sums, sums):
-            assert abs(got) <= 1e-14 * scale, d
-            assert abs(got - want) <= 1e-12 * scale, d
-        assert report.max_cross_check_error == 0.0
-        assert worst <= 1e-6, d
+        if an.regularity.ok:
+            regular += 1
+            for k in range(4):
+                parts = [as_fractions(entry.residues[k]) for entry in report.entries]
+                assert [sum(part[j] for part in parts) for j in (0, 1)] == [0, 0], d
+        assert report.residue_sums == (0j,) * 4 and report.max_cross_check_error == 0.0
+        assert contour_error(an) <= 1e-6, d
+    assert regular >= 40
 
 
 def shifted(p, z0) -> list:
@@ -398,24 +397,17 @@ def test_exact_residues_equal_a_qq_i_oracle():
     assert checked >= 400
 
 
-@pytest.mark.parametrize("h, factor, period_ok", [("i/(z^2+1)^2", "z^2+1", True), ("1/(z^2+z+1)", "z^2+z+1", False)])
-def test_periods_at_punctures_on_located_roots_of_a_quadratic(h, factor, period_ok):
-    # a library caller may puncture at roots located from a quadratic factor:
-    # their residues are read off the float views, and a period there passes
-    # when its real part is at most eps_period; at infinity they stay exact
+@pytest.mark.parametrize("factor", ["z^2+1", "z^2+z+1"])
+def test_a_puncture_at_a_located_root_of_a_quadratic_is_refused(factor):
+    # a residue there could only be read off the float views, so a library
+    # caller's puncture must be a Gaussian-rational point, as the CLI
+    # grammar's always is; the same float without its factor is the literal
+    # it prints as, and is accepted
     located = [r for r, _m in roots_with_multiplicity(parse_expression(factor).pair[0])]
-    d = WeierstrassData(h=parse_expression(h), g1=Z, g2=Z, punctures=(*located, "inf"))
-    an = Analysis(d)
-    report = compute_periods(an)
-    assert report.period_ok is period_ok
-    for entry in report.entries:
-        p = entry.puncture
-        assert entry.residues == tuple(f.residue_at(p) for f in an.phi.forms)
-        if p.is_infinity:
-            assert all(isinstance(r, GaussianRational) for r in entry.residues)
-        else:
-            assert len(p.factor) == 3
-            assert entry.ok is all(abs(rp) <= report.eps_period for rp in entry.real_parts) is period_ok
+    with pytest.raises(ValueError, match="is a root of a degree-2 factor, not a Gaussian-rational point"):
+        WeierstrassData(h=ONE, g1=Z, g2=Z, punctures=(*located, "inf"))
+    d = WeierstrassData(h=ONE, g1=Z, g2=Z, punctures=(*map(complex, located), "inf"))
+    assert all(len(p.factor) == 2 for p in d.punctures if not p.is_infinity)
 
 
 # ---------------------------------------------------------------------------
