@@ -10,22 +10,22 @@ computes only its own component, and each step runs in the order its first
 consumer asks for it, so the first failing step is the one a plain
 evaluation would meet.
 
-Every order of vanishing is an integer read off exact factors.  One
-gcd-free basis over Z[i] (``pieces``) factors h's numerator, the
-denominators of h, g1, g2 and the four φ-forms, and the linear factor of
-each finite puncture, so each piece's roots have one order in each of
-these.  A puncture's piece has the puncture as its root, so it is never
-root-found; every other piece is root-found at most once, when a step first
-needs its roots (``located``), and each root carries its piece as its
-``SpherePoint.factor``: the ``RationalFunction`` order methods read the
-orders there, at a puncture off its linear factor, and at infinity off the
-degrees: regularity and the ends read these orders, and the periods the
-exact residues at the punctures.  Every pole of a φ-form is a pole of h, g1
-or g2, and the mesh primitive reads the forms' principal parts at those
-points (``principal_parts``), exact where each point's piece is linear; a
-pole on a piece of higher degree, off the punctures, makes the data
-irregular, and the table refuses it.  Equal Gauss components share one
-ramification report.
+Every finite order of vanishing is an integer read off one table.  One
+gcd-free basis over Z[i] factors h's numerator, the denominators of h, g1,
+g2 and the four φ-forms, and the linear factor of each finite puncture, and
+records each piece's exponent in each of these as it makes the piece
+(``exponents``), so each piece's roots have one order in each.  A
+puncture's piece has the puncture as its root, so it is never root-found;
+every other piece is root-found at most once, when a step first needs its
+roots (``located``), and each root carries its piece as its
+``SpherePoint.factor``.  Regularity and the ends read the orders at a point
+off its piece's exponents, and at infinity off the degrees (``orders_at``);
+the periods read the exact residues at the punctures.  Every pole of a
+φ-form is a pole of h, g1 or g2, and the mesh primitive reads the forms'
+principal parts at those points (``principal_parts``), exact where each
+point's piece is linear; a pole on a piece of higher degree, off the
+punctures, makes the data irregular, and the table refuses it.  Equal Gauss
+components share one ramification report.
 
 An ``Analysis`` lives as long as its caller holds it (one CLI command, one
 library call); no cache outlives it.  It is the library's one entry to the
@@ -40,7 +40,7 @@ from functools import cached_property
 
 from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
-from .poly import Exact, exact_exponent
+from .poly import Exact
 from .ramification import RamificationReport, ramification_report
 from .rational import GaussianRational, SpherePoint
 from .roots import gcd_free_basis, roots_with_multiplicity
@@ -98,14 +98,29 @@ class Analysis:
         return phi_from_data(self.data)
 
     @cached_property
-    def pieces(self) -> tuple[Exact, ...]:
+    def exponents(self) -> dict[Exact, list[int]]:
         """The gcd-free basis of the finite punctures' linear factors, h's
-        numerator and the denominators of h, g1, g2 and the φ-forms; each
-        linear factor stays a piece of its own."""
+        numerator and the denominators of h, g1, g2 and the φ-forms, each
+        piece mapped to its exponents in (h's numerator, h's denominator,
+        g1's and g2's denominators, φ1's .. φ4's denominators); each linear
+        factor stays a piece of its own."""
         d = self.data
         punctures = [p.factor for p in d.punctures if not p.is_infinity]
         dens = [f.pair[1] for f in (d.h, d.g1, d.g2, *self.phi.forms)]
-        return tuple(gcd_free_basis([*punctures, d.h.pair[0], *dens]))
+        basis = gcd_free_basis([*punctures, d.h.pair[0], *dens])
+        return {piece: e[len(punctures) :] for piece, e in basis.items()}
+
+    def orders_at(self, point: SpherePoint) -> tuple[int, int, int]:
+        """ord(h dz), poleord(g1) and poleord(g2) at a puncture, a located root
+        or infinity: the triple that both regularity (away from the
+        punctures) and the ends (at them) read.  A finite point's orders are
+        its piece's exponents; at infinity, where dz = -dw/w^2 adds a double
+        pole, they are read off the degrees."""
+        if point.is_infinity:
+            (a, b), (n1, d1), (n2, d2) = (f.pair for f in (self.data.h, self.data.g1, self.data.g2))
+            return len(b) - len(a) - 2, max(0, len(n1) - len(d1)), max(0, len(n2) - len(d2))
+        e = self.exponents[point.factor]
+        return e[0] - e[1], e[2], e[3]
 
     def _located(self, pieces) -> tuple[SpherePoint, ...]:
         """The roots of those pieces that are not a puncture's, each carrying
@@ -120,19 +135,17 @@ class Analysis:
     def located(self) -> tuple[SpherePoint, ...]:
         """The roots of every piece that is not a puncture's: the zeros and
         poles of h and the poles of g1 and g2 off the punctures."""
-        return self._located(self.pieces)
+        return self._located(self.exponents)
 
     @cached_property
     def _singular(self) -> tuple[SpherePoint, ...]:
-        """The finite punctures, then the other roots of h's, g1's and g2's
-        denominators, each sorted by (re, im); only their pieces are
-        root-found."""
-        d = self.data
-        out = [p for p in d.punctures if not p.is_infinity]
+        """The finite punctures, then the roots of the other pieces with an
+        exponent in h's, g1's and g2's denominators, each sorted by (re, im);
+        only those pieces are root-found."""
+        out = [p for p in self.data.punctures if not p.is_infinity]
         seen = {p.factor for p in out}
-        for f in (d.h, d.g1, d.g2):
-            b = f.pair[1]
-            new = [piece for piece in self.pieces if piece not in seen and exact_exponent(b, piece)]
+        for k in (1, 2, 3):
+            new = [piece for piece, e in self.exponents.items() if piece not in seen and e[k]]
             out += sorted(self._located(new), key=lambda p: (p.value.real, p.value.imag))
             seen.update(new)
         return tuple(out)
@@ -146,9 +159,10 @@ class Analysis:
     def principal_parts(self) -> dict[complex, tuple[tuple[GaussianRational, ...], ...]]:
         """Each singular point where some form has a pole, mapped to the four
         forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular;
-        m is the exponent of the point's piece in the form's denominator.
-        Every point with a pole has a linear piece, so the coefficients are
-        exact ``GaussianRational`` values, rounded once.
+        m is the exponent of the point's piece in the form's denominator, and
+        a point whose piece has none is skipped.  Every point with a pole has
+        a linear piece, so the coefficients are exact ``GaussianRational``
+        values, rounded once.
 
         Raises ``PoleTableError`` where a form has a pole at a root of a
         piece of higher degree (off the punctures, so the data is not
@@ -158,14 +172,14 @@ class Analysis:
         forms = self.phi.forms
         table = {}
         for p in self._singular:
-            if len(p.factor) > 2 and any(f.pole_order_at(p) for f in forms):
+            if not any(self.exponents[p.factor][4:]):
+                continue
+            if len(p.factor) > 2:
                 raise PoleTableError(
                     f"the data is not regular: a phi-form has a pole at {p}, "
                     f"a root of a degree-{len(p.factor) - 1} piece off the punctures"
                 )
-            laurent = tuple(f.principal_part_at(p) for f in forms)
-            if any(laurent):
-                table[p.value] = laurent
+            table[p.value] = tuple(f.principal_part_at(p) for f in forms)
         for k, f in enumerate(forms):
             total = sum(len(laurent[k]) for laurent in table.values())
             if total != f.degrees[1]:

@@ -5,21 +5,20 @@ in reduced form with a monic denominator, and read through correctly rounded
 float views of numerator and denominator, each built on first read.  That no
 coefficient lies beyond the range of a double is proved on the exact pair
 when it is made, by bit lengths, and only where that proof fails are the
-views built then, to decide it.  Orders, values, principal parts and
-residues are computed for the function and for the differential f dz, with
-no tolerance: an order is an integer read off the exact pair, at infinity
-from the degrees and at a finite point from the exponents of the point's
-exact factor (``SpherePoint.exact_factor``: the linear factor of a literal,
-or the Yun factor a located root was found from); a pole order from the
-denominator's alone.  The value at infinity is read off the degrees and
-leading entries.  Where the factor is linear (a literal P / Q, or a located
-root of degree one) the value and the Laurent coefficients are computed over
-Z[i], from the Taylor coefficients of the exact pair at P / Q, and each is
-rounded once; ``GaussianRational`` keeps the exact value beside the rounded
-one.  The residue at infinity is read off the exact pseudo-remainder.  At
-located roots whose factor has higher degree, values are read off the views
-(once per factor, ``values_at``), and a principal part there is refused:
-such poles occur only in data that is not regular.
+views built then, to decide it.  Values, principal parts and residues are
+computed for the function and for the differential f dz, with no tolerance,
+at a point's exact factor (``SpherePoint.exact_factor``: the linear factor
+of a literal, or the Yun factor a located root was found from); orders are
+not computed here, but read off the exponents of one gcd-free basis
+(``Analysis.orders_at``).  The value at infinity is read off the degrees
+and leading entries.  Where the factor is linear (a literal P / Q, or a
+located root of degree one) the value and the Laurent coefficients are
+computed over Z[i], from the Taylor coefficients of the exact pair at P / Q,
+and each is rounded once; ``GaussianRational`` keeps the exact value beside
+the rounded one.  The residue at infinity is read off the exact
+pseudo-remainder.  At located roots whose factor has higher degree, values
+are read off the views (once per factor, ``values_at``), and a principal
+part there is refused: such poles occur only in data that is not regular.
 """
 
 from __future__ import annotations
@@ -518,30 +517,7 @@ class RationalFunction:
         a, b = self._pair
         return rounded(pseudo_divmod(a, b)[0], b[-1][0] ** max(len(a) - len(b) + 1, 0))
 
-    # -- orders, values, residues ----------------------------------------------
-
-    def order_at(self, point) -> int:
-        """Order of vanishing at a sphere point (negative at a pole), exactly:
-        at infinity from the degrees, at a finite point from the exponents of
-        its exact factor in the exact pair.  A plain number is the literal it
-        prints as; a root as located (``LocatedRoot``) carries its factor."""
-        if self.is_zero:
-            raise ValueError("order of the zero function is undefined")
-        (a, b), p = self._pair, SpherePoint.of(point)
-        if p.is_infinity:
-            return len(b) - len(a)
-        f = p.exact_factor
-        k = exact_exponent(b, f)  # the pair is coprime: a pole is no zero
-        return -k if k else exact_exponent(a, f)
-
-    def form_order_at(self, point) -> int:
-        """Order of the differential f dz at a sphere point.
-
-        At finite points this is order_at; at infinity dz = -dw/w^2 in
-        w = 1/z contributes a double pole.
-        """
-        p = SpherePoint.of(point)
-        return self.order_at(p) - (2 if p.is_infinity else 0)
+    # -- values, residues -----------------------------------------------------
 
     def value_at_sphere(self, point) -> SpherePoint:
         """Value of the map at a sphere point, as a sphere point (``values_at``)."""
@@ -634,12 +610,12 @@ class RationalFunction:
     def principal_part_at(self, point) -> tuple[GaussianRational, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
-        m is the exact pole order, read off the denominator alone
-        (``pole_order_at``); empty where f is regular.  At the root of a
-        linear exact factor (a literal's, or a located root's of degree one)
-        they are exact over Q(i), each rounded once (``_laurent``).  At a
-        pole on a factor of higher degree they are not computed:
-        ``ArithmeticError``.
+        m is the exact pole order, the exponent of the point's exact factor
+        in the denominator alone, as the pair is coprime; empty where f is
+        regular.  At the root of a linear exact factor (a literal's, or a
+        located root's of degree one) they are exact over Q(i), each rounded
+        once (``_laurent``).  At a pole on a factor of higher degree they are
+        not computed: ``ArithmeticError``.
         """
         p = SpherePoint.of(point)
         f = p.exact_factor
@@ -649,14 +625,3 @@ class RationalFunction:
         if len(f) > 2:
             raise ArithmeticError(f"a pole at {p} on a degree-{len(f) - 1} factor has no exact principal part")
         return _laurent(*self._pair, f, m)
-
-    def pole_order_at(self, point) -> int:
-        """max(0, -order_at): the pole order, zero when regular, read off the
-        denominator alone, as the pair is coprime.
-
-        Defined for every rational function; the zero function has no poles.
-        """
-        (a, b), p = self._pair, SpherePoint.of(point)
-        if p.is_infinity:
-            return max(0, len(a) - len(b))
-        return exact_exponent(b, p.exact_factor)

@@ -20,7 +20,10 @@ No tolerance decides a multiplicity. Each Yun factor is located once, and
 its roots carry the factor's multiplicity; the degrees telescope, so
 multiplicities sum to deg p by construction -- they feed exact bookkeeping
 downstream (branching orders, degree identities) where an off-by-one is
-fatal.
+fatal.  The gcd-free basis of several polynomials refines their Yun factors
+and records each piece's exponent in each input as it makes the piece
+(``gcd_free_basis``), so the orders of an analysis are read off that one
+table, never found again root by root.
 """
 
 from __future__ import annotations
@@ -331,36 +334,40 @@ def _yun_factors(p: Exact) -> list[Exact]:
     return quotients(quotients(chain))
 
 
-def gcd_free_basis(polys) -> list[Exact]:
-    """Pairwise coprime, square-free, primitive pieces that factor every input:
-    each nonzero input is a constant times a product of powers of them, and
-    the roots of one piece have one multiplicity in each input, so an order
-    read at one root of a piece holds at all of them.
+def gcd_free_basis(polys) -> dict[Exact, list[int]]:
+    """Pairwise coprime, square-free, primitive pieces that factor every input,
+    each mapped to its exponents, one per input: each nonzero input is a
+    constant times the product of the pieces to those powers, and every root
+    of a piece has the piece's exponent as its multiplicity in each input.
 
     Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
-    over the inputs' Yun factors: each factor f enters in turn, and where it
-    shares a factor g with a piece y, y is split into g and y / g and f goes
-    on as f / g, which is prime to both, as f and y are square-free.  A
-    piece never moves: a linear input that enters first stays where it
-    entered, one piece of its own.
+    over the inputs' Yun factors: each factor f, of multiplicity m in input
+    j, enters in turn, and where it shares a factor g with a piece y, y is
+    split into g, which takes y's exponents with entry j set to m, and
+    y / g, which keeps y's; f goes on as f / g, which is prime to both, as f
+    and y are square-free, and what is left of it enters with m at entry j
+    and 0 elsewhere.  A piece never moves: a linear input that enters first
+    stays where it entered, one piece of its own.
     """
-    basis: list[Exact] = []
-    for p in polys:
-        for f in _yun_factors(p):
+    polys = list(polys)
+    basis: list[tuple[Exact, list[int]]] = []
+    for j, p in enumerate(polys):
+        for m, f in enumerate(_yun_factors(p), start=1):
             if len(f) < 2:
                 continue
             for i in range(len(basis)):
-                g = common_part(f, basis[i])
+                y, e = basis[i]
+                g = common_part(f, y)
                 if len(g) >= 2:
                     f = exact_quotient(f, g)
-                    if len(g) < len(basis[i]):
-                        basis.append(exact_quotient(basis[i], g))
-                        basis[i] = g
+                    if len(g) < len(y):
+                        basis.append((exact_quotient(y, g), e))
+                    basis[i] = (g, [*e[:j], m, *e[j + 1 :]])
                     if len(f) < 2:
                         break
             if len(f) >= 2:
-                basis.append(f)
-    return basis
+                basis.append((f, [m if k == j else 0 for k in range(len(polys))]))
+    return dict(basis)
 
 
 def _monic_view(p: Exact) -> Polynomial:

@@ -10,8 +10,9 @@ an identity of ``phi_from_data``: (1 + g1 g2)^2 - (1 - g1 g2)^2 +
 (g1 - g2)^2 - (g1 + g2)^2 = 0 for all g1, g2 (Hoffman and Osserman, Mem.
 AMS 236, 1980), and the forms are exact, so nothing here checks it.
 
-Every order is an exact integer, read off the exact factors that
-``Analysis`` keeps (its gcd-free basis) or, at infinity, off the degrees.
+Every order is an exact integer that ``Analysis.orders_at`` reads off one
+table, the exponents its gcd-free basis records for each piece, or, at
+infinity, off the degrees.
 Every finite puncture is a Gaussian-rational point, with a linear exact
 factor, so the residues at every puncture, infinity included, are exact over
 Q(i), and so is the period verdict; no step here is numeric but the metric.
@@ -161,12 +162,6 @@ class RegularityReport:
     checked_points: tuple[SpherePoint, ...]
 
 
-def _orders_at(d: WeierstrassData, point: SpherePoint) -> tuple[int, int, int]:
-    """ord(h dz), poleord(g1) and poleord(g2) at one point: the triple that
-    both regularity (away from the punctures) and the ends (at them) read."""
-    return d.h.form_order_at(point), d.g1.pole_order_at(point), d.g2.pole_order_at(point)
-
-
 def check_regularity(an: Analysis) -> RegularityReport:
     """Check that h dz vanishes exactly where the Gauss maps have poles.
 
@@ -176,14 +171,14 @@ def check_regularity(an: Analysis) -> RegularityReport:
     poles of h and poles of g1, g2 the metric is a positive finite multiple
     of |dz|^2, so only those points are inspected, and infinity, where dz
     itself degenerates.  They are ``an.located``, the roots of the pieces
-    that are not a puncture's, each carrying its piece, which the orders
-    there are read off.
+    that are not a puncture's, each carrying its piece, whose exponents are
+    the orders there (``an.orders_at``).
     """
     candidates = [*an.located] if INF in an.data.punctures else [INF, *an.located]
     violations, checked = [], []
     for pt in sorted(candidates, key=SpherePoint.sort_key):
         checked.append(pt)
-        a, d1, d2 = _orders_at(an.data, pt)
+        a, d1, d2 = an.orders_at(pt)
         if a != d1 + d2:
             violations.append(RegularityViolation(pt, a, d1, d2))
     return RegularityReport(ok=not violations, violations=tuple(violations), checked_points=tuple(checked))
@@ -220,12 +215,13 @@ def classify_ends(an: Analysis) -> EndClassification:
     m = ord(h dz) - poleord(g1) - poleord(g2).  A divergent path into the
     puncture has infinite length iff m <= -1.  m = 0 means the metric
     extends regularly (the puncture was unnecessary), and m >= 1 means the
-    immersion degenerates there.  The orders at a finite puncture are read
-    off its exact linear factor, at infinity off the degrees.
+    immersion degenerates there.  The orders at a finite puncture are the
+    exponents of its linear factor, a piece of ``an``'s basis, and at
+    infinity are read off the degrees (``an.orders_at``).
     """
     records = []
     for p in an.data.punctures:
-        a, d1, d2 = _orders_at(an.data, p)
+        a, d1, d2 = an.orders_at(p)
         m = a - d1 - d2
         if m <= -1:
             verdict = VERDICT_COMPLETE

@@ -21,6 +21,8 @@ from wlab.exprparse import parse_expression
 from wlab.rational import RationalFunction
 from wlab.weierstrass import UnsupportedGenusError, WeierstrassData, phi_from_data
 
+from test_exprparse import _ladder_maps
+
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 REPORT_FIXTURES = [
     "example21",
@@ -79,7 +81,7 @@ def test_report_derives_each_invariant_once(record_calls, capsys, name):
     polys = [call[0] for call in located]
     assert len(polys) == len(set(polys)) == REPORT_ROOT_CALLS[name]
     d = _load_data(str(FIXTURES / f"{name}.json"))
-    allowed = set(Analysis(d).pieces) | {g.derivative_numerator() for g in (d.g1, d.g2) if not g.is_constant}
+    allowed = set(Analysis(d).exponents) | {g.derivative_numerator() for g in (d.g1, d.g2) if not g.is_constant}
     assert set(polys) <= allowed
     # a φ-form's own denominator is never root-found
     assert not set(polys) & {poly.exact_primitive(f.pair[1]) for f in phi_from_data(d).forms} - allowed
@@ -122,12 +124,25 @@ def test_a_pole_missing_from_the_table_is_a_typed_failure():
     # last of the basis, and the one that is root-found
     data = _load_data(str(FIXTURES / "example21.json"))
     an = Analysis(replace(data, punctures=data.punctures[:2] + data.punctures[3:]))
-    assert [len(piece) for piece in an.pieces] == [2, 2, 2]
+    assert [len(piece) for piece in an.exponents] == [2, 2, 2]
     # drop the piece of the pole at 3
-    an.__dict__["pieces"] = an.pieces[:-1]
+    an.__dict__["exponents"] = dict(list(an.exponents.items())[:-1])
     with pytest.raises(PoleTableError, match="total order 2, but its denominator has degree 3"):
         an.principal_parts
     assert issubclass(PoleTableError, ArithmeticError)
+
+
+def test_orders_are_read_off_the_basis_not_found_again_at_each_root(record_calls):
+    # regular data from two generic degree-32 maps, h vanishing at their
+    # poles: every order at a root of a degree-32 piece is the exponent its
+    # piece carries, so no exact_exponent runs on a factor of higher degree
+    g1, g2 = (parse_expression(_ladder_maps()[k]) for k in (24, 26))
+    h = RationalFunction.of_exact(poly.exact_mul(g1.pair[1], g2.pair[1]), ((1, 0),))
+    an = Analysis(WeierstrassData(h=h, g1=g1, g2=g2, punctures=("inf",)))
+    exponents = record_calls(poly, "exact_exponent")
+    an.regularity, an.ends, an.periods, an.principal_parts
+    assert [len(factor) for _a, factor in exponents if len(factor) > 2] == []
+    assert an.regularity.ok and len(an.regularity.checked_points) == 64
 
 
 def test_a_fourth_order_pole_at_zero_is_located_exactly():

@@ -3,8 +3,9 @@
 ``curvature`` need it only for type hints and never load it, and every
 definition in the package is reached from inside it.  The period path
 reads exact residues only, and the contour that once checked them is gone,
-as are the float Laurent expansions and the quadrature that once checked
-the total curvature."""
+as are the float Laurent expansions, the quadrature that once checked the
+total curvature, and the per-point order methods that found each order
+again."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from wlab import poly
 from wlab.analysis import Analysis
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
-from wlab.rational import INF, RationalFunction
+from wlab.rational import RationalFunction
 
 from test_bounds import loadable_fixtures
 from test_exprparse import _ladder_maps
@@ -104,7 +105,7 @@ def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
     text = _ladder_maps()[16]  # a generic A / B of degree 20
     rounded = record_calls(poly, "rounded")
     f = parse_expression(text)
-    assert f.degree == 20 and f.order_at(INF) == 0
+    assert f.degrees == (20, 20)
     assert not rounded
 
 
@@ -137,6 +138,9 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
         # principal parts and residues are exact over Q(i) or refused: no
         # Taylor series of the float views is taken
         pytest.param(r"expansion_at|_synthetic_division|_series_quotient", id="float-laurent"),
+        # every finite order is an exponent the gcd-free basis records: no
+        # order is found again at a point
+        pytest.param(r"def order_at|def form_order_at|def pole_order_at|_orders_at\(", id="point-orders"),
     ],
 )
 def test_a_removed_route_is_gone(pattern):

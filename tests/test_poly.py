@@ -24,7 +24,7 @@ from wlab.poly import (
     pseudo_divmod,
     rounded,
 )
-from wlab.rational import RationalFunction
+from wlab.rational import RationalFunction, SpherePoint
 
 
 def close(p: Polynomial, q: Polynomial, rel_eps: float) -> bool:
@@ -77,10 +77,10 @@ def test_divmod_roundtrip():
 
 def test_multiplicity_at():
     # (z-1)^2 (z+2): the order at a point is the exponent of its exact linear factor
-    p = RationalFunction(from_roots([1, 1, -2]))
-    assert p.order_at(1.0) == 2
-    assert p.order_at(-2.0) == 1
-    assert p.order_at(3.0) == 0
+    p = RationalFunction(from_roots([1, 1, -2])).pair[0]
+    assert exact_exponent(p, SpherePoint.literal(1.0).factor) == 2
+    assert exact_exponent(p, SpherePoint.literal(-2.0).factor) == 1
+    assert exact_exponent(p, SpherePoint.literal(3.0).factor) == 0
 
 
 def test_from_roots_expansion():

@@ -310,8 +310,9 @@ def test_wronskian_roots_of_a_tiny_imaginary_term_match_mpmath():
 def test_gcd_free_basis_factors_every_input_with_one_order_per_piece():
     # random products of Gaussian-integer linear factors: the pieces are
     # pairwise coprime and square-free, each input is a constant times a
-    # product of their powers, and each root of a piece has the piece's
-    # exponent as its multiplicity in every input
+    # product of their powers, the exponents recorded are exact_exponent's,
+    # and each root of a piece has the piece's exponent as its multiplicity
+    # in every input
     rng = random.Random("gcd-free-basis")
     grid = [complex(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     for _ in range(40):
@@ -321,14 +322,16 @@ def test_gcd_free_basis_factors_every_input_with_one_order_per_piece():
             inputs.append([r for r in chosen for _ in range(rng.randint(1, 3))])
         basis = roots.gcd_free_basis([exact(from_roots(rs)) for rs in inputs])
         located = [[r for r, _m in roots_with_multiplicity(piece)] for piece in basis]
-        for i, piece in enumerate(basis):
+        pieces = list(basis)
+        for i, piece in enumerate(pieces):
             assert exact_primitive(piece) == piece
             assert all(m == 1 for _r, m in roots_with_multiplicity(piece))
-            for other in basis[i + 1 :]:
+            for other in pieces[i + 1 :]:
                 assert len(exact_gcd(piece, other)) == 1
-        for rs in inputs:
+        for j, rs in enumerate(inputs):
             p = exact(from_roots(rs))
-            orders = [exact_exponent(p, piece) for piece in basis]
+            orders = [e[j] for e in basis.values()]
+            assert orders == [exact_exponent(p, piece) for piece in pieces]
             assert sum(e * (len(piece) - 1) for e, piece in zip(orders, basis)) == len(p) - 1
             for e, points in zip(orders, located):
                 for r in points:
@@ -342,9 +345,10 @@ def test_a_linear_input_that_enters_first_stays_its_own_piece():
     rest = exact_mul(((-2, 0), (1, 0)), ((0, -5), (1, 0)))
     other = exact_mul(exact_mul(exact_pow(lines[0], 2), lines[1]), rest)
     basis = roots.gcd_free_basis([*lines, other, other])
-    assert basis[:2] == lines
-    assert len(basis) == 3 and len(exact_gcd(basis[2], rest)) == 3
-    assert [exact_exponent(other, piece) for piece in basis] == [2, 1, 1]
+    pieces = list(basis)
+    assert pieces[:2] == lines
+    assert len(pieces) == 3 and len(exact_gcd(pieces[2], rest)) == 3
+    assert list(basis.values()) == [[1, 0, 2, 2], [0, 1, 1, 1], [0, 0, 1, 1]]
 
 
 def test_multiple_part_holds_each_multiple_root_once_less():
