@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING
 from .exprparse import as_sphere_point
 from .poly import Exact, exact_quotient
 from .ramification import fiber_table, roots_and_values
-from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
 from .roots import common_part
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE
@@ -554,9 +554,10 @@ def shared_values(
     # the puncture images come first: they are exact where the input is,
     # and ``distinct_points`` keeps the first of each group
     images = [g.value_at_sphere(p) for p in pts for g in (gA, gB)]
+    common_index = PointIndex(tol.eps_pt, common_values)
     shared: list[SharedValue] = []
     for a in distinct_points([*images, *common_values, INF], tol.eps_pt):
-        delta = sum(1 for v in common_values if v.close_to(a, tol.eps_pt))
+        delta = len(common_index.near(a))
         if delta == tableA.free_count(a) == tableB.free_count(a):
             shared.append(SharedValue(a, delta))
     shared.sort(key=lambda sv: sv.value.sort_key())

@@ -23,17 +23,19 @@ The table is the one route to a fiber, and it has two readers:
 ``ramification_report`` reads the fibers over its candidates, and
 ``bounds.shared_values`` reads ``FiberTable.free_count``, the number of
 distinct preimages off the punctures, over the values two maps may share.
-No fiber polynomial N - aD is root-found.
+No fiber polynomial N - aD is root-found.  The table indexes its values once,
+sorted by real part (``PointIndex``), so a fiber tests ``close_to`` only in
+the window a bisection leaves, and finds what a scan of every entry finds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exprparse import as_sphere_point
-from .rational import INF, RationalFunction, SpherePoint, distinct_points
+from .rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
 from .poly import exact_quotient
 from .roots import multiple_part, roots_with_multiplicity
 from .tolerances import Tolerances
@@ -131,6 +133,13 @@ class FiberTable:
     entries: tuple[tuple[Preimage, SpherePoint], ...]
     candidates: tuple[SpherePoint, ...]
     eps_pt: float
+    _values: PointIndex = field(init=False, repr=False, compare=False)
+    _keys: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # one index of the values and one sort key per table point, for every fiber
+        object.__setattr__(self, "_values", PointIndex(self.eps_pt, (v for _, v in self.entries)))
+        object.__setattr__(self, "_keys", tuple(pre.point.sort_key() for pre, _ in self.entries))
 
     def fiber(self, value: SpherePoint) -> tuple[Preimage, ...]:
         """The table points over ``value``, sorted.
@@ -138,14 +147,11 @@ class FiberTable:
         Raises ``OverfullFiberError`` when their local degrees add up to more
         than deg f.
         """
-        over = sorted(
-            (pre for pre, v in self.entries if v.close_to(value, self.eps_pt)),
-            key=lambda pre: pre.point.sort_key(),
-        )
+        over = tuple(self.entries[i][0] for i in sorted(self._values.near(value), key=self._keys.__getitem__))
         total = sum(pre.multiplicity for pre in over)
         if total > self.degree:
             raise OverfullFiberError(f"local degrees over {value} add up to {total} > deg f = {self.degree}")
-        return tuple(over)
+        return over
 
     def free_count(self, value: SpherePoint) -> int:
         """The number of distinct preimages of ``value`` off the punctures.

@@ -23,7 +23,9 @@ part there is refused: such poles occur only in data that is not regular.
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -51,7 +53,7 @@ from wlab.poly import (
 )
 from wlab.tolerances import format_float
 
-__all__ = ["SpherePoint", "INF", "distinct_points", "GaussianRational", "EXACT_ZERO", "RationalFunction"]
+__all__ = ["SpherePoint", "INF", "PointIndex", "distinct_points", "GaussianRational", "EXACT_ZERO", "RationalFunction"]
 
 @dataclass(frozen=True)
 class SpherePoint:
@@ -146,13 +148,54 @@ class SpherePoint:
 INF = SpherePoint(None)
 
 
+class PointIndex:
+    """Sphere points kept sorted, to find those close to a query without a scan.
+
+    Finite points are held sorted by real part, so a bisection narrows a
+    query to those whose real part lies within eps_pt of its own, widened by
+    a few ulps, and ``close_to`` decides among them: a query finds exactly
+    what ``close_to`` over every point finds.  Infinity is kept apart, and a
+    point with a non-finite part is in no window, as it is close to nothing.
+    """
+
+    def __init__(self, eps_pt: float, points=()):
+        self.eps_pt = eps_pt
+        self.points: list[SpherePoint] = []
+        self._infinite: list[int] = []
+        self._re: list[float] = []  # the finite points' real parts, ascending
+        self._at: list[int] = []  # and their positions in ``points``
+        for p in points:
+            self.add(p)
+
+    def add(self, p: SpherePoint) -> None:
+        if p.is_infinity:
+            self._infinite.append(len(self.points))
+        elif cmath.isfinite(p.value):
+            k = bisect_right(self._re, p.value.real)
+            self._re.insert(k, p.value.real)
+            self._at.insert(k, len(self.points))
+        self.points.append(p)
+
+    def near(self, q: SpherePoint) -> list[int]:
+        """The positions of the points ``close_to`` q, ascending."""
+        if q.is_infinity:
+            return list(self._infinite)
+        if not cmath.isfinite(q.value):
+            return []
+        re, eps = q.value.real, self.eps_pt
+        slack = eps * 2.0**-40 + abs(re) * 2.0**-50  # past what rounding the bounds and |a - b| can move
+        window = self._at[bisect_left(self._re, re - eps - slack) : bisect_right(self._re, re + eps + slack)]
+        return sorted(i for i in window if self.points[i].close_to(q, eps))
+
+
 def distinct_points(points, eps_pt: float) -> list[SpherePoint]:
-    """The points with near-duplicates dropped, keeping the first of each group."""
-    out: list[SpherePoint] = []
+    """The points with near-duplicates dropped, keeping the first of each group:
+    a point is kept when no point kept before it is ``close_to`` it."""
+    kept = PointIndex(eps_pt)
     for p in points:
-        if not any(p.close_to(q, eps_pt) for q in out):
-            out.append(p)
-    return out
+        if not kept.near(p):
+            kept.add(p)
+    return kept.points
 
 
 class GaussianRational(complex):

@@ -10,7 +10,11 @@ those overlap, RootIsolationError carries them.  The discs are the one
 certificate: no second float route and no residual bound.  The iteration
 starts from the Newton polygon of the coefficients, one circle per group of
 roots of like modulus and no random start, so it stays within 6-18 steps on
-Wronskians of integer maps up to degree 126.
+Wronskians of integer maps up to degree 126.  Each step reads p and p' at
+every iterate off one table of powers, contracted with blocks of at most 64
+coefficients (``_values_and_slopes``): a fixed number of array operations per
+step, not two per coefficient; the first non-finite iterate ends the
+iteration, as its correction would spread it to every other.
 
 Multiplicities come from Yun's square-free factorization (Yun 1976) of the
 exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
@@ -45,6 +49,7 @@ __all__ = [
 
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
+_BLOCK = 64  # coefficients per block of the evaluation table
 _REFINE_MAX_STEPS = 8
 _OFF_AXIS = 0.25 * complex(math.cos(1.0), math.sin(1.0))  # off-axis move, times the nearest distance
 _U = 2.0**-53  # unit roundoff of a double
@@ -129,23 +134,59 @@ def _aberth(p: Polynomial) -> np.ndarray:
         return np.array([-c0 / c1], dtype=complex)
     c = np.asarray(p.coeffs, dtype=complex)
     z = _newton_polygon_start(c)
-    hi = c[::-1]
-    dhi = np.polyder(hi)
-    for _ in range(_ABERTH_MAX_ITER):
-        pv = np.polyval(hi, z)
-        dv = np.polyval(dhi, z)
-        dv = np.where(dv == 0, 1e-300, dv)
-        corr = _aberth_correction(z, pv / dv)
-        z = z - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_STOP:
-            break
-    # two Newton polish steps sharpen the residuals
-    for _ in range(2):
-        pv = np.polyval(hi, z)
-        dv = np.polyval(dhi, z)
-        step = np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1e-300, dv), 0.0)
-        z = z - step
+    blocks = _coefficient_blocks(c)
+    with np.errstate(all="ignore"):
+        for _ in range(_ABERTH_MAX_ITER):
+            pv, dv = _values_and_slopes(blocks, z)
+            dv = np.where(dv == 0, 1e-300, dv)
+            corr = _aberth_correction(z, pv / dv)
+            z = z - corr
+            if not np.isfinite(z).all():
+                return z  # the correction spreads a non-finite iterate to every other
+            if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_STOP:
+                break
+        # two Newton polish steps sharpen the residuals
+        for _ in range(2):
+            pv, dv = _values_and_slopes(blocks, z)
+            step = np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1e-300, dv), 0.0)
+            z = z - step
     return z
+
+
+def _coefficient_blocks(c: np.ndarray) -> np.ndarray:
+    """The coefficients (low->high) of p and of p' in blocks of b = min(n + 1,
+    ``_BLOCK``), zero-padded: entry [j, k, t] is the coefficient of z^(kb + t)
+    in p (j = 0) or in p' (j = 1)."""
+    n = len(c) - 1
+    b = min(n + 1, _BLOCK)
+    k = -(-(n + 1) // b)
+    blocks = np.zeros((2, k * b), dtype=complex)
+    blocks[0, : n + 1] = c
+    blocks[1, :n] = c[1:] * np.arange(1, n + 1)
+    return blocks.reshape(2, k, b)
+
+
+def _values_and_slopes(blocks: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p(z_i), p'(z_i)) for every iterate, from ``_coefficient_blocks``.
+
+    One table of the powers z_i^0 .. z_i^(b-1), of shape (b, len(z)) and so
+    never more than ``_BLOCK`` rows, is built by one multiply.accumulate; one
+    einsum contracts it with every block of p and p' at once, and Horner's
+    rule in z_i^b runs across the blocks.  einsum without ``optimize`` sums
+    in its own loops, never through BLAS, whose kernels vary with the CPU.
+    """
+    _, k, b = blocks.shape
+    table = np.empty((b, len(z)), dtype=complex)
+    table[0] = 1.0
+    table[1:] = z
+    np.multiply.accumulate(table, axis=0, out=table)
+    sums = np.einsum("jkb,bi->kji", blocks, table)
+    acc = sums[-1]
+    if k > 1:
+        zb = table[-1] * z
+        for s in sums[-2::-1]:
+            acc = acc * zb + s
+    return acc[0], acc[1]
 
 
 def _aberth_correction(z: np.ndarray, ratio: np.ndarray) -> np.ndarray:

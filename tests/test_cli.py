@@ -635,6 +635,33 @@ def test_degree_64_map_solves_without_warnings(capsys, tmp_path, time_limit):
     assert ram["n1"] == 126 and ram["rh_ok"] is True
 
 
+
+def _bench_random_poly(rng: random.Random, degree: int) -> list[int]:
+    """The bench ladders' generator: integer coefficients in [-9, 9], lowest
+    degree first, nonzero leading term."""
+    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    while coeffs[-1] == 0:
+        coeffs[-1] = rng.randint(-9, 9)
+    return coeffs
+
+
+def test_a_non_finite_aberth_iterate_stops_the_iteration_without_a_warning(capsys, tmp_path, record_calls):
+    # regular data at d = 128: Aberth's iterates on a Wronskian factor of
+    # degree 254 leave the range of a double; the iteration stops there, as
+    # the correction spreads a NaN to every iterate, and the exact refinement
+    # refuses them, with no numpy RuntimeWarning on the way
+    rng = random.Random(128)
+    n1, d1, n2, d2 = (" + ".join(f"({c})*z^{k}" for k, c in enumerate(_bench_random_poly(rng, 128))) for _ in range(4))
+    path = write_data(tmp_path, "d128", ["inf"], f"({d1})*({d2})", f"({n1})/({d1})", f"({n2})/({d2})")
+    evaluated = record_calls(wlab.roots, "_values_and_slopes")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc, err = run(capsys, "report", path)
+    assert code == EXIT_MATH and doc is None
+    assert err == "failure: RootIsolationError: root isolation failed: the inclusion discs of 254 roots overlap\n"
+    assert evaluated and all(np.isfinite(z).all() for _blocks, z in evaluated)
+
+
 # -- genus gate -------------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@
 definition in the package is reached from inside it.  The period path
 reads exact residues only, and the contour that once checked them is gone,
 as are the float Laurent expansions, the quadrature that once checked the
-total curvature, and the per-point order methods that found each order
-again."""
+total curvature, the per-point order methods that found each order again,
+and Aberth's Horner loops.  The root and fiber path sums nothing through
+BLAS."""
 
 from __future__ import annotations
 
@@ -141,13 +142,38 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
         # every finite order is an exponent the gcd-free basis records: no
         # order is found again at a point
         pytest.param(r"def order_at|def form_order_at|def pole_order_at|_orders_at\(", id="point-orders"),
+        # Aberth reads p and p' off one table of powers per step, not off a
+        # Horner loop of ufunc calls per coefficient
+        pytest.param(r"^roots\.py:.*np\.(polyval|polyder)", id="aberth-polyval"),
     ],
 )
 def test_a_removed_route_is_gone(pattern):
+    # each line is searched behind its file's name, so a pattern may name one module
     hits = [
         f"{path.name}:{n}"
         for path in sorted(SRC.rglob("*.py"))
         for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if re.search(pattern, line)
+        if re.search(pattern, f"{path.name}:{line}")
+    ]
+    assert not hits, hits
+
+
+BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "tensordot", "linalg"}
+
+
+@pytest.mark.parametrize("name", ["roots.py", "ramification.py"])
+def test_the_root_and_fiber_path_calls_no_blas(name):
+    # BLAS picks its kernels by CPU at run time, which NPY_DISABLE_CPU_FEATURES
+    # does not reach, so a result summed there could differ between machines:
+    # no matrix product (a decorator's @ is no operator), no BLAS-backed numpy
+    # call, and no einsum with ``optimize``, which may hand off to tensordot
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+    hits = [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+        or isinstance(node, ast.Attribute) and node.attr in BLAS_CALLS
+        or isinstance(node, ast.Name) and node.id in BLAS_CALLS
+        or isinstance(node, ast.Call) and "optimize" in {kw.arg for kw in node.keywords}
     ]
     assert not hits, hits

@@ -14,14 +14,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import from_roots
 from test_exprparse import _ladder_maps
 from test_snapshots import NO_SIMD_DISPATCH
+from wlab.cli import main
 from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.poly import Polynomial
-from wlab.ramification import OverfullFiberError, fiber_table, ramification_report
-from wlab.rational import INF, RationalFunction, SpherePoint
+from wlab.ramification import FiberTable, OverfullFiberError, Preimage, fiber_table, ramification_report
+from wlab.rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
 
@@ -131,6 +134,74 @@ def test_free_count_is_the_number_of_distinct_preimages_off_the_punctures():
     table = fiber_table(Z**2 * (Z - 1), ("1", "inf"))
     assert [table.free_count(SpherePoint(v)) for v in (0j, -4 / 27 + 0j, 5 + 0j)] == [1, 2, 3]
     assert table.free_count(INF) == 0
+
+
+# the quadratic scans the sorted index replaced, kept as the reference
+
+
+def scan_distinct(points, eps_pt):
+    out = []
+    for p in points:
+        if not any(p.close_to(q, eps_pt) for q in out):
+            out.append(p)
+    return out
+
+
+def scan_fiber(entries, value, eps_pt):
+    return sorted((pre for pre, v in entries if v.close_to(value, eps_pt)), key=lambda pre: pre.point.sort_key())
+
+
+@st.composite
+def point_clouds(draw):
+    """(eps_pt, points): clusters about a few centres, 0 among them, at offsets
+    of 0, eps_pt / 2, eps_pt and eps_pt (1 +- 1e-3) in each part, so that
+    points fall just inside, just outside and exactly at eps_pt in real part;
+    with infinity, NaN and infinite parts, and duplicates."""
+    eps = draw(st.sampled_from([1e-8, 1e-3, 0.5]))
+    centres = [0.0, *draw(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))]
+    offsets = st.sampled_from([0.0, 0.5, 1.0, 1 - 1e-3, 1 + 1e-3]).flatmap(lambda t: st.sampled_from([t * eps, -t * eps]))
+    near = st.builds(lambda c, d, x, y: SpherePoint(complex(c + x, d + y)), *[st.sampled_from(centres)] * 2, offsets, offsets)
+    odd = st.sampled_from([INF, SpherePoint(complex(math.nan, 0.0)), SpherePoint(complex(math.inf, 1.0))])
+    points = draw(st.lists(st.one_of(near, near, near, odd), max_size=40))
+    duplicates = draw(st.lists(st.sampled_from(points), max_size=6)) if points else []
+    return eps, points + duplicates
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(point_clouds())
+def test_the_sorted_index_finds_what_the_scan_finds(cloud):
+    eps, points = cloud
+    kept = distinct_points(points, eps)
+    reference = scan_distinct(points, eps)
+    assert len(kept) == len(reference) and all(a is b for a, b in zip(kept, reference))
+    # a table over the cloud, its points' sort keys tied in threes, so a
+    # fiber's order among equal keys is the entries' order
+    entries = tuple((Preimage(SpherePoint(complex(k % 3, 0)), 1 + k % 2, k % 5 == 0), v) for k, v in enumerate(points))
+    degree = sum(pre.multiplicity for pre, _ in entries)
+    table = FiberTable(degree, 0, entries, (), eps)
+    # bounds.shared_values counts delta as the size of such a query
+    common = PointIndex(eps, points)
+    for value in [*points, INF, SpherePoint(complex(math.nan, math.nan))]:
+        fiber = scan_fiber(entries, value, eps)
+        got = table.fiber(value)
+        assert len(got) == len(fiber) and all(a is b for a, b in zip(got, fiber))
+        free = sum(1 for pre in fiber if not pre.is_puncture) + degree - sum(pre.multiplicity for pre in fiber)
+        assert table.free_count(value) == free
+        assert len(common.near(value)) == sum(1 for v in points if v.close_to(value, eps))
+
+
+def test_grouping_a_degree_64_table_makes_linearly_many_point_comparisons(record_calls, tmp_path):
+    # the scans compared every table value with every candidate: 24,256
+    # close_to calls for one ramify of a degree-64 map
+    g1 = _ladder_maps()[32]  # a generic A / B of degree 64
+    path = tmp_path / "d64.json"
+    path.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    compared = record_calls(SpherePoint, "close_to")
+    assert main(["ramify", str(path), "--component", "1"]) == 0
+    calls = len(compared)
+    table = fiber_table(parse_expression(g1), ("inf",))
+    assert len(table.entries) == len(table.candidates) == 127  # 126 critical points and the puncture
+    assert calls <= 4 * (len(table.entries) + len(table.candidates)), calls
 
 
 def test_preimages_constant_rejected():

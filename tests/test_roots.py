@@ -455,3 +455,30 @@ def test_roots_closer_than_two_doubles_hold_apart_raise_with_their_discs():
     assert len(near) == 2
     (a, ra), (b, rb) = near
     assert abs(a - b) <= ra + rb
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 38, 63, 64, 65, 127, 128, 129, 254])
+def test_values_and_slopes_match_50_digit_evaluation(n):
+    # each term c_j z^j passes through at most P = n + b + k complex products
+    # (the powers, the coefficient, j c_j for p', and z^b with the product by
+    # it at each Horner level), each within 3u of exact (Higham, Lemma 3.5),
+    # and A = b + k sums, each within u; so |computed - p(z)| <= gamma_(3P + A)
+    # sum_j |c_j| |z|^j, and likewise for p' with the coefficients j c_j
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(n)
+    c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    z = rng.choice([0.3, 0.9, 1.0, 1.1, 1.4], size=24) * np.exp(2j * np.pi * rng.random(24))
+    blocks = roots._coefficient_blocks(c)
+    _, k, b = blocks.shape
+    assert b == min(n + 1, 64)  # the power table has at most 64 rows
+    m = 3 * (n + b + k) + b + k
+    gamma = m * roots._U / (1 - m * roots._U)
+    values, slopes = roots._values_and_slopes(blocks, z)
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(x) for x in c[::-1]]
+        for x, value, slope in zip(z, values, slopes):
+            exact_value, exact_slope = mpmath.polyval(coeffs, mpmath.mpc(x), derivative=True)
+            size = sum(abs(cj) * abs(x) ** j for j, cj in enumerate(c))
+            slope_size = sum(j * abs(cj) * abs(x) ** (j - 1) for j, cj in enumerate(c) if j)
+            assert abs(value - exact_value) <= gamma * size, (n, x)
+            assert abs(slope - exact_slope) <= gamma * slope_size, (n, x)
