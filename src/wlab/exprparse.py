@@ -19,25 +19,27 @@ c z^k with k != 0 (z^96 parses as z^64*z^32 does), whose power is one
 power of c, and only while |exponent| times the bit length of c's exact
 parts is at most 65536, the size of a 64th power of 1024-bit parts; any
 other base keeps the cap, as squaring a polynomial of several terms up to
-degree 4096 costs seconds.  Digits are ASCII '0' to '9' only: any other
-Unicode digit, a superscript 2 say, is an unexpected character.
+degree 4096 costs seconds.  Blanks are the characters ``str.isspace``
+accepts.  Digits are ASCII '0' to '9' only: any other Unicode digit, a
+superscript 2 say, is an unexpected character.
 
 Every operator is exact arithmetic over Q(i), so division is symbolic and
-the result is a reduced RationalFunction, never a number.  A subexpression
-that is a polynomial is held as one sparse table of coefficients over one
-denominator (``_Sum``): a sum merges its right operand's terms into it in
-one pass, a product with a monomial shifts and scales the other's terms,
-and no gcd runs.  A ``RationalFunction`` is built only for a quotient (a
-'/' or a negative power), which an exact gcd reduces, for an operand that
-meets one, for the base of an exponent above 64, whose reduced pair the
-rule above reads, and once for the result.  The degree check and the range rule are those of the reduced
-result at every operator: a coefficient of an intermediate result beyond
-the range of a double raises ``OverflowError`` (a sum checks the
-coefficients it changed).  A power raises it before it is multiplied out
-when its result certainly has one: when |N(x)|^e > (e deg N + 1) sqrt(2)
-2^1024 at some x in {1, -1, i, -i}, for its numerator N = N_base^e (and
-likewise its denominator), so ((z+1)^64)^40 is refused at once, not after
-seconds of squaring.
+the result is a reduced RationalFunction, never a number.  The text is lexed
+in one scan.  A monomial c z^k, c = (x + y i) / den (a literal, 'z', and a
+product or power of monomials), is the plain tuple (k, x, y, den); a
+polynomial of several terms is one sparse table over one denominator
+(``_Sum``), which a sum merges its right operand's terms into, and no gcd
+runs.  A ``RationalFunction`` is built only for a quotient (a '/' or a
+negative power), which an exact gcd reduces, for an operand that meets one,
+and once for the result.  The degree check and the range rule are those of
+the reduced result at every operator: a coefficient of an intermediate
+result beyond the range of a double raises ``OverflowError``.  The rule is
+proved where a coefficient can grow: a product of two factors neither of
+which is a unit 1, -1, i or -i, the coefficients a sum changed, a power or
+a quotient.  A power raises it before it is multiplied out when its result
+certainly has one: when |N(x)|^e > (e deg N + 1) sqrt(2) 2^1024 at some x
+in {1, -1, i, -i}, for its numerator N = N_base^e (and likewise its
+denominator), so ((z+1)^64)^40 is refused at once, not after seconds.
 """
 
 from __future__ import annotations
@@ -55,7 +57,10 @@ __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sp
 MAX_EXPONENT = 64
 MAX_DEGREE = 4096
 MAX_POWER_BITS = MAX_EXPONENT * 1024
-_NUMBER = re.compile(r"[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?")
+# one match per token, after the blanks before it: a number with its 'i', or any other character
+_TOKEN = re.compile(r"\s*((?=[0-9.])[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?i?|\S)")
+# an operator or parenthesis stands for itself, 'z' and 'i' for their monomials
+_NAMES = {**{c: c for c in "+-*/^()"}, "z": (1, 1, 0, 1), "i": (0, 0, 1, 1)}
 
 
 class ExpressionError(ValueError):
@@ -66,22 +71,16 @@ class ExpressionError(ValueError):
         self.position = position
 
 
-def _check_degree(bound: int, position: int) -> None:
-    """Refuse an operator whose result can have a degree above MAX_DEGREE."""
-    if bound > MAX_DEGREE:
-        raise ExpressionError(f"degree overflow: the result can reach degree {bound} > {MAX_DEGREE}", position)
+def _check_range(coeffs, den: int) -> None:
+    """The range rule on coefficients over Z[i] over den: ``OverflowError``
+    when a part of one is beyond the range of a double."""
+    if not in_range(chain.from_iterable(coeffs), den):
+        rounded(coeffs, den)
 
 
-def _check_exponent(base: RationalFunction, exp: int, position: int) -> None:
-    """Refuse |exp| > MAX_EXPONENT unless ``base`` is a monomial c z^k,
-    k != 0, and |exp| times the bit length of c's exact parts is at most
-    MAX_POWER_BITS."""
-    if abs(exp) <= MAX_EXPONENT:
-        return
-    a, b = base.pair
-    monomial = not base.is_constant and not any(x or y for p in (a, b) for x, y in p[:-1])
-    if not monomial or abs(exp) * max(abs(x).bit_length() for x in a[-1] + b[-1]) > MAX_POWER_BITS:
-        raise ExpressionError(f"exponent overflow: |{exp}| > {MAX_EXPONENT}", position)
+def _is_unit(x: int, y: int, den: int) -> bool:
+    """Whether (x + y i) / den is 1, -1, i or -i: a product with it moves no magnitude."""
+    return den == 1 and x * x + y * y == 1
 
 
 class _Sum:
@@ -89,11 +88,10 @@ class _Sum:
     its nonzero coefficient over Z[i], each over the one positive int
     ``den``; ``top`` is the highest power, -1 for zero.
 
-    The parser owns every table, so ``+=`` and ``-=`` merge the right
-    operand's terms into the left's in place (Knuth, TAOCP 1, 2.2.4,
-    Algorithm A).  A product or power makes a new table, a quotient the
-    reduced ``RationalFunction``.  Degrees are those of the reduced pair
-    N / 1.
+    The parser owns every table, so ``merge`` adds the right operand's terms
+    into the left's in place (Knuth, TAOCP 1, 2.2.4, Algorithm A).  A
+    product or power makes a new table, a quotient the reduced
+    ``RationalFunction``.  Degrees are those of the reduced pair N / 1.
     """
 
     __slots__ = ("terms", "den", "top")
@@ -102,41 +100,27 @@ class _Sum:
         self.terms, self.den = terms, den
         self.top = max(terms, default=-1)
 
-    @classmethod
-    def _checked(cls, terms: dict[int, tuple[int, int]], den: int) -> "_Sum":
-        _check_range(terms.values(), den)
-        return cls(terms, den)
-
     def dense(self) -> Exact:
         out = [(0, 0)] * (self.top + 1)
         for k, c in self.terms.items():
             out[k] = c
         return tuple(out)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def degree(self) -> int:
-        return max(self.top, 0)
-
-    @property
-    def degrees(self) -> tuple[int, int]:
-        return self.top, 0
-
-    def rational(self) -> RationalFunction:
-        return RationalFunction.of_exact(self.dense(), ((self.den, 0),))
-
-    def _merge(self, other: "_Sum", sign: int) -> "_Sum":
-        """self + sign other, in place: only the coefficients it changes are range-checked."""
-        den = math.lcm(self.den, other.den)
+    def merge(self, other: "_Sum | tuple", sign: int) -> "_Sum":
+        """self + sign other, in place, for a table or a monomial: only the
+        coefficients it changes are range-checked."""
+        if type(other) is tuple:
+            k, x, y, oden = other
+            items, otop = (((k, (x, y)),), k) if x or y else ((), -1)
+        else:
+            items, otop, oden = other.terms.items(), other.top, other.den
+        den = self.den if oden == self.den else math.lcm(self.den, oden)
         if den != self.den:
             s = den // self.den
             self.terms = {k: (x * s, y * s) for k, (x, y) in self.terms.items()}
             self.den = den
-        s, terms, changed = sign * (den // other.den), self.terms, []
-        for k, (u, v) in other.terms.items():
+        s, terms, changed = sign * (den // oden), self.terms, []
+        for k, (u, v) in items:
             x, y = terms.get(k, (0, 0))
             c = (x + s * u, y + s * v)
             if c == (0, 0):
@@ -145,16 +129,11 @@ class _Sum:
                 terms[k] = c
                 changed.append(c)
         _check_range(changed, den)
-        self.top = max(self.top, other.top)
+        if otop > self.top:
+            self.top = otop
         if self.top not in terms:
             self.top = max(terms, default=-1)
         return self
-
-    def __iadd__(self, other: "_Sum") -> "_Sum":
-        return self._merge(other, 1)
-
-    def __isub__(self, other: "_Sum") -> "_Sum":
-        return self._merge(other, -1)
 
     def __neg__(self) -> "_Sum":
         return _Sum({k: (-x, -y) for k, (x, y) in self.terms.items()}, self.den)
@@ -164,197 +143,219 @@ class _Sum:
         if len(a.terms) == 1:
             ((j, (x, y)),) = a.terms.items()
             terms = {j + k: (x * u - y * v, x * v + y * u) for k, (u, v) in b.terms.items()}
+            if _is_unit(x, y, a.den):
+                return _Sum(terms, b.den)
         else:
             terms = _table(exact_mul(self.dense(), other.dense()))
-        return _Sum._checked(terms, self.den * other.den)
+        _check_range(terms.values(), self.den * other.den)
+        return _Sum(terms, self.den * other.den)
 
     def __truediv__(self, other: "_Sum") -> RationalFunction:
         a, b = exact_mul(self.dense(), ((other.den, 0),)), exact_mul(other.dense(), ((self.den, 0),))
         return RationalFunction.of_exact(a, b)
-
-    def __pow__(self, n: int) -> "_Sum":
-        """The power for 0 <= n; a monomial's is one power of its coefficient."""
-        if len(self.terms) == 1:
-            ((k, c),) = self.terms.items()
-            return _Sum._checked({k * n: exact_pow((c,), n)[0]}, self.den**n)
-        p = self.dense()
-        if p and _power_out_of_range(p, (self.den, 0), n):
-            raise OverflowError(OUT_OF_RANGE)
-        return _Sum._checked(_table(exact_pow(p, n)), self.den**n)
-
-
-def _check_range(coeffs, den: int) -> None:
-    """The range rule on coefficients over Z[i] over den: ``OverflowError``
-    when a part of one is beyond the range of a double."""
-    if not in_range(chain.from_iterable(coeffs), den):
-        rounded(coeffs, den)
 
 
 def _table(p: Exact) -> dict[int, tuple[int, int]]:
     return {k: c for k, c in enumerate(p) if c != (0, 0)}
 
 
-def _rational(value: _Sum | RationalFunction) -> RationalFunction:
-    return value.rational() if isinstance(value, _Sum) else value
+def _sum(value) -> _Sum | RationalFunction:
+    """A monomial (k, x, y, den) as its table; a table or a RationalFunction as it is."""
+    if type(value) is tuple:
+        k, x, y, den = value
+        return _Sum({k: (x, y)} if x or y else {}, den)
+    return value
 
 
-def _operands(a: _Sum | RationalFunction, b: _Sum | RationalFunction) -> tuple:
-    """Two tables, or else two RationalFunctions: a table meets a quotient as one."""
-    if isinstance(a, _Sum) and isinstance(b, _Sum):
-        return a, b
-    return _rational(a), _rational(b)
+def _rational(value) -> RationalFunction:
+    value = _sum(value)
+    return RationalFunction.of_exact(value.dense(), ((value.den, 0),)) if isinstance(value, _Sum) else value
 
 
-class _Token:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value, pos: int):
-        self.kind = kind  # 'num' | 'z' | 'op' | 'end'
-        self.value = value
-        self.pos = pos
+def _degrees(value) -> tuple[int, int]:
+    """(deg N, deg D) of the reduced pair; the zero function's N has degree -1."""
+    if type(value) is tuple:
+        return (value[0] if value[1] or value[2] else -1), 0
+    return (value.top, 0) if isinstance(value, _Sum) else value.degrees
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^()":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch == "z":
-            tokens.append(_Token("z", None, i))
-            i += 1
-            continue
-        if ch == "i":
-            tokens.append(_Token("num", (1, True), i))
-            i += 1
-            continue
-        if "0" <= ch <= "9" or ch == ".":
-            start, i = i, _NUMBER.match(text, i).end()
-            raw = text[start:i]
-            try:
-                rounded = float(raw)
-            except ValueError:
-                raise ExpressionError(f"malformed number {raw!r}", start) from None
-            if math.isinf(rounded):
-                raise ExpressionError(f"number {raw!r} overflows a double", start)
-            if rounded == 0 and raw.lower().split("e")[0].strip("0."):
-                raise ExpressionError(f"number {raw!r} underflows a double", start)
-            # the range check comes first: it bounds the exponent Fraction expands
-            value = int(raw) if raw.isdigit() else Fraction(raw) if rounded else 0
-            imaginary = i < n and text[i] == "i"
-            i += imaginary
-            tokens.append(_Token("num", (value, imaginary), start))
-            continue
-        raise ExpressionError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", None, n))
-    return tokens
+def _power_allowed(base, exp: int) -> bool:
+    """Whether ``base`` is a monomial c z^k, k != 0, and |exp| times the bit
+    length of the parts of c in lowest terms (as the reduced pair holds
+    them) is at most MAX_POWER_BITS: the rule for |exp| > MAX_EXPONENT."""
+    if type(base) is tuple:
+        k, x, y, den = base
+        g = math.gcd(x, y, den)
+        monomial, parts = k and (x or y), (x // g, y // g, den // g)
+    elif isinstance(base, RationalFunction) and not base.is_constant:
+        a, b = base.pair
+        monomial, parts = not any(x or y for p in (a, b) for x, y in p[:-1]), a[-1] + b[-1]
+    else:  # a constant, or a table of several terms
+        return False
+    return bool(monomial) and abs(exp) * max(abs(x).bit_length() for x in parts) <= MAX_POWER_BITS
+
+
+def _raised(base, exp: int):
+    """base^exp, with the checks on its exponent and degree passed."""
+    if exp < 0 or isinstance(base, RationalFunction):
+        return _rational(base) ** exp
+    if type(base) is _Sum:  # of several terms
+        p, den = base.dense(), base.den**exp
+        if _power_out_of_range(p, (base.den, 0), exp):
+            raise OverflowError(OUT_OF_RANGE)
+        terms = _table(exact_pow(p, exp))
+        _check_range(terms.values(), den)
+        return _Sum(terms, den)
+    # a monomial's power is one power of its coefficient, taken in lowest terms
+    k, x, y, den = base
+    if (x, y, den) == (1, 0, 1):
+        return k * exp, 1, 0, 1
+    g = math.gcd(x, y, den)
+    x, y, den = x // g, y // g, den // g
+    ((u, v),) = exact_pow(((x, y),), exp)
+    if not _is_unit(x, y, den):
+        _check_range(((u, v),), den**exp)
+    return k * exp, u, v, den**exp
+
+
+def _position(text: str, k: int) -> int:
+    """Where token k of ``_lex(text)`` starts; it is found again only for an error."""
+    return ([m.start(1) for m in _TOKEN.finditer(text)] + [len(text)])[k]
+
+
+def _literal(text: str, k: int, token: str) -> tuple[int, int, int, int]:
+    """Token k, no operator or name, as the monomial (0, x, y, den) of the
+    number it spells, refused outside the range of a double."""
+    if token[0] not in "0123456789.":
+        raise ExpressionError(f"unexpected character {token!r}", _position(text, k))
+    raw = token.removesuffix("i")
+    if len(raw) < 309 and raw.isdigit():  # below 10^308
+        value = int(raw)
+    else:
+        try:
+            rounded = float(raw)
+        except ValueError:
+            raise ExpressionError(f"malformed number {raw!r}", _position(text, k)) from None
+        if math.isinf(rounded):
+            raise ExpressionError(f"number {raw!r} overflows a double", _position(text, k))
+        if rounded == 0 and raw.lower().split("e")[0].strip("0."):
+            raise ExpressionError(f"number {raw!r} underflows a double", _position(text, k))
+        # the range check comes first: it bounds the exponent Fraction expands
+        value = int(raw) if raw.isdigit() else Fraction(raw) if rounded else 0
+    n, den = value.numerator, value.denominator
+    return (0, 0, n, den) if raw != token else (0, n, 0, den)
+
+
+def _lex(text: str) -> list:
+    """The tokens of ``text``, in one scan, each distinct spelling read once: an operator
+    or parenthesis as its character, a number, 'i' or 'z' as its monomial, and '$' last."""
+    tokens, values = _TOKEN.findall(text), dict(_NAMES)
+    for k, token in enumerate(tokens):
+        if token not in values:
+            values[token] = _literal(text, k, token)
+    return [values[token] for token in tokens] + ["$"]
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.k = 0
+    """Recursive descent over the tokens of ``_lex``: each rule returns a
+    monomial (k, x, y, den), a ``_Sum`` or a ``RationalFunction``."""
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
+    def __init__(self, text: str):
+        self.text, self.tokens, self.k = text, _lex(text), 0
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
-        return tok
+    def error(self, message: str, k: int | None = None) -> ExpressionError:
+        return ExpressionError(message, _position(self.text, self.k if k is None else k))
 
-    def expect_op(self, op: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.value != op:
-            raise ExpressionError(f"expected {op!r}", tok.pos)
-        return self.next()
+    def check_degree(self, bound: int, k: int) -> None:
+        """Refuse operator k when its result can have a degree above MAX_DEGREE."""
+        if bound > MAX_DEGREE:
+            raise self.error(f"degree overflow: the result can reach degree {bound} > {MAX_DEGREE}", k)
 
     # expr := term (('+'|'-') term)*
-    def expr(self) -> _Sum | RationalFunction:
+    def expr(self):
         out = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            tok = self.next()
-            out, rhs = _operands(out, self.term())
-            (a, b), (c, d) = out.degrees, rhs.degrees
-            _check_degree(max(a + d, c + b, b + d), tok.pos)
-            if tok.value == "+":
-                out += rhs
-            else:
-                out -= rhs
+        while (op := self.tokens[self.k]) in ("+", "-"):
+            at = self.k
+            self.k += 1
+            rhs = self.term()
+            if isinstance(out, RationalFunction) or isinstance(rhs, RationalFunction):
+                (a, b), (c, d) = _degrees(out), _degrees(rhs)
+                self.check_degree(max(a + d, c + b, b + d), at)
+                out, rhs = _rational(out), _rational(rhs)
+                out = out + rhs if op == "+" else out - rhs
+            else:  # two tables within the degree cap: so is their sum
+                out = _sum(out).merge(rhs, 1 if op == "+" else -1)
         return out
 
     # term := factor (('*'|'/') factor)*
-    def term(self) -> _Sum | RationalFunction:
+    def term(self):
         out = self.factor()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            tok = self.next()
-            out, rhs = _operands(out, self.factor())
-            (a, b), (c, d) = out.degrees, rhs.degrees
-            if tok.value == "*":
-                _check_degree(max(a + c, b + d), tok.pos)
-                out = out * rhs
-            elif rhs.is_zero:
-                raise ExpressionError("division by the zero polynomial", tok.pos)
+        while (op := self.tokens[self.k]) in ("*", "/"):
+            at = self.k
+            self.k += 1
+            rhs = self.factor()
+            if op == "*" and type(out) is tuple and type(rhs) is tuple:  # two monomials
+                j, x, y, p = out
+                k, u, v, q = rhs
+                if j + k > MAX_DEGREE and (x or y) and (u or v):
+                    self.check_degree(j + k, at)
+                c = (x * u - y * v, x * v + y * u)
+                if not (_is_unit(u, v, q) or _is_unit(x, y, p)):
+                    _check_range((c,), p * q)
+                out = (j + k, c[0], c[1], p * q)
+                continue
+            (a, b), (c, d) = _degrees(out), _degrees(rhs)
+            if op == "/" and c < 0:
+                raise self.error("division by the zero polynomial", at)
+            self.check_degree(max(a + c, b + d) if op == "*" else max(a + d, b + c), at)
+            if isinstance(out, RationalFunction) or isinstance(rhs, RationalFunction):
+                out, rhs = _rational(out), _rational(rhs)
             else:
-                _check_degree(max(a + d, b + c), tok.pos)
-                out = out / rhs
+                out, rhs = _sum(out), _sum(rhs)
+            out = out * rhs if op == "*" else out / rhs
         return out
 
     # factor := '-' factor | base ('^' signed-int)?
-    def factor(self) -> _Sum | RationalFunction:
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.next()
-            return -self.factor()
-        out = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            caret = self.next()
-            exp = self.exponent()
-            if not 0 <= exp <= MAX_EXPONENT:  # the reduced pair decides these
-                out = _rational(out)
-            _check_exponent(out, exp, caret.pos)
-            if exp < 0 and out.is_zero:
-                raise ExpressionError("negative power of zero", caret.pos)
-            _check_degree(out.degree * abs(exp), caret.pos)
-            out = out**exp
-        return out
+    def factor(self):
+        token = self.tokens[self.k]
+        self.k += 1
+        if token == "-":
+            out = self.factor()
+            return (out[0], -out[1], -out[2], out[3]) if type(out) is tuple else -out
+        if type(token) is tuple:
+            out = token
+        elif token == "(":
+            out = self.expr()
+            if self.tokens[self.k] != ")":
+                raise self.error("expected ')'")
+            self.k += 1
+        else:
+            raise self.error("expected a number, 'z' or '('", self.k - 1)
+        if self.tokens[self.k] != "^":
+            return out
+        at = self.k
+        self.k += 1
+        exp = self.exponent()
+        if type(out) is _Sum and len(out.terms) < 2:  # a monomial
+            ((k, (x, y)),) = out.terms.items() or ((0, (0, 0)),)
+            out = (k, x, y, out.den)
+        if abs(exp) > MAX_EXPONENT and not _power_allowed(out, exp):
+            raise self.error(f"exponent overflow: |{exp}| > {MAX_EXPONENT}", at)
+        top, bottom = _degrees(out)
+        if exp < 0 and top < 0:
+            raise self.error("negative power of zero", at)
+        self.check_degree(max(top, bottom, 0) * abs(exp), at)
+        return _raised(out, exp)
 
     def exponent(self) -> int:
-        sign = 1
-        tok = self.peek()
-        if tok.kind == "op" and tok.value in "+-":
-            self.next()
-            sign = -1 if tok.value == "-" else 1
-            tok = self.peek()
-        if tok.kind != "num":
-            raise ExpressionError("expected an integer exponent", tok.pos)
-        value, imaginary = tok.value
-        if (imaginary and value) or value.denominator != 1:
-            raise ExpressionError("expected an integer exponent", tok.pos)
-        self.next()
-        return sign * int(value)
-
-    def base(self) -> _Sum | RationalFunction:
-        tok = self.next()
-        if tok.kind == "num":  # in range, as the lexer checked
-            value, imaginary = tok.value
-            c = (0, value.numerator) if imaginary else (value.numerator, 0)
-            return _Sum({0: c} if value else {}, value.denominator)
-        if tok.kind == "z":
-            return _Sum({1: (1, 0)})
-        if tok.kind == "op" and tok.value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError("expected a number, 'z' or '('", tok.pos)
+        sign = -1 if self.tokens[self.k] == "-" else 1
+        if self.tokens[self.k] in ("+", "-"):
+            self.k += 1
+        token = self.tokens[self.k]
+        if type(token) is not tuple or token[0] or token[2] or token[3] != 1:  # no integer literal
+            raise self.error("expected an integer exponent")
+        self.k += 1
+        return sign * token[1]
 
 
 def parse_expression(text: str) -> RationalFunction:
@@ -366,11 +367,10 @@ def parse_expression(text: str) -> RationalFunction:
     c z^k of small enough c, or an intermediate result that can reach a
     degree above 4096.
     """
-    parser = _Parser(_lex(text))
+    parser = _Parser(text)
     out = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExpressionError("unexpected trailing input", tail.pos)
+    if parser.tokens[parser.k] != "$":
+        raise parser.error("unexpected trailing input")
     return _rational(out)
 
 

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
+import unicodedata
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,9 @@ from wlab.exprparse import (
 )
 from wlab.poly import Polynomial
 from wlab.rational import INF, RationalFunction, SpherePoint
+
+import oracle
+import parse_corpus
 
 Z = RationalFunction.variable()
 
@@ -95,6 +99,54 @@ def test_only_ascii_digits_make_a_number(text, position):
     # str.isdigit and re's \d accept these, which read ٣*z as 3z
     with pytest.raises(ExpressionError, match="unexpected character") as err:
         parse_expression(text)
+    assert err.value.position == position
+
+
+def test_blanks_are_exactly_what_str_isspace_accepts():
+    # over every code point a blank could be mistaken for: the separators, the
+    # controls, the format characters, and the bidirectional classes of
+    # whitespace and separators, which hold every blank str.isspace accepts
+    two_z, wrong = parse_expression("2*z"), []
+    for char in map(chr, range(sys.maxunicode + 1)):
+        if unicodedata.category(char) in ("Zs", "Zl", "Zp", "Cc", "Cf") or unicodedata.bidirectional(char) in (
+            "WS", "B", "S"
+        ):
+            try:
+                got = parse_expression(f"2{char}*z") == two_z
+            except ExpressionError as err:
+                got = str(err)
+            if got != (char.isspace() or f"unexpected character {char!r} (at position 1)"):
+                wrong.append(f"U+{ord(char):04X}")
+    assert not wrong, wrong
+
+
+@pytest.mark.parametrize("char", ["\u200b", "\ufeff", "\u180e", "\u2060"])
+def test_a_zero_width_or_joining_character_is_no_blank(char):
+    # formerly spaces in Unicode, or invisible, but not str.isspace
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(f"z +{char} 1")
+    assert str(err.value) == f"unexpected character {char!r} (at position 3)"
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("z +  \t\u3000 * 2", "expected a number, 'z' or '('", 8),
+        ("   ", "expected a number, 'z' or '('", 3),
+        ("(z +\n\n", "expected a number, 'z' or '('", 6),
+        ("(z  \t", "expected ')'", 5),
+        ("2i z", "unexpected trailing input", 3),
+        ("2i^0.5", "expected an integer exponent", 3),
+        ("2 i", "unexpected trailing input", 2),
+        ("2ii", "unexpected trailing input", 2),
+        ("1e5 e", "unexpected character 'e'", 4),
+        ("z^ \u00a0-\t2i", "expected an integer exponent", 6),
+    ],
+)
+def test_error_positions_count_every_character_before_them(text, message, position):
+    with pytest.raises(ExpressionError) as err:
+        parse_expression(text)
+    assert str(err.value) == f"{message} (at position {position})"
     assert err.value.position == position
 
 
@@ -282,195 +334,7 @@ def test_parser_never_crashes(text):
         pass
 
 
-# -- the parser against exact arithmetic in sympy's QQ_I(z) ----------------------
-
-_ZS = sympy.symbols("z")
-_FIELD = sympy.QQ_I.frac_field(_ZS)
-
-
-def _exact_parts(poly) -> list[tuple[Fraction, Fraction]]:
-    """The coefficients of a sympy polynomial over QQ_I, lowest degree first."""
-    out = [(Fraction(0), Fraction(0))] * (poly.degree() + 1 if poly else 0)
-    for (k,), c in poly.terms():
-        out[k] = (Fraction(int(c.x.numerator), int(c.x.denominator)), Fraction(int(c.y.numerator), int(c.y.denominator)))
-    return out
-
-
-def _reduced(f) -> tuple[list, list]:
-    """(N, D) of a field element with D monic."""
-    lead = f.denom.LC
-    return _exact_parts(f.numer.quo_ground(lead)), _exact_parts(f.denom.quo_ground(lead))
-
-
-def _small_monomial(f, exp: int) -> bool:
-    """The parser's rule above the exponent cap: f = c z^k with k != 0, and
-    |exp| times the bit length of c's parts over their least common
-    denominator L, and of L, at most MAX_POWER_BITS."""
-    n, d = _reduced(f)
-    if len(n) + len(d) <= 2 or any(any(c) for c in n[:-1] + d[:-1]):
-        return False
-    re, im = n[-1]
-    q = math.lcm(re.denominator, im.denominator)
-    bits = max(abs(int(x * q)).bit_length() for x in (re, im, 1))
-    return abs(exp) * bits <= exprparse.MAX_POWER_BITS
-
-
-def _signed_digits(v: int, k: int, n: int) -> list[int]:
-    """The n integers c_j, each |c_j| < 2^(k-1), with v = sum c_j 2^(k j);
-    k is a multiple of 8.  Adding 2^(k-1) to every c_j leaves digits in
-    [0, 2^k) with no carry, so they are read off the bytes."""
-    width = k // 8
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    raw = (v + bias).to_bytes(width * n, "little")
-    half = 1 << (k - 1)
-    return [int.from_bytes(raw[j * width : (j + 1) * width], "little") - half for j in range(n)]
-
-
-def _kronecker_power(p: list, m: int) -> list:
-    """p^m for p over Q(i), parts as Fractions, lowest degree first.
-
-    The shared power of z is split off, and the numerator P over Z[i] is
-    evaluated at z = 2^k as one Gaussian integer and raised there; k
-    exceeds the bits of |P|_1^m, which bounds every part of P^m, so the
-    parts of P^m are the signed base-2^k digits of the result.
-    """
-    if not p:
-        return []
-    shift = next(j for j, c in enumerate(p) if any(c))
-    p = p[shift:]
-    q = math.lcm(*(x.denominator for c in p for x in c))
-    ints = [(int(re * q), int(im * q)) for re, im in p]
-    k = -(-(m * sum(abs(a) + abs(b) for a, b in ints).bit_length() + 2) // 8) * 8
-    x = sum(a << (k * j) for j, (a, _b) in enumerate(ints))
-    y = sum(b << (k * j) for j, (_a, b) in enumerate(ints))
-    rx, ry = 1, 0
-    e = m
-    while e:
-        if e & 1:
-            rx, ry = rx * x - ry * y, rx * y + ry * x
-        e >>= 1
-        if e:
-            x, y = x * x - y * y, 2 * x * y
-    n = m * (len(ints) - 1) + 1
-    qm = q**m
-    zero = (Fraction(0), Fraction(0))
-    return [zero] * (shift * m) + [
-        (Fraction(a, qm), Fraction(b, qm)) for a, b in zip(_signed_digits(rx, k, n), _signed_digits(ry, k, n))
-    ]
-
-
-def _power_parts(f, exp: int) -> tuple[list, list]:
-    """The reduced pair of f^exp (exp != 0, f != 0 where exp < 0), computed
-    apart from sympy: the reduced pair of f raised side by side (they stay
-    coprime), then divided by the leading coefficient of the denominator."""
-    num, den = _reduced(f)
-    if exp < 0:
-        num, den, exp = den, num, -exp
-    num, den = _kronecker_power(num, exp), _kronecker_power(den, exp)
-    c, d = den[-1]
-    if (c, d) != (1, 0):
-        norm = c * c + d * d
-        num, den = ([((a * c + b * d) / norm, (b * c - a * d) / norm) for a, b in side] for side in (num, den))
-    return num, den
-
-
-def _check_range(parts) -> None:
-    """The range rule: no part of the reduced pair may round to infinity."""
-    for part in (x for side in parts for c in side for x in c):
-        try:
-            float(part)
-        except OverflowError:
-            raise OverflowError("a coefficient is beyond the range of a double") from None
-
-
-class _ExactOracle(exprparse._Parser):
-    """The grammar over sympy's QQ_I(z), with the range rule after each step.
-
-    A power is first raised apart from sympy (``_power_parts``) and its
-    range checked there, so a power beyond the range is refused without
-    sympy multiplying it out; sympy's power must then give the same pair.
-    """
-
-    def _ranged(self, f):
-        _check_range(_reduced(f))
-        return f
-
-    def expr(self):
-        out = self.term()
-        while self.peek().kind == "op" and self.peek().value in "+-":
-            op = self.next().value
-            rhs = self.term()
-            out = self._ranged(out + rhs if op == "+" else out - rhs)
-        return out
-
-    def term(self):
-        out = self.factor()
-        while self.peek().kind == "op" and self.peek().value in "*/":
-            tok = self.next()
-            rhs = self.factor()
-            if tok.value == "*":
-                out = self._ranged(out * rhs)
-            else:
-                if not rhs:
-                    raise ExpressionError("division by the zero polynomial", tok.pos)
-                out = self._ranged(out / rhs)
-        return out
-
-    def factor(self):
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
-            self.next()
-            return -self.factor()
-        out = self.base()
-        tok = self.peek()
-        if tok.kind == "op" and tok.value == "^":
-            caret = self.next()
-            exp = self.exponent()
-            if abs(exp) > exprparse.MAX_EXPONENT and not _small_monomial(out, exp):
-                raise ExpressionError(
-                    f"exponent overflow: |{exp}| > {exprparse.MAX_EXPONENT}", caret.pos
-                )
-            if exp < 0 and not out:
-                raise ExpressionError("negative power of zero", caret.pos)
-            if exp:
-                parts = _power_parts(out, exp)
-                _check_range(parts)
-                out = out**exp
-                assert _reduced(out) == parts
-            else:
-                out = _FIELD.one
-        return out
-
-    def base(self):
-        tok = self.next()
-        if tok.kind == "num":
-            value, imaginary = tok.value
-            q = sympy.QQ_I(sympy.Rational(value.numerator, value.denominator))
-            return self._ranged(_FIELD.convert(q * sympy.QQ_I(0, 1) if imaginary else q))
-        if tok.kind == "z":
-            return _FIELD.from_sympy(_ZS)
-        if tok.kind == "op" and tok.value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ExpressionError("expected a number, 'z' or '('", tok.pos)
-
-
-def _oracle_parse(text: str):
-    parser = _ExactOracle(exprparse._lex(text))
-    out = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "end":
-        raise ExpressionError("unexpected trailing input", tail.pos)
-    return out
-
-
-def _view(parts) -> str:
-    """The correctly rounded parts, without the coefficients that round to 0 at the top."""
-    view = [complex(float(re), float(im)) for re, im in parts]
-    while view and not view[-1]:
-        view.pop()
-    return repr(tuple(view))
+# -- the parser against exact arithmetic in sympy's QQ_I(z) (tests/oracle.py) ----------
 
 
 def _outcome_of(parse, text: str, exact) -> tuple:
@@ -488,11 +352,6 @@ def _parsed_pair(f: RationalFunction) -> tuple:
     a, b = f._pair
     num, den = ([(Fraction(re, b[-1][0]), Fraction(im, b[-1][0])) for re, im in p] for p in (a, b))
     return (num, den, repr(f.num.coeffs), repr(f.den.coeffs))
-
-
-def _oracle_pair(f) -> tuple:
-    num, den = _reduced(f)
-    return (num, den, _view(num), _view(den))
 
 
 def _integer_poly(rng: random.Random, degree: int) -> str:
@@ -581,7 +440,7 @@ def _assert_parses_as_exact_arithmetic(texts) -> Counter:
     outcomes = Counter()
     for text in texts:
         got = _outcome_of(parse_expression, text, _parsed_pair)
-        assert got == _outcome_of(_oracle_parse, text, _oracle_pair), text
+        assert got == _outcome_of(oracle.parse, text, oracle.pair), text
         outcomes["value" if isinstance(got[0], list) else got[0]] += 1
     return outcomes
 
@@ -597,6 +456,15 @@ def _assert_parses_as_exact_arithmetic(texts) -> Counter:
 def test_parse_matches_rational_arithmetic_bit_for_bit(texts):
     # the exact pair is sympy's, and each view part is its correctly rounded value
     _assert_parses_as_exact_arithmetic(texts)
+
+
+def test_every_corpus_expression_parses_as_it_was_recorded():
+    # the corpus: 8,600 expressions drawn from one seed (tests/parse_corpus.py),
+    # each with the exact pair, or the error's class, message and position
+    corpus = json.loads(parse_corpus.CORPUS.read_text(encoding="ascii"))
+    assert corpus["seed"] == parse_corpus.SEED and len(corpus["records"]) >= 8000
+    changed = [text for text, recorded in corpus["records"] if parse_corpus.outcome(text) != recorded]
+    assert not changed, changed[:20]
 
 
 def test_parse_matches_rational_arithmetic_on_random_grammar():

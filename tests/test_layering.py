@@ -5,13 +5,14 @@ definition in the package is reached from inside it.  The period path
 reads exact residues only, and the contour that once checked them is gone,
 as are the float Laurent expansions, the quadrature that once checked the
 total curvature, the per-point order methods that found each order again,
-and Aberth's Horner loops.  The root and fiber path sums nothing through
-BLAS."""
+Aberth's Horner loops, and the parser's loop over characters.  The root
+and fiber path sums nothing through BLAS."""
 
 from __future__ import annotations
 
 import ast
 import os
+import random
 import re
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
 
 from test_bounds import loadable_fixtures
-from test_exprparse import _ladder_maps
+from test_exprparse import _integer_poly, _ladder_maps
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlab"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -111,15 +112,27 @@ def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
 
 
 def test_parse_cost_does_not_grow_with_degree(record_calls):
-    # a sum of polynomials is merged into one coefficient table: the only
-    # RationalFunction a ladder map A / B builds is its reduced quotient
-    built = record_calls(RationalFunction, "_set")
-    counts = {}
-    for text in _ladder_maps()[0], _ladder_maps()[16], _ladder_maps()[32]:  # A / B of degree 4, 20, 64
-        before = len(built)
-        degree = parse_expression(text).degree
-        counts[degree] = len(built) - before
-    assert counts == {4: 1, 20: 1, 64: 1}
+    # a sum of polynomials is merged into one coefficient table, and a power
+    # of a monomial stays one whatever its exponent: the only RationalFunction
+    # a ladder map A / B builds is its reduced quotient, and a sum of
+    # monomials builds just its result
+    built, proofs = record_calls(RationalFunction, "_set"), record_calls(poly, "in_range")
+
+    def cost(text: str) -> tuple[int, int]:
+        built.clear()
+        proofs.clear()
+        parse_expression(text)
+        return len(built), len(proofs)
+
+    rng = random.Random(36)
+    maps = [_ladder_maps()[0], _ladder_maps()[16], _ladder_maps()[32]]  # A / B of degree 4, 20, 64
+    maps += [f"({_integer_poly(rng, d)})/({_integer_poly(rng, d)})" for d in (128, 256)]
+    for text in maps + ["3*z^65", "3*z^300", "z^4096"]:
+        assert cost(text)[0] == 1, text[:40]
+    for n in (64, 256):
+        sets, range_proofs = cost("+".join(f"{rng.randint(1, 99)}*z^{k}" for k in range(1, n + 1)))
+        # the range is proved once per term the sum merges, and on the result
+        assert sets == 1 and range_proofs <= 2 * n, (n, sets, range_proofs)
 
 
 @pytest.mark.parametrize(
@@ -145,6 +158,8 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
         # Aberth reads p and p' off one table of powers per step, not off a
         # Horner loop of ufunc calls per coefficient
         pytest.param(r"^roots\.py:.*np\.(polyval|polyder)", id="aberth-polyval"),
+        # the lexer is one regex scan of the whole text, not a loop over its characters
+        pytest.param(r"^exprparse\.py:.*(class _Token\b|\.isspace\(\))", id="character-lexer"),
     ],
 )
 def test_a_removed_route_is_gone(pattern):
