@@ -21,7 +21,8 @@ parts is at most 65536, the size of a 64th power of 1024-bit parts; any
 other base keeps the cap, as squaring a polynomial of several terms up to
 degree 4096 costs seconds.  Blanks are the characters ``str.isspace``
 accepts.  Digits are ASCII '0' to '9' only: any other Unicode digit, a
-superscript 2 say, is an unexpected character.
+superscript 2 say, is an unexpected character.  A literal has at most 4300
+characters, and at most 200 parentheses and unary minuses are open at once.
 
 Every operator is exact arithmetic over Q(i), so division is symbolic and
 the result is a reduced RationalFunction, never a number.  The text is lexed
@@ -57,6 +58,8 @@ __all__ = ["ExpressionError", "parse_expression", "format_expression", "parse_sp
 MAX_EXPONENT = 64
 MAX_DEGREE = 4096
 MAX_POWER_BITS = MAX_EXPONENT * 1024
+MAX_NESTING = 200  # open parentheses and unary minuses: each costs at most three stack frames
+MAX_LITERAL = 4300  # characters of one literal: the default limit of Python's int() on a digit string
 # one match per token, after the blanks before it: a number with its 'i', or any other character
 _TOKEN = re.compile(r"\s*((?=[0-9.])[0-9]*\.?[0-9]*(?:[eE][+-]?[0-9]+)?i?|\S)")
 # an operator or parenthesis stands for itself, 'z' and 'i' for their monomials
@@ -232,6 +235,8 @@ def _literal(text: str, k: int, token: str) -> tuple[int, int, int, int]:
     if len(raw) < 309 and raw.isdigit():  # below 10^308
         value = int(raw)
     else:
+        if len(raw) > MAX_LITERAL:
+            raise ExpressionError(f"number of more than {MAX_LITERAL} characters", _position(text, k))
         try:
             rounded = float(raw)
         except ValueError:
@@ -261,7 +266,7 @@ class _Parser:
     monomial (k, x, y, den), a ``_Sum`` or a ``RationalFunction``."""
 
     def __init__(self, text: str):
-        self.text, self.tokens, self.k = text, _lex(text), 0
+        self.text, self.tokens, self.k, self.depth = text, _lex(text), 0, 0
 
     def error(self, message: str, k: int | None = None) -> ExpressionError:
         return ExpressionError(message, _position(self.text, self.k if k is None else k))
@@ -319,16 +324,21 @@ class _Parser:
     def factor(self):
         token = self.tokens[self.k]
         self.k += 1
-        if token == "-":
-            out = self.factor()
-            return (out[0], -out[1], -out[2], out[3]) if type(out) is tuple else -out
         if type(token) is tuple:
             out = token
-        elif token == "(":
+        elif token == "-" or token == "(":  # one level deeper until its operand is read
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise self.error(f"nesting deeper than {MAX_NESTING} levels", self.k - 1)
+            if token == "-":
+                out = self.factor()
+                self.depth -= 1
+                return (out[0], -out[1], -out[2], out[3]) if type(out) is tuple else -out
             out = self.expr()
             if self.tokens[self.k] != ")":
                 raise self.error("expected ')'")
             self.k += 1
+            self.depth -= 1
         else:
             raise self.error("expected a number, 'z' or '('", self.k - 1)
         if self.tokens[self.k] != "^":
@@ -448,16 +458,8 @@ def format_polynomial(p: Polynomial) -> str:
         if c == 0:
             continue
         term = _format_coeff_term(c, power)
-        if not parts:
-            parts.append(term)
-        elif term.startswith("-"):
-            parts.append("-" + term[1:])
-        else:
-            parts.append("+" + term)
-    out = parts[0]
-    for piece in parts[1:]:
-        out += piece
-    return out
+        parts.append("+" + term if parts and not term.startswith("-") else term)
+    return "".join(parts)
 
 
 def format_expression(f: RationalFunction) -> str:

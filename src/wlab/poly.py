@@ -2,12 +2,18 @@
 
 Coefficients are double-precision complex numbers stored lowest degree first
 with exact trailing zeros stripped; the zero polynomial is the empty
-coefficient tuple and reports degree -1.  Beside them live the exact
-polynomials over Z[i] that ``rational`` keeps its canonical form in and
-``roots`` reads multiplicities and orders off: their arithmetic,
-subresultant gcd, primitive parts, exact quotients and exponents, and
-correctly rounded float views, and their images modulo one prime, where a
-gcd of 1 certifies coprimality (``mod_p_gcd_degree``).
+coefficient tuple and reports degree -1.  One kernel evaluates them at
+located points: ``block_values`` reads rows of coefficients (p and p', or
+N and D) at n points off one table of powers and, on request, bounds
+|q(z_i)| rigorously for the exact monic q that row 0 views; Aberth's steps,
+the discs' bound and the values at located roots read it.  The mesh and the
+curvature need values alone at many points of a low-degree form, and read
+``Polynomial.__call__``.  Beside them live the exact polynomials over
+Z[i] that ``rational`` keeps its canonical form in and ``roots`` reads
+multiplicities and orders off: their arithmetic, subresultant gcd,
+primitive parts, exact quotients and exponents, and correctly rounded float
+views, and their images modulo one prime, where a gcd of 1 certifies
+coprimality (``mod_p_gcd_degree``).
 """
 
 from __future__ import annotations
@@ -20,9 +26,13 @@ from typing import Iterable
 import numpy as np
 
 __all__ = [
-    "Polynomial", "Exact", "LocatedRoot", "exact_gcd", "exact_primitive", "exact_quotient", "exact_exponent", "rounded",
-    "in_range",
+    "Polynomial", "Exact", "LocatedRoot", "coefficient_blocks", "block_values", "exact_gcd", "exact_primitive",
+    "exact_quotient", "exact_exponent", "rounded", "in_range",
 ]
+
+_BLOCK = 64  # coefficients per block of the evaluation table
+_U = 2.0**-53  # unit roundoff of a double
+_SUBNORMAL = 2.0**-1074  # the least double: what one rounding below the normal range can lose
 
 
 class Polynomial:
@@ -35,10 +45,7 @@ class Polynomial:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[complex] = ()) -> None:
-        if isinstance(coeffs, np.ndarray):
-            c = coeffs.astype(complex, copy=False).tolist()
-        else:
-            c = [complex(x) for x in coeffs]
+        c = [complex(x) for x in coeffs]
         while c and c[-1] == 0:
             c.pop()
         self._c = tuple(c)
@@ -63,14 +70,9 @@ class Polynomial:
         return max((abs(x) for x in self._c), default=0.0)
 
     def __call__(self, z):
-        """Evaluate via Horner; accepts scalars or numpy arrays."""
-        if not self._c:
-            return np.zeros_like(z, dtype=complex) if isinstance(z, np.ndarray) else 0j
-        hi_first = np.asarray(self._c[::-1], dtype=complex)
-        out = np.polyval(hi_first, z)
-        if isinstance(z, np.ndarray):
-            return out
-        return complex(out)
+        """Values alone, by Horner's rule (``np.polyval``), at a scalar or an array."""
+        out = np.polyval(np.array(self._c[::-1] or (0j,), dtype=complex), z)
+        return out if isinstance(z, np.ndarray) else complex(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Polynomial) and self._c == other._c
@@ -84,6 +86,71 @@ class Polynomial:
     def antiderivative(self) -> "Polynomial":
         """The primitive that vanishes at 0."""
         return Polynomial((0j,) + tuple(c / (k + 1) for k, c in enumerate(self._c)))
+
+
+# -- the bounded evaluator -------------------------------------------------------
+
+
+def coefficient_blocks(rows) -> np.ndarray:
+    """Rows of coefficients (low->high), zero-padded to the longest, n + 1,
+    in blocks of b = min(n + 1, ``_BLOCK``): entry [j, k, t] is the
+    coefficient of z^(kb + t) in row j."""
+    m = max(map(len, rows))
+    b = min(m, _BLOCK)
+    blocks = np.zeros((len(rows), -(-m // b) * b), dtype=complex)
+    for j, row in enumerate(rows):
+        blocks[j, : len(row)] = row
+    return blocks.reshape(len(rows), -1, b)
+
+
+def block_values(blocks: np.ndarray, z: np.ndarray, bound: bool = False):
+    """The value of every row of ``coefficient_blocks`` at every z_i, shape
+    (rows, len(z)); with ``bound``, also upper bounds of |q(z_i)|, q the exact
+    monic polynomial whose correctly rounded view p is row 0.
+
+    One multiply.accumulate builds the table of the powers z_i^0 ..
+    z_i^(b-1), at most ``_BLOCK`` rows; one einsum contracts it with every
+    block of every row, and Horner's rule in z_i^b runs across the blocks.
+    A term c_j z^j, j = hb + t, passes through at most P = kb + k complex
+    products (t - 1 for z^t, one by c_j, one where c_j was rounded, as j c_j
+    in a row of p' is, and b per Horner step, z^b's counted), each within
+    sqrt(2) gamma_2 < 3u (Higham, *Accuracy and Stability*, Lemma 3.5), and
+    at most A = b + k sums, each within u: a value errs by at most gamma_m S,
+    m = 3P + A, S = sum_j |c_j| |z_i|^j.  S', this call on the real rows
+    |row 0| at the |z_i|, is at least (1 - mu) S: a term of it passes
+    through fewer than m roundings, each down by at most u, a modulus
+    counting as two (|z_i| enters z^t t times).  A coefficient of p errs
+    from q's by at most gamma_1 of its own modulus, so |q(z_i)| <= |v_i| +
+    (gamma_m + gamma_1) S <= |v_i| + (m + 1)(1 + 3mu) u S', v_i the computed
+    p(z_i), and (m + 2) u S' leaves a margin of u S' / 2 while m < 10^7;
+    the factor 1 + 8u covers the roundings of the bound itself.  Below
+    the normal range each of at most 2(kb + b) products errs by at most 2
+    least doubles more, amplified by at most 2(C + S), C = sum_j |c_j|, and
+    each coefficient of p by one, amplified by at most 1 + S; where S' < 1,
+    32(kb + b)(2 + C) least doubles cover these and (m + 2) u times what S'
+    loses there, and where S' >= 1 the margin does.  Callers hold
+    ``np.errstate``: past the range of a double a value, and so its bound,
+    is not finite.
+    """
+    _, k, b = blocks.shape
+    table = np.empty((b, len(z)), dtype=z.dtype)
+    table[0] = 1.0
+    table[1:] = z
+    np.multiply.accumulate(table, axis=0, out=table)
+    # einsum without ``optimize`` sums in its own loops, never through BLAS
+    sums = np.einsum("jkb,bi->kji", blocks, table)
+    values = sums[-1]
+    if k > 1:
+        zb = table[-1] * z
+        for s in sums[-2::-1]:
+            values = values * zb + s
+    if not bound:
+        return values
+    moduli = np.abs(blocks[:1])
+    size = block_values(moduli, np.abs(z))[0]
+    m = 3 * (k * b + k) + b + k
+    slack = 32 * (k * b + b) * _SUBNORMAL * (2 + moduli.sum())
+    return values, (np.abs(values[0]) + (m + 2) * _U * size + slack) * (1 + 8 * _U)
 
 
 # -- exact polynomials over Q(i) -------------------------------------------------

@@ -17,8 +17,9 @@ computed over Z[i], from the Taylor coefficients of the exact pair at P / Q,
 and each is rounded once; ``GaussianRational`` keeps the exact value beside
 the rounded one.  The residue at infinity is read off the exact
 pseudo-remainder.  At located roots whose factor has higher degree, values
-are read off the views (once per factor, ``values_at``), and a principal
-part there is refused: such poles occur only in data that is not regular.
+are read off the views (``poly.block_values``, once for all such points),
+and a principal part there is refused: such poles occur only in data that
+is not regular.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from wlab.poly import (
     OUT_OF_RANGE,
     Exact,
     Polynomial,
+    block_values,
+    coefficient_blocks,
     exact_add,
     exact_coeffs,
     exact_cofactors,
@@ -575,15 +578,16 @@ class RationalFunction:
         Z[i] as sum a_k P^k Q^(n-k), numerator and denominator alike, so the
         value is rounded once; infinity where the denominator vanishes.  At
         the roots of a factor of higher degree the value is infinity or 0
-        where the factor divides the denominator or numerator, else read off
-        the views (the reversed ones where that is not finite), infinity where
-        the denominator's is exactly 0; each such factor is tested once, and
-        the views are evaluated once at all of its points.
+        where the factor divides the denominator or numerator, each factor
+        tested once, else read off the views as two rows of one power table
+        (``poly.block_values``) at all such points at once, or, where that
+        is not finite, off the reversed rows at 1/z; infinity where the
+        denominator's value is exactly 0 or the quotient is not finite.
         """
         points = [SpherePoint.of(p) for p in points]
         if self.is_zero:
             return [SpherePoint(0j) for _ in points]
-        (a, b), out, shared = self._pair, [], {}
+        (a, b), out, tested, viewed = self._pair, [], {}, []
         for k, p in enumerate(points):
             if p.is_infinity:
                 out.append(
@@ -593,8 +597,11 @@ class RationalFunction:
                 continue
             f = p.exact_factor
             if len(f) > 2:
-                shared.setdefault(f, []).append(k)
-                out.append(None)
+                if f not in tested:
+                    tested[f] = INF if _divides(f, b) else SpherePoint(0j) if _divides(f, a) else None
+                out.append(tested[f])
+                if tested[f] is None:
+                    viewed.append(k)
                 continue
             n = max(len(a), len(b)) - 1
             ((u, v),), ((s, t),) = (_taylor(c, f, n, 1) for c in (a, b))
@@ -604,31 +611,17 @@ class RationalFunction:
                 out.append(SpherePoint(0j))
             else:
                 out.append(SpherePoint(GaussianRational.quotient((u, v), (s, t))))
-        for f, ks in shared.items():
-            if _divides(f, b):
-                values = [INF] * len(ks)
-            elif _divides(f, a):
-                values = [SpherePoint(0j)] * len(ks)
-            else:
-                z = np.array([points[k].value for k in ks])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    values = [
-                        INF if d == 0 else SpherePoint(v if math.isfinite(abs(v := x / d)) else self._far_value(w))
-                        for w, x, d in zip(z.tolist(), self.num(z).tolist(), self.den(z).tolist())
-                    ]
-            for k, value in zip(ks, values):
-                out[k] = value
+        if viewed:
+            z, num, den = np.array([points[k].value for k in viewed]), self.num.coeffs, self.den.coeffs
+            rows = np.zeros((2, max(len(num), len(den))), dtype=complex)
+            rows[0, : len(num)], rows[1, : len(den)] = num, den
+            with np.errstate(all="ignore"):
+                x, d = block_values(coefficient_blocks(rows), z)
+                if (far := ~np.isfinite(x / d) & (d != 0)).any():  # the reversed rows at 1/z: the same quotient
+                    x[far], d[far] = block_values(coefficient_blocks(rows[:, ::-1]), 1 / z[far])
+            for k, u, v in zip(viewed, x.tolist(), d.tolist()):
+                out[k] = SpherePoint(w) if v and cmath.isfinite(w := u / v) else INF
         return out
-
-    def _far_value(self, z: complex) -> complex | None:
-        """N(z) / D(z) as z^(n - m) N~(1/z) / D~(1/z) through the reversed views,
-        where N(z) and D(z) leave the range of a double; None (infinity) where
-        the value does too."""
-        (num, den), w = (self.num.coeffs, self.den.coeffs), 1 / z
-        try:
-            return complex(np.polyval(num, w)) / complex(np.polyval(den, w)) * z ** (len(num) - len(den))
-        except (OverflowError, ZeroDivisionError):
-            return None
 
     def residue_at(self, point) -> GaussianRational:
         """Residue of the differential f dz at a sphere point.

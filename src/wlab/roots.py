@@ -2,19 +2,21 @@
 
 Distinct roots are located by an Aberth-Ehrlich simultaneous iteration and
 certified by inclusion discs built from its own Weierstrass corrections:
-pairwise disjoint discs hold one root each (``_inclusion_radii``).  Where
-the discs overlap in doubles, as for roots closer than about sqrt(u) times
-their scale, a few more Aberth steps run with exact Newton ratios over Z[i]
-and the discs are tested with exact values (``_refined_roots``); where even
-those overlap, RootIsolationError carries them.  The discs are the one
-certificate: no second float route and no residual bound.  The iteration
-starts from the Newton polygon of the coefficients, one circle per group of
-roots of like modulus and no random start, so it stays within 6-18 steps on
-Wronskians of integer maps up to degree 126.  Each step reads p and p' at
-every iterate off one table of powers, contracted with blocks of at most 64
-coefficients (``_values_and_slopes``): a fixed number of array operations per
-step, not two per coefficient; the first non-finite iterate ends the
-iteration, as its correction would spread it to every other.
+pairwise disjoint discs hold one root each (``_disc_radii``).  One kernel,
+``poly.block_values``, evaluates the float view: each Aberth step reads p
+and p' at every iterate off one table of powers contracted with blocks of
+at most 64 coefficients, a fixed number of array operations per step, and
+the discs rest on the rigorous bound of |q(z_i)| the same kernel returns
+with the values.  Where the discs overlap in doubles, as for roots closer
+than about sqrt(u) times their scale, a few more Aberth steps run with
+exact Newton ratios over Z[i] and the discs are tested with exact values
+(``_refined_roots``); where even those overlap, RootIsolationError carries
+them.  The discs are the one certificate: no second float route and no
+residual bound.  The iteration starts from the Newton polygon of the
+coefficients, one circle per group of roots of like modulus and no random
+start, so it stays within 6-18 steps on Wronskians of integer maps up to
+degree 126; the first non-finite iterate ends it with RootIsolationError,
+as its correction would spread it to every other.
 
 Multiplicities come from Yun's square-free factorization (Yun 1976) of the
 exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
@@ -37,8 +39,8 @@ import math
 import numpy as np
 
 from wlab.poly import (
-    P0, Exact, LocatedRoot, Polynomial, exact_derivative, exact_gcd, exact_mul, exact_primitive, exact_quotient,
-    mod_p, mod_p_gcd_degree, rounded,
+    P0, Exact, LocatedRoot, Polynomial, block_values, coefficient_blocks, exact_derivative, exact_gcd, exact_mul,
+    exact_primitive, exact_quotient, mod_p, mod_p_gcd_degree, rounded,
 )
 from wlab.tolerances import Tolerances
 
@@ -49,11 +51,9 @@ __all__ = [
 
 _ABERTH_MAX_ITER = 120
 _ABERTH_STOP = 1e-14
-_BLOCK = 64  # coefficients per block of the evaluation table
 _REFINE_MAX_STEPS = 8
 _OFF_AXIS = 0.25 * complex(math.cos(1.0), math.sin(1.0))  # off-axis move, times the nearest distance
 _U = 2.0**-53  # unit roundoff of a double
-_SUBNORMAL = 2.0**-1074  # the least double: what one rounding below the normal range can lose
 _TINY = float(np.finfo(float).tiny)  # the least normal double
 
 
@@ -124,69 +124,31 @@ def _aberth(p: Polynomial) -> np.ndarray:
 
     which converges cubically for simple roots. The caller passes the monic
     view of a square-free Yun factor, so simple roots is the expected
-    situation.
+    situation.  RootIsolationError at the first iterate that is not finite.
     """
     n = p.degree
-    if n < 1:
-        return np.zeros(0, dtype=complex)
     if n == 1:
         c0, c1 = p.coeffs
         return np.array([-c0 / c1], dtype=complex)
     c = np.asarray(p.coeffs, dtype=complex)
     z = _newton_polygon_start(c)
-    blocks = _coefficient_blocks(c)
+    blocks = coefficient_blocks((c, c[1:] * np.arange(1, n + 1)))
     with np.errstate(all="ignore"):
         for _ in range(_ABERTH_MAX_ITER):
-            pv, dv = _values_and_slopes(blocks, z)
+            pv, dv = block_values(blocks, z)
             dv = np.where(dv == 0, 1e-300, dv)
             corr = _aberth_correction(z, pv / dv)
             z = z - corr
-            if not np.isfinite(z).all():
-                return z  # the correction spreads a non-finite iterate to every other
+            if not np.isfinite(z).all():  # the correction would spread it to every other iterate
+                raise RootIsolationError(z, np.full(n, np.inf))
             if np.max(np.abs(corr) / (1.0 + np.abs(z))) < _ABERTH_STOP:
                 break
         # two Newton polish steps sharpen the residuals
         for _ in range(2):
-            pv, dv = _values_and_slopes(blocks, z)
+            pv, dv = block_values(blocks, z)
             step = np.where(np.abs(dv) > 0, pv / np.where(dv == 0, 1e-300, dv), 0.0)
             z = z - step
     return z
-
-
-def _coefficient_blocks(c: np.ndarray) -> np.ndarray:
-    """The coefficients (low->high) of p and of p' in blocks of b = min(n + 1,
-    ``_BLOCK``), zero-padded: entry [j, k, t] is the coefficient of z^(kb + t)
-    in p (j = 0) or in p' (j = 1)."""
-    n = len(c) - 1
-    b = min(n + 1, _BLOCK)
-    k = -(-(n + 1) // b)
-    blocks = np.zeros((2, k * b), dtype=complex)
-    blocks[0, : n + 1] = c
-    blocks[1, :n] = c[1:] * np.arange(1, n + 1)
-    return blocks.reshape(2, k, b)
-
-
-def _values_and_slopes(blocks: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p(z_i), p'(z_i)) for every iterate, from ``_coefficient_blocks``.
-
-    One table of the powers z_i^0 .. z_i^(b-1), of shape (b, len(z)) and so
-    never more than ``_BLOCK`` rows, is built by one multiply.accumulate; one
-    einsum contracts it with every block of p and p' at once, and Horner's
-    rule in z_i^b runs across the blocks.  einsum without ``optimize`` sums
-    in its own loops, never through BLAS, whose kernels vary with the CPU.
-    """
-    _, k, b = blocks.shape
-    table = np.empty((b, len(z)), dtype=complex)
-    table[0] = 1.0
-    table[1:] = z
-    np.multiply.accumulate(table, axis=0, out=table)
-    sums = np.einsum("jkb,bi->kji", blocks, table)
-    acc = sums[-1]
-    if k > 1:
-        zb = table[-1] * z
-        for s in sums[-2::-1]:
-            acc = acc * zb + s
-    return acc[0], acc[1]
 
 
 def _aberth_correction(z: np.ndarray, ratio: np.ndarray) -> np.ndarray:
@@ -225,39 +187,6 @@ def _disc_radii(z: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return radii, clash
 
 
-def _horner_bound(p: Polynomial, z: np.ndarray) -> np.ndarray:
-    """Upper bounds of |q(z_i)|, for the monic float view p of an exact monic q, each part correctly rounded.
-
-    Horner's computed partial sums y_k of p(z_i) give G = sum_k |y_k|
-    |z_i|^k; with u the unit roundoff, each step's complex product errs by
-    at most sqrt(2) gamma_2 < 3u of |z_i y_(k+1)| (Higham, *Accuracy and
-    Stability*, Lemma 3.5) and its sum by at most u / (1 - u) < 2u of |y_k|,
-    so the running error bound (ibid., section 5.1) of the computed p(z_i)
-    is at most 5uG.  Each coefficient of p errs from q's by at most u
-    relative, and sum_k |p_k| |z_i|^k <= 2G + 5uG, so |q(z_i)| <= |y_0| +
-    10uG, plus 8(n + 1)(1 + G) least doubles for what rounds below the
-    normal range.
-    """
-    n = len(z)
-    c = np.asarray(p.coeffs, dtype=complex)
-    with np.errstate(all="ignore"):
-        az = np.abs(z)
-        y = np.full(n, c[n])
-        g = np.abs(y)
-        for ck in c[n - 1 :: -1]:
-            y = y * z + ck
-            g = az * g + np.abs(y)
-        return np.abs(y) + 10 * _U * g + 8 * (n + 1) * _SUBNORMAL * (1 + g)
-
-
-def _inclusion_radii(p: Polynomial, z: np.ndarray) -> np.ndarray | None:
-    """Radii of pairwise disjoint discs about the Aberth roots z of the exact
-    monic q, one root in each (``_disc_radii``, with ``_horner_bound``'s
-    bounds for the monic view p); None if they overlap."""
-    radii, clash = _disc_radii(z, _horner_bound(p, z))
-    return None if clash.any() else radii
-
-
 def _exact_step(q: Exact, z: complex) -> tuple[float, complex]:
     """(a bound above |q(z) / lc(q)|, q(z) / q'(z) rounded once), for the double z read exactly.
 
@@ -282,19 +211,19 @@ def _exact_step(q: Exact, z: complex) -> tuple[float, complex]:
     return bound, complex((vr * wr + vi * wi) / norm, (vi * wr - vr * wi) / norm) if norm else 0j
 
 
-def _refined_roots(q: Exact, p: Polynomial, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The roots of the exact square-free q and their disjoint discs, refined from Aberth's z.
+def _refined_roots(q: Exact, z: np.ndarray, bound: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots of the exact square-free q and their disjoint discs, refined
+    from Aberth's z, whose |q(z_i)| ``bound`` bounds.
 
-    Only iterates whose discs meet another's move (p is q's monic view): each
-    first off the real axis by a fixed-angle fraction of its nearest-neighbour
-    distance, as real steps keep a near-real conjugate pair real, then by up
-    to ``_REFINE_MAX_STEPS`` Aberth steps with exact Newton ratios, its bound
+    Only iterates whose discs meet another's move: each first off the real
+    axis by a fixed-angle fraction of its nearest-neighbour distance, as
+    real steps keep a near-real conjugate pair real, then by up to
+    ``_REFINE_MAX_STEPS`` Aberth steps with exact Newton ratios, its bound
     now the exact |q(z_i)| (``_exact_step``).  RootIsolationError where the
     discs still overlap.
     """
-    bound = _horner_bound(p, z)
+    corr, ratio, bound = np.zeros(len(z), dtype=complex), np.zeros(len(z), dtype=complex), bound.copy()
     radii, active = _disc_radii(z, bound)
-    corr, ratio = np.zeros(len(z), dtype=complex), np.zeros(len(z), dtype=complex)
     with np.errstate(all="ignore"):
         dist = np.abs(z[:, None] - z[None, :])
         np.fill_diagonal(dist, np.inf)
@@ -316,12 +245,15 @@ def _refined_roots(q: Exact, p: Polynomial, z: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _located_roots(q: Exact) -> list[complex]:
-    """The roots of the exact square-free q: Aberth's, where their double
-    discs are disjoint, else ``_refined_roots``."""
+    """The roots of the exact square-free q: Aberth's, where their discs
+    (``_disc_radii``, from the bound ``block_values`` gives with the values
+    of q's monic view) are disjoint, else ``_refined_roots``."""
     view = _monic_view(q)
     located = _aberth(view)
-    if _inclusion_radii(view, located) is None:
-        located, _radii = _refined_roots(q, view, located)
+    with np.errstate(all="ignore"):
+        bound = block_values(coefficient_blocks((view.coeffs,)), located, bound=True)[1]
+    if _disc_radii(located, bound)[1].any():
+        located, _radii = _refined_roots(q, located, bound)
     return [complex(z) for z in located]
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import wlab.cli
+import wlab.poly
 import wlab.roots
 from wlab.analysis import Analysis
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, _load_data, main
@@ -203,6 +204,26 @@ def test_nested_powers_past_the_degree_cap_are_a_usage_error(capsys, tmp_path):
     assert err == (
         f"error: {data}: degree overflow: the result can reach degree 262144 > 4096 (at position 11)\n"
     )
+
+
+@pytest.mark.parametrize(
+    "g1, message",
+    [
+        ("(" * 400 + "z" + ")" * 400, "nesting deeper than 200 levels (at position 200)"),
+        ("-" * 1200 + "z", "nesting deeper than 200 levels (at position 200)"),
+        ("0" * 5000 + "1*z", "number of more than 4300 characters (at position 0)"),
+        ("z + 0." + "0" * 5000 + "1", "number of more than 4300 characters (at position 4)"),
+    ],
+    ids=["parentheses", "unary-minuses", "integer-literal", "decimal-literal"],
+)
+def test_deep_nesting_and_long_literals_are_input_errors_at_their_position(capsys, tmp_path, g1, message):
+    # nesting past Python's recursion limit once failed as a RecursionError,
+    # and a literal past its int conversion limit as Python's message
+    data = tmp_path / "deep.json"
+    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    code, doc, err = run(capsys, "check", str(data))
+    assert code == EXIT_USAGE and doc is None
+    assert err == f"error: {data}: {message}\n"
 
 
 @pytest.mark.parametrize("g1", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
@@ -647,13 +668,14 @@ def _bench_random_poly(rng: random.Random, degree: int) -> list[int]:
 
 def test_a_non_finite_aberth_iterate_stops_the_iteration_without_a_warning(capsys, tmp_path, record_calls):
     # regular data at d = 128: Aberth's iterates on a Wronskian factor of
-    # degree 254 leave the range of a double; the iteration stops there, as
-    # the correction spreads a NaN to every iterate, and the exact refinement
-    # refuses them, with no numpy RuntimeWarning on the way
+    # degree 254 leave the range of a double; the iteration stops there with
+    # RootIsolationError, as the correction would spread a NaN to every
+    # iterate, so the evaluator never sees one, and no numpy RuntimeWarning
+    # is raised on the way
     rng = random.Random(128)
     n1, d1, n2, d2 = (" + ".join(f"({c})*z^{k}" for k, c in enumerate(_bench_random_poly(rng, 128))) for _ in range(4))
     path = write_data(tmp_path, "d128", ["inf"], f"({d1})*({d2})", f"({n1})/({d1})", f"({n2})/({d2})")
-    evaluated = record_calls(wlab.roots, "_values_and_slopes")
+    evaluated = record_calls(wlab.poly, "block_values")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code, doc, err = run(capsys, "report", path)

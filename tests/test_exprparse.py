@@ -150,6 +150,20 @@ def test_error_positions_count_every_character_before_them(text, message, positi
     assert err.value.position == position
 
 
+def test_nesting_is_refused_past_its_cap_at_the_deepest_token():
+    # each open '(' costs three stack frames, each unary minus one: the cap
+    # keeps a parse far inside Python's recursion limit
+    z, cap = parse_expression("z"), exprparse.MAX_NESTING
+    assert parse_expression("(" * cap + "z" + ")" * cap) == z
+    assert parse_expression("-" * cap + "z") == z
+    assert parse_expression("(-" * (cap // 2) + "z" + ")" * (cap // 2)) == (-z if cap // 2 % 2 else z)
+    for text, position in [("(" * (cap + 1) + "z" + ")" * (cap + 1), cap), ("-" * (cap + 1) + "z", cap),
+                           ("(-" * (cap // 2) + "(z)" + ")" * (cap // 2), cap)]:
+        with pytest.raises(ExpressionError) as err:
+            parse_expression(text)
+        assert str(err.value) == f"nesting deeper than {cap} levels (at position {position})"
+
+
 @pytest.mark.parametrize("text", ["1e400", "1e400i", "(z^2+1e400)/(z-1)"])
 def test_literal_overflowing_a_double_is_rejected(text):
     # read as inf, the literal would vanish from the polynomial and the

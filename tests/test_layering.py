@@ -5,8 +5,9 @@ definition in the package is reached from inside it.  The period path
 reads exact residues only, and the contour that once checked them is gone,
 as are the float Laurent expansions, the quadrature that once checked the
 total curvature, the per-point order methods that found each order again,
-Aberth's Horner loops, and the parser's loop over characters.  The root
-and fiber path sums nothing through BLAS."""
+Aberth's Horner loops, the disc bound's and the far values' own
+evaluators, and the parser's loop over characters.  The root and fiber
+path, with the evaluator it reads, sums nothing through BLAS."""
 
 from __future__ import annotations
 
@@ -158,6 +159,11 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
         # Aberth reads p and p' off one table of powers per step, not off a
         # Horner loop of ufunc calls per coefficient
         pytest.param(r"^roots\.py:.*np\.(polyval|polyder)", id="aberth-polyval"),
+        # the disc bound and the values at located points come from the one
+        # bounded evaluator, poly.block_values: no Horner loop of their own
+        pytest.param(r"_horner_bound|_far_value|_values_and_slopes", id="second-evaluator"),
+        # np.polyval serves Polynomial.__call__ alone, for the mesh and curvature
+        pytest.param(r"^(?!poly\.py:).*np\.polyval", id="polyval-outside-poly"),
         # the lexer is one regex scan of the whole text, not a loop over its characters
         pytest.param(r"^exprparse\.py:.*(class _Token\b|\.isspace\(\))", id="character-lexer"),
     ],
@@ -176,7 +182,7 @@ def test_a_removed_route_is_gone(pattern):
 BLAS_CALLS = {"dot", "matmul", "vdot", "inner", "tensordot", "linalg"}
 
 
-@pytest.mark.parametrize("name", ["roots.py", "ramification.py"])
+@pytest.mark.parametrize("name", ["roots.py", "ramification.py", "poly.py", "rational.py"])
 def test_the_root_and_fiber_path_calls_no_blas(name):
     # BLAS picks its kernels by CPU at run time, which NPY_DISABLE_CPU_FEATURES
     # does not reach, so a result summed there could differ between machines:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import exact, from_roots
 from test_ramification import PUNCTURE_POOL, assert_fibers_match_counting, random_map
-from wlab import roots
+from wlab import poly, roots
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import P0, Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
@@ -402,8 +403,9 @@ def test_every_inclusion_disc_holds_one_50_digit_root(power):
                 continue
             view = roots._monic_view(f)
             located = roots._aberth(view)
-            radii = roots._inclusion_radii(view, located)
-            assert radii is not None
+            bound = poly.block_values(poly.coefficient_blocks((view.coeffs,)), located, bound=True)[1]
+            radii, clash = roots._disc_radii(located, bound)
+            assert not clash.any()
             assert_one_50_digit_root_per_disc(f, located, radii)
 
 
@@ -423,23 +425,28 @@ def test_every_refined_disc_holds_one_50_digit_root(record_calls):
                 assert_fibers_match_counting(f, tuple(parse_sphere_point(str(p)) for p in names))
             except RootIsolationError:
                 pass
-    factors = {q: (view, z) for q, view, z in refined}
+    factors = {q: (z, bound) for q, z, bound in refined}
     assert len(factors) >= 200
-    for q, (view, z) in factors.items():
-        centres, radii = roots._refined_roots(q, view, z)
+    for q, (z, bound) in factors.items():
+        centres, radii = roots._refined_roots(q, z, bound)
         assert_one_50_digit_root_per_disc(q, centres, radii)
 
 
 def test_only_overlapping_discs_take_the_refinement(record_calls):
-    # disjoint double discs certify Aberth's roots; the 1e-9 pair's discs
-    # overlap in doubles, and only that factor is refined
+    # disjoint double discs certify Aberth's roots, on every Wronskian of a
+    # ladder map A^power / B up to degree 64; the 1e-9 pair's discs overlap
+    # in doubles, and only that factor is refined
     refined = record_calls(roots, "_refined_roots")
     roots_with_multiplicity(exact(from_roots([1, 1, 1, -2, -2, 1j])))
     roots_with_multiplicity(parse_expression(_ladder_map(random.Random("companion"), 20, 1)).derivative_numerator())
+    rng = random.Random("fast path")
+    for degree in (4, 8, 12, 16, 20, 24, 32, 48, 64):
+        for power in (1, 2, 3):
+            roots_with_multiplicity(parse_expression(_ladder_map(rng, degree, power)).derivative_numerator())
     assert refined == []
     p = exact(from_roots([1.0, 1.0 + 1e-9]))
     roots_with_multiplicity(p, Tolerances().scaled(1e-3))
-    assert [q for q, _view, _z in refined] == [exact_primitive(p)]
+    assert [q for q, _z, _bound in refined] == [exact_primitive(p)]
 
 
 def test_roots_closer_than_two_doubles_hold_apart_raise_with_their_discs():
@@ -459,21 +466,22 @@ def test_roots_closer_than_two_doubles_hold_apart_raise_with_their_discs():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 38, 63, 64, 65, 127, 128, 129, 254])
 def test_values_and_slopes_match_50_digit_evaluation(n):
-    # each term c_j z^j passes through at most P = n + b + k complex products
-    # (the powers, the coefficient, j c_j for p', and z^b with the product by
-    # it at each Horner level), each within 3u of exact (Higham, Lemma 3.5),
-    # and A = b + k sums, each within u; so |computed - p(z)| <= gamma_(3P + A)
-    # sum_j |c_j| |z|^j, and likewise for p' with the coefficients j c_j
+    # poly.block_values on the rows of p and p': each term c_j z^j passes
+    # through at most P = n + b + k complex products (the powers, the
+    # coefficient, j c_j for p', and z^b with the product by it at each Horner
+    # level), each within 3u of exact (Higham, Lemma 3.5), and A = b + k sums,
+    # each within u; so |computed - p(z)| <= gamma_(3P + A) sum_j |c_j| |z|^j,
+    # and likewise for p' with the coefficients j c_j
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     z = rng.choice([0.3, 0.9, 1.0, 1.1, 1.4], size=24) * np.exp(2j * np.pi * rng.random(24))
-    blocks = roots._coefficient_blocks(c)
+    blocks = poly.coefficient_blocks((c, c[1:] * np.arange(1, n + 1)))
     _, k, b = blocks.shape
     assert b == min(n + 1, 64)  # the power table has at most 64 rows
     m = 3 * (n + b + k) + b + k
-    gamma = m * roots._U / (1 - m * roots._U)
-    values, slopes = roots._values_and_slopes(blocks, z)
+    gamma = m * poly._U / (1 - m * poly._U)
+    values, slopes = poly.block_values(blocks, z)
     with mpmath.workdps(50):
         coeffs = [mpmath.mpc(x) for x in c[::-1]]
         for x, value, slope in zip(z, values, slopes):
@@ -482,3 +490,30 @@ def test_values_and_slopes_match_50_digit_evaluation(n):
             slope_size = sum(j * abs(cj) * abs(x) ** (j - 1) for j, cj in enumerate(c) if j)
             assert abs(value - exact_value) <= gamma * size, (n, x)
             assert abs(slope - exact_slope) <= gamma * slope_size, (n, x)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 20, 63, 64, 65, 130])
+def test_the_value_bound_holds_at_50_digits_even_where_the_value_cancels(n):
+    # q = prod (z - r_j), r_j = (a_j + b_j i) / 20, is exact over Q(i); the
+    # bound from its correctly rounded monic view covers |q(z)| at 50 digits
+    # at random points, at points 1e-10 from a root, and at each root rounded
+    # to a double, where the computed value is mostly rounding error
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(f"bound:{n}")
+    parts = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(n)]
+    f = ((1, 0),)
+    for a, b in parts:
+        f = exact_mul(f, ((-a, -b), (20, 0)))
+    at_roots = [complex(a / 20, b / 20) for a, b in parts]
+    near = [r + 1e-10 * complex(math.cos(t), math.sin(t)) for r, t in zip(at_roots, range(n))]
+    far = [complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in range(8)]
+    z = np.array(near + at_roots + far)
+    values, bound = poly.block_values(poly.coefficient_blocks((roots._monic_view(f).coeffs,)), z, bound=True)
+    short = 0
+    with mpmath.workdps(50):
+        exact_roots = [mpmath.mpc(mpmath.mpf(a) / 20, mpmath.mpf(b) / 20) for a, b in parts]
+        for x, value, upper in zip(z.tolist(), values[0].tolist(), bound.tolist()):
+            exact_value = abs(mpmath.fprod(mpmath.mpc(x) - r for r in exact_roots))
+            assert upper >= exact_value, (n, x, upper, exact_value)
+            short += abs(value) < exact_value
+    assert short  # the computed value alone falls short of |q(z)| somewhere
