@@ -57,10 +57,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .exprparse import as_sphere_point
-from .poly import Exact, exact_quotient
+from .poly import Exact, exact_gcd, exact_quotient
 from .ramification import fiber_table, roots_and_values
 from .rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
-from .roots import common_part
 from .tolerances import Tolerances
 from .weierstrass import VERDICT_DEGENERATE
 
@@ -544,7 +543,7 @@ def shared_values(
 
     tableA, tableB = fiber_table(gA, pts, tol), fiber_table(gB, pts, tol)
     (aA, bA), (aB, bB) = gA.pair, gB.pair
-    poles, zeros = common_part(bA, bB), common_part(aA, aB)
+    poles, zeros = exact_gcd(bA, bB), exact_gcd(aA, aB)
     rest = _without_roots_of(_without_roots_of(gA.cross_numerator(gB), poles), zeros)
     common = [(c, value) for c, _m, value in roots_and_values(gA, (poles, zeros, rest), tol)]
     if gA.value_at_sphere(INF).close_to(gB.value_at_sphere(INF), tol.eps_pt):
@@ -566,7 +565,7 @@ def shared_values(
 
 def _without_roots_of(p: Exact, g: Exact) -> Exact:
     """p with every root it shares with g divided out, to its full multiplicity."""
-    while len(c := common_part(p, g)) >= 2:
+    while len(c := exact_gcd(p, g)) >= 2:
         p = exact_quotient(p, c)
     return p
 

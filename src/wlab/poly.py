@@ -10,9 +10,10 @@ the discs' bound and the values at located roots read it.  The mesh and the
 curvature need values alone at many points of a low-degree form, and read
 ``Polynomial.__call__``.  Beside them live the exact polynomials over
 Z[i] that ``rational`` keeps its canonical form in and ``roots`` reads
-multiplicities and orders off: their arithmetic, subresultant gcd,
-primitive parts, exact quotients and exponents, and correctly rounded float
-views, and their images modulo one prime, where a gcd of 1 certifies
+multiplicities and orders off: their arithmetic, their one gcd
+(``exact_gcd``, the primitive gcd, every cancellation an exact quotient by
+it), primitive parts, exact quotients and exponents, and correctly rounded
+float views, and their images modulo one prime, where a gcd of 1 certifies
 coprimality (``mod_p_gcd_degree``).
 """
 
@@ -296,7 +297,8 @@ def mod_p_gcd_degree(a: list[int], b: list[int]) -> int:
 
 
 def exact_gcd(a: Exact, b: Exact) -> Exact:
-    """A gcd of two nonzero polynomials over Z[i], up to a unit of Q(i).
+    """The primitive gcd of two nonzero polynomials over Z[i]; 1 when either
+    is constant.
 
     The power of z they share is split off first, so a gcd with a monomial,
     such as a denominator z^k, runs no remainder sequence.  Then a gcd of 1
@@ -306,9 +308,12 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
     divides that leading coefficient.  Otherwise the subresultant remainder
     sequence decides (Collins 1967; Brown and Traub 1971): each
     pseudo-remainder is divided by the factor g h^delta that it is known to
-    carry, so the coefficients grow only linearly, with no content
-    computation.
+    carry, so the coefficients grow only linearly, and the last nonzero one
+    is made primitive once, at the end (``exact_primitive``), which fixes
+    its unit as well.
     """
+    if len(a) < 2 or len(b) < 2:
+        return ((1, 0),)
     ka, kb = (next(k for k, c in enumerate(p) if c != (0, 0)) for p in (a, b))
     shared, a, b = ((0, 0),) * min(ka, kb), a[ka:], b[kb:]
     if len(a) > 1 and len(b) > 1:
@@ -321,8 +326,10 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
     while len(b) > 1:
         delta = len(a) - len(b)
         r = pseudo_divmod(a, b)[1]
+        if not r:
+            return shared + exact_primitive(b)
         if len(r) < 2:
-            return shared + (b if not r else ((1, 0),))
+            break
         divisor = exact_mul((g,), exact_pow((h,), delta))[0]
         a, b = b, tuple(_gdiv(x, divisor) for x in r)
         g = a[-1]
@@ -332,20 +339,10 @@ def exact_gcd(a: Exact, b: Exact) -> Exact:
 
 
 def exact_cofactors(a: Exact, b: Exact) -> tuple[Exact, Exact]:
-    """(a / g, b / g) for their gcd g, times one common factor, so that the
-    quotient stays a / b; a and b themselves when either is constant."""
-    return exact_cancelled(a, b, exact_gcd(a, b) if len(a) > 1 and len(b) > 1 else ((1, 0),))
-
-
-def exact_cancelled(a: Exact, b: Exact, g: Exact) -> tuple[Exact, Exact]:
-    """(a / g, b / g) for a common divisor g, times one common factor, so
-    that the quotient stays a / b; a and b themselves when g is constant."""
-    if len(g) < 2:
-        return a, b
-    # the two pseudo-quotients carry lc(g)^(deg a - deg g + 1) and the same in b
-    qa, qb = pseudo_divmod(a, g)[0], pseudo_divmod(b, g)[0]
-    extra = exact_pow(g[-1:], abs(len(a) - len(b)))
-    return (exact_mul(qa, extra), qb) if len(a) < len(b) else (qa, exact_mul(qb, extra))
+    """(a / g, b / g) for their primitive gcd g, each an exact quotient, so
+    that the quotient stays a / b; a zero a, like a constant, has g = 1."""
+    g = exact_gcd(a, b)
+    return exact_quotient(a, g), exact_quotient(b, g)
 
 
 def exact_derivative(a: Exact) -> Exact:
@@ -384,6 +381,8 @@ def exact_quotient(a: Exact, b: Exact) -> Exact:
     not divide, or a remainder, breaks the caller's invariant:
     ``ArithmeticError``.
     """
+    if b == ((1, 0),):
+        return a
     n = len(b) - 1
     u, v = b[-1]
     norm = u * u + v * v

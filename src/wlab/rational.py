@@ -1,25 +1,26 @@
 """Rational functions on the Riemann sphere.
 
 A RationalFunction is a quotient of two polynomials over Q(i), kept exactly
-in reduced form with a monic denominator, and read through correctly rounded
-float views of numerator and denominator, each built on first read.  That no
-coefficient lies beyond the range of a double is proved on the exact pair
-when it is made, by bit lengths, and only where that proof fails are the
-views built then, to decide it.  Values, principal parts and residues are
-computed for the function and for the differential f dz, with no tolerance,
-at a point's exact factor (``SpherePoint.exact_factor``: the linear factor
-of a literal, or the Yun factor a located root was found from); orders are
-not computed here, but read off the exponents of one gcd-free basis
-(``Analysis.orders_at``).  The value at infinity is read off the degrees
-and leading entries.  Where the factor is linear (a literal P / Q, or a
-located root of degree one) the value and the Laurent coefficients are
-computed over Z[i], from the Taylor coefficients of the exact pair at P / Q,
-and each is rounded once; ``GaussianRational`` keeps the exact value beside
-the rounded one.  The residue at infinity is read off the exact
-pseudo-remainder.  At located roots whose factor has higher degree, values
-are read off the views (``poly.block_values``, once for all such points),
-and a principal part there is refused: such poles occur only in data that
-is not regular.
+in reduced form with a monic denominator, each common factor cancelled by an
+exact quotient by the primitive gcd (``poly.exact_gcd``), and read through
+correctly rounded float views of numerator and denominator, each built on
+first read.  That no coefficient lies beyond the range of a double is proved
+on the exact pair when it is made, by bit lengths, and only where that proof
+fails are the views built then, to decide it.  Values, principal parts and
+residues are computed for the function and for the differential f dz, with
+no tolerance, at a point's exact factor (``SpherePoint.exact_factor``: the
+linear factor of a literal, or the Yun factor a located root was found
+from); orders are not computed here, but read off the exponents of one
+gcd-free basis (``Analysis.orders_at``).  The value at infinity is read off
+the degrees and leading entries.  Where the factor is linear (a literal
+P / Q, or a located root of degree one) the value and the Laurent
+coefficients are computed over Z[i], from the Taylor coefficients of the
+exact pair at P / Q, and each is rounded once; ``GaussianRational`` keeps
+the exact value beside the rounded one.  The residue at infinity is read
+off the exact pseudo-remainder.  At located roots whose factor has higher
+degree, values are read off the views (``poly.block_values``, once for all
+such points), and a principal part there is refused: such poles occur only
+in data that is not regular.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from wlab.poly import (
     exact_add,
     exact_coeffs,
     exact_cofactors,
-    exact_cancelled,
     exact_derivative,
     exact_exponent,
     exact_gcd,
@@ -454,17 +454,19 @@ class RationalFunction:
     def _sum(self, other: "RationalFunction", sign: int) -> "RationalFunction":
         """Henrici's sum of self = a / b and sign times other = c / d.
 
-        With g = gcd(b, d), t = a (d/g) + sign c (b/g) over (b/g) d is the
-        sum; t is prime to b/g and to d/g, so the pair shares only
-        gcd(t, g), and that is all that is cancelled.
+        With g the primitive gcd of b and d, t = a (d/g) + sign c (b/g) over
+        (b/g) d is the sum; t is prime to b/g and to d/g, so the pair shares
+        only h = gcd(t, g), and that is all that is cancelled.  Each division
+        is an exact quotient by a primitive gcd; a zero t is the zero function.
         """
         (a, b), (c, d) = self._pair, other._pair
-        g = exact_gcd(b, d) if len(b) > 1 and len(d) > 1 else ((1, 0),)
-        bg, dg = exact_cancelled(b, d, g)  # b/g and d/g, times one common factor
+        g = exact_gcd(b, d)
+        bg, dg = exact_quotient(b, g), exact_quotient(d, g)
         num = _combination(a, dg, c, bg, sign)
-        h = exact_gcd(num, g) if len(num) > 1 and len(g) > 1 else ((1, 0),)
-        num, d = exact_cancelled(num, d, h)
-        return RationalFunction._of(num, exact_mul(bg, d))
+        if not num:
+            return RationalFunction._of((), ((1, 0),))
+        h = exact_gcd(num, g)
+        return RationalFunction._of(exact_quotient(num, h), exact_mul(bg, exact_quotient(d, h)))
 
     def __add__(self, other):
         o = self._coerce(other)

@@ -19,17 +19,19 @@ degree 126; the first non-finite iterate ends it with RootIsolationError,
 as its correction would spread it to every other.
 
 Multiplicities come from Yun's square-free factorization (Yun 1976) of the
-exact polynomial over Z[i] (``_yun_factors``), unless a gcd modulo one prime
-certifies it square-free first, as it does most inputs; a gcd of the chain
-or of the gcd-free basis that is 1 is certified so too (``poly.exact_gcd``).
-No tolerance decides a multiplicity. Each Yun factor is located once, and
-its roots carry the factor's multiplicity; the degrees telescope, so
-multiplicities sum to deg p by construction -- they feed exact bookkeeping
-downstream (branching orders, degree identities) where an off-by-one is
-fatal.  The gcd-free basis of several polynomials refines their Yun factors
-and records each piece's exponent in each input as it makes the piece
-(``gcd_free_basis``), so the orders of an analysis are read off that one
-table, never found again root by root.
+exact polynomial over Z[i] (``_yun_factors``); every gcd of the chain and
+of the gcd-free basis is ``poly.exact_gcd``'s primitive one, whose gcd
+modulo one prime certifies most inputs square-free, and most pairs coprime,
+with no remainder sequence.  No tolerance decides a multiplicity.  A linear
+factor's one root is read off its monic view, as no other disc can meet
+its own.  Each Yun factor is located once, and its roots carry the
+factor's multiplicity; the degrees telescope, so multiplicities sum to
+deg p by construction -- they feed exact bookkeeping downstream (branching
+orders, degree identities) where an off-by-one is fatal.  The gcd-free
+basis of several polynomials refines their Yun factors and records each
+piece's exponent in each input as it makes the piece (``gcd_free_basis``),
+so the orders of an analysis are read off that one table, never found
+again root by root.
 """
 
 from __future__ import annotations
@@ -39,13 +41,13 @@ import math
 import numpy as np
 
 from wlab.poly import (
-    P0, Exact, LocatedRoot, Polynomial, block_values, coefficient_blocks, exact_derivative, exact_gcd, exact_mul,
-    exact_primitive, exact_quotient, mod_p, mod_p_gcd_degree, rounded,
+    Exact, LocatedRoot, Polynomial, block_values, coefficient_blocks, exact_derivative, exact_gcd, exact_mul,
+    exact_primitive, exact_quotient, rounded,
 )
 from wlab.tolerances import Tolerances
 
 __all__ = [
-    "roots_with_multiplicity", "multiple_part", "common_part", "gcd_free_basis", "RootIsolationError",
+    "roots_with_multiplicity", "multiple_part", "gcd_free_basis", "RootIsolationError",
     "IllConditionedRootsError",
 ]
 
@@ -123,13 +125,10 @@ def _aberth(p: Polynomial) -> np.ndarray:
         w_i = (p/p')(z_i) / (1 - (p/p')(z_i) * sum_{j!=i} 1/(z_i - z_j))
 
     which converges cubically for simple roots. The caller passes the monic
-    view of a square-free Yun factor, so simple roots is the expected
-    situation.  RootIsolationError at the first iterate that is not finite.
+    view of a square-free Yun factor of degree at least 2, so simple roots
+    is the expected situation.  RootIsolationError at the first iterate that is not finite.
     """
     n = p.degree
-    if n == 1:
-        c0, c1 = p.coeffs
-        return np.array([-c0 / c1], dtype=complex)
     c = np.asarray(p.coeffs, dtype=complex)
     z = _newton_polygon_start(c)
     blocks = coefficient_blocks((c, c[1:] * np.arange(1, n + 1)))
@@ -245,10 +244,15 @@ def _refined_roots(q: Exact, z: np.ndarray, bound: np.ndarray) -> tuple[np.ndarr
 
 
 def _located_roots(q: Exact) -> list[complex]:
-    """The roots of the exact square-free q: Aberth's, where their discs
-    (``_disc_radii``, from the bound ``block_values`` gives with the values
-    of q's monic view) are disjoint, else ``_refined_roots``."""
+    """The roots of the exact square-free q: -c_0 / c_1 of the monic view
+    where q is linear, a lone root no other disc can meet; else Aberth's,
+    where their discs (``_disc_radii``, from the bound ``block_values``
+    gives with the values of q's monic view) are disjoint, else
+    ``_refined_roots``."""
     view = _monic_view(q)
+    if len(q) == 2:
+        c0, c1 = view.coeffs
+        return [-c0 / c1]
     located = _aberth(view)
     with np.errstate(all="ignore"):
         bound = block_values(coefficient_blocks((view.coeffs,)), located, bound=True)[1]
@@ -257,31 +261,13 @@ def _located_roots(q: Exact) -> list[complex]:
     return [complex(z) for z in located]
 
 
-def _certified_square_free(p: Exact) -> bool:
-    """Whether p reduces to a square-free polynomial of the same degree mod P0.
-
-    Were p = q^2 r with q primitive over Z[i], q^2 would divide p in Z[i][z]
-    (Gauss's lemma), and mod P0 at full degree, as lc(q) divides lc(p).  So
-    gcd(p, p') = 1 mod P0 with lc(p) nonzero there certifies p square-free;
-    the converse can fail, and then the exact chain decides.
-    """
-    a = mod_p(p)
-    return bool(a[-1]) and mod_p_gcd_degree(a, [k * c % P0 for k, c in enumerate(a) if k]) == 0
-
-
-def common_part(p: Exact, q: Exact) -> Exact:
-    """gcd(p, q) made primitive; 1 when either is constant."""
-    return exact_primitive(exact_gcd(p, q)) if len(p) >= 2 and len(q) >= 2 else ((1, 0),)
-
-
 def multiple_part(p: Exact) -> Exact:
-    """gcd(p, p') made primitive, the first link of Yun's chain: it holds each
-    root of p of multiplicity m >= 2 with multiplicity m - 1, and is 1 when
-    the certificate finds p square-free.  Nonzero p."""
-    if len(p) < 2 or _certified_square_free(p):
-        return ((1, 0),)
+    """gcd(p, p') of the primitive p, the first link of Yun's chain: it holds
+    each root of p of multiplicity m >= 2 with multiplicity m - 1, and is 1
+    when p is square-free, as ``exact_gcd``'s certificate finds most inputs
+    without a remainder sequence.  Nonzero p."""
     p = exact_primitive(p)
-    return common_part(p, exact_derivative(p))
+    return exact_gcd(p, exact_derivative(p))
 
 
 def _yun_factors(p: Exact) -> list[Exact]:
@@ -290,15 +276,13 @@ def _yun_factors(p: Exact) -> list[Exact]:
     The gcd chain c_0 = p, c_{i+1} = gcd(c_i, c_i') gives square-free layers
     s_i = c_i / c_{i+1}, whose roots are those of multiplicity at least i+1;
     so f_m = s_{m-1} / s_m (Yun 1976), and the last layer is the last factor.
-    Every gcd and quotient is exact over Z[i] and primitive (each gcd is
-    made so, and a quotient of primitive polynomials is one), so the
-    coefficients stay as small as the factors themselves.  Each f_m may be
-    constant; sum(m * deg f_m) = deg p.
+    Every gcd and quotient is exact over Z[i] and primitive (``exact_gcd``
+    returns the primitive gcd, and a quotient of primitive polynomials is
+    one), so the coefficients stay as small as the factors themselves.
+    Each f_m may be constant; sum(m * deg f_m) = deg p.
     """
-    if len(c1 := multiple_part(p)) < 2:
-        return [exact_primitive(p)]
-    chain = [exact_primitive(p), c1]
-    while len(g := common_part(chain[-1], exact_derivative(chain[-1]))) >= 2:
+    chain = [exact_primitive(p)]
+    while len(g := exact_gcd(chain[-1], exact_derivative(chain[-1]))) >= 2:
         chain.append(g)
 
     def quotients(seq: list[Exact]) -> list[Exact]:
@@ -330,7 +314,7 @@ def gcd_free_basis(polys) -> dict[Exact, list[int]]:
                 continue
             for i in range(len(basis)):
                 y, e = basis[i]
-                g = common_part(f, y)
+                g = exact_gcd(f, y)
                 if len(g) >= 2:
                     f = exact_quotient(f, g)
                     if len(g) < len(y):

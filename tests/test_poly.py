@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import exact, from_roots
 from wlab import poly
@@ -273,6 +276,53 @@ def test_the_modular_certificate_returns_what_the_subresultant_sequence_does(mon
     for a, b in pairs[5::2]:
         assert exact_gcd(a, b) == ((1, 0),)
     assert not remainders
+
+
+_GAUSSIAN = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@st.composite
+def _drawn_poly(draw):
+    """A nonzero polynomial over Z[i] of degree at most 6, often with a zero
+    constant term, sometimes constant."""
+    zeros = draw(st.integers(0, 2))
+    coeffs = draw(st.lists(_GAUSSIAN, max_size=4))
+    return ((0, 0),) * zeros + tuple(coeffs) + (draw(_GAUSSIAN.filter(lambda c: c != (0, 0))),)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_drawn_poly(), _drawn_poly(), _drawn_poly(), st.booleans())
+def test_exact_gcd_is_primitive_and_leaves_coprime_exact_quotients(a, b, c, shared):
+    if shared:
+        a, b = exact_mul(a, c), exact_mul(b, c)
+    g = exact_gcd(a, b)
+    assert g == exact_primitive(g)
+    qa, qb = exact_quotient(a, g), exact_quotient(b, g)  # ArithmeticError where g does not divide
+    assert exact_gcd(qa, qb) == ((1, 0),)
+    assert exact_cofactors(a, b) == (qa, qb)
+    if shared:
+        assert len(g) >= len(c)
+
+
+def test_every_corpus_pair_has_its_recorded_gcd():
+    # the gcd corpus (tests/gcd_corpus.py): seeded pairs, the bench ladder
+    # maps and the fixtures' pairs, each with the primitive gcd, unit included
+    import gcd_corpus  # it draws with this module's _gaussian_poly
+
+    corpus = json.loads(gcd_corpus.CORPUS.read_text(encoding="ascii"))
+    records = corpus["records"]
+    assert corpus["seed"] == gcd_corpus.SEED and len(records) >= 500
+    drawn = gcd_corpus.drawn_pairs()
+    replayed = [gcd_corpus.record(name, a, b, exact_gcd) for name, a, b in drawn]
+    for name, a, b, _g in records[len(drawn) :]:
+        a, b = gcd_corpus.from_sparse(a), gcd_corpus.from_sparse(b)
+        replayed.append(gcd_corpus.record(name, a, b, exact_gcd, keep_inputs=True))
+    assert len(replayed) == len(records)
+    changed = [new[0] for new, old in zip(replayed, records) if new != old]
+    assert not changed, changed[:20]
+    # the fixtures' pairs are there, and the gcds are not all 1
+    assert sum(name.startswith("fixture:") for name, *_ in records) >= 20
+    assert sum(g != "0:1:0" for *_, g in records) >= 150
 
 
 def test_exact_coefficients_and_their_correctly_rounded_view():

@@ -217,6 +217,19 @@ def test_each_yun_factor_is_located_once(record_calls):
     assert sum(len(f) - 1 for (f,) in located) == 3
 
 
+def test_a_linear_factor_reads_its_root_off_the_monic_view(record_calls):
+    # (z - 1)^2 (z + 2)^3: both Yun factors are linear, and a lone root
+    # meets no other disc, so no Aberth step and no bound is taken
+    aberth, evaluated = record_calls(roots, "_aberth"), record_calls(poly, "block_values")
+    got = roots_with_multiplicity(exact(from_roots([1, 1, -2, -2, -2])))
+    assert got == [(-2, 3), (1, 2)] and all(len(r.factor) == 2 for r, _m in got)
+    # the bound overflows at 1e308, where the disc test refused a root a double holds
+    assert roots_with_multiplicity(((-10**308, 0), (1, 0))) == [(1e308, 1)]
+    # -c0 / c1 of the correctly rounded monic view: 1/3 rounded once
+    assert roots_with_multiplicity(((-1, 0), (3, 0))) == [(1 / 3, 1)]
+    assert not aberth and not evaluated
+
+
 def test_exponents_of_gaussian_integer_products_are_recovered():
     # the invariant the runtime no longer checks: multiplicities sum to deg p
     rng = random.Random("yun-products")
@@ -255,7 +268,15 @@ def _gaussian_poly(rng: random.Random, degree: int) -> Exact:
     return tuple(coeffs) + ((rng.choice([-2, -1, 1, 3]), rng.randint(-2, 2)),)
 
 
-def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch):
+def _certified(p: Exact, remainders: list) -> bool:
+    """Whether ``multiple_part(p)`` is decided by the modular certificate:
+    no pseudo-remainder is taken (``remainders`` records them)."""
+    before = len(remainders)
+    roots.multiple_part(p)
+    return len(remainders) == before
+
+
+def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch, record_calls):
     rng = random.Random("certificate")
     products = []
     for _ in range(80):
@@ -263,8 +284,10 @@ def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch):
         for _ in range(rng.randint(1, 3)):
             p = exact_mul(p, exact_pow(_gaussian_poly(rng, rng.randint(1, 4)), rng.choice([1, 1, 2, 3])))
         products.append(p)
-    verdicts = [roots._certified_square_free(p) for p in products]
-    monkeypatch.setattr(roots, "_certified_square_free", lambda p: False)
+    remainders = record_calls(poly, "pseudo_divmod")
+    verdicts = [_certified(p, remainders) for p in products]
+    # the exact chain alone: the certificate never succeeds
+    monkeypatch.setattr(poly, "mod_p_gcd_degree", lambda a, b: 1)
     for p, certified in zip(products, verdicts):
         factors = roots._yun_factors(p)
         assert sum(m * (len(f) - 1) for m, f in enumerate(factors, start=1)) == len(p) - 1
@@ -284,9 +307,9 @@ def test_square_free_certificate_agrees_with_the_exact_chain(monkeypatch):
         (exact_mul(((-1, 0), (P0, 0)), ((-2, 0), (1, 0))), {complex(1 / P0): 1, (2 + 0j): 1}),
     ],
 )
-def test_what_the_certificate_cannot_certify_falls_through_to_the_chain(p, expected):
+def test_what_the_certificate_cannot_certify_falls_through_to_the_chain(p, expected, record_calls):
     # expected: root -> multiplicity, in the (re, im) order of the result
-    assert not roots._certified_square_free(p)
+    assert not _certified(p, record_calls(poly, "pseudo_divmod"))
     got = roots_with_multiplicity(p)
     assert [m for _r, m in got] == list(expected.values())
     for (r, _m), want in zip(got, expected):
