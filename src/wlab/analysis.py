@@ -11,19 +11,21 @@ consumer asks for it, so the first failing step is the one a plain
 evaluation would meet.
 
 Every finite order of vanishing is an integer read off one table.  One
-gcd-free basis over Z[i] factors h's numerator, the denominators of h, g1,
-g2 and the four φ-forms, and the linear factor of each finite puncture, and
-records each piece's exponent in each of these as it makes the piece
-(``exponents``), so each piece's roots have one order in each.  A
+gcd-free basis over Z[i] factors h's numerator, the denominators of h, g1
+and g2, what each φ-form cancelled over their shared denominator, and the
+linear factor of each finite puncture, and records each piece's exponent in
+each of these as it makes the piece; the forms' pole orders follow from
+them (``exponents``), so each piece's roots have one order in each.  A
 puncture's piece has the puncture as its root, so it is never root-found;
 every other piece is root-found at most once, when a step first needs its
 roots (``located``), and each root carries its piece as its
 ``SpherePoint.factor``.  Regularity and the ends read the orders at a point
 off its piece's exponents, and at infinity off the degrees (``orders_at``);
-the periods read the exact residues at the punctures.  Every pole of a
-φ-form is a pole of h, g1 or g2, and the mesh primitive reads the forms'
-principal parts at those points (``principal_parts``), exact where each
-point's piece is linear; a pole on a piece of higher degree, off the
+the periods read the exact residues at the punctures, each at the order
+the table holds.  Every pole of a φ-form is a pole of h, g1 or g2, and the
+mesh primitive reads the forms' principal parts at those points
+(``principal_parts``), at the table's orders, exact where each point's
+piece is linear; a pole on a piece of higher degree, off the
 punctures, makes the data irregular, and the table refuses it.  Equal Gauss
 components share one ramification report.
 
@@ -40,7 +42,7 @@ from functools import cached_property
 
 from .bounds import BoundsReport, bounds_of
 from .curvature import TotalCurvatureReport, closed_form_of
-from .poly import Exact
+from .poly import Exact, exact_mul, exact_primitive, exact_quotient
 from .ramification import RamificationReport, ramification_report
 from .rational import GaussianRational, SpherePoint
 from .roots import gcd_free_basis, roots_with_multiplicity
@@ -99,16 +101,39 @@ class Analysis:
 
     @cached_property
     def exponents(self) -> dict[Exact, list[int]]:
-        """The gcd-free basis of the finite punctures' linear factors, h's
-        numerator and the denominators of h, g1, g2 and the φ-forms, each
-        piece mapped to its exponents in (h's numerator, h's denominator,
-        g1's and g2's denominators, φ1's .. φ4's denominators); each linear
-        factor stays a piece of its own."""
-        d = self.data
+        """Each piece of one gcd-free basis mapped to its exponents in h's
+        numerator p, h's denominator q, g1's and g2's denominators b1, b2,
+        and φ1's .. φ4's denominators.
+
+        The basis refines the finite punctures' linear factors, p, q, b1, b2
+        and what each nonzero form cancelled: c_k = q b1 b2 / den(φ_k), an
+        exact quotient by the primitive denominator, as φ_k is its numerator
+        over 2 q b1 b2 reduced (``phi_from_data``).  The exponents in these
+        fix the rest, so no φ-denominator is refined: a piece's exponent in
+        den(φ_k) is e_q + e_b1 + e_b2 - e_(c_k), and 0 for a zero form.  An
+        input that repeats an earlier one is refined once.  Each linear
+        factor stays a piece of its own.
+
+        No consumer depends on the order of the keys or on a piece's unit: a
+        piece's monic view, and so its located roots, do not change under a
+        unit, and the located points are sorted where they are read
+        (``check_regularity``, ``_singular``)."""
+        d, forms = self.data, self.phi.forms
         punctures = [p.factor for p in d.punctures if not p.is_infinity]
-        dens = [f.pair[1] for f in (d.h, d.g1, d.g2, *self.phi.forms)]
-        basis = gcd_free_basis([*punctures, d.h.pair[0], *dens])
-        return {piece: e[len(punctures) :] for piece, e in basis.items()}
+        (p, q), (_a1, b1), (_a2, b2) = (f.pair for f in (d.h, d.g1, d.g2))
+        common = exact_mul(q, exact_mul(b1, b2))
+        poles = [k for k, f in enumerate(forms) if not f.is_zero]  # a zero form has no pole
+        inputs = [*punctures, p, q, b1, b2, *(exact_quotient(common, exact_primitive(forms[k].pair[1])) for k in poles)]
+        distinct = list(dict.fromkeys(inputs))  # a repeated input adds a column, never a piece
+        columns = [distinct.index(x) for x in inputs[len(punctures) :]]
+        table = {}
+        for piece, e in gcd_free_basis(distinct).items():
+            ep, eq, e1, e2, *cancelled = (e[k] for k in columns)
+            dens = [0] * 4
+            for k, c in zip(poles, cancelled):
+                dens[k] = eq + e1 + e2 - c
+            table[piece] = [ep, eq, e1, e2, *dens]
+        return table
 
     def orders_at(self, point: SpherePoint) -> tuple[int, int, int]:
         """ord(h dz), poleord(g1) and poleord(g2) at a puncture, a located root
@@ -159,10 +184,10 @@ class Analysis:
     def principal_parts(self) -> dict[complex, tuple[tuple[GaussianRational, ...], ...]]:
         """Each singular point where some form has a pole, mapped to the four
         forms' Laurent coefficients (a_-m, ..., a_-1) there, () where regular;
-        m is the exponent of the point's piece in the form's denominator, and
-        a point whose piece has none is skipped.  Every point with a pole has
-        a linear piece, so the coefficients are exact ``GaussianRational``
-        values, rounded once.
+        m is the exponent of the point's piece in the form's denominator,
+        handed to ``principal_part_at``, and a point whose piece has none is
+        skipped.  Every point with a pole has a linear piece, so the
+        coefficients are exact ``GaussianRational`` values, rounded once.
 
         Raises ``PoleTableError`` where a form has a pole at a root of a
         piece of higher degree (off the punctures, so the data is not
@@ -172,14 +197,15 @@ class Analysis:
         forms = self.phi.forms
         table = {}
         for p in self._singular:
-            if not any(self.exponents[p.factor][4:]):
+            orders = self.exponents[p.factor][4:]
+            if not any(orders):
                 continue
             if len(p.factor) > 2:
                 raise PoleTableError(
                     f"the data is not regular: a phi-form has a pole at {p}, "
                     f"a root of a degree-{len(p.factor) - 1} piece off the punctures"
                 )
-            table[p.value] = tuple(f.principal_part_at(p) for f in forms)
+            table[p.value] = tuple(f.principal_part_at(p, m) for f, m in zip(forms, orders))
         for k, f in enumerate(forms):
             total = sum(len(laurent[k]) for laurent in table.values())
             if total != f.degrees[1]:

@@ -10,8 +10,10 @@ fails are the views built then, to decide it.  Values, principal parts and
 residues are computed for the function and for the differential f dz, with
 no tolerance, at a point's exact factor (``SpherePoint.exact_factor``: the
 linear factor of a literal, or the Yun factor a located root was found
-from); orders are not computed here, but read off the exponents of one
-gcd-free basis (``Analysis.orders_at``).  The value at infinity is read off
+from); orders are read off the exponents of one gcd-free basis
+(``Analysis.orders_at``), and ``Analysis`` hands each pole order to the
+Laurent route, which finds it by ``exact_exponent`` only for a caller that
+holds none.  The value at infinity is read off
 the degrees and leading entries.  Where the factor is linear (a literal
 P / Q, or a located root of degree one) the value and the Laurent
 coefficients are computed over Z[i], from the Taylor coefficients of the
@@ -625,14 +627,15 @@ class RationalFunction:
                 out[k] = SpherePoint(w) if v and cmath.isfinite(w := u / v) else INF
         return out
 
-    def residue_at(self, point) -> GaussianRational:
+    def residue_at(self, point, order: int | None = None) -> GaussianRational:
         """Residue of the differential f dz at a sphere point.
 
-        At a finite point, the last coefficient of ``principal_part_at``.
-        At infinity, with f = a / b and lc(b)^(k+1) a = q b + r the pseudo-
-        division (k = max(deg a - deg b, -1)), f = q / lc(b)^(k+1) plus
-        r / (lc(b)^(k+1) b), whose z^-1 coefficient is r_(deg b - 1) /
-        lc(b)^(k+2); the residue is minus that, exact and rounded once.
+        At a finite point, the last coefficient of ``principal_part_at``,
+        which is handed ``order``.  At infinity, with f = a / b and
+        lc(b)^(k+1) a = q b + r the pseudo-division (k = max(deg a - deg b,
+        -1)), f = q / lc(b)^(k+1) plus r / (lc(b)^(k+1) b), whose z^-1
+        coefficient is r_(deg b - 1) / lc(b)^(k+2); the residue is minus
+        that, exact and rounded once.
         """
         if self.is_zero:
             return EXACT_ZERO
@@ -642,22 +645,24 @@ class RationalFunction:
             r = pseudo_divmod(a, b)[1]
             u, v = r[n - 1] if 0 < n <= len(r) else (0, 0)
             return GaussianRational(-u, -v, b[-1][0] ** (max(len(a) - n, 0) + 1))
-        principal = self.principal_part_at(p)
+        principal = self.principal_part_at(p, order)
         return principal[-1] if principal else EXACT_ZERO
 
-    def principal_part_at(self, point) -> tuple[GaussianRational, ...]:
+    def principal_part_at(self, point, order: int | None = None) -> tuple[GaussianRational, ...]:
         """Laurent coefficients (a_-m, ..., a_-1) of f at a finite pole of order m.
 
         m is the exact pole order, the exponent of the point's exact factor
-        in the denominator alone, as the pair is coprime; empty where f is
-        regular.  At the root of a linear exact factor (a literal's, or a
-        located root's of degree one) they are exact over Q(i), each rounded
-        once (``_laurent``).  At a pole on a factor of higher degree they are
-        not computed: ``ArithmeticError``.
+        in the denominator alone, as the pair is coprime: ``order`` where the
+        caller holds it (``Analysis`` reads it off its basis), else found by
+        ``exact_exponent``; empty where f is regular.  At the root of a
+        linear exact factor (a literal's, or a located root's of degree one)
+        they are exact over Q(i), each rounded once (``_laurent``).  At a
+        pole on a factor of higher degree they are not computed:
+        ``ArithmeticError``.
         """
         p = SpherePoint.of(point)
         f = p.exact_factor
-        m = exact_exponent(self._pair[1], f)
+        m = exact_exponent(self._pair[1], f) if order is None else order
         if m == 0:
             return ()
         if len(f) > 2:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .exprparse import as_sphere_point as _as_sphere_point
+from .poly import exact_add, exact_mul
 from .rational import EXACT_ZERO, INF, RationalFunction, SpherePoint
 
 if TYPE_CHECKING:
@@ -131,16 +132,25 @@ def phi_from_data(d: WeierstrassData) -> PhiForms:
     phi1 = (1 + g1 g2) h / 2        phi2 = i (1 - g1 g2) h / 2
     phi3 = (g1 - g2) h / 2          phi4 = -i (g1 + g2) h / 2
 
-    so that phi1^2 + phi2^2 + phi3^2 + phi4^2 = 0 identically.
+    so that phi1^2 + phi2^2 + phi3^2 + phi4^2 = 0 identically.  With the
+    exact pairs h = p / q and g_k = a_k / b_k the four share the denominator
+    2 q b1 b2, over which their numerators are p (b1 b2 + a1 a2),
+    i p (b1 b2 - a1 a2), p (a1 b2 - a2 b1) and -i p (a1 b2 + a2 b1); each
+    form is that quotient reduced by one gcd (``RationalFunction.of_exact``),
+    the one cancellation a sum over a shared denominator needs (Knuth,
+    TAOCP 2, 4.5.1).
     """
-    gg = d.g1 * d.g2
-    one = RationalFunction.constant(1.0)
-    return PhiForms(
-        phi1=(one + gg) * d.h * 0.5,
-        phi2=(one - gg) * d.h * 0.5j,
-        phi3=(d.g1 - d.g2) * d.h * 0.5,
-        phi4=(d.g1 + d.g2) * d.h * (-0.5j),
+    (p, q), (a1, b1), (a2, b2) = (f.pair for f in (d.h, d.g1, d.g2))
+    bb, aa, ab, ba = exact_mul(b1, b2), exact_mul(a1, a2), exact_mul(a1, b2), exact_mul(a2, b1)
+    den = exact_mul(exact_mul(q, bb), ((2, 0),))
+    minus = ((-1, 0),)
+    nums = (
+        exact_mul(p, exact_add(bb, aa)),
+        exact_mul(exact_mul(p, ((0, 1),)), exact_add(bb, exact_mul(aa, minus))),
+        exact_mul(p, exact_add(ab, exact_mul(ba, minus))),
+        exact_mul(exact_mul(p, ((0, -1),)), exact_add(ab, ba)),
     )
+    return PhiForms(*(RationalFunction.of_exact(num, den) for num in nums))
 
 
 @dataclass(frozen=True)
@@ -270,9 +280,10 @@ def compute_periods(an: Analysis) -> PeriodReport:
     Re(2*pi*i*Res) = 0, that is Im Res = 0, per puncture and component.
     Each residue is ``residue_at`` the puncture, exact over Q(i)
     (``GaussianRational``): every finite puncture has a linear exact factor,
-    and at infinity the residue is read off the exact pseudo-remainder, so no
-    root is sought.  The verdict reads the exact imaginary parts, never their
-    rounding, so a residue of 1e-400 i fails.  By the residue theorem the
+    whose exponent in each form's denominator ``an.exponents`` holds, and at
+    infinity the residue is read off the exact pseudo-remainder, so no root
+    is sought and no order is found again.  The verdict reads the exact
+    imaginary parts, never their rounding, so a residue of 1e-400 i fails.  By the residue theorem the
     residues of each form sum to zero: ``residue_sums`` and the global-sum
     error ``max_cross_check_error`` print those exact zeros, and
     ``eps_period`` decides nothing; all three are printed until schema 3.
@@ -280,7 +291,8 @@ def compute_periods(an: Analysis) -> PeriodReport:
     eps_period = an.tol.eps_period_rel * an.phi.coefficient_scale()
     entries = []
     for p in an.data.punctures:
-        res4 = tuple(f.residue_at(p) for f in an.phi.forms)
+        orders = (None,) * 4 if p.is_infinity else an.exponents[p.factor][4:]
+        res4 = tuple(f.residue_at(p, m) for f, m in zip(an.phi.forms, orders))
         periods = tuple(2j * math.pi * r for r in res4)
         real_parts = tuple(pd.real for pd in periods)
         ok = all(r.exact[1] == 0 for r in res4)

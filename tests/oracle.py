@@ -1,12 +1,20 @@
-"""Exact reference computations for the tests, apart from the package.
+"""Exact reference computations for the tests, apart from the route they check.
 
-So far it holds one piece: the expression grammar read over sympy's QQ_I(z).
-It has its own tokenizer and its own walk, and shares no code with
+It holds two pieces.  The first is the expression grammar read over sympy's
+QQ_I(z).  It has its own tokenizer and its own walk, and shares no code with
 ``wlab.exprparse``, so a fault in the parser's lexer or arithmetic shows as
 a difference, not on both sides.  A literal's range is decided on its exact
 decimal value: it overflows a double when it rounds to infinity, at
 2^1024 - 2^970 and above, and underflows when it is nonzero and rounds to 0,
 at 2^-1075 and below.
+
+The second is the φ-forms by the longer route: products and sums of reduced
+``RationalFunction`` values, each cancelled on its own (``phi_forms``), and
+an exponent table whose basis refines the φ-denominators themselves
+(``phi_denominator_table``).  ``weierstrass.phi_from_data`` reduces each
+form once over a shared denominator, and ``Analysis.exponents`` reads the
+forms' pole orders off the basis of h, g1 and g2, so the two meet only in
+the reduced pairs and the exponents.
 """
 
 from __future__ import annotations
@@ -18,6 +26,8 @@ from fractions import Fraction
 import sympy
 
 from wlab.exprparse import MAX_EXPONENT, MAX_POWER_BITS, ExpressionError
+from wlab.rational import RationalFunction
+from wlab.roots import gcd_free_basis
 
 DIGITS = "0123456789"
 _OVERFLOW = Decimal(2**1024 - 2**970)  # the least magnitude that rounds to infinity
@@ -306,3 +316,32 @@ def pair(f) -> tuple:
     """The reduced pair of a field element and its views' reprs."""
     num, den = reduced(f)
     return (num, den, _view(num), _view(den))
+
+
+# -- the φ-forms by rational arithmetic -----------------------------------------------
+
+
+def phi_forms(d) -> tuple[RationalFunction, ...]:
+    """The four φ-forms of ``d`` as products and sums of reduced
+    ``RationalFunction`` values, each step cancelled on its own:
+    (1 + g1 g2) h / 2, i (1 - g1 g2) h / 2, (g1 - g2) h / 2 and
+    -i (g1 + g2) h / 2."""
+    gg = d.g1 * d.g2
+    one = RationalFunction.constant(1.0)
+    return (
+        (one + gg) * d.h * 0.5,
+        (one - gg) * d.h * 0.5j,
+        (d.g1 - d.g2) * d.h * 0.5,
+        (d.g1 + d.g2) * d.h * (-0.5j),
+    )
+
+
+def phi_denominator_table(d) -> dict:
+    """The exponent table refined over the φ-denominators themselves: one
+    gcd-free basis of the finite punctures' linear factors, h's numerator
+    and the denominators of h, g1, g2 and of the four ``phi_forms``, each
+    piece mapped to its exponents in all but the punctures."""
+    punctures = [p.factor for p in d.punctures if not p.is_infinity]
+    dens = [f.pair[1] for f in (d.h, d.g1, d.g2, *phi_forms(d))]
+    basis = gcd_free_basis([*punctures, d.h.pair[0], *dens])
+    return {piece: e[len(punctures) :] for piece, e in basis.items()}

@@ -6,7 +6,9 @@ reads exact residues only, and the contour that once checked them is gone,
 as are the float Laurent expansions, the quadrature that once checked the
 total curvature, the per-point order methods that found each order again,
 Aberth's Horner loops, the disc bound's and the far values' own
-evaluators, and the parser's loop over characters.  The root and fiber
+evaluators, and the parser's loop over characters.  Every pole order the
+residues and the mesh need is read off the ``Analysis`` table, whose basis
+refines no φ-denominator.  The root and fiber
 path, with the evaluator it reads, sums nothing through BLAS."""
 
 from __future__ import annotations
@@ -21,16 +23,19 @@ from pathlib import Path
 
 import pytest
 
-from wlab import poly
+from wlab import poly, roots
 from wlab.analysis import Analysis
+from wlab.cli import main
 from wlab.exprparse import parse_expression
 from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
+from wlab.weierstrass import WeierstrassData
 
 from test_bounds import loadable_fixtures
 from test_exprparse import _integer_poly, _ladder_maps
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlab"
+FIXTURES = SRC.parents[1] / "fixtures"
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -102,6 +107,34 @@ def test_the_period_path_evaluates_no_float_form(monkeypatch):
         assert Analysis(d).periods.entries, d.label
 
 
+def test_report_and_mesh_find_no_pole_order_again(record_calls, tmp_path, capsys):
+    # the residues at the punctures and the mesh's principal parts are handed
+    # each order off the exponent table: no exact_exponent runs
+    exponents = record_calls(poly, "exact_exponent")
+    example21 = str(FIXTURES / "example21.json")
+    assert main(["report", example21]) == 2  # example21 fails the period check
+    mesh = ["mesh", example21, "--region", "rect:-0.5,0.5,-0.5,0.5", "--res", "17", "--base", "0,0.25"]
+    assert main([*mesh, "--mesh-out", str(tmp_path / "mesh.csv")]) == 0
+    capsys.readouterr()
+    assert exponents == []
+
+
+def test_the_exponent_table_refines_no_phi_denominator(record_calls):
+    # the forms' pole orders are read off the basis of h, g1, g2 and what each
+    # form cancelled; here no form cancels, so each has the degree-3
+    # denominator z (z - 1) (z + 1), none of h's, g1's or g2's
+    d = WeierstrassData(
+        h=parse_expression("1/z"), g1=parse_expression("1/(z-1)"), g2=parse_expression("z/(z+1)"),
+        punctures=("0", "1", "-1", "inf"),
+    )
+    an = Analysis(d)
+    dens = {f.pair[1] for f in an.phi.forms}
+    assert {len(b) for b in dens} == {4} and not dens & {f.pair[1] for f in (d.h, d.g1, d.g2)}
+    inputs = record_calls(roots, "gcd_free_basis")
+    assert an.exponents and len(inputs) == 1
+    assert not dens & set(inputs[0][0])
+
+
 def test_parsing_a_ladder_map_builds_no_float_view(record_calls):
     # the views are built on first read, and the range rule is proved on the
     # exact pair, so parsing alone rounds nothing
@@ -170,6 +203,9 @@ def test_parse_cost_does_not_grow_with_degree(record_calls):
         # quotient by it: no second gcd normal form, pseudo-quotient cancellation
         # or second square-free certificate
         pytest.param(r"common_part|exact_cancelled|_certified_square_free", id="second-gcd"),
+        # each φ-form is its numerator over the shared denominator, reduced by
+        # one gcd: no products and sums of rational functions build them
+        pytest.param(r"^weierstrass\.py:.*(RationalFunction\.constant\(|\)\s*\*\s*d\.h\b)", id="phi-by-sums"),
     ],
 )
 def test_a_removed_route_is_gone(pattern):
