@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -52,21 +53,39 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _finite(value) -> bool:
+    """Whether no number in a JSON value is infinite or NaN (1e400, Infinity, NaN)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    return True
+
+
 def _load_data(path: str) -> WeierstrassData:
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise CliUsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliUsageError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliUsageError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise CliUsageError(f"{path} is not valid JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise CliUsageError(f"{path}: input document must be a JSON object")
+    for key, value in raw.items():
+        if not _finite(value):
+            raise CliUsageError(f"{path}: {key} holds a number beyond the range of a double or NaN")
     missing = [key for key in ("genus", "punctures", "h", "g1", "g2") if key not in raw]
     if missing:
         raise CliUsageError(f"{path}: missing required fields: {', '.join(missing)}")
     genus = raw["genus"]
-    if not isinstance(genus, int) or genus < 0:
+    if not isinstance(genus, int) or isinstance(genus, bool) or genus < 0:
         raise CliUsageError(f"{path}: genus must be a non-negative integer")
     if not isinstance(raw["punctures"], list):
         raise CliUsageError(f"{path}: punctures must be a list of point literals")
@@ -97,8 +116,11 @@ def _tolerances(args) -> tuple[Tolerances, float]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliUsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -301,7 +323,10 @@ def cmd_mesh(args, tol: Tolerances) -> tuple[str, dict, bool]:
     except ValueError as exc:
         raise CliUsageError(str(exc)) from exc
     projection = _parse_projection(args.project) if args.format == "obj-3d" else None
-    export_mesh(mesh, args.mesh_out, args.format, projection)
+    try:
+        export_mesh(mesh, args.mesh_out, args.format, projection)
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {args.mesh_out}: {exc}") from exc
     summary = {
         "out": args.mesh_out,
         "format": args.format,

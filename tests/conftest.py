@@ -1,15 +1,34 @@
-"""Shared test fixtures."""
+"""Shared test fixtures, and the generators and assertion helpers that more
+than one test module reads.  The reference computations they check
+against live in ``oracle``."""
 
 from __future__ import annotations
 
 import contextlib
+import math
+import random
 import signal
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
+from wlab.cli import CliUsageError, _load_data
+from wlab.exprparse import parse_sphere_point
 from wlab.poly import Exact, Polynomial, exact_coeffs
+from wlab.ramification import ramification_report
+from wlab.rational import RationalFunction
+from wlab.weierstrass import WeierstrassData
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+Z = RationalFunction.variable()
+PUNCTURE_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
+
+# numpy picks its kernels at import from the CPU's features; this list leaves
+# an x86-64 CPU with numpy's baseline (X86_V2) kernels only
+NO_SIMD_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 
 def from_roots(roots, leading: complex = 1.0) -> Polynomial:
@@ -74,3 +93,133 @@ def record_calls(monkeypatch):
         return calls
 
     return record
+
+
+# -- generators --------------------------------------------------------------------------
+
+
+def _integer_poly(rng: random.Random, degree: int) -> str:
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-9, -4, -1, 1, 3, 9])]
+    terms = [f"{c}*z^{k}" for k, c in enumerate(coeffs) if c]
+    return "+".join(terms).replace("+-", "-")
+
+
+def _ladder_maps() -> list[str]:
+    """Seeded integer maps A/B and A^m/B at degrees 4..64."""
+    rng = random.Random(20060313)
+    out = []
+    for degree in (4, 8, 12, 16, 20, 24, 32, 48, 64):
+        for _ in range(2):
+            out.append(f"({_integer_poly(rng, degree)})/({_integer_poly(rng, degree)})")
+            m = rng.choice([m for m in (2, 3, 4) if degree % m == 0])
+            out.append(f"({_integer_poly(rng, degree // m)})^{m}/({_integer_poly(rng, degree)})")
+    return out
+
+
+def _bench_random_poly(rng: random.Random, degree: int) -> list[int]:
+    """The bench ladders' generator: integer coefficients in [-9, 9], lowest
+    degree first, nonzero leading term."""
+    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
+    while coeffs[-1] == 0:
+        coeffs[-1] = rng.randint(-9, 9)
+    return coeffs
+
+
+def _gaussian_poly(rng: random.Random, degree: int) -> tuple[tuple[int, int], ...]:
+    coeffs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(degree)]
+    return tuple(coeffs) + ((rng.choice([-3, -1, 1, 2]), rng.randint(-2, 2)),)
+
+
+def load_fixture(name: str) -> WeierstrassData:
+    return _load_data(str(FIXTURES / f"{name}.json"))
+
+
+def loadable_fixtures() -> list[WeierstrassData]:
+    cases = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        try:
+            cases.append(load_fixture(path.stem))
+        except CliUsageError:
+            continue
+    return cases
+
+
+def random_regular_data(rng) -> WeierstrassData:
+    """Random Gauss maps, with h vanishing exactly where they have poles.
+
+    h = den(g1) den(g2) / prod (z - p)^m over the finite punctures, and inf
+    is always a puncture, so the metric is regular off the punctures.
+    """
+
+    def rand_rat(deg):
+        num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
+        den = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
+        return RationalFunction(Polynomial(num), den), RationalFunction(den)
+
+    pool = ["0", "1", "-1", "2", "i", "1/2"]
+    finite = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(0, 4)), replace=False)]
+    g1, den1 = rand_rat(int(rng.integers(1, 4)))
+    g2, den2 = rand_rat(int(rng.integers(0, 3)))
+    h = den1 * den2
+    for p in finite:
+        h = h / (Z - parse_sphere_point(p).value) ** int(rng.integers(1, 4))
+    return WeierstrassData(h=h, g1=g1, g2=g2, punctures=(*finite, "inf"))
+
+
+def integer_poly(rng, degree: int) -> RationalFunction:
+    coeffs = [complex(c) for c in rng.integers(-9, 10, size=degree)]
+    return RationalFunction(Polynomial(coeffs + [complex(rng.choice([-3, -2, -1, 1, 2, 3]))]))
+
+
+def random_map(rng, shape: int) -> RationalFunction:
+    """Generic N/D, A^m/B, a polynomial, or z^a/((z-1)^b (z+2))."""
+
+    def degree(lo: int, hi: int) -> int:
+        return int(rng.integers(lo, hi + 1))
+
+    if shape == 0:
+        return integer_poly(rng, degree(1, 6)) / integer_poly(rng, degree(0, 6))
+    if shape == 1:
+        m, a = degree(2, 4), integer_poly(rng, degree(1, 2))
+        return a**m / integer_poly(rng, degree(0, m * a.degree))
+    if shape == 2:
+        return integer_poly(rng, degree(1, 8))
+    return Z ** degree(1, 5) / ((Z - 1) ** degree(0, 4) * (Z + 2))
+
+
+# -- fibres against the oracle's table -----------------------------------------------------
+
+NEAR = 1e-6  # a reported point is the oracle's within this, a value within this relative
+
+
+def near(a, b) -> bool:
+    """Whether a reported sphere point is the oracle's point b (None at infinity)."""
+    if a.is_infinity or b is None:
+        return a.is_infinity and b is None
+    return abs(a.value - complex(b)) <= NEAR
+
+
+def assert_fibers_match_counting(f, punctures):
+    """Every reported fiber is the oracle's; every other value of the
+    oracle's table has a simple preimage off the punctures."""
+    table, matched = oracle.Fibres(f, punctures), set()
+    for rv in ramification_report(f, punctures).values:
+        k = table.class_of(rv.value, NEAR)
+        assert k is not None, (f, rv, table.classes)
+        matched.add(k)
+        _value, counted, simple = table.classes[k]
+        free = [e for _z, e, is_puncture in counted if not is_puncture] + [1] * simple
+        if free:
+            assert (rv.kind, rv.nu) == ("totally-ramified", min(free)) and rv.nu >= 2, (f, rv, counted)
+        else:
+            assert (rv.kind, rv.nu) == ("exceptional", math.inf), (f, rv, counted)
+        assert len(rv.preimages) == len(counted) + simple, (f, rv)
+        # any order: conjugate pairs can swap on ulp-different real parts
+        pool = list(counted)
+        for pre in rv.preimages:
+            key = (pre.multiplicity, pre.is_puncture)
+            hit = [j for j, (z, *e) in enumerate(pool) if tuple(e) == key and near(pre.point, z)]
+            assert hit, (f, rv, counted)
+            pool.pop(hit[0])
+    for k, (value, counted, simple) in enumerate(table.classes):
+        assert k in matched or simple or any(e == 1 and not p for _z, e, p in counted), (f, value, counted)

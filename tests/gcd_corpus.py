@@ -33,8 +33,7 @@ from wlab import bounds, cli, poly, roots
 from wlab.poly import P0, exact_derivative, exact_mul, exact_pow, exact_primitive
 from wlab.rational import RationalFunction
 
-from test_cli import _bench_random_poly
-from test_poly import _gaussian_poly
+from conftest import _bench_random_poly, _gaussian_poly
 
 SEED = 20060313
 CORPUS = Path(__file__).resolve().parent / "data" / "gcd_corpus.json"

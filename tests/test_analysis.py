@@ -21,7 +21,7 @@ from wlab.exprparse import parse_expression
 from wlab.rational import RationalFunction
 from wlab.weierstrass import UnsupportedGenusError, WeierstrassData, phi_from_data
 
-from test_exprparse import _ladder_maps
+from conftest import _ladder_maps
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 REPORT_FIXTURES = [

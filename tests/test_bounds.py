@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oracle
+from conftest import PUNCTURE_POOL, loadable_fixtures, random_regular_data
 from wlab.analysis import Analysis
 from wlab.bounds import (
     CASE_BOTH,
@@ -26,8 +27,8 @@ from wlab.bounds import (
     shared_values,
     unicity_of,
 )
-from wlab.exprparse import parse_expression, parse_sphere_point
-from wlab.poly import Polynomial, exact_exponent
+from wlab.exprparse import parse_expression
+from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
 from wlab.weierstrass import WeierstrassData
@@ -71,16 +72,6 @@ _ROT = np.array([0.61, 0.27, -0.47, 0.58]) / np.linalg.norm([0.61, 0.27, -0.47, 
 ROT_A, ROT_B = complex(_ROT[0], _ROT[1]), complex(_ROT[2], _ROT[3])
 
 
-def exact_order(f: RationalFunction, p) -> int:
-    """The order of f at the sphere point p, off the exact pair (a, b) alone:
-    at infinity the degrees, else e(a) - e(b) for the exponents of p's exact
-    factor."""
-    a, b = f.pair
-    if p.is_infinity:
-        return len(b) - len(a)
-    return exact_exponent(a, p.exact_factor) - exact_exponent(b, p.exact_factor)
-
-
 def rotated_mu(d: WeierstrassData) -> tuple[int, ...]:
     """Pole orders of h dz at the punctures after rotating each component.
 
@@ -97,42 +88,7 @@ def rotated_mu(d: WeierstrassData) -> tuple[int, ...]:
         assert all(m == 1 for _, m in poles) and gr.num.degree <= gr.den.degree + 1
         h = h * (g * ROT_B + ROT_A.conjugate())
     # mu = -ord(h dz), and dz has a double pole at infinity
-    return tuple(2 * p.is_infinity - exact_order(h, p) for p in d.punctures)
-
-
-def random_regular_data(rng) -> WeierstrassData:
-    """Random Gauss maps, with h vanishing exactly where they have poles.
-
-    h = den(g1) den(g2) / prod (z - p)^m over the finite punctures, and inf
-    is always a puncture, so the metric is regular off the punctures.
-    """
-
-    def rand_rat(deg):
-        num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        den = Polynomial(rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1))
-        return RationalFunction(Polynomial(num), den), RationalFunction(den)
-
-    pool = ["0", "1", "-1", "2", "i", "1/2"]
-    finite = [pool[i] for i in rng.choice(len(pool), size=int(rng.integers(0, 4)), replace=False)]
-    g1, den1 = rand_rat(int(rng.integers(1, 4)))
-    g2, den2 = rand_rat(int(rng.integers(0, 3)))
-    h = den1 * den2
-    for p in finite:
-        h = h / (Z - parse_sphere_point(p).value) ** int(rng.integers(1, 4))
-    return WeierstrassData(h=h, g1=g1, g2=g2, punctures=(*finite, "inf"))
-
-
-def loadable_fixtures() -> list[WeierstrassData]:
-    from wlab.cli import CliUsageError, _load_data
-
-    fixtures = Path(__file__).resolve().parents[1] / "fixtures"
-    cases = []
-    for path in sorted(fixtures.glob("*.json")):
-        try:
-            cases.append(_load_data(str(path)))
-        except CliUsageError:
-            continue
-    return cases
+    return tuple(2 * p.is_infinity - oracle.order(h, p) for p in d.punctures)
 
 
 def test_rotation_oracle_pole_orders_match_mu():
@@ -170,8 +126,8 @@ def test_rotated_product_keeps_multiple_poles():
         for f in factors:
             product = product * f
         for p in d.punctures:
-            expected = exact_order(d.h, p) + sum(exact_order(f, p) for f in factors)
-            assert exact_order(product, p) == expected, (p, d)
+            expected = oracle.order(d.h, p) + sum(oracle.order(f, p) for f in factors)
+            assert oracle.order(product, p) == expected, (p, d)
     assert [str(p) for p in cases[0].punctures] == ["1", "0+1i", "0", "inf"]
     assert rotated_mu(cases[0]) == (2, 1, 1, 2)
 
@@ -628,126 +584,7 @@ def test_unicity_random_pairs_never_contradict():
 
 
 # ---------------------------------------------------------------------------
-# shared values against a 60-digit oracle
-#
-# The oracle decides each candidate value the way the definition reads: it
-# compares the two preimage sets off the punctures as point sets.  Every
-# fiber is the root set of the square-free part of N - aD (of D at a =
-# infinity), found by mpmath at 60 digits, plus infinity when that
-# polynomial drops below the degree of the map.
-
-ORACLE_EPS = 1e-15  # point identity at 60 digits
-PROPERTY_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
-
-
-def _mp_trim(p: list, scale) -> list:
-    p = list(p)
-    while p and abs(p[-1]) <= 1e-30 * scale:
-        p.pop()
-    return p
-
-
-def _mp_divmod(a: list, b: list) -> tuple[list, list]:
-    a, q = list(a), [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = a[k + len(b) - 1] / b[-1]
-        for j, c in enumerate(b):
-            a[k + j] -= q[k] * c
-    return q, a[: len(b) - 1]
-
-
-def _mp_distinct_roots(mp, p: list) -> list:
-    """The distinct roots of p (coefficients lowest first): the roots of p / gcd(p, p')."""
-    p = _mp_trim(p, max(abs(c) for c in p))
-    if len(p) < 2:
-        return []
-    g, r = p, _mp_trim([k * c for k, c in enumerate(p)][1:], max(abs(c) for c in p))
-    while len(r) > 1:
-        g, r = r, _mp_trim(_mp_divmod(g, r)[1], max(abs(c) for c in g))
-    if r:  # a nonzero constant remainder: p is square-free
-        g = [1]
-    q = _mp_divmod(p, g)[0][::-1]
-    if len(q) < 2:
-        return []
-    # started from double-precision eigenvalue roots, the iteration only polishes
-    start = np.roots([complex(c) for c in q])
-    return mp.polyroots(q, maxsteps=100, extraprec=20, roots_init=[mp.mpc(r) for r in start])
-
-
-def _mp_eval(p: list, z):
-    return sum(c * z**k for k, c in enumerate(p))
-
-
-def _oracle_value(mp, num: list, den: list, z):
-    """num/den at z, with None for infinity."""
-    if z is None:
-        if len(num) != len(den):
-            return None if len(num) > len(den) else mp.mpc(0)
-        return mp.mpc(num[-1]) / den[-1]
-    d = _mp_eval(den, z)
-    if abs(d) <= 1e-30 * sum(abs(c) for c in den) * (1 + abs(z)) ** len(den):
-        return None
-    return _mp_eval(num, z) / d
-
-
-def _oracle_close(x, y) -> bool:
-    if x is None or y is None:
-        return x is None and y is None
-    return abs(x - y) <= ORACLE_EPS * (1 + abs(x))
-
-
-def _oracle_fiber(mp, num: list, den: list, a, punctures) -> list:
-    """The distinct preimages of a off the punctures."""
-    size = max(len(num), len(den))
-    if a is None:
-        poly = [mp.mpc(c) for c in den]
-    else:
-        num, den = num + [0] * (size - len(num)), den + [0] * (size - len(den))
-        poly = [n - a * d for n, d in zip(num, den)]
-    poly = _mp_trim(poly, max(abs(c) for c in poly))
-    points = list(_mp_distinct_roots(mp, poly))
-    if len(poly) < size:
-        points.append(None)
-    return [z for z in points if not any(_oracle_close(z, p) for p in punctures)]
-
-
-def _same_point_sets(xs: list, ys: list) -> bool:
-    pool = list(ys)
-    for x in xs:
-        hit = next((i for i, y in enumerate(pool) if _oracle_close(x, y)), None)
-        if hit is None:
-            return False
-        pool.pop(hit)
-    return not pool
-
-
-def oracle_shared_values(mp, a: tuple[list, list], b: tuple[list, list], punctures) -> list[tuple] | None:
-    """(value, delta) of every shared value of two maps; None when they are identical.
-
-    Each map is a coprime pair of integer coefficient lists, lowest first;
-    a puncture is an mpc or None for infinity.
-    """
-    (na, da), (nb, db) = a, b
-    cross = [0] * (max(len(na) + len(db), len(nb) + len(da)) - 1)
-    for x, y, sign in ((na, db, 1), (nb, da, -1)):
-        for i, c in enumerate(x):
-            for j, e in enumerate(y):
-                cross[i + j] += sign * c * e
-    if not any(cross):
-        return None
-    common = list(_mp_distinct_roots(mp, [mp.mpc(c) for c in cross]))
-    if _oracle_close(_oracle_value(mp, na, da, None), _oracle_value(mp, nb, db, None)):
-        common.append(None)
-    candidates = [_oracle_value(mp, *m, p) for p in punctures for m in (a, b)]
-    candidates += [_oracle_value(mp, na, da, z) for z in common if not any(_oracle_close(z, p) for p in punctures)]
-    shared = []
-    for value in [*candidates, None]:
-        if any(_oracle_close(value, v) for v, _delta in shared):
-            continue
-        fa, fb = (_oracle_fiber(mp, *m, value, punctures) for m in (a, b))
-        if _same_point_sets(fa, fb):
-            shared.append((value, len(fa)))
-    return shared
+# shared values against the oracle's exact fibre tables (oracle.shared_values)
 
 
 def _integer_coeffs(rng, degree: int) -> list[int]:
@@ -760,20 +597,19 @@ def _stripped(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _random_coprime_map(rng, sympy) -> tuple[list[int], list[int]]:
+def _random_coprime_map(rng) -> tuple[list[int], list[int]]:
     """An integer N/D of degree 1 to 4 in lowest terms, coefficients lowest first."""
-    z = sympy.Symbol("z")
     while True:
         degrees = [int(rng.integers(1, 5))]
         degrees.insert(int(rng.integers(2)), int(rng.integers(0, degrees[0] + 1)))
         num, den = (_integer_coeffs(rng, k) for k in degrees)
-        if sympy.gcd(sympy.Poly(num[::-1], z), sympy.Poly(den[::-1], z)).degree() == 0:
+        if oracle.gcd(num, den).degree() == 0:
             return num, den
 
 
-def _pair_of_kind(rng, sympy, kind: int) -> tuple[tuple[list, list], tuple[list, list]]:
+def _pair_of_kind(rng, kind: int) -> tuple[tuple[list, list], tuple[list, list]]:
     """(A, 1/A), (A, -A), A(1/z), A(-z) or an unrelated pair."""
-    num, den = a = _random_coprime_map(rng, sympy)
+    num, den = a = _random_coprime_map(rng)
     if kind == 0:
         return a, (den, num)
     if kind == 1:
@@ -783,28 +619,24 @@ def _pair_of_kind(rng, sympy, kind: int) -> tuple[tuple[list, list], tuple[list,
         return a, (_stripped((num + [0] * (k - len(num)))[::-1]), _stripped((den + [0] * (k - len(den)))[::-1]))
     if kind == 3:
         return a, ([c * (-1) ** j for j, c in enumerate(num)], [c * (-1) ** j for j, c in enumerate(den)])
-    return a, _random_coprime_map(rng, sympy)
+    return a, _random_coprime_map(rng)
 
 
 def test_shared_values_match_a_high_precision_oracle():
-    mpmath = pytest.importorskip("mpmath")
-    sympy = pytest.importorskip("sympy")
     rng = np.random.default_rng(19)
-    with mpmath.mp.workdps(60):
-        for k in range(150):
-            a, b = _pair_of_kind(rng, sympy, k % 5)
-            names = [str(x) for x in rng.choice(PROPERTY_POOL, size=int(rng.integers(1, 5)), replace=False)]
-            points = [None if x == "inf" else mpmath.mpc(parse_sphere_point(x).value) for x in names]
-            expected = oracle_shared_values(mpmath.mp, a, b, points)
-            ga, gb = (RationalFunction(Polynomial(num), Polynomial(den)) for num, den in (a, b))
-            sv = shared_values(ga, gb, names)
-            if expected is None:
-                assert sv.kind == SHARED_IDENTICAL, (a, b)
-                continue
-            got = [(v.value.value, v.delta) for v in sv.values]
-            assert sv.kind == SHARED_GENERIC and len(got) == len(expected), (a, b, names, got, expected)
-            for value, delta in got:
-                assert any(
-                    d == delta and (value is None if y is None else value is not None and abs(value - complex(y)) <= 1e-6 * (1 + abs(value)))
-                    for y, d in expected
-                ), (a, b, names, got, expected)
+    for k in range(150):
+        a, b = _pair_of_kind(rng, k % 5)
+        names = [str(x) for x in rng.choice(PUNCTURE_POOL, size=int(rng.integers(1, 5)), replace=False)]
+        ga, gb = (RationalFunction(Polynomial(num), Polynomial(den)) for num, den in (a, b))
+        expected = oracle.shared_values(ga, gb, names)
+        sv = shared_values(ga, gb, names)
+        if expected is None:
+            assert sv.kind == SHARED_IDENTICAL, (a, b)
+            continue
+        got = [(v.value.value, v.delta) for v in sv.values]
+        assert sv.kind == SHARED_GENERIC and len(got) == len(expected), (a, b, names, got, expected)
+        for value, delta in got:
+            assert any(
+                d == delta and (value is None if y is None else value is not None and abs(value - complex(y)) <= 1e-6 * (1 + abs(value)))
+                for y, d in expected
+            ), (a, b, names, got, expected)

@@ -20,12 +20,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 import wlab.cli
 import wlab.poly
 import wlab.roots
 from wlab.analysis import Analysis
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, _load_data, main
 from wlab.tolerances import Tolerances
+
+from conftest import _bench_random_poly
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -134,6 +137,39 @@ def test_check_missing_file_exits_usage(capsys, tmp_path):
     code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))
     assert code == EXIT_USAGE
     assert "cannot read" in err
+
+
+# a valid document less its closing brace: a key repeated after it overrides it
+VALID = b'{"genus": 0, "punctures": ["inf"], "h": "1", "g1": "z", "g2": "z"'
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        pytest.param(b"\xff\xfe{}", "is not UTF-8 text", id="not-utf8"),
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply", id="nested-100000"),
+        pytest.param(VALID + b', "punctures": [1e400]}', "punctures holds a number beyond", id="1e400"),
+        pytest.param(VALID + b', "punctures": [Infinity]}', "punctures holds a number beyond", id="Infinity"),
+        pytest.param(VALID + b', "punctures": ["inf", NaN]}', "punctures holds a number beyond", id="NaN"),
+        pytest.param(VALID + b', "genus": false}', "genus must be a non-negative integer", id="genus-false"),
+    ],
+)
+def test_an_unreadable_input_document_is_a_usage_error(capsys, tmp_path, document, message):
+    # each once exited 2 with a raw exception, or was read and checked:
+    # 1e400 and Infinity as the point at infinity, false as genus 0
+    path = tmp_path / "data.json"
+    path.write_bytes(document)
+    code, doc, err = run(capsys, "check", str(path))
+    assert (code, doc) == (EXIT_USAGE, None) and err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--mesh-out"])
+def test_an_output_path_under_a_missing_directory_is_a_usage_error(capsys, tmp_path, flag):
+    path = str(tmp_path / "missing" / "out")
+    mesh = ["mesh", fixture("example23"), "--region", "annulus:0,0,0.5,2", "--res", "5", "--base", "1,0"]
+    argv = ["check", fixture("example21"), "--out", path] if flag == "--out" else [*mesh, "--mesh-out", path]
+    code, doc, err = run(capsys, *argv)
+    assert (code, doc) == (EXIT_USAGE, None) and err.startswith(f"error: cannot write {path}: "), err
 
 
 def test_check_rejects_bad_genus_and_missing_fields(capsys, tmp_path):
@@ -265,15 +301,13 @@ def degree_32_power(tmp_path, m: int) -> str:
 def test_degree_32_powers_ramify_exactly(capsys, tmp_path, time_limit, m):
     # 0 is totally ramified with nu = m over the roots of A, within the
     # ladders' 2 s; the exact Yun chain needs its primitive gcds for m = 4
-    sympy = pytest.importorskip("sympy")
     path = degree_32_power(tmp_path, m)
     with time_limit(2.0):
         code, doc, err = run(capsys, "ramify", path, "--component", "2")
     assert code == EXIT_OK and err == ""
     zero = [v for v in doc["report"]["ramification"]["values"] if v["value"] == {"re": 0.0, "im": 0.0}]
     assert [(v["kind"], v["nu"]) for v in zero] == [("totally-ramified", m)]
-    base = DEGREE_32_POWERS[m][0].replace("^", "**")
-    exact_roots = [complex(r) for r in sympy.Poly(sympy.sympify(base)).nroots(n=30)]
+    exact_roots = [complex(r) for r, _m in oracle.roots(DEGREE_32_POWERS[m][0])]
     points = [complex(p["point"]["re"], p["point"]["im"]) for p in zero[0]["preimages"]]
     assert [p["multiplicity"] for p in zero[0]["preimages"]] == [m] * len(exact_roots)
     assert len(points) == len(exact_roots)
@@ -655,15 +689,6 @@ def test_degree_64_map_solves_without_warnings(capsys, tmp_path, time_limit):
     ram = doc["report"]["ramification"]
     assert ram["n1"] == 126 and ram["rh_ok"] is True
 
-
-
-def _bench_random_poly(rng: random.Random, degree: int) -> list[int]:
-    """The bench ladders' generator: integer coefficients in [-9, 9], lowest
-    degree first, nonzero leading term."""
-    coeffs = [rng.randint(-9, 9) for _ in range(degree + 1)]
-    while coeffs[-1] == 0:
-        coeffs[-1] = rng.randint(-9, 9)
-    return coeffs
 
 
 def test_a_non_finite_aberth_iterate_stops_the_iteration_without_a_warning(capsys, tmp_path, record_calls):

@@ -27,6 +27,7 @@ from wlab.rational import INF, RationalFunction, SpherePoint
 
 import oracle
 import parse_corpus
+from conftest import _integer_poly, _ladder_maps
 
 Z = RationalFunction.variable()
 
@@ -366,24 +367,6 @@ def _parsed_pair(f: RationalFunction) -> tuple:
     a, b = f._pair
     num, den = ([(Fraction(re, b[-1][0]), Fraction(im, b[-1][0])) for re, im in p] for p in (a, b))
     return (num, den, repr(f.num.coeffs), repr(f.den.coeffs))
-
-
-def _integer_poly(rng: random.Random, degree: int) -> str:
-    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice([-9, -4, -1, 1, 3, 9])]
-    terms = [f"{c}*z^{k}" for k, c in enumerate(coeffs) if c]
-    return "+".join(terms).replace("+-", "-")
-
-
-def _ladder_maps() -> list[str]:
-    """Seeded integer maps A/B and A^m/B at degrees 4..64."""
-    rng = random.Random(20060313)
-    out = []
-    for degree in (4, 8, 12, 16, 20, 24, 32, 48, 64):
-        for _ in range(2):
-            out.append(f"({_integer_poly(rng, degree)})/({_integer_poly(rng, degree)})")
-            m = rng.choice([m for m in (2, 3, 4) if degree % m == 0])
-            out.append(f"({_integer_poly(rng, degree // m)})^{m}/({_integer_poly(rng, degree)})")
-    return out
 
 
 # parts that are -0.0 after a negation, trimming edges relative to 1e15 and to

@@ -31,8 +31,7 @@ from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
 from wlab.weierstrass import WeierstrassData
 
-from test_bounds import loadable_fixtures
-from test_exprparse import _integer_poly, _ladder_maps
+from conftest import _integer_poly, _ladder_maps, loadable_fixtures
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "wlab"
 FIXTURES = SRC.parents[1] / "fixtures"
@@ -238,3 +237,32 @@ def test_the_root_and_fiber_path_calls_no_blas(name):
         or isinstance(node, ast.Call) and "optimize" in {kw.arg for kw in node.keywords}
     ]
     assert not hits, hits
+
+
+# -- the tests' own layering: one oracle module, no test module read by another
+
+TESTS = Path(__file__).resolve().parent
+
+
+def imported(path: Path) -> set[str]:
+    """The top-level name of every module the file imports, by a statement
+    or by ``pytest.importorskip``."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    names = {a.name for node in nodes if isinstance(node, ast.Import) for a in node.names}
+    names |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.module}
+    names |= {
+        node.args[0].value
+        for node in nodes
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip" and node.args
+    }
+    return {name.split(".")[0] for name in names}
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_oracle_imports_sympy_or_mpmath(path):
+    assert path.name == "oracle.py" or not imported(path) & {"sympy", "mpmath"}
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
+def test_no_test_module_imports_another(path):
+    assert not {name for name in imported(path) if name.startswith("test_")}

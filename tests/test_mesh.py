@@ -6,14 +6,14 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
 import pytest
 
+import oracle
+from conftest import load_fixture
 import wlab.cli
 import wlab.roots
 import wlab.report
-from wlab.exprparse import parse_expression
 from wlab.mesh import (
     Annulus,
     MeshRegionError,
@@ -23,14 +23,12 @@ from wlab.mesh import (
     build_mesh,
     export_mesh,
 )
-from wlab.poly import exact_primitive
 from wlab.rational import RationalFunction
 from wlab.report import format_float
 from wlab.tolerances import Tolerances
 from wlab.weierstrass import WeierstrassData
 
 HERE = Path(__file__).resolve().parent
-FIXTURES = HERE.parent / "fixtures"
 SNAPSHOTS = HERE / "snapshots"
 
 Z = RationalFunction.variable()
@@ -212,63 +210,21 @@ def test_forms_are_evaluated_a_fixed_number_of_times(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the exact primitive, at 30 digits
+# the exact primitive, at 30 digits (oracle.mesh_coordinates)
 
-I = mpmath.mpc(0, 1)
-
-
-def _example23_primitive(z):
-    # phi = (1 + z, i (1 - z), z - 1, -i (z + 1)) / (2 z^3)
-    return (
-        -1 / (4 * z**2) - 1 / (2 * z),
-        I * (-1 / (4 * z**2) + 1 / (2 * z)),
-        1 / (4 * z**2) - 1 / (2 * z),
-        I * (1 / (2 * z) + 1 / (4 * z**2)),
-    )
-
-
-def _example21_primitive(z):
-    # with h = 1/((z-1)(z-2)(z-3)): (1 + z^2) h = 1/(z-1) - 5/(z-2) + 5/(z-3),
-    # (1 - z^2) h = 3/(z-2) - 4/(z-3) and z h = 1/(2(z-1)) - 2/(z-2) + 3/(2(z-3));
-    # log(p - z) keeps the branch cut right of every pole, off the region
-    l1, l2, l3 = mpmath.log(1 - z), mpmath.log(2 - z), mpmath.log(3 - z)
-    return (
-        (l1 - 5 * l2 + 5 * l3) / 2,
-        I / 2 * (3 * l2 - 4 * l3),
-        mpmath.mpf(0),
-        -I * (l1 / 2 - 2 * l2 + 3 * l3 / 2),
-    )
-
-
-# fixture: (primitive, region, base point) of the snapshot and bench meshes
+# fixture: (region, base point) of the snapshot and bench meshes
 EXACT_CASES = {
-    "example23": (_example23_primitive, Annulus(0j, 0.5, 2.0), 1.0 + 0j),
-    "example21": (_example21_primitive, Rectangle(-0.5, 0.5, -0.5, 0.5), 0.25j),
+    "example23": (Annulus(0j, 0.5, 2.0), 1.0 + 0j),
+    "example21": (Rectangle(-0.5, 0.5, -0.5, 0.5), 0.25j),
 }
-
-
-def load_fixture(name: str) -> WeierstrassData:
-    raw = json.loads((FIXTURES / f"{name}.json").read_text())
-    return WeierstrassData(
-        h=parse_expression(raw["h"]),
-        g1=parse_expression(raw["g1"]),
-        g2=parse_expression(raw["g2"]),
-        punctures=tuple(raw["punctures"]),
-    )
 
 
 def exact_mesh(name: str, resolution):
     """The mesh of a fixture, and x at its included vertices from the exact
     primitive at 30 digits, each rounded once to a double."""
-    primitive, region, z0 = EXACT_CASES[name]
+    region, z0 = EXACT_CASES[name]
     mesh = build_mesh(load_fixture(name), region, resolution, z0)
-    with mpmath.workdps(30):
-        base = primitive(mpmath.mpmathify(z0))
-        exact = [
-            [float(mpmath.re(f - f0)) for f, f0 in zip(primitive(mpmath.mpmathify(z)), base)]
-            for z in mesh.z[mesh.included]
-        ]
-    return mesh, np.array(exact)
+    return mesh, oracle.mesh_coordinates(name, z0, mesh.z[mesh.included])
 
 
 @pytest.mark.parametrize(
@@ -344,7 +300,7 @@ def test_unsampled_edge_through_pole_exits_math(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", sorted(EXACT_CASES))
 def test_benchmark_meshes_raise_no_runtime_warning(name):
-    _, region, z0 = EXACT_CASES[name]
+    region, z0 = EXACT_CASES[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for resolution in (17, 33):
@@ -357,7 +313,7 @@ def test_mesh_locates_no_extra_roots(record_calls, name):
     # pole table; every pole of h lies at a puncture (g1, g2 are
     # polynomials), whose exact value is its place, so nothing is root-found
     located = record_calls(wlab.roots, "roots_with_multiplicity")
-    _, region, z0 = EXACT_CASES[name]
+    region, z0 = EXACT_CASES[name]
     data = load_fixture(name)
     build_mesh(data, region, 17, z0)
     assert located == []

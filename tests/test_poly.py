@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact, from_roots
+from conftest import _gaussian_poly, exact, from_roots
 from wlab import poly
 from wlab.poly import (
     P0,
@@ -229,11 +229,6 @@ def test_primitive_part_divides_out_the_gaussian_content():
 # -- exact polynomials over Z[i] --------------------------------------------------
 
 
-def _gaussian_poly(rng: random.Random, degree: int) -> tuple[tuple[int, int], ...]:
-    coeffs = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(degree)]
-    return tuple(coeffs) + ((rng.choice([-3, -1, 1, 2]), rng.randint(-2, 2)),)
-
-
 def test_subresultant_gcd_recovers_a_gaussian_common_factor():
     rng = random.Random(16)
     for _ in range(5):
@@ -307,7 +302,7 @@ def test_exact_gcd_is_primitive_and_leaves_coprime_exact_quotients(a, b, c, shar
 def test_every_corpus_pair_has_its_recorded_gcd():
     # the gcd corpus (tests/gcd_corpus.py): seeded pairs, the bench ladder
     # maps and the fixtures' pairs, each with the primitive gcd, unit included
-    import gcd_corpus  # it draws with this module's _gaussian_poly
+    import gcd_corpus  # it draws with conftest's _gaussian_poly
 
     corpus = json.loads(gcd_corpus.CORPUS.read_text(encoding="ascii"))
     records = corpus["records"]

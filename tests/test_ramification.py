@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,12 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import from_roots
-from test_exprparse import _ladder_maps
-from test_snapshots import NO_SIMD_DISPATCH
+import oracle
+from conftest import NO_SIMD_DISPATCH, PUNCTURE_POOL, _ladder_maps, assert_fibers_match_counting, from_roots, random_map
 from wlab.cli import main
-from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
-from wlab.poly import Polynomial
+from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.ramification import FiberTable, OverfullFiberError, Preimage, fiber_table, ramification_report
 from wlab.rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
@@ -30,68 +27,26 @@ from wlab.tolerances import Tolerances
 
 Z = RationalFunction.variable()
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-PUNCTURE_POOL = ("inf", "0", "1", "-1", "i", "2", "-2")
-CLUSTER_RTOL = 1e-6
 
 
-def preimages(f: RationalFunction, a, tol: Tolerances | None = None) -> list[tuple[SpherePoint, int]]:
-    """The fiber f^{-1}(a) with multiplicities, from the roots of N - aD.
-
-    The test oracle for every fiber the Wronskian table gives.  Finite a
-    (an expression, read exactly, or a number, read at its binary value):
-    roots of N - aD, formed exactly.  A value that prints as f(inf) does is
-    f(inf) up to rounding, and the exact pair's local degree at infinity
-    fixes the degree of its fibre polynomial, instead of a root near 1e16.
-    a = infinity: roots of D.  Whenever the fiber polynomial drops below
-    deg f, the balance sits at infinity.
-
-    A float a is its true value up to rounding, and the rounding splits a
-    point of multiplicity m of the true fibre into m simple roots of the
-    exact N - aD, about (1e-16)^(1/m) apart, around it: all roots are
-    located (no point identity), roots within ``CLUSTER_RTOL`` of each
-    other form one point, and the point is their mean.
-    """
-    if f.is_constant:
-        raise ValueError("preimages of a constant map are not a finite fiber")
-    target = as_sphere_point(a)
-    if target.is_infinity:
-        fiber_poly = f.pair[1]
-    else:
-        value = parse_expression(a) if isinstance(a, str) else RationalFunction.constant(target.value)
-        fiber_poly = f.cross_numerator(value)
-        if target == f.value_at_sphere(INF):
-            fiber_poly = fiber_poly[: f.degree - f.local_degree_at_infinity() + 1]
-    clusters: list[list[complex]] = []
-    if len(fiber_poly) >= 2:
-        for root, mult in roots_with_multiplicity(fiber_poly, replace(tol or Tolerances(), eps_pt=0.0)):
-            near = next((c for c in clusters if abs(c[0] - root) <= CLUSTER_RTOL * (1 + abs(root))), None)
-            if near is None:
-                near = []
-                clusters.append(near)
-            near += [root] * mult
-    out = [(SpherePoint(sum(c) / len(c)), len(c)) for c in clusters]
-    covered = sum(m for _, m in out)
-    if covered < f.degree:
-        out.append((INF, f.degree - covered))
-    return sorted(out, key=lambda pm: pm[0].sort_key())
-
-
-def points_of(fiber):
-    return sorted(str(p) for p, _m in fiber)
+def preimage_list(f: RationalFunction, a) -> list[tuple[SpherePoint, int]]:
+    """The oracle's fibre f^-1(a) (``oracle.Fibres.fibre``) as sorted (point, multiplicity)."""
+    fibre = [(INF if z is None else SpherePoint(complex(z)), m) for z, m in oracle.Fibres(f).fibre(a)]
+    return sorted(fibre, key=lambda pm: pm[0].sort_key())
 
 
 def test_preimages_double_root():
-    assert preimages(Z**2, 0) == [(SpherePoint(0j), 2)]
+    assert preimage_list(Z**2, 0) == [(SpherePoint(0j), 2)]
 
 
 def test_preimages_two_simple_roots():
-    fiber = preimages(Z**2, 4)
+    fiber = preimage_list(Z**2, 4)
     assert sorted((p.value.real, m) for p, m in fiber) == [(-2.0, 1), (2.0, 1)]
 
 
 def test_preimages_infinity_with_balance():
     f = (Z - 1) ** 2 / (Z + 2)
-    fiber = preimages(f, "inf")
+    fiber = preimage_list(f, "inf")
     assert len(fiber) == 2
     assert (SpherePoint(-2 + 0j), 1) in [(p, m) for p, m in fiber if not p.is_infinity]
     assert any(p.is_infinity and m == 1 for p, m in fiber)
@@ -99,7 +54,7 @@ def test_preimages_infinity_with_balance():
 
 def test_preimages_all_at_infinity():
     # 1/z takes the value 0 only at infinity
-    fiber = preimages(1 / Z, 0)
+    fiber = preimage_list(1 / Z, 0)
     assert fiber == [(INF, 1)]
 
 
@@ -114,7 +69,7 @@ def test_preimages_sum_to_degree_random():
         if f.is_constant:
             continue
         a = complex(rng.normal(), rng.normal())
-        assert sum(m for _p, m in preimages(f, a)) == f.degree
+        assert sum(m for _p, m in preimage_list(f, a)) == f.degree
 
 
 def test_preimages_over_a_rounded_value_at_infinity():
@@ -124,7 +79,7 @@ def test_preimages_over_a_rounded_value_at_infinity():
     a = parse_expression("(-8-7*z)/(-4+3*z)")
     b = parse_expression("(-8*z-7)/(-4*z+3)")
     assert b.value_at_sphere(0j) == a.value_at_sphere(INF)
-    assert preimages(a, "-7/3") == preimages(a, b.value_at_sphere(0j)) == [(INF, 1)]
+    assert preimage_list(a, "-7/3") == preimage_list(a, b.value_at_sphere(0j)) == [(INF, 1)]
 
 
 def test_free_count_is_the_number_of_distinct_preimages_off_the_punctures():
@@ -134,21 +89,6 @@ def test_free_count_is_the_number_of_distinct_preimages_off_the_punctures():
     table = fiber_table(Z**2 * (Z - 1), ("1", "inf"))
     assert [table.free_count(SpherePoint(v)) for v in (0j, -4 / 27 + 0j, 5 + 0j)] == [1, 2, 3]
     assert table.free_count(INF) == 0
-
-
-# the quadratic scans the sorted index replaced, kept as the reference
-
-
-def scan_distinct(points, eps_pt):
-    out = []
-    for p in points:
-        if not any(p.close_to(q, eps_pt) for q in out):
-            out.append(p)
-    return out
-
-
-def scan_fiber(entries, value, eps_pt):
-    return sorted((pre for pre, v in entries if v.close_to(value, eps_pt)), key=lambda pre: pre.point.sort_key())
 
 
 @st.composite
@@ -172,7 +112,7 @@ def point_clouds(draw):
 def test_the_sorted_index_finds_what_the_scan_finds(cloud):
     eps, points = cloud
     kept = distinct_points(points, eps)
-    reference = scan_distinct(points, eps)
+    reference = oracle.scan_distinct(points, eps)
     assert len(kept) == len(reference) and all(a is b for a, b in zip(kept, reference))
     # a table over the cloud, its points' sort keys tied in threes, so a
     # fiber's order among equal keys is the entries' order
@@ -182,7 +122,7 @@ def test_the_sorted_index_finds_what_the_scan_finds(cloud):
     # bounds.shared_values counts delta as the size of such a query
     common = PointIndex(eps, points)
     for value in [*points, INF, SpherePoint(complex(math.nan, math.nan))]:
-        fiber = scan_fiber(entries, value, eps)
+        fiber = oracle.scan_fiber(entries, value, eps)
         got = table.fiber(value)
         assert len(got) == len(fiber) and all(a is b for a, b in zip(got, fiber))
         free = sum(1 for pre in fiber if not pre.is_puncture) + degree - sum(pre.multiplicity for pre in fiber)
@@ -206,7 +146,7 @@ def test_grouping_a_degree_64_table_makes_linearly_many_point_comparisons(record
 
 def test_preimages_constant_rejected():
     with pytest.raises(ValueError):
-        preimages(RationalFunction.constant(3), 1)
+        preimage_list(RationalFunction.constant(3), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,52 +315,7 @@ def test_overfull_fiber_is_a_typed_failure():
 
 
 # ---------------------------------------------------------------------------
-# fiber counting: the second route to every fiber
-
-
-def counted_fiber(f, value, punctures, tol):
-    """(point, multiplicity, is_puncture) over ``value`` from the roots of N - vD."""
-    fiber = []
-    for point, mult in preimages(f, value, tol):
-        puncture = next((p for p in punctures if point.close_to(p, tol.eps_pt)), None)
-        fiber.append((puncture or point, mult, puncture is not None))
-    return fiber
-
-
-def near(a: SpherePoint, b: SpherePoint) -> bool:
-    if a.is_infinity or b.is_infinity:
-        return a.is_infinity and b.is_infinity
-    return abs(a.value - b.value) <= 1e-6
-
-
-def assert_fibers_match_counting(f, punctures):
-    """Every reported fiber is the counted one; every other candidate is ordinary."""
-    tol = Tolerances()
-    reported = ramification_report(f, punctures, tol).values
-    for rv in reported:
-        counted = counted_fiber(f, rv.value, punctures, tol)
-        free = [mult for _p, mult, is_puncture in counted if not is_puncture]
-        if free:
-            assert (rv.kind, rv.nu) == ("totally-ramified", min(free)) and rv.nu >= 2, (f, rv, counted)
-        else:
-            assert (rv.kind, rv.nu) == ("exceptional", math.inf), (f, rv, counted)
-        assert len(rv.preimages) == len(counted), (f, rv)
-        # any order: conjugate pairs can swap on ulp-different real parts
-        for pre in rv.preimages:
-            hit = [
-                k
-                for k, (point, mult, is_puncture) in enumerate(counted)
-                if (mult, is_puncture) == (pre.multiplicity, pre.is_puncture) and near(point, pre.point)
-            ]
-            assert hit, (f, rv, counted)
-            counted.pop(hit[0])
-    w = f.derivative_numerator()
-    critical = [c for c, _m in roots_with_multiplicity(w, tol)] if len(w) >= 2 else []
-    candidates = [f.value_at_sphere(p) for p in (*critical, INF, *punctures)]
-    for value in candidates:
-        if not any(value.close_to(rv.value, tol.eps_pt) for rv in reported):
-            fiber = counted_fiber(f, value, punctures, tol)
-            assert any(mult == 1 and not is_puncture for _p, mult, is_puncture in fiber), (f, value, fiber)
+# fiber counting: every fiber against the oracle's exact table
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
@@ -431,27 +326,6 @@ def test_fixture_fibers_match_counting(path):
         g = parse_expression(raw[key])
         if not g.is_constant:
             assert_fibers_match_counting(g, punctures)
-
-
-def integer_poly(rng, degree: int) -> RationalFunction:
-    coeffs = [complex(c) for c in rng.integers(-9, 10, size=degree)]
-    return RationalFunction(Polynomial(coeffs + [complex(rng.choice([-3, -2, -1, 1, 2, 3]))]))
-
-
-def random_map(rng, shape: int) -> RationalFunction:
-    """Generic N/D, A^m/B, a polynomial, or z^a/((z-1)^b (z+2))."""
-
-    def degree(lo: int, hi: int) -> int:
-        return int(rng.integers(lo, hi + 1))
-
-    if shape == 0:
-        return integer_poly(rng, degree(1, 6)) / integer_poly(rng, degree(0, 6))
-    if shape == 1:
-        m, a = degree(2, 4), integer_poly(rng, degree(1, 2))
-        return a**m / integer_poly(rng, degree(0, m * a.degree))
-    if shape == 2:
-        return integer_poly(rng, degree(1, 8))
-    return Z ** degree(1, 5) / ((Z - 1) ** degree(0, 4) * (Z + 2))
 
 
 def test_random_fibers_match_counting():
@@ -503,18 +377,14 @@ def test_values_at_far_critical_points_of_high_degree_are_finite():
     # the map of test_ramify_residual_bound_of_a_far_root_of_high_degree_*:
     # at its critical points 297.18 +- 26.26i the degree-130 views leave the
     # range of a double, and their quotient was NaN, with a RuntimeWarning
-    mpmath = pytest.importorskip("mpmath")
     f = parse_expression("(z-300)^2*(z-1)^64*(z-1)^64/((z-299)^2*(z+1)^64*(z+1)^64)")
     far = [r for r, _m in roots_with_multiplicity(f.derivative_numerator()) if abs(r.imag) > 1]
     assert far == pytest.approx([297.18 - 26.26j, 297.18 + 26.26j], abs=5e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = f.values_at(far)
-    with mpmath.workdps(50):
-        for z, value in zip(far, values):
-            x = mpmath.mpc(z.real, z.imag)
-            exact = (x - 300) ** 2 * (x - 1) ** 128 / ((x - 299) ** 2 * (x + 1) ** 128)
-            assert abs(value.value - complex(exact)) <= 1e-12 * abs(exact)
+    for value, exact in zip(values, oracle.map_values(f, far)):
+        assert abs(value.value - complex(exact)) <= 1e-12 * abs(complex(exact))
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")

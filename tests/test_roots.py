@@ -2,17 +2,19 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import exact, from_roots
-from test_ramification import PUNCTURE_POOL, assert_fibers_match_counting, random_map
+import oracle
+from conftest import PUNCTURE_POOL, exact, from_roots, random_map
 from wlab import poly, roots
 from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import P0, Exact, Polynomial, exact_exponent, exact_gcd, exact_mul, exact_pow, exact_primitive
 from wlab.ramification import ramification_report
-from wlab.rational import SpherePoint
+from wlab.rational import RationalFunction, SpherePoint
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
 
@@ -135,12 +137,11 @@ def test_non_finite_roots_fail_the_cross_check(monkeypatch):
 
 
 def test_triple_roots_of_a_degree_32_wronskian_are_exact():
-    sympy = pytest.importorskip("sympy")
     w = parse_expression(TRIPLE_ROOTS_MAP).derivative_numerator()
     got = roots_with_multiplicity(w)
     assert sum(m for _r, m in got) == len(w) - 1
-    base = TRIPLE_ROOTS_MAP[1 : TRIPLE_ROOTS_MAP.index(")^4")].replace("^", "**")
-    exact_roots = [complex(r) for r in sympy.Poly(sympy.sympify(base)).nroots(n=30)]
+    base = TRIPLE_ROOTS_MAP[1 : TRIPLE_ROOTS_MAP.index(")^4")]
+    exact_roots = [complex(r) for r, _m in oracle.roots(base)]
     triples = [r for r, m in got if m == 3]
     assert len(triples) == len(exact_roots) == 8
     for r in triples:
@@ -187,7 +188,6 @@ def _integer_poly(rng: random.Random, degree: int) -> list[int]:
 
 @pytest.mark.parametrize("degree", [24, 32, 48])
 def test_generic_wronskian_has_2d_minus_2_simple_critical_points(degree):
-    sympy = pytest.importorskip("sympy")
     rng = random.Random(f"generic:{degree}")
     num, den = _integer_poly(rng, degree), _integer_poly(rng, degree)
 
@@ -199,12 +199,9 @@ def test_generic_wronskian_has_2d_minus_2_simple_critical_points(degree):
     assert len(got) == len(w) - 1 == 2 * degree - 2
     assert all(m == 1 for _, m in got)
 
-    z = sympy.Symbol("z")
-    n, d = (sympy.Poly(list(reversed(c)), z) for c in (num, den))
-    exact = (n.diff(z) * d - n * d.diff(z))
-    _, factors = exact.sqf_list()
+    exact = oracle.wronskian((num, den))
     assert exact.degree() == 2 * degree - 2
-    assert [m for _, m in factors] == [1]
+    assert [m for _, m in oracle.layers(exact)] == [1]
 
 
 def test_each_yun_factor_is_located_once(record_calls):
@@ -248,7 +245,6 @@ def test_exponents_of_gaussian_integer_products_are_recovered():
 
 
 def test_multiple_roots_sit_on_their_30_digit_positions():
-    sympy = pytest.importorskip("sympy")
     base = "-8*z^4 + 2*z^3 - 4*z^2 + 7*z - 9"
     den = (
         "-5*z^16 - 6*z^15 + 9*z^14 + 5*z^13 + 3*z^12 - z^11 - 4*z^10 + 2*z^9 + z^8"
@@ -256,7 +252,7 @@ def test_multiple_roots_sit_on_their_30_digit_positions():
     )
     report = ramification_report(parse_expression(f"({base})^4/({den})"), ("inf",))
     (zero,) = [v for v in report.values if v.value.close_to(SpherePoint(0j), 1e-9)]
-    exact = [complex(r) for r in sympy.Poly(sympy.sympify(base.replace("^", "**"))).nroots(n=30)]
+    exact = [complex(r) for r, _m in oracle.roots(base)]
     assert len(zero.preimages) == len(exact) == 4
     for pre in zero.preimages:
         assert pre.multiplicity == 4
@@ -319,12 +315,9 @@ def test_what_the_certificate_cannot_certify_falls_through_to_the_chain(p, expec
 def test_wronskian_roots_of_a_tiny_imaginary_term_match_mpmath():
     # one root lies near 1.5e8 i, where the float square-free layers left a
     # remainder and raised
-    mpmath = pytest.importorskip("mpmath")
     w = parse_expression("(1+1e-8i*z)/(1+1.5*z+z^2+0.25*z^3)").derivative_numerator()
     got = roots_with_multiplicity(w)
-    with mpmath.workdps(50):
-        coeffs = [mpmath.mpc(x, y) for x, y in reversed(w)]
-        exact_roots = [complex(r) for r in mpmath.polyroots(coeffs, maxsteps=500, extraprec=200)]
+    exact_roots = [complex(r) for r, m in oracle.roots(w) for _ in range(m)]
     assert [m for _r, m in got] == [1] * len(exact_roots) == [1] * 3
     assert max(abs(r.imag) for r, _m in got) > 1e8
     for r, _m in got:
@@ -392,31 +385,16 @@ def _ladder_map(rng: random.Random, degree: int, power: int) -> str:
 
 
 def assert_one_50_digit_root_per_disc(f: Exact, centres, radii) -> None:
-    """Each disc about the centres holds exactly one of mpmath's 50-digit roots of the exact f.
-
-    The iteration starts from the companion matrix's eigenvalues, which
-    shortens it on near-double roots from hundreds of steps to a few; where
-    that start does not converge, from mpmath's own.
-    """
-    mpmath = pytest.importorskip("mpmath")
+    """Each disc about the centres holds exactly one of the oracle's 50-digit roots of the exact f."""
     assert len(centres) == len(radii) == len(f) - 1
-    start = np.roots([complex(x, y) for x, y in reversed(f)])
-    with mpmath.workdps(50):
-        coeffs = [mpmath.mpc(x, y) for x, y in reversed(f)]
-        try:
-            exact_roots = mpmath.polyroots(
-                coeffs, maxsteps=400, extraprec=200, roots_init=[mpmath.mpc(z.real, z.imag) for z in start]
-            )
-        except mpmath.libmp.NoConvergence:
-            exact_roots = mpmath.polyroots(coeffs, maxsteps=400, extraprec=200)
-        for z, r in zip(centres, radii):
-            centre = mpmath.mpc(z.real, z.imag)
-            assert sum(1 for x in exact_roots if abs(x - centre) <= r) == 1, (f, z, r)
+    exact_roots = oracle.roots(f)
+    for z, r in zip(centres, radii):
+        assert sum(m for x, m in exact_roots if abs(x - z) <= r) == 1, (f, z, r)
 
 
 @pytest.mark.parametrize("power", [1, 2, 3])
 def test_every_inclusion_disc_holds_one_50_digit_root(power):
-    # the discs of each Yun factor of a Wronskian, against mpmath's roots of
+    # the discs of each Yun factor of a Wronskian, against the oracle's roots of
     # the exact factor: each disc holds exactly one of them, so none is left out
     rng = random.Random(f"discs:{power}")
     for degree in (6, 12, 18):
@@ -432,10 +410,22 @@ def test_every_inclusion_disc_holds_one_50_digit_root(power):
             assert_one_50_digit_root_per_disc(f, located, radii)
 
 
+def locate_float_fibres(f: RationalFunction, punctures) -> None:
+    """Root the exact N - aD (D at infinity) for each float critical value
+    and puncture image a of f: rounding a splits each multiple point of the
+    true fibre into near-double roots, whose discs overlap in doubles."""
+    w = f.derivative_numerator()
+    critical = [SpherePoint(c) for c, _m in roots_with_multiplicity(w)] if len(w) >= 2 else []
+    for value in f.values_at([*critical, *punctures]):
+        p = f.pair[1] if value.is_infinity else f.cross_numerator(RationalFunction.constant(value.value))
+        if len(p) >= 2:
+            roots_with_multiplicity(p, replace(Tolerances(), eps_pt=0.0))
+
+
 def test_every_refined_disc_holds_one_50_digit_root(record_calls):
     # the factors whose double discs overlap: the 1e-9 pair, and the
-    # near-double fibre factors of N - aD for a float critical value a that
-    # test_random_fibers_match_counting locates on its first 80 maps
+    # near-double fibre factors of N - aD for a float critical value a of
+    # the first 80 maps of test_random_fibers_match_counting
     refined = record_calls(roots, "_refined_roots")
     with pytest.raises(IllConditionedRootsError):
         roots_with_multiplicity(exact(from_roots([1.0, 1.0 + 1e-9])))
@@ -444,10 +434,7 @@ def test_every_refined_disc_holds_one_50_digit_root(record_calls):
         f = random_map(rng, k % 4)
         names = rng.choice(PUNCTURE_POOL, size=int(rng.integers(0, 6)), replace=False)
         if not f.is_constant:
-            try:
-                assert_fibers_match_counting(f, tuple(parse_sphere_point(str(p)) for p in names))
-            except RootIsolationError:
-                pass
+            locate_float_fibres(f, tuple(parse_sphere_point(str(p)) for p in names))
     factors = {q: (z, bound) for q, z, bound in refined}
     assert len(factors) >= 200
     for q, (z, bound) in factors.items():
@@ -495,7 +482,6 @@ def test_values_and_slopes_match_50_digit_evaluation(n):
     # level), each within 3u of exact (Higham, Lemma 3.5), and A = b + k sums,
     # each within u; so |computed - p(z)| <= gamma_(3P + A) sum_j |c_j| |z|^j,
     # and likewise for p' with the coefficients j c_j
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(n)
     c = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
     z = rng.choice([0.3, 0.9, 1.0, 1.1, 1.4], size=24) * np.exp(2j * np.pi * rng.random(24))
@@ -505,14 +491,12 @@ def test_values_and_slopes_match_50_digit_evaluation(n):
     m = 3 * (n + b + k) + b + k
     gamma = m * poly._U / (1 - m * poly._U)
     values, slopes = poly.block_values(blocks, z)
-    with mpmath.workdps(50):
-        coeffs = [mpmath.mpc(x) for x in c[::-1]]
-        for x, value, slope in zip(z, values, slopes):
-            exact_value, exact_slope = mpmath.polyval(coeffs, mpmath.mpc(x), derivative=True)
-            size = sum(abs(cj) * abs(x) ** j for j, cj in enumerate(c))
-            slope_size = sum(j * abs(cj) * abs(x) ** (j - 1) for j, cj in enumerate(c) if j)
-            assert abs(value - exact_value) <= gamma * size, (n, x)
-            assert abs(slope - exact_slope) <= gamma * slope_size, (n, x)
+    exact = zip(oracle.values(c, z), oracle.values(c, z, derivative=True))
+    for x, value, slope, (exact_value, exact_slope) in zip(z, values, slopes, exact):
+        size = sum(abs(cj) * abs(x) ** j for j, cj in enumerate(c))
+        slope_size = sum(j * abs(cj) * abs(x) ** (j - 1) for j, cj in enumerate(c) if j)
+        assert abs(value - exact_value) <= gamma * size, (n, x)
+        assert abs(slope - exact_slope) <= gamma * slope_size, (n, x)
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 20, 63, 64, 65, 130])
@@ -521,7 +505,6 @@ def test_the_value_bound_holds_at_50_digits_even_where_the_value_cancels(n):
     # bound from its correctly rounded monic view covers |q(z)| at 50 digits
     # at random points, at points 1e-10 from a root, and at each root rounded
     # to a double, where the computed value is mostly rounding error
-    mpmath = pytest.importorskip("mpmath")
     rng = random.Random(f"bound:{n}")
     parts = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(n)]
     f = ((1, 0),)
@@ -533,10 +516,8 @@ def test_the_value_bound_holds_at_50_digits_even_where_the_value_cancels(n):
     z = np.array(near + at_roots + far)
     values, bound = poly.block_values(poly.coefficient_blocks((roots._monic_view(f).coeffs,)), z, bound=True)
     short = 0
-    with mpmath.workdps(50):
-        exact_roots = [mpmath.mpc(mpmath.mpf(a) / 20, mpmath.mpf(b) / 20) for a, b in parts]
-        for x, value, upper in zip(z.tolist(), values[0].tolist(), bound.tolist()):
-            exact_value = abs(mpmath.fprod(mpmath.mpc(x) - r for r in exact_roots))
-            assert upper >= exact_value, (n, x, upper, exact_value)
-            short += abs(value) < exact_value
+    monic = [(Fraction(a, 20**n), Fraction(b, 20**n)) for a, b in f]
+    for x, value, upper, exact_value in zip(z.tolist(), values[0].tolist(), bound.tolist(), oracle.magnitudes(monic, z.tolist())):
+        assert upper >= exact_value, (n, x, upper, exact_value)
+        short += abs(value) < exact_value
     assert short  # the computed value alone falls short of |q(z)| somewhere

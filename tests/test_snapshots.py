@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NO_SIMD_DISPATCH
 from wlab.cli import EXIT_MATH, main
 
 HERE = Path(__file__).resolve().parent
@@ -152,11 +153,6 @@ def test_obj_snapshots(tmp_path, name, argv):
          "--mesh-out", str(mesh_out)],
     )
     assert mesh_out.read_bytes() == (SNAPSHOTS / name).read_bytes()
-
-
-# numpy picks its kernels at import from the CPU's features; this list leaves
-# an x86-64 CPU with numpy's baseline (X86_V2) kernels only
-NO_SIMD_DISPATCH = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")

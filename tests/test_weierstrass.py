@@ -1,14 +1,13 @@
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
 
+import oracle
+from conftest import load_fixture, loadable_fixtures, random_regular_data
 from wlab.analysis import Analysis
 from wlab.exprparse import as_sphere_point, parse_expression
 from wlab.rational import GaussianRational, RationalFunction
@@ -26,14 +25,9 @@ from wlab.weierstrass import (
     phi_from_data,
 )
 
-from test_bounds import loadable_fixtures, random_regular_data
-from test_curvature import at_reciprocal
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 Z = RationalFunction.variable()
 ONE = RationalFunction.constant(1)
 ZERO = RationalFunction.constant(0)
-_T = sympy.Symbol("t")
 
 
 def triple_poles_123() -> WeierstrassData:
@@ -84,39 +78,9 @@ def test_phi_from_data_flat():
 # conformality
 
 
-def fixture_phi(name: str) -> PhiForms:
-    raw = json.loads((FIXTURES / f"{name}.json").read_text())
-    return phi_from_data(
-        WeierstrassData(
-            h=parse_expression(raw["h"]),
-            g1=parse_expression(raw["g1"]),
-            g2=parse_expression(raw["g2"]),
-            punctures=tuple(raw["punctures"]),
-        )
-    )
-
-
 def corrupted_phi() -> PhiForms:
     phi = phi_from_data(double_pole_pair())
     return PhiForms(phi.phi1, phi.phi2, phi.phi3, phi.phi4 * 1.01)
-
-
-def oracle_sum_of_squares(phi: PhiForms) -> sympy.Poly:
-    """The numerator of sum(phi_k^2) over sympy's QQ_I: the sum over k of
-    a_k^2 times the b_j^2 with j != k, for the exact pairs (a_k, b_k)."""
-    qq_i = sympy.QQ_I
-    polys = [
-        [sympy.Poly([qq_i(*c) for c in p[::-1]] or [qq_i(0, 0)], _T, domain=qq_i) for p in f.pair]
-        for f in phi.forms
-    ]
-    total = sympy.Poly(0, _T, domain=qq_i)
-    for k, (a, _b) in enumerate(polys):
-        term = a**2
-        for j, (_a, b) in enumerate(polys):
-            if j != k:
-                term *= b**2
-        total += term
-    return total
 
 
 FIXTURE_NAMES = (
@@ -128,16 +92,16 @@ FIXTURE_NAMES = (
 def test_conformality_by_construction():
     # phi_from_data builds the forms so that sum(phi_k^2) vanishes identically
     rng = np.random.default_rng(3)
-    phis = [fixture_phi(name) for name in FIXTURE_NAMES]
+    phis = [phi_from_data(load_fixture(name)) for name in FIXTURE_NAMES]
     phis += [phi_from_data(random_regular_data(rng)) for _ in range(40)]
     phis += [phi_from_data(d) for d in (triple_poles_123(), double_pole_pair(), cubic_pole())]
     for phi in phis:
-        assert oracle_sum_of_squares(phi).is_zero, phi
+        assert oracle.sum_of_squares(phi.forms).is_zero, phi
 
 
 def test_conformality_detects_corruption():
     # the oracle can fail: phi4 scaled by 1.01 leaves 0.0201 phi4^2 != 0
-    assert not oracle_sum_of_squares(corrupted_phi()).is_zero
+    assert not oracle.sum_of_squares(corrupted_phi().forms).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +193,9 @@ def test_ends_moebius_invariance():
     # the Gauss maps by plain substitution
     data = double_pole_pair()
     w = RationalFunction.variable()
+    def at_reciprocal(g):
+        return RationalFunction.of_exact(*oracle.at_reciprocal(g))
+
     pulled = WeierstrassData(
         h=-at_reciprocal(data.h) / w**2,
         g1=at_reciprocal(data.g1),
@@ -296,12 +263,6 @@ def test_periods_scale_recorded():
     assert report.eps_period >= 1e-10
 
 
-def contour_residue(f: RationalFunction, center: complex, radius: float, nodes: int) -> complex:
-    """Trapezoidal estimate of the residue of f dz on a circle around ``center``."""
-    w = np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    return complex(radius / nodes * np.sum(f(center + radius * w) * w))
-
-
 def contour_error(an: Analysis) -> float:
     """The largest relative gap between trapezoidal contours of 256 and 512
     nodes around each finite puncture and the exact residues there; each
@@ -315,7 +276,7 @@ def contour_error(an: Analysis) -> float:
         radius = 0.5 * min((abs(s - c) for s in an.singular_points if s != c), default=2.0)
         for f, r in zip(an.phi.forms, entry.residues):
             for nodes in (256, 512):
-                worst = max(worst, abs(contour_residue(f, c, radius, nodes) - r) / max(1.0, abs(r)))
+                worst = max(worst, abs(oracle.contour_residue(f, c, radius, nodes) - r) / max(1.0, abs(r)))
     return worst
 
 
@@ -338,41 +299,6 @@ def test_periods_from_the_pole_table_match_the_phi_denominators():
     assert regular >= 40
 
 
-def shifted(p, z0) -> list:
-    """The coefficients of p(t + z0) over sympy's QQ_I, lowest first."""
-    poly = sympy.Poly([sympy.QQ_I(*c) for c in p[::-1]], _T, domain=sympy.QQ_I).shift(z0)
-    return [sympy.QQ_I.from_sympy(c) for c in reversed(poly.all_coeffs())]
-
-
-def oracle_residue(a, b, z0):
-    """Res at z0 of (a / b) dz, over sympy's QQ_I: a and b shifted to
-    t = z - z0, m the order of b at t = 0, and the t^(m-1) coefficient of the
-    series a / (b / t^m), by field division."""
-    qq_i = sympy.QQ_I
-    top, bottom = shifted(a, z0), shifted(b, z0)
-    m = next(k for k, c in enumerate(bottom) if c)
-    bottom = bottom[m:]
-    series = []
-    for j in range(m):
-        acc = top[j] if j < len(top) else qq_i(0, 0)
-        for i in range(1, min(j, len(bottom) - 1) + 1):
-            acc -= bottom[i] * series[j - i]
-        series.append(acc / bottom[0])
-    return series[-1] if series else qq_i(0, 0)
-
-
-def oracle_residue_at_infinity(a, b):
-    """Res at infinity of (a / b) dz: minus the residue at w = 0 of
-    a(1/w) / (w^2 b(1/w)) dw = w^(deg b - deg a - 2) rev a / rev b."""
-    e = len(b) - len(a) - 2
-    top, bottom = a[::-1], b[::-1]
-    if e >= 0:
-        top = ((0, 0),) * e + top
-    else:
-        bottom = ((0, 0),) * -e + bottom
-    return -oracle_residue(top, bottom, sympy.QQ_I(0, 0))
-
-
 def test_exact_residues_equal_a_qq_i_oracle():
     # every residue a period report prints is exact: at each finite puncture
     # and at infinity its unrounded value is the oracle's Gaussian rational
@@ -382,16 +308,10 @@ def test_exact_residues_equal_a_qq_i_oracle():
         an = Analysis(d)
         for entry in an.periods.entries:
             p = entry.puncture
-            if not p.is_infinity:
-                (x0, y0), (x1, y1) = p.factor
-                z0 = sympy.QQ_I(-x0, -y0) / sympy.QQ_I(x1, y1)
             for f, got in zip(an.phi.forms, entry.residues):
-                a, b = f.pair
-                want = oracle_residue_at_infinity(a, b) if p.is_infinity else oracle_residue(a, b, z0)
+                want = oracle.residue(f, p)
                 u, v, w = got.exact
-                assert (Fraction(u, w), Fraction(v, w)) == tuple(
-                    Fraction(int(q.numerator), int(q.denominator)) for q in (want.x, want.y)
-                ), (d, p)
+                assert (Fraction(u, w), Fraction(v, w)) == want, (d, p)
                 assert got == complex(Fraction(u, w), Fraction(v, w))
                 checked += 1
     assert checked >= 400
