@@ -21,7 +21,7 @@ checks.  It imports neither pytest nor any test module.  The pieces:
 - roots at 50 digits (``roots``, any precision given): sympy's exact
   square-free layers, each rooted by mpmath, a line's root exactly; values
   of a polynomial or a map at exact or binary points (``values``,
-  ``map_values``), exact and rounded once to 50 digits;
+  ``map_values``, ``magnitudes``), exact and rounded once to 50 digits;
 - the fibre table at 60 digits (``Fibres``): the punctures at their exact
   points, infinity, and the roots of the exact square-free layers of W =
   N'D - ND', each with local degree 1 + its exact order in W and its value;
