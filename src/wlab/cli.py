@@ -54,13 +54,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _finite(value) -> bool:
-    """Whether no number in a JSON value is infinite or NaN (1e400, Infinity, NaN)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, list):
-        return all(_finite(v) for v in value)
-    if isinstance(value, dict):
-        return all(_finite(v) for v in value.values())
+    """Whether no number in a JSON value is infinite or NaN (1e400, Infinity,
+    NaN); walked with a stack, as a document may nest deeper than Python's
+    recursion limit allows a recursive walk."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, float) and not math.isfinite(item):
+            return False
+        if isinstance(item, (list, dict)):
+            stack.extend(item.values() if isinstance(item, dict) else item)
     return True
 
 

@@ -17,16 +17,19 @@ checks.  It imports neither pytest nor any test module.  The pieces:
   basis refines the φ-denominators themselves (``phi_denominator_table``):
   ``phi_from_data`` reduces each form once over a shared denominator, so
   the two meet only in the reduced pairs and exponents;
-- the order at a sphere point (``order``), exact, off the pair;
+- the order and the value at infinity (``order``, ``at_infinity``), exact,
+  off the pair; a point is a ``SpherePoint`` (``exact_point``);
 - roots at 50 digits (``roots``, any precision given): sympy's exact
   square-free layers, each rooted by mpmath, a line's root exactly; values
   of a polynomial or a map at exact or binary points (``values``,
-  ``map_values``, ``magnitudes``), exact and rounded once to 50 digits;
-- the fibre table at 60 digits (``Fibres``): the punctures at their exact
-  points, infinity, and the roots of the exact square-free layers of W =
-  N'D - ND', each with local degree 1 + its exact order in W and its value;
-  the shared values of two maps (``shared_values``) off two tables and the
-  layers of the cross numerator N_A D_B - N_B D_A;
+  ``map_values``), exact and rounded once to 50 digits; ``close`` compares
+  at 60 digits;
+- the fibre over an exact value (``fibre``), and the fibre table at 60
+  digits (``Fibres``): the punctures at their exact points, infinity, and
+  the roots of the exact square-free layers of W = N'D - ND', each with
+  local degree 1 + its exact order in W and its value; the shared values
+  of two maps (``shared_values``) off two tables and the layers of the
+  cross numerator N_A D_B - N_B D_A;
 - residues and the sum Σφ² over QQ_I, exact (``residue``,
   ``sum_of_squares``), and a trapezoidal residue in doubles on a circle
   (``contour_residue``);
@@ -130,7 +133,7 @@ def exact_parts(poly) -> list[tuple[Fraction, Fraction]]:
     """The coefficients of a sympy polynomial over QQ_I, lowest degree first."""
     out = [(Fraction(0), Fraction(0))] * (poly.degree() + 1 if poly else 0)
     for (k,), c in poly.terms():
-        out[k] = (Fraction(int(c.x.numerator), int(c.x.denominator)), Fraction(int(c.y.numerator), int(c.y.denominator)))
+        out[k] = _parts(c)
     return out
 
 
@@ -379,23 +382,24 @@ RING, _z = ring("z", sympy.QQ_I)
 _ZZ_I, _ = ring("z", sympy.ZZ_I)
 FIBRE_DIGITS = 60
 VALUE_RTOL = 1e-30  # one value at 60 digits
-ROUNDED_RTOL = 1e-12  # a double that is a table value, rounded
+
+
+def _parts(c) -> tuple[Fraction, Fraction]:
+    """A QQ_I element as (re, im)."""
+    return Fraction(int(c.x.numerator), int(c.x.denominator)), Fraction(int(c.y.numerator), int(c.y.denominator))
 
 
 def gaussian(x) -> tuple[Fraction, Fraction]:
-    """x exactly as (re, im): an int, Fraction, float (its binary value),
-    complex, (re, im) pair, mpmath number or QQ_I element."""
+    """x exactly as (re, im): a pair, a rational, or a float, complex or
+    mpmath number at its binary value."""
     if isinstance(x, tuple):
         return Fraction(x[0]), Fraction(x[1])
-    if isinstance(x, mpmath.mpc):
-        return gaussian(x.real)[0], gaussian(x.imag)[0]
-    if isinstance(x, mpmath.mpf):
-        sign, man, exp, _ = x._mpf_
-        return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp, Fraction(0)
-    if sympy.QQ_I.of_type(x):
-        return tuple(Fraction(int(q.numerator), int(q.denominator)) for q in (x.x, x.y))
-    x = x if isinstance(x, (int, Fraction)) else complex(x)
-    return (Fraction(x.real), Fraction(x.imag)) if isinstance(x, complex) else (Fraction(x), Fraction(0))
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x), Fraction(0)
+    if not isinstance(x, mpmath.mpc):
+        x = complex(x)
+        return Fraction(x.real), Fraction(x.imag)
+    return tuple((-1) ** sign * Fraction(int(m)) * Fraction(2) ** e for sign, m, e, _ in (x.real._mpf_, x.imag._mpf_))
 
 
 def _pair_of(f) -> tuple:
@@ -453,29 +457,21 @@ def wronskian(f):
 # -- points and orders -----------------------------------------------------------------
 
 
-def _is_infinity(point) -> bool:
-    if isinstance(point, str):
-        return point.strip().lower() == "inf"
-    return point is None or (getattr(point, "factor", None) is None and getattr(point, "value", 0) is None)
+def _line_root(line) -> tuple[Fraction, Fraction]:
+    """The root of c0 + c1 z, its coefficients exact (re, im) pairs."""
+    (a, b), (c, d) = line
+    return Fraction(-(a * c + b * d)) / (c * c + d * d), Fraction(a * d - b * c) / (c * c + d * d)
 
 
-def _exact_point(point) -> tuple[Fraction, Fraction] | None:
-    """A point exactly, None at infinity: text is read by ``parse``, a point
-    with a linear ``factor`` is its root, a number is the literal it prints
-    as (0.1 is 1/10)."""
-    factor = getattr(point, "factor", None)
-    if _is_infinity(point):
+def exact_point(point) -> tuple[Fraction, Fraction] | None:
+    """A ``SpherePoint`` exactly, None at infinity: the root of its linear
+    ``factor``, else the literal its value prints as (0.1 is 1/10)."""
+    if point.is_infinity:
         return None
-    if isinstance(point, str):
-        num, den = reduced(parse(point))
-        assert len(num) <= 1 and len(den) == 1, "not a constant"
-        return num[0] if num else (Fraction(0), Fraction(0))
-    if factor is None:
-        value = complex(getattr(point, "value", point))
-        return Fraction(repr(value.real)), Fraction(repr(value.imag))
-    assert len(factor) == 2, "a point on a factor of higher degree"
-    (a, b), (c, d) = factor
-    return Fraction(-(a * c + b * d), c * c + d * d), Fraction(a * d - b * c, c * c + d * d)
+    if point.factor is None:
+        return Fraction(repr(point.value.real)), Fraction(repr(point.value.imag))
+    assert len(point.factor) == 2, "a point on a factor of higher degree"
+    return _line_root(point.factor)
 
 
 def _line(z0):
@@ -483,19 +479,26 @@ def _line(z0):
 
 
 def order(f, point) -> int:
-    """The order of f = a / b at a sphere point: at infinity the degree gap,
-    else e(a) - e(b) for the exponents of the point's ``factor`` (the line
-    through the exact point where it has none); raises where the factor's
-    roots have different orders."""
+    """The order of f = a / b at a ``SpherePoint``: at infinity the degree
+    gap, else e(a) - e(b) for the exponents of the point's ``factor`` (the
+    line through the exact point where it has none); raises where the
+    factor's roots have different orders."""
     a, b = _pair_of(f)
-    if _is_infinity(point):
+    if point.is_infinity:
         return len(b) - len(a)
-    factor = getattr(point, "factor", None)
-    q = poly(factor) if factor is not None else _line(_exact_point(point))
+    q = poly(point.factor) if point.factor is not None else _line(exact_point(point))
     (a, e_a), (b, e_b) = _strip(poly(a), q), _strip(poly(b), q)
     if any(p and gcd(p, q).degree() > 0 for p in (a, b)):
         raise ArithmeticError("the roots of the factor have different orders")
     return e_a - e_b
+
+
+def at_infinity(f) -> tuple[Fraction, Fraction] | None:
+    """f(inf) exactly off the pair, None where it is infinity."""
+    a, b = (poly(p) for p in _pair_of(f))
+    if a.degree() != b.degree():
+        return None if a.degree() > b.degree() else (Fraction(0), Fraction(0))
+    return _parts(a.LC / b.LC)
 
 
 # -- roots and values ------------------------------------------------------------------
@@ -514,8 +517,7 @@ def _located(p, digits: int) -> list:
         return []
     with mpmath.workdps(digits):
         if len(parts) == 2:
-            (a, b), (c, d) = parts
-            return [_mpc((-(a * c + b * d) / (c * c + d * d), (a * d - b * c) / (c * c + d * d)))]
+            return [_mpc(_line_root(parts))]
         coeffs = [_mpc(c) for c in reversed(parts)]
         start = np.roots([complex(c) for c in coeffs])
         try:
@@ -533,6 +535,17 @@ def roots(p, digits: int = 50) -> list[tuple]:
     return [(z, k) for layer, k in layers(p) for z in _located(layer, digits)]
 
 
+def fibre(f, a) -> list[tuple]:
+    """f^-1(a) as (point, multiplicity), for a exact (re, im) or None at
+    infinity: the roots of N - aD (of D), and infinity with the balance."""
+    num, den = (poly(p) for p in _pair_of(f))
+    degree = max(num.degree(), den.degree())
+    if degree < 1:
+        raise ValueError("a constant map has no finite fibre")
+    p = den if a is None else num - den * sympy.QQ_I(*a)
+    return roots(p, FIBRE_DIGITS) + [(None, degree - p.degree())] * (p.degree() < degree)
+
+
 def _horner(coeffs, z) -> tuple[int, int, int]:
     """(re, im, den) with p(z) = (re + i im) / den exactly: Horner's rule
     over Z[i], the coefficients and z each over one denominator."""
@@ -547,15 +560,10 @@ def _horner(coeffs, z) -> tuple[int, int, int]:
     return re, im, q * m ** (len(cs) - 1)
 
 
-def _coefficients(p) -> list[tuple[Fraction, Fraction]]:
-    return exact_parts(poly(p)) if isinstance(p, (str, PolyElement)) else [gaussian(c) for c in p]
-
-
 def map_values(f, points, digits: int = 50) -> list:
-    """f(z) = a(z) / b(z) at each point, exactly from the pair (read by
-    ``gaussian``, as the points are) and rounded once to ``digits`` digits;
-    None at a pole."""
-    a, b = (_coefficients(p) for p in _pair_of(f))
+    """f(z) = a(z) / b(z) at each point (read by ``gaussian``), exactly from
+    the pair and rounded once to ``digits`` digits; None at a pole."""
+    a, b = (exact_parts(poly(p)) for p in _pair_of(f))
     out = []
     with mpmath.workdps(digits):
         for z in map(gaussian, points):
@@ -567,14 +575,17 @@ def map_values(f, points, digits: int = 50) -> list:
 
 def values(p, points, digits: int = 50, derivative: bool = False) -> list:
     """p(z), or p'(z), at each point, exactly and rounded once (``map_values``)."""
-    c = _coefficients(p)
-    return map_values(([(k * a, k * b) for k, (a, b) in enumerate(c)][1:] if derivative else c, [(1, 0)]), points, digits)
+    p = poly(p)
+    return map_values((p.diff(_z) if derivative else p, [(1, 0)]), points, digits)
 
 
-def magnitudes(p, points, digits: int = 50) -> list:
-    """|p(z)| at each point, at ``digits`` digits."""
-    with mpmath.workdps(digits):
-        return [abs(v) for v in values(p, points, digits)]
+def close(x, y, atol, rtol=0.0) -> bool:
+    """Whether two values (None at infinity) are one: both None, or
+    |x - y| <= atol + rtol |y|, taken at 60 digits."""
+    if x is None or y is None:
+        return x is None and y is None
+    with mpmath.workdps(FIBRE_DIGITS):
+        return abs(mpmath.mpmathify(x) - y) <= atol + rtol * abs(y)
 
 
 # -- fibres ------------------------------------------------------------------------------
@@ -582,44 +593,39 @@ def magnitudes(p, points, digits: int = 50) -> list:
 
 def same(x, y, rtol: float = VALUE_RTOL) -> bool:
     """Whether two values (None at infinity) are one: within rtol (1 + |y|)."""
-    if x is None or y is None:
-        return x is None and y is None
-    with mpmath.workdps(FIBRE_DIGITS):
-        return abs(x - y) <= rtol * (1 + abs(y))
+    return close(x, y, rtol, rtol)
 
 
 class Fibres:
     """The fibre table of a non-constant map f = N / D, at 60 digits.
 
     ``entries`` holds (point, local degree, value, is_puncture) for each
-    finite puncture at its exact point, with local degree 1 + the exact
-    order of W = N'D - ND' there; then infinity, with 2 deg f - 1 - deg W;
-    then the roots of each exact square-free layer W_k of W with the
-    punctures divided out, with 1 + k.  Every other point is a simple
-    preimage of its value.  ``classes`` groups the entries by value:
-    (value, [(point, local degree, is_puncture)], the number of simple
-    preimages outside the table).  Points and values are mpmath numbers,
-    None at infinity.
+    finite puncture (a ``SpherePoint``) at its exact point, with local
+    degree 1 + the exact order of W = N'D - ND' there; then infinity, with
+    2 deg f - 1 - deg W; then the roots of each exact square-free layer W_k
+    of W with the punctures divided out, with 1 + k.  Every other point is
+    a simple preimage of its value.  ``classes`` groups the entries by
+    value: (value, [(point, local degree, is_puncture)], the number of
+    simple preimages outside the table).  Points and values are mpmath
+    numbers, None at infinity.
     """
 
-    def __init__(self, f, punctures=(), digits: int = FIBRE_DIGITS):
+    def __init__(self, f, punctures=()):
         self.num, self.den = (poly(p) for p in _pair_of(f))
         w = wronskian((self.num, self.den))
         if not w:
             raise ValueError("a constant map has no finite fibre")
-        n, d = self.num.degree(), self.den.degree()
-        self.degree, self.digits, self.classes = max(n, d), digits, []
-        points = [z0 for z0 in map(_exact_point, punctures) if z0 is not None]
+        self.degree, self.classes = max(self.num.degree(), self.den.degree()), []
+        points = [z0 for z0 in map(exact_point, punctures) if z0 is not None]
         self.lines, entries = [_line(z0) for z0 in points], []
-        # f(inf) exactly, None where it is infinity
-        self.exact_at_infinity = gaussian(self.num.LC / self.den.LC) if n == d else None if n > d else (0, 0)
-        with mpmath.workdps(digits):
-            self.at_infinity = None if self.exact_at_infinity is None else _mpc(gaussian(self.exact_at_infinity))
+        with mpmath.workdps(FIBRE_DIGITS):
+            value = at_infinity((self.num, self.den))
+            self.at_infinity = None if value is None else _mpc(value)
             e_inf = 2 * self.degree - 1 - w.degree()
             for z0, line in zip(points, self.lines):
                 w, k = _strip(w, line)
                 entries.append((_mpc(z0), 1 + k, self.value(z0), True))
-        entries.append((None, e_inf, self.at_infinity, any(map(_is_infinity, punctures))))
+        entries.append((None, e_inf, self.at_infinity, any(p.is_infinity for p in punctures)))
         self.entries = entries + [(z, 1 + k, v, False) for z, k, v in self.roots_and_values(w)]
         for z, e, v, puncture in self.entries:
             k = next((k for k, c in enumerate(self.classes) if same(v, c[0])), len(self.classes))
@@ -627,7 +633,7 @@ class Fibres:
             self.classes[k : k + 1] = [(u, pts + [(z, e, puncture)], simple - e)]
 
     def value(self, z):
-        return map_values((self.num, self.den), [z], self.digits)[0]
+        return map_values((self.num, self.den), [z], FIBRE_DIGITS)[0]
 
     def roots_and_values(self, p) -> list[tuple]:
         """(root, k, f's value) for the roots of each square-free layer L_k
@@ -635,8 +641,8 @@ class Fibres:
         out = []
         for layer, k in layers(p):
             poles = gcd(layer, self.den)
-            out += [(z, k, None) for z in _located(poles, self.digits)]
-            out += [(z, k, self.value(z)) for z in _located(layer.exquo(poles), self.digits)]
+            out += [(z, k, None) for z in _located(poles, FIBRE_DIGITS)]
+            out += [(z, k, self.value(z)) for z in _located(layer.exquo(poles), FIBRE_DIGITS)]
         return out
 
     def class_of(self, value, rtol: float = VALUE_RTOL) -> int | None:
@@ -653,22 +659,11 @@ class Fibres:
             return self.degree
         return sum(1 for _z, _e, puncture in self.classes[k][1] if not puncture) + self.classes[k][2]
 
-    def fibre(self, a) -> list[tuple]:
-        """f^-1(a) as (point, multiplicity): the roots of the square-free
-        layers of N - aD (of D at infinity), each with its layer's order,
-        and infinity with the balance.  Text is read exactly; a number, or a
-        point's value, is its binary value, unless it rounds f(inf) (within
-        ``ROUNDED_RTOL``), when it is f(inf)."""
-        exact = _exact_point(a) if isinstance(a, str) or _is_infinity(a) else gaussian(getattr(a, "value", a))
-        if exact is not None and not isinstance(a, str) and same(_mpc(exact), self.at_infinity, ROUNDED_RTOL):
-            exact = self.exact_at_infinity
-        p = self.den if exact is None else self.num - self.den * sympy.QQ_I(*exact)
-        return roots(p, self.digits) + [(None, self.degree - p.degree())] * (p.degree() < self.degree)
-
 
 def shared_values(fa, fb, punctures=()) -> list[tuple] | None:
     """(value, delta) for each value whose preimage sets off the punctures
-    are one set under both maps, None where they are one map.
+    (``SpherePoint`` values) are one set under both maps, None where they
+    are one map.
 
     The common points, the roots of N_A D_B - N_B D_A off the punctures and
     infinity where both maps agree there, lie in both fibres over their
@@ -684,7 +679,7 @@ def shared_values(fa, fb, punctures=()) -> list[tuple] | None:
     for line in a.lines:
         cross, _k = _strip(cross, line)
     common = [v for _z, _k, v in a.roots_and_values(cross)]
-    if not any(map(_is_infinity, punctures)) and same(a.at_infinity, b.at_infinity):
+    if not any(p.is_infinity for p in punctures) and same(a.at_infinity, b.at_infinity):
         common.append(a.at_infinity)
     images = [v for t in tables for _z, _e, v, puncture in t.entries if puncture]
     shared = []
@@ -716,13 +711,12 @@ def _residue(a, b, z0):
 
 def residue(f, point) -> tuple[Fraction, Fraction]:
     """The exact residue of f dz at a sphere point; at infinity, minus the
-    residue at w = 0 of a(1/w) / (w^2 b(1/w)) dw = w^(deg b - deg a - 2) rev a / rev b."""
+    residue at w = 0 of f(1/w) / w^2 dw (``at_reciprocal``)."""
     a, b = _pair_of(f)
-    if not _is_infinity(point):
-        return gaussian(_residue(a, b, sympy.QQ_I(*_exact_point(point))))
-    e = len(b) - len(a) - 2
-    top, bottom = ((0, 0),) * max(e, 0) + tuple(a[::-1]), ((0, 0),) * max(-e, 0) + tuple(b[::-1])
-    return gaussian(-_residue(top, bottom, sympy.QQ_I(0, 0)))
+    if not point.is_infinity:
+        return _parts(_residue(a, b, sympy.QQ_I(*exact_point(point))))
+    top, bottom = at_reciprocal(f)
+    return _parts(-_residue(top, ((0, 0),) * 2 + bottom, sympy.QQ_I(0, 0)))
 
 
 def sum_of_squares(forms):
@@ -744,10 +738,9 @@ def _integer_parts(p) -> tuple:
 
 
 def _float_views(*parts) -> list[np.ndarray]:
-    """Polynomials over Z[i] in doubles, highest first, all divided by one
-    power of 2 that keeps them in range."""
-    shift = max(max((abs(x).bit_length() for p in parts for c in p for x in c), default=0) - 900, 0)
-    return [np.array([complex(x / 2**shift, y / 2**shift) for x, y in reversed(p)] or [0j]) for p in parts]
+    """Polynomials over Z[i] in doubles, highest first; a part past the
+    range of a double raises OverflowError."""
+    return [np.array([complex(x, y) for x, y in reversed(p)] or [0j]) for p in parts]
 
 
 def contour_residue(f, center: complex, radius: float, nodes: int) -> complex:
@@ -888,8 +881,7 @@ def scan_distinct(points, eps_pt: float) -> list:
 def scan_fiber(entries, value, eps_pt: float) -> list:
     """The preimages of the (preimage, value) entries within eps_pt of value,
     sorted by (re, im), infinity last, ties in entry order."""
-    return sorted((pre for pre, v in entries if _close(v, value, eps_pt)), key=lambda pre: _order_key(pre.point))
-
-
-def _order_key(p):
-    return (1,) if p.value is None else (0, p.value.real, p.value.imag)
+    return sorted(
+        (pre for pre, v in entries if _close(v, value, eps_pt)),
+        key=lambda pre: (1,) if pre.point.value is None else (0, pre.point.value.real, pre.point.value.imag),
+    )

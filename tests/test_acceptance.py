@@ -18,7 +18,6 @@ import contextlib
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -26,25 +25,13 @@ from wlab.analysis import Analysis
 from wlab.bounds import unicity_of
 from wlab.cli import main
 from wlab.mesh import Rectangle, build_mesh
-from wlab.poly import Polynomial
 from wlab.ramification import ramification_report
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootIsolationError
 from wlab.weierstrass import WeierstrassData, phi_from_data
 
 import oracle
-from conftest import load_fixture
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-ANALYZABLE = [
-    "example21",
-    "example22",
-    "example23",
-    "unicity_six_a",
-    "unicity_six_b",
-    "unicity_five_a",
-    "unicity_five_b",
-]
+from conftest import REGULAR, fixture, load_fixture, normal_map
 
 Z = RationalFunction.variable()
 
@@ -65,19 +52,9 @@ def cli_doc(tmp_path, *argv: str) -> dict:
     return json.loads(out.read_text())
 
 
-def fixture(name: str) -> str:
-    return str(FIXTURES / f"{name}.json")
-
-
 def point_set(values) -> set:
     """JSON point encodings -> hashable set ('inf' or rounded complex)."""
-    out = set()
-    for v in values:
-        if v == "inf":
-            out.add("inf")
-        else:
-            out.add((round(v["re"], 9), round(v["im"], 9)))
-    return out
+    return pts(*(v if v == "inf" else complex(v["re"], v["im"]) for v in values))
 
 
 def pts(*values) -> set:
@@ -193,9 +170,7 @@ def test_criterion_05_branching_identity_suite():
         checked = 0
         while checked < 300:
             d = int(rng.integers(2, 9))
-            num = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
-            den = rng.normal(size=d + 1) + 1j * rng.normal(size=d + 1)
-            f = RationalFunction(Polynomial(num), Polynomial(den))
+            f = normal_map(rng, d)
             if f.degree != d:
                 continue
             try:
@@ -219,15 +194,7 @@ def test_criterion_06_total_curvature_suite():
             d2 = int(rng.integers(0, 5))
             if not 1 <= d1 + d2 <= 4:
                 continue
-
-            def rand_map(deg):
-                if deg == 0:
-                    return RationalFunction.constant(complex(rng.normal(), rng.normal()))
-                num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-                den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-                return RationalFunction(Polynomial(num), Polynomial(den))
-
-            g1, g2 = rand_map(d1), rand_map(d2)
+            g1, g2 = (normal_map(rng, d) if d else RationalFunction.constant(complex(rng.normal(), rng.normal())) for d in (d1, d2))
             if g1.degree != d1 or g2.degree != d2:
                 continue
             tau = oracle.total_curvature(g1, g2)
@@ -241,7 +208,7 @@ def test_criterion_06_total_curvature_suite():
 def test_criterion_07_conformality_and_metric_identity():
     with verdict("7", "sum of squared forms vanishes exactly over Q(i); metric identity to 1e-12"):
         rng = np.random.default_rng(8128)
-        for name in ANALYZABLE:
+        for name in REGULAR:
             data = load_fixture(name)
             phi = phi_from_data(data)
             assert sum((f * f for f in phi.forms), RationalFunction.constant(0)).pair[0] == (), name
@@ -270,28 +237,15 @@ def test_criterion_08_consistency_fuzz():
         attempts = 0
         while checked < 200 and attempts < 400:
             attempts += 1
-
-            def rand_map(deg):
-                if deg == 0:
-                    return RationalFunction.constant(complex(rng.normal(), rng.normal()))
-                num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-                den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-                return RationalFunction(Polynomial(num), Polynomial(den))
-
             d1 = int(rng.integers(1, 4))
             d2 = int(rng.integers(0, 3))
             k = int(rng.integers(1, 5))
             idx = rng.choice(len(pool), size=k, replace=False)
             punctures = tuple(pool[i] for i in idx)
-            h = rand_map(2) + 2
-            a_g2 = rand_map(d2)
-            a = WeierstrassData(h=h, g1=rand_map(d1), g2=a_g2, punctures=punctures)
-            b = WeierstrassData(
-                h=h,
-                g1=rand_map(d1),
-                g2=rand_map(d2) if d2 else a_g2,
-                punctures=punctures,
-            )
+            h = normal_map(rng, 2) + 2
+            a_g2 = normal_map(rng, d2) if d2 else RationalFunction.constant(complex(rng.normal(), rng.normal()))
+            a = WeierstrassData(h=h, g1=normal_map(rng, d1), g2=a_g2, punctures=punctures)
+            b = WeierstrassData(h=h, g1=normal_map(rng, d1), g2=normal_map(rng, d2) if d2 else a_g2, punctures=punctures)
             if (a.g1.degree, a.g2.degree) != (b.g1.degree, b.g2.degree):
                 continue
             try:
@@ -350,7 +304,7 @@ def test_criterion_09_immersion_oracle_and_tangent_convergence():
 
 def test_criterion_10_deterministic_documents(tmp_path):
     with verdict("10", "repeated full-report runs are byte-identical on every fixture"):
-        for name in ANALYZABLE:
+        for name in REGULAR:
             first = tmp_path / f"{name}_1.json"
             second = tmp_path / f"{name}_2.json"
             main(["report", fixture(name), "--out", str(first)])

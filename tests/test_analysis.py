@@ -7,9 +7,7 @@ runs, through the ``record_calls`` fixture of ``conftest.py``.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import replace
-from pathlib import Path
 
 import pytest
 
@@ -21,19 +19,8 @@ from wlab.exprparse import parse_expression
 from wlab.rational import RationalFunction
 from wlab.weierstrass import UnsupportedGenusError, WeierstrassData, phi_from_data
 
-from conftest import _ladder_maps
+from conftest import LOADABLE, _ladder_maps, fixture, load_fixture, write_data
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-REPORT_FIXTURES = [
-    "example21",
-    "example22",
-    "example23",
-    "irregular",
-    "unicity_five_a",
-    "unicity_five_b",
-    "unicity_six_a",
-    "unicity_six_b",
-]
 DERIVATIONS = (
     (weierstrass, "phi_from_data"),
     (weierstrass, "check_regularity"),
@@ -63,13 +50,13 @@ def run(capsys, *argv: str) -> int:
     return code
 
 
-@pytest.mark.parametrize("name", REPORT_FIXTURES)
+@pytest.mark.parametrize("name", LOADABLE)
 def test_report_derives_each_invariant_once(record_calls, capsys, name):
     derived = {fn: record_calls(mod, fn) for mod, fn in DERIVATIONS}
     ramified = record_calls(ramification, "ramification_report")
     located = record_calls(roots, "roots_with_multiplicity")
 
-    code = run(capsys, "report", str(FIXTURES / f"{name}.json"))
+    code = run(capsys, "report", fixture(name))
 
     assert code in (0, 2)
     for fn, calls in derived.items():
@@ -80,7 +67,7 @@ def test_report_derives_each_invariant_once(record_calls, capsys, name):
     assert len({(g.num.coeffs, g.den.coeffs) for g in components}) == len(components)
     polys = [call[0] for call in located]
     assert len(polys) == len(set(polys)) == REPORT_ROOT_CALLS[name]
-    d = _load_data(str(FIXTURES / f"{name}.json"))
+    d = load_fixture(name)
     allowed = set(Analysis(d).exponents) | {g.derivative_numerator() for g in (d.g1, d.g2) if not g.is_constant}
     assert set(polys) <= allowed
     # a φ-form's own denominator is never root-found
@@ -91,7 +78,7 @@ def test_report_derives_each_invariant_once(record_calls, capsys, name):
 def test_equal_components_share_one_ramification_report(record_calls, capsys, name):
     ramified = record_calls(ramification, "ramification_report")
 
-    code = run(capsys, "report", str(FIXTURES / f"{name}.json"))
+    code = run(capsys, "report", fixture(name))
 
     assert code in (0, 2)
     assert len(ramified) == 1
@@ -108,7 +95,7 @@ UNICITY_ROOT_CALLS = {"five": 1, "six": 1}
 @pytest.mark.parametrize("pair", sorted(UNICITY_ROOT_CALLS))
 def test_unicity_locates_each_difference_numerator_once(record_calls, capsys, pair):
     located = record_calls(roots, "roots_with_multiplicity")
-    paths = [str(FIXTURES / f"unicity_{pair}_{side}.json") for side in "ab"]
+    paths = [fixture(f"unicity_{pair}_{side}") for side in "ab"]
 
     code = run(capsys, "unicity", *paths)
 
@@ -122,7 +109,7 @@ def test_unicity_locates_each_difference_numerator_once(record_calls, capsys, pa
 def test_a_pole_missing_from_the_table_is_a_typed_failure():
     # example21 with the pole at 3 off the punctures: its piece z - 3 is the
     # last of the basis, and the one that is root-found
-    data = _load_data(str(FIXTURES / "example21.json"))
+    data = load_fixture("example21")
     an = Analysis(replace(data, punctures=data.punctures[:2] + data.punctures[3:]))
     assert [len(piece) for piece in an.exponents] == [2, 2, 2]
     # drop the piece of the pole at 3
@@ -163,7 +150,7 @@ def test_ramify_derives_only_its_own_component(record_calls, capsys):
     derived = {fn: record_calls(mod, fn) for mod, fn in DERIVATIONS}
     ramified = record_calls(ramification, "ramification_report")
 
-    code = run(capsys, "ramify", str(FIXTURES / "example21.json"), "--component", "2")
+    code = run(capsys, "ramify", fixture("example21"), "--component", "2")
 
     assert code == 0
     assert derived["phi_from_data"] == [] and derived["compute_periods"] == []
@@ -187,8 +174,7 @@ WRONSKIAN_PARTS = {"z": 0, "1/z": 0, "z^2": 1, "z^2*(z-1)": 2, "(z^3-1)/(z^3+1)"
     ],
 )
 def test_ramify_locates_the_wronskian_once(record_calls, capsys, tmp_path, g, punctures):
-    path = tmp_path / "data.json"
-    path.write_text(json.dumps({"genus": 0, "punctures": punctures, "h": "1", "g1": g, "g2": "0"}))
+    path = write_data(tmp_path, "data", punctures, "1", g, "0")
     located = record_calls(roots, "roots_with_multiplicity")
 
     code = run(capsys, "ramify", str(path), "--component", "1")
@@ -213,7 +199,7 @@ def test_mesh_derives_phi_and_periods_once(record_calls, capsys, tmp_path, name,
     derived = {fn: record_calls(mod, fn) for mod, fn in DERIVATIONS}
 
     code = run(
-        capsys, "mesh", str(FIXTURES / f"{name}.json"), "--region", region,
+        capsys, "mesh", fixture(name), "--region", region,
         f"--base={base}", "--res", "9", "--mesh-out", str(tmp_path / "m.csv"),
     )
 
@@ -243,11 +229,11 @@ def test_analysis_rejects_other_genera():
         Analysis(data)
 
 
-@pytest.mark.parametrize("name", REPORT_FIXTURES)
+@pytest.mark.parametrize("name", LOADABLE)
 def test_building_a_data_set_takes_no_float_gcd(name):
     # the algebra is exact, the Yun chain of roots included: no float gcd
     # is left to take
-    an = Analysis(_load_data(str(FIXTURES / f"{name}.json")))
+    an = Analysis(load_fixture(name))
     an.phi
     assert not hasattr(poly, "approx_gcd")
 
@@ -274,12 +260,12 @@ def test_a_pole_1e_12_from_a_non_dyadic_puncture_is_its_own_point(power, mu):
 
 
 @pytest.mark.parametrize("command", ["check", "report"])
-@pytest.mark.parametrize("name", REPORT_FIXTURES)
+@pytest.mark.parametrize("name", LOADABLE)
 def test_poles_at_punctures_are_not_root_found(record_calls, capsys, name, command):
     # a puncture's piece of the basis has the puncture as its root
     located = record_calls(roots, "roots_with_multiplicity")
 
-    run(capsys, command, str(FIXTURES / f"{name}.json"))
+    run(capsys, command, fixture(name))
 
     assert len(located) == REPORT_ROOT_CALLS[name]
 
@@ -287,8 +273,7 @@ def test_poles_at_punctures_are_not_root_found(record_calls, capsys, name, comma
 def test_a_float_puncture_reads_alike_from_the_library_and_the_cli(tmp_path):
     # 0.1 is 1/10 both as a library float and as a JSON number, so the pole
     # of 1/(z - 0.1), exactly at 1/10, is the puncture's on both routes
-    path = tmp_path / "tenth.json"
-    path.write_text(json.dumps({"genus": 0, "punctures": [0.1, "inf"], "h": "1/(z-0.1)", "g1": "z", "g2": "1"}))
+    path = write_data(tmp_path, "tenth", [0.1, "inf"], "1/(z-0.1)", "z", "1")
     cli = Analysis(_load_data(str(path)))
     h, g1, g2 = (parse_expression(text) for text in ("1/(z-0.1)", "z", "1"))
     lib = Analysis(WeierstrassData(h=h, g1=g1, g2=g2, punctures=(0.1, "inf")))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import PUNCTURE_POOL, loadable_fixtures, random_regular_data
+from conftest import PUNCTURE_POOL, integer_coeffs, loadable_fixtures, normal_map, random_regular_data
 from wlab.analysis import Analysis
 from wlab.bounds import (
     CASE_BOTH,
@@ -27,7 +27,7 @@ from wlab.bounds import (
     shared_values,
     unicity_of,
 )
-from wlab.exprparse import parse_expression
+from wlab.exprparse import parse_expression, parse_sphere_point
 from wlab.poly import Polynomial
 from wlab.rational import RationalFunction
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
@@ -204,10 +204,7 @@ def test_bounds_random_data_never_contradict():
     checked = 0
     for _ in range(25):
         def rand_rat():
-            deg = int(rng.integers(0, 4))
-            num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            return RationalFunction(Polynomial(num), Polynomial(den))
+            return normal_map(rng, int(rng.integers(0, 4)))
 
         k = int(rng.integers(1, 5))
         idx = rng.choice(len(pool), size=k, replace=False)
@@ -555,21 +552,16 @@ def test_unicity_random_pairs_never_contradict():
     pool = ["0", "1", "-1", "2", "i", "inf"]
     checked = 0
     for _ in range(20):
-        def rand_rat(deg):
-            num = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            den = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            return RationalFunction(Polynomial(num), Polynomial(den))
-
         d1 = int(rng.integers(1, 4))
         d2 = int(rng.integers(0, 3))
         k = int(rng.integers(1, 5))
         idx = rng.choice(len(pool), size=k, replace=False)
         pts = tuple(pool[i] for i in idx)
-        h = rand_rat(2) + 2
-        ga2 = rand_rat(d2) if d2 else RationalFunction.constant(complex(rng.normal(), rng.normal()))
-        gb2 = rand_rat(d2) if d2 else ga2
-        a = WeierstrassData(h=h, g1=rand_rat(d1), g2=ga2, punctures=pts)
-        b = WeierstrassData(h=h, g1=rand_rat(d1), g2=gb2, punctures=pts)
+        h = normal_map(rng, 2) + 2
+        ga2 = normal_map(rng, d2) if d2 else RationalFunction.constant(complex(rng.normal(), rng.normal()))
+        gb2 = normal_map(rng, d2) if d2 else ga2
+        a = WeierstrassData(h=h, g1=normal_map(rng, d1), g2=ga2, punctures=pts)
+        b = WeierstrassData(h=h, g1=normal_map(rng, d1), g2=gb2, punctures=pts)
         if a.g1.degree != b.g1.degree or a.g2.degree != b.g2.degree:
             continue
         try:
@@ -587,10 +579,6 @@ def test_unicity_random_pairs_never_contradict():
 # shared values against the oracle's exact fibre tables (oracle.shared_values)
 
 
-def _integer_coeffs(rng, degree: int) -> list[int]:
-    return [int(c) for c in rng.integers(-9, 10, size=degree)] + [int(rng.choice([-3, -2, -1, 1, 2, 3]))]
-
-
 def _stripped(coeffs: list[int]) -> list[int]:
     while coeffs[-1] == 0:
         coeffs = coeffs[:-1]
@@ -602,7 +590,7 @@ def _random_coprime_map(rng) -> tuple[list[int], list[int]]:
     while True:
         degrees = [int(rng.integers(1, 5))]
         degrees.insert(int(rng.integers(2)), int(rng.integers(0, degrees[0] + 1)))
-        num, den = (_integer_coeffs(rng, k) for k in degrees)
+        num, den = (integer_coeffs(rng, k) for k in degrees)
         if oracle.gcd(num, den).degree() == 0:
             return num, den
 
@@ -628,7 +616,7 @@ def test_shared_values_match_a_high_precision_oracle():
         a, b = _pair_of_kind(rng, k % 5)
         names = [str(x) for x in rng.choice(PUNCTURE_POOL, size=int(rng.integers(1, 5)), replace=False)]
         ga, gb = (RationalFunction(Polynomial(num), Polynomial(den)) for num, den in (a, b))
-        expected = oracle.shared_values(ga, gb, names)
+        expected = oracle.shared_values(ga, gb, [parse_sphere_point(x) for x in names])
         sv = shared_values(ga, gb, names)
         if expected is None:
             assert sv.kind == SHARED_IDENTICAL, (a, b)
@@ -636,7 +624,4 @@ def test_shared_values_match_a_high_precision_oracle():
         got = [(v.value.value, v.delta) for v in sv.values]
         assert sv.kind == SHARED_GENERIC and len(got) == len(expected), (a, b, names, got, expected)
         for value, delta in got:
-            assert any(
-                d == delta and (value is None if y is None else value is not None and abs(value - complex(y)) <= 1e-6 * (1 + abs(value)))
-                for y, d in expected
-            ), (a, b, names, got, expected)
+            assert any(d == delta and oracle.close(y, value, 1e-6, 1e-6) for y, d in expected), (a, b, names, got, expected)

@@ -15,24 +15,14 @@ import json
 import random
 import re
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 from wlab.cli import main
 from wlab.exprparse import parse_expression
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-REPORTED = [
-    "example21",
-    "example22",
-    "example23",
-    "irregular",
-    "unicity_six_a",
-    "unicity_six_b",
-    "unicity_five_a",
-    "unicity_five_b",
-]
+import oracle
+from conftest import FIXTURES, LOADABLE
 PAIRS = [("unicity_six_a", "unicity_six_b"), ("unicity_five_a", "unicity_five_b")]
 
 # (M, M', (a, b, c, d)) with M(z) = (a z + b)/(c z + d); M' = (ad - bc)/(c z + d)^2
@@ -52,14 +42,9 @@ COORDINATES = {"puncture", "point", "checked_points"}
 MARGINS = {"eps_period"}
 
 
-def _gaussian(x) -> tuple[Fraction, Fraction]:
-    x = complex(x)
-    return Fraction(x.real), Fraction(x.imag)
-
-
 def _inverse_image(text: str, coeffs) -> str:
     """M^{-1}(p) = (d p - b)/(-c p + a), exactly, as puncture text."""
-    a, b, c, d = (_gaussian(x) for x in coeffs)
+    a, b, c, d = map(oracle.gaussian, coeffs)
     if text == "inf":
         num, den = d, (-c[0], -c[1])
     else:
@@ -130,7 +115,7 @@ def test_inverse_images_are_exact():
 
 
 @pytest.mark.parametrize("chart", MAPS, ids=MAP_IDS)
-@pytest.mark.parametrize("name", REPORTED)
+@pytest.mark.parametrize("name", LOADABLE)
 def test_report_is_chart_invariant(capsys, tmp_path, name, chart):
     data = load(name)
     assert run(capsys, tmp_path, "report", moved(data, chart)) == run(capsys, tmp_path, "report", data)

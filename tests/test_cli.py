@@ -15,7 +15,6 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +27,7 @@ from wlab.analysis import Analysis
 from wlab.cli import EXIT_MATH, EXIT_OK, EXIT_USAGE, _load_data, main
 from wlab.tolerances import Tolerances
 
-from conftest import _bench_random_poly
-
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-
-
-def fixture(name: str) -> str:
-    return str(FIXTURES / f"{name}.json")
+from conftest import FIXTURES, _bench_random_poly, fixture, write_data
 
 
 def run(capsys, *argv: str) -> tuple[int, dict | None, str]:
@@ -75,12 +68,7 @@ def test_non_finite_or_zero_tolerance_scale_is_a_usage_error(capsys, scale):
 def test_environment_does_not_change_the_document(capsys, monkeypatch, tmp_path):
     # g1 is z - 1 over z - 1 - 1e-9: a degree-1 map, read exactly; no
     # variable in the environment makes it constant
-    path = tmp_path / "near_constant.json"
-    path.write_text(
-        json.dumps(
-            {"genus": 0, "punctures": ["inf"], "h": "1", "g1": "(z-1)/(z-1.000000001)", "g2": "z"}
-        )
-    )
+    path = write_data(tmp_path, "near_constant", ["inf"], "1", "(z-1)/(z-1.000000001)", "z")
     monkeypatch.delenv("WLAB_TOLERANCE_SCALE", raising=False)
     for flags in ([], ["--tolerance-scale", "1"]):
         code, doc, _ = run(capsys, "ramify", str(path), *flags)
@@ -149,6 +137,7 @@ VALID = b'{"genus": 0, "punctures": ["inf"], "h": "1", "g1": "z", "g2": "z"'
         pytest.param(b"\xff\xfe{}", "is not UTF-8 text", id="not-utf8"),
         pytest.param(b"[" * 100_000 + b"]" * 100_000, "nested too deeply", id="nested-100000"),
         pytest.param(VALID + b', "punctures": [1e400]}', "punctures holds a number beyond", id="1e400"),
+        pytest.param(VALID + b', "x": ' + b"[" * 600 + b"1e400" + b"]" * 600 + b"}", "x holds a number beyond", id="1e400-nested-600"),
         pytest.param(VALID + b', "punctures": [Infinity]}', "punctures holds a number beyond", id="Infinity"),
         pytest.param(VALID + b', "punctures": ["inf", NaN]}', "punctures holds a number beyond", id="NaN"),
         pytest.param(VALID + b', "genus": false}', "genus must be a non-negative integer", id="genus-false"),
@@ -213,10 +202,7 @@ def test_ramify_rejects_component_three(capsys):
 
 
 def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
-    data = tmp_path / "huge.json"
-    data.write_text(json.dumps(
-        {"genus": 0, "punctures": ["1", "inf"], "h": "1", "g1": "(z^2+1e400)/(z-1)", "g2": "0"}
-    ))
+    data = write_data(tmp_path, "huge", ["1", "inf"], "1", "(z^2+1e400)/(z-1)", "0")
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
     assert code == EXIT_USAGE and doc is None
     assert "'1e400' overflows" in err
@@ -224,8 +210,7 @@ def test_ramify_rejects_a_literal_that_overflows(capsys, tmp_path):
 
 def test_ramify_rejects_a_literal_below_the_range_of_a_double(capsys, tmp_path):
     # read as 0, the literal would drop the cubic term: degree 2, silently
-    data = tmp_path / "tiny.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1e-400*z^3 + z^2", "g2": "z"}))
+    data = write_data(tmp_path, "tiny", ["inf"], "1", "1e-400*z^3 + z^2", "z")
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
     assert code == EXIT_USAGE and doc is None
     assert err == f"error: {data}: number '1e-400' underflows a double (at position 0)\n"
@@ -233,8 +218,7 @@ def test_ramify_rejects_a_literal_below_the_range_of_a_double(capsys, tmp_path):
 
 def test_nested_powers_past_the_degree_cap_are_a_usage_error(capsys, tmp_path):
     # each operand is within the degree cap; the result would have degree 262,144
-    data = tmp_path / "nested.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "((z^64)^64)^64", "g2": "z"}))
+    data = write_data(tmp_path, "nested", ["inf"], "1", "((z^64)^64)^64", "z")
     code, doc, err = run(capsys, "ramify", str(data), "--component", "1")
     assert code == EXIT_USAGE and doc is None
     assert err == (
@@ -255,8 +239,7 @@ def test_nested_powers_past_the_degree_cap_are_a_usage_error(capsys, tmp_path):
 def test_deep_nesting_and_long_literals_are_input_errors_at_their_position(capsys, tmp_path, g1, message):
     # nesting past Python's recursion limit once failed as a RecursionError,
     # and a literal past its int conversion limit as Python's message
-    data = tmp_path / "deep.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    data = write_data(tmp_path, "deep", ["inf"], "1", g1, "z")
     code, doc, err = run(capsys, "check", str(data))
     assert code == EXIT_USAGE and doc is None
     assert err == f"error: {data}: {message}\n"
@@ -265,8 +248,7 @@ def test_deep_nesting_and_long_literals_are_input_errors_at_their_position(capsy
 @pytest.mark.parametrize("g1", ["z + 1e200^2", "z/(1e200)^-2", "(1e200*z)^2"])
 @pytest.mark.parametrize("command", ["check", "ramify"])
 def test_a_coefficient_that_overflows_is_a_usage_error(capsys, tmp_path, command, g1):
-    data = tmp_path / "huge.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    data = write_data(tmp_path, "huge", ["inf"], "1", g1, "z")
     code, doc, err = run(capsys, command, str(data))
     assert code == EXIT_USAGE and doc is None
     assert err == f"error: {data}: a coefficient is beyond the range of a double\n"
@@ -506,18 +488,7 @@ def test_mesh_usage_errors(capsys, tmp_path):
 
 def test_mesh_quadrature_breakdown_exits_math(monkeypatch, capsys, tmp_path):
     """A pole on a grid line, left unfenced, defeats the adaptive edge rule."""
-    bad = tmp_path / "onaxis.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "genus": 0,
-                "punctures": ["inf"],
-                "h": "1",
-                "g1": "1/(z-1/10)",
-                "g2": "0",
-            }
-        )
-    )
+    bad = write_data(tmp_path, "onaxis", ["inf"], "1", "1/(z-1/10)", "0")
     bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
     monkeypatch.setattr(wlab.cli, "_tolerances", lambda args: (bare, 1.0))
     # at 9 x 9 every face is sampled, so the edge (0, 0.25) through the pole
@@ -535,9 +506,7 @@ def test_mesh_quadrature_breakdown_exits_math(monkeypatch, capsys, tmp_path):
 
 
 def huge_h_data(tmp_path, h: str) -> str:
-    data = tmp_path / "huge.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": h, "g1": "z", "g2": "0"}))
-    return str(data)
+    return write_data(tmp_path, "huge", ["inf"], h, "z", "0")
 
 
 def test_forms_beyond_a_double_keep_their_document(capsys, tmp_path):
@@ -594,8 +563,7 @@ def test_mesh_refuses_a_form_pole_on_a_quadratic_piece(capsys, tmp_path):
     # g1's poles at -i and i are not balanced by h = 1, so the data is not
     # regular; their principal parts have no exact value, so the mesh refuses
     # the data, while check and report print the two violations
-    data = tmp_path / "quadratic.json"
-    data.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1/(z^2+1)", "g2": "0"}))
+    data = write_data(tmp_path, "quadratic", ["inf"], "1", "1/(z^2+1)", "0")
     out = tmp_path / "m.csv"
     code, doc, err = run(
         capsys, "mesh", str(data), "--region", "rect:-2,2,-2,2", "--res", "9", "--base=-2,-2", "--mesh-out", str(out)
@@ -615,14 +583,9 @@ def test_mesh_refuses_a_form_pole_on_a_quadratic_piece(capsys, tmp_path):
 def test_check_exact_residue_at_infinity(capsys, tmp_path):
     # the residue of phi_1 at inf is exactly -7/2; a float gcd route once
     # gave -3.49998 and failed the global residue cross-check
-    data = tmp_path / "triple.json"
-    data.write_text(json.dumps({
-        "genus": 0,
-        "punctures": ["inf", "0", "1"],
-        "h": "(-z^2-2*z+1)/(z^3-z^2+2*z-1)",
-        "g1": "-z^3+z^2-2*z+3",
-        "g2": "(-2*z^2-2)/(z-1)",
-    }))
+    data = write_data(
+        tmp_path, "triple", ["inf", "0", "1"], "(-z^2-2*z+1)/(z^3-z^2+2*z-1)", "-z^3+z^2-2*z+3", "(-2*z^2-2)/(z-1)"
+    )
     code, doc, err = run(capsys, "check", str(data))
     assert doc is not None and "ResidueQuadratureError" not in err
     periods = doc["report"]["periods"]
@@ -677,10 +640,7 @@ def test_degree_64_map_solves_without_warnings(capsys, tmp_path, time_limit):
         coeffs = [rng.choice([c for c in range(-9, 10) if c or k < 64]) for k in range(65)]
         return " + ".join(f"({c})*z^{k}" for k, c in enumerate(coeffs))
 
-    path = tmp_path / "d64.json"
-    path.write_text(
-        json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": f"({poly()})/({poly()})", "g2": "1"})
-    )
+    path = write_data(tmp_path, "d64", ["inf"], "1", f"({poly()})/({poly()})", "1")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with time_limit(20.0):
@@ -736,12 +696,7 @@ def test_every_file_command_rejects_other_genera_as_usage(capsys, tmp_path, comm
 def near_punctures(tmp_path, second: str) -> str:
     """example21's Gauss maps with punctures 0, ``second`` and inf, h dz
     with a double pole at 0 and a simple one at ``second``."""
-    data = tmp_path / "near.json"
-    data.write_text(json.dumps({
-        "genus": 0, "punctures": ["0", second, "inf"],
-        "h": f"1/(z^2*(z-{second}))", "g1": "z", "g2": "z",
-    }))
-    return str(data)
+    return write_data(tmp_path, "near", ["0", second, "inf"], f"1/(z^2*(z-{second}))", "z", "z")
 
 
 @pytest.mark.parametrize("command", ["check", "ramify", "report"])
@@ -800,12 +755,6 @@ def test_a_contour_enclosing_two_poles_is_gone(capsys, tmp_path):
 
 
 # -- spellings that the float canonical form read as other maps ---------------------
-
-
-def write_data(tmp_path, name: str, punctures, h: str, g1: str, g2: str) -> str:
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"genus": 0, "punctures": punctures, "h": h, "g1": g1, "g2": g2}))
-    return str(path)
 
 
 def test_a_map_written_in_inverse_powers_keeps_its_degree(capsys, tmp_path):

@@ -7,7 +7,6 @@ import sys
 import unicodedata
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from wlab.rational import INF, RationalFunction, SpherePoint
 
 import oracle
 import parse_corpus
-from conftest import _integer_poly, _ladder_maps
+from conftest import FIXTURES, _integer_poly, _ladder_maps
 
 Z = RationalFunction.variable()
 
@@ -425,9 +424,8 @@ def _random_expressions(count: int) -> list[str]:
 
 
 def _fixture_expressions() -> list[str]:
-    root = Path(__file__).resolve().parents[1] / "fixtures"
     out = []
-    for path in sorted(root.glob("*.json")):
+    for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
         out.extend(doc[key] for key in ("h", "g1", "g2") if key in doc)
     return out

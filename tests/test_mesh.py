@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import sys
 import warnings
 from dataclasses import replace
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import load_fixture
+from conftest import load_fixture, write_data
 import wlab.cli
 import wlab.roots
 import wlab.report
@@ -47,28 +46,6 @@ def enneper_exact(z: complex) -> np.ndarray:
     )
 
 
-def example21() -> WeierstrassData:
-    return WeierstrassData(
-        h=1 / ((Z - 1) * (Z - 2) * (Z - 3)), g1=Z, g2=Z, punctures=("1", "2", "3", "inf")
-    )
-
-
-def example23_exact(z: complex, z0: complex) -> np.ndarray:
-    """x for h = 1/z^3, g1 = z, g2 = 1, whose forms have no residues."""
-
-    def antiderivative(w):
-        return np.array(
-            [
-                -1 / (4 * w * w) - 1 / (2 * w),
-                1j * (-1 / (4 * w * w) + 1 / (2 * w)),
-                1 / (4 * w * w) - 1 / (2 * w),
-                1j * (1 / (2 * w) + 1 / (4 * w * w)),
-            ]
-        )
-
-    return (antiderivative(z) - antiderivative(z0)).real
-
-
 def vertex_at(mesh, z: complex) -> int:
     v = int(np.argmin(np.abs(mesh.z - z)))
     assert abs(mesh.z[v] - z) < 1e-12
@@ -102,13 +79,14 @@ def test_refinement_stays_within_error_estimate():
     z0 = 1.0 + 1.0j
     coarse = build_mesh(d, region, 9, z0)
     fine = build_mesh(d, region, 17, z0)
+    exact = oracle.mesh_coordinates("example23", z0, coarse.z)  # h = 1/z^3, g1 = z, g2 = 1
     rows, cols = coarse.shape
     for i in range(rows):
         for j in range(cols):
             u = i * cols + j
             v = (2 * i) * (2 * cols - 1) + 2 * j
             assert abs(fine.z[v] - coarse.z[u]) < 1e-12
-            assert np.linalg.norm(coarse.x[u] - example23_exact(coarse.z[u], z0)) <= 1e-12
+            assert np.linalg.norm(coarse.x[u] - exact[u]) <= 1e-12
             assert np.linalg.norm(fine.x[v] - coarse.x[u]) <= 1e-12
 
 
@@ -203,7 +181,7 @@ def test_forms_are_evaluated_a_fixed_number_of_times(monkeypatch):
     counts = []
     for resolution in (17, 65):
         calls = 0
-        m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), resolution, 0.25j)
+        m = build_mesh(load_fixture("example21"), Rectangle(-0.5, 0.5, -0.5, 0.5), resolution, 0.25j)
         assert m.included_count == resolution * resolution
         counts.append(calls)
     assert counts[0] == counts[1] <= 64
@@ -284,10 +262,7 @@ def test_unsampled_edge_through_pole_fails_typed():
 
 
 def test_unsampled_edge_through_pole_exits_math(monkeypatch, tmp_path, capsys):
-    data = tmp_path / "pole.json"
-    data.write_text(
-        json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": "1/(z-1/8)", "g2": "0"})
-    )
+    data = write_data(tmp_path, "pole", ["inf"], "1", "1/(z-1/8)", "0")
     bare = replace(Tolerances(), mesh_exclusion_factor=0.0)
     monkeypatch.setattr(wlab.cli, "_tolerances", lambda args: (bare, 1.0))
     code = wlab.cli.main(
@@ -493,7 +468,7 @@ def test_export_is_formatted_in_blocks(tmp_path, monkeypatch):
         lines += event == "line"
         return tracer
 
-    m = build_mesh(example21(), Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
+    m = build_mesh(load_fixture("example21"), Rectangle(-0.5, 0.5, -0.5, 0.5), 65, 0.25j)
     assert len(m.faces) == 64 * 64
     for fmt, columns in (("csv", 8), ("obj-3d", 3)):
         scalar_rounds = lines = 0

@@ -18,21 +18,19 @@ import json
 import random
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 import pytest
 
 import oracle
+from conftest import LOADABLE, load_fixture
 from wlab import mesh
 from wlab.analysis import Analysis, PoleTableError
-from wlab.cli import _load_data, main
+from wlab.cli import main
 from wlab.exprparse import parse_expression
 from wlab.poly import exact_exponent, exact_mul, exact_pow
 from wlab.rational import INF, RationalFunction, SpherePoint
 from wlab.weierstrass import WeierstrassData, phi_from_data
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
-LOADABLE = sorted(p.stem for p in FIXTURES.glob("*.json") if p.stem != "malformed")
 UNITS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 # Gaussian rationals (a + bi) / c, each once
 POOL = sorted({(Fraction(a, c), Fraction(b, c)) for a in range(-2, 3) for b in range(-2, 3) for c in (1, 2)})
@@ -98,7 +96,7 @@ def random_data(seed: int) -> WeierstrassData:
     return WeierstrassData(h=h, g1=g1, g2=g2, punctures=tuple(punctures))
 
 
-DATA = [_load_data(str(FIXTURES / f"{name}.json")) for name in LOADABLE] + [random_data(s) for s in range(400)]
+DATA = [load_fixture(name) for name in LOADABLE] + [random_data(s) for s in range(400)]
 
 
 def test_the_forms_are_the_products_and_sums_of_the_rational_route():

@@ -17,21 +17,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import NO_SIMD_DISPATCH, PUNCTURE_POOL, _ladder_maps, assert_fibers_match_counting, from_roots, random_map
+from conftest import FIXTURES, NO_SIMD_DISPATCH, PUNCTURE_POOL, _ladder_maps, assert_fibers_match_counting, from_roots, random_map, write_data
 from wlab.cli import main
-from wlab.exprparse import parse_expression, parse_sphere_point
+from wlab.exprparse import as_sphere_point, parse_expression, parse_sphere_point
 from wlab.ramification import FiberTable, OverfullFiberError, Preimage, fiber_table, ramification_report
 from wlab.rational import INF, PointIndex, RationalFunction, SpherePoint, distinct_points
 from wlab.roots import IllConditionedRootsError, RootIsolationError, roots_with_multiplicity
 from wlab.tolerances import Tolerances
 
 Z = RationalFunction.variable()
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def preimage_list(f: RationalFunction, a) -> list[tuple[SpherePoint, int]]:
-    """The oracle's fibre f^-1(a) (``oracle.Fibres.fibre``) as sorted (point, multiplicity)."""
-    fibre = [(INF if z is None else SpherePoint(complex(z)), m) for z, m in oracle.Fibres(f).fibre(a)]
+    """The oracle's fibre f^-1(a) as sorted (point, multiplicity): text read
+    exactly, a number as the literal it prints as, and a value that is f(inf)
+    as a double is f(inf)."""
+    point = as_sphere_point(a)
+    exact = oracle.at_infinity(f) if point == f.value_at_sphere(INF) else oracle.exact_point(point)
+    fibre = [(INF if z is None else SpherePoint(complex(z)), m) for z, m in oracle.fibre(f, exact)]
     return sorted(fibre, key=lambda pm: pm[0].sort_key())
 
 
@@ -134,8 +137,7 @@ def test_grouping_a_degree_64_table_makes_linearly_many_point_comparisons(record
     # the scans compared every table value with every candidate: 24,256
     # close_to calls for one ramify of a degree-64 map
     g1 = _ladder_maps()[32]  # a generic A / B of degree 64
-    path = tmp_path / "d64.json"
-    path.write_text(json.dumps({"genus": 0, "punctures": ["inf"], "h": "1", "g1": g1, "g2": "z"}))
+    path = write_data(tmp_path, "d64", ["inf"], "1", g1, "z")
     compared = record_calls(SpherePoint, "close_to")
     assert main(["ramify", str(path), "--component", "1"]) == 0
     calls = len(compared)
@@ -384,7 +386,7 @@ def test_values_at_far_critical_points_of_high_degree_are_finite():
         warnings.simplefilter("error")
         values = f.values_at(far)
     for value, exact in zip(values, oracle.map_values(f, far)):
-        assert abs(value.value - complex(exact)) <= 1e-12 * abs(complex(exact))
+        assert oracle.close(value.value, exact, 0.0, 1e-12)
 
 
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 dispatch targets")

@@ -82,11 +82,11 @@ def test_map_degree():
 def test_order_at_examples():
     assert oracle.order(Z, INF) == -1  # simple pole of the identity map
     f = 1 / Z**3
-    assert oracle.order(f, 0j) == -3
+    assert oracle.order(f, SpherePoint(0j)) == -3
     g = (Z - 1) ** 2 / (Z + 2)
-    assert oracle.order(g, 1.0) == 2
-    assert oracle.order(g, -2.0) == -1
-    assert oracle.order(g, 5.0) == 0
+    assert oracle.order(g, SpherePoint(1.0)) == 2
+    assert oracle.order(g, SpherePoint(-2.0)) == -1
+    assert oracle.order(g, SpherePoint(5.0)) == 0
 
 
 def test_order_invariant_under_common_factor():
@@ -322,7 +322,7 @@ def test_orders_at_a_located_root_are_read_off_its_yun_factor():
     quadratic, line = ((1, 0), (0, 0), (1, 0)), ((-1, 0), (3, 0))
     assert [(m, r.factor) for r, m in located] == [(1, quadratic), (1, quadratic), (2, line)]
     for r, m in located:
-        assert oracle.order(f, r) == -m and exact_exponent(f.pair[1], r.factor) == m
+        assert oracle.order(f, SpherePoint(r)) == -m and exact_exponent(f.pair[1], r.factor) == m
         assert f.value_at_sphere(r) == INF
     # a principal part is exact at the root of 3z - 1, and refused at a pole
     # on the quadratic factor, where it could only be read off the floats
@@ -331,11 +331,11 @@ def test_orders_at_a_located_root_are_read_off_its_yun_factor():
         with pytest.raises(ArithmeticError, match="degree-2 factor has no exact principal part"):
             f.principal_part_at(r)
     (zero, _m), = roots_with_multiplicity(f.pair[0])
-    assert oracle.order(f, zero) == 1 and f.value_at_sphere(zero) == SpherePoint(0j)
+    assert oracle.order(f, SpherePoint(zero)) == 1 and f.value_at_sphere(zero) == SpherePoint(0j)
     # the same float without its factor is the literal it prints as, and
     # that number is no pole
     r = complex(located[2][0])
-    assert oracle.order(f, r) == 0 and f.residue_at(r) == 0j
+    assert oracle.order(f, SpherePoint(r)) == 0 and f.residue_at(r) == 0j
     # a root located from another polynomial, whose factor's roots have
     # different orders in g, has no order read off that factor
     g = parse_expression("1/(z-2)")

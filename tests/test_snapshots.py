@@ -24,12 +24,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import NO_SIMD_DISPATCH
+from conftest import FIXTURES, NO_SIMD_DISPATCH, REGULAR, fixture
 from wlab.cli import EXIT_MATH, main
 
 HERE = Path(__file__).resolve().parent
 SNAPSHOTS = HERE / "snapshots"
-FIXTURES = HERE.parent / "fixtures"
 
 
 def regenerate(tmp_path, name: str, argv: list[str]) -> bytes:
@@ -38,24 +37,13 @@ def regenerate(tmp_path, name: str, argv: list[str]) -> bytes:
     return out.read_bytes()
 
 
-REPORTS = [
-    "example21",
-    "example22",
-    "example23",
-    "unicity_six_a",
-    "unicity_six_b",
-    "unicity_five_a",
-    "unicity_five_b",
-]
-
-
-@pytest.mark.parametrize("name", REPORTS)
+@pytest.mark.parametrize("name", REGULAR)
 def test_report_snapshots(tmp_path, name):
-    fresh = regenerate(tmp_path, "doc.json", ["report", str(FIXTURES / f"{name}.json")])
+    fresh = regenerate(tmp_path, "doc.json", ["report", fixture(name)])
     assert fresh == (SNAPSHOTS / f"report_{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("name", REPORTS)
+@pytest.mark.parametrize("name", REGULAR)
 @pytest.mark.parametrize(
     "command, flags, subtree",
     [
@@ -70,22 +58,14 @@ def test_commands_emit_subtrees_of_the_report(tmp_path, name, command, flags, su
     # the benchmark reads each command's reference document off the report
     # snapshot (bench/checks.py, expected_fixture_doc)
     report = json.loads((SNAPSHOTS / f"report_{name}.json").read_text())
-    doc = json.loads(regenerate(tmp_path, "doc.json", [command, str(FIXTURES / f"{name}.json"), *flags]))
+    doc = json.loads(regenerate(tmp_path, "doc.json", [command, fixture(name), *flags]))
     assert (doc["command"], doc["label"]) == (command, report["label"])
     assert doc["report"] == subtree(report["report"])
 
 
 @pytest.mark.parametrize("pair", ["six", "five"])
 def test_unicity_snapshots(tmp_path, pair):
-    fresh = regenerate(
-        tmp_path,
-        "doc.json",
-        [
-            "unicity",
-            str(FIXTURES / f"unicity_{pair}_a.json"),
-            str(FIXTURES / f"unicity_{pair}_b.json"),
-        ],
-    )
+    fresh = regenerate(tmp_path, "doc.json", ["unicity", fixture(f"unicity_{pair}_a"), fixture(f"unicity_{pair}_b")])
     assert fresh == (SNAPSHOTS / f"unicity_{pair}.json").read_bytes()
 
 
@@ -144,14 +124,9 @@ def test_mesh_snapshot(tmp_path):
     ],
 )
 def test_obj_snapshots(tmp_path, name, argv):
-    fixture, *flags = argv
+    source, *flags = argv
     mesh_out = tmp_path / name
-    regenerate(
-        tmp_path,
-        "summary.json",
-        ["mesh", str(FIXTURES / f"{fixture}.json"), *flags, "--format", "obj-3d",
-         "--mesh-out", str(mesh_out)],
-    )
+    regenerate(tmp_path, "summary.json", ["mesh", fixture(source), *flags, "--format", "obj-3d", "--mesh-out", str(mesh_out)])
     assert mesh_out.read_bytes() == (SNAPSHOTS / name).read_bytes()
 
 

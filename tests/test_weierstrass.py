@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import load_fixture, loadable_fixtures, random_regular_data
+from conftest import LOADABLE, load_fixture, loadable_fixtures, random_regular_data
 from wlab.analysis import Analysis
 from wlab.exprparse import as_sphere_point, parse_expression
 from wlab.rational import GaussianRational, RationalFunction
@@ -83,16 +83,10 @@ def corrupted_phi() -> PhiForms:
     return PhiForms(phi.phi1, phi.phi2, phi.phi3, phi.phi4 * 1.01)
 
 
-FIXTURE_NAMES = (
-    "example21", "example22", "example23", "irregular",
-    "unicity_five_a", "unicity_five_b", "unicity_six_a", "unicity_six_b",
-)
-
-
 def test_conformality_by_construction():
     # phi_from_data builds the forms so that sum(phi_k^2) vanishes identically
     rng = np.random.default_rng(3)
-    phis = [phi_from_data(load_fixture(name)) for name in FIXTURE_NAMES]
+    phis = [phi_from_data(load_fixture(name)) for name in LOADABLE]
     phis += [phi_from_data(random_regular_data(rng)) for _ in range(40)]
     phis += [phi_from_data(d) for d in (triple_poles_123(), double_pole_pair(), cubic_pole())]
     for phi in phis:
